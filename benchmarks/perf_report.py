@@ -26,15 +26,11 @@ from typing import List, Optional
 
 try:
     from repro.experiments.perf import (
-        DEFAULT_ENSEMBLE_MIN_SPEEDUP,
         DEFAULT_PERF_TOLERANCE,
-        DEFAULT_TIMING_ENSEMBLE_MIN_SPEEDUP,
         REPORT_SCHEMA,
         aggregate,
         load_baseline,
         measure,
-        measure_ensemble,
-        measure_timing_ensemble,
         perf_entry,
         render,
         run_perf_smoke,
@@ -49,15 +45,11 @@ except ImportError as exc:  # pragma: no cover — setup error, not logic
     ) from None
 
 __all__ = [
-    "DEFAULT_ENSEMBLE_MIN_SPEEDUP",
     "DEFAULT_PERF_TOLERANCE",
-    "DEFAULT_TIMING_ENSEMBLE_MIN_SPEEDUP",
     "REPORT_SCHEMA",
     "aggregate",
     "load_baseline",
     "measure",
-    "measure_ensemble",
-    "measure_timing_ensemble",
     "perf_entry",
     "render",
     "run_perf_smoke",

@@ -3,9 +3,10 @@
 
 This script is a thin adapter over the ``repro`` CLI — the experiments
 themselves live in :mod:`repro.experiments` and everything here maps
-1:1 onto ``repro experiments run`` (plus the ``--perf-smoke``
-simulator-throughput gate from :mod:`perf_report`).  Kept for muscle
-memory and old docs; new workflows should call the CLI directly.
+1:1 onto ``repro experiments run`` (plus the single-shot
+``--perf-smoke`` throughput gate from :mod:`perf_report`).  Kept for
+muscle memory and old docs; new workflows should call the CLI
+directly.  Simulator speed is measured by ``python3 bench/run.py``.
 
 Examples::
 
@@ -60,18 +61,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="FRACTION",
                         help="allowed --perf-smoke throughput drop "
                              "(default 0.30 = 30%%)")
-    parser.add_argument("--ensemble-min-speedup", type=float,
-                        default=None, metavar="RATIO",
-                        help="--perf-smoke floor for the N=64 ensemble "
-                             "aggregate speedup over the scalar "
-                             "interpreter (default: the package's "
-                             "loose gate)")
-    parser.add_argument("--timing-ensemble-min-speedup", type=float,
-                        default=None, metavar="RATIO",
-                        help="--perf-smoke floor for the N=64 batched "
-                             "timing-ensemble aggregate speedup over "
-                             "lane-by-lane scalar in-order runs "
-                             "(default: the package's gate)")
     parser.add_argument("--sanitize", action="store_true",
                         help="run the smoke suite with REPRO_SANITIZE=1 "
                              "(per-event invariant checking; implies "
@@ -82,14 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.perf_smoke:
         import perf_report
 
-        kwargs = {"tolerance": args.perf_tolerance}
-        if args.ensemble_min_speedup is not None:
-            kwargs["ensemble_min_speedup"] = args.ensemble_min_speedup
-        if args.timing_ensemble_min_speedup is not None:
-            kwargs["timing_min_speedup"] = (
-                args.timing_ensemble_min_speedup
-            )
-        return perf_report.run_perf_smoke(**kwargs)
+        return perf_report.run_perf_smoke(tolerance=args.perf_tolerance)
 
     forwarded = ["experiments", "run"]
     if args.only:

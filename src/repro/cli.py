@@ -28,13 +28,6 @@ and equally runnable as ``python -m repro``.  Subcommands:
     comparison into a regression gate (exit 1 when aggregate
     insts/host-second drops by more than ``--tolerance``).
 
-``repro ensemble bench [--lanes N] [--scale S] [--workloads ...]
-[--backend numpy|python] [--json]``
-    Measure the vectorized lockstep-ensemble backend
-    (:mod:`repro.sim.ensemble`) against the scalar golden interpreter
-    over seed-varied lane batches of the workload suite, reporting
-    per-workload and aggregate insts/host-second and speedup.
-
 ``repro baseline capture|verify|promote|retire|diff|list``
     Drive the behavioral baseline firewall (:mod:`repro.regress`).
     ``capture`` runs the experiment corpus (documents are *not*
@@ -67,8 +60,8 @@ and equally runnable as ``python -m repro``.  Subcommands:
 ``repro fuzz [--max-examples N] [--out PATH]``
     Drive the differential program fuzzer
     (:mod:`repro.workloads.fuzz`): random proglint-clean programs
-    through every core variant, block-dispatch off, and the ensemble
-    backend, checked against the golden interpreter.  A divergence is
+    through every core variant and with block dispatch off, checked
+    against the golden interpreter.  A divergence is
     shrunk to a minimal program, printed, optionally written as a JSON
     artifact, and exits 1.
 
@@ -91,7 +84,6 @@ import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import ConfigError, env_int
-from repro.errors import ReproError
 from repro.experiments import (
     ExperimentEngine,
     ResultSchemaError,
@@ -333,66 +325,6 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
                   f"{tolerance:.0%} vs the committed baseline",
                   file=sys.stderr)
             return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# ensemble bench
-# ---------------------------------------------------------------------------
-
-
-def _cmd_ensemble_bench(args: argparse.Namespace) -> int:
-    # Deferred import: pulls in the workload suite + (optionally) numpy.
-    from repro.experiments import perf
-    from repro.sim import ensemble
-
-    if args.backend == ensemble.BACKEND_NUMPY and not (
-            ensemble.numpy_available()):
-        print("error: the numpy ensemble backend requires numpy "
-              "(install the 'ensemble' extra: pip install "
-              "'repro[ensemble]')", file=sys.stderr)
-        return 2
-    try:
-        # args.workloads is None when the flag is absent (all
-        # workloads) and [] when given empty — the latter is a
-        # selection error the measurement layer diagnoses.
-        if args.timing:
-            section = perf.measure_timing_ensemble(
-                lanes=args.lanes, scale=args.scale,
-                workloads=args.workloads,
-            )
-        else:
-            section = perf.measure_ensemble(
-                lanes=args.lanes, scale=args.scale,
-                workloads=args.workloads, backend=args.backend,
-            )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(section, indent=2, sort_keys=True))
-        return 0 if section.get("available") else 2
-    if not section.get("available"):
-        print(f"ensemble bench unavailable: "
-              f"{section.get('reason', 'unknown')}", file=sys.stderr)
-        return 2
-    mode = "timing (in-order)" if args.timing else "functional"
-    print(f"ensemble bench: N={section['lanes']} lanes, "
-          f"{section['scale']} scale, {section['backend']} backend, "
-          f"{mode}")
-    print(f"{'workload':<18s} {'insts':>10s} {'scalar s':>9s} "
-          f"{'ensemble s':>11s} {'speedup':>8s}")
-    for name, row in section["workloads"].items():
-        speedup = row["speedup"]
-        print(f"{name:<18s} {row['instructions']:>10d} "
-              f"{row['scalar_wall_seconds']:>9.3f} "
-              f"{row['ensemble_wall_seconds']:>11.3f} "
-              f"{speedup if speedup is None else format(speedup, '.2f'):>8}")
-    agg = section["aggregate"]
-    print(f"{'AGGREGATE':<18s} {agg['instructions']:>10d} "
-          f"{'':>9s} {'':>11s} {agg['speedup']:>8.2f}")
-    print(f"scalar   {agg['scalar_insts_per_host_second']} insts/host-sec")
-    print(f"ensemble {agg['ensemble_insts_per_host_second']} insts/host-sec")
     return 0
 
 
@@ -893,36 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "for --compare-baseline "
                                       "(default: 0.30)")
     cmd_perf_report.set_defaults(func=_cmd_perf_report)
-
-    ensemble = top.add_parser(
-        "ensemble", help="vectorized lockstep-ensemble tools")
-    ensemble_sub = ensemble.add_subparsers(dest="subcommand",
-                                           required=True)
-
-    cmd_ens_bench = ensemble_sub.add_parser(
-        "bench", help="measure ensemble-vs-scalar throughput over "
-                      "seed-varied lane batches of the workload suite")
-    cmd_ens_bench.add_argument("--lanes", type=int, default=64,
-                               help="ensemble width N (default: 64)")
-    cmd_ens_bench.add_argument("--scale", default="tiny",
-                               choices=("tiny", "small", "bench"),
-                               help="workload suite scale "
-                                    "(default: tiny)")
-    cmd_ens_bench.add_argument("--workloads", nargs="*", default=None,
-                               metavar="NAME",
-                               help="subset of suite workload names "
-                                    "(default: all seven)")
-    cmd_ens_bench.add_argument("--backend", default=None,
-                               choices=("numpy", "python"),
-                               help="force a backend (default: "
-                                    "auto-select)")
-    cmd_ens_bench.add_argument("--timing", action="store_true",
-                               help="bench the lane-batched *timing* "
-                                    "ensemble (in-order core) instead "
-                                    "of the functional interpreter")
-    cmd_ens_bench.add_argument("--json", action="store_true",
-                               help="machine-readable output")
-    cmd_ens_bench.set_defaults(func=_cmd_ensemble_bench)
 
     baseline = top.add_parser(
         "baseline", help="behavioral baseline firewall: governed "

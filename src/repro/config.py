@@ -421,15 +421,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #   REPRO_CACHE_DIR         result-cache directory override
 #   REPRO_CACHE_MAX_BYTES   LRU size cap for the result cache
 #   REPRO_BLOCK_DISPATCH    "0" restores per-instruction dispatch
-#   REPRO_ENSEMBLE          "0" disables the vectorized ensemble
-#                           backend (falls back to the scalar
-#                           per-lane interpreter loop)
-#   REPRO_ENSEMBLE_LANES    lane-chunk width for run_ensemble
-#                           (default 64)
-#   REPRO_TIMING_ENSEMBLE   "0" disables lane-batched *timing*
-#                           simulation (repro.sim.timing_ensemble);
-#                           eligible task groups then run lane-by-lane
-#                           through the scalar cores
 #   REPRO_SANITIZE          "1" enables the invariant sanitizer
 #   REPRO_TAINT             "1" enables the speculative-leak taint
 #                           tracker (and the e19 gadget gate)
@@ -443,12 +434,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #   REPRO_TASK_TIMEOUT / REPRO_TASK_RETRIES   parallel-engine limits
 #   REPRO_FAULT_INJECT      deterministic fault-injection spec
 # ---------------------------------------------------------------------------
-
-ENSEMBLE_ENV = "REPRO_ENSEMBLE"
-ENSEMBLE_LANES_ENV = "REPRO_ENSEMBLE_LANES"
-TIMING_ENSEMBLE_ENV = "REPRO_TIMING_ENSEMBLE"
-DEFAULT_ENSEMBLE_LANES = 64
-
 
 def env_int(name: str, default: int) -> int:
     """Parse an integer REPRO_* knob, naming the variable on error.
@@ -484,25 +469,3 @@ def env_flag(name: str, default: bool = True) -> bool:
         return raw != "0"
     return raw.strip().lower() in ("1", "on", "true")
 
-
-def ensemble_enabled() -> bool:
-    """True unless ``REPRO_ENSEMBLE=0`` — the ensemble kill switch,
-    mirroring ``REPRO_BLOCK_DISPATCH``.  When off, ensemble entry
-    points run every lane through the scalar golden interpreter."""
-    return env_flag(ENSEMBLE_ENV, default=True)
-
-
-def timing_ensemble_enabled() -> bool:
-    """True unless ``REPRO_TIMING_ENSEMBLE=0`` — the kill switch for
-    lane-batched timing simulation (:mod:`repro.sim.timing_ensemble`).
-    When off, eligible task groups run lane-by-lane through the scalar
-    timing cores instead."""
-    return env_flag(TIMING_ENSEMBLE_ENV, default=True)
-
-
-def ensemble_lanes() -> int:
-    """Lane-chunk width for ensemble execution (``REPRO_ENSEMBLE_LANES``,
-    default 64): cold lanes are vectorized in chunks of this many."""
-    lanes = env_int(ENSEMBLE_LANES_ENV, DEFAULT_ENSEMBLE_LANES)
-    _require(lanes >= 1, f"{ENSEMBLE_LANES_ENV} must be >= 1, got {lanes}")
-    return lanes

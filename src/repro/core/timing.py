@@ -15,7 +15,7 @@ pieces of that discipline that used to be re-implemented per core:
 * :class:`PerfCounters` — lightweight host-observability counters
   (cycles actually stepped vs. fast-forwarded, stall attribution)
   surfaced on every :class:`~repro.baselines.core_base.CoreResult`
-  under ``extra["perf"]`` and aggregated by ``benchmarks/perf_report``.
+  under ``extra["perf"]`` and in every result-document point.
 
 The counters are pure observability: they never feed back into timing,
 so enabling them cannot perturb simulated cycle counts.

@@ -239,34 +239,6 @@ class BenchEnv:
             matrix[task.program.name][task.config.name] = result
         return matrix
 
-    def run_ensemble(self, programs: List[Program], *,
-                     max_steps: Optional[int] = None,
-                     backend: Optional[str] = None,
-                     on_error: str = "raise"
-                     ) -> List[Optional[CoreResult]]:
-        """A batch of shape-compatible instances of one workload (the
-        ``e*`` seed loops' shape) through the vectorized ensemble
-        backend, with this environment's cache and recording.
-
-        Results are *functional* — final state and interpreter stats,
-        ``cycles`` 0 — keyed per lane program so warm lanes restore
-        without simulating.  Returns one result per lane in lane order
-        (``None`` holes under ``on_error="skip"``).
-        """
-        from repro.isa.interpreter import DEFAULT_MAX_STEPS
-        from repro.sim.ensemble import EnsembleTask
-
-        steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
-        runner = self._runner(self.jobs)
-        results = runner.run_ensemble(
-            EnsembleTask(programs=tuple(programs), max_steps=steps),
-            backend=backend, on_error=on_error,
-        )
-        for program, result in zip(programs, results):
-            if result is not None:
-                self._record_ensemble(program, result, steps)
-        return results
-
     def run_multicore(self, multicore: Multicore, *,
                       machine: str, program: str) -> MulticoreResult:
         """Run an interleaved multiprogrammed point and record its
@@ -314,19 +286,3 @@ class BenchEnv:
                 task.config, task.program, task.max_instructions, result
             )
 
-    def _record_ensemble(self, program: Program, result: CoreResult,
-                         max_steps: int) -> None:
-        from repro.sim.ensemble import ensemble_key
-
-        self.points.append({
-            "machine": "ensemble",
-            "program": program.name,
-            "key": ensemble_key(program, max_steps),
-            "cycles": None,  # functional result: no timing model ran
-            "instructions": result.instructions,
-            "ipc": None,
-            "wall_seconds": round(result.wall_seconds, 6),
-            "perf": None,
-        })
-        if self.firewall is not None:
-            self.firewall.observe_ensemble(program, max_steps, result)

@@ -15,7 +15,8 @@ explain *why* it moved (how much of the simulated time was never
 stepped, how many accesses took the single-probe hit path), and
 ``speedup_vs_baseline`` pins the trajectory to the committed
 ``benchmarks/BENCH_smoke.json`` so a speedup is a tracked number, not a
-claim.
+claim.  Each point is one single-shot run; ``python3 bench/run.py``
+(``bench/README.md``) is the repeated, drift-corrected measurement.
 
 Aggregate semantics (tested in ``tests/experiments/test_perf.py``):
 every ``insts_per_host_second`` rollup — per machine and for the
@@ -42,41 +43,18 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.cmp import Multicore
-from repro.config import (
-    SSTConfig,
-    ensemble_enabled,
-    inorder_machine,
-    timing_ensemble_enabled,
-)
-from repro.errors import ReproError
+from repro.config import SSTConfig
 from repro.experiments.bench_env import BenchEnv
 from repro.experiments.results import default_results_dir, perf_baseline_path
 from repro.regress.semid import dump_stable
-from repro.isa.interpreter import Interpreter
 from repro.sim.machine import Machine
 from repro.workloads import hash_join
-from repro.workloads.suite import WORKLOAD_FACTORIES, suite_params
 
 REPORT_SCHEMA = 2
 
 # Default regression gate for run_perf_smoke (CLI flag --perf-tolerance
 # in run_all.py overrides it per run).
 DEFAULT_PERF_TOLERANCE = 0.30
-
-# Minimum aggregate speedup of the N=64 numpy ensemble over the scalar
-# interpreter on the tiny suite.  Measured ~2.8x on the reference host;
-# the gate is deliberately loose so slow/shared CI runners do not flap,
-# while still catching a vectorization regression back to ~1x.
-DEFAULT_ENSEMBLE_MIN_SPEEDUP = 1.5
-
-# Minimum aggregate speedup of the N=64 batched in-order *timing*
-# ensemble over lane-by-lane scalar Machine runs on its gate workload
-# (see measure_timing_ensemble for why the gate is compute-matmul).
-# Measured ~2.2-2.6x on the reference host.
-DEFAULT_TIMING_ENSEMBLE_MIN_SPEEDUP = 2.0
-
-# The timing-ensemble gate workload set (see measure_timing_ensemble).
-DEFAULT_TIMING_WORKLOADS = ("compute-matmul",)
 
 
 # ---------------------------------------------------------------------------
@@ -291,247 +269,6 @@ def measure(tag: str = "report") -> Dict[str, Any]:
         },
         "entries": entries,
         "aggregate": single_aggregate,
-        "ensemble": measure_ensemble(),
-        "timing_ensemble": measure_timing_ensemble(),
-    }
-
-
-def _select_workloads(scale: str, workloads: Optional[List[str]]
-                      ) -> Dict[str, Dict[str, Any]]:
-    """The ``scale`` suite narrowed to ``workloads``, validated.
-
-    An empty selection or unknown workload names raise
-    :class:`ReproError` (which the CLI maps to exit code 2) instead of
-    surfacing as a bare ``KeyError`` from inside the measurement loop.
-    """
-    params = suite_params(scale)
-    if workloads is None:
-        return params
-    if not workloads:
-        raise ReproError("no workloads selected")
-    unknown = sorted(name for name in workloads if name not in params)
-    if unknown:
-        raise ReproError(
-            f"unknown workload(s): {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(params))}"
-        )
-    return {name: params[name] for name in workloads}
-
-
-def measure_ensemble(lanes: int = 64, scale: str = "tiny",
-                     workloads: Optional[List[str]] = None,
-                     backend: Optional[str] = None) -> Dict[str, Any]:
-    """Ensemble-vs-scalar throughput over seed-varied lane batches.
-
-    For each workload in the ``scale`` suite this builds ``lanes``
-    seed-varied instances, runs them one at a time through the scalar
-    golden interpreter, then once through the numpy
-    :class:`repro.sim.ensemble.EnsembleInterpreter`, and reports both
-    walls plus the per-workload and aggregate speedup (sum of scalar
-    wall over sum of ensemble wall, matching the module's
-    wall-time-weighted rollup semantics).  Returns
-    ``{"available": False, "reason": ...}`` when numpy is missing or
-    ``REPRO_ENSEMBLE=0``, so snapshots stay writable everywhere.
-    ``backend`` forces one (``"python"`` measures the pure-Python lane
-    loop, which is expected near 1x); the default requires the numpy
-    backend since that is the number the smoke gate tracks.
-    """
-    from repro.sim import ensemble
-
-    base = {"lanes": lanes, "scale": scale}
-    if backend is None:
-        if not ensemble.numpy_available():
-            return {"available": False, "reason": "numpy not installed",
-                    **base}
-        if not ensemble_enabled():
-            return {"available": False, "reason": "REPRO_ENSEMBLE=0",
-                    **base}
-        backend = ensemble.BACKEND_NUMPY
-    else:
-        try:
-            backend = ensemble.resolve_backend(backend)
-        except ensemble.EnsembleDependencyError as exc:
-            return {"available": False, "reason": str(exc), **base}
-
-    params = _select_workloads(scale, workloads)
-
-    rows: Dict[str, Any] = {}
-    total_insts = 0
-    total_scalar = 0.0
-    total_vector = 0.0
-    for name, kwargs in params.items():
-        programs = [
-            WORKLOAD_FACTORIES[name](
-                **kwargs, seed=100 + lane, name=f"{name}@lane{lane}"
-            )
-            for lane in range(lanes)
-        ]
-        started = time.perf_counter()
-        insts = 0
-        for program in programs:
-            interp = Interpreter(program)
-            interp.run()
-            insts += interp.stats.instructions
-        # Rounded before use so the stored walls reproduce the stored
-        # speedups (same contract as perf_entry/aggregate).
-        scalar_wall = round(time.perf_counter() - started, 4)
-
-        started = time.perf_counter()
-        outcomes = ensemble.EnsembleInterpreter(
-            programs, backend=backend
-        ).run()
-        vector_wall = round(time.perf_counter() - started, 4)
-        vector_insts = sum(o.stats.instructions for o in outcomes)
-        if vector_insts != insts:  # pragma: no cover - differential guard
-            raise ReproError(
-                f"ensemble ran {vector_insts} instructions for {name} "
-                f"where the scalar interpreter ran {insts}"
-            )
-
-        total_insts += insts
-        total_scalar += scalar_wall
-        total_vector += vector_wall
-        rows[name] = {
-            "instructions": insts,
-            "scalar_wall_seconds": scalar_wall,
-            "ensemble_wall_seconds": vector_wall,
-            "speedup": (
-                round(scalar_wall / vector_wall, 4) if vector_wall > 0
-                else None
-            ),
-        }
-
-    return {
-        "available": True,
-        "backend": backend,
-        **base,
-        "workloads": rows,
-        "aggregate": {
-            "instructions": total_insts,
-            "scalar_insts_per_host_second": (
-                round(total_insts / total_scalar) if total_scalar > 0
-                else None
-            ),
-            "ensemble_insts_per_host_second": (
-                round(total_insts / total_vector) if total_vector > 0
-                else None
-            ),
-            "speedup": (
-                round(total_scalar / total_vector, 4) if total_vector > 0
-                else None
-            ),
-        },
-    }
-
-
-def measure_timing_ensemble(lanes: int = 64, scale: str = "tiny",
-                            workloads: Optional[List[str]] = None
-                            ) -> Dict[str, Any]:
-    """Batched in-order *timing* ensemble vs lane-by-lane scalar runs.
-
-    The timing analogue of :func:`measure_ensemble`: for each workload,
-    ``lanes`` seed-varied instances run one at a time through scalar
-    :class:`~repro.sim.machine.Machine` in-order simulations, then once
-    through :func:`repro.sim.timing_ensemble.run_timing_ensemble`, with
-    every lane's batched :class:`CoreResult` differentially checked
-    against its scalar twin (bit-identity is the engine's contract, so
-    any mismatch is a hard :class:`ReproError`, not a statistic).
-
-    The default workload set is ``compute-matmul`` only, on purpose:
-    the lockstep engine's win is the vectorized issue/ALU/L1-hit path,
-    and the hit-friendly matmul kernel is representative of where
-    parameter sweeps spend their time.  Miss-dominated workloads route
-    most accesses through the *same* scalar miss machinery in both
-    runs and sit near 1x by construction — gating on them would track
-    host noise, not the vectorization.  Walls are rounded before use so
-    the stored numbers reproduce the stored speedups.
-
-    Returns ``{"available": False, "reason": ...}`` when numpy is
-    missing or the engine is disabled/ineligible, so snapshots stay
-    writable everywhere.
-    """
-    from repro.sim import ensemble, timing_ensemble
-
-    base = {"lanes": lanes, "scale": scale}
-    if not ensemble.numpy_available():
-        return {"available": False, "reason": "numpy not installed", **base}
-    config = inorder_machine()
-    if not timing_ensemble.timing_ensemble_eligible(config):
-        reason = (
-            "REPRO_TIMING_ENSEMBLE=0" if not timing_ensemble_enabled()
-            else "sanitizer or fault-injection hooks are active"
-        )
-        return {"available": False, "reason": reason, **base}
-
-    if workloads is None:
-        workloads = list(DEFAULT_TIMING_WORKLOADS)
-    params = _select_workloads(scale, workloads)
-
-    rows: Dict[str, Any] = {}
-    total_insts = 0
-    total_scalar = 0.0
-    total_vector = 0.0
-    for name, kwargs in params.items():
-        programs = [
-            WORKLOAD_FACTORIES[name](
-                **kwargs, seed=300 + lane, name=f"{name}@lane{lane}"
-            )
-            for lane in range(lanes)
-        ]
-        started = time.perf_counter()
-        scalar_results = [
-            Machine(config).run(program) for program in programs
-        ]
-        scalar_wall = round(time.perf_counter() - started, 4)
-        insts = sum(result.instructions for result in scalar_results)
-
-        started = time.perf_counter()
-        outcomes = timing_ensemble.run_timing_ensemble(config, programs)
-        vector_wall = round(time.perf_counter() - started, 4)
-        for outcome, scalar in zip(outcomes, scalar_results):
-            # pragma-free differential guard: equality covers cycles,
-            # architectural state and the full extra payload
-            # (wall_seconds is excluded from CoreResult equality).
-            if outcome.result != scalar:
-                raise ReproError(
-                    "timing ensemble diverged from the scalar in-order "
-                    f"core on {scalar.program_name!r}"
-                )
-
-        total_insts += insts
-        total_scalar += scalar_wall
-        total_vector += vector_wall
-        rows[name] = {
-            "instructions": insts,
-            "scalar_wall_seconds": scalar_wall,
-            "ensemble_wall_seconds": vector_wall,
-            "speedup": (
-                round(scalar_wall / vector_wall, 4) if vector_wall > 0
-                else None
-            ),
-        }
-
-    return {
-        "available": True,
-        "backend": "numpy",
-        "machine": config.name,
-        **base,
-        "workloads": rows,
-        "aggregate": {
-            "instructions": total_insts,
-            "scalar_insts_per_host_second": (
-                round(total_insts / total_scalar) if total_scalar > 0
-                else None
-            ),
-            "ensemble_insts_per_host_second": (
-                round(total_insts / total_vector) if total_vector > 0
-                else None
-            ),
-            "speedup": (
-                round(total_scalar / total_vector, 4) if total_vector > 0
-                else None
-            ),
-        },
     }
 
 
@@ -571,35 +308,6 @@ def render(payload: Dict[str, Any]) -> str:
             f"speedup vs baseline [{speedup.get('baseline_tag')}]: "
             f"{speedup['aggregate']:.2f}x aggregate"
         )
-    ens = payload.get("ensemble")
-    if isinstance(ens, dict):
-        if ens.get("available"):
-            agg = ens["aggregate"]
-            rate = agg["ensemble_insts_per_host_second"]
-            lines.append(
-                f"ensemble N={ens['lanes']} ({ens['scale']}): "
-                f"{rate if rate is not None else '-'} insts/host-sec, "
-                f"{agg['speedup']:.2f}x vs scalar"
-            )
-        else:
-            lines.append(
-                f"ensemble: unavailable ({ens.get('reason', 'unknown')})"
-            )
-    tens = payload.get("timing_ensemble")
-    if isinstance(tens, dict):
-        if tens.get("available"):
-            agg = tens["aggregate"]
-            rate = agg["ensemble_insts_per_host_second"]
-            lines.append(
-                f"timing ensemble N={tens['lanes']} ({tens['scale']}): "
-                f"{rate if rate is not None else '-'} insts/host-sec, "
-                f"{agg['speedup']:.2f}x vs scalar"
-            )
-        else:
-            lines.append(
-                f"timing ensemble: unavailable "
-                f"({tens.get('reason', 'unknown')})"
-            )
     return "\n".join(lines)
 
 
@@ -609,11 +317,7 @@ def render(payload: Dict[str, Any]) -> str:
 
 
 def run_perf_smoke(tolerance: float = DEFAULT_PERF_TOLERANCE,
-                   baseline_path: Optional[pathlib.Path] = None,
-                   ensemble_min_speedup: float = DEFAULT_ENSEMBLE_MIN_SPEEDUP,
-                   timing_min_speedup: float = (
-                       DEFAULT_TIMING_ENSEMBLE_MIN_SPEEDUP)
-                   ) -> int:
+                   baseline_path: Optional[pathlib.Path] = None) -> int:
     """Measure simulator throughput (tiny scale) against the committed
     ``BENCH_smoke.json`` baseline.
 
@@ -623,13 +327,6 @@ def run_perf_smoke(tolerance: float = DEFAULT_PERF_TOLERANCE,
     snapshot embeds ``speedup_vs_baseline`` against them, and the run
     fails if aggregate insts/host-second dropped by more than
     ``tolerance`` (a fraction: 0.30 fails on a >30% regression).
-
-    When the snapshot carries an available ensemble section, its
-    aggregate ensemble-vs-scalar speedup is additionally gated against
-    ``ensemble_min_speedup`` (a loose absolute floor, not a baseline
-    ratio — the scalar reference is re-measured in the same run, which
-    cancels out host speed).  The timing-ensemble section is gated the
-    same way against ``timing_min_speedup``.
     """
     os.environ["REPRO_BENCH_SMOKE"] = "1"
     if baseline_path is None:
@@ -644,31 +341,13 @@ def run_perf_smoke(tolerance: float = DEFAULT_PERF_TOLERANCE,
     write_report(payload, baseline_path)
     print(f"wrote {baseline_path}")
 
-    status = 0
-    ens = payload.get("ensemble") or {}
-    if ens.get("available"):
-        ens_speedup = ens["aggregate"]["speedup"]
-        if ens_speedup is not None and ens_speedup < ensemble_min_speedup:
-            print(f"FAIL: ensemble aggregate speedup {ens_speedup:.2f}x "
-                  f"is below the {ensemble_min_speedup:.2f}x floor",
-                  file=sys.stderr)
-            status = 1
-    tens = payload.get("timing_ensemble") or {}
-    if tens.get("available"):
-        t_speedup = tens["aggregate"]["speedup"]
-        if t_speedup is not None and t_speedup < timing_min_speedup:
-            print(f"FAIL: timing-ensemble aggregate speedup "
-                  f"{t_speedup:.2f}x is below the "
-                  f"{timing_min_speedup:.2f}x floor", file=sys.stderr)
-            status = 1
-
     if baseline is None:
         print("no committed baseline found; snapshot recorded, "
               "nothing to compare")
-        return status
+        return 0
     if speedup is None or speedup["aggregate"] is None:
         print("committed baseline is unreadable; snapshot recorded")
-        return status
+        return 0
     ratio = speedup["aggregate"]
     old = baseline["aggregate"]["total"]["insts_per_host_second"]
     new = payload["aggregate"]["total"]["insts_per_host_second"]
@@ -679,4 +358,4 @@ def run_perf_smoke(tolerance: float = DEFAULT_PERF_TOLERANCE,
               f"{tolerance:.0%} vs the committed baseline",
               file=sys.stderr)
         return 1
-    return status
+    return 0

@@ -62,7 +62,6 @@ class Program:
                     f"be non-empty and word-aligned"
                 )
         self._fingerprint: Optional[str] = None
-        self._shape_fingerprint: Optional[str] = None
 
     @property
     def has_secrets(self) -> bool:
@@ -115,28 +114,6 @@ class Program:
         # present, so every pre-existing fingerprint is unchanged.
         for start, end in self.secret_ranges:
             yield f"s:{start}:{end}"
-
-    def shape_fingerprint(self) -> str:
-        """Code-*shape* identity: a SHA-256 over the instruction stream
-        with immediates, data image and name excluded.
-
-        Two programs share a shape fingerprint exactly when they have
-        the same opcodes, register operands and branch targets at every
-        PC — i.e. the same control-flow graph and the same dataflow
-        wiring — and differ only in immediate values and initial data.
-        That is the lane-compatibility contract of the vectorized
-        ensemble backend (:mod:`repro.sim.ensemble`): parameter-varied
-        instances of one workload generator share a shape, so one set of
-        batched block kernels can execute all of them in lockstep.
-        Memoized like :meth:`fingerprint`.
-        """
-        if self._shape_fingerprint is None:
-            self._shape_fingerprint = line_digest(
-                f"s:{inst.op.value}:{inst.rd}:{inst.rs1}:{inst.rs2}:"
-                f"{inst.target}"
-                for inst in self.instructions
-            )
-        return self._shape_fingerprint
 
     def label_of(self, index: int) -> Optional[str]:
         """Reverse label lookup (first match), for disassembly."""

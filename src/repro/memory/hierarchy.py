@@ -16,7 +16,7 @@ I-streams and D-streams compete in the shared L2 without aliasing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Set, Tuple
+from typing import Optional, Set
 
 import dataclasses as _dataclasses
 
@@ -64,20 +64,11 @@ class HierarchyStats:
 class MemoryHierarchy:
     """One core's view of the memory system."""
 
-    def __init__(self, config: HierarchyConfig, *,
-                 caches: Optional[Tuple[Any, Any, Any]] = None):
+    def __init__(self, config: HierarchyConfig):
         self.config = config
-        if caches is None:
-            self.l1d = Cache(config.l1d, name="L1D")
-            self.l1i = Cache(config.l1i, name="L1I")
-            self.l2 = Cache(config.l2, name="L2")
-        else:
-            # Injected tag stores (duck-typed Cache facades).  The
-            # timing ensemble hands each per-lane hierarchy a
-            # LaneCacheView triple so this class's miss/merge/prefetch
-            # machinery runs unmodified against shared lane-axis tag
-            # matrices.
-            self.l1d, self.l1i, self.l2 = caches
+        self.l1d = Cache(config.l1d, name="L1D")
+        self.l1i = Cache(config.l1i, name="L1I")
+        self.l2 = Cache(config.l2, name="L2")
         self.l1d_mshr = MSHRFile(config.l1d.mshr_entries, name="L1D-MSHR")
         self.l1i_mshr = MSHRFile(config.l1i.mshr_entries, name="L1I-MSHR")
         self.l2_mshr = MSHRFile(config.l2.mshr_entries, name="L2-MSHR")
@@ -148,6 +139,11 @@ class MemoryHierarchy:
                 result = AccessResult(hit_ready, HitLevel.L1)
         else:
             result = self._l1d_miss(line, cycle, pc)
+            if access_type is AccessType.STORE and not l1d.contains(line):
+                # The store merged with the in-flight fill of a line
+                # whose tag was evicted before the fill landed:
+                # write-allocate the line again so it can be dirtied.
+                self._l1d_fill(line)
 
         if access_type is AccessType.STORE:
             self.l1d.mark_dirty(line)
@@ -167,11 +163,7 @@ class MemoryHierarchy:
         # Miss detected after the L1 lookup; go to L2.
         l2_probe = start + self.config.l1d.hit_latency
         ready, from_dram = self._l2_access(line, l2_probe, pc)
-        victim = self.l1d.fill(line)
-        if victim is not None:
-            # Dirty L1 victim written back into L2 (tag-only model).
-            if self.l2.contains(victim):
-                self.l2.mark_dirty(victim)
+        self._l1d_fill(line)
         self.l1d_mshr.complete(line, ready)
         self._l1_pending_from_dram.discard(line)
         if from_dram:
@@ -180,6 +172,13 @@ class MemoryHierarchy:
             return AccessResult(ready, HitLevel.DRAM)
         self.stats.demand_l2_hits += 1
         return AccessResult(ready, HitLevel.L2)
+
+    def _l1d_fill(self, line: int) -> None:
+        """Install ``line`` in the L1D; a dirty victim is written back
+        into the L2 (tag-only model)."""
+        victim = self.l1d.fill(line)
+        if victim is not None and self.l2.contains(victim):
+            self.l2.mark_dirty(victim)
 
     def _l2_access(self, line: int, cycle: int, pc: int):
         """L2 lookup at ``cycle``; returns (ready_cycle, from_dram)."""

@@ -83,18 +83,6 @@ class MSHRFile:
             self._expire(cycle)
         return self._min_ready if self._pending else None
 
-    def max_pending_ready(self) -> int:
-        """Latest outstanding completion, or -1 when nothing pends.
-
-        Unlike the other probes this does *not* expire entries: a stale
-        entry's ready time is in the past, so the returned maximum is
-        still a correct "idle from here on" watermark — ``idle_at(c)``
-        is exactly ``max_pending_ready() <= c``.  Batched engines mirror
-        this one value per lane to keep their fast path scalar-free.
-        """
-        pending = self._pending
-        return max(pending.values()) if pending else -1
-
     def occupancy(self, cycle: int) -> int:
         self._expire(cycle)
         return len(self._pending)

@@ -58,18 +58,5 @@ class TLB:
         return self.page_of(addr) in self._pages
 
     @property
-    def mru_page(self) -> int:
-        """Most-recently-used page number, or -1 when empty.
-
-        An access to the MRU page is a hit with zero bookkeeping beyond
-        the access/hit counters (``move_to_end`` is a no-op), which lets
-        batched engines test it vectorized without touching the scalar
-        structure.
-        """
-        if not self._pages:
-            return -1
-        return next(reversed(self._pages))
-
-    @property
     def occupancy(self) -> int:
         return len(self._pages)

@@ -25,8 +25,8 @@ Hook points (all gated on ``REPRO_BASELINE``; unset means zero work):
 * :func:`repro.sim.runner.simulate` observes every direct run;
 * :class:`repro.experiments.bench_env.BenchEnv` observes every
   recorded point (including cache hits — a corrupt cache entry that
-  decodes cleanly but disagrees with the baseline is caught here),
-  every ensemble lane, and every multicore run;
+  decodes cleanly but disagrees with the baseline is caught here)
+  and every multicore run;
 * :class:`repro.experiments.engine.ExperimentEngine` observes each
   finished experiment document (expectation outcomes, metrics/table
   signatures, and the point-key list — so an unintended cache-key
@@ -284,19 +284,6 @@ class BaselineFirewall:
             "max_instructions": max_instructions,
         }
         return self._observe(semid, "point", scenario,
-                             point_behavior(result))
-
-    def observe_ensemble(self, program: Any, max_steps: int,
-                         result: CoreResult) -> str:
-        from repro.sim.ensemble import ensemble_key
-
-        scenario = {
-            "machine": "ensemble",
-            "program": program.name,
-            "max_steps": max_steps,
-        }
-        return self._observe(ensemble_key(program, max_steps),
-                             "ensemble", scenario,
                              point_behavior(result))
 
     def observe_multicore(self, multicore: Any, result: Any, *,

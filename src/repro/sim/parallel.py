@@ -29,16 +29,6 @@ one execution engine behind :func:`repro.sim.sweep.sweep`,
   checking (``cache-corrupt``) is quarantined and the point re-simulated,
   and a store that fails (full disk, unregistered stats type) warns and
   continues instead of discarding the finished batch;
-* **lane batching** — groups of pending in-order points that share a
-  program *shape* (same opcodes/operands/targets, differing only in
-  immediates and data — exactly the sweep pattern) and a config/budget
-  are peeled off and executed in one pass through the vectorized
-  timing engine (:mod:`repro.sim.timing_ensemble`), whose per-lane
-  results are bit-identical to scalar runs and hit the same result
-  cache keys; ineligible points (non-in-order cores, odd predictors,
-  numpy missing, ``REPRO_TIMING_ENSEMBLE=0``, sanitizer or fault
-  hooks active) and singleton groups fall through to the scalar path,
-  as does the whole group if the batched engine itself fails;
 * **fault injection** — ``REPRO_FAULT_INJECT``
   (:mod:`repro.sim.faults`) deterministically exercises every one of
   these recovery paths.
@@ -219,8 +209,6 @@ class ParallelRunner:
                 outcomes[index] = hit
 
         if pending:
-            pending = self._run_timing_batches(tasks, pending, outcomes)
-        if pending:
             executed = self._execute_batch([tasks[i] for i in pending])
             for index, outcome in zip(pending, executed):
                 outcomes[index] = outcome
@@ -228,107 +216,6 @@ class ParallelRunner:
                     self._store_result(outcome)
 
         return [outcome for outcome in outcomes if outcome is not None]
-
-    def _run_timing_batches(self, tasks: List[SimTask],
-                            pending: List[int],
-                            outcomes: List[Optional[TaskOutcome]]
-                            ) -> List[int]:
-        """Batch same-shape in-order points through the vectorized
-        timing engine; returns the pending indices it did *not* handle.
-
-        Grouping key is (config, program shape fingerprint, budget) —
-        the engine's lane-compatibility contract.  Only groups of two
-        or more lanes batch (a singleton gains nothing and keeps the
-        scalar path's retry/fault machinery); groups wider than
-        ``REPRO_ENSEMBLE_LANES`` run in chunks.  Each lane's result is
-        verified and cached exactly as a scalar run would be, and the
-        behavioral-baseline firewall observes it through the same
-        hook as :func:`repro.sim.runner.simulate`.  If the engine
-        itself fails, the whole group falls back to scalar execution
-        with a warning — batching is an optimization, never a new way
-        to lose a sweep.
-        """
-        from repro.config import ensemble_lanes
-        from repro.sim.timing_ensemble import (
-            run_timing_ensemble,
-            timing_ensemble_eligible,
-        )
-
-        groups: List[Tuple[SimTask, List[int]]] = []
-        for index in pending:
-            task = tasks[index]
-            if not timing_ensemble_eligible(task.config):
-                continue
-            shape = task.program.shape_fingerprint()
-            for head, members in groups:
-                if (head.max_instructions == task.max_instructions
-                        and head.program.shape_fingerprint() == shape
-                        and head.config == task.config):
-                    members.append(index)
-                    break
-            else:
-                groups.append((task, [index]))
-
-        handled: set = set()
-        width = max(2, ensemble_lanes())
-        observe_baseline = bool(
-            os.environ.get("REPRO_BASELINE", "").strip()
-        )
-        for head, members in groups:
-            if len(members) < 2:
-                continue
-            for start in range(0, len(members), width):
-                chunk = members[start:start + width]
-                try:
-                    lane_outcomes = run_timing_ensemble(
-                        head.config,
-                        [tasks[i].program for i in chunk],
-                        max_instructions=head.max_instructions,
-                    )
-                except Exception as exc:  # noqa: BLE001 - engine crash
-                    warnings.warn(
-                        f"timing-ensemble batch of {len(chunk)} "
-                        f"{head.config.name} lanes failed "
-                        f"({type(exc).__name__}: {exc}); falling back "
-                        f"to scalar execution",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    continue
-                for index, lane in zip(chunk, lane_outcomes):
-                    task = tasks[index]
-                    if lane.error is not None:
-                        outcome = TaskOutcome(task=task, error=lane.error,
-                                              kind=KIND_TASK_ERROR)
-                    else:
-                        outcome = self._check_batched_lane(
-                            task, lane.result, observe_baseline
-                        )
-                    outcomes[index] = outcome
-                    handled.add(index)
-                    if outcome.ok and self.cache is not None:
-                        self._store_result(outcome)
-        return [index for index in pending if index not in handled]
-
-    def _check_batched_lane(self, task: SimTask, result: CoreResult,
-                            observe_baseline: bool) -> TaskOutcome:
-        """Golden-check + firewall-observe one batched lane, mirroring
-        what :func:`repro.sim.runner.simulate` does on the scalar path
-        (including the error rendering of a failed check)."""
-        try:
-            if task.verify:
-                verify_against_golden(result, task.program)
-            if observe_baseline:
-                from repro.regress.firewall import observe_point_from_env
-
-                observe_point_from_env(
-                    task.config, task.program, task.max_instructions,
-                    result,
-                )
-        except Exception as exc:  # noqa: BLE001 - mirror _execute_task
-            return TaskOutcome(task=task, kind=KIND_TASK_ERROR,
-                               error=f"{type(exc).__name__}: {exc}")
-        return TaskOutcome(task=task, result=result)
 
     def run(self, tasks: Sequence[SimTask], *,
             on_error: str = "raise") -> List[Optional[CoreResult]]:
@@ -354,34 +241,6 @@ class ParallelRunner:
                 f"failed ({summary})"
             )
         return [outcome.result for outcome in outcomes]
-
-    def run_ensemble(self, task: "Any", *,
-                     on_error: str = "raise",
-                     backend: Optional[str] = None,
-                     lanes: Optional[int] = None
-                     ) -> List[Optional[CoreResult]]:
-        """Run one :class:`repro.sim.ensemble.EnsembleTask` through the
-        vectorized ensemble backend, reusing this runner's cache and
-        worker budget.
-
-        Lane results are content-addressed per lane program
-        (:func:`repro.sim.ensemble.ensemble_key`), so warm lanes load
-        from ``self.cache`` and only cold lanes execute; cold lanes are
-        chunked ``lanes`` wide and chunks are spread over up to
-        ``self.jobs`` worker processes.  Semantics of ``on_error``
-        match :meth:`run`.
-        """
-        from repro.sim.ensemble import run_ensemble
-
-        return run_ensemble(
-            list(task.programs),
-            max_steps=task.max_steps,
-            cache=self.cache,
-            backend=backend,
-            lanes=lanes,
-            jobs=self.jobs,
-            on_error=on_error,
-        )
 
     # ------------------------------------------------------------------
     # Caching.

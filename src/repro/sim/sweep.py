@@ -7,12 +7,6 @@ Sweeps execute through :class:`~repro.sim.parallel.ParallelRunner`: set
 processes, and pass a :class:`~repro.sim.cache.ResultCache` to skip
 points that were already simulated.  Results always come back in axis
 order, identical to the serial path.
-
-Uncached in-order points that share a program shape and budget batch
-transparently through the lane-axis timing engine
-(:mod:`repro.sim.timing_ensemble`) inside the runner — same results,
-same cache keys, fewer host seconds; ``REPRO_TIMING_ENSEMBLE=0``
-restores pure lane-by-lane execution.
 """
 
 from __future__ import annotations
@@ -84,11 +78,6 @@ def sweep_many(programs: Sequence[Program],
     :func:`sweep`: warm points load, cached-but-corrupt points are
     quarantined and re-simulated (they do not raise under either
     mode), and ``on_error`` applies to simulation failures only.
-
-    For seed-varied instances of *one* workload shape, the vectorized
-    ensemble backend (:func:`repro.sim.ensemble.run_ensemble`, or
-    :func:`ensemble_sweep` below) executes all instances in lockstep
-    instead of one sweep task per instance.
     """
     axis_values = list(axis)
     tasks = [
@@ -108,43 +97,3 @@ def sweep_many(programs: Sequence[Program],
             out[task.program.name].append((task.tag, result))
     return out
 
-
-def ensemble_sweep(make_program: Callable[[object], Program],
-                   axis: Iterable, *,
-                   max_steps: Optional[int] = None,
-                   jobs: Optional[int] = None,
-                   cache: Optional[ResultCache] = None,
-                   backend: Optional[str] = None,
-                   lanes: Optional[int] = None,
-                   on_error: str = "raise",
-                   ) -> List[Tuple[object, CoreResult]]:
-    """A functional sweep along a *program* axis, executed in lockstep.
-
-    Where :func:`sweep` varies the machine and :func:`sweep_many`
-    crosses programs with machines, this varies the program itself —
-    ``make_program(value)`` builds one instance per axis value (the
-    ``e*`` experiments' seed loops) — and hands the whole batch to the
-    vectorized ensemble backend, which simulates every lane
-    simultaneously instead of one task at a time.  All instances must
-    share a code shape (``Program.shape_fingerprint``); results are
-    functional (final state + interpreter stats, no timing).  Caching
-    is per lane program, so warm lanes load and only cold lanes
-    execute; ``on_error="skip"`` drops failed lanes like :func:`sweep`
-    drops failed points.
-    """
-    from repro.isa.interpreter import DEFAULT_MAX_STEPS
-    from repro.sim.ensemble import run_ensemble
-
-    axis_values = list(axis)
-    programs = [make_program(value) for value in axis_values]
-    results = run_ensemble(
-        programs,
-        max_steps=DEFAULT_MAX_STEPS if max_steps is None else max_steps,
-        cache=cache, backend=backend, lanes=lanes, jobs=jobs,
-        on_error=on_error,
-    )
-    return [
-        (value, result)
-        for value, result in zip(axis_values, results)
-        if result is not None
-    ]

@@ -12,10 +12,9 @@ reusable discovery engine:
 * :func:`build_program` — deterministic shape → :class:`Program`
   (proglint-clean by construction),
 * :func:`differential_check` — one program through every core factory
-  (in-order, two OoO variants, four SST variants, scout-only), a
-  block-dispatch-off SST leg, and the vectorized ensemble backend; any
-  architectural divergence from the golden interpreter comes back as a
-  string verdict,
+  (in-order, two OoO variants, four SST variants, scout-only) and a
+  block-dispatch-off SST leg; any architectural divergence from the
+  golden interpreter comes back as a string verdict,
 * :func:`fuzz` — drives hypothesis' ``find`` so a failing shape is
   *shrunk* to a minimal reproducer before being reported.
 
@@ -252,23 +251,6 @@ def differential_check(program: Program) -> Optional[str]:
             os.environ.pop("REPRO_BLOCK_DISPATCH", None)
         else:
             os.environ["REPRO_BLOCK_DISPATCH"] = saved
-
-    # Vectorized ensemble backend vs. the scalar interpreter.
-    from repro.isa.interpreter import run_program
-    from repro.sim.ensemble import numpy_available, run_ensemble
-
-    if numpy_available():
-        try:
-            [lane] = run_ensemble([program], backend="numpy")
-        except ReproError as error:
-            return f"ensemble: {error}"
-        if lane is None:
-            return "ensemble: lane produced no result"
-        golden = run_program(program)
-        if lane.state.regs != golden.regs:
-            return "ensemble: register state diverged from golden"
-        if lane.state.memory != golden.memory:
-            return "ensemble: memory state diverged from golden"
     return None
 
 

@@ -151,9 +151,8 @@ def spec_leak_store(name: str = "spec-leak-store") -> Program:
 
 # Deliberately NOT part of WORKLOAD_FACTORIES: these are analysis
 # subjects, not benchmark members — the suite registry is asserted to
-# match the performance suite exactly, and ensemble tests parametrize
-# over it.  The CLI's ``lint`` subcommand and the e19 experiment merge
-# this registry in.
+# match the performance suite exactly.  The CLI's ``lint`` subcommand
+# and the e19 experiment merge this registry in.
 ANALYSIS_WORKLOADS = {
     "spec-leak-gadget": spec_leak_gadget,
     "spec-leak-safe": spec_leak_safe,

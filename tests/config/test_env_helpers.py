@@ -3,13 +3,9 @@ ad-hoc ``int(os.environ.get(...))`` crashes cannot reappear."""
 
 import pytest
 
-from repro.config import (
-    ensemble_lanes,
-    env_flag,
-    env_int,
-    timing_ensemble_enabled,
-)
+from repro.config import env_flag, env_int
 from repro.errors import ConfigError
+from repro.isa import blockcache
 
 
 def test_env_int_unset_and_blank_use_default(monkeypatch):
@@ -30,14 +26,15 @@ def test_env_int_parses_and_names_the_knob_on_garbage(monkeypatch):
 
 
 def test_env_flag_kill_switch_semantics(monkeypatch):
-    monkeypatch.delenv("REPRO_TIMING_ENSEMBLE", raising=False)
-    assert env_flag("REPRO_TIMING_ENSEMBLE", default=True)
+    monkeypatch.delenv("REPRO_BLOCK_DISPATCH", raising=False)
+    assert env_flag("REPRO_BLOCK_DISPATCH", default=True)
     # Kill switches are off only at the literal "0".
-    monkeypatch.setenv("REPRO_TIMING_ENSEMBLE", "0")
-    assert not env_flag("REPRO_TIMING_ENSEMBLE", default=True)
-    assert not timing_ensemble_enabled()
-    monkeypatch.setenv("REPRO_TIMING_ENSEMBLE", "no")
-    assert env_flag("REPRO_TIMING_ENSEMBLE", default=True)
+    monkeypatch.setenv("REPRO_BLOCK_DISPATCH", "0")
+    assert not env_flag("REPRO_BLOCK_DISPATCH", default=True)
+    assert not blockcache.enabled()
+    monkeypatch.setenv("REPRO_BLOCK_DISPATCH", "no")
+    assert env_flag("REPRO_BLOCK_DISPATCH", default=True)
+    assert blockcache.enabled()
 
 
 def test_env_flag_opt_in_semantics(monkeypatch):
@@ -49,13 +46,3 @@ def test_env_flag_opt_in_semantics(monkeypatch):
     monkeypatch.setenv("REPRO_TAINT", "yes")
     assert not env_flag("REPRO_TAINT", default=False)
 
-
-def test_ensemble_lanes_validates(monkeypatch):
-    monkeypatch.setenv("REPRO_ENSEMBLE_LANES", "16")
-    assert ensemble_lanes() == 16
-    monkeypatch.setenv("REPRO_ENSEMBLE_LANES", "0")
-    with pytest.raises(ConfigError, match="REPRO_ENSEMBLE_LANES"):
-        ensemble_lanes()
-    monkeypatch.setenv("REPRO_ENSEMBLE_LANES", "wide")
-    with pytest.raises(ConfigError, match="REPRO_ENSEMBLE_LANES"):
-        ensemble_lanes()

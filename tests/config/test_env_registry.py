@@ -5,7 +5,7 @@ documented twice — in the registry comment block in
 ``src/repro/config.py`` and in the README's environment-knob table —
 and neither list may advertise a knob the code no longer reads.  The
 scan is over string literals, which also catches knobs read through
-named constants (``TIMING_ENSEMBLE_ENV = "REPRO_TIMING_ENSEMBLE"``).
+named constants (``ENV_FLAG = "REPRO_BLOCK_DISPATCH"``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def registry_block() -> str:
     """The documented knob registry comment in config.py."""
     text = CONFIG_PY.read_text()
     start = text.index("Runtime environment knobs")
-    end = text.index("ENSEMBLE_ENV =", start)
+    end = text.index("def env_int(", start)
     return text[start:end]
 
 

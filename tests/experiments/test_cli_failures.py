@@ -1,12 +1,8 @@
 """CLI failure modes exit non-zero with a one-line diagnostic, never a
-traceback: missing perf baseline, numpy explicitly requested but
-absent, and bad workload selections for `repro ensemble bench`."""
-
-import pytest
+traceback: a missing perf baseline and a garbage REPRO_JOBS."""
 
 from repro import cli
 from repro.experiments import perf
-from repro.sim import ensemble
 
 
 def run_cli(argv, capsys):
@@ -31,39 +27,6 @@ def test_perf_report_missing_baseline_exits_2(tmp_path, monkeypatch,
          "--compare-baseline"], capsys)
     assert code == 2
     assert "no committed baseline" in err
-    assert "Traceback" not in err
-
-
-def test_ensemble_bench_numpy_requested_but_absent(monkeypatch,
-                                                   capsys):
-    monkeypatch.setattr(ensemble, "numpy_available", lambda: False)
-    code, _, err = run_cli(
-        ["ensemble", "bench", "--backend", "numpy"], capsys)
-    assert code == 2
-    assert "requires numpy" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("extra", [[], ["--timing"]])
-def test_ensemble_bench_unknown_workload_exits_2(extra, capsys):
-    pytest.importorskip("numpy")
-    code, _, err = run_cli(
-        ["ensemble", "bench", "--lanes", "2",
-         "--workloads", "no-such-workload"] + extra, capsys)
-    assert code == 2
-    assert "no-such-workload" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("extra", [[], ["--timing"]])
-def test_ensemble_bench_empty_workload_selection_exits_2(extra,
-                                                         capsys):
-    pytest.importorskip("numpy")
-    code, _, err = run_cli(
-        ["ensemble", "bench", "--lanes", "2", "--workloads"] + extra,
-        capsys)
-    assert code == 2
-    assert "no workloads selected" in err
     assert "Traceback" not in err
 
 

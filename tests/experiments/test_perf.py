@@ -182,223 +182,6 @@ def test_cli_perf_report_gates_against_baseline(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The ensemble throughput section.
-# ---------------------------------------------------------------------------
-
-
-def ensemble_section(speedup, available=True):
-    if not available:
-        return {"available": False, "reason": "numpy not installed",
-                "lanes": 64, "scale": "tiny"}
-    return {
-        "available": True, "backend": "numpy", "lanes": 64,
-        "scale": "tiny", "workloads": {},
-        "aggregate": {"instructions": 1000,
-                      "scalar_insts_per_host_second": 1000,
-                      "ensemble_insts_per_host_second":
-                          round(1000 * speedup),
-                      "speedup": speedup},
-    }
-
-
-class TestMeasureEnsemble:
-    def test_section_structure_and_instruction_parity(self):
-        pytest.importorskip("numpy")
-        section = perf.measure_ensemble(lanes=4,
-                                        workloads=["fp-stream"])
-        assert section["available"]
-        assert section["backend"] == "numpy"
-        assert section["lanes"] == 4
-        row = section["workloads"]["fp-stream"]
-        assert row["instructions"] == \
-            section["aggregate"]["instructions"]
-        assert row["speedup"] == pytest.approx(
-            row["scalar_wall_seconds"] / row["ensemble_wall_seconds"],
-            rel=0.05)
-        assert section["aggregate"]["ensemble_insts_per_host_second"] > 0
-
-    def test_python_backend_can_be_forced(self):
-        section = perf.measure_ensemble(lanes=2,
-                                        workloads=["fp-stream"],
-                                        backend="python")
-        assert section["available"]
-        assert section["backend"] == "python"
-
-    def test_kill_switch_marks_unavailable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENSEMBLE", "0")
-        section = perf.measure_ensemble(lanes=2)
-        assert section == {"available": False,
-                           "reason": "REPRO_ENSEMBLE=0",
-                           "lanes": 2, "scale": "tiny"}
-
-
-class TestEnsembleGate:
-    @pytest.fixture
-    def fake_measure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-
-        def install(ensemble):
-            def fake(tag="smoke"):
-                payload = payload_with([entry("sst", 1000, 1.0)],
-                                       tag=tag)
-                payload["ensemble"] = ensemble
-                return payload
-            monkeypatch.setattr(perf, "measure", fake)
-        return install
-
-    def test_speedup_above_floor_passes(self, tmp_path, fake_measure):
-        fake_measure(ensemble_section(speedup=3.0))
-        assert perf.run_perf_smoke(
-            baseline_path=tmp_path / "BENCH_smoke.json",
-            ensemble_min_speedup=1.5) == 0
-
-    def test_speedup_below_floor_fails(self, tmp_path, fake_measure):
-        fake_measure(ensemble_section(speedup=1.1))
-        assert perf.run_perf_smoke(
-            baseline_path=tmp_path / "BENCH_smoke.json",
-            ensemble_min_speedup=1.5) == 1
-
-    def test_unavailable_section_is_not_gated(self, tmp_path,
-                                              fake_measure):
-        fake_measure(ensemble_section(speedup=0.0, available=False))
-        assert perf.run_perf_smoke(
-            baseline_path=tmp_path / "BENCH_smoke.json",
-            ensemble_min_speedup=1.5) == 0
-
-    def test_render_includes_ensemble_line(self, fake_measure):
-        payload = payload_with([entry("sst", 1000, 1.0)])
-        payload["ensemble"] = ensemble_section(speedup=2.5)
-        text = perf.render(payload)
-        assert "ensemble N=64" in text
-        assert "2.50x vs scalar" in text
-        payload["ensemble"] = ensemble_section(0.0, available=False)
-        assert "unavailable (numpy not installed)" in perf.render(payload)
-
-
-def test_committed_baseline_carries_the_ensemble_section():
-    payload = perf.load_baseline()
-    assert payload is not None, "benchmarks/BENCH_smoke.json missing"
-    section = payload.get("ensemble")
-    assert isinstance(section, dict)
-    if section["available"]:
-        assert section["lanes"] == 64
-        assert section["aggregate"]["speedup"] is not None
-
-
-# ---------------------------------------------------------------------------
-# The timing-ensemble throughput section.
-# ---------------------------------------------------------------------------
-
-
-def timing_section(speedup, available=True):
-    if not available:
-        return {"available": False, "reason": "numpy not installed",
-                "lanes": 64, "scale": "tiny"}
-    return {
-        "available": True, "backend": "numpy", "machine": "inorder-2w",
-        "lanes": 64, "scale": "tiny", "workloads": {},
-        "aggregate": {"instructions": 1000,
-                      "scalar_insts_per_host_second": 1000,
-                      "ensemble_insts_per_host_second":
-                          round(1000 * speedup),
-                      "speedup": speedup},
-    }
-
-
-class TestMeasureTimingEnsemble:
-    def test_section_structure_and_differential_guard(self):
-        pytest.importorskip("numpy")
-        section = perf.measure_timing_ensemble(lanes=4)
-        assert section["available"]
-        assert section["backend"] == "numpy"
-        assert section["lanes"] == 4
-        assert list(section["workloads"]) == \
-            list(perf.DEFAULT_TIMING_WORKLOADS)
-        row = section["workloads"]["compute-matmul"]
-        assert row["instructions"] == \
-            section["aggregate"]["instructions"]
-        # Rates reproduce from the stored rounded walls exactly.
-        assert row["speedup"] == round(
-            row["scalar_wall_seconds"] / row["ensemble_wall_seconds"],
-            4)
-
-    def test_kill_switch_marks_unavailable(self, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_TIMING_ENSEMBLE", "0")
-        section = perf.measure_timing_ensemble(lanes=2)
-        assert section == {"available": False,
-                           "reason": "REPRO_TIMING_ENSEMBLE=0",
-                           "lanes": 2, "scale": "tiny"}
-
-    def test_unknown_workload_is_a_repro_error(self):
-        pytest.importorskip("numpy")
-        with pytest.raises(perf.ReproError, match="no-such-workload"):
-            perf.measure_timing_ensemble(
-                lanes=2, workloads=["no-such-workload"])
-        with pytest.raises(perf.ReproError, match="no workloads"):
-            perf.measure_timing_ensemble(lanes=2, workloads=[])
-
-    def test_measure_ensemble_rejects_unknown_workloads_too(self):
-        with pytest.raises(perf.ReproError, match="no-such-workload"):
-            perf.measure_ensemble(lanes=2, backend="python",
-                                  workloads=["no-such-workload"])
-
-
-class TestTimingEnsembleGate:
-    @pytest.fixture
-    def fake_measure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-
-        def install(timing):
-            def fake(tag="smoke"):
-                payload = payload_with([entry("sst", 1000, 1.0)],
-                                       tag=tag)
-                payload["timing_ensemble"] = timing
-                return payload
-            monkeypatch.setattr(perf, "measure", fake)
-        return install
-
-    def test_speedup_above_floor_passes(self, tmp_path, fake_measure):
-        fake_measure(timing_section(speedup=2.4))
-        assert perf.run_perf_smoke(
-            baseline_path=tmp_path / "BENCH_smoke.json",
-            timing_min_speedup=2.0) == 0
-
-    def test_speedup_below_floor_fails(self, tmp_path, fake_measure):
-        fake_measure(timing_section(speedup=1.4))
-        assert perf.run_perf_smoke(
-            baseline_path=tmp_path / "BENCH_smoke.json",
-            timing_min_speedup=2.0) == 1
-
-    def test_unavailable_section_is_not_gated(self, tmp_path,
-                                              fake_measure):
-        fake_measure(timing_section(0.0, available=False))
-        assert perf.run_perf_smoke(
-            baseline_path=tmp_path / "BENCH_smoke.json",
-            timing_min_speedup=2.0) == 0
-
-    def test_render_includes_timing_line(self, fake_measure):
-        payload = payload_with([entry("sst", 1000, 1.0)])
-        payload["timing_ensemble"] = timing_section(speedup=2.25)
-        text = perf.render(payload)
-        assert "timing ensemble N=64" in text
-        assert "2.25x vs scalar" in text
-        payload["timing_ensemble"] = timing_section(0.0,
-                                                    available=False)
-        assert "timing ensemble: unavailable" in perf.render(payload)
-
-
-def test_committed_baseline_carries_the_timing_section():
-    payload = perf.load_baseline()
-    assert payload is not None, "benchmarks/BENCH_smoke.json missing"
-    section = payload.get("timing_ensemble")
-    assert isinstance(section, dict)
-    if section["available"]:
-        assert section["lanes"] == 64
-        assert section["aggregate"]["speedup"] >= 2.0
-
-
-# ---------------------------------------------------------------------------
 # Snapshot self-consistency: rates reproduce from the stored walls.
 # ---------------------------------------------------------------------------
 

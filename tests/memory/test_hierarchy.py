@@ -86,6 +86,26 @@ def test_store_marks_line_dirty_and_counts():
     assert hierarchy.l1d.stats.misses == 1
 
 
+def test_store_into_fill_of_evicted_line_reallocates_it():
+    # One-line L1D: the second load evicts 0x1000 while its fill is still
+    # in flight, so the store merges with that fill on a line whose tag
+    # is gone and must write-allocate it again before dirtying it.
+    hierarchy = MemoryHierarchy(HierarchyConfig(
+        l1d=CacheConfig(size_bytes=64, assoc=1, hit_latency=2)))
+    first = hierarchy.data_access(0x1000, cycle=0)
+    hierarchy.data_access(0x2000, cycle=1)
+    store = hierarchy.data_access(0x1000, cycle=2,
+                                  access_type=AccessType.STORE)
+    assert store.level is HitLevel.MERGE_L2
+    assert store.ready_cycle == first.ready_cycle
+    assert hierarchy.l1d.contains(0x1000)
+    assert not hierarchy.l1d.contains(0x2000)
+    # The reinstalled line is dirty: evicting it counts a writeback.
+    hierarchy.data_access(0x3000, cycle=10_000)
+    assert hierarchy.l1d.stats.writebacks == 1
+    hierarchy.check_invariants()
+
+
 def test_prefetch_warms_without_demand_stats():
     hierarchy = make_hierarchy()
     hierarchy.prefetch(0x10000, cycle=0)

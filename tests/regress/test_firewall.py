@@ -1,7 +1,7 @@
 """The baseline firewall engine: observation kinds, capture/verify
 modes, strictness, reporting, the simulate()/BenchEnv/engine hook
 points, and bit-identity of behavior across execution variants
-(block-dispatch off, taint tracking on, ensemble numpy-vs-python)."""
+(block-dispatch off, taint tracking on)."""
 
 from __future__ import annotations
 
@@ -24,10 +24,8 @@ from repro.regress.firewall import (
 )
 from repro.regress.store import BaselineStore
 from repro.sim.cache import result_key
-from repro.sim.ensemble import BACKEND_PYTHON, numpy_available
 from repro.sim.runner import simulate
 from repro.workloads import full_suite
-from repro.workloads.suite import WORKLOAD_FACTORIES, suite_params
 
 
 @pytest.fixture
@@ -188,29 +186,6 @@ def test_behavior_identical_with_taint_tracking_on(store, monkeypatch,
     assert verify.observe_point(
         sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, tainted
     ) == "verified"
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_ensemble_behavior_identical_numpy_vs_python(tmp_path):
-    """Both ensemble backends produce the same governed behavior for
-    the same lanes: capture under python, verify under numpy."""
-    kwargs = suite_params("tiny")["int-branchy"]
-    programs = [
-        WORKLOAD_FACTORIES["int-branchy"](**kwargs, seed=100 + lane,
-                                          name=f"int-branchy@lane{lane}")
-        for lane in range(4)
-    ]
-    store = BaselineStore(tmp_path / "bl")
-    capture = BaselineFirewall(store, mode="capture")
-    env = BenchEnv(smoke=True, cache=None, firewall=capture)
-    env.run_ensemble(programs, backend=BACKEND_PYTHON)
-    assert capture.stats.captured == len(programs)
-
-    verify = BaselineFirewall(store, mode="verify")
-    env = BenchEnv(smoke=True, cache=None, firewall=verify)
-    env.run_ensemble(programs, backend="numpy")
-    assert verify.stats.verified == len(programs)
-    assert verify.stats.divergent == 0
 
 
 # -- BenchEnv / engine integration ------------------------------------------

@@ -29,6 +29,33 @@ def test_public_api_exports_resolve():
         assert hasattr(repro, name), name
 
 
+def test_cli_and_simulation_do_not_import_numpy():
+    """The package declares no dependencies: start-up, loading every
+    experiment and simulating on the scalar cores must not pull numpy
+    in (it costs every process start-up time and memory)."""
+    import os
+    import subprocess
+    import sys
+
+    script = "\n".join([
+        "import sys",
+        "import repro.cli",
+        "from repro.config import inorder_machine, sst_machine",
+        "from repro.experiments import load_all",
+        "from repro.sim.machine import Machine",
+        "from repro.workloads import pointer_chase",
+        "load_all()",
+        "program = pointer_chase(chains=2, nodes_per_chain=16, hops=24)",
+        "for config in (inorder_machine(), sst_machine()):",
+        "    assert Machine(config).run(program).instructions > 0",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
+
+
 def test_examples_have_main_guards():
     for path in sorted((REPO / "examples").glob("*.py")):
         text = path.read_text()
