@@ -3,10 +3,9 @@
 
 This script is a thin adapter over the ``repro`` CLI — the experiments
 themselves live in :mod:`repro.experiments` and everything here maps
-1:1 onto ``repro experiments run`` (plus the single-shot
-``--perf-smoke`` throughput gate from :mod:`perf_report`).  Kept for
-muscle memory and old docs; new workflows should call the CLI
-directly.  Simulator speed is measured by ``python3 bench/run.py``.
+1:1 onto ``repro experiments run``.  Kept for muscle memory and old
+docs; new workflows should call the CLI directly.  Simulator speed is
+measured by ``python3 bench/run.py``.
 
 Examples::
 
@@ -52,26 +51,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated experiment ids to run")
     parser.add_argument("--max-instructions", type=int, default=None,
                         help="override the per-run instruction budget")
-    parser.add_argument("--perf-smoke", action="store_true",
-                        help="measure simulator throughput on the tiny "
-                             "suite, rewrite benchmarks/BENCH_smoke.json, "
-                             "and fail on a regression beyond "
-                             "--perf-tolerance vs the committed baseline")
-    parser.add_argument("--perf-tolerance", type=float, default=0.30,
-                        metavar="FRACTION",
-                        help="allowed --perf-smoke throughput drop "
-                             "(default 0.30 = 30%%)")
     parser.add_argument("--sanitize", action="store_true",
                         help="run the smoke suite with REPRO_SANITIZE=1 "
                              "(per-event invariant checking; implies "
                              "--smoke --no-cache, since cached results "
                              "would skip the checked simulations)")
     args = parser.parse_args(argv)
-
-    if args.perf_smoke:
-        import perf_report
-
-        return perf_report.run_perf_smoke(tolerance=args.perf_tolerance)
 
     forwarded = ["experiments", "run"]
     if args.only:

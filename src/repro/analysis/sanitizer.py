@@ -8,10 +8,13 @@ every cycle count is bit-identical to a run with it off (the golden
 cycle tests assert exactly that), so it can ride along under any
 experiment without invalidating its numbers.
 
-Enabled per-process by the ``REPRO_SANITIZE`` environment flag (off by
-default) or per-core by passing a sanitizer instance to the core
-constructor.  Violations raise :class:`~repro.errors.SanitizerError`
-(a :class:`~repro.errors.SimulatorInvariantError`).
+Enabled by the ``REPRO_SANITIZE`` environment flag (off by default),
+which each core reads once, at construction: a core built while it is
+set carries a sanitizer for its whole run, and an SST core built so
+runs the instrumented speculative loop, whose hook sites feed the
+sanitizer every deferral (see :mod:`repro.core.sst_dispatch`).
+Violations raise :class:`~repro.errors.SanitizerError` (a
+:class:`~repro.errors.SimulatorInvariantError`).
 
 Checked invariants (see DESIGN.md for the paper mapping):
 
@@ -32,20 +35,17 @@ Checked invariants (see DESIGN.md for the paper mapping):
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
+from repro.config import env_flag
 from repro.errors import SanitizerError
 from repro.isa.interpreter import Interpreter
 from repro.isa.program import Program
 from repro.isa.registers import ZERO_REG
 
-_TRUTHY = ("1", "on", "true", "yes")
-
-
 def sanitize_enabled() -> bool:
     """The ``REPRO_SANITIZE`` process-wide gate (off by default)."""
-    return os.environ.get("REPRO_SANITIZE", "").lower() in _TRUTHY
+    return env_flag("REPRO_SANITIZE", default=False)
 
 
 class Sanitizer:

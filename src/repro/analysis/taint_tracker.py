@@ -15,9 +15,12 @@ Design rules, in priority order:
 * **Strictly observational.**  Like the sanitizer, the tracker must not
   perturb the simulation: golden cycle counts are bit-identical with
   ``REPRO_TAINT`` on and off.  It reads core state through pure
-  accessors only (:meth:`StoreBuffer.peek_forward`, never ``forward``),
-  and the compiled speculative loop is disabled while it is attached,
-  exactly as under ``REPRO_SANITIZE``.
+  accessors only (:meth:`StoreBuffer.peek_forward`, never ``forward``).
+  An attached tracker makes the core compile the instrumented variant
+  of its generated speculative loop (:mod:`repro.core.sst_dispatch`),
+  the production engine with the ``on_ahead`` / ``on_scout_na`` /
+  ``on_scout`` issue hooks compiled in, exactly as under
+  ``REPRO_SANITIZE``.
 
 * **Lazy architectural shadow.**  Committed-state taint comes from a
   shadow :class:`Interpreter` advanced to the core's committed
@@ -40,21 +43,20 @@ resolution) maps a register to the youngest such bit.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.config import env_flag
 from repro.isa.interpreter import Interpreter
 from repro.isa.opcodes import OpClass
 from repro.isa.program import WORD_SIZE, Program
 from repro.isa.registers import REG_COUNT, ZERO_REG
 
-_TRUTHY = ("1", "on", "true", "yes")
 _MASK64 = 2**64 - 1
 
 
 def taint_enabled() -> bool:
     """Is the ``REPRO_TAINT`` dynamic taint tracker requested?"""
-    return os.environ.get("REPRO_TAINT", "").lower() in _TRUTHY
+    return env_flag("REPRO_TAINT", default=False)
 
 
 def make_taint_tracker(core: Any,

@@ -19,15 +19,6 @@ and equally runnable as ``python -m repro``.  Subcommands:
     Summarize stored result documents: mode, wall time, point count,
     and which expectation predicates held.
 
-``repro perf report [--tag TAG] [--out PATH] [--smoke] [--json]
-[--compare-baseline] [--tolerance FRAC]``
-    Take a simulator-throughput snapshot (``BENCH_<tag>.json``) via
-    :mod:`repro.experiments.perf`.  When a committed baseline
-    (``benchmarks/BENCH_smoke.json``) exists, the snapshot embeds a
-    ``speedup_vs_baseline`` section; ``--compare-baseline`` turns that
-    comparison into a regression gate (exit 1 when aggregate
-    insts/host-second drops by more than ``--tolerance``).
-
 ``repro baseline capture|verify|promote|retire|diff|list``
     Drive the behavioral baseline firewall (:mod:`repro.regress`).
     ``capture`` runs the experiment corpus (documents are *not*
@@ -60,10 +51,11 @@ and equally runnable as ``python -m repro``.  Subcommands:
 ``repro fuzz [--max-examples N] [--out PATH]``
     Drive the differential program fuzzer
     (:mod:`repro.workloads.fuzz`): random proglint-clean programs
-    through every core variant and with block dispatch off, checked
-    against the golden interpreter.  A divergence is
-    shrunk to a minimal program, printed, optionally written as a JSON
-    artifact, and exits 1.
+    through every core variant, checked against the golden
+    interpreter, plus an SST leg with the sanitizer and taint tracker
+    attached that must also match the plain SST leg's cycles.  A
+    divergence is shrunk to a minimal program, printed, optionally
+    written as a JSON artifact, and exits 1.
 
 Expectation failures are *reported* but do not fail a run by default:
 at smoke scale the qualitative shapes are indicative only.  Pass
@@ -91,7 +83,6 @@ from repro.experiments import (
     get,
     list_specs,
     load_result_doc,
-    perf_baseline_path,
 )
 from repro.experiments.spec import ExperimentLookupError
 from repro.sim.cache import ResultCache
@@ -281,51 +272,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(doc["table"]["rendered"])
             print()
     return 1 if missing else 0
-
-
-# ---------------------------------------------------------------------------
-# perf report
-# ---------------------------------------------------------------------------
-
-
-def _cmd_perf_report(args: argparse.Namespace) -> int:
-    # Imported here, not at module top: a snapshot pulls in the whole
-    # workload/machine stack, which `repro experiments list` etc. never
-    # need.
-    from repro.experiments import perf
-
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else perf.DEFAULT_PERF_TOLERANCE)
-    if args.smoke:
-        os.environ["REPRO_BENCH_SMOKE"] = "1"
-    baseline = perf.load_baseline()
-    payload = perf.measure(tag=args.tag)
-    speedup = perf.speedup_vs_baseline(payload, baseline)
-    if speedup is not None:
-        payload["speedup_vs_baseline"] = speedup
-    path = perf.write_report(
-        payload, pathlib.Path(args.out) if args.out else None
-    )
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(perf.render(payload))
-        print(f"wrote {path}")
-    if args.compare_baseline:
-        ratio = speedup["aggregate"] if speedup else None
-        if ratio is None:
-            print("error: no committed baseline to compare against "
-                  f"({perf_baseline_path()})", file=sys.stderr)
-            return 2
-        if not args.json:
-            print(f"throughput vs committed baseline "
-                  f"[{speedup['baseline_tag']}]: {ratio:.2f}x")
-        if ratio < 1.0 - tolerance:
-            print(f"FAIL: simulator throughput regressed more than "
-                  f"{tolerance:.0%} vs the committed baseline",
-                  file=sys.stderr)
-            return 1
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -791,40 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_report.add_argument("--tables", action="store_true",
                             help="also print each stored table")
     cmd_report.set_defaults(func=_cmd_report)
-
-    perf = top.add_parser(
-        "perf", help="simulator-throughput snapshots and regression "
-                     "comparisons")
-    perf_sub = perf.add_subparsers(dest="subcommand", required=True)
-
-    cmd_perf_report = perf_sub.add_parser(
-        "report", help="take a BENCH_<tag>.json throughput snapshot; "
-                       "optionally gate it against the committed "
-                       "baseline")
-    cmd_perf_report.add_argument("--tag", default="report",
-                                 help="snapshot tag (file name suffix)")
-    cmd_perf_report.add_argument("--out", default=None,
-                                 help="output path override (default: "
-                                      "benchmarks/results/"
-                                      "BENCH_<tag>.json)")
-    cmd_perf_report.add_argument("--smoke", action="store_true",
-                                 help="tiny workloads (sets "
-                                      "REPRO_BENCH_SMOKE=1), matching "
-                                      "the committed baseline's scale")
-    cmd_perf_report.add_argument("--json", action="store_true",
-                                 help="print the snapshot payload as "
-                                      "JSON instead of the table")
-    cmd_perf_report.add_argument("--compare-baseline",
-                                 action="store_true",
-                                 help="exit non-zero when aggregate "
-                                      "insts/host-second regressed more "
-                                      "than --tolerance vs the "
-                                      "committed baseline")
-    cmd_perf_report.add_argument("--tolerance", type=float, default=None,
-                                 help="regression tolerance fraction "
-                                      "for --compare-baseline "
-                                      "(default: 0.30)")
-    cmd_perf_report.set_defaults(func=_cmd_perf_report)
 
     baseline = top.add_parser(
         "baseline", help="behavioral baseline firewall: governed "

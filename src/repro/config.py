@@ -412,25 +412,25 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #
 # The simulator reads a small set of REPRO_* environment variables; the
 # knob constants and shared parsers live here so there is one documented
-# home for them.  The full set (tests/config/test_env_registry.py greps
-# this block against the actual ``os.environ.get("REPRO_...`` call
+# home for them.  Every on/off switch parses through env_flag and every
+# integer through env_int.  The full set (tests/config/test_env_registry.py
+# greps this block against the actual ``os.environ.get("REPRO_...`` call
 # sites, so keep it complete):
 #
 #   REPRO_JOBS              worker-pool size for ParallelRunner
-#   REPRO_CACHE             "0" disables the result cache
+#   REPRO_CACHE             off ("0") disables the result cache
 #   REPRO_CACHE_DIR         result-cache directory override
 #   REPRO_CACHE_MAX_BYTES   LRU size cap for the result cache
-#   REPRO_BLOCK_DISPATCH    "0" restores per-instruction dispatch
-#   REPRO_SANITIZE          "1" enables the invariant sanitizer
-#   REPRO_TAINT             "1" enables the speculative-leak taint
-#                           tracker (and the e19 gadget gate)
+#   REPRO_SANITIZE          on ("1") attaches the invariant sanitizer
+#                           (and the instrumented SST loop)
+#   REPRO_TAINT             on ("1") attaches the speculative-leak
+#                           taint tracker (and the e19 gadget gate)
 #   REPRO_BASELINE          behavioral-firewall observation mode
 #                           (capture/verify) for every simulated point
 #   REPRO_BASELINE_DIR      baseline-record directory override
-#   REPRO_BENCH_SMOKE       "1" shrinks benchmarks to smoke scale
+#   REPRO_BENCH_SMOKE       on ("1") shrinks benchmarks to smoke scale
 #   REPRO_BENCH_MAX_INSTRUCTIONS   per-run instruction budget cap
 #   REPRO_RESULTS_DIR       benchmark-results directory override
-#   REPRO_PERF_BASELINE     committed perf-baseline snapshot override
 #   REPRO_TASK_TIMEOUT / REPRO_TASK_RETRIES   parallel-engine limits
 #   REPRO_FAULT_INJECT      deterministic fault-injection spec
 # ---------------------------------------------------------------------------
@@ -454,18 +454,21 @@ def env_int(name: str, default: int) -> int:
         ) from None
 
 
-def env_flag(name: str, default: bool = True) -> bool:
-    """A REPRO_* on/off switch.
+_FLAG_ON = ("1", "on", "true", "yes")
+_FLAG_OFF = ("0", "off", "false", "no")
 
-    The library's switch convention is asymmetric by default: kill
-    switches (default True) are off only at the literal ``"0"``, while
-    opt-ins (default False) are on only at ``"1"``/``"on"``/``"true"``.
-    This helper encodes both so call sites cannot drift.
+
+def env_flag(name: str, default: bool = True) -> bool:
+    """A REPRO_* on/off switch; every switch parses through here.
+
+    ``1``/``on``/``true``/``yes`` turn it on and ``0``/``off``/
+    ``false``/``no`` turn it off, ignoring case and surrounding spaces.
+    Unset, blank or any other value gives ``default``.
     """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if default:
-        return raw != "0"
-    return raw.strip().lower() in ("1", "on", "true")
+    raw = (os.environ.get(name) or "").strip().lower()
+    if raw in _FLAG_ON:
+        return True
+    if raw in _FLAG_OFF:
+        return False
+    return default
 

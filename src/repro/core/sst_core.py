@@ -26,6 +26,12 @@ Execution alternates between two regimes:
   the episode to **scout** (prefetch-only run-ahead, always rolled
   back, leaving warm caches behind).
 
+The episode's cycle loop is generated per configuration by
+:mod:`repro.core.sst_dispatch`.  This module holds normal mode and
+every slow path that loop calls (commits, replay, deferral, rollback,
+episode setup and teardown), so the sanitizer and taint hooks those
+paths carry sit in one place.
+
 The core executes functionally — including down predicted wrong paths
 of deferred branches — so rollback/replay correctness is real and is
 validated against the golden interpreter by the test suite.
@@ -55,7 +61,7 @@ from repro.core.store_buffer import StoreBuffer
 from repro.core.timing import PerfCounters
 from repro.errors import SimulatorInvariantError
 from repro.isa import blockcache
-from repro.isa.opcodes import Op, OpClass
+from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 from repro.isa.registers import REG_COUNT, ZERO_REG
 from repro.isa.semantics import MASK64, effective_address
@@ -202,16 +208,16 @@ class SSTCore(Core):
         # mode_cycles key of the current mode, maintained at every mode
         # transition so accounting skips the per-call dict lookup.
         self._mode_key = _MODE_KEY[self.mode]
-        # Specialized speculative loop (repro.core.sst_dispatch),
-        # generated per config signature.  The reference loop keeps all
-        # sanitizer hook sites, so sanitized runs always take it.
-        self._spec_loop_fn = None
-        if blockcache.enabled() and self.sanitizer is None \
-                and self.taint is None:
-            from repro.core.sst_dispatch import compile_spec_loop
-            self._spec_loop_fn = compile_spec_loop(
-                config, self.branch_unit.mispredict_penalty
-            )
+        # The speculative episode loop (repro.core.sst_dispatch),
+        # generated per config signature.  An attached sanitizer or
+        # taint tracker selects the instrumented variant, which compiles
+        # in their hook sites.  Chosen once here, not per advance():
+        # a multicore scheduler calls advance() once per quantum.
+        from repro.core.sst_dispatch import compile_spec_loop
+        self._spec_loop_fn = compile_spec_loop(
+            config, self.branch_unit.mispredict_penalty,
+            self.sanitizer is not None or self.taint is not None,
+        )
 
     # ==================================================================
     # Top level.
@@ -248,11 +254,7 @@ class SSTCore(Core):
                     # outcome == "spec": fall through to the episode
                     # loop; a pending HALT/MEMBAR re-executes in normal
                     # mode after the episode resolves.
-                loop = self._spec_loop_fn
-                if loop is not None:
-                    loop(self, max_instructions, until_cycle)
-                else:
-                    self._speculative_loop(max_instructions, until_cycle)
+                self._spec_loop_fn(self, max_instructions, until_cycle)
             return False
         finally:
             self._wall_accum += time.perf_counter() - started
@@ -320,25 +322,6 @@ class SSTCore(Core):
     # ==================================================================
     # Normal (non-speculative) mode — the in-order substrate.
     # ==================================================================
-
-    def _normal_issue_at(self, earliest: int) -> int:
-        if earliest > self._cycle:
-            perf = self.perf
-            perf.cycles_skipped += earliest - self._cycle
-            perf.fast_forwards += 1
-            self._account_mode_cycles(earliest)
-            self._cycle = earliest
-            self._slots = 0
-        slot = self._cycle
-        if slot != self._perf_stepped_cycle:
-            self._perf_stepped_cycle = slot
-            self.perf.cycles_stepped += 1
-        self._slots += 1
-        if self._slots >= self.config.width:
-            self._account_mode_cycles(self._cycle + 1)
-            self._cycle += 1
-            self._slots = 0
-        return slot
 
     def _account_mode_cycles(self, new_cycle: int) -> None:
         delta = new_cycle - self._mode_account_cycle
@@ -408,10 +391,9 @@ class SSTCore(Core):
         K_JUMP_INDIRECT = blockcache.K_JUMP_INDIRECT
         K_BARRIER = blockcache.K_BARRIER
         K_HALT = blockcache.K_HALT
-        # For the inlined issue-slot bookkeeping (_normal_issue_at and
-        # its accounting, one call pair per instruction otherwise).
-        # ``self._mode_key`` is constant here: _normal_step only runs
-        # in normal mode and returns on any transition.
+        # For the inlined issue-slot bookkeeping and its mode-cycle
+        # accounting.  ``self._mode_key`` is constant here: _normal_step
+        # only runs in normal mode and returns on any transition.
         stats = self.stats
         perf = self.perf
         width = config.width
@@ -515,7 +497,7 @@ class SSTCore(Core):
                 self._pc = pc
                 return "halt"
 
-            # Inlined _normal_issue_at(earliest) + its accounting.
+            # Take an issue slot at ``earliest`` + its accounting.
             slot = cycle
             if earliest > slot:
                 perf.cycles_skipped += earliest - slot
@@ -942,137 +924,6 @@ class SSTCore(Core):
         self._teardown_episode()
 
     # ==================================================================
-    # The speculative cycle loop.
-    # ==================================================================
-
-    def _speculative_loop(self, budget: int,
-                          until: Optional[int] = None) -> None:
-        """The episode cycle loop.
-
-        This is the simulator's hottest code: it runs once per
-        speculative cycle for the whole episode.  Wake-up candidates are
-        folded into a single scalar as they appear (instead of building
-        a per-cycle list) and hot attributes are hoisted into locals.
-        """
-        width = self.config.width
-        stats = self.stats
-        try_commits = self._try_commits
-        try_replay_issue = self._try_replay_issue
-        try_ahead_issue = self._try_ahead_issue
-        while self.mode is not ExecMode.NORMAL:
-            if until is not None and self._cycle >= until:
-                return
-            cycle = self._cycle
-            # Earliest future event that could unblock issue this
-            # episode; None until one is seen.
-            wake_min: Optional[int] = None
-
-            if self.mode is ExecMode.SCOUT:
-                if cycle >= self._scout_end:
-                    self._rollback(cycle, cause=None)
-                    return
-                wake_min = self._scout_end
-
-            try_commits(cycle)
-            if self.mode is ExecMode.NORMAL:
-                return
-
-            budget_left = width
-            issued_replay = 0
-            issued_ahead = 0
-
-            # ---- replay strand (priority) ----------------------------
-            if self.mode is not ExecMode.SCOUT:
-                while budget_left > 0:
-                    status, wake = try_replay_issue(cycle)
-                    if status is _ISSUED:
-                        issued_replay += 1
-                        budget_left -= 1
-                        if self.mode is ExecMode.NORMAL:
-                            return  # rollback mid-replay
-                        continue
-                    if wake is not None and wake > cycle and (
-                            wake_min is None or wake < wake_min):
-                        wake_min = wake
-                    break
-                try_commits(cycle)
-                if self.mode is ExecMode.NORMAL:
-                    return
-
-            # ---- ahead strand ----------------------------------------
-            while budget_left > 0:
-                self._check_budget(
-                    stats.normal_insts + stats.ahead_insts, budget
-                )
-                status, wake = try_ahead_issue(cycle)
-                if status is _ISSUED:
-                    issued_ahead += 1
-                    budget_left -= 1
-                    continue
-                if status is _RETRY:
-                    continue
-                if wake is not None and wake > cycle and (
-                        wake_min is None or wake < wake_min):
-                    wake_min = wake
-                break
-
-            try_commits(cycle)
-            if self.mode is ExecMode.NORMAL:
-                return
-
-            # ---- classify this cycle for the mode breakdown ----------
-            self._classify_mode(issued_replay, issued_ahead)
-
-            # ---- advance time ----------------------------------------
-            if issued_replay or issued_ahead:
-                next_cycle = cycle + 1
-            else:
-                outstanding = self._min_outstanding(cycle)
-                if outstanding is not None and (
-                        wake_min is None or outstanding < wake_min):
-                    wake_min = outstanding
-                if wake_min is None:
-                    raise SimulatorInvariantError(
-                        f"speculative deadlock at cycle {cycle} "
-                        f"(mode={self.mode}, block={self._ahead_block})"
-                    )
-                next_cycle = wake_min
-            # The uncapped wake target is the multicore fast-forward
-            # hint: nothing on this core can happen before it.
-            self._next_event = next_cycle
-            if until is not None:
-                # Bounded-skew interleaving: never run past the quantum.
-                next_cycle = min(next_cycle, until)
-            perf = self.perf
-            if cycle != self._perf_stepped_cycle:
-                self._perf_stepped_cycle = cycle
-                perf.cycles_stepped += 1
-            if next_cycle > cycle + 1:
-                skipped = next_cycle - cycle - 1
-                perf.cycles_skipped += skipped
-                perf.fast_forwards += 1
-                stalls = perf.stall_cycles
-                stalls["spec_wait"] = stalls.get("spec_wait", 0) + skipped
-            self._account_mode_cycles(next_cycle)
-            self._cycle = next_cycle
-
-    def _classify_mode(self, issued_replay: int, issued_ahead: int) -> None:
-        if self.mode is ExecMode.SCOUT:
-            return
-        if issued_replay and issued_ahead:
-            mode = ExecMode.SST
-        elif issued_replay:
-            mode = (ExecMode.REPLAY_ONLY if self._replay_no_boundary
-                    else ExecMode.SST)
-        elif self._replay_no_boundary:
-            mode = ExecMode.REPLAY_ONLY
-        else:
-            mode = ExecMode.EXECUTE_AHEAD
-        if mode is not self.mode:
-            self.mode = mode
-            self._mode_key = _MODE_KEY[mode]
-
-    # ==================================================================
     # Replay strand.
     # ==================================================================
 
@@ -1273,72 +1124,8 @@ class SSTCore(Core):
         return False
 
     # ==================================================================
-    # Ahead strand.
+    # Ahead-strand deferral (the generated loop's slow path).
     # ==================================================================
-
-    def _try_ahead_issue(self, cycle: int) -> Tuple[str, Optional[int]]:
-        if self._ahead_block is not None:
-            return self._handle_block(cycle)
-        if cycle < self._ahead_barrier:
-            return _BLOCKED, self._ahead_barrier
-        spec = self.spec
-        assert spec is not None
-        pc = self._ahead_pc
-        if not 0 <= pc < len(self.program.instructions):
-            # Only reachable down a predicted wrong path: park until the
-            # mispredicted deferred branch rolls the episode back.
-            self._ahead_block = "fault"
-            return _BLOCKED, None
-        inst = self.program.instructions[pc]
-        cls = inst.op_class
-
-        if cls is OpClass.HALT:
-            if self.mode is ExecMode.SCOUT:
-                self._ahead_block = "fault"  # park until scout ends
-                return _BLOCKED, None
-            self._ahead_block = "halt"
-            return _BLOCKED, None
-        if cls is OpClass.BARRIER:
-            if self.mode is ExecMode.SCOUT:
-                self._ahead_pc += 1  # scout discards ordering anyway
-                return self._consume_slot(cycle)
-            self._ahead_block = "membar"
-            return _BLOCKED, None
-
-        sources = inst.sources
-        # Common case: nothing is NA at all, so no source can be —
-        # skip the per-source membership scan entirely.
-        na_producer = spec.na_producer
-        if na_producer:
-            na_sources = [src for src in sources if src in na_producer]
-        else:
-            na_sources = []
-
-        if self.mode is ExecMode.SCOUT:
-            return self._scout_issue(inst, pc, cycle, na_sources)
-
-        if na_sources:
-            return self._defer_issue(inst, pc, cycle)
-
-        # All operands available: classic stall-on-use timing.
-        wake = cycle
-        ready = spec.ready
-        for src in sources:
-            if ready[src] > wake:
-                wake = ready[src]
-        if wake > cycle:
-            return _BLOCKED, wake
-        return self._ahead_execute(inst, pc, cycle)
-
-    def _handle_block(self, cycle: int) -> Tuple[str, Optional[int]]:
-        block = self._ahead_block
-        if block == "dq_full" and not self.dq.full and not self._replay_no_boundary:
-            self._ahead_block = None
-            return _RETRY, None
-        if block == "sb_full" and not self.sb.full and not self._replay_no_boundary:
-            self._ahead_block = None
-            return _RETRY, None
-        return _BLOCKED, None
 
     def _consume_slot(self, cycle: int) -> Tuple[str, Optional[int]]:
         self._seq += 1
@@ -1455,237 +1242,3 @@ class SSTCore(Core):
             return _RETRY, None
         self._ahead_block = block
         return _BLOCKED, None
-
-    def _ahead_execute(self, inst, pc: int,
-                       cycle: int) -> Tuple[str, Optional[int]]:
-        """Speculatively execute an available-operand instruction."""
-        spec = self.spec
-        assert spec is not None
-        cls = inst.op_class
-        op = inst.op
-        latencies = self.config.latencies
-        seq = self._seq
-        next_pc = pc + 1
-
-        if self.taint is not None:
-            # Pre-dispatch (rd may alias a source register); the tracker
-            # mirrors every early-return guard below so it only records
-            # accesses that really reach the hierarchy.
-            self.taint.on_ahead(inst, pc, seq, cycle)
-
-        if cls in (OpClass.ALU, OpClass.MUL, OpClass.DIV):
-            a = spec.read(inst.rs1)
-            fn = inst.alu_fn
-            value = (fn(a, inst.imm) if inst.alu_uses_imm
-                     else fn(a, spec.read(inst.rs2)))
-            latency = self.op_latency(cls, latencies)
-            if cls is OpClass.DIV and self.config.defer_long_ops:
-                spec.write_na(inst.rd, seq)
-                self._slice_values[seq] = value
-                self._producer_ready[seq] = cycle + latency
-                heappush(self._pending_heap, (cycle + latency, seq))
-            else:
-                spec.write_available(inst.rd, value, seq, cycle + latency)
-        elif cls is OpClass.LOAD:
-            base = spec.read(inst.rs1)
-            addr = effective_address(base, inst.imm)
-            if addr % 8 != 0:
-                self._ahead_block = "fault"
-                return _BLOCKED, None
-            conservative = not self.config.bypass_unresolved_stores
-            if self.sb.unresolved.blocks_load(addr, seq, conservative):
-                return self._defer_issue(inst, pc, cycle, order_defer=True)
-            forwarded = self.sb.forward(addr, seq)
-            if self.config.bypass_unresolved_stores and (
-                    self.sb.unresolved.any_below(seq)):
-                src = forwarded[1] if forwarded is not None else -1
-                self._spec_loads.append((seq, addr, src))
-            if forwarded is not None:
-                spec.write_available(
-                    inst.rd, forwarded[0], seq, cycle + FORWARD_LATENCY
-                )
-            else:
-                value = self.state.memory.read(addr)
-                result = self.hierarchy.data_access(
-                    addr, cycle, AccessType.LOAD, pc=pc
-                )
-                if self._defer_triggering(result):
-                    spec.write_na(inst.rd, seq)
-                    self._slice_values[seq] = value
-                    self._producer_ready[seq] = result.ready_cycle
-                    heappush(self._pending_heap, (result.ready_cycle, seq))
-                    outstanding = self._count_outstanding(cycle)
-                    if outstanding > self.stats.peak_outstanding_misses:
-                        self.stats.peak_outstanding_misses = outstanding
-                else:
-                    spec.write_available(
-                        inst.rd, value, seq, result.ready_cycle
-                    )
-        elif cls is OpClass.STORE:
-            base = spec.read(inst.rs1)
-            addr = effective_address(base, inst.imm)
-            if addr % 8 != 0:
-                self._ahead_block = "fault"
-                return _BLOCKED, None
-            if not self.sb.append_resolved(seq, addr, spec.read(inst.rs2)):
-                return self._exhausted("sb_full", ScoutCause.SB_FULL)
-        elif cls is OpClass.PREFETCH:
-            addr = effective_address(spec.read(inst.rs1), inst.imm)
-            if addr % 8 == 0:
-                self.hierarchy.prefetch(addr, cycle)
-        elif cls is OpClass.BRANCH:
-            taken = inst.branch_fn(spec.read(inst.rs1), spec.read(inst.rs2))
-            mispredicted = self.branch_unit.resolve_cond(pc, taken)
-            if taken:
-                next_pc = inst.target
-            if mispredicted:
-                self._ahead_barrier = max(
-                    self._ahead_barrier,
-                    cycle + latencies.alu + self.branch_unit.mispredict_penalty,
-                )
-        elif op is Op.JAL:
-            spec.write_available(inst.rd, pc + 1, seq, cycle + 1)
-            if self.is_call(inst):
-                self.branch_unit.push_return(pc + 1)
-            next_pc = inst.target
-        elif op is Op.JALR:
-            target = effective_address(spec.read(inst.rs1), inst.imm)
-            if not 0 <= target < len(self.program):
-                self._ahead_block = "fault"
-                return _BLOCKED, None
-            mispredicted = self.branch_unit.resolve_indirect(
-                pc, target, is_return=self.is_return(inst)
-            )
-            spec.write_available(inst.rd, pc + 1, seq, cycle + 1)
-            if self.is_call(inst):
-                self.branch_unit.push_return(pc + 1)
-            next_pc = target
-            if mispredicted:
-                self._ahead_barrier = max(
-                    self._ahead_barrier,
-                    cycle + latencies.alu + self.branch_unit.mispredict_penalty,
-                )
-        # NOP: nothing.
-
-        self._ahead_pc = next_pc
-        return self._consume_slot(cycle)
-
-    # ==================================================================
-    # Scout mode (prefetch-only run-ahead).
-    # ==================================================================
-
-    def _scout_issue(self, inst, pc: int, cycle: int,
-                     na_sources) -> Tuple[str, Optional[int]]:
-        spec = self.spec
-        assert spec is not None
-        cls = inst.op_class
-        op = inst.op
-        seq = self._seq
-        next_pc = pc + 1
-
-        if na_sources:
-            if self.taint is not None:
-                # Pre-write: result taint from the available sources
-                # only (an NA placeholder's taint is unknowable).
-                self.taint.on_scout_na(inst, seq)
-            if cls is OpClass.BRANCH:
-                predicted = self.branch_unit.predict_cond(pc)
-                next_pc = inst.target if predicted else pc + 1
-            elif op is Op.JALR:
-                predicted = self.branch_unit.predict_indirect(
-                    pc, is_return=self.is_return(inst)
-                )
-                if predicted is None or not 0 <= predicted < len(self.program):
-                    self._ahead_block = "fault"  # park until scout ends
-                    return _BLOCKED, None
-                spec.write_available(inst.rd, pc + 1, seq, cycle + 1)
-                next_pc = predicted
-            elif inst.writes_reg:
-                spec.write_na(inst.rd, seq)
-                if seq not in self._producer_ready:
-                    self._producer_ready[seq] = self._scout_end
-                    heappush(self._pending_heap, (self._scout_end, seq))
-                self._slice_values.setdefault(seq, 0)
-            self._ahead_pc = next_pc
-            return self._consume_slot(cycle)
-
-        # Operands available: stall-on-use still applies in scout.
-        wake = cycle
-        for src in inst.sources:
-            if spec.ready[src] > wake:
-                wake = spec.ready[src]
-        if wake > cycle:
-            return _BLOCKED, wake
-
-        if self.taint is not None:
-            # Pre-dispatch, mirroring the fault guards below; scout
-            # accesses always squash, so tainted ones record directly.
-            self.taint.on_scout(inst, pc, seq, cycle)
-
-        if cls in (OpClass.ALU, OpClass.MUL, OpClass.DIV):
-            a = spec.read(inst.rs1)
-            fn = inst.alu_fn
-            value = (fn(a, inst.imm) if inst.alu_uses_imm
-                     else fn(a, spec.read(inst.rs2)))
-            latency = self.op_latency(cls, self.config.latencies)
-            spec.write_available(inst.rd, value, seq, cycle + latency)
-        elif cls is OpClass.LOAD:
-            addr = effective_address(spec.read(inst.rs1), inst.imm)
-            if addr % 8 != 0:
-                self._ahead_block = "fault"
-                return _BLOCKED, None
-            result = self.hierarchy.prefetch(addr, cycle)
-            self.stats.scout_prefetches += 1
-            if addr in self._scout_stores:
-                value = self._scout_stores[addr]
-            else:
-                forwarded = self.sb.forward(addr, seq)
-                value = (forwarded[0] if forwarded is not None
-                         else self.state.memory.read(addr))
-            if self._defer_triggering(result):
-                spec.write_na(inst.rd, seq)
-                if seq not in self._producer_ready:
-                    self._producer_ready[seq] = result.ready_cycle
-                    heappush(self._pending_heap, (result.ready_cycle, seq))
-                self._slice_values.setdefault(seq, value)
-            else:
-                spec.write_available(inst.rd, value, seq, result.ready_cycle)
-        elif cls is OpClass.STORE:
-            addr = effective_address(spec.read(inst.rs1), inst.imm)
-            if addr % 8 != 0:
-                self._ahead_block = "fault"
-                return _BLOCKED, None
-            # Prefetch the line for ownership; the value is discarded at
-            # rollback but kept locally so later scout loads see it.
-            self.hierarchy.prefetch(addr, cycle)
-            self.stats.scout_prefetches += 1
-            self._scout_stores[addr] = spec.read(inst.rs2)
-        elif cls is OpClass.PREFETCH:
-            addr = effective_address(spec.read(inst.rs1), inst.imm)
-            if addr % 8 == 0:
-                self.hierarchy.prefetch(addr, cycle)
-        elif cls is OpClass.BRANCH:
-            taken = inst.branch_fn(spec.read(inst.rs1), spec.read(inst.rs2))
-            self.branch_unit.resolve_cond(pc, taken)
-            if taken:
-                next_pc = inst.target
-        elif op is Op.JAL:
-            spec.write_available(inst.rd, pc + 1, seq, cycle + 1)
-            if self.is_call(inst):
-                self.branch_unit.push_return(pc + 1)
-            next_pc = inst.target
-        elif op is Op.JALR:
-            target = effective_address(spec.read(inst.rs1), inst.imm)
-            if not 0 <= target < len(self.program):
-                self._ahead_block = "fault"
-                return _BLOCKED, None
-            self.branch_unit.resolve_indirect(
-                pc, target, is_return=self.is_return(inst)
-            )
-            spec.write_available(inst.rd, pc + 1, seq, cycle + 1)
-            if self.is_call(inst):
-                self.branch_unit.push_return(pc + 1)
-            next_pc = target
-
-        self._ahead_pc = next_pc
-        return self._consume_slot(cycle)

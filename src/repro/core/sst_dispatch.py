@@ -1,14 +1,12 @@
 """Generated-Python specializer for the SST speculative cycle loop.
 
-:meth:`SSTCore._speculative_loop` is the simulator's hottest code: one
-iteration per stepped speculative cycle, several helper calls per
-issued instruction (`_try_ahead_issue`, `_consume_slot`,
-`_account_mode_cycles`, `_classify_mode`, the `_try_commits` /
-`_try_replay_issue` memo probes).  At ~8 Python calls per instruction
-the call overhead, not the modelling, bounds throughput.
-
-This module emits a specialized copy of that loop as Python source and
-``exec``-compiles it once per configuration signature:
+The speculative episode loop is the simulator's hottest code: one
+iteration per stepped speculative cycle.  Written as ordinary methods
+it cost about eight Python calls per issued instruction, so call
+overhead, not the modelling, bounded throughput.  This module emits
+the loop as Python source and ``exec``-compiles it once per
+configuration signature; it is :class:`~repro.core.sst_core.SSTCore`'s
+only episode loop:
 
 * configuration-invariant branches (scout enabled?  long-op deferral?
   store bypass?  defer trigger level?) are pruned at generation time;
@@ -22,11 +20,17 @@ This module emits a specialized copy of that loop as Python source and
   so blocked strands cost two attribute reads per cycle, while the
   *slow* paths stay ordinary method calls on the core — rollback,
   region/full commit, deferral and replay semantics live in exactly
-  one place (:mod:`repro.core.sst_core`).
+  one place (:mod:`repro.core.sst_core`), and so do the sanitizer and
+  taint hooks those methods carry.
 
-The reference loop is kept, bit-identical, and is what runs when
-``REPRO_BLOCK_DISPATCH=0`` or when the sanitizer is attached; the
-differential tests drive both paths over every machine and workload.
+One code-generation flag, ``instrumented``, serves the observers (the
+invariant sanitizer and the speculative-leak taint tracker); the core
+sets it at construction when either is attached.  It compiles in the
+taint tracker's three issue hooks (``on_ahead`` before an ahead-strand
+execute, ``on_scout_na`` / ``on_scout`` in scout issue) and leaves out
+the two inlined deferred-queue fast paths, so every deferral goes
+through :meth:`SSTCore._defer_issue` and its ``on_defer`` hooks.  The
+observers are read-only, so both variants produce the same cycles.
 
 Mutable scalar state (``_seq``, ``_ahead_pc``, ``_cycle``, the memo
 words...) stays on the core object so the inlined fast paths and the
@@ -157,10 +161,22 @@ def _fast_defer(pad: str, order: bool) -> str:
     )
 
 
+def _taint_hook(pad: str, call: str, instrumented: bool) -> str:
+    """A taint-tracker hook site, emitted only into instrumented loops
+    (the tracker may be None there: the sanitizer alone also sets the
+    flag)."""
+    if not instrumented:
+        return ""
+    return (
+        f"{pad}if taint is not None:\n"
+        f"{pad}    taint.{call}\n"
+    )
+
+
 def _build_source(width: int, scout_possible: bool, scout_enabled: bool,
                   defer_long_ops: bool, bypass: bool, defer_tlb: bool,
                   defer_l1: bool, lat_alu: int, lat_mul: int, lat_div: int,
-                  penalty: int) -> str:
+                  penalty: int, instrumented: bool = False) -> str:
     trig = _triggering(defer_tlb, defer_l1, "result")
     conservative = "False" if bypass else "True"
     out = []
@@ -215,6 +231,10 @@ def _sst_spec_loop(core, budget, until):
     # normal_insts cannot change while an episode is live, so the
     # ahead-strand budget check reduces to one counter read.
     ahead_limit = budget - stats.normal_insts
+""")
+    if instrumented:
+        emit("    taint = core.taint\n")
+    emit("""\
     while True:
         mode = core.mode
         if mode is NORMAL:
@@ -356,13 +376,14 @@ def _sst_spec_loop(core, budget, until):
                         na = True
                         break
 """)
-    # ---- scout issue (inlined _scout_issue) -----------------------------
+    # ---- scout issue (prefetch-only run-ahead) --------------------------
     if scout_possible:
         p = " " * 16
         emit(f"""\
             if m is SCOUT:
                 next_pc = pc + 1
                 if na:
+{_taint_hook(p + '    ', 'on_scout_na(inst, seq)', instrumented)}\
                     if kind == K_BRANCH:
                         if predict_cond(pc):
                             next_pc = target
@@ -391,6 +412,7 @@ def _sst_spec_loop(core, budget, until):
                     if wake_min is None or wake < wake_min:
                         wake_min = wake
                     break
+{_taint_hook(p, 'on_scout(inst, pc, seq, cycle)', instrumented)}\
                 if kind <= K_DIV:
                     a = spec_values[rs1]
                     value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
@@ -457,11 +479,22 @@ def _sst_spec_loop(core, budget, until):
     # ---- NA-operand deferral -------------------------------------------
     # Fast path: plain ALU/long-op/load defers with DQ room are by far
     # the common case and carry no branch/jump/store bookkeeping —
-    # inline them; everything else falls through to the method.
+    # inline them; everything else falls through to the method.  An
+    # instrumented loop always takes the method, which holds the
+    # observers' on_defer hooks.
+    fast_na = fast_order = ""
+    if not instrumented:
+        fast_na = (
+            "                if kind <= K_LOAD and len(dq_entries) < "
+            "dq_capacity:\n" + _fast_defer(" " * 20, False)
+        )
+        fast_order = (
+            "                    if len(dq_entries) < dq_capacity:\n"
+            + _fast_defer(" " * 24, True)
+        )
     emit(f"""\
             if na:
-                if kind <= K_LOAD and len(dq_entries) < dq_capacity:
-{_fast_defer(' ' * 20, False)}\
+{fast_na}\
                 core._ahead_pc = ahead_pc
                 core._seq = seq
                 status, wake = defer_issue(inst, pc, cycle)
@@ -476,8 +509,9 @@ def _sst_spec_loop(core, budget, until):
                     wake_min = wake
                 break
 """)
-    # ---- ahead execute (inlined _ahead_execute) -------------------------
+    # ---- ahead execute (available operands) -----------------------------
     p = " " * 12
+    emit(_taint_hook(p, "on_ahead(inst, pc, seq, cycle)", instrumented))
     emit("""\
             next_pc = pc + 1
 """)
@@ -522,8 +556,7 @@ def _sst_spec_loop(core, budget, until):
                     core._ahead_block = "fault"
                     break
                 if blocks_load(addr, seq, {conservative}):
-                    if len(dq_entries) < dq_capacity:
-{_fast_defer(' ' * 24, True)}\
+{fast_order}\
                     core._ahead_pc = ahead_pc
                     core._seq = seq
                     status, wake = defer_issue(inst, pc, cycle, True)
@@ -667,14 +700,20 @@ def _sst_spec_loop(core, budget, until):
 _LOOP_CACHE: Dict[Tuple, Callable] = {}
 
 
-def compile_spec_loop(config: SSTConfig, mispredict_penalty: int) -> Callable:
-    """The specialized loop for one configuration signature (cached)."""
+def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
+                      instrumented: bool = False) -> Callable:
+    """The specialized loop for one configuration signature (cached).
+
+    ``instrumented`` compiles in the observer hook sites (see the
+    module docstring); the core sets it when a sanitizer or taint
+    tracker is attached.
+    """
     latencies = config.latencies
     key = (config.width, config.scout_enabled, config.scout_only,
            config.defer_long_ops, config.bypass_unresolved_stores,
            config.defer_on_tlb_miss, config.defer_trigger,
            latencies.alu, latencies.mul, latencies.div,
-           mispredict_penalty)
+           mispredict_penalty, instrumented)
     loop = _LOOP_CACHE.get(key)
     if loop is not None:
         return loop
@@ -696,6 +735,7 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int) -> Callable:
         lat_mul=latencies.mul,
         lat_div=latencies.div,
         penalty=mispredict_penalty,
+        instrumented=instrumented,
     )
     namespace = {
         "NORMAL": ExecMode.NORMAL,

@@ -37,7 +37,6 @@ from repro.experiments.results import (
     ResultSchemaError,
     default_results_dir,
     load_result_doc,
-    perf_baseline_path,
     result_paths,
     validate_result_doc,
     write_result_doc,
@@ -68,7 +67,6 @@ __all__ = [
     "ResultSchemaError",
     "default_results_dir",
     "load_result_doc",
-    "perf_baseline_path",
     "result_paths",
     "validate_result_doc",
     "write_result_doc",

@@ -82,17 +82,6 @@ def default_results_dir() -> pathlib.Path:
     return pathlib.Path.cwd() / "results"
 
 
-def perf_baseline_path() -> pathlib.Path:
-    """The committed simulator-throughput baseline consumed by
-    ``run_all.py --perf-smoke`` (cwd-independent)."""
-    override = os.environ.get("REPRO_PERF_BASELINE", "").strip()
-    if override:
-        return pathlib.Path(override)
-    root = repo_root()
-    base = root / "benchmarks" if root is not None else pathlib.Path.cwd()
-    return base / "BENCH_smoke.json"
-
-
 def result_paths(name: str,
                  results_dir: Optional[pathlib.Path] = None
                  ) -> Tuple[pathlib.Path, pathlib.Path]:

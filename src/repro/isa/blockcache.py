@@ -21,13 +21,12 @@ the same content hash the result cache uses — so two structurally
 identical programs (e.g. rebuilt in a worker process) share one decode
 and simulator cache keys / ``SIM_SCHEMA_VERSION`` are unaffected.
 
-``REPRO_BLOCK_DISPATCH=0`` disables the engine: the process cache is
-bypassed, the interpreter falls back to per-instruction :meth:`step`
-dispatch, and :class:`~repro.core.sst_core.SSTCore` runs its reference
-speculative loop.  Row decode itself is always available (it is pure
-precomputed metadata, like ``Instruction.__post_init__``), which keeps
-the on/off paths bit-identical by construction everywhere except the
-generated code — and those are pinned by the differential tests.
+The engine has no off switch.  The golden interpreter's per-instruction
+:meth:`~repro.isa.interpreter.Interpreter.step` stays the reference:
+it runs mid-block entries and near-budget blocks, it drives the
+sanitizer's and taint tracker's shadow interpreters, and the trace
+recorder runs on it alone.  The differential tests pin block execution
+against it.
 
 Exactness notes for the generated interpreter blocks:
 
@@ -46,14 +45,11 @@ Exactness notes for the generated interpreter blocks:
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.isa.opcodes import Op, OpClass
 from repro.isa.program import Program
-
-ENV_FLAG = "REPRO_BLOCK_DISPATCH"
 
 # ----------------------------------------------------------------------
 # Integer kind codes (dense, ordered so ``kind < K_LOAD`` selects the
@@ -105,11 +101,6 @@ Row = Tuple[int, int, int, int, int, int, Optional[Callable],
             Tuple[int, ...], bool, bool, object]
 
 _MASK64_LIT = "0xFFFFFFFFFFFFFFFF"
-
-
-def enabled() -> bool:
-    """Block dispatch on?  Default on; ``REPRO_BLOCK_DISPATCH=0`` off."""
-    return os.environ.get(ENV_FLAG, "1") != "0"
 
 
 def decode_rows(program: Program) -> Tuple[Row, ...]:
@@ -336,10 +327,8 @@ def get_block_program(program: Program) -> BlockProgram:
 
 
 def rows_for(program: Program) -> Tuple[Row, ...]:
-    """Decoded rows for ``program``; process-cached when enabled."""
-    if enabled():
-        return get_block_program(program).rows
-    return decode_rows(program)
+    """Decoded rows for ``program`` (process-cached)."""
+    return get_block_program(program).rows
 
 
 def clear_cache() -> None:

@@ -10,7 +10,7 @@ by the integration and hypothesis test suites.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.isa import blockcache
@@ -74,9 +74,10 @@ class Interpreter:
         self.stats = InterpreterStats()
         self.max_steps = max_steps
         self.halted = False
-        self._block_fns = (
+        # None forces per-instruction step() dispatch (the trace
+        # recorder's snooping interpreter sets it).
+        self._block_fns: Optional[Dict[int, Tuple[Callable, int]]] = (
             blockcache.get_block_program(program).block_fns
-            if blockcache.enabled() else None
         )
 
     def run(self) -> ArchState:

@@ -45,7 +45,7 @@ from repro.core.deferred_queue import DQStats
 from repro.core.modes import ExecMode, FailCause, ScoutCause
 from repro.core.sst_core import SSTStats
 from repro.core.store_buffer import SBStats
-from repro.config import env_int
+from repro.config import env_flag, env_int
 from repro.core.timing import PerfCounters
 from repro.isa.interpreter import ArchState, InterpreterStats
 from repro.regress.semid import SemanticIdError, canonicalize, digest_material
@@ -479,10 +479,8 @@ class ResultCache:
 
 
 def cache_enabled_by_env() -> bool:
-    """``REPRO_CACHE`` gate: unset/1/on = enabled, 0/off = disabled."""
-    return os.environ.get("REPRO_CACHE", "1").lower() not in (
-        "0", "off", "false", "no",
-    )
+    """``REPRO_CACHE`` gate: on unless switched off."""
+    return env_flag("REPRO_CACHE", default=True)
 
 
 def cache_from_env() -> Optional[ResultCache]:

@@ -12,9 +12,10 @@ reusable discovery engine:
 * :func:`build_program` — deterministic shape → :class:`Program`
   (proglint-clean by construction),
 * :func:`differential_check` — one program through every core factory
-  (in-order, two OoO variants, four SST variants, scout-only) and a
-  block-dispatch-off SST leg; any architectural divergence from the
-  golden interpreter comes back as a string verdict,
+  (in-order, two OoO variants, four SST variants, scout-only) and an
+  instrumented SST leg (the default SST config with the sanitizer and
+  the taint tracker attached, which must also match the plain SST
+  leg's cycles); any divergence comes back as a string verdict,
 * :func:`fuzz` — drives hypothesis' ``find`` so a failing shape is
   *shrunk* to a minimal reproducer before being reported.
 
@@ -27,7 +28,9 @@ so CI failures reproduce locally.
 from __future__ import annotations
 
 import dataclasses
+import os
 from typing import Callable, List, Optional, Tuple
+from unittest import mock
 
 try:  # optional dependency — everything but fuzz() works without it
     from hypothesis import HealthCheck, find, settings
@@ -219,10 +222,9 @@ def build_program(shape, name: str = "fuzzed") -> Program:
 
 def differential_check(program: Program) -> Optional[str]:
     """Run ``program`` through every machine variant; return a verdict
-    string on the first architectural divergence, ``None`` if all
-    agree with the golden interpreter."""
-    import os
-
+    string on the first divergence, ``None`` if all agree with the
+    golden interpreter."""
+    results = {}
     for name, factory in CORE_FACTORIES:
         hierarchy = MemoryHierarchy(small_hierarchy())
         core = factory(program, hierarchy)
@@ -232,25 +234,27 @@ def differential_check(program: Program) -> Optional[str]:
             verify_against_golden(result, program)
         except ReproError as error:
             return f"{name}: {error}"
+        results[name] = result
 
-    # Block dispatch off: the interpreted SST path must agree with the
-    # compiled one bit-for-bit.
-    saved = os.environ.get("REPRO_BLOCK_DISPATCH")
-    os.environ["REPRO_BLOCK_DISPATCH"] = "0"
+    # The observers select the instrumented speculative loop: it must
+    # pass their checks and the golden one, and time exactly like the
+    # plain loop.
+    name = "sst-instrumented"
+    with mock.patch.dict(os.environ, REPRO_SANITIZE="1", REPRO_TAINT="1"):
+        core = SSTCore(program, MemoryHierarchy(small_hierarchy()),
+                       SSTConfig())
     try:
-        hierarchy = MemoryHierarchy(small_hierarchy())
-        core = SSTCore(program, hierarchy, SSTConfig())
-        try:
-            result = core.run(max_instructions=MAX_INSTRUCTIONS)
-            result.core_name = "sst-nodispatch"
-            verify_against_golden(result, program)
-        except ReproError as error:
-            return f"sst-nodispatch: {error}"
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BLOCK_DISPATCH", None)
-        else:
-            os.environ["REPRO_BLOCK_DISPATCH"] = saved
+        result = core.run(max_instructions=MAX_INSTRUCTIONS)
+        result.core_name = name
+        verify_against_golden(result, program)
+    except ReproError as error:
+        return f"{name}: {error}"
+    plain = results["sst"]
+    if (result.cycles, result.instructions) != (plain.cycles,
+                                                plain.instructions):
+        return (f"{name}: {result.cycles} cycles / {result.instructions} "
+                f"instructions, plain sst {plain.cycles} / "
+                f"{plain.instructions}")
     return None
 
 

@@ -2,6 +2,9 @@
 store-buffer corruption caught mid-run, and the observationality
 guarantee (identical cycles with the sanitizer on)."""
 
+import os
+from unittest import mock
+
 import pytest
 
 from repro.analysis.sanitizer import (
@@ -40,14 +43,21 @@ def spec_workload():
 
 def make_core(program, sanitized):
     """Build an SSTCore with the sanitizer deterministically on or off,
-    regardless of whether the suite itself runs under REPRO_SANITIZE."""
-    hierarchy = MemoryHierarchy(small_hierarchy_config())
-    core = SSTCore(program, hierarchy, SSTConfig())
-    SSTSanitizer.detach_memory_guard(core.state)
-    core.sanitizer = None
-    if sanitized:
-        core.sanitizer = SSTSanitizer(core.name, program)
-        core.sanitizer.attach_memory_guard(core.state)
+    regardless of whether the suite itself runs under REPRO_SANITIZE.
+
+    The core reads the flag at construction, which is also when an
+    attached sanitizer selects the instrumented speculative loop, so
+    the flag is scoped around the constructor (attaching a sanitizer
+    afterwards would leave the plain loop's inlined deferrals
+    unwatched)."""
+    with mock.patch.dict(os.environ):
+        if sanitized:
+            os.environ["REPRO_SANITIZE"] = "1"
+        else:
+            os.environ.pop("REPRO_SANITIZE", None)
+        core = SSTCore(program, MemoryHierarchy(small_hierarchy_config()),
+                       SSTConfig())
+    assert (core.sanitizer is not None) is sanitized
     return core
 
 
@@ -294,6 +304,25 @@ def test_unsanitized_core_misses_the_same_corruption():
 # ----------------------------------------------------------------------
 # Observationality: identical timing with the sanitizer riding along.
 # ----------------------------------------------------------------------
+
+
+def test_sanitizer_sees_every_deferral():
+    """Every deferral of a sanitized run reaches ``on_defer``, including
+    the plain ALU and load defers the un-instrumented loop inlines."""
+    program = spec_workload()
+    core = make_core(program, sanitized=True)
+    real_on_defer = core.sanitizer.on_defer
+    calls = 0
+
+    def counting_on_defer(*args):
+        nonlocal calls
+        calls += 1
+        real_on_defer(*args)
+
+    core.sanitizer.on_defer = counting_on_defer
+    deferred = core.run().extra["sst"].deferred
+    assert deferred > 0
+    assert calls == deferred
 
 
 def test_sanitized_run_is_cycle_identical_and_clean():

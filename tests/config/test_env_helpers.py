@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import env_flag, env_int
 from repro.errors import ConfigError
-from repro.isa import blockcache
+from repro.sim.cache import cache_enabled_by_env
 
 
 def test_env_int_unset_and_blank_use_default(monkeypatch):
@@ -26,15 +26,18 @@ def test_env_int_parses_and_names_the_knob_on_garbage(monkeypatch):
 
 
 def test_env_flag_kill_switch_semantics(monkeypatch):
-    monkeypatch.delenv("REPRO_BLOCK_DISPATCH", raising=False)
-    assert env_flag("REPRO_BLOCK_DISPATCH", default=True)
-    # Kill switches are off only at the literal "0".
-    monkeypatch.setenv("REPRO_BLOCK_DISPATCH", "0")
-    assert not env_flag("REPRO_BLOCK_DISPATCH", default=True)
-    assert not blockcache.enabled()
-    monkeypatch.setenv("REPRO_BLOCK_DISPATCH", "no")
-    assert env_flag("REPRO_BLOCK_DISPATCH", default=True)
-    assert blockcache.enabled()
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    assert env_flag("REPRO_CACHE", default=True)
+    assert cache_enabled_by_env()
+    for value in ("0", "off", "false", "no", " NO "):
+        monkeypatch.setenv("REPRO_CACHE", value)
+        assert not env_flag("REPRO_CACHE", default=True), value
+        assert not cache_enabled_by_env(), value
+    # Blank and unrecognised values keep the default (on).
+    for value in ("", "   ", "1", "yes", "maybe"):
+        monkeypatch.setenv("REPRO_CACHE", value)
+        assert env_flag("REPRO_CACHE", default=True), value
+        assert cache_enabled_by_env(), value
 
 
 def test_env_flag_opt_in_semantics(monkeypatch):
@@ -44,5 +47,26 @@ def test_env_flag_opt_in_semantics(monkeypatch):
         monkeypatch.setenv("REPRO_TAINT", value)
         assert env_flag("REPRO_TAINT", default=False), value
     monkeypatch.setenv("REPRO_TAINT", "yes")
-    assert not env_flag("REPRO_TAINT", default=False)
+    assert env_flag("REPRO_TAINT", default=False)
+    for value in ("", "0", "off", "maybe"):
+        monkeypatch.setenv("REPRO_TAINT", value)
+        assert not env_flag("REPRO_TAINT", default=False), value
+
+
+def test_every_switch_shares_one_vocabulary(monkeypatch):
+    """The four on/off knobs agree value for value: ``yes`` used to turn
+    REPRO_SANITIZE and REPRO_TAINT on but left REPRO_BENCH_SMOKE off."""
+    from repro.analysis.sanitizer import sanitize_enabled
+    from repro.analysis.taint_tracker import taint_enabled
+    from repro.experiments.bench_env import smoke_from_env
+
+    gates = {"REPRO_SANITIZE": sanitize_enabled,
+             "REPRO_TAINT": taint_enabled,
+             "REPRO_BENCH_SMOKE": smoke_from_env,
+             "REPRO_CACHE": cache_enabled_by_env}
+    for value, expected in (("yes", True), (" On ", True), ("no", False),
+                            ("OFF", False)):
+        for name, gate in gates.items():
+            monkeypatch.setenv(name, value)
+            assert gate() is expected, (name, value)
 

@@ -5,7 +5,7 @@ documented twice — in the registry comment block in
 ``src/repro/config.py`` and in the README's environment-knob table —
 and neither list may advertise a knob the code no longer reads.  The
 scan is over string literals, which also catches knobs read through
-named constants (``ENV_FLAG = "REPRO_BLOCK_DISPATCH"``).
+named constants.
 """
 
 from __future__ import annotations

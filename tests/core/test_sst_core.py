@@ -6,7 +6,7 @@ interpreter."""
 import pytest
 
 from repro.config import SSTConfig
-from repro.core import ExecMode, FailCause, ScoutCause, SSTCore
+from repro.core import ExecMode, FailCause, ScoutCause, SSTCore, sst_dispatch
 from repro.errors import ExecutionError
 from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder
@@ -30,6 +30,34 @@ def run(source_or_program, config=None, latency=200, mshr=16):
 
 def sst_stats(result):
     return result.extra["sst"]
+
+
+# ----------------------------------------------------------------------
+# Engine selection.
+# ----------------------------------------------------------------------
+
+def test_observers_select_the_instrumented_generated_loop(monkeypatch):
+    """Every core runs a generated speculative loop, chosen once at
+    construction: the cached plain loop (the one a two-argument
+    ``compile_spec_loop`` call returns) unless an observer is attached."""
+    def build():
+        return SSTCore(assemble("halt"),
+                       MemoryHierarchy(small_hierarchy_config()),
+                       SSTConfig())
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_TAINT", raising=False)
+    plain = build()
+    penalty = plain.branch_unit.mispredict_penalty
+    assert plain._spec_loop_fn is sst_dispatch.compile_spec_loop(
+        plain.config, penalty)
+    instrumented = sst_dispatch.compile_spec_loop(plain.config, penalty,
+                                                  instrumented=True)
+    assert instrumented is not plain._spec_loop_fn
+    for knob in ("REPRO_SANITIZE", "REPRO_TAINT"):
+        monkeypatch.setenv(knob, "1")
+        assert build()._spec_loop_fn is instrumented
+        monkeypatch.delenv(knob)
 
 
 # ----------------------------------------------------------------------

@@ -1,33 +1,13 @@
 """CLI failure modes exit non-zero with a one-line diagnostic, never a
-traceback: a missing perf baseline and a garbage REPRO_JOBS."""
+traceback: a garbage REPRO_JOBS."""
 
 from repro import cli
-from repro.experiments import perf
 
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_perf_report_missing_baseline_exits_2(tmp_path, monkeypatch,
-                                              capsys):
-    monkeypatch.setenv("REPRO_PERF_BASELINE",
-                       str(tmp_path / "absent.json"))
-    monkeypatch.setattr(
-        perf, "measure",
-        lambda tag="probe": {
-            "schema": perf.REPORT_SCHEMA, "tag": tag, "entries": [],
-            "aggregate": perf.aggregate([]),
-        },
-    )
-    code, _, err = run_cli(
-        ["perf", "report", "--out", str(tmp_path / "out.json"),
-         "--compare-baseline"], capsys)
-    assert code == 2
-    assert "no committed baseline" in err
-    assert "Traceback" not in err
 
 
 def test_experiments_run_jobs_garbage_env_exits_2(monkeypatch,

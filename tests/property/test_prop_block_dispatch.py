@@ -1,19 +1,20 @@
 """Property pin for the block dispatch engine: on fuzzer-random, linted
 programs, block execution is indistinguishable from per-instruction
-stepping — functionally (interpreter state + stats) and in time
-(SST cycle counts).
+stepping (interpreter state + stats), and the instrumented SST loop
+(sanitizer and taint tracker attached) times exactly like the plain
+one.
 
 Reuses the random-program strategy from
 :mod:`tests.property.test_prop_random_programs`."""
 
 import os
+from unittest import mock
 
 from hypothesis import given, settings
 
 from repro.analysis.proglint import lint_program
 from repro.config import SSTConfig
 from repro.core import SSTCore
-from repro.isa import blockcache
 from repro.isa.interpreter import Interpreter
 from repro.memory.hierarchy import MemoryHierarchy
 from tests.conftest import small_hierarchy_config
@@ -21,32 +22,6 @@ from tests.property.test_prop_random_programs import (
     build_program,
     program_shape,
 )
-
-
-class _flag:
-    """Set REPRO_BLOCK_DISPATCH for one with-block (hypothesis runs the
-    test body many times per pytest call, so monkeypatch can't scope
-    this)."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __enter__(self):
-        self.saved = os.environ.get(blockcache.ENV_FLAG)
-        os.environ[blockcache.ENV_FLAG] = self.value
-
-    def __exit__(self, *exc):
-        if self.saved is None:
-            os.environ.pop(blockcache.ENV_FLAG, None)
-        else:
-            os.environ[blockcache.ENV_FLAG] = self.saved
-
-
-def _interp(program, flag):
-    with _flag(flag):
-        interp = Interpreter(program)
-        interp.run()
-    return interp
 
 
 @settings(max_examples=40, deadline=None)
@@ -58,26 +33,40 @@ def test_block_interpreter_matches_stepping(shape):
     # cache: a second lint of an equal program must agree.
     diagnostics = lint_program(program)
     assert lint_program(build_program(shape)) == diagnostics
-    blocked = _interp(program, "1")
-    stepped = _interp(program, "0")
+    blocked = Interpreter(program)
+    blocked.run()
+    stepped = Interpreter(program)
+    while not stepped.halted:
+        stepped.step()
     assert blocked.state.regs == stepped.state.regs
     assert blocked.state.memory == stepped.state.memory
     assert blocked.state.pc == stepped.state.pc
     assert blocked.stats == stepped.stats
 
 
+def _sst_run(program, observed):
+    # Hypothesis runs the body many times per pytest call, so the
+    # environment is scoped per construction rather than monkeypatched.
+    with mock.patch.dict(os.environ):
+        for name in ("REPRO_SANITIZE", "REPRO_TAINT"):
+            if observed:
+                os.environ[name] = "1"
+            else:
+                os.environ.pop(name, None)
+        hierarchy = MemoryHierarchy(small_hierarchy_config(latency=60))
+        core = SSTCore(program, hierarchy, SSTConfig())
+    assert (core.sanitizer is not None) is observed
+    return core.run(max_instructions=2_000_000)
+
+
 @settings(max_examples=15, deadline=None)
 @given(program_shape)
 def test_sst_cycles_identical_with_blocks_off(shape):
+    """The instrumented SST loop times exactly like the plain one."""
     program = build_program(shape)
-    results = {}
-    for flag in ("1", "0"):
-        with _flag(flag):
-            hierarchy = MemoryHierarchy(small_hierarchy_config(latency=60))
-            results[flag] = SSTCore(program, hierarchy, SSTConfig()).run(
-                max_instructions=2_000_000
-            )
-    assert results["1"].cycles == results["0"].cycles
-    assert results["1"].instructions == results["0"].instructions
-    assert results["1"].state.regs == results["0"].state.regs
-    assert results["1"].state.memory == results["0"].state.memory
+    plain = _sst_run(program, observed=False)
+    observed = _sst_run(program, observed=True)
+    assert observed.cycles == plain.cycles
+    assert observed.instructions == plain.instructions
+    assert observed.state.regs == plain.state.regs
+    assert observed.state.memory == plain.state.memory

@@ -1,7 +1,7 @@
 """The baseline firewall engine: observation kinds, capture/verify
 modes, strictness, reporting, the simulate()/BenchEnv/engine hook
 points, and bit-identity of behavior across execution variants
-(block-dispatch off, taint tracking on)."""
+(sanitizer attached, taint tracking on)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.baselines.core_base import DEFAULT_MAX_INSTRUCTIONS
 from repro.config import sst_machine
 from repro.experiments.bench_env import BenchEnv
 from repro.experiments.engine import ExperimentEngine
-from repro.isa import blockcache
 from repro.regress.firewall import (
     MODE_CAPTURE,
     MODE_OFF,
@@ -152,20 +151,20 @@ def test_nonstrict_verify_collects_instead_of_raising(store, tiny_suite):
 
 def test_behavior_identical_with_block_dispatch_off(store, monkeypatch,
                                                     tiny_suite):
-    """The decode-once dispatch engine is a pure simulator-speed
-    optimization: behavior captured with it on verifies with it off."""
+    """The sanitizer is observational: behavior captured on the plain
+    generated SST loop verifies on the instrumented one it selects."""
     program = tiny_suite["oltp-chase"]
-    monkeypatch.setenv(blockcache.ENV_FLAG, "1")
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     captured = run_point(program)
     capture = BaselineFirewall(store, mode="capture")
     capture.observe_point(sst_machine(), program,
                           DEFAULT_MAX_INSTRUCTIONS, captured)
 
-    monkeypatch.setenv(blockcache.ENV_FLAG, "0")
-    plain = run_point(program)
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sanitized = run_point(program)
     verify = BaselineFirewall(store, mode="verify")
     assert verify.observe_point(
-        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, plain
+        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, sanitized
     ) == "verified"
 
 

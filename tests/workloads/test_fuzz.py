@@ -1,10 +1,13 @@
 """The differential fuzzer: shapes build lint-clean programs, the
-check accepts healthy cores, and a seeded divergence is found and
-shrunk to a minimal reproducer."""
+check accepts healthy cores, its instrumented SST leg runs the
+observers, and a seeded divergence is found and shrunk to a minimal
+reproducer."""
 
 import pytest
 
 from repro.analysis.proglint import check_program
+from repro.analysis.sanitizer import SSTSanitizer
+from repro.errors import SanitizerError
 from repro.isa.interpreter import run_program
 from repro.isa.opcodes import Op
 from repro.workloads import fuzz as fuzz_module
@@ -47,6 +50,19 @@ def test_build_program_is_lint_clean_and_deterministic():
 
 def test_differential_check_passes_on_healthy_cores():
     assert differential_check(build_program(SHAPE)) is None
+
+
+def test_instrumented_leg_runs_the_sanitizer(monkeypatch):
+    def failing_on_defer(self, entry, *args):
+        raise SanitizerError("dq-live-checkpoint",
+                             f"seeded at seq {entry.seq}", core="sst")
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setattr(SSTSanitizer, "on_defer", failing_on_defer)
+    verdict = differential_check(build_program(SHAPE))
+    assert verdict is not None
+    assert verdict.startswith("sst-instrumented:")
+    assert "seeded" in verdict
 
 
 def test_core_factories_cover_all_machine_variants():
