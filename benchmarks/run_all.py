@@ -41,12 +41,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "adapter over `repro experiments run`.")
     parser.add_argument("--smoke", action="store_true",
                         help="shrink every workload so the suite runs in "
-                             "seconds (sets REPRO_BENCH_SMOKE=1)")
+                             "seconds (like REPRO_BENCH_SMOKE=1)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="experiments to run concurrently "
-                             "(default: REPRO_JOBS or 1; 0 = all cores)")
+                             "(default: 1; 0 = all cores)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache (REPRO_CACHE=0)")
+                        help="disable the result cache (like "
+                             "REPRO_CACHE=0)")
     parser.add_argument("--only", default=None, metavar="E3,E8",
                         help="comma-separated experiment ids to run")
     parser.add_argument("--max-instructions", type=int, default=None,

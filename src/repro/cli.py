@@ -12,8 +12,8 @@ and equally runnable as ``python -m repro``.  Subcommands:
     writes its text table and schema-versioned JSON result document
     under ``benchmarks/results/`` (cwd-independent — the directory is
     resolved through :mod:`repro.experiments.results`).  ``--jobs N``
-    overlaps N whole experiments in worker processes; workers run
-    their own simulations single-threaded to avoid nested pools.
+    overlaps N whole experiments in worker processes; each experiment
+    simulates its points in process, one after another.
 
 ``repro experiments report [IDS...] [--json]``
     Summarize stored result documents: mode, wall time, point count,
@@ -24,6 +24,7 @@ and equally runnable as ``python -m repro``.  Subcommands:
     ``capture`` runs the experiment corpus (documents are *not*
     written) and records every simulation's behavior into the governed
     store at ``benchmarks/baselines/``; ``verify`` re-runs the corpus
+    (``--jobs N`` experiments at a time, as for ``experiments run``)
     and exits 1 on any divergence from a stored baseline — after an
     intentional behavior change, ``capture`` followed by an explicit
     ``promote`` is the only green path.  ``diff`` shows pending
@@ -66,6 +67,7 @@ a non-zero exit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -73,9 +75,9 @@ import pathlib
 import sys
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.config import ConfigError, env_int
+from repro.config import ConfigError
 from repro.experiments import (
     ExperimentEngine,
     ResultSchemaError,
@@ -84,7 +86,10 @@ from repro.experiments import (
     list_specs,
     load_result_doc,
 )
+from repro.experiments.bench_env import max_instructions_from_env
 from repro.experiments.spec import ExperimentLookupError
+from repro.regress.firewall import BaselineFirewall
+from repro.regress.store import BaselineStore
 from repro.sim.cache import ResultCache
 
 
@@ -114,42 +119,89 @@ def _select_specs(ids: List[str], run_all: bool, tag: Optional[str] = None):
 # ---------------------------------------------------------------------------
 
 
-def _run_one_worker(payload: Tuple[str, Dict[str, Any]]):
-    """Pool worker: run one experiment, never raise."""
-    eid, engine_kwargs = payload
-    # No nested pools inside a worker: the experiment's own simulation
-    # batches run inline.
-    os.environ["REPRO_JOBS"] = "1"
+class _ExperimentRun(NamedTuple):
+    """One experiment's run, as :func:`_run_experiments` yields it."""
+
+    seconds: float
+    error: Optional[str]  # the traceback, when the experiment raised
+    failed: List[str]     # expectation predicates that missed
+    firewall: Optional[BaselineFirewall]
+
+
+def _run_one(payload: Tuple[str, Dict[str, Any], Optional[Dict[str, Any]]]
+             ) -> _ExperimentRun:
+    """Run one experiment in a fresh engine; never raises."""
+    eid, engine_kwargs, firewall_spec = payload
+    firewall: Optional[BaselineFirewall] = None
+    if firewall_spec is not None:
+        firewall = BaselineFirewall(
+            BaselineStore(firewall_spec["root"]),
+            mode=firewall_spec["mode"], strict=False,
+            note=firewall_spec["note"],
+        )
     started = time.perf_counter()
+    error: Optional[str] = None
+    failed: List[str] = []
     try:
-        doc = ExperimentEngine(**engine_kwargs).run(eid)
+        doc = ExperimentEngine(firewall=firewall, **engine_kwargs).run(eid)
         failed = [outcome["name"] for outcome in doc["expectations"]
                   if not outcome["passed"]]
-        return eid, time.perf_counter() - started, None, failed
     except Exception:  # noqa: BLE001 — one experiment must not kill the run
-        return eid, time.perf_counter() - started, \
-            traceback.format_exc(), []
+        error = traceback.format_exc()
+    return _ExperimentRun(time.perf_counter() - started, error, failed,
+                          firewall)
+
+
+def _worker_count(jobs: int, experiments: int) -> int:
+    """``--jobs`` as a process count: 0 (or less) means every CPU, and
+    never more processes than experiments."""
+    if jobs <= 0:
+        jobs = multiprocessing.cpu_count()
+    return max(1, min(jobs, experiments))
+
+
+def _run_experiments(specs: List[Any], engine_kwargs: Dict[str, Any],
+                     jobs: int,
+                     firewall_spec: Optional[Dict[str, Any]] = None
+                     ) -> Iterator[_ExperimentRun]:
+    """Run ``specs`` ``jobs`` experiments at a time; yields one run per
+    spec, in spec order.
+
+    Each experiment gets its own engine and, when ``firewall_spec``
+    (``root``, ``mode``, ``note``) is given, its own non-strict
+    :class:`~repro.regress.firewall.BaselineFirewall` on that store,
+    returned in its run for the caller to merge.  With more than
+    one job the experiments run in forked worker processes, each
+    simulating its points in process.
+    """
+    payloads = [(spec.eid, engine_kwargs, firewall_spec) for spec in specs]
+    workers = _worker_count(jobs, len(specs))
+    if workers == 1:
+        yield from map(_run_one, payloads)
+        return
+    with multiprocessing.get_context("fork").Pool(processes=workers) \
+            as pool:
+        yield from pool.imap(_run_one, payloads)
+
+
+def _instruction_budget(args: argparse.Namespace) -> int:
+    """``--max-instructions``, else ``REPRO_BENCH_MAX_INSTRUCTIONS``.
+
+    Resolved once, before any experiment starts, so a malformed knob
+    is one diagnostic rather than a traceback per experiment.
+    """
+    explicit = getattr(args, "max_instructions", None)
+    return explicit if explicit is not None else max_instructions_from_env()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.sanitize:
-        os.environ["REPRO_SANITIZE"] = "1"
         args.smoke = True
         args.no_cache = True
-    # Workers inherit the smoke flag through the environment too, so
-    # anything that consults REPRO_BENCH_SMOKE (e.g. workload suites
-    # invoked out-of-engine) agrees with the engine setting.
-    if args.smoke:
-        os.environ["REPRO_BENCH_SMOKE"] = "1"
-    if args.no_cache:
-        os.environ["REPRO_CACHE"] = "0"
-    if args.max_instructions is not None:
-        os.environ["REPRO_BENCH_MAX_INSTRUCTIONS"] = \
-            str(args.max_instructions)
-
     try:
         specs = _select_specs(args.ids, args.all, args.tag)
-    except ExperimentLookupError as exc:
+        budget = _instruction_budget(args)
+    except (ExperimentLookupError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not specs:
@@ -158,24 +210,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     engine_kwargs: Dict[str, Any] = {
         "smoke": bool(args.smoke) or None,
-        "max_instructions": args.max_instructions,
-        "jobs": None,
+        "max_instructions": budget,
         "results_dir": args.results_dir,
         "echo": bool(args.echo),
     }
     if args.no_cache:
         engine_kwargs["cache"] = None
-
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = env_int("REPRO_JOBS", 1)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if jobs <= 0:
-        jobs = multiprocessing.cpu_count()
-    jobs = min(jobs, len(specs))
+    jobs = _worker_count(args.jobs, len(specs))
 
     mode = "smoke" if args.smoke else "full"
     sanitize_note = ", sanitize=on" if args.sanitize else ""
@@ -183,29 +224,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"jobs={jobs}, cache={'off' if args.no_cache else 'on'}"
           f"{sanitize_note})")
 
-    payloads = [(spec.eid, engine_kwargs) for spec in specs]
     started = time.perf_counter()
-    if jobs > 1:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=jobs) as pool:
-            reports = pool.map(_run_one_worker, payloads)
-    else:
-        reports = [_run_one_worker(payload) for payload in payloads]
-    total = time.perf_counter() - started
-
     errors = []
     expectation_misses = []
-    for (eid, seconds, error, failed), spec in zip(reports, specs):
-        if error:
-            status = "FAIL"
-            errors.append((spec.name, error))
-        elif failed:
-            status = "SHAPE"
-            expectation_misses.append((spec.name, failed))
-        else:
-            status = "ok"
-        note = f"  ({', '.join(failed)})" if failed else ""
-        print(f"  {status:5s} {spec.name:26s} {seconds:7.2f}s{note}")
+    with contextlib.ExitStack() as scope:
+        if args.sanitize:
+            # The cores read REPRO_SANITIZE when they are built: scope
+            # it to this call (forked workers inherit it), leaving the
+            # caller's environment as it was found.
+            from unittest import mock
+
+            scope.enter_context(
+                mock.patch.dict(os.environ, REPRO_SANITIZE="1"))
+        for run, spec in zip(_run_experiments(specs, engine_kwargs, jobs),
+                             specs):
+            if run.error:
+                status = "FAIL"
+                errors.append((spec.name, run.error))
+            elif run.failed:
+                status = "SHAPE"
+                expectation_misses.append((spec.name, run.failed))
+            else:
+                status = "ok"
+            note = f"  ({', '.join(run.failed)})" if run.failed else ""
+            print(f"  {status:5s} {spec.name:26s} {run.seconds:7.2f}s{note}")
+    total = time.perf_counter() - started
     print(f"total: {total:.2f}s wall for {len(specs)} experiments")
 
     for name, error in errors:
@@ -279,50 +322,49 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _open_store(args: argparse.Namespace):
-    from repro.regress.store import BaselineStore
-
+def _open_store(args: argparse.Namespace) -> BaselineStore:
     return BaselineStore(getattr(args, "baseline_dir", None))
 
 
 def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
     """Shared engine for ``baseline capture`` and ``baseline verify``:
-    run the experiment corpus (no documents written) with one shared
-    firewall collecting every observation, then report."""
-    from repro.regress.firewall import BaselineFirewall
+    run the experiment corpus (no documents written), one firewall per
+    experiment, merge their observations, then report."""
     from repro.regress.semid import dump_stable, short_id
 
-    if args.smoke:
-        os.environ["REPRO_BENCH_SMOKE"] = "1"
     try:
         specs = _select_specs(args.ids, args.all, None)
-    except ExperimentLookupError as exc:
+        budget = _instruction_budget(args)
+    except (ExperimentLookupError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not specs:
         print("error: no experiments selected", file=sys.stderr)
         return 2
 
-    firewall = BaselineFirewall(
-        _open_store(args), mode=mode, strict=False,
-        note=getattr(args, "note", "") or "",
-    )
-    engine = ExperimentEngine(
-        smoke=bool(args.smoke) or None, jobs=args.jobs,
-        write=False, firewall=firewall,
-    )
+    note = getattr(args, "note", "") or ""
+    firewall = BaselineFirewall(_open_store(args), mode=mode,
+                                strict=False, note=note)
+    engine_kwargs: Dict[str, Any] = {"smoke": bool(args.smoke) or None,
+                                      "max_instructions": budget,
+                                      "write": False}
+    firewall_spec: Dict[str, Any] = {"root": firewall.store.root,
+                                     "mode": mode, "note": note}
+    # capture writes the store, which has no cross-process locking, so
+    # only verify runs experiments side by side.
+    jobs = getattr(args, "jobs", 1)
     errors = 0
-    for spec in specs:
-        started = time.perf_counter()
-        try:
-            engine.run(spec)
-        except Exception:  # noqa: BLE001 — finish the corpus, then fail
+    for run, spec in zip(_run_experiments(specs, engine_kwargs, jobs,
+                                          firewall_spec), specs):
+        # Divergences are appended in spec order whatever the job
+        # count, so the report is deterministic.
+        assert run.firewall is not None
+        firewall.merge(run.firewall)
+        if run.error:
             errors += 1
-            print(f"  FAIL  {spec.name}", file=sys.stderr)
-            traceback.print_exc()
+            print(f"  FAIL  {spec.name}\n{run.error}", file=sys.stderr)
             continue
-        print(f"  {mode:7s} {spec.name:26s} "
-              f"{time.perf_counter() - started:6.2f}s")
+        print(f"  {mode:7s} {spec.name:26s} {run.seconds:6.2f}s")
 
     stats = firewall.stats
     report = firewall.report()
@@ -703,14 +745,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to experiments carrying this tag")
     cmd_run.add_argument("--smoke", action="store_true",
                          help="shrink every workload so the suite runs "
-                              "in seconds (sets REPRO_BENCH_SMOKE=1)")
-    cmd_run.add_argument("--jobs", type=int, default=None,
+                              "in seconds (like REPRO_BENCH_SMOKE=1)")
+    cmd_run.add_argument("--jobs", type=int, default=1,
                          help="experiments to run concurrently "
-                              "(default: REPRO_JOBS or 1; 0 = all cores)")
+                              "(default: 1; 0 = all cores)")
     cmd_run.add_argument("--no-cache", action="store_true",
-                         help="disable the result cache (REPRO_CACHE=0)")
+                         help="disable the result cache (like "
+                              "REPRO_CACHE=0)")
     cmd_run.add_argument("--max-instructions", type=int, default=None,
-                         help="override the per-run instruction budget")
+                         help="override the per-run instruction budget "
+                              "(default: REPRO_BENCH_MAX_INSTRUCTIONS "
+                              "or 50M)")
     cmd_run.add_argument("--results-dir", type=pathlib.Path, default=None,
                          help="where tables and JSON documents land "
                               "(default: the checkout's "
@@ -758,12 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--all", action="store_true",
                          help="run every registered experiment")
         sub.add_argument("--smoke", action="store_true",
-                         help="tiny workloads (sets "
-                              "REPRO_BENCH_SMOKE=1) — the committed "
-                              "corpus scale")
-        sub.add_argument("--jobs", type=int, default=None,
-                         help="simulation worker processes per "
-                              "experiment (default: REPRO_JOBS or 1)")
+                         help="tiny workloads — the committed corpus "
+                              "scale")
         sub.add_argument("--report", default=None, metavar="PATH",
                          help="write the JSON diff report to PATH "
                               "(the CI artifact)")
@@ -784,6 +825,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the corpus and check behavior against "
                        "stored baselines (exit 1 on any divergence)")
     _add_corpus_args(cmd_bl_verify)
+    cmd_bl_verify.add_argument("--jobs", type=int, default=1,
+                               help="experiments to verify concurrently "
+                                    "(default: 1; 0 = all cores)")
     cmd_bl_verify.set_defaults(func=_cmd_baseline_verify)
 
     cmd_bl_promote = baseline_sub.add_parser(

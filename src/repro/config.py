@@ -417,7 +417,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 # greps this block against the actual ``os.environ.get("REPRO_...`` call
 # sites, so keep it complete):
 #
-#   REPRO_JOBS              worker-pool size for ParallelRunner
 #   REPRO_CACHE             off ("0") disables the result cache
 #   REPRO_CACHE_DIR         result-cache directory override
 #   REPRO_CACHE_MAX_BYTES   LRU size cap for the result cache
@@ -425,23 +424,19 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #                           (and the instrumented SST loop)
 #   REPRO_TAINT             on ("1") attaches the speculative-leak
 #                           taint tracker (and the e19 gadget gate)
-#   REPRO_BASELINE          behavioral-firewall observation mode
-#                           (capture/verify) for every simulated point
 #   REPRO_BASELINE_DIR      baseline-record directory override
 #   REPRO_BENCH_SMOKE       on ("1") shrinks benchmarks to smoke scale
 #   REPRO_BENCH_MAX_INSTRUCTIONS   per-run instruction budget cap
 #   REPRO_RESULTS_DIR       benchmark-results directory override
-#   REPRO_TASK_TIMEOUT / REPRO_TASK_RETRIES   parallel-engine limits
-#   REPRO_FAULT_INJECT      deterministic fault-injection spec
 # ---------------------------------------------------------------------------
 
 def env_int(name: str, default: int) -> int:
     """Parse an integer REPRO_* knob, naming the variable on error.
 
-    Blank values (``REPRO_JOBS=""``) fall back to ``default`` like an
-    unset variable; anything else must parse as an integer or the
-    error says *which* knob was malformed instead of a bare
-    ``ValueError`` traceback.
+    Blank values (``REPRO_BENCH_MAX_INSTRUCTIONS=""``) fall back to
+    ``default`` like an unset variable; anything else must parse as an
+    integer or the error says *which* knob was malformed instead of a
+    bare ``ValueError`` traceback.
     """
     raw = os.environ.get(name)
     if raw is None or not raw.strip():

@@ -3,9 +3,9 @@
 This is the library home of what ``benchmarks/common.py`` used to
 provide as module-level globals — the bench-scale memory hierarchy,
 the paper's machine points, smoke-mode workload shrinking, and the
-cached/parallel execution helpers — packaged as :class:`BenchEnv` so
-the smoke flag, cache, and instruction budget are explicit per-run
-state instead of import-time environment reads.
+cached execution helpers — packaged as :class:`BenchEnv` so the smoke
+flag, cache, instruction budget and baseline firewall are explicit
+per-run state instead of import-time environment reads.
 
 The *bench hierarchy* is deliberately smaller than a real ROCK-era
 memory system so the "bench"-scale workloads (hundreds of KB of working
@@ -16,10 +16,6 @@ relative orderings are the reproduction target.
 
 Environment knobs (defaults only — constructor arguments win):
 
-* ``REPRO_JOBS`` — worker processes for matrix/suite runs (default 1).
-* ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES`` — per-point deadline
-  (seconds) and transient-failure retry budget for those runs (see
-  :mod:`repro.sim.resilience`).
 * ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` — content-addressed result
   cache gate and location (default on, ``benchmarks/.simcache/``).
 * ``REPRO_BENCH_MAX_INSTRUCTIONS`` — per-run instruction budget
@@ -38,7 +34,6 @@ result documents.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.baselines.core_base import (
@@ -60,11 +55,7 @@ from repro.config import (
     sst_machine,
 )
 from repro.isa.program import Program
-from repro.regress.firewall import (
-    BaselineFirewall,
-    firewall_from_env,
-    multicore_key,
-)
+from repro.regress.firewall import BaselineFirewall, multicore_key
 from repro.sim.cache import ResultCache, cache_from_env, result_key
 from repro.sim.parallel import ParallelRunner, SimTask
 from repro.workloads import commercial_suite, compute_suite, full_suite
@@ -97,10 +88,7 @@ class BenchEnv:
     def __init__(self, *, smoke: Optional[bool] = None,
                  max_instructions: Optional[int] = None,
                  cache: Any = _UNSET,
-                 jobs: Optional[int] = None,
-                 timeout: Optional[float] = None,
-                 retries: Optional[int] = None,
-                 firewall: Any = _UNSET):
+                 firewall: Optional[BaselineFirewall] = None):
         self.smoke = smoke_from_env() if smoke is None else bool(smoke)
         self.max_instructions = (
             max_instructions_from_env() if max_instructions is None
@@ -109,19 +97,11 @@ class BenchEnv:
         self.cache: Optional[ResultCache] = (
             cache_from_env() if cache is _UNSET else cache
         )
-        self.jobs = jobs
-        # Per-task deadline and transient-failure retry budget, threaded
-        # through to every ParallelRunner this environment builds (None
-        # defers to REPRO_TASK_TIMEOUT / REPRO_TASK_RETRIES).
-        self.timeout = timeout
-        self.retries = retries
         # The behavioral baseline firewall (repro.regress): every point
         # recorded below — including cache hits — is captured into or
-        # verified against the governed baseline store.  Defaults to
-        # the REPRO_BASELINE gate (None when unset: zero overhead).
-        self.firewall: Optional[BaselineFirewall] = (
-            firewall_from_env() if firewall is _UNSET else firewall
-        )
+        # verified against the governed baseline store.  None (the
+        # default) observes nothing.
+        self.firewall = firewall
         # One JSON-ready record per simulation point routed through
         # this environment (see _record / record_multicore).
         self.points: List[Dict[str, Any]] = []
@@ -192,38 +172,22 @@ class BenchEnv:
 
     # -- execution -----------------------------------------------------
 
-    def _runner(self, jobs: Optional[int]) -> ParallelRunner:
-        return ParallelRunner(jobs, cache=self.cache,
-                              timeout=self.timeout, retries=self.retries)
-
     def run(self, config: MachineConfig, program: Program) -> CoreResult:
         """One benchmark point, through the result cache."""
-        runner = self._runner(1)
         task = SimTask(config=config, program=program,
                        max_instructions=self.max_instructions)
-        result = runner.run([task])[0]
+        result = ParallelRunner(cache=self.cache).run([task])[0]
         assert result is not None
         self._record(task, result)
         return result
-
-    def run_many(self, tasks: List[SimTask]) -> List[CoreResult]:
-        """A batch of points through the pool (``REPRO_JOBS``/``jobs``)
-        + cache, results in submission order."""
-        runner = self._runner(self.jobs)
-        results = runner.run(tasks)
-        for task, result in zip(tasks, results):
-            if result is not None:
-                self._record(task, result)
-        return [result for result in results if result is not None]
 
     def run_matrix(
             self, programs: List[Program], configs: List[MachineConfig]
     ) -> Dict[str, Dict[str, CoreResult]]:
         """program name -> machine name -> result.
 
-        The full matrix is one :class:`ParallelRunner` batch: with jobs
-        set, points run across worker processes; cached points are
-        restored without simulating at all.
+        The full matrix is one :class:`ParallelRunner` batch: cached
+        points are restored without simulating at all.
         """
         tasks = [
             SimTask(config=config, program=program,
@@ -231,11 +195,13 @@ class BenchEnv:
             for program in programs
             for config in configs
         ]
-        results = self.run_many(tasks)
+        results = ParallelRunner(cache=self.cache).run(tasks)
         matrix: Dict[str, Dict[str, CoreResult]] = {
             program.name: {} for program in programs
         }
         for task, result in zip(tasks, results):
+            assert result is not None
+            self._record(task, result)
             matrix[task.program.name][task.config.name] = result
         return matrix
 

@@ -4,7 +4,8 @@
 ``bench_e*.py`` scripts each re-implemented:
 
 1. build a fresh :class:`~repro.experiments.bench_env.BenchEnv`
-   (smoke scaling, result cache, instruction budget, job count);
+   (smoke scaling, result cache, instruction budget, baseline
+   firewall);
 2. call the spec's build function, which returns the experiment's
    :class:`~repro.stats.report.Table` and a JSON-serializable metrics
    dictionary while every simulation point is recorded by the env;
@@ -34,6 +35,7 @@ from repro.experiments.results import (
     write_result_doc,
 )
 from repro.experiments.spec import ExperimentSpec, get
+from repro.regress.firewall import BaselineFirewall
 from repro.sim.cache import SIM_SCHEMA_VERSION
 from repro.stats.report import Table
 
@@ -44,19 +46,16 @@ class ExperimentEngine:
     def __init__(self, *, smoke: Optional[bool] = None,
                  max_instructions: Optional[int] = None,
                  cache: Any = _UNSET,
-                 jobs: Optional[int] = None,
                  results_dir: Optional[pathlib.Path] = None,
                  write: bool = True,
                  echo: bool = False,
-                 firewall: Any = _UNSET):
+                 firewall: Optional[BaselineFirewall] = None):
         self.smoke = smoke
         self.max_instructions = max_instructions
         self.cache = cache
-        self.jobs = jobs
         # Behavioral baseline firewall (repro.regress), shared across
-        # every env this engine builds so one `repro baseline` run
-        # accumulates a single capture/verify report.  _UNSET defers to
-        # the REPRO_BASELINE gate per environment.
+        # every env this engine builds so its runs accumulate one
+        # capture/verify report.  None observes nothing.
         self.firewall = firewall
         self.results_dir = (
             pathlib.Path(results_dir) if results_dir is not None else None
@@ -69,8 +68,7 @@ class ExperimentEngine:
     def make_env(self) -> BenchEnv:
         return BenchEnv(smoke=self.smoke,
                         max_instructions=self.max_instructions,
-                        cache=self.cache, jobs=self.jobs,
-                        firewall=self.firewall)
+                        cache=self.cache, firewall=self.firewall)
 
     def run(self, spec: Union[str, ExperimentSpec]) -> Dict[str, Any]:
         """Run one experiment; returns its validated result document."""

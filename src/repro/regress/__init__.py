@@ -23,8 +23,8 @@ Layout (mirroring the capture → replay → diff → governance pipeline):
 * :mod:`repro.regress.store` — the on-disk record store
   (``benchmarks/baselines/``) with append-only audit history.
 * :mod:`repro.regress.firewall` — behavior extraction and the
-  capture/verify engine hooked into ``simulate()`` / ``BenchEnv`` /
-  ``ExperimentEngine`` via ``REPRO_BASELINE``.
+  capture/verify engine that ``BenchEnv`` and ``ExperimentEngine``
+  feed when ``repro baseline capture|verify`` hands them a firewall.
 
 The heavyweight submodules are loaded lazily: :mod:`repro.isa.program`
 imports ``repro.regress.semid`` at interpreter startup, and the
@@ -40,7 +40,6 @@ from repro.regress.semid import (
     SemanticIdError,
     canonical_json,
     canonicalize,
-    deterministic_fraction,
     digest_material,
     dump_stable,
     line_digest,
@@ -52,7 +51,6 @@ __all__ = [
     "SemanticIdError",
     "canonical_json",
     "canonicalize",
-    "deterministic_fraction",
     "digest_material",
     "dump_stable",
     "line_digest",

@@ -1,10 +1,10 @@
 """Behavior extraction + the capture/verify firewall engine.
 
-The firewall turns every simulation the repo runs into a governed
-regression check, in the capture/replay style: behavior observed for a
-previously-seen input must be bit-identical to the stored baseline
-record, or the run (and CI) goes red until the change is explicitly
-promoted.
+The firewall turns every simulation of the experiment corpus into a
+governed regression check, in the capture/replay style: behavior
+observed for a previously-seen input must be bit-identical to the
+stored baseline record, or the run (and CI) goes red until the change
+is explicitly promoted.
 
 *Behavior* of a run is the deterministic output surface only:
 
@@ -20,9 +20,9 @@ promoted.
 Host wall-clock numbers never enter a behavior record, so records
 verify bit-identically on any machine.
 
-Hook points (all gated on ``REPRO_BASELINE``; unset means zero work):
+Hook points — each observes only when handed a firewall explicitly
+(``repro baseline capture|verify`` builds one per experiment):
 
-* :func:`repro.sim.runner.simulate` observes every direct run;
 * :class:`repro.experiments.bench_env.BenchEnv` observes every
   recorded point (including cache hits — a corrupt cache entry that
   decodes cleanly but disagrees with the baseline is caught here)
@@ -32,16 +32,13 @@ Hook points (all gated on ``REPRO_BASELINE``; unset means zero work):
   signatures, and the point-key list — so an unintended cache-key
   change turns verification red even if every cycle count matches).
 
-``REPRO_BASELINE=verify`` raises on the first divergence (strict);
-``REPRO_BASELINE=capture`` records candidates for later promotion.
-The ``repro baseline`` CLI drives the same engine in collecting
-(non-strict) mode to report every divergence at once.
+A strict firewall raises on the first divergence; the CLI runs
+non-strict firewalls to report every divergence at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.baselines.core_base import CoreResult
@@ -51,25 +48,8 @@ from repro.regress.records import BaselineRecord, STATUS_RETIRED
 from repro.regress.store import BaselineStore
 from repro.sim.cache import SIM_SCHEMA_VERSION, canonicalize, result_key
 
-ENV_MODE = "REPRO_BASELINE"
-
-MODE_OFF = "off"
 MODE_CAPTURE = "capture"
 MODE_VERIFY = "verify"
-
-
-def mode_from_env() -> str:
-    """The ``REPRO_BASELINE`` gate: off (default) / capture / verify."""
-    value = os.environ.get(ENV_MODE, "").strip().lower()
-    if value in ("", "0", "off", "false", "no"):
-        return MODE_OFF
-    if value == MODE_CAPTURE:
-        return MODE_CAPTURE
-    if value in (MODE_VERIFY, "1", "on", "true"):
-        return MODE_VERIFY
-    raise ReproError(
-        f"{ENV_MODE} must be unset, 'capture', or 'verify'; got {value!r}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +359,15 @@ class BaselineFirewall:
 
     # -- reporting ----------------------------------------------------
 
+    def merge(self, other: BaselineFirewall) -> None:
+        """Fold ``other``'s counts and divergences into this firewall
+        (how a corpus run split across processes reports as one)."""
+        for field in dataclasses.fields(self.stats):
+            setattr(self.stats, field.name,
+                    getattr(self.stats, field.name)
+                    + getattr(other.stats, field.name))
+        self.divergences.extend(other.divergences)
+
     def report(self) -> Dict[str, Any]:
         """A JSON-ready diff report (the CI artifact)."""
         return {
@@ -390,26 +379,3 @@ class BaselineFirewall:
                 divergence.as_dict() for divergence in self.divergences
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# Environment-driven construction (the library hook points).
-# ---------------------------------------------------------------------------
-
-
-def firewall_from_env(strict: bool = True
-                      ) -> Optional[BaselineFirewall]:
-    """A firewall per ``REPRO_BASELINE``, or None when the gate is off."""
-    mode = mode_from_env()
-    if mode == MODE_OFF:
-        return None
-    return BaselineFirewall(mode=mode, strict=strict)
-
-
-def observe_point_from_env(config: Any, program: Any,
-                           max_instructions: int,
-                           result: CoreResult) -> None:
-    """The ``simulate()`` hook: capture/verify one direct run."""
-    firewall = firewall_from_env()
-    if firewall is not None:
-        firewall.observe_point(config, program, max_instructions, result)

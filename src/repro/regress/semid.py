@@ -1,15 +1,13 @@
 """Canonical semantic IDs: the one hashing scheme for the whole repo.
 
-Before this module existed, three subsystems each rolled their own
-content hashing: the simulation result cache canonicalized configs ad
-hoc (``repro.sim.cache``), :class:`~repro.isa.program.Program` hashed
-its instruction stream with hand-built line records, and the
-fault-injection planner derived deterministic fractions from raw
-SHA-256 digests.  They agreed by convention only.  ``semid`` is the
-single documented home of that convention; every identity-bearing
+Before this module existed, the simulation result cache canonicalized
+configs ad hoc (``repro.sim.cache``) and
+:class:`~repro.isa.program.Program` hashed its instruction stream with
+hand-built line records; they agreed by convention only.  ``semid`` is
+the single documented home of that convention; every identity-bearing
 digest in the repository routes through here so "same inputs" means
-the same thing to the cache, the result documents, the baseline
-firewall (:mod:`repro.regress.store`), and the fault planner.
+the same thing to the cache, the result documents, and the baseline
+firewall (:mod:`repro.regress.store`).
 
 The scheme (stable — changing any rule silently re-keys every content
 hash in the repo, so treat this docstring as a format spec):
@@ -140,16 +138,6 @@ def line_digest(lines: Iterable[str]) -> str:
     for line in lines:
         hasher.update(f"{line}\n".encode())
     return hasher.hexdigest()
-
-
-def deterministic_fraction(material: str) -> float:
-    """A deterministic [0, 1) fraction derived from ``material``.
-
-    Used by the fault-injection planner to make per-task sabotage
-    decisions reproducible across runs and hosts.
-    """
-    digest = hashlib.sha256(material.encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2 ** 64
 
 
 def short_id(semid: str) -> str:

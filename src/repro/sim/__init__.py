@@ -1,6 +1,7 @@
 """Simulation driving: build a machine from a config, run programs,
 verify against the golden model, sweep parameters, compare cores —
-in parallel and with content-addressed result caching."""
+through one in-order batch runner and content-addressed result
+caching."""
 
 from repro.sim.cache import (
     FsckReport,
@@ -11,24 +12,13 @@ from repro.sim.cache import (
     result_key,
 )
 from repro.sim.compare import compare_machines, speedup_table
-from repro.sim.faults import FaultPlan, fault_plan_from_env, parse_fault_spec
 from repro.sim.machine import Machine, build_core, build_hierarchy
 from repro.sim.parallel import (
     ParallelRunner,
     SimTask,
     SimTaskError,
     TaskOutcome,
-    resolve_jobs,
     run_simulations,
-)
-from repro.sim.resilience import (
-    KIND_CACHE_CORRUPT,
-    KIND_POOL_TIMEOUT,
-    KIND_TASK_ERROR,
-    KIND_WORKER_CRASH,
-    TRANSIENT_KINDS,
-    RetryPolicy,
-    resolve_retries,
 )
 from repro.sim.runner import simulate, verify_against_golden
 from repro.sim.sweep import sweep, sweep_many
@@ -38,22 +28,12 @@ __all__ = [
     "build_hierarchy",
     "cache_from_env",
     "compare_machines",
-    "fault_plan_from_env",
-    "FaultPlan",
     "FsckReport",
-    "KIND_CACHE_CORRUPT",
-    "KIND_POOL_TIMEOUT",
-    "KIND_TASK_ERROR",
-    "KIND_WORKER_CRASH",
     "Machine",
     "ParallelRunner",
-    "parse_fault_spec",
-    "resolve_jobs",
-    "resolve_retries",
     "result_key",
     "ResultCache",
     "ResultCacheStats",
-    "RetryPolicy",
     "run_simulations",
     "SIM_SCHEMA_VERSION",
     "SimTask",
@@ -63,6 +43,5 @@ __all__ = [
     "sweep",
     "sweep_many",
     "TaskOutcome",
-    "TRANSIENT_KINDS",
     "verify_against_golden",
 ]

@@ -53,7 +53,6 @@ from repro.isa.program import Program
 from repro.memory.cache import CacheStats
 from repro.memory.hierarchy import HierarchyStats
 from repro.memory.sparse_memory import SparseMemory
-from repro.sim import faults
 from repro.stats.histogram import Histogram
 
 # Bump on ANY change to core timing/functional semantics or to the
@@ -235,9 +234,9 @@ class FsckReport:
 class ResultCache:
     """One directory of ``<sha256>.json`` cached simulation results.
 
-    Concurrent writers (parallel sweeps, independent processes) are safe:
-    files are written to a temp name and atomically renamed, and any
-    reader that finds a corrupt or stale file treats it as a miss.  A
+    Concurrent writers (parallel experiments, independent processes) are
+    safe: files are written to a temp name and atomically renamed, and
+    any reader that finds a corrupt or stale file treats it as a miss.  A
     loaded entry must also carry the requested key in its ``"key"``
     field, so a renamed or copied cache file can never silently serve
     the wrong simulation's result.
@@ -324,11 +323,6 @@ class ResultCache:
             "result": encode_value(result),
         }
         text = json.dumps(payload)
-        if faults.should_corrupt_store():
-            # Injected corruption (REPRO_FAULT_INJECT=corrupt-cache:N):
-            # a truncated payload, as an interrupted non-atomic writer
-            # would have left behind.
-            text = text[: max(1, len(text) // 2)]
         handle, tmp_name = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=".json"
         )

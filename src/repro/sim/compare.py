@@ -3,9 +3,9 @@
 ``compare_machines`` runs one program on several machine configs (each
 with a fresh hierarchy) and ``speedup_table`` renders the familiar
 "speedup over baseline" rows with a geometric mean at the bottom.  Both
-execute through :class:`~repro.sim.parallel.ParallelRunner`, so
-``REPRO_JOBS`` / ``jobs`` parallelizes them and an optional
-:class:`~repro.sim.cache.ResultCache` skips already-simulated points.
+execute through :class:`~repro.sim.parallel.ParallelRunner`, so an
+optional :class:`~repro.sim.cache.ResultCache` skips already-simulated
+points.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.stats.report import Table, geomean
 def compare_machines(program: Program, configs: Sequence[MachineConfig], *,
                      verify: bool = False,
                      max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                     jobs: Optional[int] = None,
                      cache: Optional[ResultCache] = None,
                      ) -> Dict[str, CoreResult]:
     """Run ``program`` on every config; returns name → result."""
@@ -32,7 +31,7 @@ def compare_machines(program: Program, configs: Sequence[MachineConfig], *,
                 max_instructions=max_instructions)
         for config in configs
     ]
-    runner = ParallelRunner(jobs, cache=cache)
+    runner = ParallelRunner(cache=cache)
     results = runner.run(tasks)
     return {
         task.config.name: result
@@ -46,14 +45,12 @@ def speedup_table(title: str,
                   baseline_name: str, *,
                   verify: bool = False,
                   max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                  jobs: Optional[int] = None,
                   cache: Optional[ResultCache] = None,
                   ) -> Table:
     """One row per program: IPC of the baseline and speedup of every
     other machine over it; final row is the geometric mean.
 
-    The full (program × config) matrix is one runner batch, so worker
-    processes overlap points across rows."""
+    The full (program × config) matrix is one runner batch."""
     programs = list(programs)
     configs = list(configs)
     names = [config.name for config in configs]
@@ -71,7 +68,7 @@ def speedup_table(title: str,
         for program in programs
         for config in configs
     ]
-    runner = ParallelRunner(jobs, cache=cache)
+    runner = ParallelRunner(cache=cache)
     flat = runner.run(tasks)
     by_program: Dict[str, Dict[str, CoreResult]] = {}
     for task, result in zip(tasks, flat):

@@ -5,7 +5,6 @@ merge) is architecturally correct and not just plausible."""
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
@@ -56,13 +55,4 @@ def simulate(config: MachineConfig, program: Program, *,
     result = machine.run(program, max_instructions=max_instructions)
     if verify:
         verify_against_golden(result, program)
-    if os.environ.get("REPRO_BASELINE", "").strip():
-        # Behavioral baseline firewall (repro.regress): in verify mode
-        # every run of a previously-captured input is auto-checked
-        # against its stored baseline; in capture mode it is recorded.
-        # Imported lazily so the plain simulate() path stays free of
-        # the regress subsystem when the firewall is off.
-        from repro.regress.firewall import observe_point_from_env
-
-        observe_point_from_env(config, program, max_instructions, result)
     return result

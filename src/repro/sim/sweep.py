@@ -2,11 +2,9 @@
 configs derived from a parameter axis (DQ size, checkpoint count, DRAM
 latency, ...), collecting (parameter value → result).
 
-Sweeps execute through :class:`~repro.sim.parallel.ParallelRunner`: set
-``REPRO_JOBS`` (or pass ``jobs``) to fan the axis out over worker
-processes, and pass a :class:`~repro.sim.cache.ResultCache` to skip
-points that were already simulated.  Results always come back in axis
-order, identical to the serial path.
+Sweeps execute through :class:`~repro.sim.parallel.ParallelRunner`:
+pass a :class:`~repro.sim.cache.ResultCache` to skip points that were
+already simulated.  Results always come back in axis order.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ def sweep(program: Program,
           make_config: Callable[[object], MachineConfig], *,
           verify: bool = False,
           max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-          jobs: Optional[int] = None,
           cache: Optional[ResultCache] = None,
           on_error: str = "raise",
           ) -> List[Tuple[object, CoreResult]]:
@@ -52,7 +49,7 @@ def sweep(program: Program,
                 tag=value)
         for value in axis
     ]
-    runner = ParallelRunner(jobs, cache=cache)
+    runner = ParallelRunner(cache=cache)
     results = runner.run(tasks, on_error=on_error)
     return [
         (task.tag, result)
@@ -66,15 +63,13 @@ def sweep_many(programs: Sequence[Program],
                make_config: Callable[[object], MachineConfig], *,
                verify: bool = False,
                max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-               jobs: Optional[int] = None,
                cache: Optional[ResultCache] = None,
                on_error: str = "raise",
                ) -> Dict[str, List[Tuple[object, CoreResult]]]:
     """A sweep per program; returns program name → sweep results.
 
-    The whole (program × axis) matrix is submitted as one batch, so a
-    parallel runner overlaps points across programs, not just within
-    one sweep.  Caching and ``on_error`` behave exactly as in
+    The whole (program × axis) matrix is submitted as one batch.
+    Caching and ``on_error`` behave exactly as in
     :func:`sweep`: warm points load, cached-but-corrupt points are
     quarantined and re-simulated (they do not raise under either
     mode), and ``on_error`` applies to simulation failures only.
@@ -87,7 +82,7 @@ def sweep_many(programs: Sequence[Program],
         for program in programs
         for value in axis_values
     ]
-    runner = ParallelRunner(jobs, cache=cache)
+    runner = ParallelRunner(cache=cache)
     results = runner.run(tasks, on_error=on_error)
     out: Dict[str, List[Tuple[object, CoreResult]]] = {
         program.name: [] for program in programs

@@ -8,21 +8,25 @@ from repro.errors import ConfigError
 from repro.sim.cache import cache_enabled_by_env
 
 
+KNOB = "REPRO_BENCH_MAX_INSTRUCTIONS"
+
+
 def test_env_int_unset_and_blank_use_default(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert env_int("REPRO_JOBS", 3) == 3
-    monkeypatch.setenv("REPRO_JOBS", "   ")
-    assert env_int("REPRO_JOBS", 3) == 3
+    monkeypatch.delenv(KNOB, raising=False)
+    assert env_int(KNOB, 3) == 3
+    monkeypatch.setenv(KNOB, "   ")
+    assert env_int(KNOB, 3) == 3
 
 
 def test_env_int_parses_and_names_the_knob_on_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "8")
-    assert env_int("REPRO_JOBS", 1) == 8
-    monkeypatch.setenv("REPRO_JOBS", "-2")
-    assert env_int("REPRO_JOBS", 1) == -2
-    monkeypatch.setenv("REPRO_JOBS", "many")
-    with pytest.raises(ConfigError, match="REPRO_JOBS.*'many'"):
-        env_int("REPRO_JOBS", 1)
+    monkeypatch.setenv(KNOB, "8")
+    assert env_int(KNOB, 1) == 8
+    monkeypatch.setenv(KNOB, "-2")
+    assert env_int(KNOB, 1) == -2
+    monkeypatch.setenv(KNOB, "many")
+    with pytest.raises(ConfigError,
+                       match="REPRO_BENCH_MAX_INSTRUCTIONS.*'many'"):
+        env_int(KNOB, 1)
 
 
 def test_env_flag_kill_switch_semantics(monkeypatch):

@@ -1,5 +1,7 @@
 """CLI failure modes exit non-zero with a one-line diagnostic, never a
-traceback: a garbage REPRO_JOBS."""
+traceback: a garbage REPRO_BENCH_MAX_INSTRUCTIONS."""
+
+import pytest
 
 from repro import cli
 
@@ -10,13 +12,16 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_experiments_run_jobs_garbage_env_exits_2(monkeypatch,
-                                                  capsys):
-    """A non-numeric REPRO_JOBS is a named diagnostic before any
-    simulation starts, not a bare ValueError traceback."""
-    monkeypatch.setenv("REPRO_JOBS", "many")
-    code, _, err = run_cli(
-        ["experiments", "run", "e1", "--smoke"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["experiments", "run", "e1", "--smoke"],
+    ["baseline", "verify", "e1", "--smoke"],
+], ids=["experiments-run", "baseline-verify"])
+def test_budget_garbage_env_exits_2(monkeypatch, capsys, argv):
+    """A non-numeric instruction budget is one named diagnostic before
+    any experiment starts, not a ConfigError traceback per experiment."""
+    monkeypatch.setenv("REPRO_BENCH_MAX_INSTRUCTIONS", "many")
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
-    assert "REPRO_JOBS" in err
-    assert "Traceback" not in err
+    assert err == ("error: REPRO_BENCH_MAX_INSTRUCTIONS must be an "
+                   "integer, got 'many'\n")
+    assert out == ""

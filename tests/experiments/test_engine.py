@@ -18,14 +18,6 @@ from repro.experiments import (
 )
 
 
-@pytest.fixture
-def smoke_env(monkeypatch):
-    """Pin the knobs the CLI mutates so nothing leaks between tests."""
-    monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
-    monkeypatch.setenv("REPRO_CACHE", "0")
-    monkeypatch.setenv("REPRO_JOBS", "1")
-
-
 @pytest.fixture(scope="module")
 def e4_doc(tmp_path_factory):
     """One real smoke run of e4, shared by the document tests."""
@@ -40,7 +32,7 @@ def e4_doc(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
-def test_cli_run_round_trips_a_valid_document(smoke_env, tmp_path, capsys):
+def test_cli_run_round_trips_a_valid_document(tmp_path, capsys):
     code = cli.main(["experiments", "run", "e4", "--smoke", "--no-cache",
                      "--results-dir", str(tmp_path)])
     assert code == 0
@@ -73,7 +65,7 @@ def test_cli_report_reads_stored_documents(e4_doc, capsys):
     assert "e4_dq_size" in capsys.readouterr().out
 
 
-def test_cli_rejects_unknown_experiment(smoke_env, tmp_path, capsys):
+def test_cli_rejects_unknown_experiment(tmp_path, capsys):
     code = cli.main(["experiments", "run", "e999",
                      "--results-dir", str(tmp_path)])
     assert code == 2

@@ -19,7 +19,6 @@ def dirs(tmp_path, monkeypatch):
     baseline_dir = tmp_path / "baselines"
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-    monkeypatch.delenv("REPRO_BASELINE", raising=False)
     monkeypatch.delenv("REPRO_BASELINE_DIR", raising=False)
     return baseline_dir, cache_dir
 

@@ -1,6 +1,6 @@
 """The baseline firewall engine: observation kinds, capture/verify
-modes, strictness, reporting, the simulate()/BenchEnv/engine hook
-points, and bit-identity of behavior across execution variants
+modes, strictness, reporting, the BenchEnv/engine hook points, and
+bit-identity of behavior across execution variants
 (sanitizer attached, taint tracking on)."""
 
 from __future__ import annotations
@@ -12,13 +12,8 @@ from repro.config import sst_machine
 from repro.experiments.bench_env import BenchEnv
 from repro.experiments.engine import ExperimentEngine
 from repro.regress.firewall import (
-    MODE_CAPTURE,
-    MODE_OFF,
-    MODE_VERIFY,
     BaselineDivergenceError,
     BaselineFirewall,
-    firewall_from_env,
-    mode_from_env,
     point_behavior,
 )
 from repro.regress.store import BaselineStore
@@ -41,36 +36,18 @@ def run_point(program, **kwargs):
     return simulate(sst_machine(), program, **kwargs)
 
 
-# -- environment gate -------------------------------------------------------
+# -- observing one point ----------------------------------------------------
 
 
-def test_mode_from_env(monkeypatch):
-    for value, expected in (("", MODE_OFF), ("0", MODE_OFF),
-                            ("off", MODE_OFF), ("capture", MODE_CAPTURE),
-                            ("verify", MODE_VERIFY), ("1", MODE_VERIFY),
-                            ("on", MODE_VERIFY)):
-        monkeypatch.setenv("REPRO_BASELINE", value)
-        assert mode_from_env() == expected
-    monkeypatch.setenv("REPRO_BASELINE", "bogus")
-    with pytest.raises(Exception):
-        mode_from_env()
-
-
-def test_firewall_from_env_off_is_none(monkeypatch):
-    monkeypatch.delenv("REPRO_BASELINE", raising=False)
-    assert firewall_from_env() is None
-
-
-# -- the simulate() hook ----------------------------------------------------
-
-
-def test_simulate_hook_captures_and_verifies(monkeypatch, tmp_path,
-                                             tiny_suite):
+def test_observe_point_captures_and_verifies(store, tiny_suite):
     program = tiny_suite["oltp-chase"]
-    monkeypatch.setenv("REPRO_BASELINE_DIR", str(tmp_path / "bl"))
-    monkeypatch.setenv("REPRO_BASELINE", "capture")
-    run_point(program)
-    store = BaselineStore(tmp_path / "bl")
+    result = run_point(program)
+
+    def observe(mode):
+        return BaselineFirewall(store, mode=mode).observe_point(
+            sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, result)
+
+    assert observe("capture") == "captured"
     assert len(store) == 1
     [record] = store.records()
     assert record.kind == "point"
@@ -78,20 +55,18 @@ def test_simulate_hook_captures_and_verifies(monkeypatch, tmp_path,
     assert record.semid == result_key(sst_machine(), program,
                                       DEFAULT_MAX_INSTRUCTIONS)
 
-    monkeypatch.setenv("REPRO_BASELINE", "verify")
-    run_point(program)  # green: candidate matches
+    assert observe("verify") == "verified"  # green: candidate matches
 
     record.behavior["instructions"] -= 1
     record.log("doctor", "seeded mutation")
     store.save(record)
     with pytest.raises(BaselineDivergenceError):
-        run_point(program)
+        observe("verify")
 
 
 def test_simulate_hook_off_touches_nothing(monkeypatch, tmp_path,
                                            tiny_suite):
     monkeypatch.setenv("REPRO_BASELINE_DIR", str(tmp_path / "bl"))
-    monkeypatch.delenv("REPRO_BASELINE", raising=False)
     run_point(tiny_suite["oltp-chase"])
     assert not (tmp_path / "bl").exists()
 

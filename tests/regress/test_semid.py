@@ -21,7 +21,6 @@ from repro.regress.semid import (
     SemanticIdError,
     canonical_json,
     canonicalize,
-    deterministic_fraction,
     digest_material,
     dump_stable,
     line_digest,
@@ -150,15 +149,6 @@ def test_line_digest_terminates_each_record():
     # ["ab"] and ["a", "b"] must not collide.
     assert line_digest(["ab"]) != line_digest(["a", "b"])
     assert line_digest([]) == hashlib.sha256(b"").hexdigest()
-
-
-def test_deterministic_fraction_range_and_stability():
-    values = [deterministic_fraction(f"crash:task-{index}")
-              for index in range(50)]
-    assert all(0.0 <= value < 1.0 for value in values)
-    assert values == [deterministic_fraction(f"crash:task-{index}")
-                      for index in range(50)]
-    assert len(set(values)) > 40  # well-spread, not degenerate
 
 
 # -- helpers ----------------------------------------------------------------

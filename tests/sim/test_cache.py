@@ -166,7 +166,7 @@ def test_warm_run_does_zero_resimulation(tmp_path, program, monkeypatch):
     tasks = [SimTask(config=config, program=program) for config in configs]
 
     cache = ResultCache(tmp_path)
-    cold = ParallelRunner(jobs=1, cache=cache).run(tasks)
+    cold = ParallelRunner(cache=cache).run(tasks)
     assert cache.stats.stores == len(tasks)
 
     # Any attempt to simulate on the warm pass is a test failure.
@@ -175,7 +175,7 @@ def test_warm_run_does_zero_resimulation(tmp_path, program, monkeypatch):
 
     monkeypatch.setattr("repro.sim.parallel.simulate", _boom)
     warm_cache = ResultCache(tmp_path)
-    runner = ParallelRunner(jobs=1, cache=warm_cache)
+    runner = ParallelRunner(cache=warm_cache)
     outcomes = runner.run_outcomes(tasks)
     assert all(outcome.cached for outcome in outcomes)
     assert [outcome.result for outcome in outcomes] == cold
@@ -233,32 +233,37 @@ def test_verify_failure_quarantines_and_resimulates(tmp_path, config,
     task = SimTask(config=config, program=program, verify=True)
     key = _store_doctored(cache, task)
 
-    outcomes = ParallelRunner(jobs=1, cache=cache).run_outcomes([task])
+    outcomes = ParallelRunner(cache=cache).run_outcomes([task])
     assert outcomes[0].ok  # the point recovered by re-simulation
     assert not outcomes[0].cached
     assert cache.stats.invalid == 1
     # The quarantined entry was replaced by the sound re-simulation...
     assert ResultCache(tmp_path).load(key) == outcomes[0].result
     # ...so the next run is a clean cache hit.
-    again = ParallelRunner(jobs=1, cache=ResultCache(tmp_path)) \
+    again = ParallelRunner(cache=ResultCache(tmp_path)) \
         .run_outcomes([task])
     assert again[0].cached and again[0].result == outcomes[0].result
 
 
-def test_try_cache_load_reports_cache_corrupt_kind(tmp_path, config,
-                                                   program):
-    from repro.sim.resilience import KIND_CACHE_CORRUPT
+def test_truncated_entry_resimulated_and_restored(tmp_path, config,
+                                                  program):
+    """A half-written entry (an interrupted non-atomic writer) is a
+    miss: the point re-simulates to the same result and the entry is
+    re-stored sound."""
+    task = SimTask(config=config, program=program, verify=True)
+    cold = ParallelRunner(cache=ResultCache(tmp_path)).run_outcomes([task])
+    assert cold[0].ok and not cold[0].cached
+    key = result_key(config, program, task.max_instructions)
+    path = tmp_path / f"{key}.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
 
     cache = ResultCache(tmp_path)
-    task = SimTask(config=config, program=program, verify=True)
-    key = _store_doctored(cache, task)
-
-    runner = ParallelRunner(jobs=1, cache=cache)
-    provisional = runner._try_cache_load(task)
-    assert provisional is not None and not provisional.ok
-    assert provisional.kind == KIND_CACHE_CORRUPT
-    assert "quarantined" in provisional.error
-    assert not (tmp_path / f"{key}.json").exists()  # deleted, not kept
+    warm = ParallelRunner(cache=cache).run_outcomes([task])
+    assert warm[0].ok and not warm[0].cached
+    assert warm[0].result == cold[0].result
+    assert cache.stats.invalid == 1
+    assert ResultCache(tmp_path).load(key) == warm[0].result
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +276,7 @@ def test_codec_store_failure_warns_and_continues(tmp_path, config,
     # Doctor the codec registry: CoreResult itself becomes unregistered,
     # as a newly added stats dataclass would be.
     monkeypatch.delitem(cache_mod._DATACLASSES, "CoreResult")
-    runner = ParallelRunner(jobs=1, cache=ResultCache(tmp_path))
+    runner = ParallelRunner(cache=ResultCache(tmp_path))
     task = SimTask(config=config, program=program)
     with pytest.warns(RuntimeWarning, match="cache store failed"):
         outcomes = runner.run_outcomes([task])
@@ -284,7 +289,7 @@ def test_disk_store_failure_warns_and_continues(tmp_path, config,
                                                 program):
     blocked = tmp_path / "not-a-dir"
     blocked.write_text("in the way")  # mkdir(parents=True) will raise
-    runner = ParallelRunner(jobs=1, cache=ResultCache(blocked))
+    runner = ParallelRunner(cache=ResultCache(blocked))
     task = SimTask(config=config, program=program)
     with pytest.warns(RuntimeWarning, match="cache store failed"):
         outcomes = runner.run_outcomes([task])

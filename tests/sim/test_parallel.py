@@ -1,8 +1,7 @@
-"""ParallelRunner: parallel/serial equivalence, ordered collection,
-crash isolation, and the jobs-resolution rules."""
+"""ParallelRunner: ordered collection, failure isolation, and the
+sweeps that ride on it."""
 
-import multiprocessing
-import os
+import dataclasses
 
 import pytest
 
@@ -11,19 +10,16 @@ from repro.config import (
     inorder_machine,
     sst_machine,
 )
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ExecutionError
 from repro.sim.parallel import (
     ParallelRunner,
     SimTask,
     SimTaskError,
-    resolve_jobs,
     run_simulations,
 )
 from repro.sim.sweep import sweep, sweep_many
 from repro.workloads import hash_join, pointer_chase
 from tests.conftest import small_hierarchy_config
-
-import dataclasses
 
 
 @pytest.fixture(scope="module")
@@ -43,23 +39,13 @@ def _matrix_tasks(programs):
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: the pool path must be bit-identical to the serial path.
+# Ordering.
 # ---------------------------------------------------------------------------
-
-
-def test_parallel_results_identical_to_serial(programs):
-    tasks = _matrix_tasks(programs)
-    serial = ParallelRunner(jobs=1).run(tasks)
-    parallel = ParallelRunner(jobs=2).run(tasks)
-    assert len(serial) == len(tasks)
-    for task, a, b in zip(tasks, serial, parallel):
-        assert a == b, f"divergence at {task.label}"
-        assert a.extra == b.extra
 
 
 def test_results_come_back_in_submission_order(programs):
     tasks = _matrix_tasks(programs)
-    outcomes = ParallelRunner(jobs=2).run_outcomes(tasks)
+    outcomes = ParallelRunner().run_outcomes(tasks)
     assert [outcome.task for outcome in outcomes] == tasks
 
 
@@ -71,11 +57,10 @@ def test_results_come_back_in_submission_order(programs):
 def test_failing_task_isolated_with_skip(programs):
     good = SimTask(config=sst_machine(small_hierarchy_config()),
                    program=programs[0])
-    # An absurdly small budget trips the runaway guard inside the worker.
+    # An absurdly small budget trips the runaway guard inside the run.
     bad = SimTask(config=sst_machine(small_hierarchy_config()),
                   program=programs[0], max_instructions=10)
-    results = ParallelRunner(jobs=2).run([good, bad, good],
-                                         on_error="skip")
+    results = ParallelRunner().run([good, bad, good], on_error="skip")
     assert results[0] is not None and results[2] is not None
     assert results[1] is None
     assert results[0] == results[2]
@@ -91,7 +76,7 @@ def test_failing_task_raises_after_batch(programs):
 def test_failure_detail_names_the_point(programs):
     bad = SimTask(config=sst_machine(small_hierarchy_config()),
                   program=programs[0], max_instructions=10)
-    outcomes = ParallelRunner(jobs=1).run_outcomes([bad])
+    outcomes = ParallelRunner().run_outcomes([bad])
     assert not outcomes[0].ok
     assert "ExecutionError" in outcomes[0].error
     # The underlying guard really is the instruction budget.
@@ -103,53 +88,12 @@ def test_on_error_validated(programs):
     task = SimTask(config=inorder_machine(small_hierarchy_config()),
                    program=programs[0])
     with pytest.raises(ValueError, match="on_error"):
-        ParallelRunner(jobs=1).run([task], on_error="ignore")
-
-
-# ---------------------------------------------------------------------------
-# Jobs resolution.
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_jobs_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs() == 1
-    assert resolve_jobs(3) == 3
-    monkeypatch.setenv("REPRO_JOBS", "5")
-    assert resolve_jobs() == 5
-    assert resolve_jobs(2) == 2  # explicit argument wins over env
-    assert resolve_jobs(0) == (os.cpu_count() or 1)
-    monkeypatch.setenv("REPRO_JOBS", "four")
-    with pytest.raises(ConfigError, match="REPRO_JOBS"):
-        resolve_jobs()
-
-
-def test_resolve_jobs_inline_inside_daemon(monkeypatch):
-    class FakeProcess:
-        daemon = True
-
-    monkeypatch.setattr(multiprocessing, "current_process",
-                        lambda: FakeProcess())
-    assert resolve_jobs(8) == 1
+        ParallelRunner().run([task], on_error="ignore")
 
 
 # ---------------------------------------------------------------------------
 # Sweeps ride on the runner.
 # ---------------------------------------------------------------------------
-
-
-def test_sweep_parallel_matches_serial(programs):
-    def make_config(dq_size):
-        base = sst_machine(small_hierarchy_config())
-        return dataclasses.replace(
-            base, sst=dataclasses.replace(base.sst, dq_size=dq_size),
-            name=f"sst-dq{dq_size}")
-
-    axis = [8, 16, 32]
-    serial = sweep(programs[0], axis, make_config, jobs=1)
-    parallel = sweep(programs[0], axis, make_config, jobs=2)
-    assert [tag for tag, _ in serial] == axis
-    assert serial == parallel
 
 
 def test_sweep_many_forwards_verify(programs, monkeypatch):
@@ -165,7 +109,7 @@ def test_sweep_many_forwards_verify(programs, monkeypatch):
     monkeypatch.setattr(parallel_mod, "simulate", recording_simulate)
     out = sweep_many(programs[:1], [8, 16],
                      lambda dq: sst_machine(small_hierarchy_config()),
-                     verify=True, jobs=1)
+                     verify=True)
     assert seen == [True, True]
     assert len(out[programs[0].name]) == 2
 
@@ -176,7 +120,7 @@ def test_sweep_skip_drops_diverging_point(programs):
         machine = sst_machine(small_hierarchy_config(), dq_size=dq_size)
         machine = dataclasses.replace(machine, name=f"sst-dq{dq_size}")
         if dq_size == 8:
-            # Sabotage this point so it fails inside the worker, after
+            # Sabotage this point so it fails inside the runner, after
             # construction (the frozen-dataclass bypass keeps
             # MachineConfig validation out of the way).
             object.__setattr__(machine, "core_kind", "warp-drive")
