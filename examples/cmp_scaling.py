@@ -7,7 +7,7 @@ running its own copy of the DB probe workload — ROCK's throughput-
 computing use case.  Then swaps the same chip's cores for in-order
 ones to show what speculation buys at the chip level.
 
-Run:  python examples/cmp_scaling.py        (about a minute)
+Run:  python examples/cmp_scaling.py        (about a second)
 """
 
 from repro import Multicore, hash_join

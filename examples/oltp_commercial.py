@@ -7,7 +7,7 @@ design points of the paper's narrative — in-order, hardware scout,
 execute-ahead, SST — plus an out-of-order comparator, and prints the
 speedup table.
 
-Run:  python examples/oltp_commercial.py          (about a minute)
+Run:  python examples/oltp_commercial.py          (about 20 seconds)
       python examples/oltp_commercial.py --quick  (seconds, smaller runs)
 """
 

@@ -92,7 +92,6 @@ from repro.workloads import (
     scatter_update,
     store_stream,
 )
-from repro.trace import Trace, record_trace
 
 __version__ = "1.0.0"
 
@@ -120,8 +119,6 @@ __all__ = [
     "AreaWeights", "EnergyBreakdown", "EnergyWeights", "chip_throughput",
     "core_area", "cores_per_die", "estimate_energy",
     "Multicore", "MulticoreResult", "build_shared_hierarchies",
-    # traces
-    "Trace", "record_trace",
     # simulation
     "Machine", "ParallelRunner", "ResultCache", "SIM_SCHEMA_VERSION",
     "SimTask", "compare_machines", "run_simulations", "simulate",

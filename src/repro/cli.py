@@ -723,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="command", required=True)
 
     experiments = top.add_parser(
-        "experiments", help="the reconstructed 18-experiment evaluation")
+        "experiments", help="the reconstructed 19-experiment evaluation")
     sub = experiments.add_subparsers(dest="subcommand", required=True)
 
     cmd_list = sub.add_parser("list", help="show registered experiments")

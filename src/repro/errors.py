@@ -51,6 +51,18 @@ class ProgramLintError(ReproError):
         )
 
 
+class ReproLookupError(ReproError, KeyError):
+    """A requested id matched no registered or stored entry (or more
+    than one).
+
+    Still a :class:`KeyError`, so ``except KeyError`` callers keep
+    working, but it prints as its plain message: ``KeyError.__str__``
+    would quote it like a missing dictionary key.
+    """
+
+    __str__ = ReproError.__str__
+
+
 class ExecutionError(ReproError):
     """The simulated program performed an illegal operation (misaligned
     access, division by zero, jump outside the program, runaway loop)."""

@@ -22,7 +22,7 @@ Environment knobs (defaults only — constructor arguments win):
   (runaway guard) override; default 50M.
 * ``REPRO_BENCH_SMOKE`` — set to ``1`` to shrink every workload by
   :data:`SMOKE_DIVISOR` and use the tiny suite scale, so the full
-  18-experiment suite finishes in seconds (CI smoke mode; relative
+  19-experiment suite finishes in seconds (CI smoke mode; relative
   orderings at this scale are indicative only).
 
 Every simulation routed through the environment is also *recorded*:

@@ -30,9 +30,9 @@ instruction budget) — so two documents disagreeing on a metric can be
 traced to *which* simulation inputs differed.  Interleaved multicore
 points carry ``key: null`` (they are not single-config cacheable).
 
-The documents are consumed by ``repro experiments report``, the
-pytest-benchmark adapters, and the repo-hygiene tests; bump
-:data:`RESULT_SCHEMA_VERSION` on any layout change.
+The documents are consumed by ``repro experiments report`` and the
+repo-hygiene tests; bump :data:`RESULT_SCHEMA_VERSION` on any layout
+change.
 """
 
 from __future__ import annotations

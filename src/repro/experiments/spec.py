@@ -7,7 +7,7 @@ result table and a JSON-serializable metrics dictionary, and a tuple of
 :class:`Expectation` predicates stating the qualitative shape the paper
 leads us to expect.
 
-Spec modules live next to this file as ``e01_*.py`` .. ``e18_*.py`` and
+Spec modules live next to this file as ``e01_*.py`` .. ``e19_*.py`` and
 register themselves through the :func:`experiment` decorator at import
 time; :func:`load_all` imports every sibling module so the registry is
 complete before any lookup.  Lookups (:func:`get`, :func:`list_specs`,
@@ -30,10 +30,10 @@ import pathlib
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ReproLookupError
 
 
-class ExperimentLookupError(ReproError, KeyError):
+class ExperimentLookupError(ReproLookupError):
     """No registered experiment matches the requested id."""
 
 

@@ -23,10 +23,9 @@ and simulator cache keys / ``SIM_SCHEMA_VERSION`` are unaffected.
 
 The engine has no off switch.  The golden interpreter's per-instruction
 :meth:`~repro.isa.interpreter.Interpreter.step` stays the reference:
-it runs mid-block entries and near-budget blocks, it drives the
-sanitizer's and taint tracker's shadow interpreters, and the trace
-recorder runs on it alone.  The differential tests pin block execution
-against it.
+it runs mid-block entries and near-budget blocks, and it drives the
+sanitizer's and taint tracker's shadow interpreters.  The differential
+tests pin block execution against it.
 
 Exactness notes for the generated interpreter blocks:
 

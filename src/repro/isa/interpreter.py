@@ -74,19 +74,12 @@ class Interpreter:
         self.stats = InterpreterStats()
         self.max_steps = max_steps
         self.halted = False
-        # None forces per-instruction step() dispatch (the trace
-        # recorder's snooping interpreter sets it).
-        self._block_fns: Optional[Dict[int, Tuple[Callable, int]]] = (
+        self._block_fns: Dict[int, Tuple[Callable, int]] = (
             blockcache.get_block_program(program).block_fns
         )
 
     def run(self) -> ArchState:
         """Run to HALT; raises :class:`ExecutionError` on runaway."""
-        block_fns = self._block_fns
-        if block_fns is None:
-            while not self.halted:
-                self.step()
-            return self.state
         # Block dispatch: whole basic blocks execute as one generated
         # function call.  step() remains the per-instruction reference
         # and the fallback for mid-block entry PCs (JALR return into a
@@ -97,7 +90,7 @@ class Interpreter:
         mem_write = state.memory.write
         stats = self.stats
         max_steps = self.max_steps
-        get_block = block_fns.get
+        get_block = self._block_fns.get
         while not self.halted:
             entry = get_block(state.pc)
             if entry is None:

@@ -21,7 +21,7 @@ import pathlib
 import tempfile
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ReproLookupError
 from repro.regress import semid as semid_mod
 from repro.regress.records import (
     BaselineAuditError,
@@ -47,7 +47,7 @@ def default_baseline_dir() -> pathlib.Path:
     return pathlib.Path.cwd() / "baselines"
 
 
-class BaselineLookupError(ReproError, KeyError):
+class BaselineLookupError(ReproLookupError):
     """No stored baseline matches the requested semantic id."""
 
 

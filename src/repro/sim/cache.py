@@ -61,8 +61,8 @@ from repro.stats.histogram import Histogram
 # 2: PerfCounters ride on every CoreResult's extra["perf"].
 SIM_SCHEMA_VERSION = 2
 
-# Anchored to the repository root (not the process cwd) so running the
-# harness from inside benchmarks/ hits the same cache.
+# Anchored to the repository root (not the process cwd) so a run from
+# any working directory hits the same cache.
 DEFAULT_CACHE_DIR = (
     pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / ".simcache"
 )

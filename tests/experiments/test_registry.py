@@ -58,8 +58,11 @@ def test_get_resolves_id_name_and_case():
 
 
 def test_get_unknown_raises_lookup_error():
-    with pytest.raises(ExperimentLookupError, match="e999"):
+    with pytest.raises(ExperimentLookupError, match="e999") as excinfo:
         get("e999")
+    # still a KeyError for callers, but printed without KeyError's quotes
+    assert isinstance(excinfo.value, KeyError)
+    assert str(excinfo.value).startswith("no experiment 'e999' (known: ")
 
 
 def test_by_tag_filters_in_order():

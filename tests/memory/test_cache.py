@@ -1,5 +1,7 @@
 """Cache tag-store behaviour: hits, LRU, eviction, dirty writebacks."""
 
+import random
+
 import pytest
 
 from repro.config import CacheConfig
@@ -92,6 +94,32 @@ def test_invalidate():
     cache.fill(0x000)
     cache.invalidate(0x000)
     assert not cache.contains(0x000)
+
+
+def test_lru_hits_match_stack_distances():
+    """Stack-distance identity over a long random stream: an N-line
+    fully-associative cache hits exactly the references whose LRU stack
+    distance (distinct lines touched since the last use) is below N."""
+    capacity, line_bytes = 64, 64
+    rng = random.Random(2009)
+    lines = [rng.randrange(4 * capacity) for _ in range(5000)]
+    stack = []  # most recently used last
+    expected_hits = 0
+    for line in lines:
+        if line in stack:
+            distance = len(stack) - 1 - stack.index(line)
+            expected_hits += distance < capacity
+            stack.remove(line)
+        stack.append(line)
+    assert 0 < expected_hits < len(lines)
+
+    cache = Cache(CacheConfig(size_bytes=capacity * line_bytes,
+                              assoc=capacity, line_bytes=line_bytes),
+                  name="lru")
+    for line in lines:
+        if not cache.lookup(line * line_bytes):
+            cache.fill(line * line_bytes)
+    assert cache.stats.hits == expected_hits
 
 
 def test_invariants_hold_after_traffic():

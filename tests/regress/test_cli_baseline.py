@@ -118,9 +118,13 @@ def test_list_and_retire(dirs, capsys):
 def test_promote_unknown_prefix_fails(dirs, capsys):
     baseline_dir, _ = dirs
     corpus("capture", baseline_dir)
+    capsys.readouterr()
     assert main(["baseline", "promote", "ffff" * 16,
                  "--baseline-dir", str(baseline_dir)]) == 2
-    assert "no baseline record matches" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: no baseline record matches {'ffff' * 16!r} "
+        f"in {baseline_dir}\n"
+    )
 
 
 def test_cache_stats_reports_baselines(dirs, monkeypatch, capsys):

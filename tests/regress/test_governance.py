@@ -198,8 +198,10 @@ def test_resolve_prefix_git_style(store):
     assert store.resolve("aa") == "a" * 64
     with pytest.raises(BaselineLookupError):
         store.resolve("a")  # ambiguous
-    with pytest.raises(BaselineLookupError):
+    with pytest.raises(BaselineLookupError) as excinfo:
         store.resolve("ff")  # no match
+    assert isinstance(excinfo.value, KeyError)
+    assert str(excinfo.value).startswith("no baseline record matches 'ff'")
 
 
 def test_record_document_roundtrip(store):

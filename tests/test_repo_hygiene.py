@@ -11,7 +11,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 def all_python_files():
     files = []
-    for directory in ("src", "examples", "benchmarks"):
+    for directory in ("src", "examples"):
         files.extend(sorted((REPO / directory).rglob("*.py")))
     return files
 
@@ -63,36 +63,19 @@ def test_examples_have_main_guards():
         assert "def main()" in text, path.name
 
 
-def test_every_experiment_has_a_bench_module():
-    """DESIGN.md's experiment index and benchmarks/ must agree."""
-    design = (REPO / "DESIGN.md").read_text()
-    bench_names = {
-        path.stem for path in (REPO / "benchmarks").glob("bench_e*.py")
-    }
-    for name in bench_names:
-        assert name + ".py" in design, f"{name} missing from DESIGN.md"
-    # And every experiment row in DESIGN.md points at a real file.
-    import re
-
-    for match in re.finditer(r"benchmarks/(bench_e\w+)\.py", design):
-        assert match.group(1) in bench_names, match.group(1)
-
-
-def test_bench_adapters_match_registry():
-    """Every ``benchmarks/bench_e*.py`` adapter drives the registered
-    experiment its file name claims, and every registered experiment
-    has exactly one adapter."""
+def test_design_index_names_every_spec_module():
+    """DESIGN.md's experiment index names each registered experiment's
+    spec module, and every spec-module path it names exists."""
     import re
 
     from repro.experiments import list_specs
 
-    expected = {spec.eid: spec.name for spec in list_specs()}
-    adapters = {}
-    for path in sorted((REPO / "benchmarks").glob("bench_e*_*.py")):
-        match = re.search(r'make_bench_test\("(e\d+)"\)', path.read_text())
-        assert match, f"{path.name} does not use make_bench_test"
-        adapters[match.group(1)] = path.stem[len("bench_"):]
-    assert adapters == expected
+    design = (REPO / "DESIGN.md").read_text()
+    for spec in list_specs():
+        module = f"src/repro/experiments/e{spec.number:02d}_{spec.slug}.py"
+        assert f"`{module}`" in design, f"{module} missing from DESIGN.md"
+    for match in re.finditer(r"src/repro/experiments/e\d+_\w+\.py", design):
+        assert (REPO / match.group(0)).is_file(), match.group(0)
 
 
 def test_results_tables_and_documents_in_sync():
