@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Dict
+from typing import Any, Dict, Union
 
 from repro.config import LatencyConfig
 from repro.errors import ExecutionError
-from repro.isa.interpreter import ArchState
+from repro.isa.interpreter import ArchState, CachedState
 from repro.isa.opcodes import Op, OpClass
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
@@ -31,7 +31,9 @@ class CoreResult:
     program_name: str
     cycles: int
     instructions: int
-    state: ArchState
+    # A CachedState (registers, PC and digest, no memory image) when
+    # the result came from the result cache.
+    state: Union[ArchState, CachedState]
     # Core-specific statistics objects (branch stats, mode breakdown...).
     extra: Dict[str, Any] = dataclasses.field(default_factory=dict)
     # Host wall-clock seconds the simulation took (set by the harness).

@@ -562,8 +562,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(info, indent=2))
         return 0
-    cap = (f"{info['max_bytes']} bytes" if info["max_bytes"] is not None
-           else "unbounded")
     statuses = ", ".join(
         f"{status}={count}" for status, count
         in sorted(info["baselines"]["status"].items())) or "none"
@@ -572,7 +570,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"entries:     {info['entries']}")
     print(f"total size:  {info['total_bytes']} bytes")
     print(f"orphan tmp:  {info['orphan_tmp']}")
-    print(f"size cap:    {cap}")
     print(f"baselines:   {info['baselines']['records']} record(s) "
           f"({statuses}) in {info['baselines']['dir']}")
     return 0

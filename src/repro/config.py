@@ -419,7 +419,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #
 #   REPRO_CACHE             off ("0") disables the result cache
 #   REPRO_CACHE_DIR         result-cache directory override
-#   REPRO_CACHE_MAX_BYTES   LRU size cap for the result cache
 #   REPRO_SANITIZE          on ("1") attaches the invariant sanitizer
 #                           (and the instrumented SST loop)
 #   REPRO_TAINT             on ("1") attaches the speculative-leak

@@ -10,15 +10,16 @@ by the integration and hypothesis test suites.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.isa import blockcache
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 from repro.isa.registers import REG_COUNT, ZERO_REG
 from repro.isa.semantics import effective_address
 from repro.memory.sparse_memory import SparseMemory
+from repro.regress.semid import state_digest
 
 DEFAULT_MAX_STEPS = 50_000_000
 
@@ -50,6 +51,39 @@ class ArchState:
         legitimately differ between models only if programs differ,
         so callers normally run the same program)."""
         return self.regs == other.regs and self.memory == other.memory
+
+    def digest(self) -> str:
+        """Semantic ID of the registers and every memory word, zero-valued
+        ones included (unlike ``SparseMemory.__eq__``)."""
+        return state_digest(self.regs, self.memory.items())
+
+
+@dataclasses.dataclass
+class CachedState:
+    """A final architectural state restored from the result cache.
+
+    The cache keeps a run's registers, PC and :meth:`ArchState.digest`,
+    not its memory image: no experiment reads a cached image, and the
+    digest is all that golden verification and the baseline firewall
+    compare.  Reading :attr:`memory` raises.
+    """
+
+    regs: List[int]
+    pc: int
+    stored_digest: str
+    # Names the point in the error raised by ``memory``.
+    point: str = dataclasses.field(default="a cached result", compare=False)
+
+    @property
+    def memory(self) -> NoReturn:
+        raise ReproError(
+            f"{self.point} came from the result cache, which keeps a "
+            f"digest of the final memory, not its image; re-run with "
+            f"the cache off (REPRO_CACHE=0) to read memory"
+        )
+
+    def digest(self) -> str:
+        return self.stored_digest
 
 
 @dataclasses.dataclass

@@ -58,11 +58,10 @@ MODE_VERIFY = "verify"
 
 
 def state_hash(state: Any) -> str:
-    """Semantic ID of an architectural state (registers + memory)."""
-    return semid_mod.semantic_id({
-        "regs": list(state.regs),
-        "memory": sorted(state.memory.items()),
-    })
+    """Semantic ID of an architectural state (registers + memory):
+    :func:`repro.regress.semid.state_digest`, or the digest a cached
+    state was stored with."""
+    return state.digest()
 
 
 def point_behavior(result: CoreResult) -> Dict[str, Any]:

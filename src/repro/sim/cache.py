@@ -21,10 +21,21 @@ The key is a SHA-256 over a *canonical* rendering of the inputs:
   cached results (stale entries are simply never addressed again).
 
 Results are stored one JSON file per key under ``benchmarks/.simcache/``
-(override with ``REPRO_CACHE_DIR``).  Serialization is a small tagged
-codec covering the closed set of types a ``CoreResult`` transitively
-contains; anything outside that set raises, so a new stats type cannot
-be silently dropped from cached results.
+(override with ``REPRO_CACHE_DIR``).  An entry holds the whole result
+except the final memory image: its state is kept as the registers, the
+PC and :meth:`ArchState.digest <repro.isa.interpreter.ArchState.digest>`
+of registers and memory, and loads back as a
+:class:`~repro.isa.interpreter.CachedState`, whose ``memory`` raises.
+No experiment reads a cached image; golden verification and the
+baseline firewall compare the digest.  :data:`ENTRY_LAYOUT` marks this
+layout, so an entry written with a memory image (no layout field)
+loads as a miss, is re-simulated and overwritten, and ``fsck`` counts
+it as schema-stale.
+
+Serialization is a small tagged codec covering the closed set of types
+a ``CoreResult`` transitively contains; anything outside that set
+raises, so a new stats type cannot be silently dropped from cached
+results.
 """
 
 from __future__ import annotations
@@ -45,21 +56,27 @@ from repro.core.deferred_queue import DQStats
 from repro.core.modes import ExecMode, FailCause, ScoutCause
 from repro.core.sst_core import SSTStats
 from repro.core.store_buffer import SBStats
-from repro.config import env_flag, env_int
+from repro.config import env_flag
 from repro.core.timing import PerfCounters
-from repro.isa.interpreter import ArchState, InterpreterStats
+from repro.isa.interpreter import ArchState, CachedState, InterpreterStats
 from repro.regress.semid import SemanticIdError, canonicalize, digest_material
 from repro.isa.program import Program
 from repro.memory.cache import CacheStats
 from repro.memory.hierarchy import HierarchyStats
-from repro.memory.sparse_memory import SparseMemory
 from repro.stats.histogram import Histogram
 
-# Bump on ANY change to core timing/functional semantics or to the
-# serialized result layout: the version is part of every cache key, so
-# a bump orphans (never re-addresses) every previously cached result.
+# Bump on ANY change to core timing/functional semantics: the version
+# is part of every cache key and every baseline semantic ID, so a bump
+# orphans (never re-addresses) every previously cached result.
 # 2: PerfCounters ride on every CoreResult's extra["perf"].
 SIM_SCHEMA_VERSION = 2
+
+# Bump on a change to what an entry stores.  It is stored beside the
+# schema in every entry but hashed into no key, so a bump keeps every
+# baseline record's semantic ID; entries in any other layout load as
+# misses.  Entries without the field kept the final memory image.
+# 2: the state is registers, PC and digest; no memory image.
+ENTRY_LAYOUT = 2
 
 # Anchored to the repository root (not the process cwd) so a run from
 # any working directory hits the same cache.
@@ -112,7 +129,7 @@ def result_key(config: Any, program: Program, max_instructions: int) -> str:
 _DATACLASSES: Dict[str, Type] = {
     cls.__name__: cls
     for cls in (
-        CoreResult, ArchState, SSTStats, BranchStats, HierarchyStats,
+        CoreResult, SSTStats, BranchStats, HierarchyStats,
         CacheStats, DQStats, SBStats, CheckpointStats, OoOStats,
         InterpreterStats, PerfCounters,
     )
@@ -131,8 +148,9 @@ def encode_value(value: Any) -> Any:
         if name not in _ENUMS:
             raise CacheCodecError(f"unregistered enum {name}")
         return {"__enum__": name, "value": value.value}
-    if isinstance(value, SparseMemory):
-        return {"__memory__": sorted(value.items())}
+    if isinstance(value, (ArchState, CachedState)):
+        return {"__state__": {"regs": list(value.regs), "pc": value.pc,
+                              "digest": value.digest()}}
     if isinstance(value, Histogram):
         return {"__histogram__": value.name, "counts": list(value.items())}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -164,11 +182,10 @@ def decode_value(payload: Any) -> Any:
         return [decode_value(item) for item in payload]
     if "__enum__" in payload:
         return _ENUMS[payload["__enum__"]](payload["value"])
-    if "__memory__" in payload:
-        memory = SparseMemory()
-        for addr, value in payload["__memory__"]:
-            memory.write(addr, value)
-        return memory
+    if "__state__" in payload:
+        state = payload["__state__"]
+        return CachedState(regs=state["regs"], pc=state["pc"],
+                           stored_digest=state["digest"])
     if "__histogram__" in payload:
         histogram = Histogram(payload["__histogram__"])
         for value, weight in payload["counts"]:
@@ -187,6 +204,24 @@ def decode_value(payload: Any) -> Any:
     raise CacheCodecError(f"unrecognized cache payload: {payload!r}")
 
 
+def _is_stale(payload: Dict[str, Any]) -> bool:
+    """Whether an entry predates the current schema or entry layout."""
+    return (payload.get("schema") != SIM_SCHEMA_VERSION
+            or payload.get("layout") != ENTRY_LAYOUT)
+
+
+def _decode_result(payload: Dict[str, Any]) -> CoreResult:
+    """The result an entry holds; raises :class:`CacheCodecError` when
+    its payload is not a :class:`CoreResult` with a cached state."""
+    result = decode_value(payload["result"])
+    if not isinstance(result, CoreResult):
+        raise CacheCodecError("cached payload is not a CoreResult")
+    if not isinstance(result.state, CachedState):
+        raise CacheCodecError("cached result carries no cached state")
+    result.state.point = f"{result.core_name} on {result.program_name!r}"
+    return result
+
+
 # ---------------------------------------------------------------------------
 # The on-disk cache.
 # ---------------------------------------------------------------------------
@@ -198,7 +233,6 @@ class ResultCacheStats:
     misses: int = 0
     stores: int = 0
     invalid: int = 0  # corrupt / stale / mismatched files treated as misses
-    evictions: int = 0  # entries removed by the LRU size cap
 
 
 @dataclasses.dataclass
@@ -208,7 +242,7 @@ class FsckReport:
     scanned: int = 0
     ok: int = 0
     key_mismatch: int = 0  # stored "key" field != the addressing filename
-    schema_stale: int = 0  # written under an older SIM_SCHEMA_VERSION
+    schema_stale: int = 0  # an older SIM_SCHEMA_VERSION or entry layout
     corrupt: int = 0       # unparseable JSON or undecodable payload
     orphan_tmp: int = 0    # .tmp-* leftovers from interrupted stores
     repaired: bool = False
@@ -240,22 +274,13 @@ class ResultCache:
     loaded entry must also carry the requested key in its ``"key"``
     field, so a renamed or copied cache file can never silently serve
     the wrong simulation's result.
-
-    ``max_bytes`` (or ``REPRO_CACHE_MAX_BYTES``) caps the directory
-    size: after each store, least-recently-used entries (by mtime; hits
-    refresh it) are evicted until the cap holds.  Unset means unbounded.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None, *,
-                 max_bytes: Optional[int] = None):
+    def __init__(self, root: Optional[os.PathLike] = None):
         self.root = pathlib.Path(
             root if root is not None
             else os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
         )
-        if max_bytes is None:
-            parsed = env_int("REPRO_CACHE_MAX_BYTES", -1)
-            max_bytes = parsed if parsed >= 0 else None
-        self.max_bytes = max_bytes
         self.stats = ResultCacheStats()
 
     def key(self, config: Any, program: Program,
@@ -281,7 +306,10 @@ class ResultCache:
                 if path.is_file()]
 
     def load(self, key: str) -> Optional[CoreResult]:
-        """The cached result for ``key``, or None (counts a miss)."""
+        """The cached result for ``key``, or None (counts a miss).
+
+        Its state is a :class:`CachedState`: registers, PC and digest.
+        """
         path = self._path(key)
         try:
             payload = json.loads(path.read_text())
@@ -293,25 +321,18 @@ class ResultCache:
             self.stats.misses += 1
             return None
         try:
-            if payload.get("schema") != SIM_SCHEMA_VERSION:
-                raise CacheCodecError("schema version mismatch")
+            if _is_stale(payload):
+                raise CacheCodecError("schema version or layout mismatch")
             if payload.get("key") != key:
                 raise CacheCodecError(
                     "stored key does not match the addressing filename"
                 )
-            result = decode_value(payload["result"])
-            if not isinstance(result, CoreResult):
-                raise CacheCodecError("cached payload is not a CoreResult")
+            result = _decode_result(payload)
         except (CacheCodecError, KeyError, TypeError, ValueError):
             self.stats.invalid += 1
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        if self.max_bytes is not None:
-            try:  # refresh LRU recency; best-effort (read-only mounts)
-                os.utime(path)
-            except OSError:
-                pass
         return result
 
     def store(self, key: str, result: CoreResult) -> None:
@@ -319,6 +340,7 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": SIM_SCHEMA_VERSION,
+            "layout": ENTRY_LAYOUT,
             "key": key,
             "result": encode_value(result),
         }
@@ -337,8 +359,6 @@ class ResultCache:
                 pass
             raise
         self.stats.stores += 1
-        if self.max_bytes is not None:
-            self._evict_to_cap()
 
     def invalidate(self, key: str) -> bool:
         """Quarantine (delete) the entry for ``key``; True if one
@@ -352,45 +372,17 @@ class ResultCache:
         self.stats.invalid += 1
         return True
 
-    def _evict_to_cap(self) -> None:
-        """Drop least-recently-used entries until ``max_bytes`` holds.
-
-        Filesystem mtimes are coarse (1s on some mounts), so entries
-        stored in one burst routinely tie; the file name is the
-        deterministic tie-break, making eviction order reproducible
-        across runs instead of depending on directory-listing order.
-        """
-        assert self.max_bytes is not None
-        sized = []
-        for path in self._entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            sized.append((stat.st_mtime, path.name, stat.st_size, path))
-        total = sum(size for _, _, size, _ in sized)
-        sized.sort(key=lambda item: (item[0], item[1]))
-        for _, _, size, path in sized:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.stats.evictions += 1
-
     # -- integrity ----------------------------------------------------
 
     def fsck(self, repair: bool = True) -> FsckReport:
         """Scan every entry for integrity problems; with ``repair``
         (default) remove what fails.
 
-        Checks per entry: parseable JSON, current schema version, the
-        stored ``"key"`` field matching the addressing filename, and a
-        decodable :class:`CoreResult` payload.  Orphan ``.tmp-*`` files
-        from interrupted stores are always flagged (and removed under
-        ``repair``).
+        Checks per entry: parseable JSON, current schema version and
+        entry layout, the stored ``"key"`` field matching the addressing
+        filename, and a decodable :class:`CoreResult` payload.  Orphan
+        ``.tmp-*`` files from interrupted stores are always flagged (and
+        removed under ``repair``).
         """
         report = FsckReport(repaired=repair)
         bad: List[pathlib.Path] = []
@@ -421,14 +413,12 @@ class ResultCache:
             return "corrupt"
         if not isinstance(payload, dict):
             return "corrupt"
-        if payload.get("schema") != SIM_SCHEMA_VERSION:
+        if _is_stale(payload):
             return "schema_stale"
         if payload.get("key") != path.stem:
             return "key_mismatch"
         try:
-            result = decode_value(payload["result"])
-            if not isinstance(result, CoreResult):
-                raise CacheCodecError("not a CoreResult")
+            _decode_result(payload)
         except (CacheCodecError, KeyError, TypeError, ValueError):
             return "corrupt"
         return None
@@ -448,7 +438,6 @@ class ResultCache:
             "entries": len(entries),
             "total_bytes": total,
             "orphan_tmp": len(self._orphans()),
-            "max_bytes": self.max_bytes,
         }
 
     def clear(self) -> int:

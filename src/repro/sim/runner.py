@@ -10,14 +10,20 @@ from typing import Optional
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
 from repro.config import MachineConfig
 from repro.errors import SimulatorInvariantError
-from repro.isa.interpreter import run_program
+from repro.isa.interpreter import ArchState, run_program
 from repro.isa.program import Program
 from repro.sim.machine import Machine
 
 
 def verify_against_golden(result: CoreResult, program: Program) -> None:
     """Raise :class:`SimulatorInvariantError` if the timing run's final
-    architectural state differs from the functional interpreter's."""
+    architectural state differs from the functional interpreter's.
+
+    Registers compare exactly.  A fresh run's memory compares by value
+    (a zero-valued word equals an absent one); a cached result keeps no
+    image, so its state digest must equal the golden run's, which also
+    counts zero-valued words.
+    """
     golden = run_program(program)
     if result.state.regs != golden.regs:
         diffs = [
@@ -30,9 +36,19 @@ def verify_against_golden(result: CoreResult, program: Program) -> None:
             f"{result.core_name} register state diverged on "
             f"{program.name!r}: " + "; ".join(diffs[:8])
         )
-    if result.state.memory != golden.memory:
+    if isinstance(result.state, ArchState):
+        if result.state.memory != golden.memory:
+            raise SimulatorInvariantError(
+                f"{result.core_name} memory state diverged on "
+                f"{program.name!r}"
+            )
+        return
+    cached, expected = result.state.digest(), golden.digest()
+    if cached != expected:
         raise SimulatorInvariantError(
-            f"{result.core_name} memory state diverged on {program.name!r}"
+            f"{result.core_name} cached state digest diverged on "
+            f"{program.name!r}: cached={cached[:12]} "
+            f"golden={expected[:12]}"
         )
 
 

@@ -122,3 +122,16 @@ def test_same_architectural_state():
     assert a.same_architectural_state(b)
     a.write_reg(3, 7)
     assert not a.same_architectural_state(b)
+
+
+def test_digest_counts_zero_valued_words():
+    plain = ArchState.fresh()
+    padded = ArchState.fresh()
+    for state in (plain, padded):
+        state.memory.write(0x100, 5)
+    padded.memory.write(0x108, 0)
+    # Memory equality treats a zero-valued word as absent...
+    assert plain.memory == padded.memory
+    assert plain.same_architectural_state(padded)
+    # ...and the digest, which is all a cached result keeps, does not.
+    assert plain.digest() != padded.digest()

@@ -15,6 +15,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import inorder_machine, sst_machine
 from repro.regress.semid import (
@@ -26,6 +27,7 @@ from repro.regress.semid import (
     line_digest,
     semantic_id,
     short_id,
+    state_digest,
 )
 from repro.sim.cache import SIM_SCHEMA_VERSION, result_key
 from repro.workloads import full_suite
@@ -149,6 +151,26 @@ def test_line_digest_terminates_each_record():
     # ["ab"] and ["a", "b"] must not collide.
     assert line_digest(["ab"]) != line_digest(["a", "b"])
     assert line_digest([]) == hashlib.sha256(b"").hexdigest()
+
+
+# -- the state digest -------------------------------------------------------
+
+WORDS = st.one_of(st.just(0), st.integers(0, 2**64 - 1))
+ADDRESSES = st.integers(0, 2**61 - 1).map(lambda index: index * 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regs=st.lists(WORDS, max_size=32),
+       memory=st.dictionaries(ADDRESSES, WORDS, max_size=40))
+@example(regs=[0] * 32, memory={})
+@example(regs=[2**64 - 1] * 32,
+         memory={0: 0, 2**64 - 8: 2**64 - 1, 8: 0})
+def test_state_digest_is_the_semantic_id_byte_for_byte(regs, memory):
+    """The direct rendering equals the generic canonical form, whatever
+    order the words come in; a changed separator or key order fails."""
+    words = list(memory.items())
+    assert state_digest(regs, words) == semantic_id(
+        {"regs": list(regs), "memory": sorted(words)})
 
 
 # -- helpers ----------------------------------------------------------------

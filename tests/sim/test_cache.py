@@ -1,15 +1,19 @@
 """Content-addressed result cache: key stability, invalidation, codec
-round-trips, warm-cache reuse with zero re-simulation, integrity
-(key-field checking, fsck, quarantine), and the LRU size cap."""
+round-trips, the digest-only entry layout, warm-cache reuse with zero
+re-simulation, and integrity (key-field checking, fsck, quarantine)."""
 
 import dataclasses
-import os
+import json
 import shutil
 
 import pytest
 
 import repro.sim.cache as cache_mod
 from repro.config import inorder_machine, sst_machine
+from repro.errors import ReproError
+from repro.isa.interpreter import CachedState
+from repro.memory.sparse_memory import SparseMemory
+from repro.regress.firewall import point_behavior
 from repro.sim.cache import (
     ResultCache,
     cache_enabled_by_env,
@@ -78,14 +82,31 @@ def test_program_fingerprint_ignores_labels_not_content(program):
 
 
 # ---------------------------------------------------------------------------
-# Codec round-trip.
+# Codec round-trip.  A restored result keeps everything but the memory
+# image, so it is compared field by field, never with ``==`` against the
+# fresh result (whose state is an ArchState).
 # ---------------------------------------------------------------------------
+
+
+def assert_same_point(restored, result):
+    """``restored`` is ``result`` as the cache keeps it: the same
+    governed behavior, registers, PC, cycles and statistics."""
+    assert isinstance(restored.state, CachedState)
+    assert point_behavior(restored) == point_behavior(result)
+    assert restored.state.regs == result.state.regs
+    assert restored.state.pc == result.state.pc
+    assert (restored.core_name, restored.program_name) == \
+        (result.core_name, result.program_name)
+    assert (restored.cycles, restored.instructions) == \
+        (result.cycles, result.instructions)
+    assert restored.extra == result.extra
 
 
 def test_result_roundtrips_through_codec(config, program):
     result = simulate(config, program, verify=True)
     restored = decode_value(encode_value(result))
-    assert restored == result
+    assert_same_point(restored, result)
+    assert restored.state.digest() == result.state.digest()
     assert restored.extra["sst"] == result.extra["sst"]
     assert restored.ipc == result.ipc
 
@@ -94,7 +115,12 @@ def test_roundtrip_covers_all_core_kinds(program):
     for machine in (inorder_machine(small_hierarchy_config()),
                     sst_machine(small_hierarchy_config())):
         result = simulate(machine, program)
-        assert decode_value(encode_value(result)) == result
+        assert_same_point(decode_value(encode_value(result)), result)
+
+
+def test_memory_image_outside_a_state_is_not_serializable():
+    with pytest.raises(cache_mod.CacheCodecError, match="SparseMemory"):
+        encode_value({"image": SparseMemory()})
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +135,36 @@ def test_store_then_load(tmp_path, config, program):
     assert cache.load(key) is None
     cache.store(key, result)
     assert len(cache) == 1
-    assert cache.load(key) == result
+    assert_same_point(cache.load(key), result)
     assert cache.stats.hits == 1 and cache.stats.misses == 1
+
+
+def test_entry_keeps_no_memory_image(tmp_path, config, program):
+    cache = ResultCache(tmp_path)
+    result = simulate(config, program)
+    assert len(result.state.memory) > 256  # the table is in the image
+    key = cache.key(config, program, 1_000_000)
+    cache.store(key, result)
+    payload = json.loads((tmp_path / f"{key}.json").read_text())
+    assert payload["layout"] == cache_mod.ENTRY_LAYOUT
+    assert payload["result"]["fields"]["state"] == {"__state__": {
+        "regs": result.state.regs, "pc": result.state.pc,
+        "digest": result.state.digest(),
+    }}
+
+
+def test_reading_memory_of_a_cached_result_raises(tmp_path, config,
+                                                  program):
+    cache = ResultCache(tmp_path)
+    key = cache.key(config, program, 1_000_000)
+    cache.store(key, simulate(config, program))
+    cached = cache.load(key)
+    with pytest.raises(ReproError) as raised:
+        cached.state.memory.read(0)
+    message = str(raised.value)
+    assert "\n" not in message
+    assert f"{config.name} on {program.name!r}" in message
+    assert "REPRO_CACHE=0" in message
 
 
 def test_corrupt_entry_is_a_miss(tmp_path, config, program):
@@ -135,6 +189,42 @@ def test_schema_bump_orphans_old_entries(tmp_path, config, program,
     # ...and even a forced load of the old file refuses the stale schema.
     assert cache.load(old_key) is None
     assert cache.stats.invalid == 1
+
+
+def _store_in_image_layout(cache, key, result):
+    """Write ``result`` the way every entry was written before the
+    digest-only layout: the whole ArchState, memory image included, and
+    no ``layout`` field."""
+    encoded = encode_value(result)
+    encoded["fields"]["state"] = {"__dataclass__": "ArchState", "fields": {
+        "regs": result.state.regs,
+        "memory": {"__memory__": sorted(result.state.memory.items())},
+        "pc": result.state.pc,
+    }}
+    payload = {"schema": cache_mod.SIM_SCHEMA_VERSION, "key": key,
+               "result": encoded}
+    cache.root.mkdir(parents=True, exist_ok=True)
+    (cache.root / f"{key}.json").write_text(json.dumps(payload))
+
+
+def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
+    cache = ResultCache(tmp_path)
+    task = SimTask(config=config, program=program)
+    result = simulate(config, program)
+    key = cache.key(config, program, task.max_instructions)
+    _store_in_image_layout(cache, key, result)
+
+    report = ResultCache(tmp_path).fsck(repair=False)
+    assert (report.scanned, report.ok, report.schema_stale) == (1, 0, 1)
+    assert cache.load(key) is None
+    assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
+
+    # The point is re-simulated and its entry overwritten in the
+    # current layout, so the next load is a hit.
+    [outcome] = ParallelRunner(cache=cache).run_outcomes([task])
+    assert outcome.ok and not outcome.cached
+    assert ResultCache(tmp_path).fsck(repair=False).ok == 1
+    assert_same_point(ResultCache(tmp_path).load(key), result)
 
 
 def test_clear_removes_entries(tmp_path, config, program):
@@ -178,7 +268,8 @@ def test_warm_run_does_zero_resimulation(tmp_path, program, monkeypatch):
     runner = ParallelRunner(cache=warm_cache)
     outcomes = runner.run_outcomes(tasks)
     assert all(outcome.cached for outcome in outcomes)
-    assert [outcome.result for outcome in outcomes] == cold
+    for outcome, result in zip(outcomes, cold):
+        assert_same_point(outcome.result, result)
     assert warm_cache.stats.hits == len(tasks)
     assert warm_cache.stats.misses == 0
 
@@ -201,7 +292,7 @@ def test_key_mismatched_file_is_invalid_not_served(tmp_path, config,
 
     assert cache.load(other_key) is None  # never the wrong result
     assert cache.stats.invalid == 1
-    assert cache.load(key) == result  # the honest entry still serves
+    assert_same_point(cache.load(key), result)  # the honest entry serves
 
     report = ResultCache(tmp_path).fsck()
     assert report.key_mismatch == 1
@@ -216,33 +307,59 @@ def test_key_mismatched_file_is_invalid_not_served(tmp_path, config,
 # ---------------------------------------------------------------------------
 
 
-def _store_doctored(cache, task):
-    """Cache a result whose architectural state will fail golden
-    verification (silent bit-rot in a cached file)."""
+def _store_doctored(cache, task, doctor):
+    """Cache a result, then rewrite one field of its entry so the state
+    fails golden verification (silent bit-rot in a cached file)."""
     result = simulate(task.config, task.program,
                       max_instructions=task.max_instructions)
-    result.state.regs[1] ^= 0xDEAD
     key = cache.key(task.config, task.program, task.max_instructions)
     cache.store(key, result)
+    path = cache.root / f"{key}.json"
+    payload = json.loads(path.read_text())
+    state = payload["result"]["fields"]["state"]["__state__"]
+    if doctor == "register":
+        state["regs"][1] ^= 0xDEAD
+    else:
+        state["digest"] = "0" * 64
+    path.write_text(json.dumps(payload))
     return key
 
 
 def test_verify_failure_quarantines_and_resimulates(tmp_path, config,
                                                     program):
-    cache = ResultCache(tmp_path)
+    """Under ``verify=True`` a hit compares its registers exactly and
+    its digest with the golden run's; either doctored, the entry is
+    quarantined and the point re-simulated."""
     task = SimTask(config=config, program=program, verify=True)
-    key = _store_doctored(cache, task)
+    for doctor in ("register", "digest"):
+        root = tmp_path / doctor
+        cache = ResultCache(root)
+        key = _store_doctored(cache, task, doctor)
 
-    outcomes = ParallelRunner(cache=cache).run_outcomes([task])
-    assert outcomes[0].ok  # the point recovered by re-simulation
-    assert not outcomes[0].cached
-    assert cache.stats.invalid == 1
-    # The quarantined entry was replaced by the sound re-simulation...
-    assert ResultCache(tmp_path).load(key) == outcomes[0].result
-    # ...so the next run is a clean cache hit.
-    again = ParallelRunner(cache=ResultCache(tmp_path)) \
-        .run_outcomes([task])
-    assert again[0].cached and again[0].result == outcomes[0].result
+        outcomes = ParallelRunner(cache=cache).run_outcomes([task])
+        assert outcomes[0].ok  # the point recovered by re-simulation
+        assert not outcomes[0].cached
+        assert cache.stats.invalid == 1
+        # The quarantined entry was replaced by the sound
+        # re-simulation...
+        assert_same_point(ResultCache(root).load(key), outcomes[0].result)
+        # ...so the next run is a clean cache hit.
+        again = ParallelRunner(cache=ResultCache(root)) \
+            .run_outcomes([task])
+        assert again[0].cached
+        assert_same_point(again[0].result, outcomes[0].result)
+
+
+def test_doctored_entry_is_served_without_verify(tmp_path, config,
+                                                 program):
+    """Only ``verify=True`` golden-checks a hit; the doctored digest is
+    what the firewall would then see and flag."""
+    cache = ResultCache(tmp_path)
+    task = SimTask(config=config, program=program)
+    _store_doctored(cache, task, "digest")
+    [outcome] = ParallelRunner(cache=cache).run_outcomes([task])
+    assert outcome.cached
+    assert point_behavior(outcome.result)["state_hash"] == "0" * 64
 
 
 def test_truncated_entry_resimulated_and_restored(tmp_path, config,
@@ -263,7 +380,7 @@ def test_truncated_entry_resimulated_and_restored(tmp_path, config,
     assert warm[0].ok and not warm[0].cached
     assert warm[0].result == cold[0].result
     assert cache.stats.invalid == 1
-    assert ResultCache(tmp_path).load(key) == warm[0].result
+    assert_same_point(ResultCache(tmp_path).load(key), warm[0].result)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +430,9 @@ def test_fsck_classifies_and_repairs_everything(tmp_path, config,
     shutil.copy(tmp_path / f"{good_key}.json",
                 tmp_path / f"{mismatch_key}.json")
     # Schema-stale: written under an older SIM_SCHEMA_VERSION.
-    stale = dict(schema=cache_mod.SIM_SCHEMA_VERSION - 1, key="00ff",
-                 result=None)
-    import json as json_mod
-    (tmp_path / "00ff.json").write_text(json_mod.dumps(stale))
+    stale = dict(schema=cache_mod.SIM_SCHEMA_VERSION - 1,
+                 layout=cache_mod.ENTRY_LAYOUT, key="00ff", result=None)
+    (tmp_path / "00ff.json").write_text(json.dumps(stale))
     # Corrupt: unparseable JSON.
     (tmp_path / "beef.json").write_text("{definitely not json")
     # Orphan tmp file from an interrupted store.
@@ -337,7 +453,7 @@ def test_fsck_classifies_and_repairs_everything(tmp_path, config,
     ])
     survivors = ResultCache(tmp_path)
     assert len(survivors) == 1
-    assert survivors.load(good_key) == result
+    assert_same_point(survivors.load(good_key), result)
     assert survivors.fsck().problems == 0
 
 
@@ -365,85 +481,3 @@ def test_invalidate_counts_and_deletes(tmp_path, config, program):
     assert cache.invalidate(key)
     assert cache.stats.invalid == 1
     assert cache.load(key) is None
-
-
-# ---------------------------------------------------------------------------
-# LRU size cap.
-# ---------------------------------------------------------------------------
-
-
-def test_lru_eviction_respects_cap_and_recency(tmp_path, config,
-                                               program):
-    unbounded = ResultCache(tmp_path)
-    result = simulate(config, program)
-    keys = [unbounded.key(config, program, budget)
-            for budget in (1000, 2000, 3000)]
-    for index, key in enumerate(keys):
-        unbounded.store(key, result)
-        # Distinct, strictly increasing mtimes regardless of fs
-        # timestamp granularity.
-        os.utime(tmp_path / f"{key}.json", (index, index))
-
-    entry_bytes = (tmp_path / f"{keys[0]}.json").stat().st_size
-    capped = ResultCache(tmp_path, max_bytes=3 * entry_bytes + 10)
-    # A hit refreshes recency, making keys[0] the most recently used.
-    assert capped.load(keys[0]) == result
-    newest = unbounded.key(config, program, 4000)
-    capped.store(newest, result)
-    os.utime(tmp_path / f"{newest}.json", None)
-
-    # The cap holds and the least-recently-used entry (keys[1]) went.
-    assert capped.stats.evictions == 1
-    remaining = {path.stem for path in tmp_path.glob("*.json")}
-    assert keys[1] not in remaining
-    assert {keys[0], keys[2], newest} <= remaining
-
-
-def test_cache_max_bytes_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "12345")
-    assert ResultCache(tmp_path).max_bytes == 12345
-    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "lots")
-    with pytest.raises(Exception, match="REPRO_CACHE_MAX_BYTES"):
-        ResultCache(tmp_path)
-    monkeypatch.delenv("REPRO_CACHE_MAX_BYTES")
-    assert ResultCache(tmp_path).max_bytes is None
-    assert ResultCache(tmp_path, max_bytes=7).max_bytes == 7
-
-
-def test_lru_eviction_equal_mtimes_is_deterministic(tmp_path, config,
-                                                    program):
-    """Entries stored in one burst tie on coarse filesystem mtimes;
-    the name tie-break makes the eviction order reproducible."""
-    unbounded = ResultCache(tmp_path)
-    result = simulate(config, program)
-    keys = [unbounded.key(config, program, budget)
-            for budget in (1000, 2000, 3000, 4000)]
-    for key in keys:
-        unbounded.store(key, result)
-        os.utime(tmp_path / f"{key}.json", (100, 100))  # all tie
-
-    entry_bytes = (tmp_path / f"{keys[0]}.json").stat().st_size
-    capped = ResultCache(tmp_path, max_bytes=2 * entry_bytes + 10)
-    trigger = unbounded.key(config, program, 5000)
-    capped.store(trigger, result)
-    os.utime(tmp_path / f"{trigger}.json", (200, 200))
-    capped._evict_to_cap()
-
-    # With every mtime equal, the lexicographically smallest names go
-    # first — never the newer trigger entry, never a random subset.
-    survivors = {path.stem for path in tmp_path.glob("*.json")}
-    expected_evicted = set(sorted(keys)[:len(keys) + 1 - 2])
-    assert survivors == ({trigger} | set(keys)) - expected_evicted
-
-
-def test_load_refreshes_mtime_for_lru(tmp_path, config, program):
-    """A hit must bump the entry's recency or the size cap evicts the
-    hottest entries first."""
-    cache = ResultCache(tmp_path, max_bytes=1 << 30)
-    result = simulate(config, program)
-    key = cache.key(config, program, 1000)
-    cache.store(key, result)
-    path = tmp_path / f"{key}.json"
-    os.utime(path, (1, 1))
-    assert cache.load(key) == result
-    assert path.stat().st_mtime > 1

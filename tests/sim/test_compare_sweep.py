@@ -80,7 +80,7 @@ def _corrupt_cached_regs(cache_dir):
 
     entry = next(cache_dir.glob("*.json"))
     payload = json.loads(entry.read_text())
-    payload["result"]["fields"]["state"]["fields"]["regs"][2] ^= 1
+    payload["result"]["fields"]["state"]["__state__"]["regs"][2] ^= 1
     entry.write_text(json.dumps(payload))
     return entry
 
