@@ -19,17 +19,16 @@ and equally runnable as ``python -m repro``.  Subcommands:
     Summarize stored result documents: mode, wall time, point count,
     and which expectation predicates held.
 
-``repro baseline capture|verify|promote|retire|diff|list``
+``repro baseline capture|verify``
     Drive the behavioral baseline firewall (:mod:`repro.regress`).
-    ``capture`` runs the experiment corpus (documents are *not*
-    written) and records every simulation's behavior into the governed
-    store at ``benchmarks/baselines/``; ``verify`` re-runs the corpus
-    (``--jobs N`` experiments at a time, as for ``experiments run``)
-    and exits 1 on any divergence from a stored baseline — after an
-    intentional behavior change, ``capture`` followed by an explicit
-    ``promote`` is the only green path.  ``diff`` shows pending
-    (captured-but-unpromoted) behavior changes; ``list`` shows the
-    store's governance state.
+    ``verify`` runs the experiment corpus (documents are *not*
+    written; ``--jobs N`` experiments at a time, as for ``experiments
+    run``) and exits 1 on any divergence from a record in
+    ``benchmarks/baselines/``.  ``capture`` runs the corpus serially
+    and rewrites every record whose file differs from what it
+    observed, printing one ``UPDATED`` line per rewritten record;
+    after an intentional behavior change, committing those rewritten
+    records is the green path, and their diff is what review approves.
 
 ``repro cache stats|fsck|clear [--cache-dir DIR]``
     Maintain the content-addressed simulation result cache
@@ -37,7 +36,7 @@ and equally runnable as ``python -m repro``.  Subcommands:
     usage, scan-and-repair integrity problems (key-vs-content
     mismatches, schema-stale entries, corrupt payloads, orphan
     ``.tmp-*`` files from interrupted stores), or wipe it.  ``stats``
-    also summarizes the baseline store; ``fsck`` additionally scans
+    also counts the baseline records; ``fsck`` additionally scans
     baseline records and cross-checks them against live cache entries
     (baseline problems are reported, never auto-repaired).
 
@@ -134,11 +133,8 @@ def _run_one(payload: Tuple[str, Dict[str, Any], Optional[Dict[str, Any]]]
     eid, engine_kwargs, firewall_spec = payload
     firewall: Optional[BaselineFirewall] = None
     if firewall_spec is not None:
-        firewall = BaselineFirewall(
-            BaselineStore(firewall_spec["root"]),
-            mode=firewall_spec["mode"], strict=False,
-            note=firewall_spec["note"],
-        )
+        firewall = BaselineFirewall(BaselineStore(firewall_spec["root"]),
+                                    mode=firewall_spec["mode"])
     started = time.perf_counter()
     error: Optional[str] = None
     failed: List[str] = []
@@ -168,7 +164,7 @@ def _run_experiments(specs: List[Any], engine_kwargs: Dict[str, Any],
     spec, in spec order.
 
     Each experiment gets its own engine and, when ``firewall_spec``
-    (``root``, ``mode``, ``note``) is given, its own non-strict
+    (``root``, ``mode``) is given, its own
     :class:`~repro.regress.firewall.BaselineFirewall` on that store,
     returned in its run for the caller to merge.  With more than
     one job the experiments run in forked worker processes, each
@@ -318,7 +314,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# baseline capture / verify / promote / retire / diff / list
+# baseline capture / verify
 # ---------------------------------------------------------------------------
 
 
@@ -330,7 +326,7 @@ def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
     """Shared engine for ``baseline capture`` and ``baseline verify``:
     run the experiment corpus (no documents written), one firewall per
     experiment, merge their observations, then report."""
-    from repro.regress.semid import dump_stable, short_id
+    from repro.regress.semid import dump_stable
 
     try:
         specs = _select_specs(args.ids, args.all, None)
@@ -342,14 +338,12 @@ def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
         print("error: no experiments selected", file=sys.stderr)
         return 2
 
-    note = getattr(args, "note", "") or ""
-    firewall = BaselineFirewall(_open_store(args), mode=mode,
-                                strict=False, note=note)
+    firewall = BaselineFirewall(_open_store(args), mode=mode)
     engine_kwargs: Dict[str, Any] = {"smoke": bool(args.smoke) or None,
                                       "max_instructions": budget,
                                       "write": False}
     firewall_spec: Dict[str, Any] = {"root": firewall.store.root,
-                                     "mode": mode, "note": note}
+                                     "mode": mode}
     # capture writes the store, which has no cross-process locking, so
     # only verify runs experiments side by side.
     jobs = getattr(args, "jobs", 1)
@@ -367,42 +361,33 @@ def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
         print(f"  {mode:7s} {spec.name:26s} {run.seconds:6.2f}s")
 
     stats = firewall.stats
-    report = firewall.report()
     if args.report is not None:
         out = pathlib.Path(args.report)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(dump_stable(report))
+        out.write_text(dump_stable(firewall.report()))
         print(f"diff report written to {out}")
-    if args.json:
-        print(dump_stable(report), end="")
-    else:
-        counts = ", ".join(f"{name}={value}"
-                           for name, value in stats.as_dict().items()
-                           if value)
-        print(f"baseline {mode}: {stats.observed} observations "
-              f"({counts or 'none'}) in {firewall.store.root}")
-        for divergence in firewall.divergences:
-            print(f"  DIVERGED {divergence.summary()}")
+    counts = ", ".join(f"{name}={value}"
+                       for name, value in stats.as_dict().items() if value)
+    print(f"baseline {mode}: {stats.observed} observations "
+          f"({counts or 'none'}) in {firewall.store.root}")
+    label = "UPDATED" if mode == "capture" else "DIVERGED"
+    for divergence in firewall.divergences:
+        print(f"  {label} {divergence.summary()}")
 
     if errors:
         return 1
     if mode == "capture":
-        pending = stats.recaptured + stats.pending
-        if pending and not args.json:
-            print(f"{pending} behavior change(s) parked as candidates — "
-                  f"review with `repro baseline diff`, then "
-                  f"`repro baseline promote` to approve")
+        if stats.updated:
+            print(f"{stats.updated} record(s) rewritten — review them "
+                  f"with `git diff` before committing")
         return 0
     # verify: red on any divergence, and on an empty run (a corpus that
     # verified nothing protects nothing).
     if stats.divergent:
-        if not args.json:
-            print(f"FAIL: {stats.divergent} divergence(s) from stored "
-                  f"baselines — if intentional, `repro baseline "
-                  f"capture` then `repro baseline promote "
-                  + " ".join(sorted({short_id(d.semid)
-                                     for d in firewall.divergences})),
-                  file=sys.stderr)
+        print(f"FAIL: {stats.divergent} divergence(s) from stored "
+              f"baselines — if intentional, run `repro baseline "
+              f"capture` and commit the rewritten records",
+              file=sys.stderr)
         return 1
     if not (stats.verified or stats.unseen):
         print("FAIL: no baseline observations at all", file=sys.stderr)
@@ -423,125 +408,6 @@ def _cmd_baseline_verify(args: argparse.Namespace) -> int:
     return _baseline_corpus_run(args, "verify")
 
 
-def _cmd_baseline_promote(args: argparse.Namespace) -> int:
-    from repro.regress.records import BaselineTransitionError
-    from repro.regress.semid import short_id
-    from repro.regress.store import BaselineLookupError
-
-    store = _open_store(args)
-    targets: List[str] = []
-    if args.all:
-        targets = [record.semid for record in store.records()
-                   if record.status == "candidate"
-                   or record.candidate_behavior is not None]
-        if not targets:
-            print("nothing to promote")
-            return 0
-    else:
-        if not args.semids:
-            print("error: pass baseline ids (prefixes ok) or --all",
-                  file=sys.stderr)
-            return 2
-        try:
-            targets = [store.resolve(prefix) for prefix in args.semids]
-        except BaselineLookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    failed = 0
-    for semid in targets:
-        try:
-            action = store.promote(semid, note=args.note or "")
-        except BaselineTransitionError as exc:
-            failed += 1
-            print(f"error: {exc}", file=sys.stderr)
-            continue
-        print(f"{short_id(semid)} {action}")
-    return 1 if failed else 0
-
-
-def _cmd_baseline_retire(args: argparse.Namespace) -> int:
-    from repro.regress.records import BaselineTransitionError
-    from repro.regress.semid import short_id
-    from repro.regress.store import BaselineLookupError
-
-    store = _open_store(args)
-    failed = 0
-    for prefix in args.semids:
-        try:
-            semid = store.resolve(prefix)
-            store.retire(semid, note=args.note or "")
-        except (BaselineLookupError, BaselineTransitionError) as exc:
-            failed += 1
-            print(f"error: {exc}", file=sys.stderr)
-            continue
-        print(f"{short_id(semid)} retired")
-    return 1 if failed else 0
-
-
-def _cmd_baseline_diff(args: argparse.Namespace) -> int:
-    from repro.regress.semid import dump_stable, short_id
-
-    store = _open_store(args)
-    pending = [record for record in store.records()
-               if record.candidate_behavior is not None]
-    if args.json:
-        print(dump_stable([
-            {
-                "semid": record.semid,
-                "kind": record.kind,
-                "scenario": record.scenario,
-                "fields": {
-                    field: {"approved": approved, "candidate": candidate}
-                    for field, (approved, candidate)
-                    in record.diff_behavior(
-                        record.candidate_behavior).items()
-                },
-            }
-            for record in pending
-        ]), end="")
-        return 1 if pending else 0
-    if not pending:
-        print(f"no pending behavior changes in {store.root}")
-        return 0
-    for record in pending:
-        where = "/".join(
-            str(value) for key, value in sorted(record.scenario.items())
-            if key in ("machine", "program", "experiment"))
-        print(f"{short_id(record.semid)} {record.kind} {where}")
-        for field, (approved, candidate) in sorted(
-                record.diff_behavior(record.candidate_behavior).items()):
-            print(f"  {field}: {approved!r} -> {candidate!r}")
-    print(f"{len(pending)} pending change(s); `repro baseline promote` "
-          f"to approve")
-    return 1
-
-
-def _cmd_baseline_list(args: argparse.Namespace) -> int:
-    from repro.regress.semid import dump_stable, short_id
-
-    store = _open_store(args)
-    records = store.records(args.status or None)
-    if args.json:
-        print(dump_stable([record.to_doc() for record in records]),
-              end="")
-        return 0
-    if not records:
-        print(f"no baseline records in {store.root}")
-        return 0
-    for record in records:
-        where = "/".join(
-            str(value) for key, value in sorted(record.scenario.items())
-            if key in ("machine", "program", "experiment"))
-        pending = "  [pending change]" \
-            if record.candidate_behavior is not None else ""
-        print(f"{short_id(record.semid)}  {record.status:9s} "
-              f"{record.kind:10s} {where}{pending}")
-    counts = ", ".join(f"{status}={count}" for status, count
-                       in sorted(store.status_counts().items()))
-    print(f"{len(records)} record(s) ({counts}) in {store.root}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # cache stats / fsck / clear
 # ---------------------------------------------------------------------------
@@ -554,24 +420,17 @@ def _open_cache(args: argparse.Namespace) -> ResultCache:
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     info = _open_cache(args).disk_stats()
     store = _open_store(args)
-    info["baselines"] = {
-        "dir": str(store.root),
-        "records": len(store),
-        "status": store.status_counts(),
-    }
+    info["baselines"] = {"dir": str(store.root), "records": len(store)}
     if args.json:
         print(json.dumps(info, indent=2))
         return 0
-    statuses = ", ".join(
-        f"{status}={count}" for status, count
-        in sorted(info["baselines"]["status"].items())) or "none"
     print(f"cache dir:   {info['dir']}")
     print(f"schema:      {info['schema']}")
     print(f"entries:     {info['entries']}")
     print(f"total size:  {info['total_bytes']} bytes")
     print(f"orphan tmp:  {info['orphan_tmp']}")
     print(f"baselines:   {info['baselines']['records']} record(s) "
-          f"({statuses}) in {info['baselines']['dir']}")
+          f"in {info['baselines']['dir']}")
     return 0
 
 
@@ -581,9 +440,8 @@ def _cmd_cache_fsck(args: argparse.Namespace) -> int:
     print(f"fsck: {report.summary()}")
     for name in report.removed:
         print(f"  removed {name}")
-    # Baseline records are governed state: scan and cross-check against
-    # the cache, but never auto-remove — repairs go through explicit
-    # `repro baseline retire` or review.
+    # Baseline records are committed files: scan and cross-check them
+    # against the cache, but never auto-remove — repairs go through git.
     store = _open_store(args)
     baseline_report = store.fsck()
     print(f"fsck: {baseline_report.summary()}")
@@ -781,20 +639,18 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_report.set_defaults(func=_cmd_report)
 
     baseline = top.add_parser(
-        "baseline", help="behavioral baseline firewall: governed "
-                         "capture/verify of simulation behavior")
+        "baseline", help="behavioral baseline firewall: capture/verify "
+                         "simulation behavior against the records in "
+                         "benchmarks/baselines/")
     baseline_sub = baseline.add_subparsers(dest="subcommand",
                                            required=True)
 
-    def _add_baseline_dir(sub: argparse.ArgumentParser) -> None:
+    def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--baseline-dir", type=pathlib.Path,
                          default=None,
                          help="baseline store (default: "
                               "REPRO_BASELINE_DIR or "
                               "benchmarks/baselines/)")
-
-    def _add_corpus_args(sub: argparse.ArgumentParser) -> None:
-        _add_baseline_dir(sub)
         sub.add_argument("ids", nargs="*", metavar="ID",
                          help="experiment ids (default: all)")
         sub.add_argument("--all", action="store_true",
@@ -805,17 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--report", default=None, metavar="PATH",
                          help="write the JSON diff report to PATH "
                               "(the CI artifact)")
-        sub.add_argument("--json", action="store_true",
-                         help="print the diff report as JSON")
 
     cmd_bl_capture = baseline_sub.add_parser(
-        "capture", help="run the corpus and record observed behavior "
-                        "(new records land as candidates; changed "
-                        "behavior parks pending an explicit promote)")
+        "capture", help="run the corpus and write every record whose "
+                        "file differs from the observed behavior "
+                        "(commit the rewritten records)")
     _add_corpus_args(cmd_bl_capture)
-    cmd_bl_capture.add_argument("--note", default="",
-                                help="audit note recorded with every "
-                                     "capture")
     cmd_bl_capture.set_defaults(func=_cmd_baseline_capture)
 
     cmd_bl_verify = baseline_sub.add_parser(
@@ -826,50 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="experiments to verify concurrently "
                                     "(default: 1; 0 = all cores)")
     cmd_bl_verify.set_defaults(func=_cmd_baseline_verify)
-
-    cmd_bl_promote = baseline_sub.add_parser(
-        "promote", help="approve candidate records / pending behavior "
-                        "changes (the only green path after an "
-                        "intentional change)")
-    _add_baseline_dir(cmd_bl_promote)
-    cmd_bl_promote.add_argument("semids", nargs="*", metavar="SEMID",
-                                help="baseline ids (unambiguous "
-                                     "prefixes ok)")
-    cmd_bl_promote.add_argument("--all", action="store_true",
-                                help="promote every candidate record "
-                                     "and pending change")
-    cmd_bl_promote.add_argument("--note", default="",
-                                help="audit note for the approval")
-    cmd_bl_promote.set_defaults(func=_cmd_baseline_promote)
-
-    cmd_bl_retire = baseline_sub.add_parser(
-        "retire", help="retire records for scenarios that no longer "
-                       "exist (terminal; retired records are skipped)")
-    _add_baseline_dir(cmd_bl_retire)
-    cmd_bl_retire.add_argument("semids", nargs="+", metavar="SEMID",
-                               help="baseline ids (prefixes ok)")
-    cmd_bl_retire.add_argument("--note", default="",
-                               help="audit note for the retirement")
-    cmd_bl_retire.set_defaults(func=_cmd_baseline_retire)
-
-    cmd_bl_diff = baseline_sub.add_parser(
-        "diff", help="show captured-but-unpromoted behavior changes "
-                     "(exit 1 when any are pending)")
-    _add_baseline_dir(cmd_bl_diff)
-    cmd_bl_diff.add_argument("--json", action="store_true",
-                             help="machine-readable diff")
-    cmd_bl_diff.set_defaults(func=_cmd_baseline_diff)
-
-    cmd_bl_list = baseline_sub.add_parser(
-        "list", help="show the store's records and governance state")
-    _add_baseline_dir(cmd_bl_list)
-    cmd_bl_list.add_argument("--status", default=None,
-                             choices=("candidate", "approved",
-                                      "retired"),
-                             help="only records in this status")
-    cmd_bl_list.add_argument("--json", action="store_true",
-                             help="full record documents as JSON")
-    cmd_bl_list.set_defaults(func=_cmd_baseline_list)
 
     cache = top.add_parser(
         "cache", help="simulation result-cache maintenance")

@@ -1,10 +1,10 @@
 """Behavior extraction + the capture/verify firewall engine.
 
 The firewall turns every simulation of the experiment corpus into a
-governed regression check, in the capture/replay style: behavior
-observed for a previously-seen input must be bit-identical to the
-stored baseline record, or the run (and CI) goes red until the change
-is explicitly promoted.
+regression check, in the capture/replay style: behavior observed for a
+previously-seen input must be bit-identical to its stored baseline
+record, or the run (and CI) goes red until the change is recaptured
+and the rewritten records are committed.
 
 *Behavior* of a run is the deterministic output surface only:
 
@@ -12,8 +12,8 @@ is explicitly promoted.
 * ``state_hash`` — semantic ID of the final architectural registers
   and memory (the functional contract);
 * ``perf_signature`` — semantic ID of the perf counters (the
-  event-driven fast-forward accounting, proven identical across the
-  block-dispatch / sanitizer execution variants);
+  event-driven fast-forward accounting, proven identical with and
+  without the sanitizer attached);
 * ``sst_signature`` — semantic ID of the full SST statistics record
   (mode-cycle breakdown, episode and fail accounting) when present.
 
@@ -32,8 +32,9 @@ Hook points — each observes only when handed a firewall explicitly
   signatures, and the point-key list — so an unintended cache-key
   change turns verification red even if every cycle count matches).
 
-A strict firewall raises on the first divergence; the CLI runs
-non-strict firewalls to report every divergence at once.
+The firewall never raises on a divergence or an unreadable record: it
+counts each one, keeps it for the report, and carries on, so one run
+reports every difference at once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Any, Dict, List, Optional
 from repro.baselines.core_base import CoreResult
 from repro.errors import ReproError
 from repro.regress import semid as semid_mod
-from repro.regress.records import BaselineRecord, STATUS_RETIRED
+from repro.regress.records import BaselineRecord, BaselineSchemaError
 from repro.regress.store import BaselineStore
 from repro.sim.cache import SIM_SCHEMA_VERSION, canonicalize, result_key
 
@@ -168,18 +169,25 @@ def experiment_key(name: str, mode: str, max_instructions: int) -> str:
 
 @dataclasses.dataclass
 class BaselineDivergence:
-    """One input whose observed behavior left its approved baseline."""
+    """One observation that differs from its stored record: a verify
+    divergence, or a record that capture rewrote.
+
+    ``fields`` holds the differing fields; ``problem`` says why there
+    are none to show (the stored file was unreadable, or held the same
+    record in another layout).
+    """
 
     semid: str
     kind: str
     scenario: Dict[str, Any]
     fields: Dict[str, Any]  # field -> {"expected": ..., "observed": ...}
+    problem: Optional[str] = None
 
     def summary(self) -> str:
         parts = ", ".join(
             f"{field}: {diff['expected']!r} -> {diff['observed']!r}"
             for field, diff in sorted(self.fields.items())
-        )
+        ) or self.problem
         where = "/".join(
             str(value) for key, value in sorted(self.scenario.items())
             if key in ("machine", "program", "experiment")
@@ -193,20 +201,8 @@ class BaselineDivergence:
             "kind": self.kind,
             "scenario": self.scenario,
             "fields": self.fields,
+            "problem": self.problem,
         }
-
-
-class BaselineDivergenceError(ReproError):
-    """Observed behavior diverged from an approved baseline record."""
-
-    def __init__(self, divergence: BaselineDivergence):
-        self.divergence = divergence
-        super().__init__(
-            f"behavior diverged from baseline: {divergence.summary()} "
-            f"— if this change is intentional, run "
-            f"`repro baseline capture` then "
-            f"`repro baseline promote {semid_mod.short_id(divergence.semid)}`"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +212,16 @@ class BaselineDivergenceError(ReproError):
 
 @dataclasses.dataclass
 class FirewallStats:
-    captured: int = 0     # new candidate records created
-    recaptured: int = 0   # divergent observations parked as candidates
-    unchanged: int = 0    # capture matched the stored behavior
-    reconverged: int = 0  # pending candidate cleared by a matching run
-    pending: int = 0      # divergence already parked, still pending
-    verified: int = 0     # verify matched the stored behavior
-    divergent: int = 0    # verify mismatched the stored behavior
-    unseen: int = 0       # no record for this input (ignored)
-    retired: int = 0      # record retired, skipped
+    captured: int = 0   # capture wrote a record that had no file
+    updated: int = 0    # capture rewrote a differing or unreadable record
+    unchanged: int = 0  # capture found the stored record identical
+    verified: int = 0   # verify matched the stored behavior
+    divergent: int = 0  # verify mismatched, or could not read, the record
+    unseen: int = 0     # verify found no record for this input (ignored)
 
     @property
     def observed(self) -> int:
-        return (self.captured + self.recaptured + self.unchanged
-                + self.reconverged + self.pending + self.verified
-                + self.divergent + self.unseen + self.retired)
+        return sum(self.as_dict().values())
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -240,14 +231,11 @@ class BaselineFirewall:
     """Observes simulation behavior and captures/verifies baselines."""
 
     def __init__(self, store: Optional[BaselineStore] = None, *,
-                 mode: str = MODE_VERIFY, strict: bool = True,
-                 note: str = ""):
+                 mode: str = MODE_VERIFY):
         if mode not in (MODE_CAPTURE, MODE_VERIFY):
             raise ReproError(f"bad firewall mode {mode!r}")
         self.store = store if store is not None else BaselineStore()
         self.mode = mode
-        self.strict = strict
-        self.note = note
         self.stats = FirewallStats()
         self.divergences: List[BaselineDivergence] = []
 
@@ -296,65 +284,40 @@ class BaselineFirewall:
     def _observe(self, semid: str, kind: str,
                  scenario: Dict[str, Any],
                  behavior: Dict[str, Any]) -> str:
-        if self.mode == MODE_CAPTURE:
-            return self._capture(semid, kind, scenario, behavior)
-        return self._verify(semid, kind, scenario, behavior)
-
-    def _capture(self, semid: str, kind: str,
-                 scenario: Dict[str, Any],
-                 behavior: Dict[str, Any]) -> str:
-        record = BaselineRecord(
+        """Capture or verify one observation; returns the name of the
+        :class:`FirewallStats` counter it went to."""
+        observed = BaselineRecord(
             semid=semid, kind=kind, scenario=scenario,
             behavior=behavior, sim_schema=SIM_SCHEMA_VERSION,
         )
-        action = self.store.capture(record, note=self.note)
-        counter = {
-            "captured": "captured",
-            "recaptured": "recaptured",
-            "unchanged": "unchanged",
-            "reconverged": "reconverged",
-            "pending": "pending",
-            "retired": "retired",
-        }[action]
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        if action in ("recaptured", "pending"):
-            stored = self.store.get(semid)
+        problem: Optional[str] = None
+        try:
+            stored = self.store.load(semid)
+        except BaselineSchemaError as exc:
+            stored, problem = None, str(exc)
+        if self.mode == MODE_CAPTURE:
+            action = self.store.capture(observed)  # compares bytes
+            changes = stored.diff(observed) if stored is not None else {}
+            changed = action == "updated"
+        else:
+            changes = (stored.diff_behavior(behavior)
+                       if stored is not None else {})
+            changed = bool(changes or problem)
+            action = ("divergent" if changed
+                      else "unseen" if stored is None else "verified")
+        setattr(self.stats, action, getattr(self.stats, action) + 1)
+        if changed:
+            if not (changes or problem):
+                problem = "the file holds another layout of this record"
             self.divergences.append(BaselineDivergence(
                 semid=semid, kind=kind, scenario=scenario,
                 fields={
-                    field: {"expected": expected, "observed": observed}
-                    for field, (expected, observed)
-                    in stored.diff_behavior(behavior).items()
+                    field: {"expected": expected, "observed": got}
+                    for field, (expected, got) in changes.items()
                 },
+                problem=problem,
             ))
         return action
-
-    def _verify(self, semid: str, kind: str,
-                scenario: Dict[str, Any],
-                behavior: Dict[str, Any]) -> str:
-        record = self.store.load(semid)
-        if record is None:
-            self.stats.unseen += 1
-            return "unseen"
-        if record.status == STATUS_RETIRED:
-            self.stats.retired += 1
-            return "retired"
-        diff = record.diff_behavior(behavior)
-        if not diff:
-            self.stats.verified += 1
-            return "verified"
-        self.stats.divergent += 1
-        divergence = BaselineDivergence(
-            semid=semid, kind=kind, scenario=scenario,
-            fields={
-                field: {"expected": expected, "observed": observed}
-                for field, (expected, observed) in diff.items()
-            },
-        )
-        self.divergences.append(divergence)
-        if self.strict:
-            raise BaselineDivergenceError(divergence)
-        return "divergent"
 
     # -- reporting ----------------------------------------------------
 
@@ -370,7 +333,7 @@ class BaselineFirewall:
     def report(self) -> Dict[str, Any]:
         """A JSON-ready diff report (the CI artifact)."""
         return {
-            "schema": 1,
+            "schema": 2,
             "mode": self.mode,
             "baseline_dir": str(self.store.root),
             "stats": self.stats.as_dict(),

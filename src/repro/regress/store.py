@@ -1,15 +1,13 @@
 """The on-disk baseline store: ``benchmarks/baselines/``.
 
 One JSON record per semantic ID (atomic-rename writes, like the result
-cache), plus the governance operations — capture, promote, retire —
-and the integrity scans (`fsck`, cache cross-check).  The store is the
-*only* writer of record files; it enforces two invariants on every
-save:
-
-* the record's ``semid`` matches the addressing filename (a renamed or
-  copied record can never serve the wrong scenario), and
-* the audit ``history`` of an existing record is append-only — a save
-  that rewrites or drops entries raises :class:`BaselineAuditError`.
+cache), :meth:`BaselineStore.capture`, and the integrity scans
+(`fsck`, cache cross-check).  The store is the *only* writer of record
+files, and it writes each one in a single canonical layout
+(:func:`repro.regress.semid.dump_stable`), so a record file is a pure
+function of the record.  A loaded record's ``semid`` must match its
+addressing filename: a renamed or copied record can never serve the
+wrong scenario.
 """
 
 from __future__ import annotations
@@ -21,14 +19,8 @@ import pathlib
 import tempfile
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproLookupError
 from repro.regress import semid as semid_mod
-from repro.regress.records import (
-    BaselineAuditError,
-    BaselineRecord,
-    BaselineSchemaError,
-    STATUS_RETIRED,
-)
+from repro.regress.records import BaselineRecord, BaselineSchemaError
 
 ENV_DIR = "REPRO_BASELINE_DIR"
 
@@ -45,10 +37,6 @@ def default_baseline_dir() -> pathlib.Path:
     if root is not None:
         return root / "benchmarks" / "baselines"
     return pathlib.Path.cwd() / "baselines"
-
-
-class BaselineLookupError(ReproLookupError):
-    """No stored baseline matches the requested semantic id."""
 
 
 @dataclasses.dataclass
@@ -109,7 +97,7 @@ class CrossCheckReport:
 
 
 class BaselineStore:
-    """One directory of ``<sha256>.json`` governed baseline records."""
+    """One directory of ``<sha256>.json`` baseline records."""
 
     def __init__(self, root: Optional[os.PathLike] = None):
         self.root = pathlib.Path(
@@ -132,77 +120,54 @@ class BaselineStore:
     def __len__(self) -> int:
         return len(self._entries())
 
-    def exists(self, semid: str) -> bool:
-        return self._path(semid).is_file()
-
     def semids(self) -> List[str]:
         return [path.stem for path in self._entries()]
-
-    def resolve(self, prefix: str) -> str:
-        """Resolve a (possibly abbreviated) semantic id to a stored
-        record's full id, git-style."""
-        if self.exists(prefix):
-            return prefix
-        matches = [semid for semid in self.semids()
-                   if semid.startswith(prefix)]
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise BaselineLookupError(
-                f"no baseline record matches {prefix!r} in {self.root}"
-            )
-        raise BaselineLookupError(
-            f"ambiguous baseline id {prefix!r}: "
-            f"{len(matches)} records match"
-        )
 
     # -- I/O ----------------------------------------------------------
 
     def load(self, semid: str) -> Optional[BaselineRecord]:
+        """The record stored for ``semid``, or None when there is none.
+
+        Raises :class:`BaselineSchemaError`, one line naming the file,
+        when the file is not JSON, fails the schema, or stores another
+        semid.
+        """
+        path = self._path(semid)
         try:
-            payload = json.loads(self._path(semid).read_text())
+            record = BaselineRecord.from_doc(json.loads(path.read_text()))
         except FileNotFoundError:
             return None
-        record = BaselineRecord.from_doc(payload)
+        except (OSError, ValueError, BaselineSchemaError) as exc:
+            raise BaselineSchemaError(f"{path}: {exc}") from None
         if record.semid != semid:
             raise BaselineSchemaError(
-                f"baseline file {semid}.json stores semid "
+                f"{path}: stores semid "
                 f"{semid_mod.short_id(record.semid)}… — the record was "
                 f"renamed or copied; run `repro cache fsck`"
             )
         return record
 
-    def get(self, semid: str) -> BaselineRecord:
-        record = self.load(semid)
-        if record is None:
-            raise BaselineLookupError(
-                f"no baseline record {semid_mod.short_id(semid)}… "
-                f"in {self.root}"
-            )
-        return record
-
-    def save(self, record: BaselineRecord) -> pathlib.Path:
-        """Persist ``record`` (atomic rename), enforcing the
-        append-only audit invariant against any existing file."""
-        doc = record.to_doc()  # validates
-        existing = self.load(record.semid)
-        if existing is not None:
-            prior = existing.history
-            if record.history[:len(prior)] != prior:
-                raise BaselineAuditError(
-                    f"refusing to save baseline "
-                    f"{semid_mod.short_id(record.semid)}: the audit "
-                    f"history is append-only and the new record "
-                    f"rewrites or drops existing entries"
-                )
-        self.root.mkdir(parents=True, exist_ok=True)
+    def capture(self, record: BaselineRecord) -> str:
+        """Write ``record`` unless its file already holds exactly the
+        bytes it serializes to; returns ``captured`` (there was no
+        file), ``unchanged`` (the file is left untouched) or
+        ``updated`` (the file differed or was unreadable, and is
+        rewritten)."""
         path = self._path(record.semid)
+        text = semid_mod.dump_stable(record.to_doc()).encode()
+        try:
+            stored: Optional[bytes] = path.read_bytes()
+        except FileNotFoundError:
+            stored = None
+        if stored == text:
+            return "unchanged"
+        self.root.mkdir(parents=True, exist_ok=True)
         handle, tmp_name = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=".json"
         )
         try:
-            with os.fdopen(handle, "w") as tmp:
-                tmp.write(semid_mod.dump_stable(doc))
+            with os.fdopen(handle, "wb") as tmp:
+                tmp.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -210,88 +175,35 @@ class BaselineStore:
             except OSError:
                 pass
             raise
-        return path
+        return "captured" if stored is None else "updated"
 
-    def records(self, status: Optional[str] = None
-                ) -> List[BaselineRecord]:
-        loaded = []
-        for path in self._entries():
-            record = self.load(path.stem)
-            if record is None:
+    def records(self) -> List[BaselineRecord]:
+        """Every readable record; :meth:`fsck` reports the others."""
+        readable = []
+        for semid in self.semids():
+            try:
+                readable.append(self.load(semid))
+            except BaselineSchemaError:
                 continue
-            if status is None or record.status == status:
-                loaded.append(record)
-        return loaded
-
-    def status_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records():
-            counts[record.status] = counts.get(record.status, 0) + 1
-        return counts
-
-    # -- governance operations ----------------------------------------
-
-    def capture(self, record: BaselineRecord, note: str = "") -> str:
-        """Record observed behavior; returns the action taken.
-
-        * no stored record → save as ``candidate`` ("captured");
-        * stored behavior identical → leave the file untouched
-          ("unchanged"), clearing any pending recapture that the code
-          has since reconverged away from ("reconverged");
-        * stored behavior differs → park the observation as
-          ``candidate_behavior`` pending an explicit promote
-          ("recaptured" / "pending" when already parked);
-        * retired records are never recaptured ("retired").
-        """
-        existing = self.load(record.semid)
-        if existing is None:
-            record.log("capture", note)
-            self.save(record)
-            return "captured"
-        if existing.status == STATUS_RETIRED:
-            return "retired"
-        if existing.behavior == record.behavior:
-            if existing.candidate_behavior is not None:
-                existing.candidate_behavior = None
-                existing.log("reconverged", note)
-                self.save(existing)
-                return "reconverged"
-            return "unchanged"
-        if existing.candidate_behavior == record.behavior:
-            return "pending"
-        changed = sorted(existing.diff_behavior(record.behavior))
-        existing.candidate_behavior = record.behavior
-        existing.log("recapture", note, behavior_fields_changed=changed)
-        self.save(existing)
-        return "recaptured"
-
-    def promote(self, semid: str, note: str = "") -> str:
-        record = self.get(semid)
-        action = record.promote(note)
-        self.save(record)
-        return action
-
-    def retire(self, semid: str, note: str = "") -> None:
-        record = self.get(semid)
-        record.retire(note)
-        self.save(record)
+        return readable
 
     # -- integrity ----------------------------------------------------
 
     def fsck(self) -> BaselineFsckReport:
         """Scan every record file for schema and addressing problems.
 
-        Unlike the result cache's fsck, nothing is auto-removed: a
-        baseline is governed state, so repairs go through explicit
-        ``retire`` or manual review.
+        Unlike the result cache's fsck, nothing is auto-removed: the
+        records are committed files, so repairs go through git
+        (``repro baseline capture`` rewrites every record the corpus
+        still produces).
         """
         report = BaselineFsckReport()
         for path in self._entries():
             report.scanned += 1
             try:
-                payload = json.loads(path.read_text())
-                record = BaselineRecord.from_doc(payload)
-            except (OSError, json.JSONDecodeError, BaselineSchemaError):
+                record = BaselineRecord.from_doc(
+                    json.loads(path.read_text()))
+            except (OSError, ValueError, BaselineSchemaError):
                 report.invalid += 1
                 report.bad_files.append(path.name)
                 continue

@@ -12,10 +12,10 @@ A multicore golden pins the quantum-interleaved scheduler the same way
 (the quantum-skip fast-forward must not move a single access).
 
 The same scenarios also ride the behavioral baseline firewall
-(:mod:`repro.regress`): every golden run is captured into a governed
-store, promoted, and re-verified — so the legacy JSON assertions and
-the firewall must agree with each other, and a doctored baseline
-record must turn verification red.
+(:mod:`repro.regress`): every golden run is captured into a baseline
+store and re-verified — so the legacy JSON assertions and the firewall
+must agree with each other, and a doctored baseline record must turn
+verification red.
 """
 
 from __future__ import annotations
@@ -36,11 +36,7 @@ from repro.config import (
     scout_machine,
     sst_machine,
 )
-from repro.regress.firewall import (
-    BaselineDivergenceError,
-    BaselineFirewall,
-    multicore_key,
-)
+from repro.regress.firewall import BaselineFirewall, multicore_key
 from repro.regress.store import BaselineStore
 from repro.sim.cache import result_key
 from repro.sim.machine import Machine
@@ -135,10 +131,9 @@ def test_multicore_golden(multicore_run):
 
 @pytest.fixture(scope="module")
 def golden_store(tmp_path_factory, core_runs, multicore_run):
-    """Every golden scenario captured into a governed store and
-    promoted to ``approved``."""
+    """Every golden scenario captured into a baseline store."""
     store = BaselineStore(tmp_path_factory.mktemp("golden-baselines"))
-    firewall = BaselineFirewall(store, mode="capture", note="golden")
+    firewall = BaselineFirewall(store, mode="capture")
     for config, program, result in core_runs.values():
         action = firewall.observe_point(
             config, program, DEFAULT_MAX_INSTRUCTIONS, result)
@@ -148,8 +143,6 @@ def golden_store(tmp_path_factory, core_runs, multicore_run):
         multicore, result, machine="multicore", program="mix4",
         max_instructions=DEFAULT_MAX_INSTRUCTIONS,
     ) == "captured"
-    for semid in store.semids():
-        store.promote(semid, note="golden corpus")
     return store
 
 
@@ -170,21 +163,20 @@ def test_firewall_verifies_golden_runs(golden_store, core_runs,
 
 
 def test_firewall_records_match_golden_json(golden_store, core_runs):
-    """The governed records and the legacy JSON pin the same numbers:
+    """The baseline records and the legacy JSON pin the same numbers:
     the two regression nets cannot drift apart silently."""
     for key, (config, program, _) in core_runs.items():
-        record = golden_store.get(
+        record = golden_store.load(
             result_key(config, program, DEFAULT_MAX_INSTRUCTIONS))
         assert record.behavior["cycles"] == GOLDEN["cores"][key]["cycles"]
         assert (record.behavior["instructions"]
                 == GOLDEN["cores"][key]["instructions"])
-        assert record.status == "approved"
 
 
 def test_firewall_multicore_record_matches_golden(golden_store,
                                                   multicore_run):
     multicore, _ = multicore_run
-    record = golden_store.get(
+    record = golden_store.load(
         multicore_key(multicore, DEFAULT_MAX_INSTRUCTIONS))
     golden = GOLDEN["multicore"]
     assert record.behavior["makespan"] == golden["makespan"]
@@ -199,24 +191,21 @@ def test_firewall_multicore_record_matches_golden(golden_store,
 
 
 def test_firewall_catches_doctored_golden(tmp_path, core_runs):
-    """A doctored cycle count in an approved record turns strict
-    verification red."""
+    """A doctored cycle count in a record turns verification red."""
     config, program, result = next(iter(core_runs.values()))
     store = BaselineStore(tmp_path / "baselines")
     capture = BaselineFirewall(store, mode="capture")
     semid = result_key(config, program, DEFAULT_MAX_INSTRUCTIONS)
     capture.observe_point(config, program, DEFAULT_MAX_INSTRUCTIONS,
                           result)
-    store.promote(semid)
 
-    record = store.get(semid)
+    record = store.load(semid)
     record.behavior["cycles"] += 1
-    record.log("doctor", "seeded mutation")
-    store.save(record)
+    store.capture(record)
 
     verify = BaselineFirewall(store, mode="verify")
-    with pytest.raises(BaselineDivergenceError) as exc_info:
-        verify.observe_point(config, program, DEFAULT_MAX_INSTRUCTIONS,
-                             result)
-    assert "cycles" in exc_info.value.divergence.fields
-    assert "promote" in str(exc_info.value)
+    assert verify.observe_point(config, program, DEFAULT_MAX_INSTRUCTIONS,
+                                result) == "divergent"
+    [divergence] = verify.divergences
+    assert divergence.semid == semid
+    assert "cycles" in divergence.fields

@@ -50,8 +50,7 @@ def test_jobs_2_matches_jobs_1(tmp_path, monkeypatch):
     record = next(record for record in store.records()
                   if record.kind == "point")
     record.behavior["cycles"] += 1
-    record.log("doctor", "seeded mutation")
-    store.save(record)
+    store.capture(record)
 
     code, one = verify_report(baseline_dir, tmp_path / "one.json", 1)
     assert code == 1

@@ -1,14 +1,16 @@
 """The ``repro baseline`` CLI: corpus capture/verify exit codes, the
-promote-only green path, diff/list output, the CI diff-report
-artifact, and the baseline sections of ``repro cache stats|fsck``."""
+recapture green path, unreadable records, the CI diff-report artifact,
+and the baseline sections of ``repro cache stats|fsck``."""
 
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from repro.cli import main
+from repro.regress.semid import dump_stable
 from repro.regress.store import BaselineStore
 
 CORPUS = ["e1"]  # one real experiment keeps the CLI tests fast
@@ -39,47 +41,111 @@ def test_capture_then_verify_green(dirs, capsys):
     assert corpus("capture", baseline_dir) == 0
     out = capsys.readouterr().out
     assert "captured=" in out
-    store = BaselineStore(baseline_dir)
-    assert len(store) > 0
-    assert all(record.status == "candidate"
-               for record in store.records())
-    # candidates verify too: capture alone must not leave CI red
+    assert "UPDATED" not in out
+    assert len(BaselineStore(baseline_dir)) > 0
     assert corpus("verify", baseline_dir) == 0
 
 
-def test_doctored_record_red_until_promoted(dirs, capsys):
+def doctor_point_record(baseline_dir):
+    """Hand-edit one point record's cycle count; returns its semid."""
+    store = BaselineStore(baseline_dir)
+    semid = next(record.semid for record in store.records()
+                 if record.kind == "point")
+    path = baseline_dir / f"{semid}.json"
+    doc = json.loads(path.read_text())
+    doc["behavior"]["cycles"] += 1
+    path.write_text(dump_stable(doc))
+    return semid
+
+
+def test_doctored_record_red_until_recaptured(dirs, capsys):
     baseline_dir, _ = dirs
     assert corpus("capture", baseline_dir) == 0
-    assert main(["baseline", "promote", "--all",
-                 "--baseline-dir", str(baseline_dir)]) == 0
-    store = BaselineStore(baseline_dir)
-    assert all(record.status == "approved"
-               for record in store.records())
     assert corpus("verify", baseline_dir) == 0
-
-    # doctor one approved cycle count on disk
-    record = next(record for record in store.records()
-                  if record.kind == "point")
-    record.behavior["cycles"] += 1
-    record.log("doctor", "seeded mutation")
-    store.save(record)
+    doctored = doctor_point_record(baseline_dir)
     capsys.readouterr()
 
     assert corpus("verify", baseline_dir) == 1
     captured = capsys.readouterr()
     assert "DIVERGED" in captured.out
-    assert "promote" in captured.err
+    assert "repro baseline capture" in captured.err
 
-    # the only green path: capture (parks the candidate) + promote
+    # the green path: capture rewrites the record and says so
     assert corpus("capture", baseline_dir) == 0
-    assert main(["baseline", "diff",
-                 "--baseline-dir", str(baseline_dir)]) == 1
-    assert "pending change" in capsys.readouterr().out
-    assert main(["baseline", "promote", "--all",
-                 "--baseline-dir", str(baseline_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "updated=1" in out
+    [updated] = [line for line in out.splitlines() if "UPDATED" in line]
+    assert doctored[:12] in updated
+    assert "cycles" in updated
     assert corpus("verify", baseline_dir) == 0
-    assert main(["baseline", "diff",
-                 "--baseline-dir", str(baseline_dir)]) == 0
+
+
+def test_recapture_restores_fresh_capture_bytes(dirs, tmp_path, capsys):
+    """Records are a pure function of the code: recapturing over a
+    doctored store writes exactly what a capture into an empty
+    directory writes, down to the layout of the file."""
+    baseline_dir, _ = dirs
+    fresh_dir = tmp_path / "fresh"
+    assert corpus("capture", fresh_dir) == 0
+    shutil.copytree(fresh_dir, baseline_dir)
+    doctored = doctor_point_record(baseline_dir)
+    # the same record, re-serialized without indentation
+    reflowed = next(path for path in sorted(baseline_dir.iterdir())
+                    if path.stem != doctored)
+    reflowed.write_text(json.dumps(json.loads(reflowed.read_text())))
+    capsys.readouterr()
+    assert corpus("capture", baseline_dir) == 0
+    out = capsys.readouterr().out
+    assert "updated=2" in out
+    assert f"[{reflowed.stem[:12]}]" in out
+    assert "another layout" in out
+
+    def files(root):
+        return {path.name: path.read_bytes()
+                for path in sorted(root.iterdir())}
+
+    assert files(baseline_dir) == files(fresh_dir)
+    assert f"{doctored}.json" in files(baseline_dir)
+
+
+@pytest.mark.parametrize("damage", ["not-json", "copied-record"])
+def test_unreadable_record_is_one_divergence(dirs, tmp_path, capsys,
+                                             damage):
+    baseline_dir, _ = dirs
+    assert corpus("capture", baseline_dir) == 0
+    clean_report = tmp_path / "clean.json"
+    assert corpus("verify", baseline_dir,
+                  "--report", str(clean_report)) == 0
+    clean = json.loads(clean_report.read_text())["stats"]
+
+    store = BaselineStore(baseline_dir)
+    victim, other = store.semids()[:2]
+    path = baseline_dir / f"{victim}.json"
+    if damage == "not-json":
+        path.write_text("{ not json")
+    else:
+        shutil.copyfile(baseline_dir / f"{other}.json", path)
+    capsys.readouterr()
+
+    report_path = tmp_path / "damaged.json"
+    assert corpus("verify", baseline_dir,
+                  "--report", str(report_path)) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "FAIL  " not in captured.err
+    stats = json.loads(report_path.read_text())["stats"]
+    assert sum(stats.values()) == sum(clean.values())
+    assert stats["divergent"] >= 1
+    assert stats["divergent"] + stats["verified"] == clean["verified"]
+    diverged = [line for line in captured.out.splitlines()
+                if "DIVERGED" in line]
+    assert diverged and all(str(path) in line for line in diverged)
+
+    # capture rewrites the damaged file, and verify is green again
+    assert corpus("capture", baseline_dir) == 0
+    assert "UPDATED" in capsys.readouterr().out
+    assert store.load(victim) is not None
+    assert corpus("verify", baseline_dir) == 0
 
 
 def test_verify_writes_diff_report_artifact(dirs, tmp_path):
@@ -95,38 +161,6 @@ def test_verify_writes_diff_report_artifact(dirs, tmp_path):
     assert report["divergences"] == []
 
 
-def test_list_and_retire(dirs, capsys):
-    baseline_dir, _ = dirs
-    corpus("capture", baseline_dir)
-    store = BaselineStore(baseline_dir)
-    assert main(["baseline", "list",
-                 "--baseline-dir", str(baseline_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "candidate" in out
-    assert f"{len(store)} record(s)" in out
-
-    semid = store.semids()[0]
-    assert main(["baseline", "retire", semid[:12],
-                 "--baseline-dir", str(baseline_dir),
-                 "--note", "gone"]) == 0
-    assert store.get(semid).status == "retired"
-    assert main(["baseline", "list", "--status", "retired",
-                 "--baseline-dir", str(baseline_dir)]) == 0
-    assert "retired" in capsys.readouterr().out
-
-
-def test_promote_unknown_prefix_fails(dirs, capsys):
-    baseline_dir, _ = dirs
-    corpus("capture", baseline_dir)
-    capsys.readouterr()
-    assert main(["baseline", "promote", "ffff" * 16,
-                 "--baseline-dir", str(baseline_dir)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: no baseline record matches {'ffff' * 16!r} "
-        f"in {baseline_dir}\n"
-    )
-
-
 def test_cache_stats_reports_baselines(dirs, monkeypatch, capsys):
     baseline_dir, cache_dir = dirs
     monkeypatch.setenv("REPRO_BASELINE_DIR", str(baseline_dir))
@@ -135,7 +169,7 @@ def test_cache_stats_reports_baselines(dirs, monkeypatch, capsys):
     assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
     out = capsys.readouterr().out
     assert "baselines:" in out
-    assert "candidate=" in out
+    assert f"{len(BaselineStore(baseline_dir))} record(s)" in out
 
 
 def test_cache_fsck_cross_checks_baselines(dirs, monkeypatch, capsys):
@@ -150,11 +184,6 @@ def test_cache_fsck_cross_checks_baselines(dirs, monkeypatch, capsys):
     assert "0 MISMATCHED" in out
 
     # corrupt one point baseline: cross-check must go red
-    store = BaselineStore(baseline_dir)
-    record = next(record for record in store.records()
-                  if record.kind == "point")
-    record.behavior["cycles"] += 1
-    record.log("doctor")
-    store.save(record)
+    doctor_point_record(baseline_dir)
     assert main(["cache", "fsck", "--cache-dir", str(cache_dir)]) == 1
     assert "1 MISMATCHED" in capsys.readouterr().out

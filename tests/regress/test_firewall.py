@@ -1,7 +1,7 @@
 """The baseline firewall engine: observation kinds, capture/verify
-modes, strictness, reporting, the BenchEnv/engine hook points, and
-bit-identity of behavior across execution variants
-(sanitizer attached, taint tracking on)."""
+modes, reporting, the BenchEnv/engine hook points, and bit-identity of
+behavior across execution variants (sanitizer attached, taint tracking
+on)."""
 
 from __future__ import annotations
 
@@ -11,11 +11,7 @@ from repro.baselines.core_base import DEFAULT_MAX_INSTRUCTIONS
 from repro.config import sst_machine
 from repro.experiments.bench_env import BenchEnv
 from repro.experiments.engine import ExperimentEngine
-from repro.regress.firewall import (
-    BaselineDivergenceError,
-    BaselineFirewall,
-    point_behavior,
-)
+from repro.regress.firewall import BaselineFirewall, point_behavior
 from repro.regress.store import BaselineStore
 from repro.sim.cache import result_key
 from repro.sim.runner import simulate
@@ -51,17 +47,17 @@ def test_observe_point_captures_and_verifies(store, tiny_suite):
     assert len(store) == 1
     [record] = store.records()
     assert record.kind == "point"
-    assert record.status == "candidate"
     assert record.semid == result_key(sst_machine(), program,
                                       DEFAULT_MAX_INSTRUCTIONS)
 
-    assert observe("verify") == "verified"  # green: candidate matches
+    assert observe("verify") == "verified"
+    assert observe("capture") == "unchanged"
 
     record.behavior["instructions"] -= 1
-    record.log("doctor", "seeded mutation")
-    store.save(record)
-    with pytest.raises(BaselineDivergenceError):
-        observe("verify")
+    store.capture(record)
+    assert observe("verify") == "divergent"
+    assert observe("capture") == "updated"
+    assert observe("verify") == "verified"
 
 
 def test_simulate_hook_off_touches_nothing(monkeypatch, tmp_path,
@@ -84,20 +80,6 @@ def test_verify_unseen_is_ignored(store, tiny_suite):
     assert not firewall.divergences
 
 
-def test_verify_skips_retired(store, tiny_suite):
-    program = tiny_suite["oltp-chase"]
-    result = run_point(program)
-    capture = BaselineFirewall(store, mode="capture")
-    capture.observe_point(sst_machine(), program,
-                          DEFAULT_MAX_INSTRUCTIONS, result)
-    semid = result_key(sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS)
-    store.retire(semid)
-    verify = BaselineFirewall(store, mode="verify")
-    assert verify.observe_point(
-        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, result
-    ) == "retired"
-
-
 def test_nonstrict_verify_collects_instead_of_raising(store, tiny_suite):
     program = tiny_suite["oltp-chase"]
     result = run_point(program)
@@ -105,12 +87,11 @@ def test_nonstrict_verify_collects_instead_of_raising(store, tiny_suite):
     capture.observe_point(sst_machine(), program,
                           DEFAULT_MAX_INSTRUCTIONS, result)
     semid = result_key(sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS)
-    record = store.get(semid)
+    record = store.load(semid)
     record.behavior["cycles"] += 5
-    record.log("doctor")
-    store.save(record)
+    store.capture(record)
 
-    firewall = BaselineFirewall(store, mode="verify", strict=False)
+    firewall = BaselineFirewall(store, mode="verify")
     assert firewall.observe_point(
         sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, result
     ) == "divergent"
@@ -124,8 +105,8 @@ def test_nonstrict_verify_collects_instead_of_raising(store, tiny_suite):
 # -- bit-identity across execution variants ---------------------------------
 
 
-def test_behavior_identical_with_block_dispatch_off(store, monkeypatch,
-                                                    tiny_suite):
+def test_behavior_identical_with_sanitizer_on(store, monkeypatch,
+                                              tiny_suite):
     """The sanitizer is observational: behavior captured on the plain
     generated SST loop verifies on the instrumented one it selects."""
     program = tiny_suite["oltp-chase"]
@@ -224,10 +205,9 @@ def test_experiment_points_signature_pins_cache_keys(tmp_path):
     # simulate a silent re-keying: the stored signature no longer
     # matches what a fresh run computes
     experiment.behavior["points_signature"] = "0" * 64
-    experiment.log("doctor", "simulated cache-key drift")
-    store.save(experiment)
+    store.capture(experiment)
 
-    verify = BaselineFirewall(store, mode="verify", strict=False)
+    verify = BaselineFirewall(store, mode="verify")
     ExperimentEngine(smoke=True, cache=None, write=False,
                      firewall=verify).run("e1")
     assert verify.stats.divergent == 1
