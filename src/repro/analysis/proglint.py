@@ -265,7 +265,7 @@ class ProgramLinter:
     def _check_memory(self, cfg: CFG, reachable: List[bool]) -> None:
         instructions = self.program.instructions
         states = self._constant_states(cfg, reachable)
-        image: Set[int] = {word.addr for word in self.program.data}
+        image = self.program.image
         resolved, store_targets = resolved_addresses(
             self.program, cfg, reachable, states
         )

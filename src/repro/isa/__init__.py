@@ -29,7 +29,7 @@ from repro.isa.registers import (
     parse_reg,
 )
 from repro.isa.instruction import Instruction
-from repro.isa.program import Program, DataWord
+from repro.isa.program import Program
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import Interpreter, ArchState, run_program
 
@@ -44,7 +44,6 @@ __all__ = [
     "parse_reg",
     "Instruction",
     "Program",
-    "DataWord",
     "assemble",
     "Interpreter",
     "ArchState",

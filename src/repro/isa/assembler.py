@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 from repro.errors import AssemblyError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.program import DataWord, Program
+from repro.isa.program import Program
 from repro.isa.registers import parse_reg
 
 _MEM_OPERAND = re.compile(r"^(?P<imm>[^()]+)\((?P<reg>[^()]+)\)$")
@@ -64,7 +64,7 @@ def assemble(source: str, name: str = "program") -> Program:
     """
     pending: List[Tuple[int, str, str, List[str]]] = []  # line no, line, mnemonic, operands
     labels: Dict[str, int] = {}
-    data: List[DataWord] = []
+    image: Dict[int, int] = {}
 
     for line_number, raw in enumerate(source.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -75,8 +75,13 @@ def assemble(source: str, name: str = "program") -> Program:
         if directive:
             addr = _parse_int(directive.group("addr"), line_number, raw)
             for offset, word_text in enumerate(directive.group("words").split()):
-                value = _parse_int(word_text, line_number, raw)
-                data.append(DataWord(addr + 8 * offset, value & (2**64 - 1)))
+                word_addr = addr + 8 * offset
+                if word_addr in image:
+                    raise AssemblyError(
+                        f"data word at {word_addr:#x} is written twice",
+                        line_number, raw,
+                    )
+                image[word_addr] = _parse_int(word_text, line_number, raw)
             continue
 
         label_match = _LABEL_DEF.match(line)
@@ -98,7 +103,7 @@ def assemble(source: str, name: str = "program") -> Program:
         _encode(line_number, raw, mnemonic, operands, labels)
         for line_number, raw, mnemonic, operands in pending
     ]
-    program = Program(instructions, labels=labels, data=data, name=name)
+    program = Program(instructions, labels=labels, image=image, name=name)
     program.validate()
     return program
 

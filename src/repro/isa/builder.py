@@ -23,9 +23,7 @@ from typing import Dict, List, Tuple, Union
 from repro.errors import ReproError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.program import DataWord, Program
-
-_MASK64 = 2**64 - 1
+from repro.isa.program import Program
 
 LabelOrIndex = Union[str, int]
 
@@ -37,7 +35,7 @@ class ProgramBuilder:
         self.name = name
         self._instructions: List[Instruction] = []
         self._labels: Dict[str, int] = {}
-        self._data: List[DataWord] = []
+        self._image: Dict[int, int] = {}
         self._fixups: List[Tuple[int, str]] = []  # (instr index, label)
         self._secret_ranges: List[Tuple[int, int]] = []
 
@@ -53,7 +51,11 @@ class ProgramBuilder:
         return self._labels[name]
 
     def data_word(self, addr: int, value: int) -> None:
-        self._data.append(DataWord(addr, value & _MASK64))
+        """Initialise the word at ``addr``; :class:`Program` checks the
+        address and reduces the value to 64 bits when it is built."""
+        if addr in self._image:
+            raise ReproError(f"data word at {addr:#x} is written twice")
+        self._image[addr] = value
 
     def data_words(self, addr: int, values) -> None:
         for offset, value in enumerate(values):
@@ -215,7 +217,7 @@ class ProgramBuilder:
                 label=label,
             )
         program = Program(
-            instructions, labels=dict(self._labels), data=list(self._data),
+            instructions, labels=dict(self._labels), image=self._image,
             name=self.name, secret_ranges=list(self._secret_ranges),
         )
         program.validate()

@@ -34,9 +34,11 @@ class ArchState:
 
     @classmethod
     def fresh(cls, program: Optional[Program] = None) -> "ArchState":
-        memory = SparseMemory()
-        if program is not None:
-            memory.load_image(program.data)
+        """Zeroed registers, PC 0, and memory holding a copy of
+        ``program``'s data image (empty without a program).  The copy
+        is the run's own: no run writes through to the image the next
+        run starts from."""
+        memory = SparseMemory(None if program is None else program.image)
         return cls(regs=[0] * REG_COUNT, memory=memory, pc=0)
 
     def read_reg(self, index: int) -> int:

@@ -1,33 +1,26 @@
 """Program container: instructions, labels, and an initial data image.
 
 A :class:`Program` is what workload generators produce and what every
-core consumes.  The data image is a list of :class:`DataWord` records so
-that generators can lay out heaps, linked lists and tables without
-touching a memory model directly.
+core consumes.  The data image is one read-only ``{address: value}``
+word map, validated once when the program is built: every address is
+8-byte aligned and in range, every value fits 64 bits.  Each run starts
+from a copy of it (:meth:`repro.isa.interpreter.ArchState.fresh`), so
+generators lay out heaps, linked lists and tables without touching a
+memory model directly.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.isa.instruction import Instruction
 from repro.regress.semid import line_digest
 
 WORD_SIZE = 8  # bytes per architectural word
-
-
-@dataclasses.dataclass(frozen=True)
-class DataWord:
-    """One initialised 64-bit word of the data image."""
-
-    addr: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.addr % WORD_SIZE != 0:
-            raise ReproError(f"data word at misaligned address {self.addr:#x}")
+_MASK64 = 2**64 - 1
+_MAX_WORD_ADDR = 2**64 - WORD_SIZE  # the highest address a word can start at
 
 
 class Program:
@@ -35,19 +28,23 @@ class Program:
 
     Instances are conceptually immutable once built; workload generators
     construct them through :class:`ProgramBuilder` or the assembler.
+    ``image`` maps each initialised word's byte address to its value, in
+    layout order; the program keeps its own checked copy, exposed as the
+    read-only :attr:`image` that every run starts from.
     """
 
     def __init__(
         self,
         instructions: List[Instruction],
         labels: Optional[Dict[str, int]] = None,
-        data: Optional[Iterable[DataWord]] = None,
+        image: Optional[Mapping[int, int]] = None,
         name: str = "program",
         secret_ranges: Optional[Iterable[Tuple[int, int]]] = None,
     ):
         self.instructions: List[Instruction] = list(instructions)
         self.labels: Dict[str, int] = dict(labels or {})
-        self.data: List[DataWord] = list(data or [])
+        self.image: MappingProxyType[int, int] = MappingProxyType(
+            _checked_image(image or {}))
         self.name = name
         # Half-open [start, end) byte ranges of the data image that hold
         # secret values, for the speculative-leak taint analysis
@@ -62,6 +59,11 @@ class Program:
                     f"be non-empty and word-aligned"
                 )
         self._fingerprint: Optional[str] = None
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild through __init__.
+        return (Program, (self.instructions, self.labels, dict(self.image),
+                          self.name, self.secret_ranges))
 
     @property
     def has_secrets(self) -> bool:
@@ -107,8 +109,8 @@ class Program:
                 f"i:{inst.op.value}:{inst.rd}:{inst.rs1}:{inst.rs2}:"
                 f"{inst.imm}:{inst.target}"
             )
-        for word in self.data:
-            yield f"d:{word.addr}:{word.value}"
+        for addr, value in self.image.items():
+            yield f"d:{addr}:{value}"
         # Secret annotations change what the taint analysis reports,
         # so they are part of content identity — but only when
         # present, so every pre-existing fingerprint is unchanged.
@@ -150,3 +152,21 @@ class Program:
                     )
         if not any(inst.op is Op.HALT for inst in self.instructions):
             raise ReproError("program has no HALT instruction")
+
+
+def _checked_image(image: Mapping[int, int]) -> Dict[int, int]:
+    """A copy of ``image`` with every address checked and every value
+    reduced to 64 bits; raises :class:`ReproError` naming the first bad
+    address."""
+    words = dict(image)
+    for addr, value in words.items():
+        if addr % WORD_SIZE:
+            raise ReproError(f"data word at misaligned address {addr:#x}")
+        if not 0 <= addr <= _MAX_WORD_ADDR:
+            raise ReproError(
+                f"data word address {addr:#x} is outside "
+                f"[0, {_MAX_WORD_ADDR:#x}]"
+            )
+        if not 0 <= value <= _MASK64:
+            words[addr] = value & _MASK64  # replaces a value, adds no key
+    return words

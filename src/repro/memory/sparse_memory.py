@@ -2,7 +2,9 @@
 
 The architectural memory image of a simulated machine.  Addresses are
 byte addresses but accesses are aligned 64-bit words (the ISA's only
-access size); unwritten words read as zero.  Copy-on-demand snapshots
+access size); unwritten words read as zero.  A run's memory starts as a
+copy of its program's validated data image
+(:attr:`repro.isa.program.Program.image`).  Copy-on-demand snapshots
 support speculative cores that need cheap rollback of *committed* state
 (in practice the SST core never mutates committed memory speculatively,
 but tests use snapshots for differential checks).
@@ -10,7 +12,8 @@ but tests use snapshots for differential checks).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ExecutionError
 
@@ -19,10 +22,18 @@ _MASK64 = 2**64 - 1
 
 
 class SparseMemory:
-    """Dictionary-backed word store with alignment checking."""
+    """Dictionary-backed word store with alignment checking.
 
-    def __init__(self) -> None:
-        self._words: Dict[int, int] = {}
+    ``image``, when given, is a program's data image.  It was checked
+    when the program was built, so it is copied without going through
+    :meth:`write`.  No ``__slots__``: the sanitizer replaces
+    :meth:`write` on the instance.
+    """
+
+    def __init__(
+        self, image: Optional[MappingProxyType[int, int]] = None
+    ) -> None:
+        self._words: Dict[int, int] = {} if image is None else image.copy()
 
     @staticmethod
     def _check(addr: int) -> int:
@@ -39,11 +50,6 @@ class SparseMemory:
     def write(self, addr: int, value: int) -> None:
         """Write the 64-bit word at ``addr``."""
         self._words[self._check(addr)] = value & _MASK64
-
-    def load_image(self, data) -> None:
-        """Initialise from an iterable of :class:`repro.isa.program.DataWord`."""
-        for word in data:
-            self.write(word.addr, word.value)
 
     def snapshot(self) -> Dict[int, int]:
         """A copy of all non-zero words, for differential comparison."""

@@ -136,12 +136,11 @@ def line_digest(lines: Iterable[str]) -> str:
     <repro.isa.program.Program.fingerprint>` format: each record is
     hashed as ``f"{line}\\n"`` in order.  Callers are responsible for
     making records unambiguous (type-tag prefixes like ``i:`` / ``d:``
-    and field separators), exactly as before.
+    and field separators), exactly as before.  The records are joined
+    and hashed in one update: a program's data image alone is up to
+    64k records.
     """
-    hasher = hashlib.sha256()
-    for line in lines:
-        hasher.update(f"{line}\n".encode())
-    return hasher.hexdigest()
+    return hashlib.sha256("\n".join([*lines, ""]).encode()).hexdigest()
 
 
 def state_digest(regs: Iterable[int],

@@ -15,7 +15,8 @@ reusable discovery engine:
   (in-order, two OoO variants, four SST variants, scout-only) and an
   instrumented SST leg (the default SST config with the sanitizer and
   the taint tracker attached, which must also match the plain SST
-  leg's cycles); any divergence comes back as a string verdict,
+  leg's cycles); any divergence, or a run that wrote through to the
+  program's shared data image, comes back as a string verdict,
 * :func:`fuzz` — drives hypothesis' ``find`` so a failing shape is
   *shrunk* to a minimal reproducer before being reported.
 
@@ -52,7 +53,7 @@ from repro.config import (
     SSTConfig,
 )
 from repro.core import SSTCore
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulatorInvariantError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
@@ -223,7 +224,13 @@ def build_program(shape, name: str = "fuzzed") -> Program:
 def differential_check(program: Program) -> Optional[str]:
     """Run ``program`` through every machine variant; return a verdict
     string on the first divergence, ``None`` if all agree with the
-    golden interpreter."""
+    golden interpreter.
+
+    Every run starts from the program's one data image.  A run that
+    wrote through to it would hand the next run (and the golden run,
+    which comes after each core's) its own final memory, so the image is
+    compared with a snapshot after every core run."""
+    image = dict(program.image)
     results = {}
     for name, factory in CORE_FACTORIES:
         hierarchy = MemoryHierarchy(small_hierarchy())
@@ -231,6 +238,7 @@ def differential_check(program: Program) -> Optional[str]:
         try:
             result = core.run(max_instructions=MAX_INSTRUCTIONS)
             result.core_name = name
+            _check_image(program, image)
             verify_against_golden(result, program)
         except ReproError as error:
             return f"{name}: {error}"
@@ -246,6 +254,7 @@ def differential_check(program: Program) -> Optional[str]:
     try:
         result = core.run(max_instructions=MAX_INSTRUCTIONS)
         result.core_name = name
+        _check_image(program, image)
         verify_against_golden(result, program)
     except ReproError as error:
         return f"{name}: {error}"
@@ -256,6 +265,13 @@ def differential_check(program: Program) -> Optional[str]:
                 f"instructions, plain sst {plain.cycles} / "
                 f"{plain.instructions}")
     return None
+
+
+def _check_image(program: Program, snapshot: dict) -> None:
+    if program.image != snapshot:
+        raise SimulatorInvariantError(
+            "the run wrote through to the program's data image"
+        )
 
 
 @dataclasses.dataclass
@@ -287,7 +303,7 @@ def corrupt(program: Program) -> Program:
             break
     else:
         return program
-    return Program(instructions, data=program.data,
+    return Program(instructions, image=program.image,
                    name=program.name + "-corrupt",
                    secret_ranges=program.secret_ranges)
 

@@ -6,11 +6,11 @@ import pytest
 from repro.analysis.cfg import CFG
 from repro.analysis.proglint import DiagKind, check_program, lint_program
 from repro.config import inorder_machine
-from repro.errors import ProgramLintError
+from repro.errors import ProgramLintError, ReproError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.isa.program import DataWord, Program
+from repro.isa.program import Program
 from repro.sim.runner import simulate
 from repro.workloads.base import memoize_workload
 
@@ -246,8 +246,8 @@ def test_cfg_out_of_range_target_drops_edge():
 
 
 def test_data_word_misalignment_rejected_at_construction():
-    with pytest.raises(Exception):
-        DataWord(addr=3, value=1)
+    with pytest.raises(ReproError, match="misaligned address 0x3"):
+        Program([Instruction(Op.HALT)], image={3: 1})
 
 
 # ----------------------------------------------------------------------

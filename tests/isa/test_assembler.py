@@ -59,7 +59,7 @@ def test_data_directive_places_words():
         .data 0x1000: 1 2 0xff
         halt
     """)
-    assert [(w.addr, w.value) for w in program.data] == [
+    assert list(program.image.items()) == [
         (0x1000, 1), (0x1008, 2), (0x1010, 0xFF),
     ]
 
@@ -69,7 +69,17 @@ def test_negative_data_words_wrap_to_unsigned():
         .data 0x20: -1
         halt
     """)
-    assert program.data[0].value == 2**64 - 1
+    assert program.image[0x20] == 2**64 - 1
+
+
+def test_overlapping_data_directives_rejected():
+    with pytest.raises(AssemblyError, match="line 3: data word at 0x1008 "
+                                            "is written twice"):
+        assemble("""
+            .data 0x1000: 1 2
+            .data 0x1008: 3
+            halt
+        """)
 
 
 def test_comments_and_blank_lines_ignored():

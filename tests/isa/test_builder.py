@@ -51,9 +51,21 @@ def test_data_words_layout():
     builder.data_words(0x100, [1, 2, 3])
     builder.halt()
     program = builder.build()
-    assert [(w.addr, w.value) for w in program.data] == [
+    assert list(program.image.items()) == [
         (0x100, 1), (0x108, 2), (0x110, 3),
     ]
+
+
+@pytest.mark.parametrize("write_twice, addr", [
+    (lambda b: (b.data_word(0x100, 1), b.data_word(0x100, 2)), "0x100"),
+    (lambda b: (b.data_words(0x100, [1, 2]), b.data_word(0x108, 3)), "0x108"),
+    (lambda b: (b.data_word(0x110, 1), b.secret_words(0x100, [1, 2, 3])),
+     "0x110"),
+], ids=["data_word", "data_words", "secret_words"])
+def test_overlapping_data_word_rejected(write_twice, addr):
+    with pytest.raises(ReproError, match=f"^data word at {addr} is written "
+                                         f"twice$"):
+        write_twice(ProgramBuilder())
 
 
 def test_here_tracks_position():

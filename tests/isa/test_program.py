@@ -1,4 +1,6 @@
-"""Program container: validation, labels, disassembly."""
+"""Program container: validation, labels, disassembly, data image."""
+
+import pickle
 
 import pytest
 
@@ -6,7 +8,7 @@ from repro.errors import ReproError
 from repro.isa.assembler import assemble
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
-from repro.isa.program import DataWord, Program
+from repro.isa.program import Program
 
 
 def test_validate_rejects_empty():
@@ -29,9 +31,42 @@ def test_validate_requires_halt():
         program.validate()
 
 
-def test_misaligned_data_word_rejected():
-    with pytest.raises(ReproError, match="misaligned"):
-        DataWord(addr=0x101, value=1)
+@pytest.mark.parametrize("addr, message", [
+    (0x101, "misaligned address 0x101$"),
+    (-8, r"address -0x8 is outside \[0, 0xfffffffffffffff8\]$"),
+    (2**64, r"address 0x10000000000000000 is outside"),
+], ids=["misaligned", "negative", "past-2**64"])
+def test_misaligned_data_word_rejected(addr, message):
+    # A bad address fails once, where the program is built, with one
+    # line naming it -- not on every run that loads the image.
+    with pytest.raises(ReproError, match=message):
+        Program([Instruction(Op.HALT)], image={0x100: 1, addr: 1})
+
+
+def test_image_values_are_reduced_to_64_bits():
+    negative = Program([Instruction(Op.HALT)], image={0x100: -1})
+    unsigned = Program([Instruction(Op.HALT)], image={0x100: 2**64 - 1})
+    assert dict(negative.image) == {0x100: 2**64 - 1}
+    assert negative.fingerprint() == unsigned.fingerprint()
+
+
+def test_image_is_a_read_only_copy():
+    words = {0x100: 1}
+    program = Program([Instruction(Op.HALT)], image=words)
+    words[0x100] = 2
+    assert program.image[0x100] == 1
+    with pytest.raises(TypeError):
+        program.image[0x100] = 3  # type: ignore[index]
+
+
+def test_program_pickles_with_its_image():
+    program = assemble("""
+        .data 0x100: 5 6
+        halt
+    """, name="pickled")
+    restored = pickle.loads(pickle.dumps(program))
+    assert list(restored.image.items()) == list(program.image.items())
+    assert restored.fingerprint() == program.fingerprint()
 
 
 def test_label_of():

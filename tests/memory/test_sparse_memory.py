@@ -1,7 +1,8 @@
+from types import MappingProxyType
+
 import pytest
 
 from repro.errors import ExecutionError
-from repro.isa.program import DataWord
 from repro.memory.sparse_memory import SparseMemory
 
 
@@ -36,11 +37,13 @@ def test_out_of_range_address_raises():
         SparseMemory().read(1 << 64)
 
 
-def test_load_image():
-    memory = SparseMemory()
-    memory.load_image([DataWord(0x100, 7), DataWord(0x108, 8)])
+def test_starts_from_a_copy_of_the_image():
+    image = MappingProxyType({0x100: 7, 0x108: 8})
+    memory = SparseMemory(image)
     assert memory.read(0x100) == 7
     assert memory.read(0x108) == 8
+    memory.write(0x100, 9)
+    assert image[0x100] == 7
 
 
 def test_equality_ignores_explicit_zeros():

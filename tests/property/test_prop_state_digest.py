@@ -7,6 +7,10 @@ the state digest, which counts every word, so its golden check is
 stricter: it holds only while each core writes exactly the words the
 golden interpreter writes.  The fuzzer's heap images hold zero-valued
 words, so a core that dropped or added one would fail here.
+
+Every run starts from a copy of the program's one data image.  Each
+core runs twice: a run that wrote through to the image would change it
+and hand the second run the first run's final memory.
 """
 
 from hypothesis import given, seed, settings
@@ -31,8 +35,15 @@ CORES = [(name, dict(CORE_FACTORIES)[name])
 @given(program_shapes())
 def test_every_core_leaves_the_golden_digest(shape):
     program = build_program(shape)
+    image = dict(program.image)
     golden = run_program(program).digest()
     for name, factory in CORES:
-        core = factory(program, MemoryHierarchy(small_hierarchy()))
-        result = core.run(max_instructions=MAX_INSTRUCTIONS)
-        assert result.state.digest() == golden, name
+        runs = []
+        for _ in range(2):
+            core = factory(program, MemoryHierarchy(small_hierarchy()))
+            result = core.run(max_instructions=MAX_INSTRUCTIONS)
+            assert program.image == image, name
+            runs.append((result.cycles, result.instructions,
+                         result.state.digest()))
+        assert runs[0][2] == golden, name
+        assert runs[1] == runs[0], name

@@ -140,8 +140,8 @@ def test_program_fingerprint_is_bit_identical_to_legacy_format():
             f"i:{inst.op.value}:{inst.rd}:{inst.rs1}:{inst.rs2}:"
             f"{inst.imm}:{inst.target}\n".encode()
         )
-    for word in program.data:
-        hasher.update(f"d:{word.addr}:{word.value}\n".encode())
+    for addr, value in program.image.items():
+        hasher.update(f"d:{addr}:{value}\n".encode())
     for start, end in program.secret_ranges:
         hasher.update(f"s:{start}:{end}\n".encode())
     assert program.fingerprint() == hasher.hexdigest()

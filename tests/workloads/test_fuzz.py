@@ -10,6 +10,7 @@ from repro.analysis.sanitizer import SSTSanitizer
 from repro.errors import SanitizerError
 from repro.isa.interpreter import run_program
 from repro.isa.opcodes import Op
+from repro.memory.sparse_memory import SparseMemory
 from repro.workloads import fuzz as fuzz_module
 from repro.workloads.fuzz import (
     CORE_FACTORIES,
@@ -63,6 +64,20 @@ def test_instrumented_leg_runs_the_sanitizer(monkeypatch):
     assert verdict is not None
     assert verdict.startswith("sst-instrumented:")
     assert "seeded" in verdict
+
+
+def test_a_run_that_writes_through_to_the_image_is_a_verdict(monkeypatch):
+    # Seed the bug the check guards against: a run's memory that shares
+    # the program's image instead of copying it.
+    program = build_program(SHAPE)
+    monkeypatch.setattr(program, "image", dict(program.image))
+
+    def share_image(self, image=None):
+        self._words = {} if image is None else image
+
+    monkeypatch.setattr(SparseMemory, "__init__", share_image)
+    assert differential_check(program) == (
+        "inorder: the run wrote through to the program's data image")
 
 
 def test_core_factories_cover_all_machine_variants():

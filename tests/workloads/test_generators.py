@@ -49,13 +49,14 @@ def test_determinism(factory):
 def test_seed_changes_data():
     a = pointer_chase(chains=1, nodes_per_chain=32, hops=8, seed=1)
     b = pointer_chase(chains=1, nodes_per_chain=32, hops=8, seed=2)
-    assert [w.value for w in a.data] != [w.value for w in b.data]
+    assert list(a.image.values()) != list(b.image.values())
 
 
 def test_pointer_chase_chain_structure():
     program = pointer_chase(chains=1, nodes_per_chain=8, hops=4)
     # Follow next pointers: the chain must be a single cycle of 8 nodes.
-    nexts = {w.addr: w.value for w in program.data if w.addr % 16 == 0}
+    nexts = {addr: value for addr, value in program.image.items()
+             if addr % 16 == 0}
     start = next(iter(nexts))
     seen = set()
     node = start
@@ -87,8 +88,8 @@ def test_branch_bias_changes_predictability():
     biased = branchy_reduce(iterations=8, data_words=256, biased=True)
     unbiased = branchy_reduce(iterations=8, data_words=256, biased=False)
     def odd_fraction(program):
-        values = [w.value for w in program.data
-                  if w.addr >= HEAP_BASE]
+        values = [value for addr, value in program.image.items()
+                  if addr >= HEAP_BASE]
         return sum(v & 1 for v in values) / len(values)
     assert odd_fraction(biased) < 0.15
     assert 0.35 < odd_fraction(unbiased) < 0.65
@@ -97,7 +98,7 @@ def test_branch_bias_changes_predictability():
 def test_matrix_multiply_is_correct():
     n = 4
     program = matrix_multiply(n=n, seed=11)
-    words = {w.addr: w.value for w in program.data}
+    words = program.image
     from repro.workloads.base import HEAP_BASE
 
     a = [[words[HEAP_BASE + 8 * (i * n + j)] for j in range(n)]

@@ -29,8 +29,8 @@ def test_scatter_alias_controls_hot_pointers():
 
     hot_top = HEAP_BASE + 8 * HOT_WORDS
     def hot_fraction(program):
-        pointers = [w.value for w in program.data
-                    if w.value >= HEAP_BASE and w.addr > hot_top]
+        pointers = [value for addr, value in program.image.items()
+                    if value >= HEAP_BASE and addr > hot_top]
         hot = sum(1 for p in pointers if p < hot_top)
         return hot / len(pointers)
     none = scatter_update(table_words=1024, alias_per_1024=0)

@@ -30,7 +30,7 @@ def test_scales_grow():
     tiny = commercial_suite("tiny")
     small = commercial_suite("small")
     for tiny_program, small_program in zip(tiny, small):
-        assert len(small_program.data) >= len(tiny_program.data)
+        assert len(small_program.image) >= len(tiny_program.image)
 
 
 def test_unknown_scale_rejected():
