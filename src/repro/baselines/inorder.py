@@ -67,7 +67,7 @@ class InOrderCore(Core):
         # point and attribute hops dominate otherwise.  Decode comes
         # from the block cache's flat rows — one tuple unpack per
         # instruction instead of a dataclass attribute walk.
-        rows = blockcache.rows_for(program)
+        rows = blockcache.get_block_program(program)
         n_insts = len(rows)
         # Direct register-file indexing: writes below guard the zero
         # register, so ``regs[0]`` is invariantly 0 and reads need no

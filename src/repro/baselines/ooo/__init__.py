@@ -6,15 +6,5 @@ disambiguation bound how much of the true dataflow parallelism is
 reachable."""
 
 from repro.baselines.ooo.ooo_core import OoOCore
-from repro.baselines.ooo.structures import (
-    BandwidthAllocator,
-    IssuePortAllocator,
-    OccupancyWindow,
-)
 
-__all__ = [
-    "OoOCore",
-    "BandwidthAllocator",
-    "IssuePortAllocator",
-    "OccupancyWindow",
-]
+__all__ = ["OoOCore"]

@@ -86,13 +86,19 @@ class OoOCore(Core):
         branch_unit = self.branch_unit
         model_ifetch = hierarchy.config.model_ifetch
 
-        # Structural-hazard state, inlined from
-        # :mod:`repro.baselines.ooo.structures` (BandwidthAllocator,
-        # IssuePortAllocator, OccupancyWindow): each primitive is a
-        # handful of integer operations, so at one call per structure
-        # per dynamic instruction the call overhead dominated the work.
-        # The semantics here must stay in lockstep with that module —
-        # the structures tests are the executable spec.
+        # Structural-hazard state, kept in locals because each update is
+        # a handful of integer operations and a call per structure per
+        # dynamic instruction would cost more than the work:
+        # * fetch and commit bandwidth are forward-only cursors: at most
+        #   ``width`` claims per cycle, never before the requested cycle;
+        # * issue ports are a per-cycle claim count, because out-of-order
+        #   issue asks for slots in any time order;
+        # * the ROB, IQ and LSQ are K-entry windows, each a deque of
+        #   release cycles: once K entries are held, a dispatch waits
+        #   for the oldest entry's release (ROB and LSQ entries are
+        #   released at commit, IQ entries at issue).  A dispatch that
+        #   waits counts one ``full_stalls`` and its wait in
+        #   ``stall_cycles``.
         fetch_width = config.fetch_width
         fetch_cursor = 0  # forward-moving bandwidth cursor
         fetch_used = 0
@@ -114,7 +120,7 @@ class OoOCore(Core):
         # Hot-loop locals (see inorder.py): one dynamic instruction per
         # iteration, tens of millions of iterations per point.  Decode
         # comes from the block cache's flat rows.
-        rows = blockcache.rows_for(program)
+        rows = blockcache.get_block_program(program)
         n_insts = len(rows)
         # Direct register-file indexing: writes below guard the zero
         # register, so ``regs[0]`` is invariantly 0 and reads need no
@@ -167,10 +173,10 @@ class OoOCore(Core):
         pc = 0
 
         # Observability (never feeds back into timing).  Window-full
-        # attribution comes for free from the OccupancyWindows at HALT;
-        # the waits measured here are per-instruction and may overlap in
-        # time, so they are a *attribution* of waiting, not a partition
-        # of the cycle count.
+        # attribution is the ROB/IQ/LSQ stall counters above, copied
+        # into ``stalls`` at HALT; the waits measured here are
+        # per-instruction and may overlap in time, so they are an
+        # *attribution* of waiting, not a partition of the cycle count.
         stalls = {"operand": 0, "issue_port": 0, "mem_order": 0}
         perf = PerfCounters(stall_cycles=stalls)
         dispatched = 0

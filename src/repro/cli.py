@@ -76,8 +76,8 @@ import time
 import traceback
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.config import ConfigError
 from repro.experiments import (
+    DEFAULT_BENCH_MAX_INSTRUCTIONS,
     ExperimentEngine,
     ResultSchemaError,
     default_results_dir,
@@ -85,7 +85,6 @@ from repro.experiments import (
     list_specs,
     load_result_doc,
 )
-from repro.experiments.bench_env import max_instructions_from_env
 from repro.experiments.spec import ExperimentLookupError
 from repro.regress.firewall import BaselineFirewall
 from repro.regress.store import BaselineStore
@@ -180,24 +179,13 @@ def _run_experiments(specs: List[Any], engine_kwargs: Dict[str, Any],
         yield from pool.imap(_run_one, payloads)
 
 
-def _instruction_budget(args: argparse.Namespace) -> int:
-    """``--max-instructions``, else ``REPRO_BENCH_MAX_INSTRUCTIONS``.
-
-    Resolved once, before any experiment starts, so a malformed knob
-    is one diagnostic rather than a traceback per experiment.
-    """
-    explicit = getattr(args, "max_instructions", None)
-    return explicit if explicit is not None else max_instructions_from_env()
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.sanitize:
         args.smoke = True
         args.no_cache = True
     try:
         specs = _select_specs(args.ids, args.all, args.tag)
-        budget = _instruction_budget(args)
-    except (ExperimentLookupError, ConfigError) as exc:
+    except ExperimentLookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not specs:
@@ -205,8 +193,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     engine_kwargs: Dict[str, Any] = {
-        "smoke": bool(args.smoke) or None,
-        "max_instructions": budget,
+        "smoke": bool(args.smoke),
+        "max_instructions": args.max_instructions,
         "results_dir": args.results_dir,
         "echo": bool(args.echo),
     }
@@ -330,8 +318,7 @@ def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
 
     try:
         specs = _select_specs(args.ids, args.all, None)
-        budget = _instruction_budget(args)
-    except (ExperimentLookupError, ConfigError) as exc:
+    except ExperimentLookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not specs:
@@ -339,8 +326,7 @@ def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
         return 2
 
     firewall = BaselineFirewall(_open_store(args), mode=mode)
-    engine_kwargs: Dict[str, Any] = {"smoke": bool(args.smoke) or None,
-                                      "max_instructions": budget,
+    engine_kwargs: Dict[str, Any] = {"smoke": bool(args.smoke),
                                       "write": False}
     firewall_spec: Dict[str, Any] = {"root": firewall.store.root,
                                      "mode": mode}
@@ -600,17 +586,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to experiments carrying this tag")
     cmd_run.add_argument("--smoke", action="store_true",
                          help="shrink every workload so the suite runs "
-                              "in seconds (like REPRO_BENCH_SMOKE=1)")
+                              "in seconds")
     cmd_run.add_argument("--jobs", type=int, default=1,
                          help="experiments to run concurrently "
                               "(default: 1; 0 = all cores)")
     cmd_run.add_argument("--no-cache", action="store_true",
                          help="disable the result cache (like "
                               "REPRO_CACHE=0)")
-    cmd_run.add_argument("--max-instructions", type=int, default=None,
-                         help="override the per-run instruction budget "
-                              "(default: REPRO_BENCH_MAX_INSTRUCTIONS "
-                              "or 50M)")
+    cmd_run.add_argument("--max-instructions", type=int,
+                         default=DEFAULT_BENCH_MAX_INSTRUCTIONS,
+                         help="per-run instruction budget (default: "
+                              "50M, the budget the baseline records "
+                              "are keyed at)")
     cmd_run.add_argument("--results-dir", type=pathlib.Path, default=None,
                          help="where tables and JSON documents land "
                               "(default: the checkout's "

@@ -411,11 +411,10 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 # Runtime environment knobs.
 #
 # The simulator reads a small set of REPRO_* environment variables; the
-# knob constants and shared parsers live here so there is one documented
-# home for them.  Every on/off switch parses through env_flag and every
-# integer through env_int.  The full set (tests/config/test_env_registry.py
-# greps this block against the actual ``os.environ.get("REPRO_...`` call
-# sites, so keep it complete):
+# shared switch parser lives here so there is one documented home for
+# them.  Every on/off switch parses through env_flag.  The full set
+# (tests/config/test_env_registry.py greps this block against the actual
+# ``os.environ.get("REPRO_...`` call sites, so keep it complete):
 #
 #   REPRO_CACHE             off ("0") disables the result cache
 #   REPRO_CACHE_DIR         result-cache directory override
@@ -424,29 +423,8 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #   REPRO_TAINT             on ("1") attaches the speculative-leak
 #                           taint tracker (and the e19 gadget gate)
 #   REPRO_BASELINE_DIR      baseline-record directory override
-#   REPRO_BENCH_SMOKE       on ("1") shrinks benchmarks to smoke scale
-#   REPRO_BENCH_MAX_INSTRUCTIONS   per-run instruction budget cap
 #   REPRO_RESULTS_DIR       benchmark-results directory override
 # ---------------------------------------------------------------------------
-
-def env_int(name: str, default: int) -> int:
-    """Parse an integer REPRO_* knob, naming the variable on error.
-
-    Blank values (``REPRO_BENCH_MAX_INSTRUCTIONS=""``) fall back to
-    ``default`` like an unset variable; anything else must parse as an
-    integer or the error says *which* knob was malformed instead of a
-    bare ``ValueError`` traceback.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{name} must be an integer, got {raw!r}"
-        ) from None
-
 
 _FLAG_ON = ("1", "on", "true", "yes")
 _FLAG_OFF = ("0", "off", "false", "no")

@@ -200,11 +200,11 @@ class SSTCore(Core):
         # either way.  See repro.analysis.taint_tracker.
         self.taint = make_taint_tracker(self, program)
 
-        # ---- block-dispatch fast paths ---------------------------------
+        # ---- decoded rows ----------------------------------------------
         # Flat decoded rows, shared via the fingerprint-keyed block
         # cache; the reference decode (program.instructions) stays the
         # source of truth and the rows are derived from it.
-        self._rows = blockcache.rows_for(program)
+        self._rows = blockcache.get_block_program(program)
         # mode_cycles key of the current mode, maintained at every mode
         # transition so accounting skips the per-call dict lookup.
         self._mode_key = _MODE_KEY[self.mode]

@@ -9,13 +9,15 @@ pieces of that discipline that used to be re-implemented per core:
   used by the in-order pipeline and by the SST core's normal mode.  A
   claim at a future cycle is a *fast-forward*: the clock lands directly
   on the wake event and the skipped span is recorded, never simulated.
-* :func:`earliest_pending` — the allocation-free wake-minimum scan the
-  SST speculative loop uses to find the next event among outstanding
-  deferred producers.
 * :class:`PerfCounters` — lightweight host-observability counters
   (cycles actually stepped vs. fast-forwarded, stall attribution)
   surfaced on every :class:`~repro.baselines.core_base.CoreResult`
   under ``extra["perf"]`` and in every result-document point.
+
+Each core finds its next wake event inline: a memory access returns
+the cycle its data is ready (``ready_cycle``), and the generated SST
+speculative loop folds its strands' ready cycles into one running
+``wake_min`` per idle cycle.
 
 The counters are pure observability: they never feed back into timing,
 so enabling them cannot perturb simulated cycle counts.
@@ -24,7 +26,7 @@ so enabling them cannot perturb simulated cycle counts.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 
 @dataclasses.dataclass
@@ -119,28 +121,3 @@ class IssueClock:
                 stalls[cause] = stalls.get(cause, 0) + (cycle - self.cycle)
             self.cycle = cycle
             self.slots = 0
-
-
-def earliest_pending(ready_cycles: Iterable[int],
-                     cycle: int) -> Optional[int]:
-    """Earliest completion strictly after ``cycle``, or None.
-
-    The SST core's wake-minimum scan: runs allocation-free over the
-    outstanding producers' ready times on every idle speculative cycle,
-    so the speculative loop can jump straight to the next event.
-    """
-    earliest: Optional[int] = None
-    for ready in ready_cycles:
-        if ready > cycle and (earliest is None or ready < earliest):
-            earliest = ready
-    return earliest
-
-
-def fold_wake(wake_min: Optional[int], candidate: Optional[int],
-              cycle: int) -> Optional[int]:
-    """Fold one wake candidate into the running next-event minimum."""
-    if candidate is None or candidate <= cycle:
-        return wake_min
-    if wake_min is None or candidate < wake_min:
-        return candidate
-    return wake_min

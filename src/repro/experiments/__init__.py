@@ -29,7 +29,6 @@ from repro.experiments.bench_env import (
     BenchEnv,
     DEFAULT_BENCH_MAX_INSTRUCTIONS,
     SMOKE_DIVISOR,
-    smoke_from_env,
 )
 from repro.experiments.engine import ExperimentEngine, run_experiment
 from repro.experiments.results import (
@@ -60,7 +59,6 @@ __all__ = [
     "BenchEnv",
     "DEFAULT_BENCH_MAX_INSTRUCTIONS",
     "SMOKE_DIVISOR",
-    "smoke_from_env",
     "ExperimentEngine",
     "run_experiment",
     "RESULT_SCHEMA_VERSION",

@@ -14,16 +14,18 @@ multi-MB caches: frequent L2 misses with room for memory-level
 parallelism.  Absolute IPCs are therefore not comparable to silicon;
 relative orderings are the reproduction target.
 
-Environment knobs (defaults only — constructor arguments win):
+Run settings are constructor arguments:
 
-* ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` — content-addressed result
-  cache gate and location (default on, ``benchmarks/.simcache/``).
-* ``REPRO_BENCH_MAX_INSTRUCTIONS`` — per-run instruction budget
-  (runaway guard) override; default 50M.
-* ``REPRO_BENCH_SMOKE`` — set to ``1`` to shrink every workload by
-  :data:`SMOKE_DIVISOR` and use the tiny suite scale, so the full
-  19-experiment suite finishes in seconds (CI smoke mode; relative
-  orderings at this scale are indicative only).
+* ``smoke`` — shrink every workload by :data:`SMOKE_DIVISOR` and use
+  the tiny suite scale, so the full 19-experiment suite finishes in
+  seconds (CI smoke mode; relative orderings at this scale are
+  indicative only).  Default off.
+* ``max_instructions`` — per-run instruction budget (runaway guard);
+  default :data:`DEFAULT_BENCH_MAX_INSTRUCTIONS` (50M), the budget
+  every committed baseline record is keyed at.
+* ``cache`` — the result cache; by default ``REPRO_CACHE`` /
+  ``REPRO_CACHE_DIR`` choose its gate and location (default on,
+  ``benchmarks/.simcache/``).
 
 Every simulation routed through the environment is also *recorded*:
 ``env.points`` accumulates one JSON-ready row per point (machine,
@@ -47,8 +49,6 @@ from repro.config import (
     HierarchyConfig,
     MachineConfig,
     ea_machine,
-    env_flag,
-    env_int,
     inorder_machine,
     ooo_machine,
     scout_machine,
@@ -70,30 +70,15 @@ SMOKE_DIVISOR = 16
 _UNSET = object()
 
 
-def smoke_from_env() -> bool:
-    """The ``REPRO_BENCH_SMOKE`` gate."""
-    return env_flag("REPRO_BENCH_SMOKE", default=False)
-
-
-def max_instructions_from_env() -> int:
-    """The ``REPRO_BENCH_MAX_INSTRUCTIONS`` budget (default 50M)."""
-    return env_int(
-        "REPRO_BENCH_MAX_INSTRUCTIONS", DEFAULT_BENCH_MAX_INSTRUCTIONS
-    )
-
-
 class BenchEnv:
     """One experiment run's machines, workloads, and execution engine."""
 
-    def __init__(self, *, smoke: Optional[bool] = None,
-                 max_instructions: Optional[int] = None,
+    def __init__(self, *, smoke: bool = False,
+                 max_instructions: int = DEFAULT_BENCH_MAX_INSTRUCTIONS,
                  cache: Any = _UNSET,
                  firewall: Optional[BaselineFirewall] = None):
-        self.smoke = smoke_from_env() if smoke is None else bool(smoke)
-        self.max_instructions = (
-            max_instructions_from_env() if max_instructions is None
-            else int(max_instructions)
-        )
+        self.smoke = bool(smoke)
+        self.max_instructions = int(max_instructions)
         self.cache: Optional[ResultCache] = (
             cache_from_env() if cache is _UNSET else cache
         )

@@ -28,7 +28,11 @@ import pathlib
 import time
 from typing import Any, Dict, Optional, Union
 
-from repro.experiments.bench_env import BenchEnv, _UNSET
+from repro.experiments.bench_env import (
+    BenchEnv,
+    DEFAULT_BENCH_MAX_INSTRUCTIONS,
+    _UNSET,
+)
 from repro.experiments.results import (
     RESULT_SCHEMA_VERSION,
     validate_result_doc,
@@ -43,8 +47,8 @@ from repro.stats.report import Table
 class ExperimentEngine:
     """Runs registered experiment specs into result documents."""
 
-    def __init__(self, *, smoke: Optional[bool] = None,
-                 max_instructions: Optional[int] = None,
+    def __init__(self, *, smoke: bool = False,
+                 max_instructions: int = DEFAULT_BENCH_MAX_INSTRUCTIONS,
                  cache: Any = _UNSET,
                  results_dir: Optional[pathlib.Path] = None,
                  write: bool = True,
@@ -130,5 +134,6 @@ class ExperimentEngine:
 def run_experiment(spec: Union[str, ExperimentSpec],
                    **engine_kwargs: Any) -> Dict[str, Any]:
     """One-shot convenience: run a spec with default engine settings
-    (environment knobs still apply) and return its result document."""
+    (the ``REPRO_CACHE*`` and observer knobs still apply) and return
+    its result document."""
     return ExperimentEngine(**engine_kwargs).run(spec)

@@ -10,10 +10,9 @@ by the integration and hypothesis test suites.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, NoReturn, Optional, Tuple
+from typing import List, NoReturn, Optional
 
 from repro.errors import ExecutionError, ReproError
-from repro.isa import blockcache
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 from repro.isa.registers import REG_COUNT, ZERO_REG
@@ -110,37 +109,11 @@ class Interpreter:
         self.stats = InterpreterStats()
         self.max_steps = max_steps
         self.halted = False
-        self._block_fns: Dict[int, Tuple[Callable, int]] = (
-            blockcache.get_block_program(program).block_fns
-        )
 
     def run(self) -> ArchState:
         """Run to HALT; raises :class:`ExecutionError` on runaway."""
-        # Block dispatch: whole basic blocks execute as one generated
-        # function call.  step() remains the per-instruction reference
-        # and the fallback for mid-block entry PCs (JALR return into a
-        # block body) and for blocks that would overrun max_steps.
-        state = self.state
-        regs = state.regs
-        mem_read = state.memory.read
-        mem_write = state.memory.write
-        stats = self.stats
-        max_steps = self.max_steps
-        get_block = self._block_fns.get
         while not self.halted:
-            entry = get_block(state.pc)
-            if entry is None:
-                self.step()
-                continue
-            fn, length = entry
-            if stats.instructions + length > max_steps:
-                self.step()
-                continue
-            next_pc = fn(state, regs, mem_read, mem_write, stats)
-            if next_pc is None:
-                self.halted = True
-                break
-            state.pc = next_pc
+            self.step()
         return self.state
 
     def step(self) -> None:

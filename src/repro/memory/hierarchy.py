@@ -16,7 +16,7 @@ I-streams and D-streams compete in the shared L2 without aliasing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Set
+from typing import Set
 
 import dataclasses as _dataclasses
 
@@ -277,25 +277,6 @@ class MemoryHierarchy:
         self.l1i_mshr.complete(line, ready)
         level = HitLevel.DRAM if from_dram else HitLevel.L2
         return AccessResult(ready, level)
-
-    # ------------------------------------------------------------------
-    # Event-driven fast-forwarding support.
-    # ------------------------------------------------------------------
-
-    def next_completion_cycle(
-            self, cycle: Optional[int] = None) -> Optional[int]:
-        """Earliest in-flight fill completion across all MSHR files.
-
-        Returns None when nothing is outstanding.  Cores use this to
-        jump their clocks straight to the next memory event instead of
-        polling the hierarchy every cycle.
-        """
-        earliest = None
-        for mshr in (self.l1d_mshr, self.l1i_mshr, self.l2_mshr):
-            ready = mshr.next_completion_cycle(cycle)
-            if ready is not None and (earliest is None or ready < earliest):
-                earliest = ready
-        return earliest
 
     # ------------------------------------------------------------------
     # Invariants.

@@ -8,10 +8,10 @@ earliest completion — that serialisation is exactly why bigger windows
 (or SST's deferred queue) only help up to the MSHR-limited MLP.
 
 The file keeps the earliest outstanding completion incrementally, so
-the common probes — "anything in flight?" and "when does the next fill
-land?" (:meth:`next_completion_cycle`, used by the cores' event-driven
-fast-forwarding) — are O(1) and expiry only scans when a fill has
-actually completed.
+the common probe "anything in flight?" (:meth:`idle_at`) is O(1), a
+full file knows when its first entry frees, and expiry only scans when
+a fill has actually completed.  The cores never poll the file for the
+next fill: each access returns its own ``ready_cycle``.
 """
 
 from __future__ import annotations
@@ -69,19 +69,6 @@ class MSHRFile:
             return False
         self._expire(cycle)
         return not pending
-
-    def next_completion_cycle(self, cycle: Optional[int] = None
-                              ) -> Optional[int]:
-        """Earliest outstanding fill completion, or None when idle.
-
-        With ``cycle`` given, entries completed at or before it are
-        retired first, so the answer is strictly in the future.  This is
-        the accessor the event-driven cores fast-forward on instead of
-        polling :meth:`pending_ready` every cycle.
-        """
-        if cycle is not None:
-            self._expire(cycle)
-        return self._min_ready if self._pending else None
 
     def occupancy(self, cycle: int) -> int:
         self._expire(cycle)

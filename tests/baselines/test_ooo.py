@@ -1,5 +1,7 @@
 """OoO core: window-limited overlap, disambiguation, redirects."""
 
+import pytest
+
 from repro.baselines.ooo import OoOCore
 from repro.config import OoOConfig
 from repro.isa.assembler import assemble
@@ -147,3 +149,39 @@ def test_stats_exposed(countdown_program):
     result = run(countdown_program)
     assert result.extra["ooo"].dispatched == result.instructions - 1
     assert "rob" in result.extra
+
+
+# A miss at the head of each program holds every later entry of the
+# targeted window until it fills; the rest of the program fills that
+# window and none of the others.
+WINDOW_PREFIX = ["movi r1, 0x100000", "movi r6, 0x200000", "ld r2, 0(r1)"]
+WINDOW_PROGRAMS = {
+    # Independent ALU work: only the ROB (held to in-order commit) fills.
+    "rob": (["addi r4, r4, 1"] * 60,
+            OoOConfig(rob_size=16, iq_size=16, lsq_size=16)),
+    # Consumers of the missing load: they wait in the IQ to issue.
+    "iq": (["add r3, r2, r3"] * 40,
+           OoOConfig(rob_size=128, iq_size=8, lsq_size=48)),
+    # Independent loads issue, but hold LSQ entries to commit.
+    "lsq": ([f"ld r5, {8 * (index % 4)}(r6)" for index in range(40)],
+            OoOConfig(rob_size=128, iq_size=48, lsq_size=8)),
+}
+ROOMY = OoOConfig(rob_size=256, iq_size=128, lsq_size=128)
+
+
+@pytest.mark.parametrize("window", sorted(WINDOW_PROGRAMS))
+def test_full_window_stalls_dispatch(window):
+    body, tight = WINDOW_PROGRAMS[window]
+    source = "\n".join(WINDOW_PREFIX + body + ["halt"])
+    stalled = run(source, tight, latency=200)
+    for name in WINDOW_PROGRAMS:
+        full_stalls = stalled.extra[name]["full_stalls"]
+        if name == window:
+            assert full_stalls > 0
+            assert stalled.extra[name]["stall_cycles"] >= full_stalls
+        else:
+            assert full_stalls == 0, name
+    roomy = run(source, ROOMY, latency=200)
+    assert all(roomy.extra[name]["full_stalls"] == 0
+               for name in WINDOW_PROGRAMS)
+    assert roomy.cycles <= stalled.cycles

@@ -34,7 +34,7 @@ def registry_block() -> str:
     """The documented knob registry comment in config.py."""
     text = CONFIG_PY.read_text()
     start = text.index("Runtime environment knobs")
-    end = text.index("def env_int(", start)
+    end = text.index("def env_flag(", start)
     return text[start:end]
 
 

@@ -1,12 +1,6 @@
-"""Shared event-driven timing layer: IssueClock, PerfCounters, wake
-scans."""
+"""Shared event-driven timing layer: IssueClock and PerfCounters."""
 
-from repro.core.timing import (
-    IssueClock,
-    PerfCounters,
-    earliest_pending,
-    fold_wake,
-)
+from repro.core.timing import IssueClock, PerfCounters
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +85,3 @@ def test_as_dict_round_trips_stalls():
     # The export is a copy, not a view.
     snapshot["stall_cycles"]["memory"] = 99
     assert perf.stall_cycles["memory"] == 3
-
-
-# ---------------------------------------------------------------------------
-# Wake scans.
-# ---------------------------------------------------------------------------
-
-
-def test_earliest_pending_ignores_past_and_present():
-    assert earliest_pending([5, 3, 9], cycle=3) == 5
-    assert earliest_pending([5, 3, 9], cycle=0) == 3
-    assert earliest_pending([2, 3], cycle=3) is None
-    assert earliest_pending([], cycle=0) is None
-
-
-def test_fold_wake_keeps_minimum_future_candidate():
-    assert fold_wake(None, 7, cycle=3) == 7
-    assert fold_wake(7, 5, cycle=3) == 5
-    assert fold_wake(5, 7, cycle=3) == 5
-    assert fold_wake(5, 3, cycle=3) == 5  # not in the future: ignored
-    assert fold_wake(None, None, cycle=3) is None

@@ -1,6 +1,5 @@
-"""Unit tests for the basic-block dispatch engine (repro.isa.blockcache):
-row decode fidelity, CFG block partitioning and fingerprint-keyed
-process caching."""
+"""Unit tests for the decode-once rows (repro.isa.blockcache): row
+decode fidelity and fingerprint-keyed process caching."""
 
 import pytest
 
@@ -82,40 +81,12 @@ def test_kind_codes_cover_every_op_class():
     assert K_ALU < K_LOAD < K_STORE
 
 
-def test_blocks_partition_the_program():
-    program = sample_program()
-    block_program = blockcache.get_block_program(program)
-    blocks = sorted(block_program.blocks)
-    assert blocks[0][0] == 0
-    assert blocks[-1][1] == len(program.instructions)
-    for (_, end), (next_start, _) in zip(blocks, blocks[1:]):
-        assert end == next_start
-    # The loop back-edge target must start a block.
-    targets = {inst.target for inst in program.instructions
-               if inst.op_class is OpClass.BRANCH}
-    assert targets <= {start for start, _ in blocks}
-
-
 def test_cache_shares_decode_across_equal_programs():
     first = blockcache.get_block_program(sample_program())
     second = blockcache.get_block_program(sample_program())
     assert first is second
+    assert first == blockcache.decode_rows(sample_program())
     # A different program (name participates in the fingerprint) must
     # not collide.
     other = blockcache.get_block_program(sample_program(name="other"))
     assert other is not first
-    # The cores' row decode is served from the same process cache.
-    program = sample_program()
-    assert blockcache.rows_for(program) is first.rows
-    assert blockcache.rows_for(program) is blockcache.rows_for(program)
-
-
-def test_block_fns_compiled_lazily_and_once():
-    block_program = blockcache.get_block_program(sample_program())
-    assert block_program._block_fns is None
-    fns = block_program.block_fns
-    assert fns is block_program.block_fns
-    assert set(fns) == {start for start, _ in block_program.blocks}
-    for start, (fn, length) in fns.items():
-        assert callable(fn)
-        assert length == dict(block_program.blocks)[start] - start

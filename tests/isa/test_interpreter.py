@@ -65,6 +65,20 @@ def test_misaligned_load_raises():
     """)
     with pytest.raises(ExecutionError, match="misaligned"):
         run_program(program)
+    # run() stops exactly where step() does: the PC stays on the
+    # faulting load, which counts as an instruction but not as a load.
+    interpreter = Interpreter(assemble("""
+        movi r1, 0x1003
+        addi r2, r0, 5
+        ld   r3, 0(r1)
+        addi r4, r0, 7
+        halt
+    """))
+    with pytest.raises(ExecutionError, match="misaligned"):
+        interpreter.run()
+    assert interpreter.state.pc == 2
+    assert interpreter.stats.instructions == 3
+    assert interpreter.stats.loads == 0
 
 
 def test_runaway_loop_raises():

@@ -170,15 +170,3 @@ def test_check_invariants_after_traffic():
     for index in range(200):
         hierarchy.data_access(0x1000 * index, cycle=index * 10)
     hierarchy.check_invariants()
-
-
-def test_next_completion_cycle_across_mshr_files():
-    hierarchy = make_hierarchy()
-    assert hierarchy.next_completion_cycle() is None
-    first = hierarchy.data_access(0x10000, cycle=0)
-    second = hierarchy.data_access(0x20000, cycle=0)
-    earliest = min(first.ready_cycle, second.ready_cycle)
-    assert hierarchy.next_completion_cycle(0) == earliest
-    assert (hierarchy.next_completion_cycle(max(first.ready_cycle,
-                                                second.ready_cycle))
-            is None)

@@ -66,16 +66,3 @@ def test_idle_at_probe():
     assert not mshr.idle_at(50)
     assert mshr.idle_at(100)  # fill landed
     assert mshr.idle_at(200)
-
-
-def test_next_completion_cycle_tracks_earliest_fill():
-    mshr = MSHRFile(entries=4)
-    assert mshr.next_completion_cycle() is None
-    mshr.allocate(0x100, 0)
-    mshr.complete(0x100, 300)
-    mshr.allocate(0x200, 0)
-    mshr.complete(0x200, 120)
-    assert mshr.next_completion_cycle() == 120
-    # Passing the clock retires completed fills first.
-    assert mshr.next_completion_cycle(120) == 300
-    assert mshr.next_completion_cycle(300) is None
