@@ -20,9 +20,14 @@ from repro.isa.instruction import Instruction
 from repro.stats.histogram import Histogram
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class DQEntry:
-    """One deferred instruction with its captured operands."""
+    """One deferred instruction with its captured operands.
+
+    Entries compare by identity: sequence numbers are unique, so
+    :meth:`DeferredQueue.remove` finds an entry without comparing its
+    fields, and an equal-looking entry that is not queued is not found.
+    """
 
     seq: int
     pc: int
@@ -96,13 +101,17 @@ class DeferredQueue:
 
     def remove(self, entry: DQEntry) -> None:
         """Replay an entry out of FIFO position (ROCK's re-deferral:
-        not-ready entries are skipped and retried on a later pass)."""
-        self.stats.replayed += 1
-        if self._entries and self._entries[0] is entry:
-            self._entries.popleft()
+        not-ready entries are skipped and retried on a later pass).
+
+        Raises ValueError, counting nothing, when ``entry`` is not
+        queued."""
+        entries = self._entries
+        if entries and entries[0] is entry:
+            entries.popleft()
         else:
+            entries.remove(entry)
             self.stats.replayed_out_of_order += 1
-            self._entries.remove(entry)
+        self.stats.replayed += 1
 
     def clear(self) -> None:
         self._entries.clear()

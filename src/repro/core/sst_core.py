@@ -181,8 +181,11 @@ class SSTCore(Core):
         # cache, so timing is bit-identical with or without it.
         self._replay_stall: Optional[int] = None
         self._commit_stall: Optional[int] = None
-        # Lazy min-heap over (ready, seq) of pending deferred producers;
-        # stale entries (overwritten or completed) are dropped on pop.
+        # Lazy min-heap over (ready, seq) of pending producers: the
+        # episode's trigger, ahead-strand misses and long ops, replayed
+        # entries and scout loads that miss (a scout NA destination
+        # only goes NA, so it never enters).  Stale entries
+        # (overwritten or completed) are dropped on pop.
         self._pending_heap: List[Tuple[int, int]] = []
 
         # ---- optional microarchitectural sanitizer ---------------------
@@ -941,9 +944,7 @@ class SSTCore(Core):
         A fruitless scan is memoized (``_replay_stall``): an entry's
         eligibility changes only with time (producer ready times, which
         the scan's wake minimum captures exactly) or with a DQ / slice
-        / store-buffer mutation, all of which clear the memo.  The
-        repeated full-queue scans this avoids were the single hottest
-        path in the simulator.
+        / store-buffer mutation, all of which clear the memo.
         """
         dq = self.dq
         if not dq:

@@ -1,21 +1,20 @@
-"""Generated-Python specializer for the SST speculative cycle loop.
+"""Generated-Python specializer for the SST episode loop.
 
-The speculative episode loop is the simulator's hottest code: one
-iteration per stepped speculative cycle.  Written as ordinary methods
-it cost about eight Python calls per issued instruction, so call
-overhead, not the modelling, bounded throughput.  This module emits
-the loop as Python source and ``exec``-compiles it once per
-configuration signature; it is :class:`~repro.core.sst_core.SSTCore`'s
-only episode loop:
+The episode loop is the simulator's hottest code: one iteration per
+stepped speculative cycle.  Written as ordinary methods it cost about
+eight Python calls per issued instruction, so call overhead, not the
+modelling, bounded throughput.  This module emits the loop as Python
+source and ``exec``-compiles it once per configuration signature; it is
+:class:`~repro.core.sst_core.SSTCore`'s only episode loop:
 
 * configuration-invariant branches (scout enabled?  long-op deferral?
   store bypass?  defer trigger level?) are pruned at generation time;
 * width, latencies and the mispredict penalty are baked in as integer
   literals;
-* the ahead-strand fast paths (ALU, load, store, branch, jumps, and
-  the scout equivalents), slot consumption, mode classification and
-  mode-cycle accounting are inlined — instruction decode reads the
-  block cache's flat rows (:mod:`repro.isa.blockcache`);
+* the ahead-strand fast paths (ALU, load, store, branch, jumps), slot
+  consumption, mode classification and mode-cycle accounting are
+  inlined — instruction decode reads the block cache's flat rows
+  (:mod:`repro.isa.blockcache`);
 * the memo fast-paths of the replay scan and commit check are inlined
   so blocked strands cost two attribute reads per cycle, while the
   *slow* paths stay ordinary method calls on the core — rollback,
@@ -23,23 +22,57 @@ only episode loop:
   one place (:mod:`repro.core.sst_core`), and so do the sanitizer and
   taint hooks those methods carry.
 
+The loop has two sections.  The *speculative cycle* runs execute-ahead,
+SST and replay-only cycles: commit checks, the replay strand, the ahead
+strand and mode classification.  Its mutable scalars (``_seq``,
+``_ahead_pc``, ``_cycle``, the memo words...) stay on the core, because
+the slow paths it calls read and write them; only the ahead strand's
+cursors and objects that are stable for one loop invocation (stats, the
+speculative register file arrays, the episode dicts, bound methods) are
+hoisted into locals.  An episode's containers are replaced only by
+``_begin_episode`` / ``_teardown_episode``, and every teardown path
+returns from the loop before the locals could go stale.
+
+The *scout section* runs the cycles of a scout session: the
+prefetch-only run-ahead that SST falls back to when the DQ, the store
+buffer or the checkpoints run out, always rolled back.  It issues on the
+ahead strand only, and it holds its per-cycle scalars (cycle, ahead PC,
+seq, the next-event hint, the stepped-cycle marker and the mode-account
+cycle) in locals, writing them back before ``_check_budget``, before
+``_rollback`` and at every return; the redirect barrier is a local too,
+and needs no write-back because scout never moves it.  A session ends
+only on ``until`` or by ``_rollback(cycle, None)`` once the clock
+reaches ``_scout_end``, so the section leaves out, exactly:
+
+* the commit guard: ``_try_commits`` returns at once in scout;
+* the replay strand, which scout never runs;
+* mode classification: the mode stays scout until the rollback;
+* the dependence records of an NA destination, which only goes NA.
+  Its record would be ready at ``_scout_end``, and that cannot set a
+  wake: a cycle that starts in scout already waits no later than
+  ``_scout_end``, and a cycle that entered scout mid-cycle and wrote an
+  NA destination has issued, so it does not consult its wake.  Nothing
+  else reads the records in scout, and the rollback drops them.  A
+  scout load that misses keeps its record: its ready time can come
+  before ``_scout_end`` and set the next wake.
+
+The ahead strand enters scout mid-cycle when the inlined store finds the
+store buffer full, or when ``_defer_issue`` returns ``RETRY`` from
+``_exhausted``.  That cycle finishes in the scout section with the
+issue slots it has left, its wake minimum so far and whether anything
+issued, so its timing is what one loop running both sections would give.
+Both sections end a cycle with the same accounting, emitted by
+:func:`_end_cycle`.
+
 One code-generation flag, ``instrumented``, serves the observers (the
 invariant sanitizer and the speculative-leak taint tracker); the core
 sets it at construction when either is attached.  It compiles in the
-taint tracker's three issue hooks (``on_ahead`` before an ahead-strand
-execute, ``on_scout_na`` / ``on_scout`` in scout issue) and leaves out
-the two inlined deferred-queue fast paths, so every deferral goes
-through :meth:`SSTCore._defer_issue` and its ``on_defer`` hooks.  The
-observers are read-only, so both variants produce the same cycles.
-
-Mutable scalar state (``_seq``, ``_ahead_pc``, ``_cycle``, the memo
-words...) stays on the core object so the inlined fast paths and the
-cold methods can never diverge; only objects that are stable for the
-lifetime of one loop invocation (stats, the speculative register file
-arrays, the episode dicts, bound methods) are hoisted into locals.
-An episode's containers are replaced only by ``_begin_episode`` /
-``_teardown_episode``, and every teardown path returns from the loop
-before the locals could go stale.
+taint tracker's three issue hooks (``on_ahead`` before a speculative
+ahead-strand execute, ``on_scout_na`` / ``on_scout`` in scout issue)
+and leaves out the two inlined deferred-queue fast paths, so every
+deferral goes through :meth:`SSTCore._defer_issue` and its ``on_defer``
+hooks.  The observers are read-only, so both variants produce the same
+cycles.
 """
 
 from __future__ import annotations
@@ -92,7 +125,7 @@ _CONSUME = """\
 {pad}ahead_pc = next_pc
 {pad}seq += 1
 {pad}stats.ahead_insts += 1
-{pad}issued_ahead += 1
+{pad}{issued} += 1
 {pad}budget_left -= 1
 {pad}continue
 """
@@ -100,7 +133,9 @@ _CONSUME = """\
 # Shared handling of a _defer_issue / _exhausted style (status, wake)
 # result inside the ahead-issue loop.  The method may have moved the
 # ahead point (e.g. a deferred indirect jump parks as "jump_na"), so
-# the strand-local mirrors are refreshed from the core first.
+# the strand-local mirrors are refreshed from the core first.  RETRY
+# (the defer entered scout) carries no wake and breaks too: the cycle
+# finishes in the scout section.
 _DEFER_STATUS = """\
 {pad}ahead_pc = core._ahead_pc
 {pad}seq = core._seq
@@ -108,12 +143,78 @@ _DEFER_STATUS = """\
 {pad}    issued_ahead += 1
 {pad}    budget_left -= 1
 {pad}    continue
-{pad}if status is RETRY:
-{pad}    continue
 {pad}if wake is not None and wake > cycle and (
 {pad}        wake_min is None or wake < wake_min):
 {pad}    wake_min = wake
 {pad}break
+"""
+
+# The commit-guard precheck is exact: with fewer than two live
+# checkpoints and a non-empty DQ, _try_commits provably does nothing
+# but set the memo to _NO_WAKE (no region candidate, full commit
+# blocked on unreplayed entries).
+_COMMIT_GUARD = """\
+{pad}stall = core._commit_stall
+{pad}if stall is None or cycle >= stall:
+{pad}    if len(ckpt_live) >= 2 or not dq_entries:
+{pad}        try_commits(cycle)
+{pad}        if core.mode is NORMAL:
+{pad}            return
+{pad}    else:
+{pad}        core._commit_stall = NO_WAKE
+"""
+
+# The scout section's per-cycle scalars, each a local named after the
+# core attribute it mirrors (``cycle`` <-> ``core._cycle``).
+_SCOUT_SCALARS = ("cycle", "ahead_pc", "seq", "next_event",
+                  "perf_stepped_cycle", "mode_account_cycle")
+
+
+def _scout_sync(pad: str) -> str:
+    """Write the scout section's scalars back to the core."""
+    return "".join(f"{pad}core._{name} = {name}\n" for name in _SCOUT_SCALARS)
+
+
+def _end_cycle(pad: str, issued: str, home: str) -> str:
+    """Advance the clock past one stepped cycle: the wake choice, the
+    stepping, skipping and ``spec_wait`` counters and the mode-cycle
+    accounting that both sections share.
+
+    ``home`` prefixes the scalars' names: ``"core._"`` in the
+    speculative cycle, whose slow paths read them on the core, and
+    ``""`` in the scout section, which holds them in locals.
+    """
+    return f"""\
+{pad}if {issued}:
+{pad}    next_cycle = cycle + 1
+{pad}else:
+{pad}    outstanding = min_outstanding(cycle)
+{pad}    if outstanding is not None and (
+{pad}            wake_min is None or outstanding < wake_min):
+{pad}        wake_min = outstanding
+{pad}    if wake_min is None:
+{pad}        raise SIE(
+{pad}            f"speculative deadlock at cycle {{cycle}} "
+{pad}            f"(mode={{core.mode}}, block={{core._ahead_block}})"
+{pad}        )
+{pad}    next_cycle = wake_min
+{pad}{home}next_event = next_cycle
+{pad}if until is not None and next_cycle > until:
+{pad}    next_cycle = until
+{pad}if cycle != {home}perf_stepped_cycle:
+{pad}    {home}perf_stepped_cycle = cycle
+{pad}    perf.cycles_stepped += 1
+{pad}if next_cycle > cycle + 1:
+{pad}    skipped = next_cycle - cycle - 1
+{pad}    perf.cycles_skipped += skipped
+{pad}    perf.fast_forwards += 1
+{pad}    stalls = perf.stall_cycles
+{pad}    stalls["spec_wait"] = stalls.get("spec_wait", 0) + skipped
+{pad}delta = next_cycle - {home}mode_account_cycle
+{pad}if delta > 0:
+{pad}    mode_cycles[{home}mode_key] += delta
+{pad}    {home}mode_account_cycle = next_cycle
+{pad}{home}cycle = next_cycle
 """
 
 
@@ -242,68 +343,51 @@ def _sst_spec_loop(core, budget, until):
         if until is not None and core._cycle >= until:
             return
         cycle = core._cycle
-        wake_min = None
 """)
+    # A cycle that starts in scout breaks out to the scout section,
+    # which follows this loop; so does a mid-cycle scout entry.
     if scout_possible:
-        emit("""\
+        emit(f"""\
         if mode is SCOUT:
             if cycle >= core._scout_end:
                 core._rollback(cycle, None)
                 return
             wake_min = core._scout_end
+            budget_left = {width}
+            issued = 0
+            break
 """)
-    # The commit-guard precheck is exact: with fewer than two live
-    # checkpoints and a non-empty DQ, _try_commits provably does
-    # nothing but set the memo to _NO_WAKE (no region candidate, full
-    # commit blocked on unreplayed entries).
-    emit("""\
-        stall = core._commit_stall
-        if stall is None or cycle >= stall:
-            if len(ckpt_live) >= 2 or not dq_entries:
-                try_commits(cycle)
-                if core.mode is NORMAL:
-                    return
-            else:
-                core._commit_stall = NO_WAKE
-""")
+    emit("        wake_min = None\n")
+    emit(_COMMIT_GUARD.format(pad=" " * 8))
     emit(f"""\
         budget_left = {width}
         issued_replay = 0
         issued_ahead = 0
 """)
     # ---- replay strand --------------------------------------------------
-    guard = "if mode is not SCOUT:" if scout_possible else "if True:"
-    emit(f"""\
-        {guard}
-            while budget_left > 0:
-                if not dq_entries:
-                    break
-                stall = core._replay_stall
-                if stall is not None and stall > cycle:
-                    if stall != NO_WAKE and (
-                            wake_min is None or stall < wake_min):
-                        wake_min = stall
-                    break
-                status, wake = try_replay_issue(cycle)
-                if status is ISSUED:
-                    issued_replay += 1
-                    budget_left -= 1
-                    if core.mode is NORMAL:
-                        return
-                    continue
-                if wake is not None and wake > cycle and (
-                        wake_min is None or wake < wake_min):
-                    wake_min = wake
+    emit("""\
+        while budget_left > 0:
+            if not dq_entries:
                 break
-            stall = core._commit_stall
-            if stall is None or cycle >= stall:
-                if len(ckpt_live) >= 2 or not dq_entries:
-                    try_commits(cycle)
-                    if core.mode is NORMAL:
-                        return
-                else:
-                    core._commit_stall = NO_WAKE
+            stall = core._replay_stall
+            if stall is not None and stall > cycle:
+                if stall != NO_WAKE and (
+                        wake_min is None or stall < wake_min):
+                    wake_min = stall
+                break
+            status, wake = try_replay_issue(cycle)
+            if status is ISSUED:
+                issued_replay += 1
+                budget_left -= 1
+                if core.mode is NORMAL:
+                    return
+                continue
+            if wake is not None and wake > cycle and (
+                    wake_min is None or wake < wake_min):
+                wake_min = wake
+            break
 """)
+    emit(_COMMIT_GUARD.format(pad=" " * 8))
     # ---- ahead strand ---------------------------------------------------
     # The strand's cursor state (ahead PC, sequence counter, redirect
     # barrier) lives in locals for the duration of the inner loop: the
@@ -341,140 +425,18 @@ def _sst_spec_loop(core, budget, until):
                 break
             (kind, rd, rs1, rs2, imm, target, fn, sources,
              writes_reg, uses_imm, inst) = rows[pc]
-""")
-    if scout_possible:
-        emit("""\
-            m = core.mode
-            if kind == K_HALT:
-                core._ahead_block = "fault" if m is SCOUT else "halt"
-                break
-            if kind == K_BARRIER:
-                if m is SCOUT:
-                    ahead_pc = pc + 1
-                    seq += 1
-                    stats.ahead_insts += 1
-                    issued_ahead += 1
-                    budget_left -= 1
-                    continue
-                core._ahead_block = "membar"
-                break
-""")
-    else:
-        emit("""\
             if kind == K_HALT:
                 core._ahead_block = "halt"
                 break
             if kind == K_BARRIER:
                 core._ahead_block = "membar"
                 break
-""")
-    emit("""\
             na = False
             if na_producer:
                 for src in sources:
                     if src in na_producer:
                         na = True
                         break
-""")
-    # ---- scout issue (prefetch-only run-ahead) --------------------------
-    if scout_possible:
-        p = " " * 16
-        emit(f"""\
-            if m is SCOUT:
-                next_pc = pc + 1
-                if na:
-{_taint_hook(p + '    ', 'on_scout_na(inst, seq)', instrumented)}\
-                    if kind == K_BRANCH:
-                        if predict_cond(pc):
-                            next_pc = target
-                    elif kind == K_JUMP_INDIRECT:
-                        predicted = predict_indirect(
-                            pc, is_return=is_return(inst))
-                        if predicted is None or not (
-                                0 <= predicted < n_insts):
-                            core._ahead_block = "fault"
-                            break
-{_write_available(p + '        ', 'pc + 1', 'cycle + 1')}\
-                        next_pc = predicted
-                    elif writes_reg:
-{_write_na(p + '        ')}\
-                        if seq not in producer_ready:
-                            producer_ready[seq] = core._scout_end
-                            heappush(pending_heap, (core._scout_end, seq))
-                        slice_values.setdefault(seq, 0)
-{_CONSUME.format(pad=p + '    ')}\
-                wake = cycle
-                for src in sources:
-                    r = spec_ready[src]
-                    if r > wake:
-                        wake = r
-                if wake > cycle:
-                    if wake_min is None or wake < wake_min:
-                        wake_min = wake
-                    break
-{_taint_hook(p, 'on_scout(inst, pc, seq, cycle)', instrumented)}\
-                if kind <= K_DIV:
-                    a = spec_values[rs1]
-                    value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
-                    latency = ({lat_mul} if kind == K_MUL else
-                               {lat_div} if kind == K_DIV else {lat_alu})
-{_write_available(p + '    ', 'value', 'cycle + latency')}\
-                elif kind == K_LOAD:
-                    addr = (spec_values[rs1] + imm) & {_M}
-                    if addr % 8 != 0:
-                        core._ahead_block = "fault"
-                        break
-                    result = do_prefetch(addr, cycle)
-                    stats.scout_prefetches += 1
-                    if addr in scout_stores:
-                        value = scout_stores[addr]
-                    else:
-                        forwarded = sb_forward(addr, seq)
-                        value = (forwarded[0] if forwarded is not None
-                                 else mem_read(addr))
-                    if {trig}:
-{_write_na(p + '        ')}\
-                        if seq not in producer_ready:
-                            producer_ready[seq] = result.ready_cycle
-                            heappush(pending_heap,
-                                     (result.ready_cycle, seq))
-                        slice_values.setdefault(seq, value)
-                    else:
-{_write_available(p + '        ', 'value', 'result.ready_cycle')}\
-                elif kind == K_STORE:
-                    addr = (spec_values[rs1] + imm) & {_M}
-                    if addr % 8 != 0:
-                        core._ahead_block = "fault"
-                        break
-                    do_prefetch(addr, cycle)
-                    stats.scout_prefetches += 1
-                    scout_stores[addr] = spec_values[rs2]
-                elif kind == K_PREFETCH:
-                    addr = (spec_values[rs1] + imm) & {_M}
-                    if addr % 8 == 0:
-                        do_prefetch(addr, cycle)
-                elif kind == K_BRANCH:
-                    if fn(spec_values[rs1], spec_values[rs2]):
-                        resolve_cond(pc, True)
-                        next_pc = target
-                    else:
-                        resolve_cond(pc, False)
-                elif kind == K_JUMP:
-{_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
-                    if is_call(inst):
-                        push_return(pc + 1)
-                    next_pc = target
-                elif kind == K_JUMP_INDIRECT:
-                    tgt = (spec_values[rs1] + imm) & {_M}
-                    if tgt >= n_insts:
-                        core._ahead_block = "fault"
-                        break
-                    resolve_indirect(pc, tgt, is_return=is_return(inst))
-{_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
-                    if is_call(inst):
-                        push_return(pc + 1)
-                    next_pc = tgt
-{_CONSUME.format(pad=p)}\
 """)
     # ---- NA-operand deferral -------------------------------------------
     # Fast path: plain ALU/long-op/load defers with DQ room are by far
@@ -579,17 +541,12 @@ def _sst_spec_loop(core, budget, until):
                     else:
 {_write_available(p + '            ', 'value', 'result.ready_cycle')}\
 """)
-    # STORE
+    # STORE: a full store buffer enters scout mid-cycle, which breaks
+    # out to finish the cycle in the scout section.
     if scout_enabled:
-        store_full = (
-            "                    core._enter_scout(SB_FULL)\n"
-            "                    continue\n"
-        )
+        store_full = "                    core._enter_scout(SB_FULL)\n"
     else:
-        store_full = (
-            "                    core._ahead_block = \"sb_full\"\n"
-            "                    break\n"
-        )
+        store_full = "                    core._ahead_block = \"sb_full\"\n"
     emit(f"""\
             elif kind == K_STORE:
                 addr = (spec_values[rs1] + imm) & {_M}
@@ -598,6 +555,7 @@ def _sst_spec_loop(core, budget, until):
                     break
                 if not sb_append_resolved(seq, addr, spec_values[rs2]):
 {store_full}\
+                    break
             elif kind == K_PREFETCH:
                 addr = (spec_values[rs1] + imm) & {_M}
                 if addr % 8 == 0:
@@ -633,68 +591,187 @@ def _sst_spec_loop(core, budget, until):
                     if b > barrier:
                         barrier = b
                         core._ahead_barrier = b
-{_CONSUME.format(pad=p)}\
-""")
-    # ---- post-issue commits, classification, time advance ---------------
-    classify_guard = ("if core.mode is not SCOUT:" if scout_possible
-                      else "if True:")
-    emit(f"""\
+{_CONSUME.format(pad=p, issued='issued_ahead')}\
         core._ahead_pc = ahead_pc
         core._seq = seq
-        stall = core._commit_stall
-        if stall is None or cycle >= stall:
-            if len(ckpt_live) >= 2 or not dq_entries:
-                try_commits(cycle)
-                if core.mode is NORMAL:
-                    return
-            else:
-                core._commit_stall = NO_WAKE
-        {classify_guard}
-            if issued_replay:
-                if issued_ahead:
-                    new_mode = SST_MODE
-                else:
-                    new_mode = (REPLAY_ONLY if core._replay_no_boundary
-                                else SST_MODE)
-            elif core._replay_no_boundary:
-                new_mode = REPLAY_ONLY
-            else:
-                new_mode = EXECUTE_AHEAD
-            if new_mode is not core.mode:
-                core.mode = new_mode
-                core._mode_key = MODE_KEY[new_mode]
-        if issued_replay or issued_ahead:
-            next_cycle = cycle + 1
-        else:
-            outstanding = min_outstanding(cycle)
-            if outstanding is not None and (
-                    wake_min is None or outstanding < wake_min):
-                wake_min = outstanding
-            if wake_min is None:
-                raise SIE(
-                    f"speculative deadlock at cycle {{cycle}} "
-                    f"(mode={{core.mode}}, block={{core._ahead_block}})"
-                )
-            next_cycle = wake_min
-        core._next_event = next_cycle
-        if until is not None and next_cycle > until:
-            next_cycle = until
-        if cycle != core._perf_stepped_cycle:
-            core._perf_stepped_cycle = cycle
-            perf.cycles_stepped += 1
-        if next_cycle > cycle + 1:
-            skipped = next_cycle - cycle - 1
-            perf.cycles_skipped += skipped
-            perf.fast_forwards += 1
-            stalls = perf.stall_cycles
-            stalls["spec_wait"] = stalls.get("spec_wait", 0) + skipped
-        delta = next_cycle - core._mode_account_cycle
-        if delta > 0:
-            mode_cycles[core._mode_key] += delta
-            core._mode_account_cycle = next_cycle
-        core._cycle = next_cycle
 """)
+    if scout_enabled:
+        emit("""\
+        if core.mode is SCOUT:
+            issued = issued_replay + issued_ahead
+            break
+""")
+    # ---- post-issue commits, classification, time advance ---------------
+    emit(_COMMIT_GUARD.format(pad=" " * 8))
+    emit("""\
+        if issued_replay:
+            if issued_ahead:
+                new_mode = SST_MODE
+            else:
+                new_mode = (REPLAY_ONLY if core._replay_no_boundary
+                            else SST_MODE)
+        elif core._replay_no_boundary:
+            new_mode = REPLAY_ONLY
+        else:
+            new_mode = EXECUTE_AHEAD
+        if new_mode is not core.mode:
+            core.mode = new_mode
+            core._mode_key = MODE_KEY[new_mode]
+""")
+    emit(_end_cycle(" " * 8, "issued_replay or issued_ahead", "core._"))
+    if scout_possible:
+        emit(_scout_section(width, trig, instrumented, lat_alu, lat_mul,
+                            lat_div))
     return "".join(out)
+
+
+def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
+                   lat_mul: int, lat_div: int) -> str:
+    """The scout cycle loop (see the module docstring), reached by a
+    ``break`` out of the speculative loop with ``cycle``, ``wake_min``,
+    ``budget_left`` and ``issued`` set and the core's scalars current.
+    It returns on ``until`` or by the rollback that ends the session."""
+    p = " " * 12
+    return f"""\
+    scout_end = core._scout_end
+    mode_key = core._mode_key
+    barrier = core._ahead_barrier
+    ahead_pc = core._ahead_pc
+    seq = core._seq
+    next_event = core._next_event
+    perf_stepped_cycle = core._perf_stepped_cycle
+    mode_account_cycle = core._mode_account_cycle
+    while True:
+        while budget_left > 0:
+            if stats.ahead_insts >= ahead_limit:
+{_scout_sync(p + '    ')}\
+                check_budget(stats.normal_insts + stats.ahead_insts, budget)
+            # Scout sets no block but "fault": _enter_scout clears the
+            # structural ones, and the strand was issuing when it began.
+            if core._ahead_block is not None:
+                break
+            if cycle < barrier:
+                if wake_min is None or barrier < wake_min:
+                    wake_min = barrier
+                break
+            pc = ahead_pc
+            if pc < 0 or pc >= n_insts:
+                core._ahead_block = "fault"
+                break
+            (kind, rd, rs1, rs2, imm, target, fn, sources,
+             writes_reg, uses_imm, inst) = rows[pc]
+            if kind == K_HALT:
+                core._ahead_block = "fault"
+                break
+            next_pc = pc + 1
+            if kind == K_BARRIER:
+{_CONSUME.format(pad=p + '    ', issued='issued')}\
+            na = False
+            if na_producer:
+                for src in sources:
+                    if src in na_producer:
+                        na = True
+                        break
+            if na:
+{_taint_hook(p + '    ', 'on_scout_na(inst, seq)', instrumented)}\
+                if kind == K_BRANCH:
+                    if predict_cond(pc):
+                        next_pc = target
+                elif kind == K_JUMP_INDIRECT:
+                    predicted = predict_indirect(
+                        pc, is_return=is_return(inst))
+                    if predicted is None or not (
+                            0 <= predicted < n_insts):
+                        core._ahead_block = "fault"
+                        break
+{_write_available(p + '        ', 'pc + 1', 'cycle + 1')}\
+                    next_pc = predicted
+                elif writes_reg:
+{_write_na(p + '        ')}\
+{_CONSUME.format(pad=p + '    ', issued='issued')}\
+            wake = cycle
+            for src in sources:
+                r = spec_ready[src]
+                if r > wake:
+                    wake = r
+            if wake > cycle:
+                if wake_min is None or wake < wake_min:
+                    wake_min = wake
+                break
+{_taint_hook(p, 'on_scout(inst, pc, seq, cycle)', instrumented)}\
+            if kind <= K_DIV:
+                a = spec_values[rs1]
+                value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
+                latency = ({lat_mul} if kind == K_MUL else
+                           {lat_div} if kind == K_DIV else {lat_alu})
+{_write_available(p + '    ', 'value', 'cycle + latency')}\
+            elif kind == K_LOAD:
+                addr = (spec_values[rs1] + imm) & {_M}
+                if addr % 8 != 0:
+                    core._ahead_block = "fault"
+                    break
+                result = do_prefetch(addr, cycle)
+                stats.scout_prefetches += 1
+                if addr in scout_stores:
+                    value = scout_stores[addr]
+                else:
+                    forwarded = sb_forward(addr, seq)
+                    value = (forwarded[0] if forwarded is not None
+                             else mem_read(addr))
+                if {trig}:
+{_write_na(p + '        ')}\
+                    if seq not in producer_ready:
+                        producer_ready[seq] = result.ready_cycle
+                        heappush(pending_heap, (result.ready_cycle, seq))
+                    slice_values.setdefault(seq, value)
+                else:
+{_write_available(p + '        ', 'value', 'result.ready_cycle')}\
+            elif kind == K_STORE:
+                addr = (spec_values[rs1] + imm) & {_M}
+                if addr % 8 != 0:
+                    core._ahead_block = "fault"
+                    break
+                do_prefetch(addr, cycle)
+                stats.scout_prefetches += 1
+                scout_stores[addr] = spec_values[rs2]
+            elif kind == K_PREFETCH:
+                addr = (spec_values[rs1] + imm) & {_M}
+                if addr % 8 == 0:
+                    do_prefetch(addr, cycle)
+            elif kind == K_BRANCH:
+                if fn(spec_values[rs1], spec_values[rs2]):
+                    resolve_cond(pc, True)
+                    next_pc = target
+                else:
+                    resolve_cond(pc, False)
+            elif kind == K_JUMP:
+{_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
+                if is_call(inst):
+                    push_return(pc + 1)
+                next_pc = target
+            elif kind == K_JUMP_INDIRECT:
+                tgt = (spec_values[rs1] + imm) & {_M}
+                if tgt >= n_insts:
+                    core._ahead_block = "fault"
+                    break
+                resolve_indirect(pc, tgt, is_return=is_return(inst))
+{_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
+                if is_call(inst):
+                    push_return(pc + 1)
+                next_pc = tgt
+{_CONSUME.format(pad=p, issued='issued')}\
+{_end_cycle(' ' * 8, 'issued', '')}\
+        if until is not None and cycle >= until:
+{_scout_sync(' ' * 12)}\
+            return
+        if cycle >= scout_end:
+{_scout_sync(' ' * 12)}\
+            core._rollback(cycle, None)
+            return
+        wake_min = scout_end
+        budget_left = {width}
+        issued = 0
+"""
 
 
 _LOOP_CACHE: Dict[Tuple, Callable] = {}
@@ -745,7 +822,6 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
         "EXECUTE_AHEAD": ExecMode.EXECUTE_AHEAD,
         "MODE_KEY": sst_core._MODE_KEY,
         "ISSUED": sst_core._ISSUED,
-        "RETRY": sst_core._RETRY,
         "NO_WAKE": sst_core._NO_WAKE,
         "SB_FULL": ScoutCause.SB_FULL,
         "ACC_LOAD": AccessType.LOAD,

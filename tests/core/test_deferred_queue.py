@@ -79,3 +79,21 @@ def test_stats_replayed():
     queue.pop_head()
     assert queue.stats.deferred == 1
     assert queue.stats.replayed == 1
+
+
+def test_remove_by_identity():
+    queue = DeferredQueue(4)
+    first, second, third = entry(1), entry(2), entry(3)
+    for queued in (first, second, third):
+        queue.append(queued)
+    queue.remove(second)
+    assert [e.seq for e in queue] == [1, 3]
+    assert (queue.stats.replayed, queue.stats.replayed_out_of_order) == (1, 1)
+    queue.remove(first)
+    assert (queue.stats.replayed, queue.stats.replayed_out_of_order) == (2, 1)
+    # Equal in every field to the queued entry 3, but not queued itself.
+    stranger = entry(3)
+    with pytest.raises(ValueError):
+        queue.remove(stranger)
+    assert list(queue) == [third]
+    assert (queue.stats.replayed, queue.stats.replayed_out_of_order) == (2, 1)

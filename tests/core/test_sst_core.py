@@ -256,10 +256,24 @@ def test_scout_still_beats_inorder_via_warm_cache():
 # Resource exhaustion -> scout (or stall with scout disabled).
 # ----------------------------------------------------------------------
 
+def _scout_timing(result):
+    """What a mid-cycle scout entry must keep exact: the run's cycles,
+    its mode partition and the stepping counters."""
+    perf = result.extra["perf"]
+    return (result.cycles, sst_stats(result).mode_cycles,
+            perf.cycles_stepped, perf.cycles_skipped, perf.fast_forwards)
+
+
 def test_dq_overflow_enters_scout():
+    """A full DQ enters scout from execute-ahead mid-cycle; that cycle
+    finishes in the scout section with the slots and wake it has left,
+    so the stepping counters match a loop that runs both sections."""
     program = _probe_loop_program(probes=64)
     result = run(program, SSTConfig(checkpoints=2, dq_size=4, sb_size=32))
     assert sst_stats(result).scout_sessions[ScoutCause.DQ_FULL] >= 1
+    assert _scout_timing(result) == (
+        928, {"normal": 707, "execute_ahead": 12, "sst": 0,
+              "replay_only": 0, "scout": 209}, 388, 589, 129)
 
 
 def test_sb_overflow_enters_scout():
@@ -274,6 +288,9 @@ def test_sb_overflow_enters_scout():
     """
     result = run(source, SSTConfig(checkpoints=2, dq_size=32, sb_size=4))
     assert sst_stats(result).scout_sessions[ScoutCause.SB_FULL] >= 1
+    assert _scout_timing(result) == (
+        447, {"normal": 225, "execute_ahead": 4, "sst": 0,
+              "replay_only": 0, "scout": 218}, 31, 200, 3)
 
 
 def test_scout_disabled_stalls_instead():
