@@ -1,8 +1,11 @@
 """Direction predictors, BTB, RAS, and the composite BranchUnit."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.branch.predictors import (
     BimodalPredictor,
     BranchUnit,
+    DirectionPredictor,
     GSharePredictor,
     StaticPredictor,
     make_direction_predictor,
@@ -75,6 +78,34 @@ def test_deferred_cond_uses_recorded_prediction():
     mispredicted = branch_unit.resolve_deferred_cond(3, predicted, not predicted)
     assert mispredicted is True
     assert branch_unit.stats.cond_mispredicts == 1
+
+
+def predictor_state(predictor):
+    """Tables, history and chooser of a predictor and its components."""
+    return {name: predictor_state(value)
+            if isinstance(value, DirectionPredictor) else value
+            for name, value in vars(predictor).items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(PredictorKind)),
+       outcomes=st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                                   st.booleans()),
+                         min_size=1, max_size=200))
+def test_resolve_paths_agree(kind, outcomes):
+    """``resolve_cond`` and the deferred path SST replays through
+    (``predict_cond`` at defer, ``resolve_deferred_cond`` at replay)
+    make the same call and leave the same state, on tables small enough
+    that entries alias."""
+    config = BranchPredictorConfig(kind=kind, table_bits=3, history_bits=2)
+    fused, deferred = BranchUnit(config), BranchUnit(config)
+    for pc, taken in outcomes:
+        predicted = deferred.predict_cond(pc)
+        assert fused.resolve_cond(pc, taken) \
+            == deferred.resolve_deferred_cond(pc, predicted, taken)
+    assert fused.stats == deferred.stats
+    assert predictor_state(fused.direction) \
+        == predictor_state(deferred.direction)
 
 
 def test_btb_indirect_learns_target():

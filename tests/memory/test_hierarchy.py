@@ -36,6 +36,14 @@ def test_cold_miss_goes_to_dram():
     assert result.ready_cycle == 2 + 10 + 300
 
 
+def test_access_result_is_immutable():
+    result = make_hierarchy().data_access(0x10000, cycle=0)
+    with pytest.raises(AttributeError):
+        result.ready_cycle = 0
+    with pytest.raises(AttributeError):
+        result.tlb_miss = True
+
+
 def test_second_access_hits_l1():
     hierarchy = make_hierarchy()
     hierarchy.data_access(0x10000, cycle=0)

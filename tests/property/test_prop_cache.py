@@ -76,6 +76,8 @@ def test_fill_then_contains(addresses):
     for addr in addresses:
         cache.fill(addr)
         assert cache.contains(addr)
+        # The whole line is installed, not the byte address.
+        assert cache.contains(addr ^ (LINE - 1))
         cache.check_invariants()
 
 
