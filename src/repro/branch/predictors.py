@@ -1,7 +1,12 @@
 """Branch predictors and the composite branch unit.
 
 Direction predictors implement ``predict(pc) -> bool`` and
-``update(pc, taken)``.  The :class:`BranchUnit` adds a branch target
+``resolve(pc, taken) -> bool``, which returns the prediction the
+predictor held before this outcome and then trains on it, from one
+index computation.  ``resolve`` is each predictor's only training path:
+both :meth:`BranchUnit.resolve_cond` and the deferred-branch path
+(:meth:`BranchUnit.resolve_deferred_cond`) call it once.  The
+:class:`BranchUnit` adds a branch target
 buffer for indirect jumps and a return-address stack, and keeps the
 statistics the cores report (the SST core additionally distinguishes
 mispredictions of *deferred* branches, which cost a speculation
@@ -25,7 +30,9 @@ class DirectionPredictor:
     def predict(self, pc: int) -> bool:
         raise NotImplementedError
 
-    def update(self, pc: int, taken: bool) -> None:
+    def resolve(self, pc: int, taken: bool) -> bool:
+        """Train on the outcome ``taken``; returns the prediction held
+        before it (what :meth:`predict` would have said)."""
         raise NotImplementedError
 
 
@@ -36,8 +43,8 @@ class StaticPredictor(DirectionPredictor):
     def predict(self, pc: int) -> bool:
         return self.taken
 
-    def update(self, pc: int, taken: bool) -> None:
-        pass
+    def resolve(self, pc: int, taken: bool) -> bool:
+        return self.taken
 
 
 class BimodalPredictor(DirectionPredictor):
@@ -47,19 +54,19 @@ class BimodalPredictor(DirectionPredictor):
         self.mask = (1 << table_bits) - 1
         self.table: List[int] = [2] * (1 << table_bits)  # weakly taken
 
-    def _index(self, pc: int) -> int:
-        return pc & self.mask
-
     def predict(self, pc: int) -> bool:
-        return self.table[self._index(pc)] >= 2
+        return self.table[pc & self.mask] >= 2
 
-    def update(self, pc: int, taken: bool) -> None:
-        index = self._index(pc)
-        counter = self.table[index]
+    def resolve(self, pc: int, taken: bool) -> bool:
+        table = self.table
+        index = pc & self.mask
+        counter = table[index]
         if taken:
-            self.table[index] = min(counter + 1, 3)
-        else:
-            self.table[index] = max(counter - 1, 0)
+            if counter < 3:
+                table[index] = counter + 1
+        elif counter:
+            table[index] = counter - 1
+        return counter >= 2
 
 
 class GSharePredictor(DirectionPredictor):
@@ -71,20 +78,21 @@ class GSharePredictor(DirectionPredictor):
         self.table: List[int] = [2] * (1 << table_bits)
         self.history = 0
 
-    def _index(self, pc: int) -> int:
-        return (pc ^ self.history) & self.mask
-
     def predict(self, pc: int) -> bool:
-        return self.table[self._index(pc)] >= 2
+        return self.table[(pc ^ self.history) & self.mask] >= 2
 
-    def update(self, pc: int, taken: bool) -> None:
-        index = self._index(pc)
-        counter = self.table[index]
+    def resolve(self, pc: int, taken: bool) -> bool:
+        table = self.table
+        history = self.history
+        index = (pc ^ history) & self.mask
+        counter = table[index]
         if taken:
-            self.table[index] = min(counter + 1, 3)
-        else:
-            self.table[index] = max(counter - 1, 0)
-        self.history = ((self.history << 1) | int(taken)) & self.history_mask
+            if counter < 3:
+                table[index] = counter + 1
+        elif counter:
+            table[index] = counter - 1
+        self.history = ((history << 1) | int(taken)) & self.history_mask
+        return counter >= 2
 
 
 class TournamentPredictor(DirectionPredictor):
@@ -109,17 +117,18 @@ class TournamentPredictor(DirectionPredictor):
             return self.gshare.predict(pc)
         return self.bimodal.predict(pc)
 
-    def update(self, pc: int, taken: bool) -> None:
-        bimodal_guess = self.bimodal.predict(pc)
-        gshare_guess = self.gshare.predict(pc)
+    def resolve(self, pc: int, taken: bool) -> bool:
+        bimodal_guess = self.bimodal.resolve(pc, taken)
+        gshare_guess = self.gshare.resolve(pc, taken)
+        choice = self.choice
+        index = pc & self.choice_mask
+        counter = choice[index]
         if bimodal_guess != gshare_guess:
-            index = pc & self.choice_mask
             if gshare_guess == taken:
-                self.choice[index] = min(self.choice[index] + 1, 3)
+                choice[index] = min(counter + 1, 3)
             else:
-                self.choice[index] = max(self.choice[index] - 1, 0)
-        self.bimodal.update(pc, taken)
-        self.gshare.update(pc, taken)
+                choice[index] = max(counter - 1, 0)
+        return gshare_guess if counter >= 2 else bimodal_guess
 
 
 def make_direction_predictor(config: BranchPredictorConfig) -> DirectionPredictor:
@@ -176,14 +185,13 @@ class BranchUnit:
         return self.direction.predict(pc)
 
     def resolve_cond(self, pc: int, taken: bool) -> bool:
-        """Predict + update in one step; returns True if mispredicted."""
-        predicted = self.direction.predict(pc)
-        self.direction.update(pc, taken)
-        self.stats.cond_predictions += 1
-        mispredicted = predicted != taken
-        if mispredicted:
-            self.stats.cond_mispredicts += 1
-        return mispredicted
+        """Predict + train in one step; returns True if mispredicted."""
+        stats = self.stats
+        stats.cond_predictions += 1
+        if self.direction.resolve(pc, taken) != taken:
+            stats.cond_mispredicts += 1
+            return True
+        return False
 
     def resolve_deferred_cond(self, pc: int, predicted: bool,
                               taken: bool) -> bool:
@@ -193,10 +201,11 @@ class BranchUnit:
         :meth:`predict_cond` when they defer and validates them here at
         replay; tables train on the real outcome either way.
         """
-        self.direction.update(pc, taken)
-        self.stats.cond_predictions += 1
+        self.direction.resolve(pc, taken)
+        stats = self.stats
+        stats.cond_predictions += 1
         if predicted != taken:
-            self.stats.cond_mispredicts += 1
+            stats.cond_mispredicts += 1
             return True
         return False
 

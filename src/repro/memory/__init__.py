@@ -9,7 +9,7 @@ SST's evaluation depends on (miss costs, limited MLP, warm-cache reuse).
 """
 
 from repro.memory.sparse_memory import SparseMemory
-from repro.memory.request import Access, AccessType
+from repro.memory.request import AccessType
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.mshr import MSHRFile
 from repro.memory.dram import DRAMModel
@@ -18,7 +18,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 
 __all__ = [
     "SparseMemory",
-    "Access",
     "AccessType",
     "Cache",
     "CacheStats",

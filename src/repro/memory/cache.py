@@ -9,13 +9,20 @@ write-allocate.
 Per-line state is a small int bitmask (dirty / prefetched) rather than
 a dict: the lookup path runs once per simulated memory access across
 every core model, so it stays allocation-free.
+
+Every operation takes a byte address and aligns it itself, with one
+inline shift (``line_shift``); the hierarchy hands each access's
+already-aligned line to every level, so no operation calls another to
+align or to find its set.  The memory hierarchy's miss walk
+(:meth:`repro.memory.hierarchy.MemoryHierarchy._miss`) calls these
+operations; it keeps no copy of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.config import CacheConfig
 from repro.errors import SimulatorInvariantError
@@ -49,7 +56,8 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = CacheStats()
-        self._line_shift = config.line_bytes.bit_length() - 1
+        # A byte address's line is ``addr >> line_shift << line_shift``.
+        self.line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
         # set index -> OrderedDict(line -> flag bits); LRU at the front.
         self._sets: List[OrderedDict] = [
@@ -57,70 +65,81 @@ class Cache:
         ]
 
     # ------------------------------------------------------------------
-    # Address helpers.
-    # ------------------------------------------------------------------
-
-    def line_addr(self, addr: int) -> int:
-        """Line-aligned address (the unit all internal maps use)."""
-        return addr >> self._line_shift << self._line_shift
-
-    def _locate(self, line: int) -> Tuple[OrderedDict, int]:
-        set_index = (line >> self._line_shift) & self._set_mask
-        return self._sets[set_index], line
-
-    # ------------------------------------------------------------------
     # Operations.
     # ------------------------------------------------------------------
 
-    def lookup(self, addr: int, *, update_lru: bool = True,
-               count: bool = True) -> bool:
-        """Hit test; moves the line to MRU on hit when ``update_lru``."""
-        shift = self._line_shift
+    def lookup(self, addr: int, *, count: bool = True) -> bool:
+        """Hit test; moves the line to MRU on a hit.
+
+        ``count=False`` is a prefetch's probe: it counts nothing and
+        leaves a prefetched line marked, since only a demand hit makes
+        a prefetch useful.
+        """
+        shift = self.line_shift
         index = addr >> shift
         line = index << shift
         cache_set = self._sets[index & self._set_mask]
-        hit = line in cache_set
+        if line not in cache_set:
+            if count:
+                stats = self.stats
+                stats.accesses += 1
+                stats.misses += 1
+            return False
         if count:
             stats = self.stats
             stats.accesses += 1
-            if hit:
-                stats.hits += 1
-                flags = cache_set[line]
-                if flags & PREFETCHED:
-                    stats.prefetch_hits += 1
-                    cache_set[line] = flags & ~PREFETCHED
-            else:
-                stats.misses += 1
-        if hit and update_lru:
-            cache_set.move_to_end(line)
-        return hit
+            stats.hits += 1
+            flags = cache_set[line]
+            if flags & PREFETCHED:
+                stats.prefetch_hits += 1
+                cache_set[line] = flags & ~PREFETCHED
+        cache_set.move_to_end(line)
+        return True
 
     def contains(self, addr: int) -> bool:
         """Hit test with no side effects (no LRU update, no stats)."""
-        cache_set, line = self._locate(self.line_addr(addr))
-        return line in cache_set
+        shift = self.line_shift
+        index = addr >> shift
+        return index << shift in self._sets[index & self._set_mask]
 
-    def fill(self, addr: int, *, prefetched: bool = False) -> Optional[int]:
+    def fill(self, addr: int, *, prefetched: bool = False,
+             writeback: Optional[Cache] = None) -> Optional[int]:
         """Install a line; returns the evicted dirty line address (for a
-        writeback) or None.  Filling a present line refreshes LRU."""
-        cache_set, line = self._locate(self.line_addr(addr))
+        writeback) or None.  Filling a present line refreshes LRU.
+
+        A dirty victim is written back into ``writeback`` (the next
+        level, tag-only): if that cache holds the line, it is marked
+        dirty there.
+        """
+        shift = self.line_shift
+        index = addr >> shift
+        line = index << shift
+        cache_set = self._sets[index & self._set_mask]
         if line in cache_set:
             cache_set.move_to_end(line)
             return None
         victim_writeback = None
         if len(cache_set) >= self.config.assoc:
             victim, flags = cache_set.popitem(last=False)
-            self.stats.evictions += 1
+            stats = self.stats
+            stats.evictions += 1
             if flags & DIRTY:
-                self.stats.writebacks += 1
+                stats.writebacks += 1
                 victim_writeback = victim
-        cache_set[line] = PREFETCHED if prefetched else 0
+                if writeback is not None and writeback.contains(victim):
+                    writeback.mark_dirty(victim)
         if prefetched:
+            cache_set[line] = PREFETCHED
             self.stats.prefetch_fills += 1
+        else:
+            cache_set[line] = 0
         return victim_writeback
 
     def mark_dirty(self, addr: int) -> None:
-        cache_set, line = self._locate(self.line_addr(addr))
+        shift = self.line_shift
+        index = addr >> shift
+        line = index << shift
+        cache_set = self._sets[index & self._set_mask]
         flags = cache_set.get(line)
         if flags is None:
             raise SimulatorInvariantError(
@@ -129,15 +148,13 @@ class Cache:
         cache_set[line] = flags | DIRTY
 
     def invalidate(self, addr: int) -> None:
-        cache_set, line = self._locate(self.line_addr(addr))
-        cache_set.pop(line, None)
+        shift = self.line_shift
+        index = addr >> shift
+        self._sets[index & self._set_mask].pop(index << shift, None)
 
     # ------------------------------------------------------------------
     # Introspection (tests, invariants).
     # ------------------------------------------------------------------
-
-    def resident_lines(self) -> List[int]:
-        return [line for cache_set in self._sets for line in cache_set]
 
     def set_occupancy(self) -> Dict[int, int]:
         return {index: len(s) for index, s in enumerate(self._sets) if s}
@@ -156,9 +173,8 @@ class Cache:
                         f"{self.name}: line {line:#x} in two sets"
                     )
                 seen.add(line)
-                expected = (line >> self._line_shift) & self._set_mask
+                expected = (line >> self.line_shift) & self._set_mask
                 if expected != index:
                     raise SimulatorInvariantError(
                         f"{self.name}: line {line:#x} in wrong set {index}"
                     )
-

@@ -3,11 +3,26 @@
 Layers: L1D (+ L1I) → shared L2 → DRAM, with an MSHR file per cache and
 an optional prefetcher observing L2 misses.  The timing contract is
 *latency at issue*: ``data_access`` updates tag/MSHR/DRAM state and
-returns an :class:`~repro.memory.request.AccessResult` whose
+returns an immutable :class:`~repro.memory.request.AccessResult` whose
 ``ready_cycle`` folds in hit latencies, MSHR queueing and DRAM
 bandwidth.  Tags are filled at allocation time; accesses that arrive
 while the fill is still in flight merge with it and see its completion
 time, which is how overlapping misses (MLP) are modelled.
+
+Each access aligns its address to a line once.  An L1 hit is settled
+where it arrives (``data_access``, ``prefetch`` or ``ifetch``) with one
+tag probe and one MSHR probe.  Every L1 miss — demand, prefetch or
+instruction fetch — runs one private walk, :meth:`MemoryHierarchy._miss`:
+L1 MSHR, L2 tags and MSHR, DRAM, L2 fill and prefetcher, L1 fill, L1
+MSHR completion.  The walk counts nothing in :class:`HierarchyStats`;
+each caller counts from the level it returns, so a prefetch is never
+counted as demand traffic.  The walk calls the one implementation of
+each tag, MSHR and DRAM operation and keeps no copy of them.
+
+Every structure is read through ``self`` on every call, never cached at
+construction: :func:`repro.cmp.shared.build_shared_hierarchies` rebinds
+``l2``, ``l2_mshr``, ``dram`` and ``prefetcher`` (and with ``share_l1``
+the L1s, their MSHR files and ``dtlb``) after ``__init__``.
 
 Instruction addresses live in their own region (``ICODE_BASE``) so
 I-streams and D-streams compete in the shared L2 without aliasing.
@@ -16,9 +31,7 @@ I-streams and D-streams compete in the shared L2 without aliasing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Set
-
-import dataclasses as _dataclasses
+from typing import Optional, Set, Tuple
 
 from repro.config import HierarchyConfig
 from repro.memory.cache import Cache
@@ -30,6 +43,14 @@ from repro.memory.tlb import TLB
 
 ICODE_BASE = 1 << 40
 ICODE_BYTES_PER_INST = 4
+
+# Module-level names for the hot paths (one global load, no enum lookup).
+_STORE = AccessType.STORE
+_L1 = HitLevel.L1
+_L2 = HitLevel.L2
+_DRAM = HitLevel.DRAM
+_MERGE_L1 = HitLevel.MERGE_L1
+_MERGE_L2 = HitLevel.MERGE_L2
 
 
 @dataclasses.dataclass
@@ -79,9 +100,10 @@ class MemoryHierarchy:
         )
         self.stats = HierarchyStats()
         # Hot-path latency constants (one attribute hop instead of three
-        # on every access).
+        # on every access).  Config values, so sharing cannot stale them.
         self._l1d_hit_latency = config.l1d.hit_latency
         self._l1i_hit_latency = config.l1i.hit_latency
+        self._l2_hit_latency = config.l2.hit_latency
         # Lines whose in-flight L1D fill originated in DRAM (vs. L2),
         # so merged accesses can be classified for defer triggers.
         self._l1_pending_from_dram: Set[int] = set()
@@ -102,105 +124,109 @@ class MemoryHierarchy:
         addr += self.addr_offset
         stats = self.stats
         stats.demand_accesses += 1
-        tlb_missed = False
-        if self.dtlb is not None and not self.dtlb.access(addr):
-            tlb_missed = True
+        tlb_miss = False
+        dtlb = self.dtlb
+        if dtlb is not None and not dtlb.access(addr):
+            tlb_miss = True
             cycle += self.config.tlb.walk_latency
         l1d = self.l1d
-        line = l1d.line_addr(addr)
+        shift = l1d.line_shift
+        line = addr >> shift << shift
 
-        if self.l1d_mshr.idle_at(cycle):
-            # Fast hit path: nothing outstanding, so a tag hit cannot
-            # merge with an in-flight fill — a single L1 probe settles
-            # the access with no MSHR/prefetcher bookkeeping.
-            if l1d.lookup(line):
-                stats.demand_l1_hits += 1
+        if l1d.lookup(line):
+            ready = cycle + self._l1d_hit_latency
+            in_flight = self.l1d_mshr.in_flight(cycle)
+            if not in_flight:
+                # Fast hit path: nothing outstanding, so the hit cannot
+                # merge with an in-flight fill.
                 stats.fastpath_l1d += 1
-                if access_type is AccessType.STORE:
-                    l1d.mark_dirty(line)
-                if tlb_missed:
-                    return AccessResult(cycle + self._l1d_hit_latency,
-                                        HitLevel.L1, tlb_miss=True)
-                return AccessResult(cycle + self._l1d_hit_latency,
-                                    HitLevel.L1)
-            result = self._l1d_miss(line, cycle, pc)
-        elif l1d.lookup(line):
-            hit_ready = cycle + self._l1d_hit_latency
-            pending = self.l1d_mshr.pending_ready(line, cycle)
-            if pending is not None and pending > hit_ready:
-                # The line's fill is still in flight: merge.
-                stats.demand_merges += 1
-                level = (HitLevel.MERGE_L2
-                         if line in self._l1_pending_from_dram
-                         else HitLevel.MERGE_L1)
-                result = AccessResult(pending, level)
-            else:
                 stats.demand_l1_hits += 1
-                result = AccessResult(hit_ready, HitLevel.L1)
+                level = _L1
+            else:
+                fill = in_flight.get(line)
+                if fill is not None and fill > ready:
+                    # The line's fill is still in flight: merge.
+                    stats.demand_merges += 1
+                    ready = fill
+                    level = (_MERGE_L2 if line in self._l1_pending_from_dram
+                             else _MERGE_L1)
+                else:
+                    stats.demand_l1_hits += 1
+                    level = _L1
         else:
-            result = self._l1d_miss(line, cycle, pc)
-            if access_type is AccessType.STORE and not l1d.contains(line):
-                # The store merged with the in-flight fill of a line
-                # whose tag was evicted before the fill landed:
-                # write-allocate the line again so it can be dirtied.
-                self._l1d_fill(line)
+            ready, level = self._miss(l1d, self.l1d_mshr,
+                                      self._l1_pending_from_dram,
+                                      line, cycle, pc)
+            if level is _DRAM:
+                stats.demand_dram += 1
+            elif level is _L2:
+                stats.demand_l2_hits += 1
+            else:
+                stats.demand_merges += 1
+                if access_type is _STORE and not l1d.contains(line):
+                    # The store merged with the in-flight fill of a line
+                    # whose tag was evicted before the fill landed:
+                    # write-allocate the line again so it can be dirtied.
+                    l1d.fill(line, writeback=self.l2)
 
-        if access_type is AccessType.STORE:
-            self.l1d.mark_dirty(line)
-        if tlb_missed:
-            result = _dataclasses.replace(result, tlb_miss=True)
-        return result
+        if access_type is _STORE:
+            l1d.mark_dirty(line)
+        return AccessResult(ready, level, tlb_miss)
 
-    def _l1d_miss(self, line: int, cycle: int, pc: int) -> AccessResult:
-        start, merged = self.l1d_mshr.allocate(line, cycle)
+    def _miss(self, l1: Cache, l1_mshr: MSHRFile, from_dram: Optional[Set[int]],
+              line: int, cycle: int, pc: int) -> Tuple[int, HitLevel]:
+        """The walk of one L1 miss of ``line`` at ``cycle``; returns
+        ``(ready_cycle, level)`` and counts nothing in :attr:`stats`.
+
+        ``l1`` and ``l1_mshr`` are the L1D or the L1I and its MSHR file.
+        ``from_dram`` is the set of L1D lines whose in-flight fill came
+        from DRAM, which classifies a merge as ``MERGE_L2``; it is None
+        for the L1I, whose merges are all ``MERGE_L1``.
+        """
+        # 1. L1 MSHR: allocate an entry, or merge with the line's fill.
+        start, merged = l1_mshr.allocate(line, cycle)
         if merged:
-            self.stats.demand_merges += 1
-            level = (HitLevel.MERGE_L2
-                     if line in self._l1_pending_from_dram
-                     else HitLevel.MERGE_L1)
-            return AccessResult(start, level)
+            if from_dram is not None and line in from_dram:
+                return start, _MERGE_L2
+            return start, _MERGE_L1
 
-        # Miss detected after the L1 lookup; go to L2.
-        l2_probe = start + self.config.l1d.hit_latency
-        ready, from_dram = self._l2_access(line, l2_probe, pc)
-        self._l1d_fill(line)
-        self.l1d_mshr.complete(line, ready)
-        self._l1_pending_from_dram.discard(line)
-        if from_dram:
-            self._l1_pending_from_dram.add(line)
-            self.stats.demand_dram += 1
-            return AccessResult(ready, HitLevel.DRAM)
-        self.stats.demand_l2_hits += 1
-        return AccessResult(ready, HitLevel.L2)
+        # 2. The miss is detected after the L1 tag check; probe the L2.
+        l2 = self.l2
+        probe = start + l1.config.hit_latency
+        if l2.lookup(line):
+            ready = probe + self._l2_hit_latency
+            fill = self.l2_mshr.in_flight(probe).get(line)
+            if fill is not None and fill > ready:
+                ready, level = fill, _DRAM
+            else:
+                level = _L2
+        else:
+            level = _DRAM
+            l2_mshr = self.l2_mshr
+            l2_start, merged = l2_mshr.allocate(line, probe)
+            if merged:
+                ready = l2_start
+            else:
+                # 3. DRAM, plus a write slot for a dirty L2 victim.
+                dram = self.dram
+                ready = dram.access(l2_start + self._l2_hit_latency)
+                # 4. L2 fill, then the prefetcher.
+                if l2.fill(line) is not None:
+                    dram.access(ready)
+                l2_mshr.complete(line, ready)
+                for target in self.prefetcher.on_miss(pc, line):
+                    self._prefetch_fill(target, ready)
 
-    def _l1d_fill(self, line: int) -> None:
-        """Install ``line`` in the L1D; a dirty victim is written back
-        into the L2 (tag-only model)."""
-        victim = self.l1d.fill(line)
-        if victim is not None and self.l2.contains(victim):
-            self.l2.mark_dirty(victim)
-
-    def _l2_access(self, line: int, cycle: int, pc: int):
-        """L2 lookup at ``cycle``; returns (ready_cycle, from_dram)."""
-        l2_ready = cycle + self.config.l2.hit_latency
-        if self.l2.lookup(line):
-            pending = self.l2_mshr.pending_ready(line, cycle)
-            if pending is not None and pending > l2_ready:
-                return pending, True
-            return l2_ready, False
-
-        start, merged = self.l2_mshr.allocate(line, cycle)
-        if merged:
-            return start, True
-        dram_ready = self.dram.access(start + self.config.l2.hit_latency)
-        victim = self.l2.fill(line)
-        if victim is not None:
-            # Dirty L2 victim consumes a DRAM write slot.
-            self.dram.access(dram_ready)
-        self.l2_mshr.complete(line, dram_ready)
-        for target in self.prefetcher.on_miss(pc, line):
-            self._prefetch_fill(target, dram_ready)
-        return dram_ready, True
+        # 5. L1 fill; a dirty victim marks its L2 line dirty.
+        l1.fill(line, writeback=l2)
+        # 6. The L1 fill completes at ``ready``; remember its source.
+        l1_mshr.complete(line, ready)
+        if from_dram is not None:
+            if level is _DRAM:
+                from_dram.add(line)
+            else:
+                from_dram.discard(line)
+        return ready, level
 
     # ------------------------------------------------------------------
     # Prefetch path (scout loads and hardware prefetchers).
@@ -215,36 +241,33 @@ class MemoryHierarchy:
         one of hardware scout's documented side benefits.
         """
         addr += self.addr_offset
-        if self.dtlb is not None and not self.dtlb.access(addr):
+        dtlb = self.dtlb
+        if dtlb is not None and not dtlb.access(addr):
             cycle += self.config.tlb.walk_latency
-        line = self.l1d.line_addr(addr)
-        if self.l1d.lookup(line, count=False):
+        l1d = self.l1d
+        shift = l1d.line_shift
+        line = addr >> shift << shift
+        l1d_mshr = self.l1d_mshr
+        if l1d.lookup(line, count=False):
             ready = cycle + self._l1d_hit_latency
-            if not self.l1d_mshr.idle_at(cycle):
-                pending = self.l1d_mshr.pending_ready(line, cycle)
-                if pending is not None and pending > ready:
-                    return AccessResult(pending, HitLevel.MERGE_L1)
-            return AccessResult(ready, HitLevel.L1)
+            fill = l1d_mshr.in_flight(cycle).get(line)
+            if fill is not None and fill > ready:
+                return AccessResult(fill, _MERGE_L1)
+            return AccessResult(ready, _L1)
         self.stats.prefetches_issued += 1
-        result = self._l1d_miss(line, cycle, pc=0)
-        # Undo the demand-classified counting done by _l1d_miss.
-        if result.level is HitLevel.DRAM:
-            self.stats.demand_dram -= 1
-        elif result.level is HitLevel.L2:
-            self.stats.demand_l2_hits -= 1
-        elif result.level in (HitLevel.MERGE_L1, HitLevel.MERGE_L2):
-            self.stats.demand_merges -= 1
-        return result
+        ready, level = self._miss(l1d, l1d_mshr, self._l1_pending_from_dram,
+                                  line, cycle, 0)
+        return AccessResult(ready, level)
 
     def _prefetch_fill(self, line: int, cycle: int) -> None:
         """An L2 prefetcher suggestion: fill L2 only, pay DRAM bandwidth."""
-        line = self.l2.line_addr(line)
-        if self.l2.contains(line):
+        l2 = self.l2
+        if l2.contains(line):
             return
-        self.dram.access(cycle)
-        victim = self.l2.fill(line, prefetched=True)
-        if victim is not None:
-            self.dram.access(cycle)
+        dram = self.dram
+        dram.access(cycle)
+        if l2.fill(line, prefetched=True) is not None:
+            dram.access(cycle)
 
     # ------------------------------------------------------------------
     # Instruction fetch.
@@ -254,28 +277,23 @@ class MemoryHierarchy:
         """Fetch the instruction at index ``pc``."""
         stats = self.stats
         stats.ifetches += 1
-        addr = ICODE_BASE + pc * ICODE_BYTES_PER_INST + self.addr_offset
-        line = self.l1i.line_addr(addr)
-        if self.l1i_mshr.idle_at(cycle):
-            # Fast hit path (see data_access): one probe, no MSHR work.
-            if self.l1i.lookup(line):
+        l1i = self.l1i
+        shift = l1i.line_shift
+        line = ((ICODE_BASE + pc * ICODE_BYTES_PER_INST + self.addr_offset)
+                >> shift << shift)
+        l1i_mshr = self.l1i_mshr
+        if l1i.lookup(line):
+            ready = cycle + self._l1i_hit_latency
+            in_flight = l1i_mshr.in_flight(cycle)
+            if not in_flight:
+                # Fast hit path (see data_access).
                 stats.fastpath_l1i += 1
-                return AccessResult(cycle + self._l1i_hit_latency,
-                                    HitLevel.L1)
-        elif self.l1i.lookup(line):
-            hit_ready = cycle + self._l1i_hit_latency
-            pending = self.l1i_mshr.pending_ready(line, cycle)
-            if pending is not None and pending > hit_ready:
-                return AccessResult(pending, HitLevel.MERGE_L1)
-            return AccessResult(hit_ready, HitLevel.L1)
-        start, merged = self.l1i_mshr.allocate(line, cycle)
-        if merged:
-            return AccessResult(start, HitLevel.MERGE_L1)
-        probe = start + self.config.l1i.hit_latency
-        ready, from_dram = self._l2_access(line, probe, pc)
-        self.l1i.fill(line)
-        self.l1i_mshr.complete(line, ready)
-        level = HitLevel.DRAM if from_dram else HitLevel.L2
+                return AccessResult(ready, _L1)
+            fill = in_flight.get(line)
+            if fill is not None and fill > ready:
+                return AccessResult(fill, _MERGE_L1)
+            return AccessResult(ready, _L1)
+        ready, level = self._miss(l1i, l1i_mshr, None, line, cycle, pc)
         return AccessResult(ready, level)
 
     # ------------------------------------------------------------------

@@ -8,16 +8,18 @@ earliest completion — that serialisation is exactly why bigger windows
 (or SST's deferred queue) only help up to the MSHR-limited MLP.
 
 The file keeps the earliest outstanding completion incrementally, so
-the common probe "anything in flight?" (:meth:`idle_at`) is O(1), a
-full file knows when its first entry frees, and expiry only scans when
-a fill has actually completed.  The cores never poll the file for the
+its one probe, :meth:`MSHRFile.in_flight`, is O(1) unless a fill has
+completed since the last probe, and a full file knows when its first
+entry frees.  That probe answers both questions an L1 hit asks — is
+anything in flight (the hierarchy's single-probe fast path), and is
+this line — from one expiry.  The cores never poll the file for the
 next fill: each access returns its own ``ready_cycle``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 # Sentinel "no outstanding completion" (compares greater than any cycle).
 _NEVER = 1 << 62
@@ -46,33 +48,24 @@ class MSHRFile:
         self._min_ready = _NEVER
 
     def _expire(self, cycle: int) -> None:
-        """Drop entries whose fill has completed by ``cycle``."""
+        """Drop entries whose fill has completed by ``cycle``; callers
+        only call it once ``cycle`` has reached the earliest one."""
         pending = self._pending
-        if not pending or cycle < self._min_ready:
-            return
         expired = [line for line, ready in pending.items() if ready <= cycle]
         for line in expired:
             del pending[line]
         self._min_ready = min(pending.values()) if pending else _NEVER
 
-    def pending_ready(self, line: int, cycle: int) -> Optional[int]:
-        """If ``line`` has an in-flight miss at ``cycle``, its ready time."""
-        self._expire(cycle)
-        return self._pending.get(line)
+    def in_flight(self, cycle: int) -> Dict[int, int]:
+        """The fills outstanding at ``cycle``, as ``{line: ready_cycle}``.
 
-    def idle_at(self, cycle: int) -> bool:
-        """True when no fill is outstanding at ``cycle`` (O(1) probe)."""
-        pending = self._pending
-        if not pending:
-            return True
-        if self._min_ready > cycle:
-            return False
-        self._expire(cycle)
-        return not pending
-
-    def occupancy(self, cycle: int) -> int:
-        self._expire(cycle)
-        return len(self._pending)
+        Completed entries expire first.  An empty mapping means the
+        file is idle at ``cycle``.  The mapping is the file's own, not a
+        copy (every L1 hit asks): read it, never change it.
+        """
+        if cycle >= self._min_ready:
+            self._expire(cycle)
+        return self._pending
 
     def allocate(self, line: int, cycle: int) -> Tuple[int, bool]:
         """Reserve an entry for a new miss of ``line`` at ``cycle``.
@@ -85,25 +78,27 @@ class MSHRFile:
         The caller must follow up with :meth:`complete` to record the
         fill time of a non-merged allocation.
         """
-        self._expire(cycle)
-        existing = self._pending.get(line)
+        pending = self.in_flight(cycle)
+        stats = self.stats
+        existing = pending.get(line)
         if existing is not None:
-            self.stats.merges += 1
+            stats.merges += 1
             return existing, True
         start = cycle
-        if len(self._pending) >= self.entries:
+        if len(pending) >= self.entries:
             # Wait for the earliest in-flight miss to complete.
             start = self._min_ready
-            self.stats.full_stalls += 1
-            self.stats.stall_cycles += start - cycle
+            stats.full_stalls += 1
+            stats.stall_cycles += start - cycle
             self._expire(start)
-        self.stats.allocations += 1
+        stats.allocations += 1
         return start, False
 
     def complete(self, line: int, ready_cycle: int) -> None:
         """Record that the miss of ``line`` fills at ``ready_cycle``."""
-        self._pending[line] = ready_cycle
+        pending = self._pending
+        pending[line] = ready_cycle
         if ready_cycle < self._min_ready:
             self._min_ready = ready_cycle
-        if len(self._pending) > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = len(self._pending)
+        if len(pending) > self.stats.peak_occupancy:
+            self.stats.peak_occupancy = len(pending)

@@ -1,17 +1,15 @@
-"""Access descriptors and results exchanged between cores and the
-memory hierarchy."""
+"""Access kinds and results exchanged between cores and the memory
+hierarchy."""
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+from typing import NamedTuple
 
 
 class AccessType(enum.Enum):
     LOAD = "load"
     STORE = "store"
-    IFETCH = "ifetch"
-    PREFETCH = "prefetch"
 
 
 class HitLevel(enum.Enum):
@@ -25,23 +23,17 @@ class HitLevel(enum.Enum):
     MERGE_L2 = "merge_l2"
 
 
-@dataclasses.dataclass(frozen=True)
-class Access:
-    """One access as issued by a core."""
-
-    addr: int
-    cycle: int
-    type: AccessType
-
-
-@dataclasses.dataclass(frozen=True)
-class AccessResult:
-    """Timing outcome of one access.
+class AccessResult(NamedTuple):
+    """Timing outcome of one access (immutable).
 
     ``ready_cycle`` is when the data is available to dependents (for
     stores: when the line is owned and the write is globally done).
     ``tlb_miss`` marks an access whose translation walked the page
     table first — a deferral trigger of its own in the SST core.
+
+    A ``NamedTuple`` rather than a frozen dataclass: every load, store,
+    prefetch and fetch builds one, and a tuple is built without the
+    per-field ``object.__setattr__`` a frozen dataclass pays.
     """
 
     ready_cycle: int
@@ -55,6 +47,3 @@ class AccessResult:
     @property
     def went_to_dram(self) -> bool:
         return self.level in (HitLevel.DRAM, HitLevel.MERGE_L2)
-
-    def latency(self, issue_cycle: int) -> int:
-        return self.ready_cycle - issue_cycle

@@ -25,18 +25,18 @@ def test_static_predictors():
 def test_bimodal_learns_a_bias():
     predictor = BimodalPredictor(table_bits=4)
     for _ in range(4):
-        predictor.update(5, False)
+        predictor.resolve(5, False)
     assert predictor.predict(5) is False
     for _ in range(4):
-        predictor.update(5, True)
+        predictor.resolve(5, True)
     assert predictor.predict(5) is True
 
 
 def test_bimodal_counters_saturate():
     predictor = BimodalPredictor(table_bits=4)
     for _ in range(100):
-        predictor.update(5, True)
-    predictor.update(5, False)
+        predictor.resolve(5, True)
+    predictor.resolve(5, False)
     assert predictor.predict(5) is True  # one miss doesn't flip saturation
 
 
@@ -45,12 +45,12 @@ def test_gshare_distinguishes_history():
     # Alternating pattern at one PC: gshare can track it via history.
     for _ in range(64):
         taken = predictor.history & 1 == 0
-        predictor.update(7, taken)
+        predictor.resolve(7, taken)
     correct = 0
     for _ in range(32):
         taken = predictor.history & 1 == 0
         correct += predictor.predict(7) == taken
-        predictor.update(7, taken)
+        predictor.resolve(7, taken)
     assert correct >= 28  # near-perfect on a learnable pattern
 
 

@@ -11,7 +11,7 @@ from repro.branch import make_direction_predictor
 def train(predictor, pc, pattern, repeats=40):
     for _ in range(repeats):
         for taken in pattern:
-            predictor.update(pc, taken)
+            predictor.resolve(pc, taken)
 
 
 def accuracy(predictor, pc, pattern, rounds=20):
@@ -20,7 +20,7 @@ def accuracy(predictor, pc, pattern, rounds=20):
     for _ in range(rounds):
         for taken in pattern:
             correct += predictor.predict(pc) == taken
-            predictor.update(pc, taken)
+            predictor.resolve(pc, taken)
             total += 1
     return correct / total
 
@@ -66,7 +66,7 @@ def test_not_worse_than_gshare_on_mixed_branches():
                 taken = pattern[state[pc] % len(pattern)]
                 state[pc] += 1
                 correct += predictor.predict(pc) == taken
-                predictor.update(pc, taken)
+                predictor.resolve(pc, taken)
                 total += 1
         return correct / total
 

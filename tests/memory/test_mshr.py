@@ -8,7 +8,7 @@ def test_allocate_and_complete():
     start, merged = mshr.allocate(0x100, cycle=10)
     assert (start, merged) == (10, False)
     mshr.complete(0x100, ready_cycle=310)
-    assert mshr.pending_ready(0x100, cycle=20) == 310
+    assert mshr.in_flight(20) == {0x100: 310}
 
 
 def test_merge_returns_existing_completion():
@@ -35,8 +35,8 @@ def test_entries_expire_when_complete():
     mshr = MSHRFile(entries=1)
     mshr.allocate(0x100, 0)
     mshr.complete(0x100, 100)
-    assert mshr.occupancy(50) == 1
-    assert mshr.occupancy(100) == 0
+    assert len(mshr.in_flight(50)) == 1
+    assert len(mshr.in_flight(100)) == 0
     start, merged = mshr.allocate(0x200, 150)
     assert (start, merged) == (150, False)
 
@@ -45,8 +45,8 @@ def test_pending_ready_none_after_expiry():
     mshr = MSHRFile(entries=2)
     mshr.allocate(0x100, 0)
     mshr.complete(0x100, 100)
-    assert mshr.pending_ready(0x100, 99) == 100
-    assert mshr.pending_ready(0x100, 100) is None
+    assert mshr.in_flight(99).get(0x100) == 100
+    assert mshr.in_flight(100).get(0x100) is None
 
 
 def test_peak_occupancy_tracked():
@@ -60,9 +60,10 @@ def test_peak_occupancy_tracked():
 
 def test_idle_at_probe():
     mshr = MSHRFile(entries=2)
-    assert mshr.idle_at(0)
+    # An empty in-flight map is the hierarchy's "idle" fast-path probe.
+    assert not mshr.in_flight(0)
     mshr.allocate(0x100, 0)
     mshr.complete(0x100, 100)
-    assert not mshr.idle_at(50)
-    assert mshr.idle_at(100)  # fill landed
-    assert mshr.idle_at(200)
+    assert mshr.in_flight(50)
+    assert not mshr.in_flight(100)  # fill landed
+    assert not mshr.in_flight(200)
