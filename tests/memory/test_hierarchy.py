@@ -114,6 +114,26 @@ def test_store_into_fill_of_evicted_line_reallocates_it():
     hierarchy.check_invariants()
 
 
+def test_reallocated_store_writes_its_dirty_victim_back_to_l2():
+    # One-line L1D over a one-set, four-way L2.  The store to 0x1000
+    # re-allocates its evicted in-flight line and so evicts the dirty
+    # 0x2000, which must be written back: the L2 line turns dirty.
+    hierarchy = MemoryHierarchy(HierarchyConfig(
+        l1d=CacheConfig(size_bytes=64, assoc=1, hit_latency=2),
+        l2=CacheConfig(size_bytes=256, assoc=4, hit_latency=10)))
+    store = AccessType.STORE
+    hierarchy.data_access(0x1000, cycle=0, access_type=store)
+    hierarchy.data_access(0x2000, cycle=1, access_type=store)
+    merged = hierarchy.data_access(0x1000, cycle=2, access_type=store)
+    assert merged.level is HitLevel.MERGE_L2
+    assert hierarchy.l1d.stats.writebacks == 2
+    # Four new lines evict both L2 lines: each was dirty.
+    for index in range(4):
+        hierarchy.data_access(0x10000 + 0x1000 * index, cycle=10_000)
+    assert hierarchy.l2.stats.evictions == 2
+    assert hierarchy.l2.stats.writebacks == 2
+
+
 def test_prefetch_warms_without_demand_stats():
     hierarchy = make_hierarchy()
     hierarchy.prefetch(0x10000, cycle=0)
