@@ -128,11 +128,9 @@ class Cache:
                 victim_writeback = victim
                 if writeback is not None and writeback.contains(victim):
                     writeback.mark_dirty(victim)
+        cache_set[line] = PREFETCHED if prefetched else 0
         if prefetched:
-            cache_set[line] = PREFETCHED
             self.stats.prefetch_fills += 1
-        else:
-            cache_set[line] = 0
         return victim_writeback
 
     def mark_dirty(self, addr: int) -> None:

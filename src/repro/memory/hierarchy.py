@@ -62,9 +62,9 @@ class HierarchyStats:
     demand_merges: int = 0
     prefetches_issued: int = 0
     ifetches: int = 0
-    # Observability: accesses served entirely by the single-probe fast
-    # path (L1 hit with no outstanding fill — no MSHR/prefetcher
-    # bookkeeping touched).  Subsets of the hit counters above.
+    # Observability: accesses served by the fast path (an L1 hit while
+    # the L1's MSHR file is idle, so the hit cannot merge with a fill).
+    # Subsets of the hit counters above.
     fastpath_l1d: int = 0
     fastpath_l1i: int = 0
 

@@ -11,9 +11,9 @@ The file keeps the earliest outstanding completion incrementally, so
 its one probe, :meth:`MSHRFile.in_flight`, is O(1) unless a fill has
 completed since the last probe, and a full file knows when its first
 entry frees.  That probe answers both questions an L1 hit asks — is
-anything in flight (the hierarchy's single-probe fast path), and is
-this line — from one expiry.  The cores never poll the file for the
-next fill: each access returns its own ``ready_cycle``.
+anything in flight (the hierarchy's fast path), and is this line —
+from one expiry.  The cores never poll the file for the next fill:
+each access returns its own ``ready_cycle``.
 """
 
 from __future__ import annotations
