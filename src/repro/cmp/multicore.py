@@ -73,9 +73,10 @@ class Multicore:
         if quantum < 1:
             raise ConfigError("quantum must be >= 1")
         self.quantum = quantum
-        # Retained verbatim so the run's semantic identity — the
-        # baseline-firewall key over (hierarchy, cores, programs,
-        # quantum, sharing) — can be derived after construction.
+        # Retained verbatim so the run's identity — the result-cache
+        # key and baseline semantic ID over (hierarchy, cores,
+        # programs, quantum, sharing) — can be derived after
+        # construction.
         self.hierarchy_config = hierarchy
         self.core_configs: Sequence[SSTConfig] = tuple(core_configs)
         self.programs: Sequence[Program] = tuple(programs)

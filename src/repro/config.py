@@ -135,6 +135,16 @@ class HierarchyConfig:
     # workload generators emit small loops.  Off by default.
     model_ifetch: bool = False
 
+    def __post_init__(self) -> None:
+        # The hierarchy tracks in-flight fills (MSHRs, the DRAM-filled
+        # set) by L1 line, so an L2 line spanning several L1 lines would
+        # serve the others as L2 hits before their data arrives.
+        sizes = (self.l1d.line_bytes, self.l1i.line_bytes,
+                 self.l2.line_bytes)
+        _require(len(set(sizes)) == 1,
+                 "L1D, L1I and L2 line sizes must be equal, got "
+                 "{}, {} and {} bytes".format(*sizes))
+
     def l2_miss_latency(self) -> int:
         """Unloaded latency of a full miss to DRAM (for defer thresholds)."""
         return self.l1d.hit_latency + self.l2.hit_latency + self.dram.latency

@@ -55,8 +55,13 @@ from repro.config import (
     sst_machine,
 )
 from repro.isa.program import Program
-from repro.regress.firewall import BaselineFirewall, multicore_key
-from repro.sim.cache import ResultCache, cache_from_env, result_key
+from repro.regress.firewall import BaselineFirewall
+from repro.sim.cache import (
+    ResultCache,
+    cache_from_env,
+    multicore_key,
+    result_key,
+)
 from repro.sim.parallel import ParallelRunner, SimTask
 from repro.workloads import commercial_suite, compute_suite, full_suite
 
@@ -192,16 +197,26 @@ class BenchEnv:
 
     def run_multicore(self, multicore: Multicore, *,
                       machine: str, program: str) -> MulticoreResult:
-        """Run an interleaved multiprogrammed point and record its
-        aggregate (multicore runs are not content-cacheable: the cores
-        share one hierarchy, so a point is not a pure single-config
-        function — but they *are* deterministic, so each gets a
-        baseline semantic ID over its full input set)."""
-        result = multicore.run()
+        """One interleaved multiprogrammed run, through the result
+        cache, and a record of its aggregate.
+
+        The run is looked up under :func:`multicore_key` (its full input
+        set, which is also its baseline semantic ID) before anything is
+        simulated, and stored after a miss, under the same gates as a
+        point.  On a hit every core's state is a ``CachedState``.
+        """
+        key = multicore_key(multicore, DEFAULT_MAX_INSTRUCTIONS)
+        result = (self.cache.load(key, MulticoreResult)
+                  if self.cache is not None else None)
+        if result is None:
+            result = multicore.run()
+            if self.cache is not None:
+                self.cache.store_or_warn(key, result,
+                                         f"{machine}/{program}")
         self.points.append({
             "machine": machine,
             "program": program,
-            "key": multicore_key(multicore, DEFAULT_MAX_INSTRUCTIONS),
+            "key": key,
             "cycles": result.makespan,
             "instructions": result.total_instructions,
             "ipc": round(result.aggregate_ipc, 6),

@@ -47,7 +47,7 @@ from repro.errors import ReproError
 from repro.regress import semid as semid_mod
 from repro.regress.records import BaselineRecord, BaselineSchemaError
 from repro.regress.store import BaselineStore
-from repro.sim.cache import SIM_SCHEMA_VERSION, canonicalize, result_key
+from repro.sim.cache import SIM_SCHEMA_VERSION, multicore_key, result_key
 
 MODE_CAPTURE = "capture"
 MODE_VERIFY = "verify"
@@ -123,30 +123,11 @@ def experiment_behavior(doc: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Semantic IDs for the non-point scenario kinds.
+# The semantic ID of an experiment scenario.  Point and multicore
+# scenarios are addressed by their result-cache keys,
+# :func:`~repro.sim.cache.result_key` and
+# :func:`~repro.sim.cache.multicore_key`.
 # ---------------------------------------------------------------------------
-
-
-def multicore_key(multicore: Any, max_instructions: int) -> str:
-    """The semantic ID of one multiprogrammed scenario.
-
-    Multicore runs are not *cacheable* (the cores share one hierarchy,
-    so a per-core result is not a pure single-config function), but
-    they are still deterministic pure functions of their full input
-    set — which is all a baseline needs.
-    """
-    return semid_mod.digest_material({
-        "kind": "multicore",
-        "schema": SIM_SCHEMA_VERSION,
-        "hierarchy": canonicalize(multicore.hierarchy_config),
-        "cores": [canonicalize(config)
-                  for config in multicore.core_configs],
-        "programs": [program.fingerprint()
-                     for program in multicore.programs],
-        "quantum": multicore.quantum,
-        "share_l1": multicore.share_l1,
-        "max_instructions": max_instructions,
-    })
 
 
 def experiment_key(name: str, mode: str, max_instructions: int) -> str:

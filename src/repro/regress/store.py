@@ -65,12 +65,13 @@ class BaselineFsckReport:
 class CrossCheckReport:
     """Baseline records cross-checked against live cache entries.
 
-    For every *point* record whose semantic ID addresses an entry in
-    the result cache, the cached :class:`CoreResult` is decoded and its
-    behavior recomputed — the baseline and the cache claim to describe
-    the same simulation, so any disagreement means one of them is
-    corrupt or stale (``mismatched``).  Records with no cache entry are
-    merely ``uncached`` (the cache is disposable; baselines are not).
+    For every *point* or *multicore* record whose semantic ID addresses
+    an entry in the result cache, the cached :class:`CoreResult` or
+    :class:`MulticoreResult` is decoded and its behavior recomputed —
+    the baseline and the cache claim to describe the same simulation,
+    so any disagreement means one of them is corrupt or stale
+    (``mismatched``).  Records with no cache entry are merely
+    ``uncached`` (the cache is disposable; baselines are not).
     """
 
     records: int = 0
@@ -78,7 +79,7 @@ class CrossCheckReport:
     matched: int = 0
     mismatched: int = 0
     uncached: int = 0      # no cache entry for the record's semid
-    unverifiable: int = 0  # non-point kinds (no single cached result)
+    unverifiable: int = 0  # experiment records (no cached result)
     mismatches: List[Dict[str, Any]] = dataclasses.field(
         default_factory=list
     )
@@ -220,20 +221,25 @@ class BaselineStore:
         ``cache`` is a :class:`repro.sim.cache.ResultCache`; imported
         structurally to keep this module import-light.
         """
-        from repro.regress.firewall import point_behavior
+        from repro.cmp.multicore import MulticoreResult
+        from repro.regress.firewall import multicore_behavior, point_behavior
 
         report = CrossCheckReport()
         for record in self.records():
             report.records += 1
-            if record.kind != "point":
+            if record.kind == "point":
+                result, behavior = cache.load(record.semid), point_behavior
+            elif record.kind == "multicore":
+                result = cache.load(record.semid, MulticoreResult)
+                behavior = multicore_behavior
+            else:
                 report.unverifiable += 1
                 continue
-            result = cache.load(record.semid)
             if result is None:
                 report.uncached += 1
                 continue
             report.checked += 1
-            observed = point_behavior(result)
+            observed = behavior(result)
             diff = record.diff_behavior(observed)
             if not diff:
                 report.matched += 1

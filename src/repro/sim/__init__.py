@@ -9,6 +9,7 @@ from repro.sim.cache import (
     ResultCacheStats,
     SIM_SCHEMA_VERSION,
     cache_from_env,
+    multicore_key,
     result_key,
 )
 from repro.sim.compare import compare_machines, speedup_table
@@ -30,6 +31,7 @@ __all__ = [
     "compare_machines",
     "FsckReport",
     "Machine",
+    "multicore_key",
     "ParallelRunner",
     "result_key",
     "ResultCache",

@@ -20,22 +20,31 @@ The key is a SHA-256 over a *canonical* rendering of the inputs:
   after any core-semantics change atomically invalidates all previously
   cached results (stale entries are simply never addressed again).
 
+A multiprogrammed multicore run is cached the same way.  Its cores
+share one hierarchy, so no single core's result is a function of its
+own config, but the whole run is a pure function of its full input set
+(shared hierarchy, core configs, programs, quantum, L1 sharing, budget).
+:func:`multicore_key` digests that set, and the baseline firewall uses
+it as the run's semantic ID.
+
 Results are stored one JSON file per key under ``benchmarks/.simcache/``
-(override with ``REPRO_CACHE_DIR``).  An entry holds the whole result
-except the final memory image: its state is kept as the registers, the
-PC and :meth:`ArchState.digest <repro.isa.interpreter.ArchState.digest>`
-of registers and memory, and loads back as a
-:class:`~repro.isa.interpreter.CachedState`, whose ``memory`` raises.
-No experiment reads a cached image; golden verification and the
-baseline firewall compare the digest.  :data:`ENTRY_LAYOUT` marks this
-layout, so an entry written with a memory image (no layout field)
-loads as a miss, is re-simulated and overwritten, and ``fsck`` counts
-it as schema-stale.
+(override with ``REPRO_CACHE_DIR``).  An entry holds a ``CoreResult``,
+or a :class:`~repro.cmp.multicore.MulticoreResult` of them, and a
+lookup serves only the kind its caller asked for.  Each ``CoreResult``
+is kept whole except for the final memory image: its state is kept as
+the registers, the PC and :meth:`ArchState.digest
+<repro.isa.interpreter.ArchState.digest>` of registers and memory, and
+loads back as a :class:`~repro.isa.interpreter.CachedState`, whose
+``memory`` raises.  No experiment reads a cached image; golden
+verification and the baseline firewall compare the digest.
+:data:`ENTRY_LAYOUT` marks this layout, so an entry written with a
+memory image (no layout field) loads as a miss, is re-simulated and
+overwritten, and ``fsck`` counts it as schema-stale.
 
 Serialization is a small tagged codec covering the closed set of types
-a ``CoreResult`` transitively contains; anything outside that set
-raises, so a new stats type cannot be silently dropped from cached
-results.
+a ``MulticoreResult`` or ``CoreResult`` transitively contains; anything
+outside that set raises, so a new stats type cannot be silently
+dropped from cached results.
 """
 
 from __future__ import annotations
@@ -46,11 +55,13 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Any, Dict, List, Optional, Type
+import warnings
+from typing import Any, Dict, List, Optional, Type, Union
 
 from repro.baselines.core_base import CoreResult
 from repro.baselines.ooo.ooo_core import OoOStats
 from repro.branch.predictors import BranchStats
+from repro.cmp.multicore import Multicore, MulticoreResult
 from repro.core.checkpoint import CheckpointStats
 from repro.core.deferred_queue import DQStats
 from repro.core.modes import ExecMode, FailCause, ScoutCause
@@ -122,6 +133,30 @@ def result_key(config: Any, program: Program, max_instructions: int) -> str:
     })
 
 
+def multicore_key(multicore: Multicore, max_instructions: int) -> str:
+    """The content hash addressing one multiprogrammed run.
+
+    It digests every input of :meth:`Multicore.run
+    <repro.cmp.multicore.Multicore.run>`: the shared hierarchy, each
+    core's config and program fingerprint, the quantum, L1 sharing,
+    the budget and :data:`SIM_SCHEMA_VERSION`.  Like
+    :func:`result_key`, it addresses the run's cache entry and is its
+    semantic ID in the baseline firewall.
+    """
+    return digest_material({
+        "kind": "multicore",
+        "schema": SIM_SCHEMA_VERSION,
+        "hierarchy": canonicalize(multicore.hierarchy_config),
+        "cores": [canonicalize(config)
+                  for config in multicore.core_configs],
+        "programs": [program.fingerprint()
+                     for program in multicore.programs],
+        "quantum": multicore.quantum,
+        "share_l1": multicore.share_l1,
+        "max_instructions": max_instructions,
+    })
+
+
 # ---------------------------------------------------------------------------
 # Result (de)serialization — a tagged codec over the closed type set.
 # ---------------------------------------------------------------------------
@@ -129,9 +164,9 @@ def result_key(config: Any, program: Program, max_instructions: int) -> str:
 _DATACLASSES: Dict[str, Type] = {
     cls.__name__: cls
     for cls in (
-        CoreResult, SSTStats, BranchStats, HierarchyStats,
-        CacheStats, DQStats, SBStats, CheckpointStats, OoOStats,
-        InterpreterStats, PerfCounters,
+        MulticoreResult, CoreResult, SSTStats, BranchStats,
+        HierarchyStats, CacheStats, DQStats, SBStats, CheckpointStats,
+        OoOStats, InterpreterStats, PerfCounters,
     )
 }
 
@@ -210,15 +245,27 @@ def _is_stale(payload: Dict[str, Any]) -> bool:
             or payload.get("layout") != ENTRY_LAYOUT)
 
 
-def _decode_result(payload: Dict[str, Any]) -> CoreResult:
+# What an entry may hold.
+_RESULT_KINDS = (CoreResult, MulticoreResult)
+
+
+def _decode_result(payload: Dict[str, Any],
+                   kind: Optional[Type] = None) -> Any:
     """The result an entry holds; raises :class:`CacheCodecError` when
-    its payload is not a :class:`CoreResult` with a cached state."""
+    its payload is not a ``kind`` (either result kind when None) whose
+    every :class:`CoreResult` has a cached state."""
     result = decode_value(payload["result"])
-    if not isinstance(result, CoreResult):
-        raise CacheCodecError("cached payload is not a CoreResult")
-    if not isinstance(result.state, CachedState):
-        raise CacheCodecError("cached result carries no cached state")
-    result.state.point = f"{result.core_name} on {result.program_name!r}"
+    if not isinstance(result, kind or _RESULT_KINDS):
+        raise CacheCodecError(
+            f"a cached {type(result).__name__} does not serve this lookup"
+        )
+    cores = (result.per_core if isinstance(result, MulticoreResult)
+             else [result])
+    for core in cores:
+        if not (isinstance(core, CoreResult)
+                and isinstance(core.state, CachedState)):
+            raise CacheCodecError("cached result carries no cached state")
+        core.state.point = f"{core.core_name} on {core.program_name!r}"
     return result
 
 
@@ -305,10 +352,12 @@ class ResultCache:
         return [path for path in self.root.glob(".tmp-*")
                 if path.is_file()]
 
-    def load(self, key: str) -> Optional[CoreResult]:
-        """The cached result for ``key``, or None (counts a miss).
+    def load(self, key: str, kind: Type = CoreResult) -> Optional[Any]:
+        """The cached ``kind`` (a :class:`CoreResult` or a
+        :class:`MulticoreResult`) for ``key``, or None (counts a miss).
 
-        Its state is a :class:`CachedState`: registers, PC and digest.
+        Every core's state is a :class:`CachedState`: registers, PC and
+        digest.  An entry of the other kind is invalid, and a miss.
         """
         path = self._path(key)
         try:
@@ -327,7 +376,7 @@ class ResultCache:
                 raise CacheCodecError(
                     "stored key does not match the addressing filename"
                 )
-            result = _decode_result(payload)
+            result = _decode_result(payload, kind)
         except (CacheCodecError, KeyError, TypeError, ValueError):
             self.stats.invalid += 1
             self.stats.misses += 1
@@ -335,7 +384,8 @@ class ResultCache:
         self.stats.hits += 1
         return result
 
-    def store(self, key: str, result: CoreResult) -> None:
+    def store(self, key: str,
+              result: Union[CoreResult, MulticoreResult]) -> None:
         """Persist ``result`` under ``key`` (atomic rename)."""
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -360,6 +410,23 @@ class ResultCache:
             raise
         self.stats.stores += 1
 
+    def store_or_warn(self, key: str,
+                      result: Union[CoreResult, MulticoreResult],
+                      label: str) -> None:
+        """:meth:`store`, except that a store that fails (full disk,
+        unregistered stats type) warns and continues: the finished
+        ``result`` stays with its caller, uncached."""
+        try:
+            self.store(key, result)
+        except (SemanticIdError, OSError) as exc:
+            warnings.warn(
+                f"result cache store failed for {label} "
+                f"({type(exc).__name__}: {exc}); result kept in memory, "
+                f"continuing without caching this point",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
     def invalidate(self, key: str) -> bool:
         """Quarantine (delete) the entry for ``key``; True if one
         existed.  Counted in ``stats.invalid``."""
@@ -380,7 +447,8 @@ class ResultCache:
 
         Checks per entry: parseable JSON, current schema version and
         entry layout, the stored ``"key"`` field matching the addressing
-        filename, and a decodable :class:`CoreResult` payload.  Orphan
+        filename, and a decodable :class:`CoreResult` or
+        :class:`MulticoreResult` payload.  Orphan
         ``.tmp-*`` files from interrupted stores are always flagged (and
         removed under ``repair``).
         """

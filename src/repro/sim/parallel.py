@@ -31,14 +31,12 @@ the cache.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, List, Optional, Sequence
 
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
 from repro.config import MachineConfig
 from repro.errors import ReproError
 from repro.isa.program import Program
-from repro.regress.semid import SemanticIdError
 from repro.sim.cache import ResultCache
 from repro.sim.runner import simulate, verify_against_golden
 
@@ -176,16 +174,7 @@ class ParallelRunner:
             outcome.task.config, outcome.task.program,
             outcome.task.max_instructions,
         )
-        try:
-            self.cache.store(key, outcome.result)
-        except (SemanticIdError, OSError) as exc:
-            warnings.warn(
-                f"result cache store failed for {outcome.task.label} "
-                f"({type(exc).__name__}: {exc}); result kept in memory, "
-                f"continuing without caching this point",
-                RuntimeWarning,
-                stacklevel=4,
-            )
+        self.cache.store_or_warn(key, outcome.result, outcome.task.label)
 
 
 def run_simulations(tasks: Sequence[SimTask], *,

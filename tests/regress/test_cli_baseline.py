@@ -187,3 +187,32 @@ def test_cache_fsck_cross_checks_baselines(dirs, monkeypatch, capsys):
     doctor_point_record(baseline_dir)
     assert main(["cache", "fsck", "--cache-dir", str(cache_dir)]) == 1
     assert "1 MISMATCHED" in capsys.readouterr().out
+
+
+def test_cache_fsck_cross_checks_multicore_records(dirs, monkeypatch,
+                                                   capsys):
+    """A cached multicore run is checked against its record: one
+    doctored per-core digest is a MISMATCH, and a dry run exits 1."""
+    baseline_dir, cache_dir = dirs
+    monkeypatch.setenv("REPRO_BASELINE_DIR", str(baseline_dir))
+    assert main(["baseline", "capture", "e18", "--smoke",
+                 "--baseline-dir", str(baseline_dir)]) == 0
+    capsys.readouterr()
+    fsck = ["cache", "fsck", "--dry-run", "--cache-dir", str(cache_dir)]
+    assert main(fsck) == 0
+    # e18: one point, two multicore runs and the experiment record.
+    assert ("4 baseline records vs cache: 3 matched, 0 MISMATCHED, "
+            "0 uncached, 1 not cache-addressed") in capsys.readouterr().out
+
+    semid = next(record.semid
+                 for record in BaselineStore(baseline_dir).records()
+                 if record.kind == "multicore")
+    path = cache_dir / f"{semid}.json"
+    entry = json.loads(path.read_text())
+    state = entry["result"]["fields"]["per_core"][0]["fields"]["state"]
+    state["__state__"]["digest"] = "0" * 64
+    path.write_text(json.dumps(entry))
+    assert main(fsck) == 1
+    out = capsys.readouterr().out
+    assert "1 MISMATCHED" in out
+    assert f"baseline/cache MISMATCH {semid[:12]} ['per_core']" in out

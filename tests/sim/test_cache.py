@@ -1,6 +1,7 @@
 """Content-addressed result cache: key stability, invalidation, codec
 round-trips, the digest-only entry layout, warm-cache reuse with zero
-re-simulation, and integrity (key-field checking, fsck, quarantine)."""
+re-simulation for points and multicore runs, and integrity (key-field
+and kind checking, fsck, quarantine)."""
 
 import dataclasses
 import json
@@ -9,16 +10,20 @@ import shutil
 import pytest
 
 import repro.sim.cache as cache_mod
-from repro.config import inorder_machine, sst_machine
+from repro.baselines.core_base import DEFAULT_MAX_INSTRUCTIONS
+from repro.cmp.multicore import Multicore, MulticoreResult
+from repro.config import SSTConfig, inorder_machine, sst_machine
 from repro.errors import ReproError
+from repro.experiments.bench_env import BenchEnv
 from repro.isa.interpreter import CachedState
 from repro.memory.sparse_memory import SparseMemory
-from repro.regress.firewall import point_behavior
+from repro.regress.firewall import multicore_behavior, point_behavior
 from repro.sim.cache import (
     ResultCache,
     cache_enabled_by_env,
     decode_value,
     encode_value,
+    multicore_key,
     result_key,
 )
 from repro.sim.parallel import ParallelRunner, SimTask
@@ -35,6 +40,20 @@ def program():
 @pytest.fixture
 def config():
     return sst_machine(small_hierarchy_config())
+
+
+def two_core_run():
+    """A small 2-core SST run over one shared L2, not yet run."""
+    return Multicore(
+        small_hierarchy_config(), [SSTConfig(checkpoints=2)] * 2,
+        [hash_join(table_words=256, probes=48, seed=seed)
+         for seed in (0, 1)],
+    )
+
+
+@pytest.fixture(scope="module")
+def multicore_result():
+    return two_core_run().run()
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +135,21 @@ def test_roundtrip_covers_all_core_kinds(program):
                     sst_machine(small_hierarchy_config())):
         result = simulate(machine, program)
         assert_same_point(decode_value(encode_value(result)), result)
+
+
+def test_multicore_result_roundtrips_through_codec(multicore_result):
+    result = multicore_result
+    restored = decode_value(encode_value(result))
+    assert isinstance(restored, MulticoreResult)
+    assert restored.cores == result.cores == 2
+    for restored_core, core in zip(restored.per_core, result.per_core):
+        assert_same_point(restored_core, core)
+        assert restored_core.state.digest() == core.state.digest()
+    assert restored.makespan == result.makespan
+    assert restored.quantum == result.quantum
+    assert restored.idle_quanta_skipped == result.idle_quanta_skipped
+    assert restored.aggregate_ipc == result.aggregate_ipc
+    assert multicore_behavior(restored) == multicore_behavior(result)
 
 
 def test_memory_image_outside_a_state_is_not_serializable():
@@ -274,6 +308,73 @@ def test_warm_run_does_zero_resimulation(tmp_path, program, monkeypatch):
     assert warm_cache.stats.misses == 0
 
 
+def _env_run(cache):
+    """One 2-core run through a :class:`BenchEnv`; (result, row)."""
+    env = BenchEnv(smoke=True, cache=cache)
+    result = env.run_multicore(two_core_run(), machine="2xsst",
+                               program="db-hashjoin x2")
+    [row] = env.points
+    return result, row
+
+
+def test_warm_multicore_run_does_zero_resimulation(tmp_path, monkeypatch):
+    cold_cache = ResultCache(tmp_path)
+    cold, cold_row = _env_run(cold_cache)
+    assert (cold_cache.stats.misses, cold_cache.stats.stores) == (1, 1)
+    assert cold_row["key"] == multicore_key(two_core_run(),
+                                            DEFAULT_MAX_INSTRUCTIONS)
+
+    def _boom(*args, **kwargs):
+        raise AssertionError("warm cache run re-simulated a multicore run")
+
+    monkeypatch.setattr(Multicore, "run", _boom)
+    warm_cache = ResultCache(tmp_path)
+    warm, warm_row = _env_run(warm_cache)
+    fields = ("key", "cycles", "instructions", "ipc")
+    assert [warm_row[f] for f in fields] == [cold_row[f] for f in fields]
+    assert multicore_behavior(warm) == multicore_behavior(cold)
+    assert all(isinstance(core.state, CachedState)
+               for core in warm.per_core)
+    assert (warm_cache.stats.hits, warm_cache.stats.misses) == (1, 0)
+
+
+@pytest.mark.parametrize("gate", ["0", "1"])
+def test_multicore_runs_follow_the_point_cache_gate(tmp_path, monkeypatch,
+                                                   gate):
+    """``REPRO_CACHE`` and ``REPRO_CACHE_DIR`` decide for multicore runs
+    exactly as for points."""
+    monkeypatch.setenv("REPRO_CACHE", gate)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    env = BenchEnv(smoke=True)
+    env.run_multicore(two_core_run(), machine="2xsst", program="x2")
+    assert len(ResultCache(tmp_path)) == int(gate)
+
+
+# ---------------------------------------------------------------------------
+# A lookup serves only the kind of result its caller asked for.
+# ---------------------------------------------------------------------------
+
+
+def test_point_lookup_of_a_multicore_entry_is_an_invalid_miss(
+        tmp_path, config, program, multicore_result):
+    cache = ResultCache(tmp_path)
+    point = result_key(config, program, 1000)
+    cache.store(point, multicore_result)
+    assert cache.load(point) is None
+    assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
+    assert cache.load(point, MulticoreResult) is not None
+
+
+def test_multicore_lookup_of_a_point_entry_is_an_invalid_miss(
+        tmp_path, config, program):
+    cache = ResultCache(tmp_path)
+    key = multicore_key(two_core_run(), 1000)
+    cache.store(key, simulate(config, program))
+    assert cache.load(key, MulticoreResult) is None
+    assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
+    assert cache.load(key) is not None
+
+
 # ---------------------------------------------------------------------------
 # Bugfix: a renamed/copied file must not serve the wrong result.
 # ---------------------------------------------------------------------------
@@ -401,6 +502,13 @@ def test_codec_store_failure_warns_and_continues(tmp_path, config,
     assert outcomes[0].result.instructions > 0
     assert len(ResultCache(tmp_path)) == 0
 
+    # A multicore run goes through the same helper.
+    monkeypatch.delitem(cache_mod._DATACLASSES, "MulticoreResult")
+    with pytest.warns(RuntimeWarning, match="cache store failed"):
+        result, row = _env_run(ResultCache(tmp_path))
+    assert row["cycles"] == result.makespan > 0
+    assert len(ResultCache(tmp_path)) == 0
+
 
 def test_disk_store_failure_warns_and_continues(tmp_path, config,
                                                 program):
@@ -411,6 +519,9 @@ def test_disk_store_failure_warns_and_continues(tmp_path, config,
     with pytest.warns(RuntimeWarning, match="cache store failed"):
         outcomes = runner.run_outcomes([task])
     assert outcomes[0].ok
+    with pytest.warns(RuntimeWarning, match="cache store failed"):
+        result, row = _env_run(ResultCache(blocked))
+    assert row["cycles"] == result.makespan > 0
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +566,26 @@ def test_fsck_classifies_and_repairs_everything(tmp_path, config,
     assert len(survivors) == 1
     assert_same_point(survivors.load(good_key), result)
     assert survivors.fsck().problems == 0
+
+
+def test_fsck_checks_multicore_entries(tmp_path, multicore_result):
+    cache = ResultCache(tmp_path)
+    sound = multicore_key(two_core_run(), 1000)
+    cache.store(sound, multicore_result)
+    # A core whose cached state lost its digest cannot be verified.
+    broken = multicore_key(two_core_run(), 2000)
+    cache.store(broken, multicore_result)
+    path = tmp_path / f"{broken}.json"
+    payload = json.loads(path.read_text())
+    core = payload["result"]["fields"]["per_core"][1]
+    del core["fields"]["state"]["__state__"]["digest"]
+    path.write_text(json.dumps(payload))
+
+    report = ResultCache(tmp_path).fsck(repair=False)
+    assert (report.scanned, report.ok, report.corrupt) == (2, 1, 1)
+    assert ResultCache(tmp_path).load(broken, MulticoreResult) is None
+    assert ResultCache(tmp_path).fsck().removed == [f"{broken}.json"]
+    assert ResultCache(tmp_path).load(sound, MulticoreResult) is not None
 
 
 def test_fsck_on_missing_dir_is_empty(tmp_path):

@@ -1,5 +1,7 @@
 """Configuration validation and presets."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -43,6 +45,27 @@ def test_bad_dram_configs():
         DRAMConfig(latency=0)
     with pytest.raises(ConfigError):
         DRAMConfig(min_interval=-1)
+
+
+@pytest.mark.parametrize("level", ["l1d", "l1i", "l2"])
+def test_hierarchy_rejects_mixed_line_sizes(level):
+    """Every level shares one line size: with 64 B L1D and 128 B L2
+    lines the second L1D line of an L2 line still in flight from DRAM
+    was served as an L2 hit before its data arrived."""
+    base = HierarchyConfig()
+    wide = CacheConfig(size_bytes=getattr(base, level).size_bytes,
+                       assoc=getattr(base, level).assoc, line_bytes=128)
+    with pytest.raises(ConfigError) as raised:
+        HierarchyConfig(**{level: wide})
+    message = str(raised.value)
+    assert "\n" not in message
+    sizes = {"l1d": "128, 64 and 64", "l1i": "64, 128 and 64",
+             "l2": "64, 64 and 128"}[level]
+    assert f"{sizes} bytes" in message
+    # One size at every level is fine, whatever the size.
+    narrow = {name: dataclasses.replace(getattr(base, name), line_bytes=32)
+              for name in ("l1d", "l1i", "l2")}
+    assert HierarchyConfig(**narrow).l2.line_bytes == 32
 
 
 def test_predictor_validation():
