@@ -9,7 +9,6 @@ from repro.sim.cache import (
     ResultCacheStats,
     SIM_SCHEMA_VERSION,
     cache_from_env,
-    multicore_key,
     result_key,
 )
 from repro.sim.compare import compare_machines, speedup_table
@@ -31,7 +30,6 @@ __all__ = [
     "compare_machines",
     "FsckReport",
     "Machine",
-    "multicore_key",
     "ParallelRunner",
     "result_key",
     "ResultCache",

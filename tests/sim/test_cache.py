@@ -10,7 +10,7 @@ import shutil
 import pytest
 
 import repro.sim.cache as cache_mod
-from repro.baselines.core_base import DEFAULT_MAX_INSTRUCTIONS
+from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
 from repro.cmp.multicore import Multicore, MulticoreResult
 from repro.config import SSTConfig, inorder_machine, sst_machine
 from repro.errors import ReproError
@@ -355,24 +355,18 @@ def test_multicore_runs_follow_the_point_cache_gate(tmp_path, monkeypatch,
 # ---------------------------------------------------------------------------
 
 
-def test_point_lookup_of_a_multicore_entry_is_an_invalid_miss(
-        tmp_path, config, program, multicore_result):
+@pytest.mark.parametrize("stored, asked", [
+    ("multicore", CoreResult), ("point", MulticoreResult)])
+def test_lookup_of_the_other_kind_is_an_invalid_miss(
+        tmp_path, config, program, multicore_result, stored, asked):
+    result = (multicore_result if stored == "multicore"
+              else simulate(config, program))
     cache = ResultCache(tmp_path)
-    point = result_key(config, program, 1000)
-    cache.store(point, multicore_result)
-    assert cache.load(point) is None
+    key = result_key(config, program, 1000)
+    cache.store(key, result)
+    assert cache.load(key, asked) is None
     assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
-    assert cache.load(point, MulticoreResult) is not None
-
-
-def test_multicore_lookup_of_a_point_entry_is_an_invalid_miss(
-        tmp_path, config, program):
-    cache = ResultCache(tmp_path)
-    key = multicore_key(two_core_run(), 1000)
-    cache.store(key, simulate(config, program))
-    assert cache.load(key, MulticoreResult) is None
-    assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
-    assert cache.load(key) is not None
+    assert cache.load(key, type(result)) is not None
 
 
 # ---------------------------------------------------------------------------
