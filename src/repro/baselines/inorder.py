@@ -157,9 +157,7 @@ class InOrderCore(Core):
                     state=state,
                     extra={
                         "branch": branch_unit.stats,
-                        "hierarchy": hierarchy.stats,
-                        "l1d": hierarchy.l1d.stats,
-                        "l2": hierarchy.l2.stats,
+                        **hierarchy.result_stats(),
                         "cpi_stack": cpi_stack,
                         "perf": perf,
                     },

@@ -235,9 +235,7 @@ class OoOCore(Core):
                     extra={
                         "ooo": stats,
                         "branch": branch_unit.stats,
-                        "hierarchy": hierarchy.stats,
-                        "l1d": hierarchy.l1d.stats,
-                        "l2": hierarchy.l2.stats,
+                        **hierarchy.result_stats(),
                         "rob": {"full_stalls": rob_full_stalls,
                                 "stall_cycles": rob_stall_cycles},
                         "iq": {"full_stalls": iq_full_stalls,

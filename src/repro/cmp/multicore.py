@@ -57,7 +57,14 @@ class MulticoreResult:
 
 
 class Multicore:
-    """N SST-family cores over a shared L2/DRAM."""
+    """N SST-family cores over a shared L2/DRAM.
+
+    The constructor validates the run's inputs and keeps them: they are
+    all that :func:`~repro.sim.cache.multicore_key` reads.  Each
+    :meth:`run` builds its own shared hierarchies and cores from them,
+    so a run served from the result cache builds neither (no hierarchy,
+    no decoded blocks, no image copy, no generated SST loop).
+    """
 
     def __init__(self, hierarchy: HierarchyConfig,
                  core_configs: Sequence[SSTConfig],
@@ -72,38 +79,39 @@ class Multicore:
             )
         if quantum < 1:
             raise ConfigError("quantum must be >= 1")
+        # The run's identity — the result-cache key and baseline
+        # semantic ID over (hierarchy, cores, programs, quantum,
+        # sharing) — and everything run() builds from.
         self.quantum = quantum
-        # Retained verbatim so the run's identity — the result-cache
-        # key and baseline semantic ID over (hierarchy, cores,
-        # programs, quantum, sharing) — can be derived after
-        # construction.
         self.hierarchy_config = hierarchy
         self.core_configs: Sequence[SSTConfig] = tuple(core_configs)
         self.programs: Sequence[Program] = tuple(programs)
         self.share_l1 = share_l1
-        self.hierarchies = build_shared_hierarchies(
-            hierarchy, len(core_configs), share_l1=share_l1
-        )
-        self.cores: List[SSTCore] = [
-            SSTCore(program, private, config)
-            for program, private, config
-            in zip(programs, self.hierarchies, core_configs)
-        ]
 
     def run(self, max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
             max_cycles: Optional[int] = None) -> MulticoreResult:
-        """Interleave all cores to completion."""
+        """Build the cores over fresh shared hierarchies and interleave
+        them to completion."""
+        hierarchies = build_shared_hierarchies(
+            self.hierarchy_config, len(self.core_configs),
+            share_l1=self.share_l1,
+        )
+        cores = [
+            SSTCore(program, private, config)
+            for program, private, config
+            in zip(self.programs, hierarchies, self.core_configs)
+        ]
         # Min-heap of (local clock, index); ties broken by index so the
         # schedule is deterministic.
-        heap = [(core.cycle, index) for index, core in enumerate(self.cores)]
+        heap = [(core.cycle, index) for index, core in enumerate(cores)]
         heapq.heapify(heap)
-        results: List[Optional[CoreResult]] = [None] * len(self.cores)
-        remaining = len(self.cores)
+        results: List[Optional[CoreResult]] = [None] * len(cores)
+        remaining = len(cores)
         quantum = self.quantum
         skipped_quanta = 0
         while remaining:
             clock, index = heapq.heappop(heap)
-            core = self.cores[index]
+            core = cores[index]
             if max_cycles is not None and clock >= max_cycles:
                 raise ConfigError(
                     f"core {index} exceeded max_cycles={max_cycles}"

@@ -307,9 +307,7 @@ class SSTCore(Core):
             extra={
                 "sst": self.stats,
                 "branch": self.branch_unit.stats,
-                "hierarchy": self.hierarchy.stats,
-                "l1d": self.hierarchy.l1d.stats,
-                "l2": self.hierarchy.l2.stats,
+                **self.hierarchy.result_stats(),
                 "dq": self.dq.stats,
                 "dq_occupancy": self.dq.occupancy,
                 "sb": self.sb.stats,

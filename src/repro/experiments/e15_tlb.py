@@ -39,17 +39,6 @@ def _sst(env, entries: int, defer_on_tlb: bool) -> MachineConfig:
     )
 
 
-def _tlb_miss_rate(env, entries: int, program) -> float:
-    """Measure the TLB miss rate with a dedicated instrumented run."""
-    from repro.sim.machine import build_core, build_hierarchy
-
-    config = inorder_machine(_hierarchy(env, entries))
-    hierarchy = build_hierarchy(config.hierarchy)
-    core = build_core(config, program, hierarchy)
-    core.run(max_instructions=env.max_instructions)
-    return hierarchy.dtlb.stats.miss_rate
-
-
 @experiment(
     eid="e15", slug="tlb",
     title="TLB reach and defer-on-TLB-miss",
@@ -81,7 +70,7 @@ def build(env):
         gains.append(with_defer.ipc / max(without.ipc, 1e-9))
         table.add_row(
             entries,
-            f"{_tlb_miss_rate(env, entries, program):.0%}",
+            f"{base.extra['dtlb'].miss_rate:.0%}",
             round(base.ipc, 3),
             round(with_defer.ipc, 3),
             round(without.ipc, 3),

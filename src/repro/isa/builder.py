@@ -18,12 +18,13 @@ all forward references and validates the result.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+import itertools
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.errors import ReproError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.program import Program
+from repro.isa.program import WORD_SIZE, Program
 
 LabelOrIndex = Union[str, int]
 
@@ -57,9 +58,16 @@ class ProgramBuilder:
             raise ReproError(f"data word at {addr:#x} is written twice")
         self._image[addr] = value
 
-    def data_words(self, addr: int, values) -> None:
-        for offset, value in enumerate(values):
-            self.data_word(addr + 8 * offset, value)
+    def data_words(self, addr: int, values: Iterable[int]) -> None:
+        """Lay out ``values`` as consecutive words from ``addr`` up, in
+        order, with one dict build and one clash check.  A clash writes
+        nothing and names the first address, in layout order, that is
+        already written."""
+        words = dict(zip(itertools.count(addr, WORD_SIZE), values))
+        if not self._image.keys().isdisjoint(words.keys()):
+            clash = next(word for word in words if word in self._image)
+            raise ReproError(f"data word at {clash:#x} is written twice")
+        self._image.update(words)
 
     def mark_secret(self, start: int, end: int) -> None:
         """Declare the half-open byte range ``[start, end)`` of the data

@@ -11,6 +11,9 @@ memory model directly.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -109,8 +112,14 @@ class Program:
                 f"i:{inst.op.value}:{inst.rd}:{inst.rs1}:{inst.rs2}:"
                 f"{inst.imm}:{inst.target}"
             )
-        for addr, value in self.image.items():
-            yield f"d:{addr}:{value}"
+        if self.image:
+            # Every ``d:{addr}:{value}`` record, in layout order, from
+            # one %-format and yielded newline-joined, which hashes the
+            # same bytes as one record per word: a 64K-word table is
+            # one call, not 64K f-strings.  ``%s`` renders each field
+            # as the f-string did (``%d`` would write a bool as 1).
+            yield "\n".join(["d:%s:%s"] * len(self.image)) % tuple(
+                itertools.chain.from_iterable(self.image.items()))
         # Secret annotations change what the taint analysis reports,
         # so they are part of content identity — but only when
         # present, so every pre-existing fingerprint is unchanged.
@@ -159,6 +168,16 @@ def _checked_image(image: Mapping[int, int]) -> Dict[int, int]:
     reduced to 64 bits; raises :class:`ReproError` naming the first bad
     address."""
     words = dict(image)
+    # Two passes in C clear an image with nothing to report or reduce.
+    # A word's address is aligned and in range exactly when it has no
+    # bit outside _MAX_WORD_ADDR's, and its value fits exactly when it
+    # has no bit outside _MASK64's (a negative int has infinitely
+    # many); the OR of all of them has such a bit exactly when one of
+    # them does.
+    if not words or not (
+            functools.reduce(operator.or_, words) & ~_MAX_WORD_ADDR
+            or functools.reduce(operator.or_, words.values()) & ~_MASK64):
+        return words
     for addr, value in words.items():
         if addr % WORD_SIZE:
             raise ReproError(f"data word at misaligned address {addr:#x}")

@@ -145,11 +145,6 @@ class Cache:
             )
         cache_set[line] = flags | DIRTY
 
-    def invalidate(self, addr: int) -> None:
-        shift = self.line_shift
-        index = addr >> shift
-        self._sets[index & self._set_mask].pop(index << shift, None)
-
     # ------------------------------------------------------------------
     # Introspection (tests, invariants).
     # ------------------------------------------------------------------

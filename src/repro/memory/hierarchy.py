@@ -31,7 +31,7 @@ I-streams and D-streams compete in the shared L2 without aliasing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.config import HierarchyConfig
 from repro.memory.cache import Cache
@@ -297,8 +297,22 @@ class MemoryHierarchy:
         return AccessResult(ready, level)
 
     # ------------------------------------------------------------------
-    # Invariants.
+    # Statistics and invariants.
     # ------------------------------------------------------------------
+
+    def result_stats(self) -> Dict[str, Any]:
+        """The statistics a core's result carries in
+        ``CoreResult.extra``: the hierarchy's (``"hierarchy"``), the
+        L1D's and the L2's, and the data TLB's (``"dtlb"``) when there
+        is one."""
+        stats: Dict[str, Any] = {
+            "hierarchy": self.stats,
+            "l1d": self.l1d.stats,
+            "l2": self.l2.stats,
+        }
+        if self.dtlb is not None:
+            stats["dtlb"] = self.dtlb.stats
+        return stats
 
     def check_invariants(self) -> None:
         self.l1d.check_invariants()

@@ -36,9 +36,12 @@ the registers, the PC and :meth:`ArchState.digest
 <repro.isa.interpreter.ArchState.digest>` of registers and memory, and
 loads back as a :class:`~repro.isa.interpreter.CachedState`, whose
 ``memory`` raises.  No experiment reads a cached image; golden
-verification and the baseline firewall compare the digest.
-:data:`ENTRY_LAYOUT` marks this layout, so an entry written with a
-memory image (no layout field) loads as a miss, is re-simulated and
+verification and the baseline firewall compare the digest.  A result
+whose hierarchy has a data TLB also keeps its
+:class:`~repro.memory.tlb.TLBStats` (``extra["dtlb"]``), so E15 reads
+its miss rates from cached points.  :data:`ENTRY_LAYOUT` (3) marks this
+layout, so an entry in an older one (2, without TLB statistics, or
+none, with a memory image) loads as a miss, is re-simulated and
 overwritten, and ``fsck`` counts it as schema-stale.
 
 Serialization is a small tagged codec covering the closed set of types
@@ -74,6 +77,7 @@ from repro.regress.semid import SemanticIdError, canonicalize, digest_material
 from repro.isa.program import Program
 from repro.memory.cache import CacheStats
 from repro.memory.hierarchy import HierarchyStats
+from repro.memory.tlb import TLBStats
 from repro.stats.histogram import Histogram
 
 # Bump on ANY change to core timing/functional semantics: the version
@@ -87,7 +91,9 @@ SIM_SCHEMA_VERSION = 2
 # baseline record's semantic ID; entries in any other layout load as
 # misses.  Entries without the field kept the final memory image.
 # 2: the state is registers, PC and digest; no memory image.
-ENTRY_LAYOUT = 2
+# 3: a result whose hierarchy has a data TLB carries its TLBStats
+#    (extra["dtlb"]).
+ENTRY_LAYOUT = 3
 
 # Anchored to the repository root (not the process cwd) so a run from
 # any working directory hits the same cache.
@@ -165,8 +171,8 @@ _DATACLASSES: Dict[str, Type] = {
     cls.__name__: cls
     for cls in (
         MulticoreResult, CoreResult, SSTStats, BranchStats,
-        HierarchyStats, CacheStats, DQStats, SBStats, CheckpointStats,
-        OoOStats, InterpreterStats, PerfCounters,
+        HierarchyStats, CacheStats, TLBStats, DQStats, SBStats,
+        CheckpointStats, OoOStats, InterpreterStats, PerfCounters,
     )
 }
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import functools
 import random
+import struct
+from typing import List
 
 # Data heaps start here; instruction indices live in a separate address
 # space inside the hierarchy, so any 8-aligned region works.
@@ -21,6 +23,39 @@ LCG_ADD = 1442695040888963407
 
 def rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def randbelow_many(random_state: random.Random, n: int,
+                   count: int) -> List[int]:
+    """``[random_state.randrange(n) for _ in range(count)]``, drawn in
+    bulk: the same values, and ``random_state`` left in the same state.
+
+    It reproduces CPython's rule for ``randrange(n)``
+    (``Random._randbelow_with_getrandbits``, the same on 3.9 to 3.12):
+    with ``k = n.bit_length()``, draw ``getrandbits(k)`` and draw again
+    while the value is ``>= n``.  For ``k <= 32`` one draw is the top
+    ``k`` bits of one 32-bit Mersenne Twister word, and
+    ``getrandbits(32 * m)`` returns the next ``m`` words, least
+    significant first whatever the host byte order.  So each chunk
+    takes as many words as values are still needed and keeps the top
+    ``k`` bits of each word whose top bits are ``< n``.  The draw ends
+    with a chunk whose words are all kept, so it never draws past the
+    last accepted word and later draws from ``random_state`` do not
+    move.  A bound above 32 bits, where one draw spans several words,
+    and an empty range (``n <= 0``) take the per-value loop.
+    """
+    if n <= 0 or n.bit_length() > 32:
+        return [random_state.randrange(n) for _ in range(count)]
+    shift = 32 - n.bit_length()
+    limit = n << shift  # word < limit exactly when word >> shift < n
+    values: List[int] = []
+    while len(values) < count:
+        need = count - len(values)
+        words = struct.unpack(
+            f"<{need}I",
+            random_state.getrandbits(32 * need).to_bytes(4 * need, "little"))
+        values += [word >> shift for word in words if word < limit]
+    return values
 
 
 def memoize_workload(fn):

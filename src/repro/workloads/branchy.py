@@ -20,6 +20,7 @@ from repro.workloads.base import (
     LCG_MUL,
     RESULT_ADDR,
     check_pow2,
+    randbelow_many,
     rng,
 )
 
@@ -36,13 +37,15 @@ def branchy_reduce(iterations: int = 1024, data_words: int = 1 << 13,
     check_pow2(data_words, "data_words")
     random_state = rng(seed)
     builder = ProgramBuilder(name)
-    for index in range(data_words):
-        if biased:
-            value = 0 if random_state.random() < 0.94 else 1
-            value |= random_state.randrange(1 << 10) << 4
-        else:
-            value = random_state.randrange(1 << 12)
-        builder.data_word(HEAP_BASE + 8 * index, value)
+    if biased:
+        # Each word takes a random() and a randrange() in turn, so the
+        # words are drawn one at a time.
+        values = [(0 if random_state.random() < 0.94 else 1)
+                  | random_state.randrange(1 << 10) << 4
+                  for _ in range(data_words)]
+    else:
+        values = randbelow_many(random_state, 1 << 12, data_words)
+    builder.data_words(HEAP_BASE, values)
 
     builder.movi(1, iterations)
     builder.movi(2, HEAP_BASE)

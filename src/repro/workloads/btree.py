@@ -31,8 +31,7 @@ def btree_lookup(array_words: int = 1 << 14, lookups: int = 256,
 
     # Sorted array: value at index i is 2*i, so half the probed keys
     # (odd ones) are absent — both branch directions get exercised.
-    for index in range(array_words):
-        builder.data_word(HEAP_BASE + 8 * index, 2 * index)
+    builder.data_words(HEAP_BASE, range(0, 2 * array_words, 2))
 
     builder.movi(1, lookups)
     builder.movi(2, HEAP_BASE)

@@ -19,6 +19,7 @@ from repro.workloads.base import (
     LCG_MUL,
     RESULT_ADDR,
     check_pow2,
+    randbelow_many,
     rng,
 )
 
@@ -40,11 +41,11 @@ def hash_join(table_words: int = 1 << 15, probes: int = 2048,
     builder = ProgramBuilder(name)
 
     # Bucket contents: a payload in the low word; bucket i also embeds a
-    # pointer to a random other bucket for the chained case.
-    for index in range(table_words):
-        target = random_state.randrange(table_words)
-        # Pointer stored pre-scaled so the chain hop is one LD.
-        builder.data_word(HEAP_BASE + 8 * index, HEAP_BASE + 8 * target)
+    # pointer to a random other bucket for the chained case, stored
+    # pre-scaled so the chain hop is one LD.
+    targets = randbelow_many(random_state, table_words, table_words)
+    builder.data_words(HEAP_BASE,
+                       [HEAP_BASE + 8 * target for target in targets])
 
     builder.movi(1, probes)  # probe counter
     builder.movi(2, HEAP_BASE)  # table base

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
-from repro.workloads.base import HEAP_BASE, RESULT_ADDR, rng, memoize_workload
+from repro.workloads.base import (
+    HEAP_BASE,
+    RESULT_ADDR,
+    memoize_workload,
+    randbelow_many,
+    rng,
+)
 
 _NODE_BYTES = 16
 _MAX_CHAINS = 8
@@ -43,12 +49,15 @@ def pointer_chase(chains: int = 4, nodes_per_chain: int = 256,
         base = HEAP_BASE + chain * nodes_per_chain * _NODE_BYTES * 2
         order = list(range(nodes_per_chain))
         random_state.shuffle(order)
-        # node order[i] -> node order[i+1]; last wraps to first.
+        # Payloads in 1..999: randrange(1, 1000) is 1 + randrange(999).
+        payloads = randbelow_many(random_state, 999, nodes_per_chain)
+        # node order[i] -> node order[i+1]; last wraps to first.  Each
+        # node's next pointer is laid out just before its payload.
         for position, node in enumerate(order):
             nxt = order[(position + 1) % nodes_per_chain]
             addr = base + node * _NODE_BYTES
             builder.data_word(addr, base + nxt * _NODE_BYTES)
-            builder.data_word(addr + 8, random_state.randrange(1, 1000))
+            builder.data_word(addr + 8, 1 + payloads[position])
         heads.append(base + order[0] * _NODE_BYTES)
 
     # r1 = hop counter, r2 = accumulator, r10.. = chain cursors.

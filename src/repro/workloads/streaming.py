@@ -23,6 +23,7 @@ from repro.workloads.base import (
     LCG_MUL,
     RESULT_ADDR,
     check_pow2,
+    randbelow_many,
     rng,
 )
 
@@ -34,10 +35,8 @@ def array_stream(words: int = 1 << 14, scale: int = 3,
     """Sweep ``words`` sequential words with a multiply-accumulate."""
     if words < 1:
         raise ValueError("words must be >= 1")
-    random_state = rng(seed)
     builder = ProgramBuilder(name)
-    for index in range(words):
-        builder.data_word(HEAP_BASE + 8 * index, random_state.randrange(1 << 20))
+    builder.data_words(HEAP_BASE, randbelow_many(rng(seed), 1 << 20, words))
     out_base = HEAP_BASE + 8 * words + (1 << 20)
 
     builder.movi(1, words)
@@ -70,10 +69,9 @@ def store_stream(records: int = 512, payload_words: int = 8,
     check_pow2(table_words, "table_words")
     if payload_words < 1:
         raise ValueError("payload_words must be >= 1")
-    random_state = rng(seed)
     builder = ProgramBuilder(name)
-    for index in range(table_words):
-        builder.data_word(HEAP_BASE + 8 * index, random_state.randrange(1 << 16))
+    builder.data_words(HEAP_BASE,
+                       randbelow_many(rng(seed), 1 << 16, table_words))
     log_base = HEAP_BASE + 8 * table_words + (1 << 20)
 
     builder.movi(1, records)

@@ -61,11 +61,24 @@ def test_data_words_layout():
     (lambda b: (b.data_words(0x100, [1, 2]), b.data_word(0x108, 3)), "0x108"),
     (lambda b: (b.data_word(0x110, 1), b.secret_words(0x100, [1, 2, 3])),
      "0x110"),
-], ids=["data_word", "data_words", "secret_words"])
+    # Two clashes: the first in the run's layout order is named, not
+    # the first written.
+    (lambda b: (b.data_word(0x118, 1), b.data_word(0x108, 2),
+                b.data_words(0x100, range(4))), "0x108"),
+], ids=["data_word", "data_words", "secret_words", "first-in-layout"])
 def test_overlapping_data_word_rejected(write_twice, addr):
     with pytest.raises(ReproError, match=f"^data word at {addr} is written "
                                          f"twice$"):
         write_twice(ProgramBuilder())
+
+
+def test_clashing_run_writes_nothing():
+    builder = ProgramBuilder()
+    builder.data_word(0x110, 9)
+    with pytest.raises(ReproError, match="0x110"):
+        builder.data_words(0x100, [1, 2, 3])
+    builder.halt()
+    assert dict(builder.build().image) == {0x110: 9}
 
 
 def test_here_tracks_position():

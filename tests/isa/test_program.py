@@ -1,8 +1,10 @@
 """Program container: validation, labels, disassembly, data image."""
 
 import pickle
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.isa.assembler import assemble
@@ -48,6 +50,42 @@ def test_image_values_are_reduced_to_64_bits():
     unsigned = Program([Instruction(Op.HALT)], image={0x100: 2**64 - 1})
     assert dict(negative.image) == {0x100: 2**64 - 1}
     assert negative.fingerprint() == unsigned.fingerprint()
+
+
+def per_word_image(image):
+    """The image rule word by word: the first bad address in layout
+    order fails, and each value outside 64 bits is reduced."""
+    words = {}
+    for addr, value in image.items():
+        if addr % 8:
+            raise ReproError(f"data word at misaligned address {addr:#x}")
+        if not 0 <= addr <= 2**64 - 8:
+            raise ReproError(f"data word address {addr:#x} is outside "
+                             f"[0, {2**64 - 8:#x}]")
+        words[addr] = value if 0 <= value < 2**64 else value % 2**64
+    return words
+
+
+IMAGE_ADDRESSES = st.one_of(st.integers(0, 2**61 - 1).map(lambda i: 8 * i),
+                            st.integers(-2**66, 2**66))
+IMAGE_VALUES = st.one_of(st.integers(-2**66, 2**66), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(image=st.dictionaries(IMAGE_ADDRESSES, IMAGE_VALUES, max_size=8))
+@example(image={0x100: 1, 2**64 - 8: 2**64 - 1, 0: True})
+@example(image={0x100: -1, 2**64 - 8: 2**64})
+@example(image={0x100: 1, 2**64 - 4: 1, -8: 1})
+def test_image_check_is_the_per_word_rule(image):
+    try:
+        expected = per_word_image(image)
+    except ReproError as error:
+        with pytest.raises(ReproError, match=f"^{re.escape(str(error))}$"):
+            Program([Instruction(Op.HALT)], image=image)
+        return
+    kept = Program([Instruction(Op.HALT)], image=image).image
+    assert list(kept.items()) == list(expected.items())
+    assert list(map(type, kept.values())) == list(map(type, expected.values()))
 
 
 def test_image_is_a_read_only_copy():

@@ -89,13 +89,6 @@ def test_prefetch_fill_counted_and_hit_tracked():
     assert cache.stats.prefetch_hits == 1
 
 
-def test_invalidate():
-    cache = tiny_cache()
-    cache.fill(0x000)
-    cache.invalidate(0x000)
-    assert not cache.contains(0x000)
-
-
 def test_lru_hits_match_stack_distances():
     """Stack-distance identity over a long random stream: an N-line
     fully-associative cache hits exactly the references whose LRU stack

@@ -18,6 +18,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.config import inorder_machine, sst_machine
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Op
+from repro.isa.program import Program
 from repro.regress.semid import (
     SemanticIdError,
     canonical_json,
@@ -30,7 +33,7 @@ from repro.regress.semid import (
     state_digest,
 )
 from repro.sim.cache import SIM_SCHEMA_VERSION, result_key
-from repro.workloads import full_suite
+from repro.workloads import full_suite, spec_leak_gadget
 
 
 # -- canonicalization rules -------------------------------------------------
@@ -131,8 +134,33 @@ def test_result_key_is_bit_identical_to_legacy_format():
     assert result_key(config, program, 1000) == legacy
 
 
-def test_program_fingerprint_is_bit_identical_to_legacy_format():
-    program = full_suite("tiny")[0]
+def image_program(image, secret_ranges=()):
+    """A two-instruction program around ``image``."""
+    return Program([Instruction(Op.NOP), Instruction(Op.HALT)],
+                   image=image, name="imaged", secret_ranges=secret_ranges)
+
+
+IMAGE_ADDRESSES = st.integers(0, 2**61 - 1).map(lambda index: index * 8)
+# Any int the image reduces to 64 bits, and bools, which it keeps.
+IMAGE_VALUES = st.one_of(st.integers(-2**64, 2**65), st.booleans())
+SECRET_RANGES = st.lists(
+    st.tuples(IMAGE_ADDRESSES, st.integers(1, 8)).map(
+        lambda pair: (pair[0], pair[0] + 8 * pair[1])),
+    max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=st.builds(
+    image_program,
+    st.dictionaries(IMAGE_ADDRESSES, IMAGE_VALUES, max_size=64),
+    SECRET_RANGES))
+@example(program=full_suite("tiny")[0])
+@example(program=image_program({}))
+@example(program=image_program({0x100: 7}))
+@example(program=image_program({0: 0, 2**64 - 8: 2**64 - 1}))
+@example(program=image_program({0x100: True, 0x108: False, 0x110: 1}))
+@example(program=spec_leak_gadget())
+def test_program_fingerprint_is_bit_identical_to_legacy_format(program):
     hasher = hashlib.sha256()
     hasher.update(f"program:{program.name}\n".encode())
     for inst in program.instructions:

@@ -12,11 +12,19 @@ import pytest
 import repro.sim.cache as cache_mod
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
 from repro.cmp.multicore import Multicore, MulticoreResult
-from repro.config import SSTConfig, inorder_machine, sst_machine
+from repro.config import (
+    SSTConfig,
+    TLBConfig,
+    inorder_machine,
+    ooo_machine,
+    sst_machine,
+)
+from repro.core.sst_core import SSTCore
 from repro.errors import ReproError
 from repro.experiments.bench_env import BenchEnv
 from repro.isa.interpreter import CachedState
 from repro.memory.sparse_memory import SparseMemory
+from repro.memory.tlb import TLBStats
 from repro.regress.firewall import multicore_behavior, point_behavior
 from repro.sim.cache import (
     ResultCache,
@@ -135,6 +143,25 @@ def test_roundtrip_covers_all_core_kinds(program):
                     sst_machine(small_hierarchy_config())):
         result = simulate(machine, program)
         assert_same_point(decode_value(encode_value(result)), result)
+
+
+@pytest.mark.parametrize("machine", [inorder_machine, sst_machine,
+                                     ooo_machine])
+def test_tlb_stats_roundtrip_through_codec(machine, program):
+    """A core whose hierarchy has a TLB carries its statistics, and the
+    cache keeps them: E15 reads its miss rates from cached points."""
+    hierarchy = dataclasses.replace(
+        small_hierarchy_config(),
+        tlb=TLBConfig(entries=4, page_bytes=512, walk_latency=30))
+    result = simulate(machine(hierarchy), program)
+    stats = result.extra["dtlb"]
+    assert isinstance(stats, TLBStats) and stats.misses > 0
+    restored = decode_value(encode_value(result))
+    assert_same_point(restored, result)
+    assert isinstance(restored.extra["dtlb"], TLBStats)
+    assert restored.extra["dtlb"].miss_rate == stats.miss_rate
+    assert "dtlb" not in simulate(machine(small_hierarchy_config()),
+                                  program).extra
 
 
 def test_multicore_result_roundtrips_through_codec(multicore_result):
@@ -261,6 +288,20 @@ def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
     assert_same_point(ResultCache(tmp_path).load(key), result)
 
 
+def test_layout_2_entry_is_a_stale_miss(tmp_path, config, program):
+    """An entry written before results carried TLB statistics."""
+    cache = ResultCache(tmp_path)
+    key = cache.key(config, program, 1000)
+    cache.store(key, simulate(config, program))
+    path = tmp_path / f"{key}.json"
+    payload = json.loads(path.read_text())
+    assert payload["layout"] == cache_mod.ENTRY_LAYOUT == 3
+    path.write_text(json.dumps({**payload, "layout": 2}))
+    assert ResultCache(tmp_path).fsck(repair=False).schema_stale == 1
+    assert cache.load(key) is None
+    assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
+
+
 def test_clear_removes_entries(tmp_path, config, program):
     cache = ResultCache(tmp_path)
     cache.store(cache.key(config, program, 1000),
@@ -327,7 +368,11 @@ def test_warm_multicore_run_does_zero_resimulation(tmp_path, monkeypatch):
     def _boom(*args, **kwargs):
         raise AssertionError("warm cache run re-simulated a multicore run")
 
+    def _no_core(*args, **kwargs):
+        raise AssertionError("warm cache run built a multicore core")
+
     monkeypatch.setattr(Multicore, "run", _boom)
+    monkeypatch.setattr(SSTCore, "__init__", _no_core)
     warm_cache = ResultCache(tmp_path)
     warm, warm_row = _env_run(warm_cache)
     fields = ("key", "cycles", "instructions", "ipc")
