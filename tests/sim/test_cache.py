@@ -156,10 +156,7 @@ def test_tlb_stats_roundtrip_through_codec(machine, program):
     result = simulate(machine(hierarchy), program)
     stats = result.extra["dtlb"]
     assert isinstance(stats, TLBStats) and stats.misses > 0
-    restored = decode_value(encode_value(result))
-    assert_same_point(restored, result)
-    assert isinstance(restored.extra["dtlb"], TLBStats)
-    assert restored.extra["dtlb"].miss_rate == stats.miss_rate
+    assert_same_point(decode_value(encode_value(result)), result)
     assert "dtlb" not in simulate(machine(small_hierarchy_config()),
                                   program).extra
 

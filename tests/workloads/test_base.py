@@ -33,21 +33,11 @@ def reference(random_state, n, count):
 @example(n=2**33, count=100, seed=1)
 @example(n=999, count=0, seed=7)
 def test_randbelow_many_equals_the_randrange_loop(n, count, seed):
+    # An equal state means later draws, such as pointer_chase's next
+    # shuffle, do not move either.
     bulk, loop = random.Random(seed), random.Random(seed)
     assert randbelow_many(bulk, n, count) == reference(loop, n, count)
     assert bulk.getstate() == loop.getstate()
-
-
-def test_later_draws_do_not_move():
-    """A generator that shuffles after a bulk draw (``pointer_chase``)
-    sees the same permutation as after the loop."""
-    bulk, loop = random.Random(1), random.Random(1)
-    randbelow_many(bulk, 999, 2048)
-    reference(loop, 999, 2048)
-    orders = [list(range(64)), list(range(64))]
-    bulk.shuffle(orders[0])
-    loop.shuffle(orders[1])
-    assert orders[0] == orders[1]
 
 
 @pytest.mark.parametrize("n", [0, -5])
