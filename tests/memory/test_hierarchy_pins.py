@@ -148,6 +148,10 @@ CASES = {
                                                   share_l1=True),
 }
 
+# Each case's stream seed, fixed so that adding or deleting a case
+# reseeds no other case.
+SEEDS = {"private": 0, "shared": 1, "shared_l1": 2, "stride": 3, "tlb": 4}
+
 RESULT_PINS = {
     "private":
         "d054e42d5b92df4d5158dc0aea1ed619444fe899cc84bf1589af412523312225",
@@ -251,7 +255,7 @@ def counters(hierarchies):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_hierarchy_pins(case):
     hierarchies = CASES[case]()
-    results, events = drive(hierarchies, seed=sorted(CASES).index(case))
+    results, events = drive(hierarchies, seed=SEEDS[case])
     records = [stats_records(hierarchy) for hierarchy in hierarchies]
     assert counters(hierarchies) == COUNTER_PINS[case]
     assert stats_digests(hierarchies) == STATS_PINS[case]
