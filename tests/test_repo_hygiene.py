@@ -11,7 +11,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 def all_python_files():
     files = []
-    for directory in ("src", "examples"):
+    for directory in ("src", "examples", "benchmarks"):
         files.extend(sorted((REPO / directory).rglob("*.py")))
     return files
 
