@@ -56,12 +56,7 @@ from repro.config import (
 )
 from repro.isa.program import Program
 from repro.regress.firewall import BaselineFirewall
-from repro.sim.cache import (
-    ResultCache,
-    cache_from_env,
-    multicore_key,
-    result_key,
-)
+from repro.sim.cache import ResultCache, cache_from_env, multicore_key
 from repro.sim.parallel import ParallelRunner, SimTask
 from repro.workloads import commercial_suite, compute_suite, full_suite
 
@@ -239,8 +234,7 @@ class BenchEnv:
             "program": task.program.name,
             # The content hash addressing this point in the result
             # cache: a fingerprint of (config, program, budget).
-            "key": result_key(task.config, task.program,
-                              task.max_instructions),
+            "key": task.key,
             "cycles": result.cycles,
             "instructions": result.instructions,
             "ipc": round(result.ipc, 6),

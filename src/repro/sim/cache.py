@@ -336,10 +336,6 @@ class ResultCache:
         )
         self.stats = ResultCacheStats()
 
-    def key(self, config: Any, program: Program,
-            max_instructions: int) -> str:
-        return result_key(config, program, max_instructions)
-
     def _path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
 

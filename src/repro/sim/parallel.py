@@ -31,13 +31,14 @@ the cache.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, List, Optional, Sequence
 
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
 from repro.config import MachineConfig
 from repro.errors import ReproError
 from repro.isa.program import Program
-from repro.sim.cache import ResultCache
+from repro.sim.cache import ResultCache, result_key
 from repro.sim.runner import simulate, verify_against_golden
 
 
@@ -60,6 +61,12 @@ class SimTask:
     @property
     def label(self) -> str:
         return f"{self.config.name}/{self.program.name}"
+
+    @functools.cached_property
+    def key(self) -> str:
+        """The point's :func:`~repro.sim.cache.result_key`, computed once
+        for the cache load, the cache store and the result document."""
+        return result_key(self.config, self.program, self.max_instructions)
 
 
 @dataclasses.dataclass
@@ -151,8 +158,7 @@ class ParallelRunner:
         (quarantined here, so one bad file cannot poison the point)."""
         if self.cache is None:
             return None
-        key = self.cache.key(task.config, task.program,
-                             task.max_instructions)
+        key = task.key
         result = self.cache.load(key)
         if result is None:
             return None
@@ -170,11 +176,8 @@ class ParallelRunner:
         """Persist one finished result; a store failure (full disk,
         unregistered stats type) must not discard the result."""
         assert self.cache is not None and outcome.result is not None
-        key = self.cache.key(
-            outcome.task.config, outcome.task.program,
-            outcome.task.max_instructions,
-        )
-        self.cache.store_or_warn(key, outcome.result, outcome.task.label)
+        self.cache.store_or_warn(outcome.task.key, outcome.result,
+                                 outcome.task.label)
 
 
 def run_simulations(tasks: Sequence[SimTask], *,

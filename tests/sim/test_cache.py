@@ -189,7 +189,7 @@ def test_memory_image_outside_a_state_is_not_serializable():
 def test_store_then_load(tmp_path, config, program):
     cache = ResultCache(tmp_path)
     result = simulate(config, program)
-    key = cache.key(config, program, 1_000_000)
+    key = result_key(config, program, 1_000_000)
     assert cache.load(key) is None
     cache.store(key, result)
     assert len(cache) == 1
@@ -201,7 +201,7 @@ def test_entry_keeps_no_memory_image(tmp_path, config, program):
     cache = ResultCache(tmp_path)
     result = simulate(config, program)
     assert len(result.state.memory) > 256  # the table is in the image
-    key = cache.key(config, program, 1_000_000)
+    key = result_key(config, program, 1_000_000)
     cache.store(key, result)
     payload = json.loads((tmp_path / f"{key}.json").read_text())
     assert payload["layout"] == cache_mod.ENTRY_LAYOUT
@@ -214,7 +214,7 @@ def test_entry_keeps_no_memory_image(tmp_path, config, program):
 def test_reading_memory_of_a_cached_result_raises(tmp_path, config,
                                                   program):
     cache = ResultCache(tmp_path)
-    key = cache.key(config, program, 1_000_000)
+    key = result_key(config, program, 1_000_000)
     cache.store(key, simulate(config, program))
     cached = cache.load(key)
     with pytest.raises(ReproError) as raised:
@@ -227,7 +227,7 @@ def test_reading_memory_of_a_cached_result_raises(tmp_path, config,
 
 def test_corrupt_entry_is_a_miss(tmp_path, config, program):
     cache = ResultCache(tmp_path)
-    key = cache.key(config, program, 1000)
+    key = result_key(config, program, 1000)
     (tmp_path / f"{key}.json").write_text("{not json")
     assert cache.load(key) is None
     assert cache.stats.invalid == 1
@@ -237,13 +237,13 @@ def test_schema_bump_orphans_old_entries(tmp_path, config, program,
                                          monkeypatch):
     cache = ResultCache(tmp_path)
     result = simulate(config, program)
-    old_key = cache.key(config, program, 1_000_000)
+    old_key = result_key(config, program, 1_000_000)
     cache.store(old_key, result)
 
     monkeypatch.setattr(cache_mod, "SIM_SCHEMA_VERSION",
                         cache_mod.SIM_SCHEMA_VERSION + 1)
     # The new schema addresses a different key entirely...
-    assert cache.key(config, program, 1_000_000) != old_key
+    assert result_key(config, program, 1_000_000) != old_key
     # ...and even a forced load of the old file refuses the stale schema.
     assert cache.load(old_key) is None
     assert cache.stats.invalid == 1
@@ -269,7 +269,7 @@ def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
     cache = ResultCache(tmp_path)
     task = SimTask(config=config, program=program)
     result = simulate(config, program)
-    key = cache.key(config, program, task.max_instructions)
+    key = result_key(config, program, task.max_instructions)
     _store_in_image_layout(cache, key, result)
 
     report = ResultCache(tmp_path).fsck(repair=False)
@@ -288,7 +288,7 @@ def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
 def test_layout_2_entry_is_a_stale_miss(tmp_path, config, program):
     """An entry written before results carried TLB statistics."""
     cache = ResultCache(tmp_path)
-    key = cache.key(config, program, 1000)
+    key = result_key(config, program, 1000)
     cache.store(key, simulate(config, program))
     path = tmp_path / f"{key}.json"
     payload = json.loads(path.read_text())
@@ -301,7 +301,7 @@ def test_layout_2_entry_is_a_stale_miss(tmp_path, config, program):
 
 def test_clear_removes_entries(tmp_path, config, program):
     cache = ResultCache(tmp_path)
-    cache.store(cache.key(config, program, 1000),
+    cache.store(result_key(config, program, 1000),
                 simulate(config, program))
     assert cache.clear() == 1
     assert len(cache) == 0
@@ -420,8 +420,8 @@ def test_key_mismatched_file_is_invalid_not_served(tmp_path, config,
                                                    program):
     cache = ResultCache(tmp_path)
     result = simulate(config, program)
-    key = cache.key(config, program, 1000)
-    other_key = cache.key(config, program, 2000)
+    key = result_key(config, program, 1000)
+    other_key = result_key(config, program, 2000)
     cache.store(key, result)
     # Simulate a rename/copy mistake: the file now addresses a point it
     # does not contain.
@@ -449,7 +449,7 @@ def _store_doctored(cache, task, doctor):
     fails golden verification (silent bit-rot in a cached file)."""
     result = simulate(task.config, task.program,
                       max_instructions=task.max_instructions)
-    key = cache.key(task.config, task.program, task.max_instructions)
+    key = result_key(task.config, task.program, task.max_instructions)
     cache.store(key, result)
     path = cache.root / f"{key}.json"
     payload = json.loads(path.read_text())
@@ -569,11 +569,11 @@ def test_fsck_classifies_and_repairs_everything(tmp_path, config,
                                                 program):
     cache = ResultCache(tmp_path)
     result = simulate(config, program)
-    good_key = cache.key(config, program, 1000)
+    good_key = result_key(config, program, 1000)
     cache.store(good_key, result)
 
     # Key mismatch: a copy addressing the wrong point.
-    mismatch_key = cache.key(config, program, 2000)
+    mismatch_key = result_key(config, program, 2000)
     shutil.copy(tmp_path / f"{good_key}.json",
                 tmp_path / f"{mismatch_key}.json")
     # Schema-stale: written under an older SIM_SCHEMA_VERSION.
@@ -631,7 +631,7 @@ def test_fsck_on_missing_dir_is_empty(tmp_path):
 
 def test_len_and_clear_ignore_tmp_orphans(tmp_path, config, program):
     cache = ResultCache(tmp_path)
-    cache.store(cache.key(config, program, 1000),
+    cache.store(result_key(config, program, 1000),
                 simulate(config, program))
     (tmp_path / ".tmp-orphan.json").write_text("x")
     assert len(cache) == 1  # the orphan is not an entry
@@ -642,7 +642,7 @@ def test_len_and_clear_ignore_tmp_orphans(tmp_path, config, program):
 
 def test_invalidate_counts_and_deletes(tmp_path, config, program):
     cache = ResultCache(tmp_path)
-    key = cache.key(config, program, 1000)
+    key = result_key(config, program, 1000)
     assert not cache.invalidate(key)  # nothing there yet
     cache.store(key, simulate(config, program))
     assert cache.invalidate(key)

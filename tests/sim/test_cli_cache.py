@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import sst_machine
-from repro.sim.cache import SIM_SCHEMA_VERSION, ResultCache
+from repro.sim.cache import SIM_SCHEMA_VERSION, ResultCache, result_key
 from repro.sim.runner import simulate
 from repro.workloads import hash_join
 from tests.conftest import small_hierarchy_config
@@ -17,7 +17,7 @@ def warm_dir(tmp_path):
     cache = ResultCache(tmp_path)
     config = sst_machine(small_hierarchy_config())
     program = hash_join(table_words=256, probes=32)
-    cache.store(cache.key(config, program, 1000),
+    cache.store(result_key(config, program, 1000),
                 simulate(config, program))
     return tmp_path
 
