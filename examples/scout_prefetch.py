@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Hardware scout vs. retiring speculation.
 
-Runs the same streaming workload on three machines built from the same
-pipeline: a scout-only core (run ahead purely to prefetch, always roll
-back), an execute-ahead core, and an in-order core with a hardware
-stride prefetcher — the classic question of whether a thread-based
-prefetcher earns its keep against a table-based one.
+Runs a regular stream and an irregular pointer chase on three machines
+built from the same pipeline: a plain in-order core, a scout-only core
+(run ahead purely to prefetch, always roll back) and an execute-ahead
+core — the question of whether retiring the run-ahead work pays over
+discarding it.
 
 Run:  python examples/scout_prefetch.py
 """
@@ -18,21 +18,10 @@ from repro import (
     scout_machine,
     simulate,
 )
-from repro.config import (
-    CacheConfig,
-    DRAMConfig,
-    HierarchyConfig,
-    PrefetcherConfig,
-    PrefetcherKind,
-)
+from repro.config import CacheConfig, DRAMConfig, HierarchyConfig
 
 
-def hierarchy(stride_prefetcher: bool = False) -> HierarchyConfig:
-    prefetcher = PrefetcherConfig(
-        kind=PrefetcherKind.STRIDE if stride_prefetcher
-        else PrefetcherKind.NONE,
-        degree=2,
-    )
+def hierarchy() -> HierarchyConfig:
     return HierarchyConfig(
         l1d=CacheConfig(size_bytes=16 * 1024, assoc=4, hit_latency=2,
                         mshr_entries=16),
@@ -41,7 +30,6 @@ def hierarchy(stride_prefetcher: bool = False) -> HierarchyConfig:
         l2=CacheConfig(size_bytes=128 * 1024, assoc=8, hit_latency=20,
                        mshr_entries=32),
         dram=DRAMConfig(latency=300, min_interval=2),
-        l2_prefetcher=prefetcher,
     )
 
 
@@ -64,17 +52,15 @@ def main() -> None:
         print(f"workload: {program.name}")
         base = simulate(inorder_machine(hierarchy()), program)
         report("inorder", base, base)
-        stride = simulate(inorder_machine(hierarchy(True)), program)
-        report("inorder + stride prefetcher", stride, base)
         scout = simulate(scout_machine(hierarchy()), program)
         report("hardware scout", scout, base)
         ea = simulate(ea_machine(hierarchy()), program)
         report("execute-ahead (retires!)", ea, base)
         print()
-    print("On the regular stream the cheap stride prefetcher captures")
-    print("part of what run-ahead gets; on irregular pointer chains it")
-    print("captures nothing — only thread-based run-ahead finds the")
-    print("addresses, and retiring that work (EA) beats discarding it.")
+    print("Both run-ahead cores find the miss addresses the in-order")
+    print("core stalls on.  On the regular stream scout and EA tie; on")
+    print("irregular pointer chains retiring the run-ahead work (EA)")
+    print("beats discarding it (scout).")
 
 
 if __name__ == "__main__":

@@ -31,8 +31,6 @@ from repro.config import (
     MachineConfig,
     OoOConfig,
     PredictorKind,
-    PrefetcherConfig,
-    PrefetcherKind,
     SSTConfig,
     TLBConfig,
     ea_machine,
@@ -99,8 +97,8 @@ __all__ = [
     # configuration
     "BranchPredictorConfig", "CacheConfig", "CoreKind", "DeferTrigger",
     "DRAMConfig", "HierarchyConfig", "InOrderConfig", "LatencyConfig",
-    "MachineConfig", "OoOConfig", "PredictorKind", "PrefetcherConfig",
-    "PrefetcherKind", "SSTConfig", "TLBConfig",
+    "MachineConfig", "OoOConfig", "PredictorKind", "SSTConfig",
+    "TLBConfig",
     # machine presets
     "ea_machine", "inorder_machine", "ooo_machine", "scout_machine",
     "sst_machine",

@@ -18,11 +18,11 @@ of a memory access that may execute transiently?" over three layers:
 
 * **Transient reachability** — an instruction is transiently executable
   if it can sit between a speculation trigger and that trigger's
-  resolution.  Triggers are conservatively every load (a miss starts an
-  execute-ahead/scout episode) and every long-latency DIV-class op
-  (``defer_long_ops``).  Since resolution points are timing-dependent,
-  every pc reachable *after* a trigger — through **both** edges of every
-  conditional branch, because the predictor may follow either — counts.
+  resolution.  Triggers are conservatively every load: a miss starts an
+  execute-ahead/scout episode, and nothing else does.  Since resolution
+  points are timing-dependent, every pc reachable *after* a trigger —
+  through **both** edges of every conditional branch, because the
+  predictor may follow either — counts.
 
 * **Taint lattice** — per-pc forward may-analysis with state
   ``(tainted? per register, any-tainted-value-in-memory?)``, join =
@@ -94,8 +94,8 @@ def clear_taint_cache() -> None:
 def transient_pcs(program: Program, cfg: Optional[CFG] = None) -> FrozenSet[int]:
     """Every pc that can execute under a deferred/scout strand.
 
-    A pc qualifies if it follows a speculation trigger (any load, any
-    DIV-class op) within the trigger's block, or sits in any block
+    A pc qualifies if it follows a speculation trigger (any load)
+    within the trigger's block, or sits in any block
     reachable from that block's successors — following both branch
     edges, since a cold or mistrained predictor may take either.
     """
@@ -106,8 +106,7 @@ def transient_pcs(program: Program, cfg: Optional[CFG] = None) -> FrozenSet[int]
     for block in cfg.blocks:
         pcs = list(block.pcs())
         for at, pc in enumerate(pcs):
-            cls = instructions[pc].op_class
-            if cls is OpClass.LOAD or cls is OpClass.DIV:
+            if instructions[pc].op_class is OpClass.LOAD:
                 # Rest of the trigger's own block is transient...
                 transient.update(pcs[at + 1:])
                 # ...and so is everything the strand can reach from it.

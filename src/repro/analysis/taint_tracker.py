@@ -176,19 +176,14 @@ class SSTTaintTracker:
         self._store_taint = {}
         self._scout_store_taint = {}
         self._pending = []
+        # The trigger is a load.  Its access is architectural (it
+        # re-executes after any rollback), so it is never recorded —
+        # only its value's taint matters.
         inst = self.program.instructions[trigger_pc]
-        if inst.op_class is OpClass.LOAD:
-            # The trigger access itself is architectural (it re-executes
-            # after any rollback), so it is never recorded — only its
-            # value's taint matters.
-            regs = self.core.state.regs
-            addr = (regs[inst.rs1] + inst.imm) & _MASK64
-            taint = (self.program.is_secret_addr(addr)
-                     or self._arch_mem.get(addr, False))
-        else:  # deferred long op (DIV class)
-            taint = any(self._arch_reg[src] for src in inst.sources
-                        if src != ZERO_REG)
-        self._seq_taint[seq] = taint
+        regs = self.core.state.regs
+        addr = (regs[inst.rs1] + inst.imm) & _MASK64
+        self._seq_taint[seq] = (self.program.is_secret_addr(addr)
+                                or self._arch_mem.get(addr, False))
 
     def on_region_commit(self, executed: int, boundary_seq: int) -> None:
         self._advance_to(executed)

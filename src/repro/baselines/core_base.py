@@ -51,11 +51,6 @@ class CoreResult:
         return self.instructions / self.wall_seconds if self.wall_seconds else 0.0
 
     @property
-    def sim_cycles_per_second(self) -> float:
-        """Simulated cycles advanced per host wall-clock second."""
-        return self.cycles / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
 

@@ -2,18 +2,17 @@
 
 Timing model: issue-when-ready with program-order issue.  Up to
 ``width`` instructions issue per cycle; an instruction issues at the
-first cycle at which (a) an issue slot is free, (b) all its register
-operands are ready (stall-on-use), and (c) — when I-fetch modelling is
-on — its fetch has completed.  Loads get their latency from the memory
-hierarchy; stores retire into a store buffer and do not stall the
-pipeline (their cache fill happens in the background), which is the
-standard in-order design and also what ROCK's non-speculative pipeline
-does.  A mispredicted branch redirects the front end after the
+first cycle at which (a) an issue slot is free and (b) all its
+register operands are ready (stall-on-use).  Loads get their latency
+from the memory hierarchy; stores retire into a store buffer and do
+not stall the pipeline (their cache fill happens in the background),
+which is the standard in-order design and also what ROCK's
+non-speculative pipeline does.  A mispredicted branch redirects the front end after the
 configured penalty.
 
 The clock is a :class:`repro.core.timing.IssueClock`: stalls are never
 ticked through cycle by cycle — the clock jumps straight to the wake
-event (operand ready, fetch completion, redirect target) and the
+event (operand ready, redirect target) and the
 skipped span is recorded in the run's :class:`PerfCounters`, which ride
 out on ``CoreResult.extra["perf"]``.
 
@@ -60,7 +59,6 @@ class InOrderCore(Core):
         latencies = self.config.latencies
         hierarchy = self.hierarchy
         branch_unit = self.branch_unit
-        model_ifetch = hierarchy.config.model_ifetch
 
         # Everything touched per instruction is bound into locals: the
         # issue loop below runs tens of millions of times per benchmark
@@ -75,7 +73,6 @@ class InOrderCore(Core):
         regs = state.regs
         mem_read = state.memory.read
         mem_write = state.memory.write
-        ifetch = hierarchy.ifetch
         data_access = hierarchy.data_access
         do_prefetch = hierarchy.prefetch
         resolve_cond = branch_unit.resolve_cond
@@ -105,6 +102,8 @@ class InOrderCore(Core):
         # What produced each register's pending value — the CPI stack
         # attributes stall-on-use cycles to it.
         reg_producer = ["compute"] * REG_COUNT
+        # Nothing stalls on fetch, but "fetch" stays a key: every
+        # in-order perf_signature hashes this dict's key set.
         stalls = {"memory": 0, "long_op": 0, "compute": 0, "fetch": 0,
                   "branch": 0, "drain": 0}
         # The CPI stack *is* the perf-counter stall attribution: one
@@ -129,11 +128,6 @@ class InOrderCore(Core):
             cycle = clock.cycle
             earliest = cycle
             stall_reason = None
-            if model_ifetch:
-                fetch_ready = ifetch(pc, cycle).ready_cycle
-                if fetch_ready > earliest:
-                    earliest = fetch_ready
-                    stall_reason = "fetch"
             for src in sources:
                 if reg_ready[src] > earliest:
                     earliest = reg_ready[src]
@@ -186,7 +180,7 @@ class InOrderCore(Core):
             elif kind == K_LOAD:
                 addr = (regs[rs1] + imm) & MASK64
                 value = mem_read(addr)
-                result = data_access(addr, slot, ACC_LOAD, pc=pc)
+                result = data_access(addr, slot, ACC_LOAD)
                 if rd != ZERO_REG:
                     regs[rd] = value
                     reg_ready[rd] = result.ready_cycle
@@ -194,7 +188,7 @@ class InOrderCore(Core):
             elif kind == K_STORE:
                 addr = (regs[rs1] + imm) & MASK64
                 mem_write(addr, regs[rs2])
-                result = data_access(addr, slot, ACC_STORE, pc=pc)
+                result = data_access(addr, slot, ACC_STORE)
                 if result.ready_cycle > last_store_done:
                     last_store_done = result.ready_cycle
             elif kind == K_PREFETCH:

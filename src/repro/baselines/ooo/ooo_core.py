@@ -84,7 +84,6 @@ class OoOCore(Core):
         latencies = config.latencies
         hierarchy = self.hierarchy
         branch_unit = self.branch_unit
-        model_ifetch = hierarchy.config.model_ifetch
 
         # Structural-hazard state, kept in locals because each update is
         # a handful of integer operations and a call per structure per
@@ -128,7 +127,6 @@ class OoOCore(Core):
         regs = state.regs
         mem_read = state.memory.read
         mem_write = state.memory.write
-        ifetch = hierarchy.ifetch
         data_access = hierarchy.data_access
         do_prefetch = hierarchy.prefetch
         resolve_cond = branch_unit.resolve_cond
@@ -196,15 +194,8 @@ class OoOCore(Core):
             executed += 1
 
             # ---- front end -------------------------------------------
-            earliest_fetch = fetch_barrier
-            if model_ifetch:
-                probe = (earliest_fetch if earliest_fetch > fetch_cursor
-                         else fetch_cursor)
-                fetch_ready = ifetch(pc, probe).ready_cycle
-                if fetch_ready > earliest_fetch:
-                    earliest_fetch = fetch_ready
-            if earliest_fetch > fetch_cursor:
-                fetch_cursor = earliest_fetch
+            if fetch_barrier > fetch_cursor:
+                fetch_cursor = fetch_barrier
                 fetch_used = 0
             fetch_slot = fetch_cursor
             fetch_used += 1
@@ -326,7 +317,7 @@ class OoOCore(Core):
                 if rd:
                     regs[rd] = value
                 inflight = store_inflight.get(addr)
-                result = data_access(addr, slot, ACC_LOAD, pc=pc)
+                result = data_access(addr, slot, ACC_LOAD)
                 complete = result.ready_cycle
                 if inflight is not None and inflight[1] > slot:
                     # Youngest same-address store not yet committed:
@@ -423,6 +414,6 @@ class OoOCore(Core):
                 if addr is not None:
                     store_inflight[addr] = (complete, commit_time)
                     # Store drains to the cache after commit.
-                    data_access(addr, commit_time, ACC_STORE, pc=pc)
+                    data_access(addr, commit_time, ACC_STORE)
 
             pc = next_pc

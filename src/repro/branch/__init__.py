@@ -8,7 +8,6 @@ from repro.branch.predictors import (
     BimodalPredictor,
     GSharePredictor,
     StaticPredictor,
-    TournamentPredictor,
     make_direction_predictor,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "BimodalPredictor",
     "GSharePredictor",
     "StaticPredictor",
-    "TournamentPredictor",
     "make_direction_predictor",
 ]

@@ -95,42 +95,6 @@ class GSharePredictor(DirectionPredictor):
         return counter >= 2
 
 
-class TournamentPredictor(DirectionPredictor):
-    """Alpha-21264-style chooser between a bimodal and a gshare
-    component.
-
-    The chooser is a PC-indexed 2-bit counter trained only when the two
-    components disagree, toward whichever was right.  It captures both
-    strongly-biased branches (bimodal wins, immune to history noise)
-    and pattern branches (gshare wins).
-    """
-
-    def __init__(self, table_bits: int, history_bits: int):
-        self.bimodal = BimodalPredictor(table_bits)
-        self.gshare = GSharePredictor(table_bits, history_bits)
-        self.choice_mask = (1 << table_bits) - 1
-        # 0-1 favour bimodal, 2-3 favour gshare; start undecided-low.
-        self.choice: List[int] = [1] * (1 << table_bits)
-
-    def predict(self, pc: int) -> bool:
-        if self.choice[pc & self.choice_mask] >= 2:
-            return self.gshare.predict(pc)
-        return self.bimodal.predict(pc)
-
-    def resolve(self, pc: int, taken: bool) -> bool:
-        bimodal_guess = self.bimodal.resolve(pc, taken)
-        gshare_guess = self.gshare.resolve(pc, taken)
-        choice = self.choice
-        index = pc & self.choice_mask
-        counter = choice[index]
-        if bimodal_guess != gshare_guess:
-            if gshare_guess == taken:
-                choice[index] = min(counter + 1, 3)
-            else:
-                choice[index] = max(counter - 1, 0)
-        return gshare_guess if counter >= 2 else bimodal_guess
-
-
 def make_direction_predictor(config: BranchPredictorConfig) -> DirectionPredictor:
     if config.kind is PredictorKind.ALWAYS_TAKEN:
         return StaticPredictor(True)
@@ -140,8 +104,6 @@ def make_direction_predictor(config: BranchPredictorConfig) -> DirectionPredicto
         return BimodalPredictor(config.table_bits)
     if config.kind is PredictorKind.GSHARE:
         return GSharePredictor(config.table_bits, config.history_bits)
-    if config.kind is PredictorKind.TOURNAMENT:
-        return TournamentPredictor(config.table_bits, config.history_bits)
     raise ConfigError(f"unknown predictor kind {config.kind}")
 
 

@@ -3,7 +3,7 @@
 ROCK is a CMP of SST cores; this package runs *multiprogrammed*
 multicore simulations: N cores (any SST-family configuration — the
 zero-checkpoint degenerate is the in-order core) with private L1s and
-TLBs, sharing one L2, one DRAM channel, and one L2 prefetcher.
+TLBs, sharing one L2 and one DRAM channel.
 
 Cores are interleaved in bounded-skew time quanta via
 :meth:`repro.core.sst_core.SSTCore.advance`, so shared-structure

@@ -1,4 +1,4 @@
-"""Per-core hierarchies sharing an L2, DRAM channel and prefetcher.
+"""Per-core hierarchies sharing an L2 and a DRAM channel.
 
 Each core gets its own :class:`~repro.memory.hierarchy.MemoryHierarchy`
 (private L1I/L1D/MSHRs/TLB) whose L2-side structures are aliased to one
@@ -44,7 +44,6 @@ def build_shared_hierarchies(config: HierarchyConfig, cores: int, *,
             hierarchy.l2 = shared.l2
             hierarchy.l2_mshr = shared.l2_mshr
             hierarchy.dram = shared.dram
-            hierarchy.prefetcher = shared.prefetcher
             if share_l1:
                 hierarchy.l1d = shared.l1d
                 hierarchy.l1i = shared.l1i

@@ -82,24 +82,6 @@ class DRAMConfig:
         _require(self.min_interval >= 0, "min_interval must be >= 0")
 
 
-class PrefetcherKind(enum.Enum):
-    NONE = "none"
-    NEXT_LINE = "next_line"
-    STRIDE = "stride"
-
-
-@dataclasses.dataclass(frozen=True)
-class PrefetcherConfig:
-    kind: PrefetcherKind = PrefetcherKind.NONE
-    degree: int = 1
-    # Stride table entries (stride prefetcher only).
-    table_entries: int = 64
-
-    def __post_init__(self) -> None:
-        _require(self.degree >= 1, "prefetch degree must be >= 1")
-        _require(self.table_entries >= 1, "table_entries must be >= 1")
-
-
 @dataclasses.dataclass(frozen=True)
 class TLBConfig:
     """Data TLB: fully-associative translation cache with a fixed
@@ -127,13 +109,8 @@ class HierarchyConfig:
     l2: CacheConfig = CacheConfig(size_bytes=2 * 1024 * 1024, assoc=8,
                                   hit_latency=20, mshr_entries=16)
     dram: DRAMConfig = DRAMConfig()
-    l2_prefetcher: PrefetcherConfig = PrefetcherConfig()
     # Data TLB; None disables translation timing entirely.
     tlb: Optional[TLBConfig] = None
-    # Instruction fetch modelling is optional; commercial traces have
-    # bigger I-footprints, but the SST mechanism is D-side, and the
-    # workload generators emit small loops.  Off by default.
-    model_ifetch: bool = False
 
     def __post_init__(self) -> None:
         # The hierarchy tracks in-flight fills (MSHRs, the DRAM-filled
@@ -144,10 +121,6 @@ class HierarchyConfig:
         _require(len(set(sizes)) == 1,
                  "L1D, L1I and L2 line sizes must be equal, got "
                  "{}, {} and {} bytes".format(*sizes))
-
-    def l2_miss_latency(self) -> int:
-        """Unloaded latency of a full miss to DRAM (for defer thresholds)."""
-        return self.l1d.hit_latency + self.l2.hit_latency + self.dram.latency
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +133,6 @@ class PredictorKind(enum.Enum):
     ALWAYS_NOT_TAKEN = "not_taken"
     BIMODAL = "bimodal"
     GSHARE = "gshare"
-    TOURNAMENT = "tournament"  # bimodal vs gshare with a chooser
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,8 +242,6 @@ class SSTConfig:
     dq_size: int = 64
     sb_size: int = 32
     defer_trigger: DeferTrigger = DeferTrigger.L1_MISS
-    # Also defer the dependence slice of long integer ops (DIV, MUL).
-    defer_long_ops: bool = False
     # Treat a data-TLB miss (table walk) as a deferrable event, like
     # ROCK does; only meaningful when the hierarchy models a TLB.
     defer_on_tlb_miss: bool = True

@@ -25,7 +25,7 @@ class Checkpoint:
     pc: int
     regs: RegSnapshot
     taken_cycle: int
-    # The sequence number of the load (or long op) whose deferral caused
+    # The sequence number of the load whose deferral caused
     # this checkpoint; boundary checkpoints have None.
     cause_seq: Optional[int] = None
 

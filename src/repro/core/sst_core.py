@@ -4,8 +4,8 @@ Execution alternates between two regimes:
 
 * **Normal mode** — plain scoreboarded in-order execution updating
   committed state directly, identical to the in-order baseline, until a
-  deferrable event (a triggering load miss, optionally a long integer
-  op) occurs and a checkpoint is free.
+  deferrable event (a triggering load miss) occurs and a checkpoint is
+  free.
 * **Speculative episode** — a cycle-stepped loop running up to two
   strands that share the pipeline's issue width:
 
@@ -182,10 +182,10 @@ class SSTCore(Core):
         self._replay_stall: Optional[int] = None
         self._commit_stall: Optional[int] = None
         # Lazy min-heap over (ready, seq) of pending producers: the
-        # episode's trigger, ahead-strand misses and long ops, replayed
-        # entries and scout loads that miss (a scout NA destination
-        # only goes NA, so it never enters).  Stale entries
-        # (overwritten or completed) are dropped on pop.
+        # episode's trigger, ahead-strand misses, replayed entries and
+        # scout loads that miss (a scout NA destination only goes NA,
+        # so it never enters).  Stale entries (overwritten or
+        # completed) are dropped on pop.
         self._pending_heap: List[Tuple[int, int]] = []
 
         # ---- optional microarchitectural sanitizer ---------------------
@@ -356,7 +356,6 @@ class SSTCore(Core):
         config = self.config
         latencies = config.latencies
         hierarchy = self.hierarchy
-        model_ifetch = hierarchy.config.model_ifetch
         reg_ready = self._reg_ready
         can_speculate = config.checkpoints >= 1
 
@@ -369,12 +368,10 @@ class SSTCore(Core):
         regs = state.regs
         mem_read = state.memory.read
         mem_write = state.memory.write
-        ifetch = hierarchy.ifetch
         data_access = hierarchy.data_access
         lat_alu = latencies.alu
         lat_mul = latencies.mul
         lat_div = latencies.div
-        defer_long_ops = config.defer_long_ops
         defer_on_tlb_miss = config.defer_on_tlb_miss
         defer_on_l1_miss = config.defer_trigger is DeferTrigger.L1_MISS
         L1 = HitLevel.L1
@@ -475,10 +472,6 @@ class SSTCore(Core):
                 self._drain_busy = drain_busy
                 self._pc = pc
                 return "yield"
-            if model_ifetch:
-                fetch_ready = ifetch(pc, cycle).ready_cycle
-                if fetch_ready > earliest:
-                    earliest = fetch_ready
 
             if kind == K_HALT:
                 executed += 1
@@ -533,22 +526,6 @@ class SSTCore(Core):
                     latency = lat_mul
                 elif kind == K_DIV:
                     latency = lat_div
-                    if (defer_long_ops and can_speculate
-                            and self._episode_allowed(pc)):
-                        # The committed write is withheld: the
-                        # checkpoint must capture pre-trigger state so a
-                        # rollback can re-execute the trigger itself.
-                        self._cycle = cycle
-                        self._slots = slots
-                        self._executed = executed
-                        self._mode_account_cycle = mode_account
-                        self._perf_stepped_cycle = perf_stepped
-                        self._drain_busy = drain_busy
-                        self._pc = next_pc
-                        self._begin_episode(
-                            pc, slot, rd, slot + latency, value
-                        )
-                        return "spec"
                 else:
                     latency = lat_alu
                 if rd:
@@ -557,7 +534,7 @@ class SSTCore(Core):
             elif kind == K_LOAD:
                 addr = (regs[rs1] + imm) & MASK64
                 value = mem_read(addr)
-                result = data_access(addr, slot, ACC_LOAD, pc=pc)
+                result = data_access(addr, slot, ACC_LOAD)
                 if can_speculate:
                     level = result.level
                     if result.tlb_miss and defer_on_tlb_miss:
@@ -584,7 +561,7 @@ class SSTCore(Core):
             elif kind == K_STORE:
                 addr = (regs[rs1] + imm) & MASK64
                 mem_write(addr, regs[rs2])
-                result = data_access(addr, slot, ACC_STORE, pc=pc)
+                result = data_access(addr, slot, ACC_STORE)
                 if result.ready_cycle > drain_busy:
                     drain_busy = result.ready_cycle
             elif kind == K_PREFETCH:
@@ -662,7 +639,7 @@ class SSTCore(Core):
                        value: int) -> None:
         """Checkpoint at the triggering instruction and go speculative.
 
-        The triggering load/long-op has already issued (its value is
+        The triggering load has already issued (its value is
         functionally known, its timing pending); its destination becomes
         NA and its result is the episode's first pending producer.
         """
@@ -1059,7 +1036,7 @@ class SSTCore(Core):
             else:
                 value = self.state.memory.read(addr)
                 result = self.hierarchy.data_access(
-                    addr, cycle, AccessType.LOAD, pc=entry.pc
+                    addr, cycle, AccessType.LOAD
                 )
                 complete = result.ready_cycle
                 if self._defer_triggering(result):

@@ -7,8 +7,8 @@ modelling, bounded throughput.  This module emits the loop as Python
 source and ``exec``-compiles it once per configuration signature; it is
 :class:`~repro.core.sst_core.SSTCore`'s only episode loop:
 
-* configuration-invariant branches (scout enabled?  long-op deferral?
-  store bypass?  defer trigger level?) are pruned at generation time;
+* configuration-invariant branches (scout enabled?  store bypass?
+  defer trigger level?) are pruned at generation time;
 * width, latencies and the mispredict penalty are baked in as integer
   literals;
 * the ahead-strand fast paths (ALU, load, store, branch, jumps), slot
@@ -275,8 +275,8 @@ def _taint_hook(pad: str, call: str, instrumented: bool) -> str:
 
 
 def _build_source(width: int, scout_possible: bool, scout_enabled: bool,
-                  defer_long_ops: bool, bypass: bool, defer_tlb: bool,
-                  defer_l1: bool, lat_alu: int, lat_mul: int, lat_div: int,
+                  bypass: bool, defer_tlb: bool, defer_l1: bool,
+                  lat_alu: int, lat_mul: int, lat_div: int,
                   penalty: int, instrumented: bool = False) -> str:
     trig = _triggering(defer_tlb, defer_l1, "result")
     conservative = "False" if bypass else "True"
@@ -478,22 +478,7 @@ def _sst_spec_loop(core, budget, until):
             next_pc = pc + 1
 """)
     # ALU/MUL/DIV
-    if defer_long_ops:
-        emit(f"""\
-            if kind <= K_DIV:
-                a = spec_values[rs1]
-                value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
-                if kind == K_DIV:
-{_write_na(p + '        ')}\
-                    slice_values[seq] = value
-                    producer_ready[seq] = cycle + {lat_div}
-                    heappush(pending_heap, (cycle + {lat_div}, seq))
-                else:
-                    latency = {lat_mul} if kind == K_MUL else {lat_alu}
-{_write_available(p + '        ', 'value', 'cycle + latency')}\
-""")
-    else:
-        emit(f"""\
+    emit(f"""\
             if kind <= K_DIV:
                 a = spec_values[rs1]
                 value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
@@ -529,7 +514,7 @@ def _sst_spec_loop(core, budget, until):
 {_write_available(p + '        ', 'forwarded[0]', 'cycle + 1')}\
                 else:
                     value = mem_read(addr)
-                    result = data_access(addr, cycle, ACC_LOAD, pc=pc)
+                    result = data_access(addr, cycle, ACC_LOAD)
                     if {trig}:
 {_write_na(p + '            ')}\
                         slice_values[seq] = value
@@ -787,7 +772,7 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
     """
     latencies = config.latencies
     key = (config.width, config.scout_enabled, config.scout_only,
-           config.defer_long_ops, config.bypass_unresolved_stores,
+           config.bypass_unresolved_stores,
            config.defer_on_tlb_miss, config.defer_trigger,
            latencies.alu, latencies.mul, latencies.div,
            mispredict_penalty, instrumented)
@@ -804,7 +789,6 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
         width=config.width,
         scout_possible=config.scout_enabled or config.scout_only,
         scout_enabled=config.scout_enabled,
-        defer_long_ops=config.defer_long_ops,
         bypass=config.bypass_unresolved_stores,
         defer_tlb=config.defer_on_tlb_miss,
         defer_l1=config.defer_trigger is DeferTrigger.L1_MISS,

@@ -1,5 +1,5 @@
-"""Memory-system substrates: backing store, caches, MSHRs, DRAM, the
-assembled hierarchy, and a simple prefetcher.
+"""Memory-system substrates: backing store, caches, MSHRs, DRAM, a data
+TLB and the assembled hierarchy.
 
 Timing model: *latency at issue*.  An access updates cache tag state
 immediately and returns the cycle at which its data is available, which
@@ -7,8 +7,8 @@ folds in MSHR queueing and DRAM bandwidth.  This is the standard fast
 approximation for execution-driven simulators and preserves the shapes
 SST's evaluation depends on (miss costs, limited MLP, warm-cache reuse).
 
-Every core calls :class:`MemoryHierarchy` on each load, store, prefetch
-and (optionally) instruction fetch, and gets an immutable
+Every core calls :class:`MemoryHierarchy` on each load, store and
+prefetch, and gets an immutable
 :class:`~repro.memory.request.AccessResult` back.  An L1 hit is settled
 in the method the core called; every L1 miss runs the one walk in
 :meth:`MemoryHierarchy._miss`, which calls the cache, MSHR and DRAM
@@ -22,7 +22,6 @@ from repro.memory.request import AccessType
 from repro.memory.cache import Cache, CacheStats
 from repro.memory.mshr import MSHRFile
 from repro.memory.dram import DRAMModel
-from repro.memory.prefetcher import NextLinePrefetcher, StridePrefetcher
 from repro.memory.hierarchy import MemoryHierarchy
 
 __all__ = [
@@ -32,7 +31,5 @@ __all__ = [
     "CacheStats",
     "MSHRFile",
     "DRAMModel",
-    "NextLinePrefetcher",
-    "StridePrefetcher",
     "MemoryHierarchy",
 ]

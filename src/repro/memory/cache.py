@@ -6,8 +6,8 @@ needs from a cache is hit/miss decisions, replacement behaviour, and
 dirty-line writeback counts.  Write policy is write-back,
 write-allocate.
 
-Per-line state is a small int bitmask (dirty / prefetched) rather than
-a dict: the lookup path runs once per simulated memory access across
+Per-line state is a small int bitmask (the dirty bit) rather than a
+dict: the lookup path runs once per simulated memory access across
 every core model, so it stays allocation-free.
 
 Every operation takes a byte address and aligns it itself, with one
@@ -29,7 +29,6 @@ from repro.errors import SimulatorInvariantError
 
 # Line-flag bits.
 DIRTY = 1
-PREFETCHED = 2
 
 
 @dataclasses.dataclass
@@ -39,10 +38,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     writebacks: int = 0
-    prefetch_fills: int = 0
-    # Hits on lines that were brought in by a prefetch and not yet
-    # touched by demand — "useful prefetches".
-    prefetch_hits: int = 0
 
     @property
     def miss_rate(self) -> float:
@@ -71,9 +66,7 @@ class Cache:
     def lookup(self, addr: int, *, count: bool = True) -> bool:
         """Hit test; moves the line to MRU on a hit.
 
-        ``count=False`` is a prefetch's probe: it counts nothing and
-        leaves a prefetched line marked, since only a demand hit makes
-        a prefetch useful.
+        ``count=False`` is a prefetch's probe: it counts nothing.
         """
         shift = self.line_shift
         index = addr >> shift
@@ -89,10 +82,6 @@ class Cache:
             stats = self.stats
             stats.accesses += 1
             stats.hits += 1
-            flags = cache_set[line]
-            if flags & PREFETCHED:
-                stats.prefetch_hits += 1
-                cache_set[line] = flags & ~PREFETCHED
         cache_set.move_to_end(line)
         return True
 
@@ -102,7 +91,7 @@ class Cache:
         index = addr >> shift
         return index << shift in self._sets[index & self._set_mask]
 
-    def fill(self, addr: int, *, prefetched: bool = False,
+    def fill(self, addr: int, *,
              writeback: Optional[Cache] = None) -> Optional[int]:
         """Install a line; returns the evicted dirty line address (for a
         writeback) or None.  Filling a present line refreshes LRU.
@@ -128,9 +117,7 @@ class Cache:
                 victim_writeback = victim
                 if writeback is not None and writeback.contains(victim):
                     writeback.mark_dirty(victim)
-        cache_set[line] = PREFETCHED if prefetched else 0
-        if prefetched:
-            self.stats.prefetch_fills += 1
+        cache_set[line] = 0
         return victim_writeback
 
     def mark_dirty(self, addr: int) -> None:

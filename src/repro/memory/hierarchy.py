@@ -1,7 +1,7 @@
 """The assembled memory hierarchy one core talks to.
 
-Layers: L1D (+ L1I) → shared L2 → DRAM, with an MSHR file per cache and
-an optional prefetcher observing L2 misses.  The timing contract is
+Layers: L1D (+ L1I) → shared L2 → DRAM, with an MSHR file per cache.
+The timing contract is
 *latency at issue*: ``data_access`` updates tag/MSHR/DRAM state and
 returns an immutable :class:`~repro.memory.request.AccessResult` whose
 ``ready_cycle`` folds in hit latencies, MSHR queueing and DRAM
@@ -13,15 +13,15 @@ Each access aligns its address to a line once.  An L1 hit is settled
 where it arrives (``data_access``, ``prefetch`` or ``ifetch``) with one
 tag probe and one MSHR probe.  Every L1 miss — demand, prefetch or
 instruction fetch — runs one private walk, :meth:`MemoryHierarchy._miss`:
-L1 MSHR, L2 tags and MSHR, DRAM, L2 fill and prefetcher, L1 fill, L1
-MSHR completion.  The walk counts nothing in :class:`HierarchyStats`;
+L1 MSHR, L2 tags and MSHR, DRAM, L2 fill, L1 fill, L1 MSHR
+completion.  The walk counts nothing in :class:`HierarchyStats`;
 each caller counts from the level it returns, so a prefetch is never
 counted as demand traffic.  The walk calls the one implementation of
 each tag, MSHR and DRAM operation and keeps no copy of them.
 
 Every structure is read through ``self`` on every call, never cached at
 construction: :func:`repro.cmp.shared.build_shared_hierarchies` rebinds
-``l2``, ``l2_mshr``, ``dram`` and ``prefetcher`` (and with ``share_l1``
+``l2``, ``l2_mshr`` and ``dram`` (and with ``share_l1``
 the L1s, their MSHR files and ``dtlb``) after ``__init__``.
 
 Instruction addresses live in their own region (``ICODE_BASE``) so
@@ -37,7 +37,6 @@ from repro.config import HierarchyConfig
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAMModel
 from repro.memory.mshr import MSHRFile
-from repro.memory.prefetcher import make_prefetcher
 from repro.memory.request import AccessResult, AccessType, HitLevel
 from repro.memory.tlb import TLB
 
@@ -95,9 +94,6 @@ class MemoryHierarchy:
         self.l2_mshr = MSHRFile(config.l2.mshr_entries, name="L2-MSHR")
         self.dram = DRAMModel(config.dram)
         self.dtlb = TLB(config.tlb) if config.tlb is not None else None
-        self.prefetcher = make_prefetcher(
-            config.l2_prefetcher, config.l2.line_bytes
-        )
         self.stats = HierarchyStats()
         # Hot-path latency constants (one attribute hop instead of three
         # on every access).  Config values, so sharing cannot stale them.
@@ -118,8 +114,8 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
 
     def data_access(self, addr: int, cycle: int,
-                    access_type: AccessType = AccessType.LOAD,
-                    pc: int = 0) -> AccessResult:
+                    access_type: AccessType = AccessType.LOAD
+                    ) -> AccessResult:
         """A demand load or store from the core at ``cycle``."""
         addr += self.addr_offset
         stats = self.stats
@@ -156,7 +152,7 @@ class MemoryHierarchy:
         else:
             ready, level = self._miss(l1d, self.l1d_mshr,
                                       self._l1_pending_from_dram,
-                                      line, cycle, pc)
+                                      line, cycle)
             if level is _DRAM:
                 stats.demand_dram += 1
             elif level is _L2:
@@ -174,7 +170,7 @@ class MemoryHierarchy:
         return AccessResult(ready, level, tlb_miss)
 
     def _miss(self, l1: Cache, l1_mshr: MSHRFile, from_dram: Optional[Set[int]],
-              line: int, cycle: int, pc: int) -> Tuple[int, HitLevel]:
+              line: int, cycle: int) -> Tuple[int, HitLevel]:
         """The walk of one L1 miss of ``line`` at ``cycle``; returns
         ``(ready_cycle, level)`` and counts nothing in :attr:`stats`.
 
@@ -210,12 +206,10 @@ class MemoryHierarchy:
                 # 3. DRAM, plus a write slot for a dirty L2 victim.
                 dram = self.dram
                 ready = dram.access(l2_start + self._l2_hit_latency)
-                # 4. L2 fill, then the prefetcher.
+                # 4. L2 fill.
                 if l2.fill(line) is not None:
                     dram.access(ready)
                 l2_mshr.complete(line, ready)
-                for target in self.prefetcher.on_miss(pc, line):
-                    self._prefetch_fill(target, ready)
 
         # 5. L1 fill; a dirty victim marks its L2 line dirty.
         l1.fill(line, writeback=l2)
@@ -229,7 +223,7 @@ class MemoryHierarchy:
         return ready, level
 
     # ------------------------------------------------------------------
-    # Prefetch path (scout loads and hardware prefetchers).
+    # Prefetch path (PREFETCH ops and scout loads).
     # ------------------------------------------------------------------
 
     def prefetch(self, addr: int, cycle: int) -> AccessResult:
@@ -256,25 +250,20 @@ class MemoryHierarchy:
             return AccessResult(ready, _L1)
         self.stats.prefetches_issued += 1
         ready, level = self._miss(l1d, l1d_mshr, self._l1_pending_from_dram,
-                                  line, cycle, 0)
+                                  line, cycle)
         return AccessResult(ready, level)
-
-    def _prefetch_fill(self, line: int, cycle: int) -> None:
-        """An L2 prefetcher suggestion: fill L2 only, pay DRAM bandwidth."""
-        l2 = self.l2
-        if l2.contains(line):
-            return
-        dram = self.dram
-        dram.access(cycle)
-        if l2.fill(line, prefetched=True) is not None:
-            dram.access(cycle)
 
     # ------------------------------------------------------------------
     # Instruction fetch.
     # ------------------------------------------------------------------
 
     def ifetch(self, pc: int, cycle: int) -> AccessResult:
-        """Fetch the instruction at index ``pc``."""
+        """Fetch the instruction at index ``pc``.
+
+        No core calls this: instruction-fetch timing is not modelled.
+        It stays while ``bench/layers.py`` times it as part of the
+        ``memory`` layer (ROADMAP item 9).
+        """
         stats = self.stats
         stats.ifetches += 1
         l1i = self.l1i
@@ -293,7 +282,7 @@ class MemoryHierarchy:
             if fill is not None and fill > ready:
                 return AccessResult(fill, _MERGE_L1)
             return AccessResult(ready, _L1)
-        ready, level = self._miss(l1i, l1i_mshr, None, line, cycle, pc)
+        ready, level = self._miss(l1i, l1i_mshr, None, line, cycle)
         return AccessResult(ready, level)
 
     # ------------------------------------------------------------------

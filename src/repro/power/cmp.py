@@ -52,7 +52,7 @@ def measured_bandwidth(result: CoreResult) -> float:
     """Single-core off-chip demand in bytes/cycle (reads + writebacks)."""
     hierarchy = result.extra["hierarchy"]
     l2 = result.extra["l2"]
-    transfers = hierarchy.demand_dram + l2.writebacks + l2.prefetch_fills
+    transfers = hierarchy.demand_dram + l2.writebacks
     if result.cycles == 0:
         return 0.0
     return transfers * LINE_BYTES / result.cycles

@@ -39,10 +39,11 @@ loads back as a :class:`~repro.isa.interpreter.CachedState`, whose
 verification and the baseline firewall compare the digest.  A result
 whose hierarchy has a data TLB also keeps its
 :class:`~repro.memory.tlb.TLBStats` (``extra["dtlb"]``), so E15 reads
-its miss rates from cached points.  :data:`ENTRY_LAYOUT` (3) marks this
-layout, so an entry in an older one (2, without TLB statistics, or
-none, with a memory image) loads as a miss, is re-simulated and
-overwritten, and ``fsck`` counts it as schema-stale.
+its miss rates from cached points.  :data:`ENTRY_LAYOUT` (4) marks this
+layout, so an entry in an older one (3, whose cache statistics carry
+the two prefetch counters; 2, without TLB statistics; or none, with a
+memory image) loads as a miss, is re-simulated and overwritten, and
+``fsck`` counts it as schema-stale.
 
 Serialization is a small tagged codec covering the closed set of types
 a ``MulticoreResult`` or ``CoreResult`` transitively contains; anything
@@ -93,7 +94,8 @@ SIM_SCHEMA_VERSION = 2
 # 2: the state is registers, PC and digest; no memory image.
 # 3: a result whose hierarchy has a data TLB carries its TLBStats
 #    (extra["dtlb"]).
-ENTRY_LAYOUT = 3
+# 4: CacheStats has no prefetch_fills or prefetch_hits.
+ENTRY_LAYOUT = 4
 
 # Anchored to the repository root (not the process cwd) so a run from
 # any working directory hits the same cache.

@@ -2,9 +2,9 @@
 
 ``array_stream`` — the SPEC-fp-like sweep: sequential loads with a
 multiply-accumulate, optionally writing a result stream.  Misses are
-regular (one per line), so execute-ahead, scout and a hardware stride
-prefetcher all capture them; this is the workload where the *cheap*
-techniques close most of the gap.
+regular (one per line), so execute-ahead and scout both capture them;
+this is the workload where the *cheap* technique (scout) closes most
+of the gap.
 
 ``store_stream`` — the logging/session-state pattern: each record does
 one missing table load then bursts ``payload_words`` stores.  During a

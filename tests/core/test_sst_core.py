@@ -536,26 +536,6 @@ def test_halt_inside_episode_drains():
 
 
 # ----------------------------------------------------------------------
-# Long-op deferral.
-# ----------------------------------------------------------------------
-
-def test_div_triggers_episode_when_enabled():
-    source = """
-        movi r1, 1000
-        movi r2, 7
-        div  r3, r1, r2
-        addi r4, r3, 1
-        movi r5, 5
-        halt
-    """
-    off = run(source, SSTConfig(defer_long_ops=False))
-    on = run(source, SSTConfig(defer_long_ops=True))
-    assert sst_stats(off).episodes == 0
-    assert sst_stats(on).episodes == 1
-    assert on.state.regs[4] == 143
-
-
-# ----------------------------------------------------------------------
 # Budget enforcement.
 # ----------------------------------------------------------------------
 

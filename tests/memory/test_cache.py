@@ -79,16 +79,6 @@ def test_refill_present_line_is_lru_refresh_not_eviction():
     assert cache.contains(0x000)
 
 
-def test_prefetch_fill_counted_and_hit_tracked():
-    cache = tiny_cache()
-    cache.fill(0x000, prefetched=True)
-    assert cache.stats.prefetch_fills == 1
-    cache.lookup(0x000)
-    assert cache.stats.prefetch_hits == 1
-    cache.lookup(0x000)  # second demand hit no longer counts
-    assert cache.stats.prefetch_hits == 1
-
-
 def test_lru_hits_match_stack_distances():
     """Stack-distance identity over a long random stream: an N-line
     fully-associative cache hits exactly the references whose LRU stack

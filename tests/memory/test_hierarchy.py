@@ -3,18 +3,12 @@ ifetch."""
 
 import pytest
 
-from repro.config import (
-    CacheConfig,
-    DRAMConfig,
-    HierarchyConfig,
-    PrefetcherConfig,
-    PrefetcherKind,
-)
+from repro.config import CacheConfig, DRAMConfig, HierarchyConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.request import AccessType, HitLevel
 
 
-def make_hierarchy(latency=300, interval=0, mshr=8, prefetcher=None):
+def make_hierarchy(latency=300, interval=0, mshr=8):
     return MemoryHierarchy(HierarchyConfig(
         l1d=CacheConfig(size_bytes=4 * 1024, assoc=2, hit_latency=2,
                         mshr_entries=mshr),
@@ -23,7 +17,6 @@ def make_hierarchy(latency=300, interval=0, mshr=8, prefetcher=None):
         l2=CacheConfig(size_bytes=32 * 1024, assoc=4, hit_latency=10,
                        mshr_entries=16),
         dram=DRAMConfig(latency=latency, min_interval=interval),
-        l2_prefetcher=prefetcher or PrefetcherConfig(),
     ))
 
 
@@ -148,15 +141,6 @@ def test_prefetch_of_inflight_line_reports_pending_time():
     first = hierarchy.data_access(0x10000, cycle=0)
     again = hierarchy.prefetch(0x10008, cycle=3)
     assert again.ready_cycle == first.ready_cycle
-
-
-def test_l2_prefetcher_fills_next_lines():
-    hierarchy = make_hierarchy(
-        prefetcher=PrefetcherConfig(kind=PrefetcherKind.NEXT_LINE, degree=1)
-    )
-    hierarchy.data_access(0x10000, cycle=0)
-    assert hierarchy.l2.contains(0x10040)
-    assert hierarchy.l2.stats.prefetch_fills == 1
 
 
 def test_ifetch_uses_l1i_and_shares_l2():

@@ -21,14 +21,7 @@ import random
 import pytest
 
 from repro.cmp.shared import build_shared_hierarchies
-from repro.config import (
-    CacheConfig,
-    DRAMConfig,
-    HierarchyConfig,
-    PrefetcherConfig,
-    PrefetcherKind,
-    TLBConfig,
-)
+from repro.config import CacheConfig, DRAMConfig, HierarchyConfig, TLBConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.request import AccessType, HitLevel
 
@@ -58,9 +51,8 @@ def drive(hierarchies, seed):
     digest = hashlib.sha256()
     events = {"step_backs": 0, "merge_l1": 0, "merge_l2": 0,
               "store_into_evicted_fill": 0}
-    # Three strided streams (8, 16 and 24 bytes a step, keyed by pc) that
-    # walk new lines, so that accesses merge into their line's fill and
-    # the stride prefetcher learns them.
+    # Three strided streams (8, 16 and 24 bytes a step, one per pc) that
+    # walk new lines, so that accesses merge into their line's fill.
     strides = {pc: (0x8000 * pc, 8 * pc) for pc in range(1, 4)}
     cursor = {pc: 0 for pc in strides}
     now = 0
@@ -93,7 +85,7 @@ def drive(hierarchies, seed):
             absent = not hierarchy.l1d.contains(addr + hierarchy.addr_offset)
             result = hierarchy.data_access(
                 addr, cycle,
-                AccessType.STORE if store else AccessType.LOAD, pc=pc)
+                AccessType.STORE if store else AccessType.LOAD)
             if result.level is HitLevel.MERGE_L1:
                 events["merge_l1"] += 1
             elif result.level is HitLevel.MERGE_L2:
@@ -120,7 +112,6 @@ def stats_records(hierarchy):
         "l1i_mshr": hierarchy.l1i_mshr.stats,
         "l2_mshr": hierarchy.l2_mshr.stats,
         "dram": hierarchy.dram.stats,
-        "prefetcher": hierarchy.prefetcher.stats,
     }
     if hierarchy.dtlb is not None:
         records["dtlb"] = hierarchy.dtlb.stats
@@ -140,9 +131,6 @@ CASES = {
     "private": lambda: [MemoryHierarchy(small_config())],
     "tlb": lambda: [MemoryHierarchy(small_config(
         tlb=TLBConfig(entries=4, page_bytes=4096, walk_latency=30)))],
-    "stride": lambda: [MemoryHierarchy(small_config(
-        l2_prefetcher=PrefetcherConfig(kind=PrefetcherKind.STRIDE,
-                                       degree=2, table_entries=4)))],
     "shared": lambda: build_shared_hierarchies(small_config(), 2),
     "shared_l1": lambda: build_shared_hierarchies(small_config(), 2,
                                                   share_l1=True),
@@ -150,7 +138,7 @@ CASES = {
 
 # Each case's stream seed, fixed so that adding or deleting a case
 # reseeds no other case.
-SEEDS = {"private": 0, "shared": 1, "shared_l1": 2, "stride": 3, "tlb": 4}
+SEEDS = {"private": 0, "shared": 1, "shared_l1": 2, "tlb": 4}
 
 RESULT_PINS = {
     "private":
@@ -159,8 +147,6 @@ RESULT_PINS = {
         "69b555cd0bbe6b012b1d32a2fbbf1ab8d9bd058aa706a4ae663ff61c1b02319a",
     "shared_l1":
         "2c763d355a0833c01c1b5b0903a2edc072042003d5085e5932b6d2417e922e4e",
-    "stride":
-        "a26596a19a8b3690ebeeb8ce10adf6755e47abd212da6e173c61cf9aed1ea389",
     "tlb":
         "b88843451b2d43cbcf2438557b56f27ffa53429bea85565888fcc1e31c9c9c6f",
 }
@@ -168,58 +154,43 @@ RESULT_PINS = {
 STATS_PINS = {
     "private": {
         "hierarchy": "3c413dd622ca5b44",
-        "l1d": "24a29185203c5772",
-        "l1i": "fbdfdec1e6619ec0",
-        "l2": "af060209dd0be074",
+        "l1d": "34f339ed57993a5d",
+        "l1i": "c533387cb04f1f9d",
+        "l2": "81a65eaa1b67becd",
         "l1d_mshr": "731a604eacb658a6",
         "l1i_mshr": "0cb68f2cfa72ca39",
         "l2_mshr": "4b0d75f9210c048f",
         "dram": "b857ce1892685aab",
-        "prefetcher": "97a9d2805135b072",
     },
     "shared": {
         "hierarchy": "391e62282bd72e83",
-        "l1d": "8cf84db91c133209",
-        "l1i": "f129dcd89745bd80",
-        "l2": "2e6119d8aa7c0779",
+        "l1d": "8af4b869e521a5bf",
+        "l1i": "5f21d9fbe8d1c81d",
+        "l2": "c658a9ae9e11924a",
         "l1d_mshr": "24ab0e4ede69d266",
         "l1i_mshr": "5fd8445bcd42c3cc",
         "l2_mshr": "a53937acc613cdc0",
         "dram": "cbbcbb479db0a928",
-        "prefetcher": "7bacd1f1f43f804f",
     },
     "shared_l1": {
         "hierarchy": "13e2064a274540a3",
-        "l1d": "41aa2d14ed917f45",
-        "l1i": "7c6b9c41efe500eb",
-        "l2": "50d75a8e09b1cbd8",
+        "l1d": "4235188d5defb806",
+        "l1i": "ccd1962617c0a740",
+        "l2": "2917441cb7dfbd7e",
         "l1d_mshr": "2296f7e4d21cc735",
         "l1i_mshr": "96dbbcc3beaabbec",
         "l2_mshr": "305afe39ef40d2d1",
         "dram": "f1f3895e69217010",
-        "prefetcher": "7bacd1f1f43f804f",
-    },
-    "stride": {
-        "hierarchy": "7310f48f266fa761",
-        "l1d": "1b34653ec8931b99",
-        "l1i": "1e8d3005e10fbb47",
-        "l2": "5a606c8a57863dd4",
-        "l1d_mshr": "5bcc708a35f65800",
-        "l1i_mshr": "c39f373df3736b27",
-        "l2_mshr": "0f41d41b09478163",
-        "dram": "49aad882bb4f7c8b",
-        "prefetcher": "f32fa05a574399b2",
     },
     "tlb": {
         "hierarchy": "83ffb81e0b03fa44",
-        "l1d": "f12167542da4d777",
-        "l1i": "7d41236ee4d97ab7",
-        "l2": "222363ee6e4fc27f",
+        "l1d": "b69adb0855dc628d",
+        "l1i": "b3497ded201b1ff4",
+        "l2": "dbed954077ab6a88",
         "l1d_mshr": "a711d415f8e231a0",
         "l1i_mshr": "d0b50811b2e48c7e",
         "l2_mshr": "4c6d838558a477ba",
         "dram": "85c7e214266cf477",
-        "prefetcher": "97a9d2805135b072",
         "dtlb": "e6658a2eaed27ec9",
     },
 }
@@ -232,7 +203,6 @@ COUNTER_PINS = {
     "private": (3225, 1286, 1482, 345, 112, 564, 845, 157, 607, 606),
     "shared": (3185, 1235, 1281, 552, 117, 583, 825, 263, 610, 1039),
     "shared_l1": (3195, 589, 1896, 588, 122, 83, 944, 293, 2234, 1113),
-    "stride": (3237, 1351, 1498, 299, 89, 622, 843, 173, 502, 632),
     "tlb": (3218, 1307, 1443, 329, 139, 543, 843, 168, 631, 628),
 }
 
@@ -268,8 +238,5 @@ def test_hierarchy_pins(case):
     assert all(r["l1d_mshr"]["full_stalls"] > 0 for r in records)
     assert all(r["l1d"]["writebacks"] > 0 for r in records)
     assert records[0]["l2"]["writebacks"] > 0
-    if case == "stride":
-        assert records[0]["prefetcher"]["issued"] > 0
-        assert records[0]["l2"]["prefetch_fills"] > 0
     if case == "tlb":
         assert records[0]["dtlb"]["misses"] > 0

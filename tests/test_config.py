@@ -128,13 +128,6 @@ def test_presets_build():
     assert ooo_machine(rob_size=64).ooo.rob_size == 64
 
 
-def test_l2_miss_latency_helper():
-    hierarchy = HierarchyConfig()
-    expected = (hierarchy.l1d.hit_latency + hierarchy.l2.hit_latency
-                + hierarchy.dram.latency)
-    assert hierarchy.l2_miss_latency() == expected
-
-
 def test_configs_are_frozen():
     config = SSTConfig()
     with pytest.raises(Exception):
