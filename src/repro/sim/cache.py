@@ -94,7 +94,7 @@ SIM_SCHEMA_VERSION = 2
 # 2: the state is registers, PC and digest; no memory image.
 # 3: a result whose hierarchy has a data TLB carries its TLBStats
 #    (extra["dtlb"]).
-# 4: CacheStats has no prefetch_fills or prefetch_hits.
+# 4: CacheStats lost its two prefetch counters.
 ENTRY_LAYOUT = 4
 
 # Anchored to the repository root (not the process cwd) so a run from
