@@ -16,7 +16,7 @@ from typing import Any, Dict, Union
 from repro.config import LatencyConfig
 from repro.errors import ExecutionError
 from repro.isa.interpreter import ArchState, CachedState
-from repro.isa.opcodes import Op, OpClass
+from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -102,21 +102,3 @@ class Core(abc.ABC):
                 f"{self.name}: exceeded {budget} instructions without HALT "
                 f"(program {self.program.name!r})"
             )
-
-    @staticmethod
-    def is_call(inst) -> bool:
-        """Convention: JAL/JALR that links through ``ra`` is a call."""
-        from repro.isa.registers import RA_REG
-
-        return inst.op in (Op.JAL, Op.JALR) and inst.rd == RA_REG
-
-    @staticmethod
-    def is_return(inst) -> bool:
-        """Convention: JALR through ``ra`` that does not link is a return."""
-        from repro.isa.registers import RA_REG, ZERO_REG
-
-        return (
-            inst.op is Op.JALR
-            and inst.rs1 == RA_REG
-            and inst.rd == ZERO_REG
-        )

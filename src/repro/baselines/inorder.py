@@ -79,8 +79,6 @@ class InOrderCore(Core):
         resolve_indirect = branch_unit.resolve_indirect
         push_return = branch_unit.push_return
         mispredict_penalty = branch_unit.mispredict_penalty
-        is_call = self.is_call
-        is_return = self.is_return
         lat_alu = latencies.alu
         lat_mul = latencies.mul
         lat_div = latencies.div
@@ -122,17 +120,22 @@ class InOrderCore(Core):
                 self._check_budget(executed, max_instructions)
             if pc < 0 or pc >= n_insts:
                 self._check_pc(pc)
-            (kind, rd, rs1, rs2, imm, target, fn, sources,
+            (kind, rd, rs1, rs2, imm, target, fn, src_a, src_b,
              _writes, uses_imm, inst) = rows[pc]
 
+            # Stall-on-use: the stall goes to the source that is ready
+            # last, the first one (rs1) on a tie.
             cycle = clock.cycle
             earliest = cycle
-            stall_reason = None
-            for src in sources:
-                if reg_ready[src] > earliest:
-                    earliest = reg_ready[src]
-                    stall_reason = reg_producer[src]
-            if stall_reason is not None and earliest > cycle:
+            ready = reg_ready[src_a]
+            if ready > earliest:
+                earliest = ready
+                stall_reason = reg_producer[src_a]
+            ready = reg_ready[src_b]
+            if ready > earliest:
+                earliest = ready
+                stall_reason = reg_producer[src_b]
+            if earliest > cycle:
                 stalls[stall_reason] += earliest - cycle
 
             if kind == K_HALT:
@@ -206,20 +209,20 @@ class InOrderCore(Core):
                     regs[rd] = pc + 1
                     reg_ready[rd] = slot + 1
                     reg_producer[rd] = "compute"
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
             elif kind == K_JUMP_INDIRECT:
                 target = (regs[rs1] + imm) & MASK64
                 self._check_pc(target)
                 mispredicted = resolve_indirect(
-                    pc, target, is_return=is_return(inst)
+                    pc, target, is_return=inst.is_return
                 )
                 if rd != ZERO_REG:
                     regs[rd] = pc + 1
                     reg_ready[rd] = slot + 1
                     reg_producer[rd] = "compute"
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
                 if mispredicted:

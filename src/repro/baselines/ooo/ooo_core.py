@@ -133,8 +133,6 @@ class OoOCore(Core):
         resolve_indirect = branch_unit.resolve_indirect
         push_return = branch_unit.push_return
         mispredict_penalty = branch_unit.mispredict_penalty
-        is_call = self.is_call
-        is_return = self.is_return
         rob_pop = rob_releases.popleft
         rob_append = rob_releases.append
         iq_pop = iq_releases.popleft
@@ -189,7 +187,7 @@ class OoOCore(Core):
                 self._check_budget(executed, max_instructions)
             if pc < 0 or pc >= n_insts:
                 self._check_pc(pc)
-            (kind, rd, rs1, rs2, imm, target, fn, sources,
+            (kind, rd, rs1, rs2, imm, target, fn, src_a, src_b,
              writes_reg, uses_imm, inst) = rows[pc]
             executed += 1
 
@@ -271,9 +269,12 @@ class OoOCore(Core):
 
             # ---- operand readiness -----------------------------------
             ready = dispatch
-            for src in sources:
-                if reg_complete[src] > ready:
-                    ready = reg_complete[src]
+            src_ready = reg_complete[src_a]
+            if src_ready > ready:
+                ready = src_ready
+            src_ready = reg_complete[src_b]
+            if src_ready > ready:
+                ready = src_ready
             if ready > dispatch:
                 stalls["operand"] += ready - dispatch
 
@@ -356,7 +357,7 @@ class OoOCore(Core):
             elif kind == K_JUMP:
                 if rd:
                     regs[rd] = pc + 1
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
                 complete = slot + 1
@@ -364,11 +365,11 @@ class OoOCore(Core):
                 target = (regs[rs1] + imm) & MASK64
                 self._check_pc(target)
                 mispredicted = resolve_indirect(
-                    pc, target, is_return=is_return(inst)
+                    pc, target, is_return=inst.is_return
                 )
                 if rd:
                     regs[rd] = pc + 1
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
                 complete = slot + lat_alu

@@ -402,8 +402,6 @@ class SSTCore(Core):
         resolve_indirect = branch_unit.resolve_indirect
         push_return = branch_unit.push_return
         redirect_lat = latencies.alu + branch_unit.mispredict_penalty
-        is_call = self.is_call
-        is_return = self.is_return
         do_prefetch = hierarchy.prefetch
 
         # Core-owned scalars mirrored into locals for the loop; written
@@ -446,13 +444,16 @@ class SSTCore(Core):
                 self._drain_busy = drain_busy
                 self._pc = pc
                 self._check_pc(pc)
-            (kind, rd, rs1, rs2, imm, target, fn, sources,
+            (kind, rd, rs1, rs2, imm, target, fn, src_a, src_b,
              _writes, uses_imm, inst) = rows[pc]
 
             earliest = cycle
-            for src in sources:
-                if reg_ready[src] > earliest:
-                    earliest = reg_ready[src]
+            ready = reg_ready[src_a]
+            if ready > earliest:
+                earliest = ready
+            ready = reg_ready[src_b]
+            if ready > earliest:
+                earliest = ready
             if until is not None and earliest >= until:
                 # The next instruction would issue beyond the quantum;
                 # hand control back without touching shared state.  Any
@@ -585,7 +586,7 @@ class SSTCore(Core):
                 if rd:
                     regs[rd] = pc + 1
                     reg_ready[rd] = slot + 1
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
             elif kind == K_JUMP_INDIRECT:
@@ -600,12 +601,12 @@ class SSTCore(Core):
                     self._pc = pc
                     self._check_pc(target)
                 mispredicted = resolve_indirect(
-                    pc, target, is_return=is_return(inst)
+                    pc, target, is_return=inst.is_return
                 )
                 if rd:
                     regs[rd] = pc + 1
                     reg_ready[rd] = slot + 1
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
                 if mispredicted:
@@ -1078,12 +1079,12 @@ class SSTCore(Core):
                     cycle + self.branch_unit.mispredict_penalty,
                 )
                 self.branch_unit.resolve_deferred_indirect(
-                    entry.pc, None, target, is_return=self.is_return(inst)
+                    entry.pc, None, target, is_return=inst.is_return
                 )
             else:
                 mispredicted = self.branch_unit.resolve_deferred_indirect(
                     entry.pc, entry.predicted_target, target,
-                    is_return=self.is_return(inst),
+                    is_return=inst.is_return,
                 )
                 if mispredicted:
                     self._rollback(cycle, FailCause.DEFERRED_JUMP_MISPREDICT)
@@ -1153,7 +1154,7 @@ class SSTCore(Core):
             self.stats.deferred_branches += 1
         elif cls is OpClass.JUMP_INDIRECT:
             entry.predicted_target = self.branch_unit.predict_indirect(
-                pc, is_return=self.is_return(inst)
+                pc, is_return=inst.is_return
             )
             if entry.predicted_target is not None and not (
                     0 <= entry.predicted_target < len(self.program)):

@@ -56,13 +56,33 @@ reaches ``_scout_end``, so the section leaves out, exactly:
   scout load that misses keeps its record: its ready time can come
   before ``_scout_end`` and set the next wake.
 
+Most scout cycles issue the full width and move the clock by exactly
+one, so the issue loop opens such a cycle itself.  When an issue takes
+the cycle's last slot and the next cycle reaches neither ``_scout_end``
+nor ``until``, the loop counts the stepped cycle, moves the clock and
+the next-event hint by one and resets the slots and the wake minimum,
+as :func:`_end_cycle` would.  ``_end_cycle`` then runs only on a stall,
+a fault, or the end of the session or the quantum.  Two counts are kept
+lazily, and both are exact:
+
+* mode-cycle accounting lags over the cycles opened inline.  The next
+  ``_end_cycle``, or the sync before ``_check_budget``, adds the whole
+  span to the scout key, and the mode cannot change inside a session;
+* every scout issue takes exactly one seq, so the section counts its
+  issues from seq.  The budget check compares seq with a limit computed
+  at entry, ``_scout_sync`` adds the issues to ``stats.ahead_insts``,
+  and the slots a cycle issued are ``width - budget_left``.
+
+The block and the barrier are checked once, when a cycle's issue loop
+starts: inside a session only a fault sets the block, and a fault ends
+the loop; scout never moves the barrier.
+
 The ahead strand enters scout mid-cycle when the inlined store finds the
 store buffer full, or when ``_defer_issue`` returns ``RETRY`` from
 ``_exhausted``.  That cycle finishes in the scout section with the
-issue slots it has left, its wake minimum so far and whether anything
-issued, so its timing is what one loop running both sections would give.
-Both sections end a cycle with the same accounting, emitted by
-:func:`_end_cycle`.
+issue slots it has left and its wake minimum so far, so its timing is
+what one loop running both sections would give.  Both sections end a
+cycle with the same accounting, emitted by :func:`_end_cycle`.
 
 One code-generation flag, ``instrumented``, serves the observers (the
 invariant sanitizer and the speculative-leak taint tracker); the core
@@ -125,7 +145,17 @@ _CONSUME = """\
 {pad}ahead_pc = next_pc
 {pad}seq += 1
 {pad}stats.ahead_insts += 1
-{pad}{issued} += 1
+{pad}issued_ahead += 1
+{pad}budget_left -= 1
+{pad}continue
+"""
+
+# A scout issue takes exactly one seq, so the scout section counts its
+# issues from seq (``_scout_sync`` adds them to ``stats.ahead_insts``)
+# and its issued slots from ``budget_left``.
+_SCOUT_CONSUME = """\
+{pad}ahead_pc = next_pc
+{pad}seq += 1
 {pad}budget_left -= 1
 {pad}continue
 """
@@ -171,8 +201,13 @@ _SCOUT_SCALARS = ("cycle", "ahead_pc", "seq", "next_event",
 
 
 def _scout_sync(pad: str) -> str:
-    """Write the scout section's scalars back to the core."""
-    return "".join(f"{pad}core._{name} = {name}\n" for name in _SCOUT_SCALARS)
+    """Write the scout section's scalars back to the core, and add the
+    issues since the last sync (one seq each) to ``stats.ahead_insts``."""
+    return (
+        f"{pad}stats.ahead_insts += seq - seq_base\n"
+        f"{pad}seq_base = seq\n"
+        + "".join(f"{pad}core._{name} = {name}\n" for name in _SCOUT_SCALARS)
+    )
 
 
 def _end_cycle(pad: str, issued: str, home: str) -> str:
@@ -222,10 +257,20 @@ def _fast_defer(pad: str, order: bool) -> str:
     """Inlined _defer_issue for plain ALU/long-op/load defers.
 
     Exactly the method's path for kinds <= K_LOAD when the DQ has
-    room: operand capture, DQ append (with its stats/occupancy),
-    replay-memo clear, NA destination, slot consumption.  The caller
-    guards on DQ room and kind, and no state is mutated before the
-    guard, so the fallback to the method is always clean.
+    room: operand capture, DQ append (with its stats/occupancy), NA
+    destination, slot consumption.  The caller guards on DQ room and
+    kind, and no state is mutated before the guard, so the fallback to
+    the method is always clean.
+
+    Where the method clears the replay memo, this keeps it and folds in
+    the new entry's earliest eligibility: the latest ready time of its
+    NA producers when each has produced (is in ``slice_values``),
+    ``NO_WAKE`` when one is still queued (that producer's replay clears
+    the memo), 0 when it has none (an order-deferred load).  A replay
+    scan would wake at exactly that minimum: the new entry adds only its
+    own ready time, and a kind <= K_LOAD adds no unresolved store that
+    could block an older load.  The memo stays a pure recomputation
+    cache, since one that is too early only costs a scan.
     """
     order_stat = f"{pad}stats.order_deferred += 1\n" if order else ""
     return (
@@ -245,7 +290,19 @@ def _fast_defer(pad: str, order: bool) -> str:
         f"{pad}    order_defer={order}))\n"
         f"{pad}dq_stats.deferred += 1\n"
         f"{pad}dq_occ_add(len(dq_entries))\n"
-        f"{pad}core._replay_stall = None\n"
+        f"{pad}memo = core._replay_stall\n"
+        f"{pad}if memo is not None:\n"
+        f"{pad}    ready = 0\n"
+        f"{pad}    if rs1_producer is not None:\n"
+        f"{pad}        ready = (producer_ready[rs1_producer]\n"
+        f"{pad}                 if rs1_producer in slice_values else NO_WAKE)\n"
+        f"{pad}    if rs2_producer is not None:\n"
+        f"{pad}        r = (producer_ready[rs2_producer]\n"
+        f"{pad}             if rs2_producer in slice_values else NO_WAKE)\n"
+        f"{pad}        if r > ready:\n"
+        f"{pad}            ready = r\n"
+        f"{pad}    if ready < memo:\n"
+        f"{pad}        core._replay_stall = ready\n"
         f"{pad}stats.deferred += 1\n"
         f"{order_stat}"
         f"{pad}if writes_reg:\n"
@@ -314,8 +371,6 @@ def _sst_spec_loop(core, budget, until):
     predict_cond = branch_unit.predict_cond
     predict_indirect = branch_unit.predict_indirect
     push_return = branch_unit.push_return
-    is_call = core.is_call
-    is_return = core.is_return
     try_commits = core._try_commits
     try_replay_issue = core._try_replay_issue
     check_budget = core._check_budget
@@ -354,7 +409,6 @@ def _sst_spec_loop(core, budget, until):
                 return
             wake_min = core._scout_end
             budget_left = {width}
-            issued = 0
             break
 """)
     emit("        wake_min = None\n")
@@ -423,7 +477,7 @@ def _sst_spec_loop(core, budget, until):
             if pc < 0 or pc >= n_insts:
                 core._ahead_block = "fault"
                 break
-            (kind, rd, rs1, rs2, imm, target, fn, sources,
+            (kind, rd, rs1, rs2, imm, target, fn, src_a, src_b,
              writes_reg, uses_imm, inst) = rows[pc]
             if kind == K_HALT:
                 core._ahead_block = "halt"
@@ -431,12 +485,6 @@ def _sst_spec_loop(core, budget, until):
             if kind == K_BARRIER:
                 core._ahead_block = "membar"
                 break
-            na = False
-            if na_producer:
-                for src in sources:
-                    if src in na_producer:
-                        na = True
-                        break
 """)
     # ---- NA-operand deferral -------------------------------------------
     # Fast path: plain ALU/long-op/load defers with DQ room are by far
@@ -455,17 +503,16 @@ def _sst_spec_loop(core, budget, until):
             + _fast_defer(" " * 24, True)
         )
     emit(f"""\
-            if na:
+            if src_a in na_producer or src_b in na_producer:
 {fast_na}\
                 core._ahead_pc = ahead_pc
                 core._seq = seq
                 status, wake = defer_issue(inst, pc, cycle)
 {_DEFER_STATUS.format(pad=' ' * 16)}\
-            wake = cycle
-            for src in sources:
-                r = spec_ready[src]
-                if r > wake:
-                    wake = r
+            wake = spec_ready[src_a]
+            r = spec_ready[src_b]
+            if r > wake:
+                wake = r
             if wake > cycle:
                 if wake_min is None or wake < wake_min:
                     wake_min = wake
@@ -557,7 +604,7 @@ def _sst_spec_loop(core, budget, until):
                         core._ahead_barrier = b
             elif kind == K_JUMP:
 {_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
             elif kind == K_JUMP_INDIRECT:
@@ -566,9 +613,9 @@ def _sst_spec_loop(core, budget, until):
                     core._ahead_block = "fault"
                     break
                 mispredicted = resolve_indirect(
-                    pc, tgt, is_return=is_return(inst))
+                    pc, tgt, is_return=inst.is_return)
 {_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
-                if is_call(inst):
+                if inst.is_call:
                     push_return(pc + 1)
                 next_pc = tgt
                 if mispredicted:
@@ -576,14 +623,13 @@ def _sst_spec_loop(core, budget, until):
                     if b > barrier:
                         barrier = b
                         core._ahead_barrier = b
-{_CONSUME.format(pad=p, issued='issued_ahead')}\
+{_CONSUME.format(pad=p)}\
         core._ahead_pc = ahead_pc
         core._seq = seq
 """)
     if scout_enabled:
         emit("""\
         if core.mode is SCOUT:
-            issued = issued_replay + issued_ahead
             break
 """)
     # ---- post-issue commits, classification, time advance ---------------
@@ -613,139 +659,154 @@ def _sst_spec_loop(core, budget, until):
 def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
                    lat_mul: int, lat_div: int) -> str:
     """The scout cycle loop (see the module docstring), reached by a
-    ``break`` out of the speculative loop with ``cycle``, ``wake_min``,
-    ``budget_left`` and ``issued`` set and the core's scalars current.
-    It returns on ``until`` or by the rollback that ends the session."""
-    p = " " * 12
+    ``break`` out of the speculative loop with ``cycle``, ``wake_min``
+    and ``budget_left`` set and the core's scalars current.  It returns
+    on ``until`` or by the rollback that ends the session."""
+    p = " " * 20
     return f"""\
     scout_end = core._scout_end
     mode_key = core._mode_key
     barrier = core._ahead_barrier
     ahead_pc = core._ahead_pc
-    seq = core._seq
+    seq = seq_base = core._seq
+    seq_limit = seq + ahead_limit - stats.ahead_insts
     next_event = core._next_event
     perf_stepped_cycle = core._perf_stepped_cycle
     mode_account_cycle = core._mode_account_cycle
+    # The issue loop opens the next cycle itself unless that cycle ends
+    # the session or the quantum.
+    stop = scout_end if until is None or until > scout_end else until
     while True:
-        while budget_left > 0:
-            if stats.ahead_insts >= ahead_limit:
-{_scout_sync(p + '    ')}\
-                check_budget(stats.normal_insts + stats.ahead_insts, budget)
-            # Scout sets no block but "fault": _enter_scout clears the
-            # structural ones, and the strand was issuing when it began.
-            if core._ahead_block is not None:
-                break
+        # Checked once per cycle: inside a session only a fault sets the
+        # block (_enter_scout clears the structural ones, and the strand
+        # was issuing when it began), a fault ends the issue loop, and
+        # scout never moves the barrier.
+        if core._ahead_block is None:
             if cycle < barrier:
                 if wake_min is None or barrier < wake_min:
                     wake_min = barrier
-                break
-            pc = ahead_pc
-            if pc < 0 or pc >= n_insts:
-                core._ahead_block = "fault"
-                break
-            (kind, rd, rs1, rs2, imm, target, fn, sources,
-             writes_reg, uses_imm, inst) = rows[pc]
-            if kind == K_HALT:
-                core._ahead_block = "fault"
-                break
-            next_pc = pc + 1
-            if kind == K_BARRIER:
-{_CONSUME.format(pad=p + '    ', issued='issued')}\
-            na = False
-            if na_producer:
-                for src in sources:
-                    if src in na_producer:
-                        na = True
-                        break
-            if na:
-{_taint_hook(p + '    ', 'on_scout_na(inst, seq)', instrumented)}\
-                if kind == K_BRANCH:
-                    if predict_cond(pc):
-                        next_pc = target
-                elif kind == K_JUMP_INDIRECT:
-                    predicted = predict_indirect(
-                        pc, is_return=is_return(inst))
-                    if predicted is None or not (
-                            0 <= predicted < n_insts):
+            else:
+                while True:
+                    if not budget_left:
+                        if cycle + 1 >= stop:
+                            break
+                        if cycle != perf_stepped_cycle:
+                            perf_stepped_cycle = cycle
+                            perf.cycles_stepped += 1
+                        cycle += 1
+                        next_event = cycle
+                        budget_left = {width}
+                        wake_min = scout_end
+                    if seq >= seq_limit:
+                        delta = cycle - mode_account_cycle
+                        if delta > 0:
+                            mode_cycles[mode_key] += delta
+                            mode_account_cycle = cycle
+{_scout_sync(p + '    ')}\
+                        check_budget(stats.normal_insts + stats.ahead_insts,
+                                     budget)
+                    pc = ahead_pc
+                    if pc < 0 or pc >= n_insts:
                         core._ahead_block = "fault"
                         break
+                    (kind, rd, rs1, rs2, imm, target, fn, src_a, src_b,
+                     writes_reg, uses_imm, inst) = rows[pc]
+                    if kind == K_HALT:
+                        core._ahead_block = "fault"
+                        break
+                    next_pc = pc + 1
+                    if kind == K_BARRIER:
+{_SCOUT_CONSUME.format(pad=p + '    ')}\
+                    if src_a in na_producer or src_b in na_producer:
+{_taint_hook(p + '    ', 'on_scout_na(inst, seq)', instrumented)}\
+                        if kind == K_BRANCH:
+                            if predict_cond(pc):
+                                next_pc = target
+                        elif kind == K_JUMP_INDIRECT:
+                            predicted = predict_indirect(
+                                pc, is_return=inst.is_return)
+                            if predicted is None or not (
+                                    0 <= predicted < n_insts):
+                                core._ahead_block = "fault"
+                                break
 {_write_available(p + '        ', 'pc + 1', 'cycle + 1')}\
-                    next_pc = predicted
-                elif writes_reg:
+                            next_pc = predicted
+                        elif writes_reg:
 {_write_na(p + '        ')}\
-{_CONSUME.format(pad=p + '    ', issued='issued')}\
-            wake = cycle
-            for src in sources:
-                r = spec_ready[src]
-                if r > wake:
-                    wake = r
-            if wake > cycle:
-                if wake_min is None or wake < wake_min:
-                    wake_min = wake
-                break
+{_SCOUT_CONSUME.format(pad=p + '    ')}\
+                    wake = spec_ready[src_a]
+                    r = spec_ready[src_b]
+                    if r > wake:
+                        wake = r
+                    if wake > cycle:
+                        if wake_min is None or wake < wake_min:
+                            wake_min = wake
+                        break
 {_taint_hook(p, 'on_scout(inst, pc, seq, cycle)', instrumented)}\
-            if kind <= K_DIV:
-                a = spec_values[rs1]
-                value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
-                latency = ({lat_mul} if kind == K_MUL else
-                           {lat_div} if kind == K_DIV else {lat_alu})
+                    if kind <= K_DIV:
+                        a = spec_values[rs1]
+                        value = (fn(a, imm) if uses_imm
+                                 else fn(a, spec_values[rs2]))
+                        latency = ({lat_mul} if kind == K_MUL else
+                                   {lat_div} if kind == K_DIV else {lat_alu})
 {_write_available(p + '    ', 'value', 'cycle + latency')}\
-            elif kind == K_LOAD:
-                addr = (spec_values[rs1] + imm) & {_M}
-                if addr % 8 != 0:
-                    core._ahead_block = "fault"
-                    break
-                result = do_prefetch(addr, cycle)
-                stats.scout_prefetches += 1
-                if addr in scout_stores:
-                    value = scout_stores[addr]
-                else:
-                    forwarded = sb_forward(addr, seq)
-                    value = (forwarded[0] if forwarded is not None
-                             else mem_read(addr))
-                if {trig}:
+                    elif kind == K_LOAD:
+                        addr = (spec_values[rs1] + imm) & {_M}
+                        if addr % 8 != 0:
+                            core._ahead_block = "fault"
+                            break
+                        result = do_prefetch(addr, cycle)
+                        stats.scout_prefetches += 1
+                        if addr in scout_stores:
+                            value = scout_stores[addr]
+                        else:
+                            forwarded = sb_forward(addr, seq)
+                            value = (forwarded[0] if forwarded is not None
+                                     else mem_read(addr))
+                        if {trig}:
 {_write_na(p + '        ')}\
-                    if seq not in producer_ready:
-                        producer_ready[seq] = result.ready_cycle
-                        heappush(pending_heap, (result.ready_cycle, seq))
-                    slice_values.setdefault(seq, value)
-                else:
+                            if seq not in producer_ready:
+                                producer_ready[seq] = result.ready_cycle
+                                heappush(pending_heap,
+                                         (result.ready_cycle, seq))
+                            slice_values.setdefault(seq, value)
+                        else:
 {_write_available(p + '        ', 'value', 'result.ready_cycle')}\
-            elif kind == K_STORE:
-                addr = (spec_values[rs1] + imm) & {_M}
-                if addr % 8 != 0:
-                    core._ahead_block = "fault"
-                    break
-                do_prefetch(addr, cycle)
-                stats.scout_prefetches += 1
-                scout_stores[addr] = spec_values[rs2]
-            elif kind == K_PREFETCH:
-                addr = (spec_values[rs1] + imm) & {_M}
-                if addr % 8 == 0:
-                    do_prefetch(addr, cycle)
-            elif kind == K_BRANCH:
-                if fn(spec_values[rs1], spec_values[rs2]):
-                    resolve_cond(pc, True)
-                    next_pc = target
-                else:
-                    resolve_cond(pc, False)
-            elif kind == K_JUMP:
+                    elif kind == K_STORE:
+                        addr = (spec_values[rs1] + imm) & {_M}
+                        if addr % 8 != 0:
+                            core._ahead_block = "fault"
+                            break
+                        do_prefetch(addr, cycle)
+                        stats.scout_prefetches += 1
+                        scout_stores[addr] = spec_values[rs2]
+                    elif kind == K_PREFETCH:
+                        addr = (spec_values[rs1] + imm) & {_M}
+                        if addr % 8 == 0:
+                            do_prefetch(addr, cycle)
+                    elif kind == K_BRANCH:
+                        if fn(spec_values[rs1], spec_values[rs2]):
+                            resolve_cond(pc, True)
+                            next_pc = target
+                        else:
+                            resolve_cond(pc, False)
+                    elif kind == K_JUMP:
 {_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
-                if is_call(inst):
-                    push_return(pc + 1)
-                next_pc = target
-            elif kind == K_JUMP_INDIRECT:
-                tgt = (spec_values[rs1] + imm) & {_M}
-                if tgt >= n_insts:
-                    core._ahead_block = "fault"
-                    break
-                resolve_indirect(pc, tgt, is_return=is_return(inst))
+                        if inst.is_call:
+                            push_return(pc + 1)
+                        next_pc = target
+                    elif kind == K_JUMP_INDIRECT:
+                        tgt = (spec_values[rs1] + imm) & {_M}
+                        if tgt >= n_insts:
+                            core._ahead_block = "fault"
+                            break
+                        resolve_indirect(pc, tgt, is_return=inst.is_return)
 {_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
-                if is_call(inst):
-                    push_return(pc + 1)
-                next_pc = tgt
-{_CONSUME.format(pad=p, issued='issued')}\
-{_end_cycle(' ' * 8, 'issued', '')}\
+                        if inst.is_call:
+                            push_return(pc + 1)
+                        next_pc = tgt
+{_SCOUT_CONSUME.format(pad=p)}\
+{_end_cycle(' ' * 8, f'budget_left < {width}', '')}\
         if until is not None and cycle >= until:
 {_scout_sync(' ' * 12)}\
             return
@@ -755,7 +816,6 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
             return
         wake_min = scout_end
         budget_left = {width}
-        issued = 0
 """
 
 

@@ -12,6 +12,25 @@ attribute reads.  The golden interpreter does not use rows: its
 ``Instruction`` itself, so the reference semantics stay independent of
 this decode.
 
+A row carries exactly two source registers, ``src_a`` and ``src_b``:
+the instruction's sources in rs1, rs2 order, padded with ``r0``.  The
+cores test and wait on both in straight-line code, with no loop over a
+tuple.  Padding with ``r0`` cannot change an outcome, because ``r0`` is
+never the reason an operand is late:
+
+* ``r0`` is never not-available (NA) during an SST episode: every NA
+  write guards the zero register (``SpeculativeRegisters.write_na``,
+  ``SSTCore._begin_episode`` and the generated loop's inlined NA writes
+  and deferrals);
+* ``r0``'s ready time never passes the clock.  The in-order and OoO
+  cores never write it.  The SST core writes it only with the whole
+  register file: a rollback sets every entry to the restart cycle it
+  jumps to, and a full commit copies a speculative file whose ``r0``
+  entry came from normal mode and was not written since.
+
+``tests/property/test_prop_zero_register.py`` checks both at every
+quantum boundary of the SST variants the fuzzer runs.
+
 Rows are cached per process, keyed by ``Program.fingerprint()`` (the
 same content hash the result cache uses), so two structurally identical
 programs (e.g. rebuilt in a worker process) share one decode, and
@@ -24,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
+from repro.isa.registers import ZERO_REG
 
 # ----------------------------------------------------------------------
 # Integer kind codes (dense, ordered so ``kind < K_LOAD`` selects the
@@ -66,13 +86,14 @@ R_RS2 = 3
 R_IMM = 4
 R_TARGET = 5
 R_FN = 6        # alu_fn for K_ALU/K_MUL/K_DIV, branch_fn for K_BRANCH
-R_SOURCES = 7
-R_WRITES = 8
-R_USES_IMM = 9
-R_INST = 10     # the original Instruction (cold paths, call/return checks)
+R_SRC_A = 7     # the first source register, or r0
+R_SRC_B = 8     # the second source register, or r0
+R_WRITES = 9
+R_USES_IMM = 10
+R_INST = 11     # the original Instruction (cold paths, call/return flags)
 
 Row = Tuple[int, int, int, int, int, int, Optional[Callable],
-            Tuple[int, ...], bool, bool, object]
+            int, int, bool, bool, object]
 
 
 def decode_rows(program: Program) -> Tuple[Row, ...]:
@@ -87,8 +108,9 @@ def decode_rows(program: Program) -> Tuple[Row, ...]:
             fn = inst.branch_fn
         else:
             fn = None
+        src_a, src_b = (inst.sources + (ZERO_REG, ZERO_REG))[:2]
         rows.append((kind, inst.rd, inst.rs1, inst.rs2, inst.imm,
-                     inst.target, fn, inst.sources, inst.writes_reg,
+                     inst.target, fn, src_a, src_b, inst.writes_reg,
                      inst.alu_uses_imm, inst))
     return tuple(rows)
 

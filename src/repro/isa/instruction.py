@@ -21,7 +21,7 @@ from repro.isa.opcodes import (
     CONTROL_OPS,
     BRANCH_OPS,
 )
-from repro.isa.registers import reg_name
+from repro.isa.registers import RA_REG, ZERO_REG, reg_name
 from repro.isa.semantics import alu_fn_for, branch_fn_for
 
 
@@ -70,6 +70,12 @@ class Instruction:
                                        compare=False, default=False)
     is_mem: bool = dataclasses.field(init=False, repr=False,
                                      compare=False, default=False)
+    # Return-stack conventions: a JAL/JALR that links through ``ra`` is
+    # a call; a JALR through ``ra`` that does not link is a return.
+    is_call: bool = dataclasses.field(init=False, repr=False,
+                                      compare=False, default=False)
+    is_return: bool = dataclasses.field(init=False, repr=False,
+                                        compare=False, default=False)
     # ALU form whose second operand is the immediate (incl. MOVI):
     # resolved once here so the per-instruction semantic dispatch never
     # inspects opcode spellings on the hot path.
@@ -107,6 +113,11 @@ class Instruction:
         set_attr(self, "is_load", op is Op.LD)
         set_attr(self, "is_store", op is Op.ST)
         set_attr(self, "is_mem", op is Op.LD or op is Op.ST)
+        set_attr(self, "is_call",
+                 (op is Op.JAL or op is Op.JALR) and self.rd == RA_REG)
+        set_attr(self, "is_return",
+                 op is Op.JALR and self.rs1 == RA_REG
+                 and self.rd == ZERO_REG)
         set_attr(self, "alu_uses_imm", op in IMM_ALU_OPS)
         set_attr(self, "alu_fn", alu_fn_for(op))
         set_attr(self, "branch_fn", branch_fn_for(op))

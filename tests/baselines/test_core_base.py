@@ -1,4 +1,4 @@
-from repro.baselines.core_base import Core, CoreResult
+from repro.baselines.core_base import CoreResult
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import ArchState
 from repro.isa.opcodes import Op
@@ -39,13 +39,13 @@ def test_speedup_requires_same_program():
 
 def test_call_return_conventions():
     call = Instruction(Op.JAL, rd=RA_REG, target=5)
-    assert Core.is_call(call)
+    assert call.is_call
     tail = Instruction(Op.JAL, rd=0, target=5)
-    assert not Core.is_call(tail)
+    assert not tail.is_call
     ret = Instruction(Op.JALR, rd=0, rs1=RA_REG, imm=0)
-    assert Core.is_return(ret)
+    assert ret.is_return
     indirect = Instruction(Op.JALR, rd=0, rs1=5, imm=0)
-    assert not Core.is_return(indirect)
+    assert not indirect.is_return
     call_indirect = Instruction(Op.JALR, rd=RA_REG, rs1=5, imm=0)
-    assert Core.is_call(call_indirect)
-    assert not Core.is_return(call_indirect)
+    assert call_indirect.is_call
+    assert not call_indirect.is_return

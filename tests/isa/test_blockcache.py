@@ -18,13 +18,15 @@ from repro.isa.blockcache import (
     R_RD,
     R_RS1,
     R_RS2,
-    R_SOURCES,
+    R_SRC_A,
+    R_SRC_B,
     R_TARGET,
     R_USES_IMM,
     R_WRITES,
 )
 from repro.isa.builder import ProgramBuilder
 from repro.isa.opcodes import OpClass
+from repro.isa.registers import ZERO_REG
 from repro.workloads import full_suite
 
 
@@ -62,7 +64,9 @@ def test_rows_mirror_instruction_metadata():
             assert row[R_RS2] == inst.rs2
             assert row[R_IMM] == inst.imm
             assert row[R_TARGET] == inst.target
-            assert row[R_SOURCES] == inst.sources
+            # The sources in rs1, rs2 order, padded with r0.
+            padded = inst.sources + (ZERO_REG,) * (2 - len(inst.sources))
+            assert (row[R_SRC_A], row[R_SRC_B]) == padded
             assert row[R_WRITES] == inst.writes_reg
             assert row[R_USES_IMM] == inst.alu_uses_imm
             assert row[R_INST] is inst
