@@ -242,7 +242,5 @@ class BenchEnv:
             "perf": perf.as_dict() if perf is not None else None,
         })
         if self.firewall is not None:
-            self.firewall.observe_point(
-                task.config, task.program, task.max_instructions, result
-            )
+            self.firewall.observe_point(task, result)
 

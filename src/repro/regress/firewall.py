@@ -40,14 +40,17 @@ reports every difference at once.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.baselines.core_base import CoreResult
 from repro.errors import ReproError
 from repro.regress import semid as semid_mod
 from repro.regress.records import BaselineRecord, BaselineSchemaError
 from repro.regress.store import BaselineStore
-from repro.sim.cache import SIM_SCHEMA_VERSION, multicore_key, result_key
+from repro.sim.cache import SIM_SCHEMA_VERSION, multicore_key
+
+if TYPE_CHECKING:
+    from repro.sim.parallel import SimTask
 
 MODE_CAPTURE = "capture"
 MODE_VERIFY = "verify"
@@ -222,16 +225,15 @@ class BaselineFirewall:
 
     # -- observation entry points -------------------------------------
 
-    def observe_point(self, config: Any, program: Any,
-                      max_instructions: int,
-                      result: CoreResult) -> str:
-        semid = result_key(config, program, max_instructions)
+    def observe_point(self, task: SimTask, result: CoreResult) -> str:
+        """Observe one point under ``task.key``, the result key its task
+        computed once for the cache and the result document."""
         scenario = {
-            "machine": config.name,
-            "program": program.name,
-            "max_instructions": max_instructions,
+            "machine": task.config.name,
+            "program": task.program.name,
+            "max_instructions": task.max_instructions,
         }
-        return self._observe(semid, "point", scenario,
+        return self._observe(task.key, "point", scenario,
                              point_behavior(result))
 
     def observe_multicore(self, multicore: Any, result: Any, *,

@@ -40,6 +40,7 @@ from repro.regress.firewall import BaselineFirewall, multicore_key
 from repro.regress.store import BaselineStore
 from repro.sim.cache import result_key
 from repro.sim.machine import Machine
+from repro.sim.parallel import SimTask
 from repro.workloads import full_suite
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_cycles.json"
@@ -136,7 +137,7 @@ def golden_store(tmp_path_factory, core_runs, multicore_run):
     firewall = BaselineFirewall(store, mode="capture")
     for config, program, result in core_runs.values():
         action = firewall.observe_point(
-            config, program, DEFAULT_MAX_INSTRUCTIONS, result)
+            SimTask(config, program, DEFAULT_MAX_INSTRUCTIONS), result)
         assert action == "captured"
     multicore, result = multicore_run
     assert firewall.observe_multicore(
@@ -151,7 +152,7 @@ def test_firewall_verifies_golden_runs(golden_store, core_runs,
     firewall = BaselineFirewall(golden_store, mode="verify")
     for config, program, result in core_runs.values():
         assert firewall.observe_point(
-            config, program, DEFAULT_MAX_INSTRUCTIONS, result
+            SimTask(config, program, DEFAULT_MAX_INSTRUCTIONS), result
         ) == "verified"
     multicore, result = multicore_run
     assert firewall.observe_multicore(
@@ -195,17 +196,16 @@ def test_firewall_catches_doctored_golden(tmp_path, core_runs):
     config, program, result = next(iter(core_runs.values()))
     store = BaselineStore(tmp_path / "baselines")
     capture = BaselineFirewall(store, mode="capture")
+    task = SimTask(config, program, DEFAULT_MAX_INSTRUCTIONS)
     semid = result_key(config, program, DEFAULT_MAX_INSTRUCTIONS)
-    capture.observe_point(config, program, DEFAULT_MAX_INSTRUCTIONS,
-                          result)
+    capture.observe_point(task, result)
 
     record = store.load(semid)
     record.behavior["cycles"] += 1
     store.capture(record)
 
     verify = BaselineFirewall(store, mode="verify")
-    assert verify.observe_point(config, program, DEFAULT_MAX_INSTRUCTIONS,
-                                result) == "divergent"
+    assert verify.observe_point(task, result) == "divergent"
     [divergence] = verify.divergences
     assert divergence.semid == semid
     assert "cycles" in divergence.fields

@@ -14,6 +14,7 @@ from repro.experiments.engine import ExperimentEngine
 from repro.regress.firewall import BaselineFirewall, point_behavior
 from repro.regress.store import BaselineStore
 from repro.sim.cache import result_key
+from repro.sim.parallel import SimTask
 from repro.sim.runner import simulate
 from repro.workloads import full_suite
 
@@ -32,6 +33,10 @@ def run_point(program, **kwargs):
     return simulate(sst_machine(), program, **kwargs)
 
 
+def task_of(program):
+    return SimTask(sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS)
+
+
 # -- observing one point ----------------------------------------------------
 
 
@@ -41,7 +46,7 @@ def test_observe_point_captures_and_verifies(store, tiny_suite):
 
     def observe(mode):
         return BaselineFirewall(store, mode=mode).observe_point(
-            sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, result)
+            task_of(program), result)
 
     assert observe("capture") == "captured"
     assert len(store) == 1
@@ -74,8 +79,7 @@ def test_verify_unseen_is_ignored(store, tiny_suite):
     firewall = BaselineFirewall(store, mode="verify")
     result = run_point(tiny_suite["oltp-chase"])
     assert firewall.observe_point(
-        sst_machine(), tiny_suite["oltp-chase"],
-        DEFAULT_MAX_INSTRUCTIONS, result) == "unseen"
+        task_of(tiny_suite["oltp-chase"]), result) == "unseen"
     assert firewall.stats.unseen == 1
     assert not firewall.divergences
 
@@ -84,17 +88,14 @@ def test_nonstrict_verify_collects_instead_of_raising(store, tiny_suite):
     program = tiny_suite["oltp-chase"]
     result = run_point(program)
     capture = BaselineFirewall(store, mode="capture")
-    capture.observe_point(sst_machine(), program,
-                          DEFAULT_MAX_INSTRUCTIONS, result)
+    capture.observe_point(task_of(program), result)
     semid = result_key(sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS)
     record = store.load(semid)
     record.behavior["cycles"] += 5
     store.capture(record)
 
     firewall = BaselineFirewall(store, mode="verify")
-    assert firewall.observe_point(
-        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, result
-    ) == "divergent"
+    assert firewall.observe_point(task_of(program), result) == "divergent"
     report = firewall.report()
     assert report["stats"]["divergent"] == 1
     [divergence] = report["divergences"]
@@ -113,15 +114,12 @@ def test_behavior_identical_with_sanitizer_on(store, monkeypatch,
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     captured = run_point(program)
     capture = BaselineFirewall(store, mode="capture")
-    capture.observe_point(sst_machine(), program,
-                          DEFAULT_MAX_INSTRUCTIONS, captured)
+    capture.observe_point(task_of(program), captured)
 
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     sanitized = run_point(program)
     verify = BaselineFirewall(store, mode="verify")
-    assert verify.observe_point(
-        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, sanitized
-    ) == "verified"
+    assert verify.observe_point(task_of(program), sanitized) == "verified"
 
 
 def test_behavior_identical_with_taint_tracking_on(store, monkeypatch,
@@ -132,15 +130,12 @@ def test_behavior_identical_with_taint_tracking_on(store, monkeypatch,
     monkeypatch.delenv("REPRO_TAINT", raising=False)
     baseline = run_point(program)
     capture = BaselineFirewall(store, mode="capture")
-    capture.observe_point(sst_machine(), program,
-                          DEFAULT_MAX_INSTRUCTIONS, baseline)
+    capture.observe_point(task_of(program), baseline)
 
     monkeypatch.setenv("REPRO_TAINT", "1")
     tainted = run_point(program)
     verify = BaselineFirewall(store, mode="verify")
-    assert verify.observe_point(
-        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, tainted
-    ) == "verified"
+    assert verify.observe_point(task_of(program), tainted) == "verified"
 
 
 # -- BenchEnv / engine integration ------------------------------------------
