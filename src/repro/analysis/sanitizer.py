@@ -25,8 +25,9 @@ Checked invariants (see DESIGN.md for the paper mapping):
   strictly ascending seq (FIFO) order.
 * **spec-store-containment** — no architectural memory write happens
   during a speculative episode except through a commit drain.
-* **occupancy** — DQ/SB/checkpoint (SST) and ROB/IQ/LSQ (OoO)
-  occupancies never exceed their configured capacities.
+* **occupancy** — DQ/SB/checkpoint (SST) occupancies never exceed
+  their configured capacities, and no OoO dispatch takes a ROB, IQ or
+  LSQ entry before the instruction that held it released it.
 * **replay-reconvergence** — at every full commit (and at HALT) the
   committed architectural state equals the golden interpreter's state
   after the same number of retired instructions.
@@ -269,20 +270,21 @@ class SSTSanitizer(Sanitizer):
 class OoOSanitizer(Sanitizer):
     """Event checks for the out-of-order comparator core."""
 
-    def on_dispatch(self, rob_len: int, iq_len: int, lsq_len: int,
-                    config, cycle: int) -> None:
-        if rob_len > config.rob_size:
-            self._fail("occupancy",
-                       f"ROB holds {rob_len}, capacity {config.rob_size}",
-                       cycle=cycle)
-        if iq_len > config.iq_size:
-            self._fail("occupancy",
-                       f"IQ holds {iq_len}, capacity {config.iq_size}",
-                       cycle=cycle)
-        if lsq_len > config.lsq_size:
-            self._fail("occupancy",
-                       f"LSQ holds {lsq_len}, capacity {config.lsq_size}",
-                       cycle=cycle)
+    def on_dispatch(self, cycle: int, rob_release: int, iq_release: int,
+                    lsq_release: Optional[int]) -> None:
+        """A dispatch at ``cycle`` takes a ROB entry, an IQ entry and,
+        for a memory op, an LSQ entry (``lsq_release`` is None
+        otherwise); each release is the cycle at which the entry's
+        previous holder freed it.  A ring cannot hold more than its K
+        entries, so a window overflows only by a dispatch taking an
+        entry before it is free."""
+        for window, release in (("ROB", rob_release), ("IQ", iq_release),
+                                ("LSQ", lsq_release)):
+            if release is not None and release > cycle:
+                self._fail("occupancy",
+                           f"{window} entry taken at cycle {cycle}, "
+                           f"before its release at {release}",
+                           cycle=cycle)
 
     def on_commit(self, commit_time: int, last_commit: int,
                   cycle: int) -> None:

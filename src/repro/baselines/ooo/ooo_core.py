@@ -15,8 +15,29 @@ rename + ROB + issue-queue + LSQ machine:
   ``perfect_disambiguation``, only for a same-address store's data
   (oracle forwarding — an upper bound that makes the SST comparison
   conservative).
-* **Branches** resolve at execute; a mispredict stalls fetch until
+* **Branches** resolve at execute; a mispredict moves fetch to
   resolution plus the redirect penalty.
+
+Each window is a ring of K release cycles.  Entries are taken in
+dispatch order, so (numbering dynamic instructions from 1) instruction
+``n`` takes the entry that instruction ``n - K`` held and waits for
+that entry's release: ring slot ``n % K``, read at dispatch and written
+at commit (with the commit cycle for the ROB and the LSQ, the issue
+cycle for the IQ).  The LSQ numbers memory ops instead of
+instructions.  Every slot starts at release cycle 0, which never
+delays a dispatch, so the first K entries are free.  This is exact: a
+K-entry window holds no more than K instructions, and the one a
+dispatch must wait for is the oldest, ``n - K``.
+
+The front end never stalls on a full window: the fetch cursor runs at
+``fetch_width`` per cycle whatever dispatch does, and only a
+mispredict moves it (to the redirect cycle).  A window's
+``stall_cycles`` and ``branch_redirect_cycles`` are measured from the
+fetch cursor, so both grow with the cursor's lag behind dispatch and
+sum overlapping waits: on a bench-scale ``fp-stream`` run of
+``ooo-4w-rob32`` the ROB figure is tens of billions of cycles in a run
+of under a million.  They are per-instruction wait sums, not parts of
+the cycle count (ROADMAP item 4 redraws them).
 
 The model is event-driven by construction — every structure hands back
 the *cycle* a resource frees rather than being polled — so the clock
@@ -34,7 +55,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import defaultdict, deque
 from typing import Dict
 
 from repro.analysis.sanitizer import make_sanitizer
@@ -92,26 +112,26 @@ class OoOCore(Core):
         #   ``width`` claims per cycle, never before the requested cycle;
         # * issue ports are a per-cycle claim count, because out-of-order
         #   issue asks for slots in any time order;
-        # * the ROB, IQ and LSQ are K-entry windows, each a deque of
-        #   release cycles: once K entries are held, a dispatch waits
-        #   for the oldest entry's release (ROB and LSQ entries are
-        #   released at commit, IQ entries at issue).  A dispatch that
-        #   waits counts one ``full_stalls`` and its wait in
-        #   ``stall_cycles``.
+        # * the ROB, IQ and LSQ are rings of release cycles (see the
+        #   module docstring): a dispatch waits for the release of the
+        #   entry it takes, and one that waits counts one
+        #   ``full_stalls`` and its wait in ``stall_cycles``.
         fetch_width = config.fetch_width
         fetch_cursor = 0  # forward-moving bandwidth cursor
         fetch_used = 0
         commit_width = config.commit_width
-        commit_cursor = 0
+        commit_cursor = 0  # never behind last_commit
         commit_used = 0
         issue_width = config.issue_width
-        issue_used = defaultdict(int)  # cycle -> issue ports claimed
+        issue_used: Dict[int, int] = {}  # cycle -> issue ports claimed
+        issue_claims = issue_used.get
         rob_size = config.rob_size
         iq_size = config.iq_size
         lsq_size = config.lsq_size
-        rob_releases: deque = deque()
-        iq_releases: deque = deque()
-        lsq_releases: deque = deque()
+        rob = [0] * rob_size
+        iq = [0] * iq_size
+        lsq = [0] * lsq_size
+        mem_ops = 0  # loads and stores dispatched
         rob_full_stalls = rob_stall_cycles = 0
         iq_full_stalls = iq_stall_cycles = 0
         lsq_full_stalls = lsq_stall_cycles = 0
@@ -133,12 +153,6 @@ class OoOCore(Core):
         resolve_indirect = branch_unit.resolve_indirect
         push_return = branch_unit.push_return
         mispredict_penalty = branch_unit.mispredict_penalty
-        rob_pop = rob_releases.popleft
-        rob_append = rob_releases.append
-        iq_pop = iq_releases.popleft
-        iq_append = iq_releases.append
-        lsq_pop = lsq_releases.popleft
-        lsq_append = lsq_releases.append
         lat_alu = latencies.alu
         lat_mul = latencies.mul
         lat_div = latencies.div
@@ -163,23 +177,18 @@ class OoOCore(Core):
         latest_store_ready = 0  # conservative disambiguation barrier
         mem_order_barrier = 0  # MEMBAR
         last_mem_complete = 0
-        fetch_barrier = 0  # branch redirects
         last_commit = 0
         executed = 0
         pc = 0
 
-        # Observability (never feeds back into timing).  Window-full
-        # attribution is the ROB/IQ/LSQ stall counters above, copied
-        # into ``stalls`` at HALT; the waits measured here are
+        # Observability (never feeds back into timing).  The waits are
         # per-instruction and may overlap in time, so they are an
-        # *attribution* of waiting, not a partition of the cycle count.
-        stalls = {"operand": 0, "issue_port": 0, "mem_order": 0}
-        perf = PerfCounters(stall_cycles=stalls)
-        dispatched = 0
+        # *attribution* of waiting, not a partition of the cycle count;
+        # they go into ``PerfCounters.stall_cycles`` at HALT.
+        operand_wait = issue_port_wait = mem_order_wait = 0
         load_forwards = 0
         branch_redirect_cycles = 0
         commit_cycles_stepped = 0
-        last_commit_cycle_seen = -1
         sanitizer = self.sanitizer
 
         while True:
@@ -192,29 +201,33 @@ class OoOCore(Core):
             executed += 1
 
             # ---- front end -------------------------------------------
-            if fetch_barrier > fetch_cursor:
-                fetch_cursor = fetch_barrier
-                fetch_used = 0
-            fetch_slot = fetch_cursor
+            dispatch = fetch_cursor  # the fetch slot
             fetch_used += 1
             if fetch_used >= fetch_width:
                 fetch_cursor += 1
                 fetch_used = 0
 
             if kind == K_HALT:
-                cycles = max(last_commit, fetch_slot, 1)
+                cycles = max(last_commit, dispatch, 1)
                 if sanitizer is not None:
                     sanitizer.on_halt(executed, regs, state.memory, cycles)
                 stats = self.stats
-                stats.dispatched = dispatched
+                stats.dispatched = executed - 1
                 stats.load_forwards = load_forwards
                 stats.branch_redirect_cycles = branch_redirect_cycles
-                stalls["rob"] = rob_stall_cycles
-                stalls["iq"] = iq_stall_cycles
-                stalls["lsq"] = lsq_stall_cycles
-                stalls["branch"] = branch_redirect_cycles
-                perf.cycles_stepped = commit_cycles_stepped
-                perf.cycles_skipped = max(cycles - commit_cycles_stepped, 0)
+                perf = PerfCounters(
+                    cycles_stepped=commit_cycles_stepped,
+                    cycles_skipped=max(cycles - commit_cycles_stepped, 0),
+                    stall_cycles={
+                        "operand": operand_wait,
+                        "issue_port": issue_port_wait,
+                        "mem_order": mem_order_wait,
+                        "rob": rob_stall_cycles,
+                        "iq": iq_stall_cycles,
+                        "lsq": lsq_stall_cycles,
+                        "branch": branch_redirect_cycles,
+                    },
+                )
                 return CoreResult(
                     core_name=self.name,
                     program_name=program.name,
@@ -236,35 +249,34 @@ class OoOCore(Core):
                     wall_seconds=time.perf_counter() - started,
                 )
 
-            # ---- dispatch (ROB/IQ/LSQ occupancy) ---------------------
-            dispatch = fetch_slot
-            if len(rob_releases) >= rob_size:
-                blocking = rob_releases[0]
-                if blocking > dispatch:
-                    rob_full_stalls += 1
-                    rob_stall_cycles += blocking - dispatch
-                    dispatch = blocking
-                rob_pop()
-            if len(iq_releases) >= iq_size:
-                blocking = iq_releases[0]
-                if blocking > dispatch:
-                    iq_full_stalls += 1
-                    iq_stall_cycles += blocking - dispatch
-                    dispatch = blocking
-                iq_pop()
+            # ---- dispatch (take a ROB, IQ and LSQ entry) -------------
+            # ``executed`` numbers this instruction from 1, ``mem_ops``
+            # this memory op.
+            rob_at = executed % rob_size
+            blocking = rob[rob_at]
+            if blocking > dispatch:
+                rob_full_stalls += 1
+                rob_stall_cycles += blocking - dispatch
+                dispatch = blocking
+            iq_at = executed % iq_size
+            blocking = iq[iq_at]
+            if blocking > dispatch:
+                iq_full_stalls += 1
+                iq_stall_cycles += blocking - dispatch
+                dispatch = blocking
             if kind == K_LOAD or kind == K_STORE:
-                if len(lsq_releases) >= lsq_size:
-                    blocking = lsq_releases[0]
-                    if blocking > dispatch:
-                        lsq_full_stalls += 1
-                        lsq_stall_cycles += blocking - dispatch
-                        dispatch = blocking
-                    lsq_pop()
-            dispatched += 1
+                mem_ops += 1
+                lsq_at = mem_ops % lsq_size
+                blocking = lsq[lsq_at]
+                if blocking > dispatch:
+                    lsq_full_stalls += 1
+                    lsq_stall_cycles += blocking - dispatch
+                    dispatch = blocking
             if sanitizer is not None:
                 sanitizer.on_dispatch(
-                    len(rob_releases), len(iq_releases),
-                    len(lsq_releases), config, dispatch,
+                    dispatch, rob[rob_at], iq[iq_at],
+                    lsq[lsq_at] if kind == K_LOAD or kind == K_STORE
+                    else None,
                 )
 
             # ---- operand readiness -----------------------------------
@@ -276,7 +288,7 @@ class OoOCore(Core):
             if src_ready > ready:
                 ready = src_ready
             if ready > dispatch:
-                stalls["operand"] += ready - dispatch
+                operand_wait += ready - dispatch
 
             next_pc = pc + 1
             addr = None
@@ -288,19 +300,21 @@ class OoOCore(Core):
                     if latest_store_ready > ordered:
                         ordered = latest_store_ready
                 if ordered > ready:
-                    stalls["mem_order"] += ordered - ready
+                    mem_order_wait += ordered - ready
                     ready = ordered
             elif kind == K_STORE:
                 if mem_order_barrier > ready:
-                    stalls["mem_order"] += mem_order_barrier - ready
+                    mem_order_wait += mem_order_barrier - ready
                     ready = mem_order_barrier
 
             slot = ready
-            while issue_used[slot] >= issue_width:
+            claimed = issue_claims(slot, 0)
+            while claimed >= issue_width:
                 slot += 1
-            issue_used[slot] += 1
+                claimed = issue_claims(slot, 0)
+            issue_used[slot] = claimed + 1
             if slot > ready:
-                stalls["issue_port"] += slot - ready
+                issue_port_wait += slot - ready
 
             # ---- execute (functional + completion time) --------------
             if kind <= K_DIV:  # ALU / MUL / DIV
@@ -346,14 +360,13 @@ class OoOCore(Core):
                 if taken:
                     next_pc = target
                 if mispredicted:
+                    # Fetch restarts at the redirect; the cycles it
+                    # loses are counted from the fetch cursor.
                     redirect = complete + mispredict_penalty
-                    peek = (fetch_barrier if fetch_barrier > fetch_cursor
-                            else fetch_cursor)
-                    lost = redirect - peek
-                    if lost > 0:
-                        branch_redirect_cycles += lost
-                    if redirect > fetch_barrier:
-                        fetch_barrier = redirect
+                    if redirect > fetch_cursor:
+                        branch_redirect_cycles += redirect - fetch_cursor
+                        fetch_cursor = redirect
+                        fetch_used = 0
             elif kind == K_JUMP:
                 if rd:
                     regs[rd] = pc + 1
@@ -375,8 +388,9 @@ class OoOCore(Core):
                 complete = slot + lat_alu
                 if mispredicted:
                     redirect = complete + mispredict_penalty
-                    if redirect > fetch_barrier:
-                        fetch_barrier = redirect
+                    if redirect > fetch_cursor:
+                        fetch_cursor = redirect
+                        fetch_used = 0
             elif kind == K_BARRIER:
                 complete = slot if slot > last_mem_complete else last_mem_complete
                 if complete > mem_order_barrier:
@@ -388,11 +402,12 @@ class OoOCore(Core):
                 reg_complete[rd] = complete
 
             # ---- commit (in order) -----------------------------------
-            commit_floor = complete + 1
-            if last_commit > commit_floor:
-                commit_floor = last_commit
-            if commit_floor > commit_cursor:
-                commit_cursor = commit_floor
+            # The commit cursor is never behind ``last_commit``, so the
+            # commit floor ``max(complete + 1, last_commit)`` passes the
+            # cursor exactly when ``complete`` reaches it, and a commit
+            # cycle is new exactly when it passes ``last_commit``.
+            if complete >= commit_cursor:
+                commit_cursor = complete + 1
                 commit_used = 0
             commit_time = commit_cursor
             commit_used += 1
@@ -403,16 +418,12 @@ class OoOCore(Core):
                 sanitizer.on_commit(commit_time, last_commit, commit_time)
             if commit_time > last_commit:
                 last_commit = commit_time
-            if commit_time != last_commit_cycle_seen:
-                last_commit_cycle_seen = commit_time
                 commit_cycles_stepped += 1
-            rob_append(commit_time)
-            iq_append(slot)
-            if kind == K_LOAD:
-                lsq_append(commit_time)
-            elif kind == K_STORE:
-                lsq_append(commit_time)
-                if addr is not None:
+            rob[rob_at] = commit_time
+            iq[iq_at] = slot
+            if addr is not None:  # a load or a store
+                lsq[lsq_at] = commit_time
+                if kind == K_STORE:
                     store_inflight[addr] = (complete, commit_time)
                     # Store drains to the cache after commit.
                     data_access(addr, commit_time, ACC_STORE)

@@ -58,6 +58,7 @@ class Instruction:
                                         compare=False, default=False)
     reads_rs2: bool = dataclasses.field(init=False, repr=False,
                                         compare=False, default=False)
+    # The register operands this instruction reads, in rs1, rs2 order.
     sources: Tuple[int, ...] = dataclasses.field(init=False, repr=False,
                                                  compare=False, default=())
     is_control: bool = dataclasses.field(init=False, repr=False,
@@ -121,10 +122,6 @@ class Instruction:
         set_attr(self, "alu_uses_imm", op in IMM_ALU_OPS)
         set_attr(self, "alu_fn", alu_fn_for(op))
         set_attr(self, "branch_fn", branch_fn_for(op))
-
-    def source_regs(self) -> Tuple[int, ...]:
-        """The register operands this instruction reads, in rs1,rs2 order."""
-        return self.sources
 
     # ------------------------------------------------------------------
     # Disassembly.

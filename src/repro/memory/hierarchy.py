@@ -50,6 +50,12 @@ _L2 = HitLevel.L2
 _DRAM = HitLevel.DRAM
 _MERGE_L1 = HitLevel.MERGE_L1
 _MERGE_L2 = HitLevel.MERGE_L2
+# Every result is built as ``_new_result(AccessResult, (ready, level,
+# tlb_miss))``, all three fields given: a ``NamedTuple``'s generated
+# ``__new__`` is a Python function, so calling the class costs one
+# interpreter frame per access, and ``tuple.__new__`` builds the same
+# tuple in C.
+_new_result = tuple.__new__
 
 
 @dataclasses.dataclass
@@ -167,7 +173,7 @@ class MemoryHierarchy:
 
         if access_type is _STORE:
             l1d.mark_dirty(line)
-        return AccessResult(ready, level, tlb_miss)
+        return _new_result(AccessResult, (ready, level, tlb_miss))
 
     def _miss(self, l1: Cache, l1_mshr: MSHRFile, from_dram: Optional[Set[int]],
               line: int, cycle: int) -> Tuple[int, HitLevel]:
@@ -246,12 +252,12 @@ class MemoryHierarchy:
             ready = cycle + self._l1d_hit_latency
             fill = l1d_mshr.in_flight(cycle).get(line)
             if fill is not None and fill > ready:
-                return AccessResult(fill, _MERGE_L1)
-            return AccessResult(ready, _L1)
+                return _new_result(AccessResult, (fill, _MERGE_L1, False))
+            return _new_result(AccessResult, (ready, _L1, False))
         self.stats.prefetches_issued += 1
         ready, level = self._miss(l1d, l1d_mshr, self._l1_pending_from_dram,
                                   line, cycle)
-        return AccessResult(ready, level)
+        return _new_result(AccessResult, (ready, level, False))
 
     # ------------------------------------------------------------------
     # Instruction fetch.
@@ -277,13 +283,13 @@ class MemoryHierarchy:
             if not in_flight:
                 # Fast hit path (see data_access).
                 stats.fastpath_l1i += 1
-                return AccessResult(ready, _L1)
+                return _new_result(AccessResult, (ready, _L1, False))
             fill = in_flight.get(line)
             if fill is not None and fill > ready:
-                return AccessResult(fill, _MERGE_L1)
-            return AccessResult(ready, _L1)
+                return _new_result(AccessResult, (fill, _MERGE_L1, False))
+            return _new_result(AccessResult, (ready, _L1, False))
         ready, level = self._miss(l1i, l1i_mshr, None, line, cycle)
-        return AccessResult(ready, level)
+        return _new_result(AccessResult, (ready, level, False))
 
     # ------------------------------------------------------------------
     # Statistics and invariants.

@@ -33,7 +33,9 @@ class AccessResult(NamedTuple):
 
     A ``NamedTuple`` rather than a frozen dataclass: every load, store,
     prefetch and fetch builds one, and a tuple is built without the
-    per-field ``object.__setattr__`` a frozen dataclass pays.
+    per-field ``object.__setattr__`` a frozen dataclass pays.  The
+    hierarchy builds it with ``tuple.__new__`` and every field given,
+    because the class's generated ``__new__`` is a Python function.
     """
 
     ready_cycle: int

@@ -13,7 +13,7 @@ but tests use snapshots for differential checks).
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, NoReturn, Optional, Tuple
 
 from repro.errors import ExecutionError
 
@@ -36,20 +36,28 @@ class SparseMemory:
         self._words: Dict[int, int] = {} if image is None else image.copy()
 
     @staticmethod
-    def _check(addr: int) -> int:
+    def _check(addr: int) -> NoReturn:
+        """Raise for ``addr``, which is misaligned or out of range."""
         if addr % WORD_BYTES != 0:
             raise ExecutionError(f"misaligned 8-byte access at {addr:#x}")
-        if not 0 <= addr <= _MASK64:
-            raise ExecutionError(f"address out of range: {addr:#x}")
-        return addr
+        raise ExecutionError(f"address out of range: {addr:#x}")
+
+    # ``read`` and ``write`` test the address inline (``addr & 7`` is
+    # ``addr % WORD_BYTES``) and call :meth:`_check` only to raise: every
+    # load and store of every core comes through here, and a call per
+    # access would cost an interpreter frame.
 
     def read(self, addr: int) -> int:
         """Read the 64-bit word at ``addr`` (zero if never written)."""
-        return self._words.get(self._check(addr), 0)
+        if addr & 7 or not 0 <= addr <= _MASK64:
+            self._check(addr)
+        return self._words.get(addr, 0)
 
     def write(self, addr: int, value: int) -> None:
         """Write the 64-bit word at ``addr``."""
-        self._words[self._check(addr)] = value & _MASK64
+        if addr & 7 or not 0 <= addr <= _MASK64:
+            self._check(addr)
+        self._words[addr] = value & _MASK64
 
     def snapshot(self) -> Dict[int, int]:
         """A copy of all non-zero words, for differential comparison."""

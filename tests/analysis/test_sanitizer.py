@@ -152,6 +152,18 @@ def test_occupancy_bounds():
         sanitizer.on_checkpoint(_FakeFile([None] * 3), cycle=1)
 
 
+def test_ooo_dispatch_waits_for_entry_release():
+    sanitizer = OoOSanitizer("ooo", tiny_program())
+    # Entries released at or before the dispatch cycle are free.
+    sanitizer.on_dispatch(10, 10, 9, None)
+    sanitizer.on_dispatch(10, 0, 3, 10)
+    for releases in ((11, 0, None), (0, 11, None), (0, 0, 11)):
+        with pytest.raises(SanitizerError) as excinfo:
+            sanitizer.on_dispatch(10, *releases)
+        assert excinfo.value.invariant == "occupancy"
+        assert "before its release at 11" in str(excinfo.value)
+
+
 def test_drain_rejects_unresolved_entry():
     sanitizer = SSTSanitizer("sst", tiny_program())
     with pytest.raises(SanitizerError) as excinfo:

@@ -1,9 +1,11 @@
 """OoO core: window-limited overlap, disambiguation, redirects."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.ooo import OoOCore
-from repro.config import OoOConfig
+from repro.config import BranchPredictorConfig, OoOConfig
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.runner import verify_against_golden
@@ -79,44 +81,48 @@ def test_conservative_loads_wait_for_store_addresses():
     assert oracle.cycles <= conservative.cycles
 
 
+STORE_FORWARDING = """
+    movi r1, 0x100000
+    movi r2, 42
+    st   r2, 0(r1)
+    ld   r3, 0(r1)
+    addi r4, r3, 1
+    halt
+"""
+
+
 def test_store_to_load_forwarding():
-    result = run("""
-        movi r1, 0x100000
-        movi r2, 42
-        st   r2, 0(r1)
-        ld   r3, 0(r1)
-        addi r4, r3, 1
-        halt
-    """, latency=300)
+    result = run(STORE_FORWARDING, latency=300)
     assert result.extra["ooo"].load_forwards >= 1
     # Forwarding means the load does not pay the miss latency twice.
     assert result.state.regs[4] == 43
 
 
-def test_mispredicted_branches_stall_fetch():
-    source = """
-        movi r1, 200
-        movi r3, 12345
-        movi r4, 6364136223846793005
-        movi r5, 1442695040888963407
-        movi r6, 0
-    loop:
-        mul  r3, r3, r4
-        add  r3, r3, r5
-        srli r7, r3, 33
-        andi r7, r7, 1
-        beq  r7, r0, skip
-        addi r6, r6, 1
-    skip:
-        addi r1, r1, -1
-        bne  r1, r0, loop
-        halt
-    """
-    from repro.config import BranchPredictorConfig
+# A data-dependent branch on a pseudo-random bit mispredicts often.
+MISPREDICTING_BRANCH = """
+    movi r1, 200
+    movi r3, 12345
+    movi r4, 6364136223846793005
+    movi r5, 1442695040888963407
+    movi r6, 0
+loop:
+    mul  r3, r3, r4
+    add  r3, r3, r5
+    srli r7, r3, 33
+    andi r7, r7, 1
+    beq  r7, r0, skip
+    addi r6, r6, 1
+skip:
+    addi r1, r1, -1
+    bne  r1, r0, loop
+    halt
+"""
 
-    cheap = run(source, OoOConfig(
+
+def test_mispredicted_branches_stall_fetch():
+    cheap = run(MISPREDICTING_BRANCH, OoOConfig(
         predictor=BranchPredictorConfig(mispredict_penalty=0)))
-    costly = run(source, OoOConfig(
+    costly = run(MISPREDICTING_BRANCH, OoOConfig(
         predictor=BranchPredictorConfig(mispredict_penalty=20)))
     assert costly.cycles > cheap.cycles
 
@@ -169,11 +175,15 @@ WINDOW_PROGRAMS = {
 ROOMY = OoOConfig(rob_size=256, iq_size=128, lsq_size=128)
 
 
+def window_case(window):
+    body, tight = WINDOW_PROGRAMS[window]
+    return "\n".join(WINDOW_PREFIX + body + ["halt"]), tight, 200
+
+
 @pytest.mark.parametrize("window", sorted(WINDOW_PROGRAMS))
 def test_full_window_stalls_dispatch(window):
-    body, tight = WINDOW_PROGRAMS[window]
-    source = "\n".join(WINDOW_PREFIX + body + ["halt"])
-    stalled = run(source, tight, latency=200)
+    source, tight, latency = window_case(window)
+    stalled = run(source, tight, latency=latency)
     for name in WINDOW_PROGRAMS:
         full_stalls = stalled.extra[name]["full_stalls"]
         if name == window:
@@ -181,7 +191,108 @@ def test_full_window_stalls_dispatch(window):
             assert stalled.extra[name]["stall_cycles"] >= full_stalls
         else:
             assert full_stalls == 0, name
-    roomy = run(source, ROOMY, latency=200)
+    roomy = run(source, ROOMY, latency=latency)
     assert all(roomy.extra[name]["full_stalls"] == 0
                for name in WINDOW_PROGRAMS)
     assert roomy.cycles <= stalled.cycles
+
+
+# Every observable of five programs that exercise each window, store
+# forwarding and branch redirects, as literals: a change meant only to
+# speed up the loop must reproduce each exactly.
+PINNED_CASES = {
+    **{window: window_case(window) for window in WINDOW_PROGRAMS},
+    "store-forwarding": (STORE_FORWARDING, OoOConfig(), 300),
+    "mispredicting-branch": (MISPREDICTING_BRANCH, OoOConfig(
+        predictor=BranchPredictorConfig(mispredict_penalty=20)), 200),
+}
+PINNED = {
+    "iq": {
+        "cycles": 256, "instructions": 44,
+        "rob": {"full_stalls": 0, "stall_cycles": 0},
+        "iq": {"full_stalls": 32, "stall_cycles": 7176},
+        "lsq": {"full_stalls": 0, "stall_cycles": 0},
+        "ooo": {"dispatched": 43, "branch_redirect_cycles": 0,
+                "load_forwards": 0},
+        "perf": {"cycles_stepped": 42, "cycles_skipped": 214,
+                 "fast_forwards": 0, "skip_fraction": 0.835938,
+                 "stall_cycles": {"operand": 1995, "issue_port": 0,
+                                  "mem_order": 0, "rob": 0, "iq": 7176,
+                                  "lsq": 0, "branch": 0}},
+    },
+    "lsq": {
+        "cycles": 231, "instructions": 44,
+        "rob": {"full_stalls": 0, "stall_cycles": 0},
+        "iq": {"full_stalls": 0, "stall_cycles": 0},
+        "lsq": {"full_stalls": 33, "stall_cycles": 7150},
+        "ooo": {"dispatched": 43, "branch_redirect_cycles": 0,
+                "load_forwards": 0},
+        "perf": {"cycles_stepped": 12, "cycles_skipped": 219,
+                 "fast_forwards": 0, "skip_fraction": 0.948052,
+                 "stall_cycles": {"operand": 2, "issue_port": 2,
+                                  "mem_order": 0, "rob": 0, "iq": 0,
+                                  "lsq": 7150, "branch": 0}},
+    },
+    "mispredicting-branch": {
+        "cycles": 3683, "instructions": 1502,
+        "rob": {"full_stalls": 0, "stall_cycles": 0},
+        "iq": {"full_stalls": 0, "stall_cycles": 0},
+        "lsq": {"full_stalls": 0, "stall_cycles": 0},
+        "ooo": {"dispatched": 1501, "branch_redirect_cycles": 3348,
+                "load_forwards": 0},
+        "perf": {"cycles_stepped": 1196, "cycles_skipped": 2487,
+                 "fast_forwards": 0, "skip_fraction": 0.675265,
+                 "stall_cycles": {"operand": 10113, "issue_port": 0,
+                                  "mem_order": 0, "rob": 0, "iq": 0,
+                                  "lsq": 0, "branch": 3348}},
+    },
+    "rob": {
+        "cycles": 262, "instructions": 64,
+        "rob": {"full_stalls": 45, "stall_cycles": 9778},
+        "iq": {"full_stalls": 0, "stall_cycles": 0},
+        "lsq": {"full_stalls": 0, "stall_cycles": 0},
+        "ooo": {"dispatched": 63, "branch_redirect_cycles": 0,
+                "load_forwards": 0},
+        "perf": {"cycles_stepped": 48, "cycles_skipped": 214,
+                 "fast_forwards": 0, "skip_fraction": 0.816794,
+                 "stall_cycles": {"operand": 573, "issue_port": 0,
+                                  "mem_order": 0, "rob": 9778, "iq": 0,
+                                  "lsq": 0, "branch": 0}},
+    },
+    "store-forwarding": {
+        "cycles": 4, "instructions": 6,
+        "rob": {"full_stalls": 0, "stall_cycles": 0},
+        "iq": {"full_stalls": 0, "stall_cycles": 0},
+        "lsq": {"full_stalls": 0, "stall_cycles": 0},
+        "ooo": {"dispatched": 5, "branch_redirect_cycles": 0,
+                "load_forwards": 1},
+        "perf": {"cycles_stepped": 3, "cycles_skipped": 1,
+                 "fast_forwards": 0, "skip_fraction": 0.25,
+                 "stall_cycles": {"operand": 3, "issue_port": 0,
+                                  "mem_order": 0, "rob": 0, "iq": 0,
+                                  "lsq": 0, "branch": 0}},
+    },
+}
+STALL_KEYS = ["operand", "issue_port", "mem_order", "rob", "iq", "lsq",
+              "branch"]
+
+
+def observables(result):
+    extra = result.extra
+    return {
+        "cycles": result.cycles,
+        "instructions": result.instructions,
+        "rob": extra["rob"],
+        "iq": extra["iq"],
+        "lsq": extra["lsq"],
+        "ooo": dataclasses.asdict(extra["ooo"]),
+        "perf": extra["perf"].as_dict(),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_observables_are_pinned(case):
+    source, config, latency = PINNED_CASES[case]
+    result = run(source, config, latency=latency)
+    assert observables(result) == PINNED[case]
+    assert list(result.extra["perf"].stall_cycles) == STALL_KEYS

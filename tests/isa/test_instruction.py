@@ -6,16 +6,16 @@ from repro.isa.opcodes import Op
 
 def test_source_regs_order():
     add = Instruction(Op.ADD, rd=1, rs1=2, rs2=3)
-    assert add.source_regs() == (2, 3)
+    assert add.sources == (2, 3)
     addi = Instruction(Op.ADDI, rd=1, rs1=2, imm=1)
-    assert addi.source_regs() == (2,)
+    assert addi.sources == (2,)
     movi = Instruction(Op.MOVI, rd=1, imm=1)
-    assert movi.source_regs() == ()
+    assert movi.sources == ()
 
 
 def test_store_sources():
     store = Instruction(Op.ST, rs1=4, rs2=5, imm=8)
-    assert store.source_regs() == (4, 5)
+    assert store.sources == (4, 5)
     assert not store.writes_reg
     assert store.is_store and store.is_mem and not store.is_load
 

@@ -26,15 +26,30 @@ def test_values_masked_to_64_bits():
 
 def test_misaligned_access_raises():
     memory = SparseMemory()
-    with pytest.raises(ExecutionError, match="misaligned"):
-        memory.read(3)
-    with pytest.raises(ExecutionError, match="misaligned"):
-        memory.write(12, 1)
+    for addr in (3, 12, (1 << 64) - 1, -3):
+        with pytest.raises(ExecutionError, match="misaligned"):
+            memory.read(addr)
+        with pytest.raises(ExecutionError, match="misaligned"):
+            memory.write(addr, 1)
+    assert len(memory) == 0
 
 
 def test_out_of_range_address_raises():
-    with pytest.raises(ExecutionError, match="out of range"):
-        SparseMemory().read(1 << 64)
+    memory = SparseMemory()
+    for addr in (1 << 64, -8, -(1 << 64)):
+        with pytest.raises(ExecutionError, match="out of range"):
+            memory.read(addr)
+        with pytest.raises(ExecutionError, match="out of range"):
+            memory.write(addr, 1)
+    assert len(memory) == 0
+
+
+def test_range_edges_are_accessible():
+    memory = SparseMemory()
+    top = (1 << 64) - 8
+    memory.write(top, 5)
+    memory.write(0, 6)
+    assert (memory.read(top), memory.read(0)) == (5, 6)
 
 
 def test_starts_from_a_copy_of_the_image():
