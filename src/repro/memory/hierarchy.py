@@ -31,7 +31,7 @@ I-streams and D-streams compete in the shared L2 without aliasing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.config import HierarchyConfig
 from repro.memory.cache import Cache
@@ -55,7 +55,7 @@ _MERGE_L2 = HitLevel.MERGE_L2
 # ``__new__`` is a Python function, so calling the class costs one
 # interpreter frame per access, and ``tuple.__new__`` builds the same
 # tuple in C.
-_new_result = tuple.__new__
+_new_result: Callable[..., AccessResult] = tuple.__new__  # type: ignore[assignment]
 
 
 @dataclasses.dataclass
