@@ -35,7 +35,8 @@ class AccessResult(NamedTuple):
     prefetch and fetch builds one, and a tuple is built without the
     per-field ``object.__setattr__`` a frozen dataclass pays.  The
     hierarchy builds it with ``tuple.__new__`` and every field given,
-    because the class's generated ``__new__`` is a Python function.
+    because the class's generated ``__new__`` is a Python function, so
+    a new field must be added at those call sites too.
     """
 
     ready_cycle: int
