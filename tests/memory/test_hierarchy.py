@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import CacheConfig, DRAMConfig, HierarchyConfig
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.request import AccessType, HitLevel
+from repro.memory.request import AccessResult, AccessType, HitLevel
 
 
 def make_hierarchy(latency=300, interval=0, mshr=8):
@@ -35,6 +35,24 @@ def test_access_result_is_immutable():
         result.ready_cycle = 0
     with pytest.raises(AttributeError):
         result.tlb_miss = True
+
+
+def test_every_path_returns_a_whole_access_result():
+    # The hierarchy builds results with tuple.__new__, which skips the
+    # NamedTuple's defaults: every path must give every field.
+    hierarchy = make_hierarchy()
+    results = [hierarchy.data_access(0x10000, cycle=0),  # miss
+               hierarchy.data_access(0x10008, cycle=1),  # merge
+               hierarchy.data_access(0x10000, cycle=1000),  # hit
+               hierarchy.prefetch(0x20000, cycle=0),
+               hierarchy.prefetch(0x20000, cycle=1),
+               hierarchy.prefetch(0x20000, cycle=1000),
+               hierarchy.ifetch(0, cycle=0),
+               hierarchy.ifetch(0, cycle=1000)]
+    for result in results:
+        assert type(result) is AccessResult
+        assert len(result) == len(AccessResult._fields)
+        assert result.tlb_miss is False
 
 
 def test_second_access_hits_l1():
