@@ -32,6 +32,13 @@ Checked invariants (see DESIGN.md for the paper mapping):
   committed architectural state equals the golden interpreter's state
   after the same number of retired instructions.
 * **zero-register** — ``r0`` still reads 0 at every commit boundary.
+* **pending-heap** — every answer the SST core reads off its pending
+  heap (how many producers are outstanding, the earliest completion,
+  whether one older than a commit boundary is pending) equals a direct
+  walk of the producers' ready times.
+* **replay-choice** — the entry the SST replay strand picks from its DQ
+  index, and the wake it memoizes when it picks none, equal a direct
+  scan of the deferred queue.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.errors import SanitizerError
 from repro.isa.interpreter import Interpreter
 from repro.isa.program import Program
 from repro.isa.registers import ZERO_REG
+from repro.isa.semantics import effective_address
 
 def sanitize_enabled() -> bool:
     """The ``REPRO_SANITIZE`` process-wide gate (off by default)."""
@@ -248,6 +256,80 @@ class SSTSanitizer(Sanitizer):
                     f"{previous}", cycle=cycle, strand="commit",
                 )
             previous = entry.seq
+
+    # ---- pending producers and the replay choice ----------------------
+
+    def on_outstanding(self, producer_ready, cycle: int, count: int) -> None:
+        walked = sum(1 for ready in producer_ready.values() if ready > cycle)
+        if count != walked:
+            self._fail("pending-heap",
+                       f"{count} producers outstanding by the heap, "
+                       f"{walked} by the ready times", cycle=cycle,
+                       strand="ahead")
+
+    def on_earliest_outstanding(self, producer_ready, cycle: int,
+                                earliest: Optional[int]) -> None:
+        walked = min((ready for ready in producer_ready.values()
+                      if ready > cycle), default=None)
+        if earliest != walked:
+            self._fail("pending-heap",
+                       f"earliest pending completion {earliest} by the "
+                       f"heap, {walked} by the ready times", cycle=cycle)
+
+    def on_pending_below(self, producer_ready, cycle: int, boundary_seq: int,
+                         pending: bool) -> None:
+        walked = any(ready > cycle and seq < boundary_seq
+                     for seq, ready in producer_ready.items())
+        if pending != walked:
+            self._fail("pending-heap",
+                       f"producer below boundary seq {boundary_seq} "
+                       f"pending={pending} by the heap, {walked} by the "
+                       f"ready times", cycle=cycle, strand="commit")
+
+    def on_replay_choice(self, core, cycle: int, selected,
+                         wake: Optional[int]) -> None:
+        """The choice must be the oldest DQ entry whose producers have
+        all produced by ``cycle`` (a load also waits for every older
+        unresolved store); with none, the wake must be the earliest
+        cycle at which one's producers are all back."""
+        slice_values = core._slice_values
+        producer_ready = core._producer_ready
+        blocks_load = core.sb.unresolved.blocks_load
+        walked = None
+        walked_wake = None
+        for entry in core.dq:
+            ready = cycle
+            waiting = False
+            for producer in (entry.rs1_producer, entry.rs2_producer):
+                if producer is not None:
+                    if producer not in slice_values:
+                        waiting = True
+                        break
+                    ready = max(ready, producer_ready[producer])
+            if waiting:
+                continue
+            if ready > cycle:
+                if walked_wake is None or ready < walked_wake:
+                    walked_wake = ready
+                continue
+            if entry.inst.is_load:
+                base = (entry.rs1_value if entry.rs1_producer is None
+                        else slice_values[entry.rs1_producer])
+                addr = effective_address(base or 0, entry.inst.imm)
+                if blocks_load(addr, entry.seq, conservative=True):
+                    continue
+            walked = entry
+            break
+        if selected is not walked:
+            self._fail("replay-choice",
+                       f"DQ index picked seq "
+                       f"{None if selected is None else selected.seq}, a "
+                       f"scan picks {None if walked is None else walked.seq}",
+                       cycle=cycle, strand="replay")
+        if selected is None and wake != walked_wake:
+            self._fail("replay-choice",
+                       f"DQ index wakes at {wake}, a scan at {walked_wake}",
+                       cycle=cycle, strand="replay")
 
     # ---- checkpoints / commit ----------------------------------------
 

@@ -76,6 +76,9 @@ from repro.memory.request import AccessType
 # Store-to-load forwarding latency inside the LSQ.
 FORWARD_LATENCY = 1
 
+# Smallest issue-claim table that is pruned (see OoOCore.run).
+ISSUE_PRUNE_MIN = 256
+
 
 @dataclasses.dataclass
 class OoOStats:
@@ -111,7 +114,10 @@ class OoOCore(Core):
         # * fetch and commit bandwidth are forward-only cursors: at most
         #   ``width`` claims per cycle, never before the requested cycle;
         # * issue ports are a per-cycle claim count, because out-of-order
-        #   issue asks for slots in any time order;
+        #   issue asks for slots in any time order.  No instruction
+        #   claims a cycle before its fetch slot, and fetch slots only
+        #   move forward, so the claims below the current fetch slot are
+        #   dead: they are dropped whenever the table has doubled;
         # * the ROB, IQ and LSQ are rings of release cycles (see the
         #   module docstring): a dispatch waits for the release of the
         #   entry it takes, and one that waits counts one
@@ -125,6 +131,7 @@ class OoOCore(Core):
         issue_width = config.issue_width
         issue_used: Dict[int, int] = {}  # cycle -> issue ports claimed
         issue_claims = issue_used.get
+        issue_prune_at = ISSUE_PRUNE_MIN
         rob_size = config.rob_size
         iq_size = config.iq_size
         lsq_size = config.lsq_size
@@ -206,6 +213,13 @@ class OoOCore(Core):
             if fetch_used >= fetch_width:
                 fetch_cursor += 1
                 fetch_used = 0
+                if len(issue_used) >= issue_prune_at:
+                    issue_used = {claim_cycle: claims for claim_cycle, claims
+                                  in issue_used.items()
+                                  if claim_cycle >= dispatch}
+                    issue_claims = issue_used.get
+                    issue_prune_at = 2 * max(len(issue_used),
+                                             ISSUE_PRUNE_MIN // 2)
 
             if kind == K_HALT:
                 cycles = max(last_commit, dispatch, 1)

@@ -20,13 +20,15 @@ from repro.isa.instruction import Instruction
 from repro.stats.histogram import Histogram
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(eq=False, slots=True)
 class DQEntry:
     """One deferred instruction with its captured operands.
 
     Entries compare by identity: sequence numbers are unique, so
     :meth:`DeferredQueue.remove` finds an entry without comparing its
     fields, and an equal-looking entry that is not queued is not found.
+    Slots make the entry smaller and its fields quicker to set and
+    read, one entry being built per deferral.
     """
 
     seq: int
@@ -45,12 +47,6 @@ class DQEntry:
     # True when the instruction was deferred only to preserve memory
     # order behind an unresolved store (its operands are available).
     order_defer: bool = False
-
-    def producers(self) -> Iterator[int]:
-        if self.rs1_producer is not None:
-            yield self.rs1_producer
-        if self.rs2_producer is not None:
-            yield self.rs2_producer
 
 
 @dataclasses.dataclass
@@ -95,10 +91,6 @@ class DeferredQueue:
     def head(self) -> Optional[DQEntry]:
         return self._entries[0] if self._entries else None
 
-    def pop_head(self) -> DQEntry:
-        self.stats.replayed += 1
-        return self._entries.popleft()
-
     def remove(self, entry: DQEntry) -> None:
         """Replay an entry out of FIFO position (ROCK's re-deferral:
         not-ready entries are skipped and retried on a later pass).
@@ -115,10 +107,6 @@ class DeferredQueue:
 
     def clear(self) -> None:
         self._entries.clear()
-
-    def all_below(self, seq: int) -> bool:
-        """True when every queued entry has ``entry.seq < seq``."""
-        return not self._entries or self._entries[-1].seq < seq
 
     def __iter__(self) -> Iterator[DQEntry]:
         return iter(self._entries)

@@ -181,12 +181,23 @@ class SSTCore(Core):
         # cache, so timing is bit-identical with or without it.
         self._replay_stall: Optional[int] = None
         self._commit_stall: Optional[int] = None
-        # Lazy min-heap over (ready, seq) of pending producers: the
+        # Min-heap over (ready, seq) of pending producers: the
         # episode's trigger, ahead-strand misses, replayed entries and
         # scout loads that miss (a scout NA destination only goes NA,
-        # so it never enters).  Stale entries (overwritten or
-        # completed) are dropped on pop.
+        # so it never enters).  Each producer is pushed once, when its
+        # ready time is set, and that time is never overwritten (a
+        # deferred producer's placeholder 0 is never pushed), so once
+        # the entries at or below the clock are popped the heap holds
+        # exactly the producers still outstanding.
         self._pending_heap: List[Tuple[int, int]] = []
+        # The replay choice's DQ index: an entry waits in
+        # ``_replay_waiters`` under a producer still queued, then in the
+        # ``_replay_timed`` heap of (ready, seq, entry) until its
+        # producers' data is back, then in the ``_replay_ready`` heap
+        # of (seq, entry), oldest first.
+        self._replay_waiters: Dict[int, List[DQEntry]] = {}
+        self._replay_timed: List[Tuple[int, int, DQEntry]] = []
+        self._replay_ready: List[Tuple[int, DQEntry]] = []
 
         # ---- optional microarchitectural sanitizer ---------------------
         # None unless REPRO_SANITIZE is set; every hook site is guarded,
@@ -379,6 +390,7 @@ class SSTCore(Core):
         MERGE_L2 = HitLevel.MERGE_L2
         ACC_LOAD = AccessType.LOAD
         ACC_STORE = AccessType.STORE
+        K_ALU = blockcache.K_ALU
         K_MUL = blockcache.K_MUL
         K_DIV = blockcache.K_DIV
         K_LOAD = blockcache.K_LOAD
@@ -414,9 +426,11 @@ class SSTCore(Core):
         perf_stepped = self._perf_stepped_cycle
         drain_busy = self._drain_busy
         pc = self._pc
+        # ``until`` as a bound that never stops a run without one.
+        stop = until if until is not None else _NO_WAKE
 
         while True:
-            if until is not None and cycle >= until:
+            if cycle >= stop:
                 self._next_event = cycle
                 self._cycle = cycle
                 self._slots = slots
@@ -454,7 +468,7 @@ class SSTCore(Core):
             ready = reg_ready[src_b]
             if ready > earliest:
                 earliest = ready
-            if until is not None and earliest >= until:
+            if earliest >= stop:
                 # The next instruction would issue beyond the quantum;
                 # hand control back without touching shared state.  Any
                 # re-entry with a quantum at or before ``earliest`` is a
@@ -523,12 +537,12 @@ class SSTCore(Core):
             if kind <= K_DIV:  # ALU / MUL / DIV
                 a = regs[rs1]
                 value = fn(a, imm) if uses_imm else fn(a, regs[rs2])
-                if kind == K_MUL:
-                    latency = lat_mul
-                elif kind == K_DIV:
-                    latency = lat_div
-                else:
+                if kind == K_ALU:
                     latency = lat_alu
+                elif kind == K_MUL:
+                    latency = lat_mul
+                else:
+                    latency = lat_div
                 if rd:
                     regs[rd] = value
                     reg_ready[rd] = slot + latency
@@ -671,6 +685,9 @@ class SSTCore(Core):
         self._slice_values = {seq: value}
         self._producer_ready = {seq: data_ready}
         self._pending_heap = [(data_ready, seq)]
+        self._replay_waiters = {}
+        self._replay_timed = []
+        self._replay_ready = []
         self._replay_stall = None
         self._commit_stall = None
         self._spec_loads = []
@@ -690,29 +707,48 @@ class SSTCore(Core):
             self.mode = ExecMode.EXECUTE_AHEAD
             self._mode_key = _MODE_KEY[ExecMode.EXECUTE_AHEAD]
 
-    def _min_outstanding(self, cycle: int) -> Optional[int]:
-        """Earliest completion among still-pending producers.
+    # The three pending-producer queries below first pop every heap
+    # entry done by ``cycle``, which leaves exactly the (ready, seq) of
+    # the producers still outstanding (see ``_pending_heap``).  The clock
+    # is monotonic within an episode, so a popped entry is never needed
+    # again.
 
-        Served from the lazy pending-heap: completed and stale entries
-        (the clock is monotonic within an episode, and a producer's
-        ready time is only ever re-pushed, never silently changed) are
-        popped on sight, so the amortized cost is O(log n) per producer
-        instead of a full dict scan per idle cycle."""
+    def _min_outstanding(self, cycle: int) -> Optional[int]:
+        """Earliest completion among still-pending producers."""
         heap = self._pending_heap
-        producer_ready = self._producer_ready
-        while heap:
-            ready, seq = heap[0]
-            if ready > cycle and producer_ready.get(seq) == ready:
-                return ready
+        while heap and heap[0][0] <= cycle:
             heappop(heap)
-        return None
+        earliest = heap[0][0] if heap else None
+        if self.sanitizer is not None:
+            self.sanitizer.on_earliest_outstanding(
+                self._producer_ready, cycle, earliest)
+        return earliest
 
     def _count_outstanding(self, cycle: int) -> int:
-        count = 0
-        for ready in self._producer_ready.values():
-            if ready > cycle:
-                count += 1
+        """How many producers are still pending (for
+        ``peak_outstanding_misses``)."""
+        heap = self._pending_heap
+        while heap and heap[0][0] <= cycle:
+            heappop(heap)
+        count = len(heap)
+        if self.sanitizer is not None:
+            self.sanitizer.on_outstanding(self._producer_ready, cycle, count)
         return count
+
+    def _pending_below(self, cycle: int, boundary_seq: int) -> bool:
+        """Is a producer older than ``boundary_seq`` still pending?"""
+        heap = self._pending_heap
+        while heap and heap[0][0] <= cycle:
+            heappop(heap)
+        pending = False
+        for _, seq in heap:
+            if seq < boundary_seq:
+                pending = True
+                break
+        if self.sanitizer is not None:
+            self.sanitizer.on_pending_below(self._producer_ready, cycle,
+                                            boundary_seq, pending)
+        return pending
 
     def _enter_scout(self, cause: ScoutCause) -> None:
         self.stats.scout_sessions[cause] += 1
@@ -740,6 +776,9 @@ class SSTCore(Core):
         # Rollback reuses sequence numbers, so stale heap entries could
         # alias future producers — drop them with the episode.
         self._pending_heap = []
+        self._replay_waiters = {}
+        self._replay_timed = []
+        self._replay_ready = []
         self._replay_stall = None
         self._commit_stall = None
         self._spec_loads = []
@@ -822,12 +861,7 @@ class SSTCore(Core):
             head = self.dq.head()
             if head is not None and head.seq < boundary.start_seq:
                 break
-            pending_below = False
-            for seq, ready in self._producer_ready.items():
-                if ready > cycle and seq < boundary.start_seq:
-                    pending_below = True
-                    break
-            if pending_below:
+            if self._pending_below(cycle, boundary.start_seq):
                 time_blocked = True
                 break
             self.state.regs = self._materialize(boundary.regs)
@@ -917,55 +951,51 @@ class SSTCore(Core):
         and an entry's producers are always older and therefore
         eligible before it.
 
-        A fruitless scan is memoized (``_replay_stall``): an entry's
-        eligibility changes only with time (producer ready times, which
-        the scan's wake minimum captures exactly) or with a DQ / slice
-        / store-buffer mutation, all of which clear the memo.
+        The choice reads the DQ index (``_replay_ready``,
+        ``_replay_timed``), not the queue: an entry whose producer is
+        still queued or whose data is not back yet is not looked at
+        until that changes.  A fruitless choice is memoized
+        (``_replay_stall``): an entry's eligibility changes only with
+        time (producer ready times, which the earliest timed entry
+        captures exactly) or with a DQ / slice / store-buffer mutation,
+        all of which clear the memo.
         """
-        dq = self.dq
-        if not dq:
-            return _BLOCKED, None
         stall = self._replay_stall
         if stall is not None:
             if stall > cycle:
                 return _BLOCKED, (stall if stall != _NO_WAKE else None)
             self._replay_stall = None
 
-        slice_values = self._slice_values
-        producer_ready = self._producer_ready
-        blocks_load = self.sb.unresolved.blocks_load
+        timed = self._replay_timed
+        ready = self._replay_ready
+        while timed and timed[0][0] <= cycle:
+            _, seq, entry = heappop(timed)
+            heappush(ready, (seq, entry))
         selected: Optional[DQEntry] = None
-        wake: Optional[int] = None
-        for entry in dq:
-            # Cycle at which the entry's captured producers are all
-            # done (inlined: this loop dominates episode time).
-            ready = cycle
-            producer = entry.rs1_producer
-            if producer is not None:
-                if producer not in slice_values:
-                    continue  # producer itself still queued
-                r = producer_ready[producer]
-                if r > ready:
-                    ready = r
-            producer = entry.rs2_producer
-            if producer is not None:
-                if producer not in slice_values:
-                    continue
-                r = producer_ready[producer]
-                if r > ready:
-                    ready = r
-            if ready > cycle:
-                if wake is None or ready < wake:
-                    wake = ready
-                continue
+        skipped = None
+        while ready:
+            item = heappop(ready)
+            entry = item[1]
             if entry.inst.is_load:
                 base = (entry.rs1_value if entry.rs1_producer is None
-                        else slice_values[entry.rs1_producer])
+                        else self._slice_values[entry.rs1_producer])
                 addr = effective_address(base or 0, entry.inst.imm)
-                if blocks_load(addr, entry.seq, conservative=True):
-                    continue  # the blocking store replays first
+                if self.sb.unresolved.blocks_load(addr, entry.seq,
+                                                  conservative=True):
+                    # The blocking store replays first.
+                    if skipped is None:
+                        skipped = [item]
+                    else:
+                        skipped.append(item)
+                    continue
             selected = entry
             break
+        if skipped is not None:
+            for item in skipped:
+                heappush(ready, item)
+        wake = timed[0][0] if timed else None
+        if self.sanitizer is not None:
+            self.sanitizer.on_replay_choice(self, cycle, selected, wake)
         if selected is None:
             self._replay_stall = wake if wake is not None else _NO_WAKE
             return _BLOCKED, wake
@@ -998,6 +1028,25 @@ class SSTCore(Core):
         self.stats.replay_insts += 1
         return _ISSUED, None
 
+    def _enqueue_replay(self, entry: DQEntry) -> int:
+        """File a queued entry in the DQ index.  Returns the cycle from
+        which its producers' data is all back, or ``_NO_WAKE`` while a
+        producer is still queued (the entry then waits under it, and
+        that producer's replay files it again)."""
+        slice_values = self._slice_values
+        ready = 0
+        for producer in (entry.rs1_producer, entry.rs2_producer):
+            if producer is not None:
+                if producer not in slice_values:
+                    self._replay_waiters.setdefault(producer, []).append(
+                        entry)
+                    return _NO_WAKE
+                producer_ready = self._producer_ready[producer]
+                if producer_ready > ready:
+                    ready = producer_ready
+        heappush(self._replay_timed, (ready, entry.seq, entry))
+        return ready
+
     def _replay_operands(self, entry: DQEntry) -> Tuple[int, int]:
         if entry.rs1_producer is not None:
             a = self._slice_values[entry.rs1_producer]
@@ -1024,9 +1073,7 @@ class SSTCore(Core):
             fn = inst.alu_fn
             value = fn(a, inst.imm) if inst.alu_uses_imm else fn(a, b)
             complete = cycle + self.op_latency(cls, latencies)
-            self._slice_values[entry.seq] = value
-            self._producer_ready[entry.seq] = complete
-            heappush(self._pending_heap, (complete, entry.seq))
+            self._produced(entry.seq, value, complete)
             spec.apply_replayed(inst.rd, value, entry.seq, complete)
         elif cls is OpClass.LOAD:
             addr = effective_address(a, inst.imm)
@@ -1042,9 +1089,7 @@ class SSTCore(Core):
                 complete = result.ready_cycle
                 if self._defer_triggering(result):
                     self.stats.deferred_loads_missed_again += 1
-            self._slice_values[entry.seq] = value
-            self._producer_ready[entry.seq] = complete
-            heappush(self._pending_heap, (complete, entry.seq))
+            self._produced(entry.seq, value, complete)
             spec.apply_replayed(inst.rd, value, entry.seq, complete)
         elif cls is OpClass.STORE:
             addr = effective_address(a, inst.imm)
@@ -1091,6 +1136,32 @@ class SSTCore(Core):
                     return
         else:  # pragma: no cover - nothing else is deferrable
             raise SimulatorInvariantError(f"undeferred class {cls} in DQ")
+
+    def _produced(self, seq: int, value: int, complete: int) -> None:
+        """A replayed entry's result: record it as a pending producer and
+        file the entries that waited for it in the DQ index (inlined
+        ``_enqueue_replay``: the waiter's other producer, if any, is the
+        only one that can still be queued)."""
+        slice_values = self._slice_values
+        producer_ready = self._producer_ready
+        slice_values[seq] = value
+        producer_ready[seq] = complete
+        heappush(self._pending_heap, (complete, seq))
+        waiters = self._replay_waiters.pop(seq, None)
+        if waiters is not None:
+            for waiter in waiters:
+                other = waiter.rs2_producer
+                if other == seq:
+                    other = waiter.rs1_producer
+                ready = complete
+                if other is not None:
+                    if other not in slice_values:
+                        self._replay_waiters.setdefault(other, []).append(
+                            waiter)
+                        continue
+                    if producer_ready[other] > ready:
+                        ready = producer_ready[other]
+                heappush(self._replay_timed, (ready, waiter.seq, waiter))
 
     def _check_order_violation(self, store_seq: int, store_addr: int) -> bool:
         """Did a younger speculative load miss this store's data?"""
@@ -1174,6 +1245,7 @@ class SSTCore(Core):
         else:
             if not self.dq.append(entry):
                 return self._exhausted("dq_full", ScoutCause.DQ_FULL)
+        self._enqueue_replay(entry)
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.on_defer(entry, self.checkpoints, self.dq, cycle)

@@ -30,6 +30,9 @@ class ArchState:
     regs: List[int]
     memory: SparseMemory
     pc: int = 0
+    # Set by seal_digest(), once the state is final.
+    sealed_digest: Optional[str] = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     @classmethod
     def fresh(cls, program: Optional[Program] = None) -> "ArchState":
@@ -56,7 +59,19 @@ class ArchState:
     def digest(self) -> str:
         """Semantic ID of the registers and every memory word, zero-valued
         ones included (unlike ``SparseMemory.__eq__``)."""
+        if self.sealed_digest is not None:
+            return self.sealed_digest
         return state_digest(self.regs, self.memory.items())
+
+    def seal_digest(self) -> str:
+        """:meth:`digest`, kept on the state for every later call.  Only
+        for a final state, one that nothing writes again: the result
+        cache seals a run's state when it stores the result, so the
+        baseline firewall's ``state_hash`` of the same result reads the
+        digest instead of hashing every memory word a second time."""
+        if self.sealed_digest is None:
+            self.sealed_digest = state_digest(self.regs, self.memory.items())
+        return self.sealed_digest
 
 
 @dataclasses.dataclass

@@ -18,6 +18,8 @@ simulation time.
 
 from __future__ import annotations
 
+import operator
+
 from repro.errors import SimulatorInvariantError
 from repro.isa.opcodes import Op
 
@@ -147,34 +149,24 @@ def alu_result(op: Op, a: int, b: int) -> int:
 # Branch conditions.
 # ----------------------------------------------------------------------
 
-def _beq(a, b):
-    return a == b
-
-
-def _bne(a, b):
-    return a != b
-
+# Signed comparison of two unsigned 64-bit values: flipping the sign bit
+# maps [-2**63, 2**63) onto [0, 2**64) in order, so one xor per operand
+# replaces two to_signed calls.
 
 def _blt(a, b):
-    return to_signed(a) < to_signed(b)
+    return a ^ SIGN_BIT < b ^ SIGN_BIT
 
 
 def _bge(a, b):
-    return to_signed(a) >= to_signed(b)
+    return a ^ SIGN_BIT >= b ^ SIGN_BIT
 
 
-def _bltu(a, b):
-    return a < b
-
-
-def _bgeu(a, b):
-    return a >= b
-
-
+# The equality and unsigned conditions are the operator module's C
+# functions: no Python frame per branch.
 _BRANCH_FN = {
-    Op.BEQ: _beq, Op.BNE: _bne,
+    Op.BEQ: operator.eq, Op.BNE: operator.ne,
     Op.BLT: _blt, Op.BGE: _bge,
-    Op.BLTU: _bltu, Op.BGEU: _bgeu,
+    Op.BLTU: operator.lt, Op.BGEU: operator.ge,
 }
 
 

@@ -191,7 +191,12 @@ def encode_value(value: Any) -> Any:
         if name not in _ENUMS:
             raise CacheCodecError(f"unregistered enum {name}")
         return {"__enum__": name, "value": value.value}
-    if isinstance(value, (ArchState, CachedState)):
+    if isinstance(value, ArchState):
+        # A result is stored once its run is over: its state is final,
+        # so the digest is sealed for the firewall's read of it.
+        return {"__state__": {"regs": list(value.regs), "pc": value.pc,
+                              "digest": value.seal_digest()}}
+    if isinstance(value, CachedState):
         return {"__state__": {"regs": list(value.regs), "pc": value.pc,
                               "digest": value.digest()}}
     if isinstance(value, Histogram):

@@ -3,6 +3,7 @@ store-buffer corruption caught mid-run, and the observationality
 guarantee (identical cycles with the sanitizer on)."""
 
 import os
+from heapq import heappush
 from unittest import mock
 
 import pytest
@@ -311,6 +312,36 @@ def test_unsanitized_core_misses_the_same_corruption():
     core.sb.drain_below = lambda seq: list(reversed(real_drain(seq)))
     result = core.run()  # no error raised
     assert result.instructions > 0
+
+
+def test_stale_pending_heap_entry_is_reported():
+    """The pending heap must hold exactly the outstanding producers: an
+    entry that belongs to no producer makes its answers disagree with
+    the producers' ready times, and the first query reports it."""
+    program = spec_workload()
+    core = make_core(program, sanitized=True)
+    real_begin = core._begin_episode
+
+    def begin_with_stale_entry(*args):
+        real_begin(*args)
+        heappush(core._pending_heap, (1 << 40, -1))
+
+    core._begin_episode = begin_with_stale_entry
+    with pytest.raises(SanitizerError) as excinfo:
+        core.run()
+    assert excinfo.value.invariant == "pending-heap"
+    assert core.sanitizer.violations == 1
+
+
+def test_replay_index_losing_an_entry_is_reported():
+    """An entry deferred but never filed in the DQ index is one a scan
+    of the queue would replay: the replay choice disagrees."""
+    program = spec_workload()
+    core = make_core(program, sanitized=True)
+    core._enqueue_replay = lambda entry: 0
+    with pytest.raises(SanitizerError) as excinfo:
+        core.run()
+    assert excinfo.value.invariant == "replay-choice"
 
 
 # ----------------------------------------------------------------------

@@ -296,3 +296,52 @@ def test_observables_are_pinned(case):
     result = run(source, config, latency=latency)
     assert observables(result) == PINNED[case]
     assert list(result.extra["perf"].stall_cycles) == STALL_KEYS
+
+
+# fp-stream at the smoke suite scale on ooo-4w-rob32 claims issue ports
+# in about 1,100 distinct cycles, so its claim table is pruned several
+# times at the default ISSUE_PRUNE_MIN.
+PRUNED_PIN = {
+    "cycles": 22535,
+    "instructions": 3079,
+    "ooo": {"dispatched": 3078, "branch_redirect_cycles": 21763,
+            "load_forwards": 0},
+    "perf": {"cycles_stepped": 1091, "cycles_skipped": 21444,
+             "fast_forwards": 0, "skip_fraction": 0.951586,
+             "stall_cycles": {"operand": 222507, "issue_port": 64,
+                              "mem_order": 0, "rob": 33214406,
+                              "iq": 281345, "lsq": 0, "branch": 21763}},
+    "state_hash": ("f9789b1351e121b0735577090b5833d4e2f1494aef083c40b"
+                   "bfa9b8f985fe966"),
+}
+
+
+def _fp_stream_on_rob32():
+    from repro.config import ooo_machine
+    from repro.experiments.bench_env import BenchEnv
+    from repro.sim.machine import Machine
+    from repro.workloads import suite
+
+    env = BenchEnv(smoke=True, cache=None, firewall=None)
+    program = suite.WORKLOAD_FACTORIES["fp-stream"](
+        **suite.suite_params("tiny")["fp-stream"])
+    result = Machine(ooo_machine(env.hierarchy(), rob_size=32)).run(program)
+    return {
+        "cycles": result.cycles,
+        "instructions": result.instructions,
+        "ooo": dataclasses.asdict(result.extra["ooo"]),
+        "perf": result.extra["perf"].as_dict(),
+        "state_hash": result.state.digest(),
+    }
+
+
+@pytest.mark.parametrize("prune_min", [None, 2, 1 << 40],
+                         ids=["default", "every-fetch-group", "never"])
+def test_issue_claim_pruning_is_exact(monkeypatch, prune_min):
+    """Dropping the issue claims below the fetch slot moves nothing,
+    however often it happens."""
+    from repro.baselines.ooo import ooo_core
+
+    if prune_min is not None:
+        monkeypatch.setattr(ooo_core, "ISSUE_PRUNE_MIN", prune_min)
+    assert _fp_stream_on_rob32() == PRUNED_PIN

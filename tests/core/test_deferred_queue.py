@@ -17,7 +17,7 @@ def test_fifo_order():
     queue.append(entry(1))
     queue.append(entry(2))
     assert queue.head().seq == 1
-    assert queue.pop_head().seq == 1
+    queue.remove(queue.head())
     assert queue.head().seq == 2
 
 
@@ -36,24 +36,6 @@ def test_seq_order_enforced():
         queue.append(entry(5))
     with pytest.raises(ValueError):
         queue.append(entry(3))
-
-
-def test_all_below():
-    queue = DeferredQueue(4)
-    assert queue.all_below(0) is True
-    queue.append(entry(3))
-    queue.append(entry(7))
-    assert queue.all_below(8) is True
-    assert queue.all_below(7) is False
-
-
-def test_producers_iteration():
-    mixed = entry(1, rs1_producer=10, rs2_value=5)
-    assert list(mixed.producers()) == [10]
-    both = entry(2, rs1_producer=10, rs2_producer=11)
-    assert list(both.producers()) == [10, 11]
-    none = entry(3, rs1_value=1, rs2_value=2)
-    assert list(none.producers()) == []
 
 
 def test_occupancy_histogram_sampled_on_append():
@@ -76,9 +58,10 @@ def test_clear_and_bool():
 def test_stats_replayed():
     queue = DeferredQueue(2)
     queue.append(entry(1))
-    queue.pop_head()
+    queue.remove(queue.head())
     assert queue.stats.deferred == 1
     assert queue.stats.replayed == 1
+    assert queue.stats.replayed_out_of_order == 0
 
 
 def test_remove_by_identity():
