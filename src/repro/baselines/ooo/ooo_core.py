@@ -77,7 +77,7 @@ from repro.memory.request import AccessType
 FORWARD_LATENCY = 1
 
 # Smallest issue-claim table that is pruned (see OoOCore.run).
-ISSUE_PRUNE_MIN = 256
+ISSUE_PRUNE_MIN = 4096
 
 
 @dataclasses.dataclass
@@ -115,9 +115,10 @@ class OoOCore(Core):
         #   ``width`` claims per cycle, never before the requested cycle;
         # * issue ports are a per-cycle claim count, because out-of-order
         #   issue asks for slots in any time order.  No instruction
-        #   claims a cycle before its fetch slot, and fetch slots only
-        #   move forward, so the claims below the current fetch slot are
-        #   dead: they are dropped whenever the table has doubled;
+        #   claims a cycle before its dispatch, which is at least its
+        #   fetch slot and the commit of the instruction whose ROB entry
+        #   it takes; both only move forward, so the claims below them
+        #   are dead and are dropped whenever the table has doubled;
         # * the ROB, IQ and LSQ are rings of release cycles (see the
         #   module docstring): a dispatch waits for the release of the
         #   entry it takes, and one that waits counts one
@@ -214,9 +215,15 @@ class OoOCore(Core):
                 fetch_cursor += 1
                 fetch_used = 0
                 if len(issue_used) >= issue_prune_at:
+                    # This instruction's ROB entry is released at
+                    # rob[executed % rob_size], no later than any later
+                    # instruction's.
+                    live_from = rob[executed % rob_size]
+                    if dispatch > live_from:
+                        live_from = dispatch
                     issue_used = {claim_cycle: claims for claim_cycle, claims
                                   in issue_used.items()
-                                  if claim_cycle >= dispatch}
+                                  if claim_cycle >= live_from}
                     issue_claims = issue_used.get
                     issue_prune_at = 2 * max(len(issue_used),
                                              ISSUE_PRUNE_MIN // 2)

@@ -298,21 +298,21 @@ def test_observables_are_pinned(case):
     assert list(result.extra["perf"].stall_cycles) == STALL_KEYS
 
 
-# fp-stream at the smoke suite scale on ooo-4w-rob32 claims issue ports
-# in about 1,100 distinct cycles, so its claim table is pruned several
-# times at the default ISSUE_PRUNE_MIN.
+# fp-stream at the small suite scale (49,159 instructions) on
+# ooo-4w-rob32 prunes its issue-claim table 4 times at the default
+# ISSUE_PRUNE_MIN, keeping about 10 live claims each time.
 PRUNED_PIN = {
-    "cycles": 22535,
-    "instructions": 3079,
-    "ooo": {"dispatched": 3078, "branch_redirect_cycles": 21763,
+    "cycles": 360455,
+    "instructions": 49159,
+    "ooo": {"dispatched": 49158, "branch_redirect_cycles": 348163,
             "load_forwards": 0},
-    "perf": {"cycles_stepped": 1091, "cycles_skipped": 21444,
-             "fast_forwards": 0, "skip_fraction": 0.951586,
-             "stall_cycles": {"operand": 222507, "issue_port": 64,
-                              "mem_order": 0, "rob": 33214406,
-                              "iq": 281345, "lsq": 0, "branch": 21763}},
-    "state_hash": ("f9789b1351e121b0735577090b5833d4e2f1494aef083c40b"
-                   "bfa9b8f985fe966"),
+    "perf": {"cycles_stepped": 17411, "cycles_skipped": 343044,
+             "fast_forwards": 0, "skip_fraction": 0.951697,
+             "stall_cycles": {"operand": 3561387, "issue_port": 1024,
+                              "mem_order": 0, "rob": 8553032966,
+                              "iq": 4503425, "lsq": 0, "branch": 348163}},
+    "state_hash": ("b5909a89d2dc68b357cadd42760ed69beda29a84cf7f252f39"
+                   "dab81f7a448b7c"),
 }
 
 
@@ -324,7 +324,7 @@ def _fp_stream_on_rob32():
 
     env = BenchEnv(smoke=True, cache=None, firewall=None)
     program = suite.WORKLOAD_FACTORIES["fp-stream"](
-        **suite.suite_params("tiny")["fp-stream"])
+        **suite.suite_params("small")["fp-stream"])
     result = Machine(ooo_machine(env.hierarchy(), rob_size=32)).run(program)
     return {
         "cycles": result.cycles,
@@ -338,8 +338,8 @@ def _fp_stream_on_rob32():
 @pytest.mark.parametrize("prune_min", [None, 2, 1 << 40],
                          ids=["default", "every-fetch-group", "never"])
 def test_issue_claim_pruning_is_exact(monkeypatch, prune_min):
-    """Dropping the issue claims below the fetch slot moves nothing,
-    however often it happens."""
+    """Dropping the issue claims no later instruction can make moves
+    nothing, however often it happens."""
     from repro.baselines.ooo import ooo_core
 
     if prune_min is not None:
