@@ -20,15 +20,13 @@ from repro.isa.instruction import Instruction
 from repro.stats.histogram import Histogram
 
 
-@dataclasses.dataclass(eq=False, slots=True)
+@dataclasses.dataclass(eq=False)
 class DQEntry:
     """One deferred instruction with its captured operands.
 
     Entries compare by identity: sequence numbers are unique, so
     :meth:`DeferredQueue.remove` finds an entry without comparing its
     fields, and an equal-looking entry that is not queued is not found.
-    Slots make the entry smaller and its fields quicker to set and
-    read, one entry being built per deferral.
     """
 
     seq: int
