@@ -77,7 +77,7 @@ from repro.memory.request import AccessType
 FORWARD_LATENCY = 1
 
 # Smallest issue-claim table that is pruned (see OoOCore.run).
-ISSUE_PRUNE_MIN = 4096
+CLAIM_PRUNE_MIN = 4096
 
 
 @dataclasses.dataclass
@@ -132,7 +132,7 @@ class OoOCore(Core):
         issue_width = config.issue_width
         issue_used: Dict[int, int] = {}  # cycle -> issue ports claimed
         issue_claims = issue_used.get
-        issue_prune_at = ISSUE_PRUNE_MIN
+        issue_prune_at = CLAIM_PRUNE_MIN
         rob_size = config.rob_size
         iq_size = config.iq_size
         lsq_size = config.lsq_size
@@ -226,7 +226,7 @@ class OoOCore(Core):
                                   if claim_cycle >= live_from}
                     issue_claims = issue_used.get
                     issue_prune_at = 2 * max(len(issue_used),
-                                             ISSUE_PRUNE_MIN // 2)
+                                             CLAIM_PRUNE_MIN // 2)
 
             if kind == K_HALT:
                 cycles = max(last_commit, dispatch, 1)

@@ -300,7 +300,7 @@ def test_observables_are_pinned(case):
 
 # fp-stream at the small suite scale (49,159 instructions) on
 # ooo-4w-rob32 prunes its issue-claim table 4 times at the default
-# ISSUE_PRUNE_MIN, keeping about 10 live claims each time.
+# CLAIM_PRUNE_MIN, keeping about 10 live claims each time.
 PRUNED_PIN = {
     "cycles": 360455,
     "instructions": 49159,
@@ -343,5 +343,5 @@ def test_issue_claim_pruning_is_exact(monkeypatch, prune_min):
     from repro.baselines.ooo import ooo_core
 
     if prune_min is not None:
-        monkeypatch.setattr(ooo_core, "ISSUE_PRUNE_MIN", prune_min)
+        monkeypatch.setattr(ooo_core, "CLAIM_PRUNE_MIN", prune_min)
     assert _fp_stream_on_rob32() == PRUNED_PIN
