@@ -6,51 +6,22 @@ from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
 from tests.conftest import small_hierarchy_config
 
-
-def run(source: str):
-    program = assemble(source)
-    hierarchy = MemoryHierarchy(small_hierarchy_config(latency=200))
-    return InOrderCore(program, hierarchy, InOrderConfig()).run()
-
-
-def test_stack_sums_to_total_cycles():
-    result = run("""
+# The programs below, by name (``test_inorder_pins.py`` pins each).
+PROGRAMS = {
+    "load_use": """
         movi r1, 0x100000
         ld   r2, 0(r1)
         addi r3, r2, 1
         halt
-    """)
-    stack = result.extra["cpi_stack"]
-    assert sum(stack.values()) == result.cycles
-
-
-def test_memory_bound_attributed_to_memory():
-    result = run("""
-        movi r1, 0x100000
-        ld   r2, 0(r1)
-        addi r3, r2, 1
-        halt
-    """)
-    stack = result.extra["cpi_stack"]
-    assert stack["memory"] > 150
-    assert stack["memory"] > 10 * stack["compute"]
-
-
-def test_long_op_attributed():
-    result = run("""
+    """,
+    "div_use": """
         movi r1, 1000
         movi r2, 7
         div  r3, r1, r2
         addi r4, r3, 1
         halt
-    """)
-    stack = result.extra["cpi_stack"]
-    assert stack["long_op"] > 10
-    assert stack["memory"] == 0
-
-
-def test_branch_stalls_attributed():
-    result = run("""
+    """,
+    "lcg_branch": """
         movi r1, 200
         movi r3, 12345
         movi r4, 6364136223846793005
@@ -66,33 +37,64 @@ def test_branch_stalls_attributed():
         addi r1, r1, -1
         bne  r1, r0, loop
         halt
-    """)
-    stack = result.extra["cpi_stack"]
-    assert stack["branch"] > 100  # ~half the data branches mispredict
-
-
-def test_drain_attributed_for_membar():
-    result = run("""
+    """,
+    "store_membar": """
         movi r1, 0x100000
         st   r1, 0(r1)
         membar
         movi r2, 1
         halt
-    """)
-    assert result.extra["cpi_stack"]["drain"] > 100
+    """,
+    "independent_addi": "\n".join(
+        f"addi r{1 + i % 8}, r{1 + i % 8}, 1" for i in range(200)
+    ) + "\nhalt",
+    "serial_addi": "movi r1, 0\n" + "\n".join(
+        "addi r1, r1, 1" for _ in range(100)
+    ) + "\nhalt",
+}
+
+
+def run(name: str):
+    program = assemble(PROGRAMS[name])
+    hierarchy = MemoryHierarchy(small_hierarchy_config(latency=200))
+    return InOrderCore(program, hierarchy, InOrderConfig()).run()
+
+
+def test_stack_sums_to_total_cycles():
+    result = run("load_use")
+    stack = result.extra["cpi_stack"]
+    assert sum(stack.values()) == result.cycles
+
+
+def test_memory_bound_attributed_to_memory():
+    stack = run("load_use").extra["cpi_stack"]
+    assert stack["memory"] > 150
+    assert stack["memory"] > 10 * stack["compute"]
+
+
+def test_long_op_attributed():
+    stack = run("div_use").extra["cpi_stack"]
+    assert stack["long_op"] > 10
+    assert stack["memory"] == 0
+
+
+def test_branch_stalls_attributed():
+    stack = run("lcg_branch").extra["cpi_stack"]
+    assert stack["branch"] > 100  # ~half the data branches mispredict
+
+
+def test_drain_attributed_for_membar():
+    assert run("store_membar").extra["cpi_stack"]["drain"] > 100
 
 
 def test_independent_compute_is_mostly_busy():
-    body = "\n".join(f"addi r{1 + i % 8}, r{1 + i % 8}, 1"
-                     for i in range(200))
-    result = run(f"{body}\nhalt")
+    result = run("independent_addi")
     stack = result.extra["cpi_stack"]
     assert stack["busy"] > 0.8 * result.cycles
 
 
 def test_serial_chain_is_compute_stall():
     """A serial dependence chain is RAW-stall time, not busy time."""
-    body = "\n".join("addi r1, r1, 1" for _ in range(100))
-    result = run(f"movi r1, 0\n{body}\nhalt")
+    result = run("serial_addi")
     stack = result.extra["cpi_stack"]
     assert stack["compute"] > 0.8 * result.cycles
