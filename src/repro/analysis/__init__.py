@@ -24,7 +24,6 @@ from repro.analysis.proglint import (
     lint_program,
 )
 from repro.analysis.sanitizer import (
-    InOrderSanitizer,
     OoOSanitizer,
     Sanitizer,
     SSTSanitizer,
@@ -48,7 +47,6 @@ __all__ = [
     "CFG",
     "DiagKind",
     "Diagnostic",
-    "InOrderSanitizer",
     "OoOSanitizer",
     "ProgramLinter",
     "SSTTaintTracker",

@@ -39,6 +39,8 @@ Checked invariants (see DESIGN.md for the paper mapping):
 * **replay-choice** — the entry the SST replay strand picks from its DQ
   index, and the wake it memoizes when it picks none, equal a direct
   scan of the deferred queue.
+* **issue-order** — normal-mode issue slots never go backwards: each
+  instruction issues at or after the cycle of the one before it.
 """
 
 from __future__ import annotations
@@ -149,6 +151,18 @@ class SSTSanitizer(Sanitizer):
         super().__init__(core_name, program)
         self._in_episode = False
         self._in_drain = False
+        self._last_slot = 0
+
+    # ---- normal-mode issue ---------------------------------------------
+
+    def on_issue(self, slot: int) -> None:
+        if slot < self._last_slot:
+            self._fail(
+                "issue-order",
+                f"issue slot {slot} precedes older issue at "
+                f"{self._last_slot}", cycle=slot,
+            )
+        self._last_slot = slot
 
     # ---- speculative-store containment -------------------------------
 
@@ -383,47 +397,24 @@ class OoOSanitizer(Sanitizer):
         self.check_reconvergence(executed, regs, memory, cycle=cycle)
 
 
-class InOrderSanitizer(Sanitizer):
-    """Event checks for the in-order baseline core."""
-
-    def __init__(self, core_name: str, program: Program):
-        super().__init__(core_name, program)
-        self._last_slot = 0
-
-    def on_issue(self, slot: int, cycle: int) -> None:
-        if slot < self._last_slot:
-            self._fail(
-                "issue-order",
-                f"issue slot {slot} precedes older issue at "
-                f"{self._last_slot}", cycle=cycle,
-            )
-        self._last_slot = slot
-
-    def on_halt(self, executed: int, regs: List[int], memory,
-                cycle: int) -> None:
-        self.check_zero_register(regs, cycle=cycle)
-        self.check_reconvergence(executed, regs, memory, cycle=cycle)
-
-
 def make_sanitizer(kind: str, core_name: str,
                    program: Program) -> Optional[Sanitizer]:
     """The per-core factory the cores call at construction.
 
     Returns None unless ``REPRO_SANITIZE`` is set, so the default path
-    stays hook-free.  ``kind`` is ``"sst"`` / ``"ooo"`` / ``"inorder"``.
+    stays hook-free.  ``kind`` is ``"sst"`` (every SST-family core,
+    the in-order baseline among them) or ``"ooo"``.
     """
     if not sanitize_enabled():
         return None
     factory = {
         "sst": SSTSanitizer,
         "ooo": OoOSanitizer,
-        "inorder": InOrderSanitizer,
     }[kind]
     return factory(core_name, program)
 
 
 __all__ = [
-    "InOrderSanitizer",
     "OoOSanitizer",
     "Sanitizer",
     "SSTSanitizer",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 from typing import List, Optional, Sequence
 
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
@@ -49,7 +50,7 @@ class MulticoreResult:
     @property
     def aggregate_ipc(self) -> float:
         """Sum of per-core IPCs (the throughput metric)."""
-        return sum(result.ipc for result in self.per_core)
+        return math.fsum(result.ipc for result in self.per_core)
 
     @property
     def total_instructions(self) -> int:

@@ -3,9 +3,11 @@
 Execution alternates between two regimes:
 
 * **Normal mode** — plain scoreboarded in-order execution updating
-  committed state directly, identical to the in-order baseline, until a
-  deferrable event (a triggering load miss) occurs and a checkpoint is
-  free.
+  committed state directly, until a deferrable event (a triggering load
+  miss) occurs and a checkpoint is free.  With no checkpoint the core
+  never leaves it: that configuration is the in-order baseline
+  (:class:`~repro.baselines.inorder.InOrderCore`), and normal mode
+  keeps its CPI stack, the cycles the clock jumped by cause.
 * **Speculative episode** — a cycle-stepped loop running up to two
   strands that share the pipeline's issue width:
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import SSTSanitizer, make_sanitizer
 from repro.analysis.taint_tracker import make_taint_tracker
@@ -140,6 +142,14 @@ class SSTCore(Core):
         self._cycle = 0
         self._slots = 0
         self._reg_ready: List[int] = [0] * REG_COUNT
+        # What produced each register's pending value, and the cycles
+        # the clock jumped by cause: the CPI stack of a core with no
+        # checkpoint (see _normal_step).
+        self._reg_producer: List[str] = ["compute"] * REG_COUNT
+        self._stalls: Dict[str, int] = {
+            "memory": 0, "long_op": 0, "compute": 0, "branch": 0,
+            "drain": 0,
+        }
         self._pc = 0
         self._drain_busy = 0  # store-buffer commit drain / store traffic
         self._executed = 0
@@ -209,10 +219,13 @@ class SSTCore(Core):
             self.sanitizer.attach_memory_guard(self.state)
 
         # ---- optional dynamic taint tracker ----------------------------
-        # None unless REPRO_TAINT is set; observational like the
+        # None unless REPRO_TAINT is set and the core can speculate (it
+        # tracks what speculation leaks); observational like the
         # sanitizer (pure accessors only), so cycle counts are identical
         # either way.  See repro.analysis.taint_tracker.
-        self.taint = make_taint_tracker(self, program)
+        speculates = config.checkpoints >= 1
+        self.taint = (make_taint_tracker(self, program) if speculates
+                      else None)
 
         # ---- decoded rows ----------------------------------------------
         # Flat decoded rows, shared via the fingerprint-keyed block
@@ -223,15 +236,18 @@ class SSTCore(Core):
         # transition so accounting skips the per-call dict lookup.
         self._mode_key = _MODE_KEY[self.mode]
         # The speculative episode loop (repro.core.sst_dispatch),
-        # generated per config signature.  An attached sanitizer or
+        # generated per config signature; a core with no checkpoint
+        # never enters one and generates none.  An attached sanitizer or
         # taint tracker selects the instrumented variant, which compiles
         # in their hook sites.  Chosen once here, not per advance():
         # a multicore scheduler calls advance() once per quantum.
-        from repro.core.sst_dispatch import compile_spec_loop
-        self._spec_loop_fn = compile_spec_loop(
-            config, self.branch_unit.mispredict_penalty,
-            self.sanitizer is not None or self.taint is not None,
-        )
+        self._spec_loop_fn: Optional[Callable[..., None]] = None
+        if speculates:
+            from repro.core.sst_dispatch import compile_spec_loop
+            self._spec_loop_fn = compile_spec_loop(
+                config, self.branch_unit.mispredict_penalty,
+                self.sanitizer is not None or self.taint is not None,
+            )
 
     # ==================================================================
     # Top level.
@@ -265,10 +281,12 @@ class SSTCore(Core):
                         return True
                     if outcome == "yield":
                         return False
-                    # outcome == "spec": fall through to the episode
-                    # loop; a pending HALT/MEMBAR re-executes in normal
-                    # mode after the episode resolves.
-                self._spec_loop_fn(self, max_instructions, until_cycle)
+                    # outcome == "spec" (only with a checkpoint, so
+                    # with a loop): fall through to the episode loop; a
+                    # pending HALT/MEMBAR re-executes in normal mode
+                    # after the episode resolves.
+                self._spec_loop_fn(  # type: ignore[misc]
+                    self, max_instructions, until_cycle)
             return False
         finally:
             self._wall_accum += time.perf_counter() - started
@@ -309,6 +327,21 @@ class SSTCore(Core):
                                          self.state.memory, None,
                                          final_cycle)
             self.sanitizer.detach_memory_guard(self.state)
+        model_stats: Dict[str, object]
+        if self.config.checkpoints:
+            model_stats = {
+                "sst": self.stats,
+                "dq": self.dq.stats,
+                "dq_occupancy": self.dq.occupancy,
+                "sb": self.sb.stats,
+                "sb_occupancy": self.sb.occupancy,
+                "checkpoints": self.checkpoints.stats,
+            }
+        else:
+            # The plain in-order pipeline: nothing speculative to
+            # report, and every cycle is a stall of a known cause or busy.
+            busy = final_cycle - sum(self._stalls.values())
+            model_stats = {"cpi_stack": {**self._stalls, "busy": busy}}
         return CoreResult(
             core_name=self.name,
             program_name=self.program.name,
@@ -316,14 +349,9 @@ class SSTCore(Core):
             instructions=self._executed,
             state=self.state,
             extra={
-                "sst": self.stats,
                 "branch": self.branch_unit.stats,
                 **self.hierarchy.result_stats(),
-                "dq": self.dq.stats,
-                "dq_occupancy": self.dq.occupancy,
-                "sb": self.sb.stats,
-                "sb_occupancy": self.sb.occupancy,
-                "checkpoints": self.checkpoints.stats,
+                **model_stats,
                 "perf": self.perf,
                 **({"taint": self.taint.finalize_report()}
                    if self.taint is not None else {}),
@@ -357,23 +385,29 @@ class SSTCore(Core):
         return True
 
     def _normal_step(self, budget: int,
-                     until: Optional[int] = None) -> Optional[str]:
+                     until: Optional[int] = None) -> str:
         """Run normal mode until HALT or a speculative episode starts.
 
         With ``until`` set, returns "yield" before issuing anything at
         or beyond that cycle (resumable for multicore interleaving).
+
+        Every cycle the clock jumps is charged in ``_stalls`` to its
+        cause: the producer kind of the operand waited on (``memory``,
+        ``long_op`` or ``compute``), a mispredict redirect (``branch``)
+        or a MEMBAR drain (``drain``).
         """
         state = self.state
         config = self.config
         latencies = config.latencies
         hierarchy = self.hierarchy
         reg_ready = self._reg_ready
+        reg_producer = self._reg_producer
+        stalls = self._stalls
         can_speculate = config.checkpoints >= 1
 
-        # Hot-loop locals (see inorder.py): direct register-file
-        # indexing is safe because every write below guards the zero
-        # register, so ``regs[0]`` stays 0.  Decode comes from the
-        # block cache's flat rows.
+        # Hot-loop locals: direct register-file indexing is safe because
+        # every write below guards the zero register, so ``regs[0]``
+        # stays 0.  Decode comes from the block cache's flat rows.
         rows = self._rows
         n_insts = len(rows)
         regs = state.regs
@@ -401,14 +435,9 @@ class SSTCore(Core):
         K_JUMP_INDIRECT = blockcache.K_JUMP_INDIRECT
         K_BARRIER = blockcache.K_BARRIER
         K_HALT = blockcache.K_HALT
-        # For the inlined issue-slot bookkeeping and its mode-cycle
-        # accounting.  ``self._mode_key`` is constant here: _normal_step
-        # only runs in normal mode and returns on any transition.
-        stats = self.stats
         perf = self.perf
         width = config.width
-        mode_cycles = stats.mode_cycles
-        mkey = self._mode_key
+        sanitizer = self.sanitizer
         branch_unit = self.branch_unit
         resolve_cond = branch_unit.resolve_cond
         resolve_indirect = branch_unit.resolve_indirect
@@ -416,136 +445,98 @@ class SSTCore(Core):
         redirect_lat = latencies.alu + branch_unit.mispredict_penalty
         do_prefetch = hierarchy.prefetch
 
-        # Core-owned scalars mirrored into locals for the loop; written
-        # back at every exit and before any callee that reads them
-        # (_begin_episode, _check_budget/_check_pc raises).
+        # Core-owned scalars mirrored into locals for the loop.  The
+        # loop has one exit, below it: normal mode cannot change inside
+        # the loop, so the write-back, the mode-cycle accounting and
+        # ``normal_insts`` all catch up there once.
         cycle = self._cycle
         slots = self._slots
         executed = self._executed
-        mode_account = self._mode_account_cycle
         perf_stepped = self._perf_stepped_cycle
         drain_busy = self._drain_busy
         pc = self._pc
         # ``until`` as a bound that never stops a run without one.
         stop = until if until is not None else _NO_WAKE
+        trigger = None
 
         while True:
             if cycle >= stop:
                 self._next_event = cycle
-                self._cycle = cycle
-                self._slots = slots
-                self._executed = executed
-                self._mode_account_cycle = mode_account
-                self._perf_stepped_cycle = perf_stepped
-                self._drain_busy = drain_busy
-                self._pc = pc
-                return "yield"
+                outcome = "yield"
+                break
             if executed >= budget:
-                self._cycle = cycle
-                self._slots = slots
-                self._executed = executed
-                self._mode_account_cycle = mode_account
-                self._perf_stepped_cycle = perf_stepped
-                self._drain_busy = drain_busy
-                self._pc = pc
-                self._check_budget(executed, budget)
+                outcome = "budget"
+                break
             if pc < 0 or pc >= n_insts:
-                self._cycle = cycle
-                self._slots = slots
-                self._executed = executed
-                self._mode_account_cycle = mode_account
-                self._perf_stepped_cycle = perf_stepped
-                self._drain_busy = drain_busy
-                self._pc = pc
-                self._check_pc(pc)
+                outcome = "pc"
+                break
             (kind, rd, rs1, rs2, imm, target, fn, src_a, src_b,
              _writes, uses_imm, inst) = rows[pc]
 
+            # Stall-on-use: the wait goes to the producer of the source
+            # that is ready last, the first one (rs1) on a tie.
             earliest = cycle
             ready = reg_ready[src_a]
             if ready > earliest:
                 earliest = ready
+                cause = reg_producer[src_a]
             ready = reg_ready[src_b]
             if ready > earliest:
                 earliest = ready
-            if earliest >= stop:
-                # The next instruction would issue beyond the quantum;
-                # hand control back without touching shared state.  Any
-                # re-entry with a quantum at or before ``earliest`` is a
-                # pure clock jump (operand readiness cannot regress), so
-                # advertise it as the fast-forward hint.
-                self._next_event = earliest
-                delta = until - mode_account
-                if delta > 0:
-                    mode_cycles[mkey] += delta
-                    mode_account = until
-                self._cycle = until
-                self._slots = 0
-                self._executed = executed
-                self._mode_account_cycle = mode_account
-                self._perf_stepped_cycle = perf_stepped
-                self._drain_busy = drain_busy
-                self._pc = pc
-                return "yield"
-
-            if kind == K_HALT:
-                executed += 1
-                stats.normal_insts += 1
-                if earliest > cycle:
-                    delta = earliest - mode_account
-                    if delta > 0:
-                        mode_cycles[mkey] += delta
-                        mode_account = earliest
-                    cycle = earliest
-                self._cycle = cycle
-                self._slots = slots
-                self._executed = executed
-                self._mode_account_cycle = mode_account
-                self._perf_stepped_cycle = perf_stepped
-                self._drain_busy = drain_busy
-                self._pc = pc
-                return "halt"
-
-            # Take an issue slot at ``earliest`` + its accounting.
-            slot = cycle
-            if earliest > slot:
-                perf.cycles_skipped += earliest - slot
+                cause = reg_producer[src_b]
+            if earliest > cycle:
+                if earliest >= stop:
+                    # The next instruction would issue beyond the
+                    # quantum; hand control back without touching
+                    # shared state.  Any re-entry with a quantum at or
+                    # before ``earliest`` is a pure clock jump (operand
+                    # readiness cannot regress), so advertise it as the
+                    # fast-forward hint.
+                    self._next_event = earliest
+                    stalls[cause] += stop - cycle
+                    cycle = stop
+                    slots = 0
+                    outcome = "yield"
+                    break
+                stalls[cause] += earliest - cycle
+                perf.cycles_skipped += earliest - cycle
                 perf.fast_forwards += 1
-                delta = earliest - mode_account
-                if delta > 0:
-                    mode_cycles[mkey] += delta
-                    mode_account = earliest
                 cycle = earliest
                 slots = 0
-                slot = earliest
+
+            # HALT reads no register (both source slots hold r0, ready
+            # by the current cycle), so it never waits above.
+            if kind == K_HALT:
+                executed += 1
+                outcome = "halt"
+                break
+
+            # Take an issue slot at ``cycle``.
+            slot = cycle
             if slot != perf_stepped:
                 perf_stepped = slot
                 perf.cycles_stepped += 1
+            if sanitizer is not None:
+                sanitizer.on_issue(slot)
             slots += 1
             if slots >= width:
-                nxt = slot + 1
-                delta = nxt - mode_account
-                if delta > 0:
-                    mode_cycles[mkey] += delta
-                    mode_account = nxt
-                cycle = nxt
+                cycle = slot + 1
                 slots = 0
             executed += 1
-            stats.normal_insts += 1
             next_pc = pc + 1
 
             if kind <= K_DIV:  # ALU / MUL / DIV
                 a = regs[rs1]
                 value = fn(a, imm) if uses_imm else fn(a, regs[rs2])
-                if kind == K_ALU:
-                    latency = lat_alu
-                elif kind == K_MUL:
-                    latency = lat_mul
-                else:
-                    latency = lat_div
                 if rd:
                     regs[rd] = value
-                    reg_ready[rd] = slot + latency
+                    if kind == K_ALU:
+                        reg_ready[rd] = slot + lat_alu
+                        reg_producer[rd] = "compute"
+                    else:
+                        reg_ready[rd] = slot + (
+                            lat_mul if kind == K_MUL else lat_div)
+                        reg_producer[rd] = "long_op"
             elif kind == K_LOAD:
                 addr = (regs[rs1] + imm) & MASK64
                 value = mem_read(addr)
@@ -559,20 +550,14 @@ class SSTCore(Core):
                     else:
                         triggering = level is DRAM or level is MERGE_L2
                     if triggering and self._episode_allowed(pc):
-                        self._cycle = cycle
-                        self._slots = slots
-                        self._executed = executed
-                        self._mode_account_cycle = mode_account
-                        self._perf_stepped_cycle = perf_stepped
-                        self._drain_busy = drain_busy
-                        self._pc = next_pc
-                        self._begin_episode(
-                            pc, slot, rd, result.ready_cycle, value
-                        )
-                        return "spec"
+                        trigger = (pc, slot, rd, result.ready_cycle, value)
+                        pc = next_pc
+                        outcome = "spec"
+                        break
                 if rd:
                     regs[rd] = value
                     reg_ready[rd] = result.ready_cycle
+                    reg_producer[rd] = "memory"
             elif kind == K_STORE:
                 addr = (regs[rs1] + imm) & MASK64
                 mem_write(addr, regs[rs2])
@@ -590,60 +575,66 @@ class SSTCore(Core):
                 if mispredicted:
                     redirect = slot + redirect_lat
                     if redirect > cycle:
-                        delta = redirect - mode_account
-                        if delta > 0:
-                            mode_cycles[mkey] += delta
-                            mode_account = redirect
+                        stalls["branch"] += redirect - cycle
                         cycle = redirect
                         slots = 0
             elif kind == K_JUMP:
                 if rd:
                     regs[rd] = pc + 1
                     reg_ready[rd] = slot + 1
+                    reg_producer[rd] = "compute"
                 if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
             elif kind == K_JUMP_INDIRECT:
                 target = (regs[rs1] + imm) & MASK64
-                if target < 0 or target >= n_insts:
-                    self._cycle = cycle
-                    self._slots = slots
-                    self._executed = executed
-                    self._mode_account_cycle = mode_account
-                    self._perf_stepped_cycle = perf_stepped
-                    self._drain_busy = drain_busy
-                    self._pc = pc
-                    self._check_pc(target)
+                if target >= n_insts:
+                    # Raised on this instruction, before the next one's
+                    # budget check.
+                    pc = target
+                    outcome = "pc"
+                    break
                 mispredicted = resolve_indirect(
                     pc, target, is_return=inst.is_return
                 )
                 if rd:
                     regs[rd] = pc + 1
                     reg_ready[rd] = slot + 1
+                    reg_producer[rd] = "compute"
                 if inst.is_call:
                     push_return(pc + 1)
                 next_pc = target
                 if mispredicted:
                     redirect = slot + redirect_lat
                     if redirect > cycle:
-                        delta = redirect - mode_account
-                        if delta > 0:
-                            mode_cycles[mkey] += delta
-                            mode_account = redirect
+                        stalls["branch"] += redirect - cycle
                         cycle = redirect
                         slots = 0
             elif kind == K_BARRIER:
                 drain = max(max(reg_ready), drain_busy)
                 if drain > cycle:
-                    delta = drain - mode_account
-                    if delta > 0:
-                        mode_cycles[mkey] += delta
-                        mode_account = drain
+                    stalls["drain"] += drain - cycle
                     cycle = drain
                     slots = 0
             # NOP: nothing.
 
             pc = next_pc
+
+        self.stats.normal_insts += executed - self._executed
+        self._cycle = cycle
+        self._slots = slots
+        self._executed = executed
+        self._perf_stepped_cycle = perf_stepped
+        self._drain_busy = drain_busy
+        self._pc = pc
+        self._account_mode_cycles(cycle)
+        if outcome == "budget":
+            self._check_budget(executed, budget)
+        elif outcome == "pc":
+            self._check_pc(pc)
+        elif trigger is not None:
+            self._begin_episode(*trigger)
+        return outcome
 
     # ==================================================================
     # Episode lifecycle.

@@ -7,10 +7,28 @@ energy over in-order — far less than rename/ROB/IQ/LSQ add to the OoO
 core — while its speed gives it the best ED² on miss-bound codes.
 """
 
+import math
+
 from repro.config import inorder_machine, ooo_machine, sst_machine
 from repro.experiments.spec import expect, experiment
 from repro.power import estimate_energy
 from repro.stats.report import Table, geomean
+
+# The energy of the structures an in-order core does without: the OoO
+# window and the SST checkpoint/deferral machinery.
+OVERHEAD_COMPONENTS = frozenset({
+    "rename", "rob", "issue_queue", "lsq", "checkpoints", "deferred_queue",
+    "store_buffer", "na_bits",
+})
+
+
+def overhead_share(breakdown) -> float:
+    """The fraction of a run's energy spent in :data:`OVERHEAD_COMPONENTS`
+    (summed exactly, so the share is the same on every Python)."""
+    overhead = math.fsum(value for key, value
+                         in breakdown.components.items()
+                         if key in OVERHEAD_COMPONENTS)
+    return overhead / breakdown.total
 
 
 @experiment(
@@ -55,13 +73,7 @@ def build(env):
         base_ed2 = breakdowns[configs[0].name].energy_delay_squared
         for config in configs:
             breakdown = breakdowns[config.name]
-            overhead_keys = {"rename", "rob", "issue_queue", "lsq",
-                             "checkpoints", "deferred_queue",
-                             "store_buffer", "na_bits"}
-            overhead = sum(value for key, value
-                           in breakdown.components.items()
-                           if key in overhead_keys)
-            share = overhead / breakdown.total
+            share = overhead_share(breakdown)
             relative_ed2 = breakdown.energy_delay_squared / base_ed2
             epi[config.name].append(breakdown.energy_per_instruction)
             ed2_ratio[config.name].append(relative_ed2)

@@ -21,6 +21,7 @@ encoded explicitly:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict
 
 from repro.baselines.core_base import CoreResult
@@ -71,7 +72,7 @@ class EnergyBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(self.components.values())
+        return math.fsum(self.components.values())
 
     @property
     def energy_per_instruction(self) -> float:

@@ -39,11 +39,12 @@ loads back as a :class:`~repro.isa.interpreter.CachedState`, whose
 verification and the baseline firewall compare the digest.  A result
 whose hierarchy has a data TLB also keeps its
 :class:`~repro.memory.tlb.TLBStats` (``extra["dtlb"]``), so E15 reads
-its miss rates from cached points.  :data:`ENTRY_LAYOUT` (4) marks this
-layout, so an entry in an older one (3, whose cache statistics carry
-the two prefetch counters; 2, without TLB statistics; or none, with a
-memory image) loads as a miss, is re-simulated and overwritten, and
-``fsck`` counts it as schema-stale.
+its miss rates from cached points.  :data:`ENTRY_LAYOUT` (5) marks this
+layout, so an entry in an older one (4, with the in-order core's own
+perf counters and CPI stack; 3, whose cache statistics carry the two
+prefetch counters; 2, without TLB statistics; or none, with a memory
+image) loads as a miss, is re-simulated and overwritten, and ``fsck``
+counts it as schema-stale.
 
 Serialization is a small tagged codec covering the closed set of types
 a ``MulticoreResult`` or ``CoreResult`` transitively contains; anything
@@ -95,7 +96,11 @@ SIM_SCHEMA_VERSION = 2
 # 3: a result whose hierarchy has a data TLB carries its TLBStats
 #    (extra["dtlb"]).
 # 4: CacheStats lost its two prefetch counters.
-ENTRY_LAYOUT = 4
+# 5: the in-order core is the SST core with no checkpoint: its perf
+#    counters are SST normal mode's and its CPI stack has no "fetch"
+#    key, and a checkpoint-free multicore core no longer carries
+#    speculation statistics (sst, dq, sb, checkpoints) but a CPI stack.
+ENTRY_LAYOUT = 5
 
 # Anchored to the repository root (not the process cwd) so a run from
 # any working directory hits the same cache.

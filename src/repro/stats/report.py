@@ -25,7 +25,7 @@ def geomean(values: Iterable[float]) -> float:
         return 0.0
     if any(v <= 0 for v in values):
         raise ValueError("geomean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
 
 
 class Table:

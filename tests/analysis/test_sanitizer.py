@@ -9,7 +9,6 @@ from unittest import mock
 import pytest
 
 from repro.analysis.sanitizer import (
-    InOrderSanitizer,
     OoOSanitizer,
     SSTSanitizer,
     make_sanitizer,
@@ -81,8 +80,6 @@ def test_truthy_env_values(monkeypatch, value):
                       SSTSanitizer)
     assert isinstance(make_sanitizer("ooo", "core", tiny_program()),
                       OoOSanitizer)
-    assert isinstance(make_sanitizer("inorder", "core", tiny_program()),
-                      InOrderSanitizer)
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +138,17 @@ def test_replay_outside_live_epoch():
     with pytest.raises(SanitizerError) as excinfo:
         sanitizer.on_replay(_FakeEntry(seq=3), checkpoints, cycle=4)
     assert excinfo.value.invariant == "dq-live-checkpoint"
+
+
+def test_issue_slots_never_go_backwards():
+    sanitizer = SSTSanitizer("inorder", tiny_program())
+    for slot in (0, 0, 3, 3, 7):
+        sanitizer.on_issue(slot)
+    with pytest.raises(SanitizerError) as excinfo:
+        sanitizer.on_issue(6)
+    assert excinfo.value.invariant == "issue-order"
+    assert "issue slot 6 precedes older issue at 7" in str(excinfo.value)
+    assert sanitizer.violations == 1
 
 
 def test_occupancy_bounds():

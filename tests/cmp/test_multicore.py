@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cmp import Multicore, build_shared_hierarchies
+from repro.baselines.core_base import CoreResult
+from repro.cmp import Multicore, MulticoreResult, build_shared_hierarchies
 from repro.config import SSTConfig
 from repro.errors import ConfigError
 from repro.sim.runner import verify_against_golden
@@ -130,3 +131,12 @@ def test_idle_quantum_skip_is_cycle_exact():
             assert skipped.cycles == stepped.cycles
             assert skipped.instructions == stepped.instructions
             assert skipped.state.regs == stepped.state.regs
+
+
+def test_aggregate_ipc_is_an_exact_sum():
+    # IPCs of 1e16, 1 and 1: a plain left-to-right sum drops both ones.
+    per_core = [CoreResult("core", "program", cycles=1,
+                           instructions=instructions, state=None)
+                for instructions in (10 ** 16, 1, 1)]
+    result = MulticoreResult(per_core=per_core, quantum=1)
+    assert result.aggregate_ipc == 1e16 + 2

@@ -37,8 +37,8 @@ def sst_stats(result):
 # ----------------------------------------------------------------------
 
 def test_observers_select_the_instrumented_generated_loop(monkeypatch):
-    """Every core runs a generated speculative loop, chosen once at
-    construction: the cached plain loop (the one a two-argument
+    """Every core with a checkpoint runs a generated speculative loop,
+    chosen once at construction: the cached plain loop (the one a two-argument
     ``compile_spec_loop`` call returns) unless an observer is attached."""
     def build():
         return SSTCore(assemble("halt"),
@@ -58,6 +58,30 @@ def test_observers_select_the_instrumented_generated_loop(monkeypatch):
         monkeypatch.setenv(knob, "1")
         assert build()._spec_loop_fn is instrumented
         monkeypatch.delenv(knob)
+
+
+def test_checkpoint_free_cores_generate_no_loop(monkeypatch,
+                                                countdown_program):
+    """A core with no checkpoint never enters an episode, so it builds
+    no loop for one: the in-order baseline, and the in-order cores of
+    the multicore experiments."""
+    from repro.baselines.inorder import InOrderCore
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated a speculative loop")
+
+    monkeypatch.setattr(sst_dispatch, "compile_spec_loop", refuse)
+    for core in (
+        InOrderCore(countdown_program,
+                    MemoryHierarchy(small_hierarchy_config())),
+        SSTCore(countdown_program,
+                MemoryHierarchy(small_hierarchy_config()),
+                SSTConfig(checkpoints=0)),
+    ):
+        result = core.run()
+        verify_against_golden(result, countdown_program)
+        assert "sst" not in result.extra
+        assert sum(result.extra["cpi_stack"].values()) == result.cycles
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +252,7 @@ def test_zero_checkpoints_is_plain_inorder(countdown_program, miss_chain_program
         inorder = InOrderCore(program, hierarchy, InOrderConfig()).run()
         sst0 = run(program, SSTConfig(checkpoints=0))
         assert sst0.cycles == inorder.cycles
-        assert sst_stats(sst0).episodes == 0
+        assert "sst" not in sst0.extra
 
 
 def test_scout_only_always_rolls_back():

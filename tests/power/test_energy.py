@@ -3,7 +3,9 @@
 import pytest
 
 from repro.config import inorder_machine, ooo_machine, sst_machine
+from repro.experiments.e13_energy import overhead_share
 from repro.power import EnergyWeights, estimate_energy
+from repro.power.energy import EnergyBreakdown
 from repro.sim.runner import simulate
 from repro.workloads import hash_join
 from tests.conftest import small_hierarchy_config
@@ -83,3 +85,22 @@ def test_custom_weights_scale_components(results):
     base = estimate_energy(results["inorder"])
     heavy = estimate_energy(results["inorder"], weights=heavy_dram)
     assert heavy.components["dram"] > base.components["dram"]
+
+
+def _breakdown(**components):
+    return EnergyBreakdown("core", "program", cycles=1, instructions=1,
+                           components=components)
+
+
+# 1e16 + 1.0 rounds back to 1e16, so a plain left-to-right sum of these
+# drops both ones; the exact sum keeps them.
+INEXACT = dict(rob=1e16, checkpoints=1.0, store_buffer=1.0)
+
+
+def test_breakdown_total_is_exact():
+    assert _breakdown(**INEXACT).total == 1e16 + 2
+
+
+def test_e13_overhead_share_is_exact():
+    breakdown = _breakdown(**INEXACT, alu=1e16)
+    assert overhead_share(breakdown) == (1e16 + 2) / (2e16 + 2)

@@ -287,15 +287,16 @@ def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
 
 def test_layout_2_entry_is_a_stale_miss(tmp_path, config, program):
     """An entry written before results carried TLB statistics (layout
-    2), or while cache statistics still had prefetch counters (layout
-    3), is a stale miss."""
+    2), while cache statistics still had prefetch counters (layout 3),
+    or while in-order results had their own perf counters and CPI stack
+    (layout 4), is a stale miss."""
     cache = ResultCache(tmp_path)
     key = result_key(config, program, 1000)
     cache.store(key, simulate(config, program))
     path = tmp_path / f"{key}.json"
     payload = json.loads(path.read_text())
-    assert payload["layout"] == cache_mod.ENTRY_LAYOUT == 4
-    for loads, layout in enumerate((2, 3), start=1):
+    assert payload["layout"] == cache_mod.ENTRY_LAYOUT == 5
+    for loads, layout in enumerate((2, 3, 4), start=1):
         path.write_text(json.dumps({**payload, "layout": layout}))
         assert ResultCache(tmp_path).fsck(repair=False).schema_stale == 1
         assert cache.load(key) is None

@@ -48,3 +48,13 @@ def test_table_rejects_ragged_rows():
 def test_empty_table_renders_header():
     table = Table("Empty", ["col"])
     assert "col" in table.render()
+
+
+def test_geomean_sums_logs_exactly():
+    """The log sum is exact (math.fsum): Python 3.12's compensated
+    ``sum`` and the plain one before it would otherwise disagree."""
+    values = [math.exp(2.0), 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -52]
+    logs = [math.log(value) for value in values]
+    # Added left to right, the two tiny logs round away.
+    assert logs[0] + logs[1] + logs[2] != math.fsum(logs)
+    assert geomean(values) == math.exp(math.fsum(logs) / 3)
