@@ -144,9 +144,9 @@ class OoOCore(Core):
         iq_full_stalls = iq_stall_cycles = 0
         lsq_full_stalls = lsq_stall_cycles = 0
 
-        # Hot-loop locals (see inorder.py): one dynamic instruction per
-        # iteration, tens of millions of iterations per point.  Decode
-        # comes from the block cache's flat rows.
+        # Hot-loop locals (see SSTCore._normal_step): one dynamic
+        # instruction per iteration, tens of millions of iterations per
+        # point.  Decode comes from the block cache's flat rows.
         rows = blockcache.get_block_program(program)
         n_insts = len(rows)
         # Direct register-file indexing: writes below guard the zero

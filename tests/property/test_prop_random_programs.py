@@ -51,8 +51,11 @@ def test_sst_matches_golden_across_latencies(shape, latency):
 
 # Over 200 seeded draws the default configuration never scouted on these
 # programs and scout-only scouted on 62, so the second configuration
-# carries the quantum property into the scout section.
-QUANTUM_CONFIGS = (SSTConfig(), SSTConfig(checkpoints=1, scout_only=True))
+# carries the quantum property into the scout section.  The third, the
+# in-order pipeline, carries it into the CPI stack, whose operand waits
+# a quantum boundary can cut in two.
+QUANTUM_CONFIGS = (SSTConfig(), SSTConfig(checkpoints=1, scout_only=True),
+                   SSTConfig(checkpoints=0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -62,8 +65,8 @@ def test_quantum_chopped_execution_is_cycle_exact(shape, quantum):
     — the soundness condition of the multicore scheduler.
 
     Exact means the cycles, the instructions, the whole ``SSTStats``
-    (the mode-cycle breakdown and ``ahead_insts`` included) and the
-    branch statistics.  The ``PerfCounters`` are left out: they are not
+    (the mode-cycle breakdown and ``ahead_insts`` included) or, with no
+    checkpoint, the CPI stack, and the branch statistics.  The ``PerfCounters`` are left out: they are not
     invariant under quanta, because a re-entry after a yield counts a
     fresh fast-forward."""
     program = build_program(shape)
@@ -82,6 +85,7 @@ def test_quantum_chopped_execution_is_cycle_exact(shape, quantum):
 
         assert chopped.cycles == whole.cycles
         assert chopped.instructions == whole.instructions
-        assert chopped.extra["sst"] == whole.extra["sst"]
+        assert chopped.extra.get("sst") == whole.extra.get("sst")
+        assert chopped.extra.get("cpi_stack") == whole.extra.get("cpi_stack")
         assert chopped.extra["branch"] == whole.extra["branch"]
         verify_against_golden(chopped, program)
