@@ -66,9 +66,9 @@ def test_quantum_chopped_execution_is_cycle_exact(shape, quantum):
 
     Exact means the cycles, the instructions, the whole ``SSTStats``
     (the mode-cycle breakdown and ``ahead_insts`` included) or, with no
-    checkpoint, the CPI stack, and the branch statistics.  The ``PerfCounters`` are left out: they are not
-    invariant under quanta, because a re-entry after a yield counts a
-    fresh fast-forward."""
+    checkpoint, the CPI stack, and the branch statistics.  The
+    ``PerfCounters`` are left out: they are not invariant under quanta,
+    because a re-entry after a yield counts a fresh fast-forward."""
     program = build_program(shape)
     for config in QUANTUM_CONFIGS:
         hierarchy = MemoryHierarchy(small_hierarchy(latency=60))
