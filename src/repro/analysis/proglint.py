@@ -253,18 +253,9 @@ class ProgramLinter:
     # Memory-image checks (constant propagation).
     # ------------------------------------------------------------------
 
-    def _constant_states(self, cfg: CFG,
-                         reachable: List[bool]) -> List[List[Optional[int]]]:
-        """Per-block entry register states under constant propagation."""
-        return constant_states(self.program, cfg)
-
-    def _transfer_const(self, inst, pc: int,
-                        state: List[Optional[int]]) -> None:
-        transfer_const(inst, pc, state)
-
     def _check_memory(self, cfg: CFG, reachable: List[bool]) -> None:
         instructions = self.program.instructions
-        states = self._constant_states(cfg, reachable)
+        states = constant_states(self.program, cfg)
         image = self.program.image
         resolved, store_targets = resolved_addresses(
             self.program, cfg, reachable, states
@@ -364,7 +355,7 @@ class ProgramLinter:
         the final state and therefore live (exit state is empty).
         """
         instructions = self.program.instructions
-        states = self._constant_states(cfg, reachable)
+        states = constant_states(self.program, cfg)
         resolved, _ = resolved_addresses(self.program, cfg, reachable, states)
         over_in: List[Set[int]] = [set() for _ in cfg.blocks]
 

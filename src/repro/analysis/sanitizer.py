@@ -308,7 +308,7 @@ class SSTSanitizer(Sanitizer):
         cycle at which one's producers are all back."""
         slice_values = core._slice_values
         producer_ready = core._producer_ready
-        blocks_load = core.sb.unresolved.blocks_load
+        blocks_load = core.sb.blocks_load
         walked = None
         walked_wake = None
         for entry in core.dq:

@@ -271,7 +271,7 @@ class SSTTaintTracker:
             if addr % WORD_SIZE:
                 return  # parks on a speculative fault
             conservative = not core.config.bypass_unresolved_stores
-            if core.sb.unresolved.blocks_load(addr, seq, conservative):
+            if core.sb.blocks_load(addr, seq, conservative):
                 return  # order-deferred; the on_defer hook takes over
             if core.sb.peek_forward(addr, seq) is None:
                 if self._reg_taint(inst.rs1):

@@ -46,11 +46,6 @@ class CoreResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
     @property
-    def sim_insts_per_second(self) -> float:
-        """Simulated instructions retired per host wall-clock second."""
-        return self.instructions / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
 

@@ -29,16 +29,8 @@ and equally runnable as ``python -m repro``.  Subcommands:
     observed, printing one ``UPDATED`` line per rewritten record;
     after an intentional behavior change, committing those rewritten
     records is the green path, and their diff is what review approves.
-
-``repro cache stats|fsck|clear [--cache-dir DIR]``
-    Maintain the content-addressed simulation result cache
-    (``benchmarks/.simcache/`` / ``REPRO_CACHE_DIR``): show on-disk
-    usage, scan-and-repair integrity problems (key-vs-content
-    mismatches, schema-stale entries, corrupt payloads, orphan
-    ``.tmp-*`` files from interrupted stores), or wipe it.  ``stats``
-    also counts the baseline records; ``fsck`` additionally scans
-    baseline records and cross-checks them against live cache entries
-    (baseline problems are reported, never auto-repaired).
+    A warm ``verify`` compares every cached point and multicore run
+    with its record, so it also checks the result cache.
 
 ``repro lint [NAMES...] [--all] [--pickle PATH] [--dead-stores]
 [--json]``
@@ -88,7 +80,6 @@ from repro.experiments import (
 from repro.experiments.spec import ExperimentLookupError
 from repro.regress.firewall import BaselineFirewall
 from repro.regress.store import BaselineStore
-from repro.sim.cache import ResultCache
 
 
 def _select_specs(ids: List[str], run_all: bool, tag: Optional[str] = None):
@@ -306,10 +297,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _open_store(args: argparse.Namespace) -> BaselineStore:
-    return BaselineStore(getattr(args, "baseline_dir", None))
-
-
 def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
     """Shared engine for ``baseline capture`` and ``baseline verify``:
     run the experiment corpus (no documents written), one firewall per
@@ -325,7 +312,8 @@ def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
         print("error: no experiments selected", file=sys.stderr)
         return 2
 
-    firewall = BaselineFirewall(_open_store(args), mode=mode)
+    firewall = BaselineFirewall(BaselineStore(args.baseline_dir),
+                                mode=mode)
     engine_kwargs: Dict[str, Any] = {"smoke": bool(args.smoke),
                                       "write": False}
     firewall_spec: Dict[str, Any] = {"root": firewall.store.root,
@@ -392,66 +380,6 @@ def _cmd_baseline_capture(args: argparse.Namespace) -> int:
 
 def _cmd_baseline_verify(args: argparse.Namespace) -> int:
     return _baseline_corpus_run(args, "verify")
-
-
-# ---------------------------------------------------------------------------
-# cache stats / fsck / clear
-# ---------------------------------------------------------------------------
-
-
-def _open_cache(args: argparse.Namespace) -> ResultCache:
-    return ResultCache(args.cache_dir)
-
-
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    info = _open_cache(args).disk_stats()
-    store = _open_store(args)
-    info["baselines"] = {"dir": str(store.root), "records": len(store)}
-    if args.json:
-        print(json.dumps(info, indent=2))
-        return 0
-    print(f"cache dir:   {info['dir']}")
-    print(f"schema:      {info['schema']}")
-    print(f"entries:     {info['entries']}")
-    print(f"total size:  {info['total_bytes']} bytes")
-    print(f"orphan tmp:  {info['orphan_tmp']}")
-    print(f"baselines:   {info['baselines']['records']} record(s) "
-          f"in {info['baselines']['dir']}")
-    return 0
-
-
-def _cmd_cache_fsck(args: argparse.Namespace) -> int:
-    cache = _open_cache(args)
-    report = cache.fsck(repair=not args.dry_run)
-    print(f"fsck: {report.summary()}")
-    for name in report.removed:
-        print(f"  removed {name}")
-    # Baseline records are committed files: scan and cross-check them
-    # against the cache, but never auto-remove — repairs go through git.
-    store = _open_store(args)
-    baseline_report = store.fsck()
-    print(f"fsck: {baseline_report.summary()}")
-    for name in baseline_report.bad_files:
-        print(f"  bad baseline record {name}")
-    cross = store.cross_check(cache)
-    print(f"fsck: {cross.summary()}")
-    for mismatch in cross.mismatches:
-        print(f"  baseline/cache MISMATCH {mismatch['semid'][:12]} "
-              f"{sorted(mismatch['fields'])}")
-    if baseline_report.problems or cross.problems:
-        return 1
-    # fsck convention: non-zero when problems were found but left in
-    # place (--dry-run); a repairing run that fixed everything exits 0.
-    if args.dry_run and report.problems:
-        return 1
-    return 0
-
-
-def _cmd_cache_clear(args: argparse.Namespace) -> int:
-    cache = _open_cache(args)
-    removed = cache.clear()
-    print(f"removed {removed} cached result(s) from {cache.root}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--baseline-dir", type=pathlib.Path,
                          default=None,
                          help="baseline store (default: "
-                              "REPRO_BASELINE_DIR or "
                               "benchmarks/baselines/)")
         sub.add_argument("ids", nargs="*", metavar="ID",
                          help="experiment ids (default: all)")
@@ -664,37 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="experiments to verify concurrently "
                                     "(default: 1; 0 = all cores)")
     cmd_bl_verify.set_defaults(func=_cmd_baseline_verify)
-
-    cache = top.add_parser(
-        "cache", help="simulation result-cache maintenance")
-    cache_sub = cache.add_subparsers(dest="subcommand", required=True)
-
-    def _add_cache_dir(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--cache-dir", type=pathlib.Path, default=None,
-                         help="cache directory (default: REPRO_CACHE_DIR "
-                              "or benchmarks/.simcache/)")
-
-    cmd_stats = cache_sub.add_parser(
-        "stats", help="show on-disk cache usage")
-    _add_cache_dir(cmd_stats)
-    cmd_stats.add_argument("--json", action="store_true",
-                           help="machine-readable output")
-    cmd_stats.set_defaults(func=_cmd_cache_stats)
-
-    cmd_fsck = cache_sub.add_parser(
-        "fsck", help="scan entries for corruption, key mismatches, "
-                     "stale schemas, and orphan tmp files; repairs by "
-                     "removing offenders")
-    _add_cache_dir(cmd_fsck)
-    cmd_fsck.add_argument("--dry-run", action="store_true",
-                          help="report problems without removing "
-                               "anything (exit 1 if any found)")
-    cmd_fsck.set_defaults(func=_cmd_cache_fsck)
-
-    cmd_clear = cache_sub.add_parser(
-        "clear", help="delete every cached result")
-    _add_cache_dir(cmd_clear)
-    cmd_clear.set_defaults(func=_cmd_cache_clear)
 
     cmd_lint = top.add_parser(
         "lint", help="static verifier + speculative-leak taint pass "

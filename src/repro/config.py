@@ -402,7 +402,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #                           (and the instrumented SST loop)
 #   REPRO_TAINT             on ("1") attaches the speculative-leak
 #                           taint tracker (and the e19 gadget gate)
-#   REPRO_BASELINE_DIR      baseline-record directory override
 #   REPRO_RESULTS_DIR       benchmark-results directory override
 # ---------------------------------------------------------------------------
 

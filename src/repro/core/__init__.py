@@ -18,7 +18,7 @@ describes:
 from repro.core.modes import ExecMode, FailCause, ScoutCause
 from repro.core.checkpoint import Checkpoint, CheckpointFile
 from repro.core.deferred_queue import DeferredQueue, DQEntry
-from repro.core.store_buffer import StoreBuffer, SBEntry, UnresolvedStores
+from repro.core.store_buffer import StoreBuffer, SBEntry
 from repro.core.regstate import SpeculativeRegisters
 from repro.core.sst_core import SSTCore, SSTStats
 
@@ -32,7 +32,6 @@ __all__ = [
     "DQEntry",
     "StoreBuffer",
     "SBEntry",
-    "UnresolvedStores",
     "SpeculativeRegisters",
     "SSTCore",
     "SSTStats",

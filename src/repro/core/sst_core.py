@@ -971,8 +971,7 @@ class SSTCore(Core):
                 base = (entry.rs1_value if entry.rs1_producer is None
                         else self._slice_values[entry.rs1_producer])
                 addr = effective_address(base or 0, entry.inst.imm)
-                if self.sb.unresolved.blocks_load(addr, entry.seq,
-                                                  conservative=True):
+                if self.sb.blocks_load(addr, entry.seq, conservative=True):
                     # The blocking store replays first.
                     if skipped is None:
                         skipped = [item]

@@ -476,8 +476,8 @@ def _sst_spec_loop(core, budget, until):
     scout_stores = core._scout_stores
     dq = core.dq
     sb = core.sb
-    blocks_load = sb.unresolved.blocks_load
-    any_below = sb.unresolved.any_below
+    blocks_load = sb.blocks_load
+    any_unresolved_below = sb.any_unresolved_below
     sb_forward = sb.forward
     sb_append_resolved = sb.append_resolved
     mem_read = core.state.memory.read
@@ -664,7 +664,7 @@ def _sst_spec_loop(core, budget, until):
     spec_loads = ""
     if bypass:
         spec_loads = (
-            "                    if any_below(seq):\n"
+            "                    if any_unresolved_below(seq):\n"
             "                        core._spec_loads.append(\n"
             "                            (seq, addr,\n"
             "                             forwarded[1] if forwarded is not None"

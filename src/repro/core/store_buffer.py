@@ -10,7 +10,8 @@ and/or data NA); they are what makes memory speculation interesting:
 
 * conservative policy: a load behind an unknown-address store defers;
 * bypass policy: the load speculates and the store's replay checks for
-  a conflict (the :class:`UnresolvedStores` index answers both).
+  a conflict (:meth:`StoreBuffer.blocks_load` and
+  :meth:`StoreBuffer.any_unresolved_below` answer these queries).
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class SBEntry:
     value: Optional[int]  # None until the data is known
     resolved: bool
 
-    @property
-    def addr_known(self) -> bool:
-        return self.addr is not None
-
 
 @dataclasses.dataclass
 class SBStats:
@@ -41,38 +38,6 @@ class SBStats:
     forwards: int = 0
     rejected_full: int = 0
     drained: int = 0
-
-
-class UnresolvedStores:
-    """Index over the unresolved entries, answering load-blocking and
-    conflict queries without scanning the whole buffer."""
-
-    def __init__(self, entries: List[SBEntry]):
-        self._entries = entries  # shared list, owned by StoreBuffer
-
-    def any_below(self, seq: int) -> bool:
-        return any(
-            not e.resolved and e.seq < seq for e in self._entries
-        )
-
-    def blocks_load(self, addr: int, load_seq: int,
-                    conservative: bool) -> bool:
-        """Must a load of ``addr`` at ``load_seq`` defer?
-
-        A same-address unresolved store always blocks (its data cannot
-        be forwarded).  An unknown-address unresolved store blocks only
-        under the conservative policy; the bypass policy speculates past
-        it and validates at the store's replay.
-        """
-        for entry in self._entries:
-            if entry.resolved or entry.seq >= load_seq:
-                continue
-            if entry.addr is None:
-                if conservative:
-                    return True
-            elif entry.addr == addr:
-                return True
-        return False
 
 
 class StoreBuffer:
@@ -84,7 +49,6 @@ class StoreBuffer:
         self.occupancy = Histogram("sb_occupancy")
         self._entries: List[SBEntry] = []
         self._seqs: List[int] = []  # parallel key list for bisect
-        self.unresolved = UnresolvedStores(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -129,6 +93,48 @@ class StoreBuffer:
         entry.resolved = True
 
     # ------------------------------------------------------------------
+    # Unresolved-store queries.
+    # ------------------------------------------------------------------
+
+    def blocks_load(self, addr: int, load_seq: int,
+                    conservative: bool) -> bool:
+        """Must a load of ``addr`` at ``load_seq`` defer?
+
+        A same-address unresolved store always blocks (its data cannot
+        be forwarded).  An unknown-address unresolved store blocks only
+        under the conservative policy; the bypass policy speculates past
+        it and validates at the store's replay.
+
+        Walks the seq-ordered entries and stops at the first one at or
+        above ``load_seq``: it costs one step per older entry.
+        """
+        for entry in self._entries:
+            if entry.seq >= load_seq:
+                return False
+            if entry.resolved:
+                continue
+            if entry.addr is None:
+                if conservative:
+                    return True
+            elif entry.addr == addr:
+                return True
+        return False
+
+    def any_unresolved_below(self, seq: int) -> bool:
+        """Is any entry older than ``seq`` still unresolved?
+
+        Walks the seq-ordered entries and stops at the first one at or
+        above ``seq`` or the first unresolved one: it costs at most one
+        step per older entry.
+        """
+        for entry in self._entries:
+            if entry.seq >= seq:
+                return False
+            if not entry.resolved:
+                return True
+        return False
+
+    # ------------------------------------------------------------------
     # Forwarding.
     # ------------------------------------------------------------------
 
@@ -136,9 +142,8 @@ class StoreBuffer:
         """Youngest resolved same-address entry older than ``before_seq``.
 
         Returns ``(value, entry_seq)`` or None.  The caller is expected
-        to have checked :meth:`UnresolvedStores.blocks_load` first, so a
-        same-address unresolved entry cannot sit between the match and
-        the load.
+        to have checked :meth:`blocks_load` first, so a same-address
+        unresolved entry cannot sit between the match and the load.
         """
         limit = bisect.bisect_left(self._seqs, before_seq)
         for at in range(limit - 1, -1, -1):

@@ -21,7 +21,8 @@ Layout (mirroring the capture → replay → diff pipeline):
   firewall (import-light; safe from anywhere).
 * :mod:`repro.regress.records` — the baseline record schema.
 * :mod:`repro.regress.store` — the on-disk record store
-  (``benchmarks/baselines/``) and its integrity scans.
+  (``benchmarks/baselines/``), which checks each record as it reads
+  it.
 * :mod:`repro.regress.firewall` — behavior extraction and the
   capture/verify engine that ``BenchEnv`` and ``ExperimentEngine``
   feed when ``repro baseline capture|verify`` hands them a firewall.

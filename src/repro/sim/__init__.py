@@ -4,7 +4,6 @@ through one in-order batch runner and content-addressed result
 caching."""
 
 from repro.sim.cache import (
-    FsckReport,
     ResultCache,
     ResultCacheStats,
     SIM_SCHEMA_VERSION,
@@ -28,7 +27,6 @@ __all__ = [
     "build_hierarchy",
     "cache_from_env",
     "compare_machines",
-    "FsckReport",
     "Machine",
     "ParallelRunner",
     "result_key",

@@ -43,8 +43,12 @@ its miss rates from cached points.  :data:`ENTRY_LAYOUT` (5) marks this
 layout, so an entry in an older one (4, with the in-order core's own
 perf counters and CPI stack; 3, whose cache statistics carry the two
 prefetch counters; 2, without TLB statistics; or none, with a memory
-image) loads as a miss, is re-simulated and overwritten, and ``fsck``
-counts it as schema-stale.
+image) loads as a miss and is re-simulated and overwritten: such an
+entry can still decode (a layout-4 entry does), so the field is what
+keeps its stale meaning from being served.
+
+Every entry is checked where it is read, by :meth:`ResultCache.load`;
+there is no offline scan.  To reset the cache, delete its directory.
 
 Serialization is a small tagged codec covering the closed set of types
 a ``MulticoreResult`` or ``CoreResult`` transitively contains; anything
@@ -300,36 +304,6 @@ class ResultCacheStats:
     invalid: int = 0  # corrupt / stale / mismatched files treated as misses
 
 
-@dataclasses.dataclass
-class FsckReport:
-    """What one :meth:`ResultCache.fsck` scan found (and removed)."""
-
-    scanned: int = 0
-    ok: int = 0
-    key_mismatch: int = 0  # stored "key" field != the addressing filename
-    schema_stale: int = 0  # an older SIM_SCHEMA_VERSION or entry layout
-    corrupt: int = 0       # unparseable JSON or undecodable payload
-    orphan_tmp: int = 0    # .tmp-* leftovers from interrupted stores
-    repaired: bool = False
-    removed: List[str] = dataclasses.field(default_factory=list)
-
-    @property
-    def problems(self) -> int:
-        return (self.key_mismatch + self.schema_stale + self.corrupt
-                + self.orphan_tmp)
-
-    def summary(self) -> str:
-        verb = "removed" if self.repaired else "found"
-        return (
-            f"{self.scanned} entries scanned: {self.ok} ok, "
-            f"{self.key_mismatch} key-mismatched, "
-            f"{self.schema_stale} schema-stale, "
-            f"{self.corrupt} corrupt, "
-            f"{self.orphan_tmp} orphan tmp files "
-            f"({self.problems} {verb})"
-        )
-
-
 class ResultCache:
     """One directory of ``<sha256>.json`` cached simulation results.
 
@@ -358,13 +332,6 @@ class ResultCache:
             return []
         return [path for path in self.root.glob("*.json")
                 if path.is_file() and not path.name.startswith(".tmp-")]
-
-    def _orphans(self) -> List[pathlib.Path]:
-        """``.tmp-*`` leftovers from interrupted stores."""
-        if not self.root.is_dir():
-            return []
-        return [path for path in self.root.glob(".tmp-*")
-                if path.is_file()]
 
     def load(self, key: str, kind: Type = CoreResult) -> Optional[Any]:
         """The cached ``kind`` (a :class:`CoreResult` or a
@@ -452,92 +419,6 @@ class ResultCache:
             return False
         self.stats.invalid += 1
         return True
-
-    # -- integrity ----------------------------------------------------
-
-    def fsck(self, repair: bool = True) -> FsckReport:
-        """Scan every entry for integrity problems; with ``repair``
-        (default) remove what fails.
-
-        Checks per entry: parseable JSON, current schema version and
-        entry layout, the stored ``"key"`` field matching the addressing
-        filename, and a decodable :class:`CoreResult` or
-        :class:`MulticoreResult` payload.  Orphan
-        ``.tmp-*`` files from interrupted stores are always flagged (and
-        removed under ``repair``).
-        """
-        report = FsckReport(repaired=repair)
-        bad: List[pathlib.Path] = []
-        for path in sorted(self._entries()):
-            report.scanned += 1
-            problem = self._check_entry(path)
-            if problem is None:
-                report.ok += 1
-                continue
-            setattr(report, problem, getattr(report, problem) + 1)
-            bad.append(path)
-        orphans = sorted(self._orphans())
-        report.orphan_tmp = len(orphans)
-        if repair:
-            for path in bad + orphans:
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                report.removed.append(path.name)
-        return report
-
-    def _check_entry(self, path: pathlib.Path) -> Optional[str]:
-        """The FsckReport counter an entry violates, or None if sound."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return "corrupt"
-        if not isinstance(payload, dict):
-            return "corrupt"
-        if _is_stale(payload):
-            return "schema_stale"
-        if payload.get("key") != path.stem:
-            return "key_mismatch"
-        try:
-            _decode_result(payload)
-        except (CacheCodecError, KeyError, TypeError, ValueError):
-            return "corrupt"
-        return None
-
-    def disk_stats(self) -> Dict[str, Any]:
-        """On-disk usage (for ``repro cache stats``)."""
-        entries = self._entries()
-        total = 0
-        for path in entries:
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return {
-            "dir": str(self.root),
-            "schema": SIM_SCHEMA_VERSION,
-            "entries": len(entries),
-            "total_bytes": total,
-            "orphan_tmp": len(self._orphans()),
-        }
-
-    def clear(self) -> int:
-        """Delete every cached entry (and any ``.tmp-*`` leftovers);
-        returns the number of *entries* removed."""
-        removed = 0
-        for path in self._entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for path in self._orphans():
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return removed
 
     def __len__(self) -> int:
         return len(self._entries())

@@ -29,31 +29,33 @@ def test_capacity_rejection():
 def test_unresolved_blocks_same_address_always():
     sb = StoreBuffer(8)
     sb.append_unresolved(2, addr=0x100)  # value NA, address known
-    assert sb.unresolved.blocks_load(0x100, load_seq=5, conservative=False)
-    assert sb.unresolved.blocks_load(0x100, load_seq=5, conservative=True)
+    assert sb.blocks_load(0x100, load_seq=5, conservative=False)
+    assert sb.blocks_load(0x100, load_seq=5, conservative=True)
     # A different address never blocks when the address is known.
-    assert not sb.unresolved.blocks_load(0x200, 5, conservative=True)
+    assert not sb.blocks_load(0x200, 5, conservative=True)
 
 
 def test_unknown_address_blocks_only_conservative():
     sb = StoreBuffer(8)
     sb.append_unresolved(2, addr=None)
-    assert sb.unresolved.blocks_load(0x100, 5, conservative=True)
-    assert not sb.unresolved.blocks_load(0x100, 5, conservative=False)
+    assert sb.blocks_load(0x100, 5, conservative=True)
+    assert not sb.blocks_load(0x100, 5, conservative=False)
 
 
 def test_older_loads_never_blocked():
     sb = StoreBuffer(8)
     sb.append_unresolved(6, addr=None)
-    assert not sb.unresolved.blocks_load(0x100, load_seq=3, conservative=True)
+    assert not sb.blocks_load(0x100, load_seq=3, conservative=True)
 
 
 def test_resolve_fills_placeholder():
     sb = StoreBuffer(8)
     sb.append_unresolved(2, addr=None)
+    assert sb.any_unresolved_below(3)
+    assert not sb.any_unresolved_below(2)
     sb.resolve(2, addr=0x100, value=42)
     assert sb.forward(0x100, before_seq=5) == (42, 2)
-    assert not sb.unresolved.any_below(10)
+    assert not sb.any_unresolved_below(10)
 
 
 def test_resolve_unknown_seq_is_a_bug():

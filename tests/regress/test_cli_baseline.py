@@ -1,6 +1,6 @@
 """The ``repro baseline`` CLI: corpus capture/verify exit codes, the
 recapture green path, unreadable records, the CI diff-report artifact,
-and the baseline sections of ``repro cache stats|fsck``."""
+and a warm verify's check of the result cache against the records."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ def dirs(tmp_path, monkeypatch):
     baseline_dir = tmp_path / "baselines"
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-    monkeypatch.delenv("REPRO_BASELINE_DIR", raising=False)
     return baseline_dir, cache_dir
 
 
@@ -161,58 +160,33 @@ def test_verify_writes_diff_report_artifact(dirs, tmp_path):
     assert report["divergences"] == []
 
 
-def test_cache_stats_reports_baselines(dirs, monkeypatch, capsys):
+@pytest.mark.parametrize("doctor", ["point", "multicore"])
+def test_warm_verify_reports_a_doctored_cache_entry(dirs, monkeypatch,
+                                                    capsys, doctor):
+    """A warm verify compares every cached point and multicore run with
+    its record: one doctored cache entry is a divergence that names the
+    record the entry is addressed by."""
     baseline_dir, cache_dir = dirs
-    monkeypatch.setenv("REPRO_BASELINE_DIR", str(baseline_dir))
-    corpus("capture", baseline_dir)
-    capsys.readouterr()
-    assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "baselines:" in out
-    assert f"{len(BaselineStore(baseline_dir))} record(s)" in out
-
-
-def test_cache_fsck_cross_checks_baselines(dirs, monkeypatch, capsys):
-    baseline_dir, cache_dir = dirs
-    monkeypatch.setenv("REPRO_BASELINE_DIR", str(baseline_dir))
-    corpus("capture", baseline_dir)
-    capsys.readouterr()
-    assert main(["cache", "fsck", "--cache-dir", str(cache_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "baseline records scanned" in out
-    assert "vs cache" in out
-    assert "0 MISMATCHED" in out
-
-    # corrupt one point baseline: cross-check must go red
-    doctor_point_record(baseline_dir)
-    assert main(["cache", "fsck", "--cache-dir", str(cache_dir)]) == 1
-    assert "1 MISMATCHED" in capsys.readouterr().out
-
-
-def test_cache_fsck_cross_checks_multicore_records(dirs, monkeypatch,
-                                                   capsys):
-    """A cached multicore run is checked against its record: one
-    doctored per-core digest is a MISMATCH, and a dry run exits 1."""
-    baseline_dir, cache_dir = dirs
-    monkeypatch.setenv("REPRO_BASELINE_DIR", str(baseline_dir))
-    assert main(["baseline", "capture", "e18", "--smoke",
-                 "--baseline-dir", str(baseline_dir)]) == 0
-    capsys.readouterr()
-    fsck = ["cache", "fsck", "--dry-run", "--cache-dir", str(cache_dir)]
-    assert main(fsck) == 0
-    # e18: one point, two multicore runs and the experiment record.
-    assert ("4 baseline records vs cache: 3 matched, 0 MISMATCHED, "
-            "0 uncached, 1 not cache-addressed") in capsys.readouterr().out
-
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    e18 = ["e18", "--smoke", "--baseline-dir", str(baseline_dir)]
+    # The capture primes the cache with e18's point and multicore runs.
+    assert main(["baseline", "capture", *e18]) == 0
+    assert main(["baseline", "verify", *e18]) == 0
     semid = next(record.semid
                  for record in BaselineStore(baseline_dir).records()
-                 if record.kind == "multicore")
+                 if record.kind == doctor)
     path = cache_dir / f"{semid}.json"
     entry = json.loads(path.read_text())
-    state = entry["result"]["fields"]["per_core"][0]["fields"]["state"]
-    state["__state__"]["digest"] = "0" * 64
+    fields = entry["result"]["fields"]
+    if doctor == "point":
+        fields["cycles"] += 1
+    else:
+        state = fields["per_core"][0]["fields"]["state"]["__state__"]
+        state["digest"] = "0" * 64
     path.write_text(json.dumps(entry))
-    assert main(fsck) == 1
-    out = capsys.readouterr().out
-    assert "1 MISMATCHED" in out
-    assert f"baseline/cache MISMATCH {semid[:12]} ['per_core']" in out
+    capsys.readouterr()
+
+    assert main(["baseline", "verify", *e18]) == 1
+    diverged = [line for line in capsys.readouterr().out.splitlines()
+                if "DIVERGED" in line]
+    assert any(f"[{semid[:12]}] {doctor} " in line for line in diverged)

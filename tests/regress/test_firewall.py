@@ -67,7 +67,8 @@ def test_observe_point_captures_and_verifies(store, tiny_suite):
 
 def test_simulate_hook_off_touches_nothing(monkeypatch, tmp_path,
                                            tiny_suite):
-    monkeypatch.setenv("REPRO_BASELINE_DIR", str(tmp_path / "bl"))
+    monkeypatch.setattr("repro.regress.store.default_baseline_dir",
+                        lambda: tmp_path / "bl")
     run_point(tiny_suite["oltp-chase"])
     assert not (tmp_path / "bl").exists()
 

@@ -1,10 +1,9 @@
 """The baseline record store: the schema-2 record format, byte-level
-capture, the addressing invariant, and the fsck scan."""
+capture, and the addressing invariant."""
 
 from __future__ import annotations
 
 import json
-import re
 
 import pytest
 
@@ -109,7 +108,7 @@ def test_unknown_field_is_rejected():
         validate_record_doc(doc)
 
 
-# -- addressing and fsck ----------------------------------------------------
+# -- addressing -------------------------------------------------------------
 
 
 def test_renamed_record_file_is_rejected(store):
@@ -117,35 +116,6 @@ def test_renamed_record_file_is_rejected(store):
     path = store._path("a" * 64)
     payload = path.read_text()
     (store.root / ("c" * 64 + ".json")).write_text(payload)
-    with pytest.raises(BaselineSchemaError):
+    with pytest.raises(BaselineSchemaError,
+                       match="`repro baseline capture` rewrites it"):
         store.load("c" * 64)
-    report = store.fsck()
-    assert report.semid_mismatch == 1
-    assert report.ok == 1
-
-
-def test_fsck_flags_invalid_json_without_removing(store):
-    store.capture(make_record())
-    bad = store.root / ("d" * 64 + ".json")
-    bad.write_text("{ not json")
-    report = store.fsck()
-    assert report.invalid == 1
-    assert report.ok == 1
-    assert bad.exists()  # committed records are never auto-removed
-    # load names the file instead of leaking the JSON decoder's error
-    with pytest.raises(BaselineSchemaError, match=re.escape(str(bad))):
-        store.load("d" * 64)
-
-
-def test_cross_check_skips_unreadable_records(store):
-    """fsck's scan reports an unreadable record; the cache cross-check
-    passes over it instead of stopping with a traceback."""
-    store.capture(make_record())
-    (store.root / ("d" * 64 + ".json")).write_text("{ not json")
-
-    class EmptyCache:
-        def load(self, semid):
-            return None
-
-    report = store.cross_check(EmptyCache())
-    assert (report.records, report.uncached) == (1, 1)

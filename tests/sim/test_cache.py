@@ -1,7 +1,7 @@
 """Content-addressed result cache: key stability, invalidation, codec
 round-trips, the digest-only entry layout, warm-cache reuse with zero
-re-simulation for points and multicore runs, and integrity (key-field
-and kind checking, fsck, quarantine)."""
+re-simulation for points and multicore runs, the checks a load makes
+(schema, layout, key field, payload and kind), and quarantine."""
 
 import dataclasses
 import json
@@ -272,8 +272,6 @@ def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
     key = result_key(config, program, task.max_instructions)
     _store_in_image_layout(cache, key, result)
 
-    report = ResultCache(tmp_path).fsck(repair=False)
-    assert (report.scanned, report.ok, report.schema_stale) == (1, 0, 1)
     assert cache.load(key) is None
     assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
 
@@ -281,7 +279,6 @@ def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
     # current layout, so the next load is a hit.
     [outcome] = ParallelRunner(cache=cache).run_outcomes([task])
     assert outcome.ok and not outcome.cached
-    assert ResultCache(tmp_path).fsck(repair=False).ok == 1
     assert_same_point(ResultCache(tmp_path).load(key), result)
 
 
@@ -289,26 +286,20 @@ def test_layout_2_entry_is_a_stale_miss(tmp_path, config, program):
     """An entry written before results carried TLB statistics (layout
     2), while cache statistics still had prefetch counters (layout 3),
     or while in-order results had their own perf counters and CPI stack
-    (layout 4), is a stale miss."""
+    (layout 4), is a stale miss, and so is one written under an older
+    ``SIM_SCHEMA_VERSION``."""
     cache = ResultCache(tmp_path)
     key = result_key(config, program, 1000)
     cache.store(key, simulate(config, program))
     path = tmp_path / f"{key}.json"
     payload = json.loads(path.read_text())
     assert payload["layout"] == cache_mod.ENTRY_LAYOUT == 5
-    for loads, layout in enumerate((2, 3, 4), start=1):
-        path.write_text(json.dumps({**payload, "layout": layout}))
-        assert ResultCache(tmp_path).fsck(repair=False).schema_stale == 1
+    stale = [{"layout": layout} for layout in (2, 3, 4)]
+    stale.append({"schema": cache_mod.SIM_SCHEMA_VERSION - 1})
+    for loads, fields in enumerate(stale, start=1):
+        path.write_text(json.dumps({**payload, **fields}))
         assert cache.load(key) is None
         assert (cache.stats.invalid, cache.stats.misses) == (loads, loads)
-
-
-def test_clear_removes_entries(tmp_path, config, program):
-    cache = ResultCache(tmp_path)
-    cache.store(result_key(config, program, 1000),
-                simulate(config, program))
-    assert cache.clear() == 1
-    assert len(cache) == 0
 
 
 def test_cache_enabled_by_env(monkeypatch):
@@ -415,6 +406,26 @@ def test_lookup_of_the_other_kind_is_an_invalid_miss(
     assert cache.load(key, type(result)) is not None
 
 
+def test_multicore_entry_without_a_state_digest_is_an_invalid_miss(
+        tmp_path, multicore_result):
+    """A multicore entry one of whose cores lost its state digest
+    cannot be verified, so it is never served."""
+    cache = ResultCache(tmp_path)
+    sound = multicore_key(two_core_run(), 1000)
+    broken = multicore_key(two_core_run(), 2000)
+    for key in (sound, broken):
+        cache.store(key, multicore_result)
+    path = tmp_path / f"{broken}.json"
+    payload = json.loads(path.read_text())
+    core = payload["result"]["fields"]["per_core"][1]
+    del core["fields"]["state"]["__state__"]["digest"]
+    path.write_text(json.dumps(payload))
+
+    assert cache.load(broken, MulticoreResult) is None
+    assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
+    assert cache.load(sound, MulticoreResult) is not None
+
+
 # ---------------------------------------------------------------------------
 # Bugfix: a renamed/copied file must not serve the wrong result.
 # ---------------------------------------------------------------------------
@@ -434,12 +445,6 @@ def test_key_mismatched_file_is_invalid_not_served(tmp_path, config,
     assert cache.load(other_key) is None  # never the wrong result
     assert cache.stats.invalid == 1
     assert_same_point(cache.load(key), result)  # the honest entry serves
-
-    report = ResultCache(tmp_path).fsck()
-    assert report.key_mismatch == 1
-    assert report.ok == 1
-    assert not (tmp_path / f"{other_key}.json").exists()
-    assert (tmp_path / f"{key}.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -562,86 +567,6 @@ def test_disk_store_failure_warns_and_continues(tmp_path, config,
     with pytest.warns(RuntimeWarning, match="cache store failed"):
         result, row = _env_run(ResultCache(blocked))
     assert row["cycles"] == result.makespan > 0
-
-
-# ---------------------------------------------------------------------------
-# fsck.
-# ---------------------------------------------------------------------------
-
-
-def test_fsck_classifies_and_repairs_everything(tmp_path, config,
-                                                program):
-    cache = ResultCache(tmp_path)
-    result = simulate(config, program)
-    good_key = result_key(config, program, 1000)
-    cache.store(good_key, result)
-
-    # Key mismatch: a copy addressing the wrong point.
-    mismatch_key = result_key(config, program, 2000)
-    shutil.copy(tmp_path / f"{good_key}.json",
-                tmp_path / f"{mismatch_key}.json")
-    # Schema-stale: written under an older SIM_SCHEMA_VERSION.
-    stale = dict(schema=cache_mod.SIM_SCHEMA_VERSION - 1,
-                 layout=cache_mod.ENTRY_LAYOUT, key="00ff", result=None)
-    (tmp_path / "00ff.json").write_text(json.dumps(stale))
-    # Corrupt: unparseable JSON.
-    (tmp_path / "beef.json").write_text("{definitely not json")
-    # Orphan tmp file from an interrupted store.
-    (tmp_path / ".tmp-abc123.json").write_text("partial write")
-
-    dry = ResultCache(tmp_path).fsck(repair=False)
-    assert (dry.scanned, dry.ok) == (4, 1)
-    assert dry.key_mismatch == 1 and dry.schema_stale == 1
-    assert dry.corrupt == 1 and dry.orphan_tmp == 1
-    assert dry.problems == 4 and not dry.removed
-    assert (tmp_path / "beef.json").exists()  # dry run removed nothing
-
-    report = ResultCache(tmp_path).fsck()
-    assert report.problems == 4
-    assert sorted(report.removed) == sorted([
-        f"{mismatch_key}.json", "00ff.json", "beef.json",
-        ".tmp-abc123.json",
-    ])
-    survivors = ResultCache(tmp_path)
-    assert len(survivors) == 1
-    assert_same_point(survivors.load(good_key), result)
-    assert survivors.fsck().problems == 0
-
-
-def test_fsck_checks_multicore_entries(tmp_path, multicore_result):
-    cache = ResultCache(tmp_path)
-    sound = multicore_key(two_core_run(), 1000)
-    cache.store(sound, multicore_result)
-    # A core whose cached state lost its digest cannot be verified.
-    broken = multicore_key(two_core_run(), 2000)
-    cache.store(broken, multicore_result)
-    path = tmp_path / f"{broken}.json"
-    payload = json.loads(path.read_text())
-    core = payload["result"]["fields"]["per_core"][1]
-    del core["fields"]["state"]["__state__"]["digest"]
-    path.write_text(json.dumps(payload))
-
-    report = ResultCache(tmp_path).fsck(repair=False)
-    assert (report.scanned, report.ok, report.corrupt) == (2, 1, 1)
-    assert ResultCache(tmp_path).load(broken, MulticoreResult) is None
-    assert ResultCache(tmp_path).fsck().removed == [f"{broken}.json"]
-    assert ResultCache(tmp_path).load(sound, MulticoreResult) is not None
-
-
-def test_fsck_on_missing_dir_is_empty(tmp_path):
-    report = ResultCache(tmp_path / "never-created").fsck()
-    assert report.scanned == 0 and report.problems == 0
-
-
-def test_len_and_clear_ignore_tmp_orphans(tmp_path, config, program):
-    cache = ResultCache(tmp_path)
-    cache.store(result_key(config, program, 1000),
-                simulate(config, program))
-    (tmp_path / ".tmp-orphan.json").write_text("x")
-    assert len(cache) == 1  # the orphan is not an entry
-    assert cache.disk_stats()["orphan_tmp"] == 1
-    assert cache.clear() == 1  # one *entry* removed...
-    assert not (tmp_path / ".tmp-orphan.json").exists()  # ...orphan too
 
 
 def test_invalidate_counts_and_deletes(tmp_path, config, program):
