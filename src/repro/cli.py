@@ -24,8 +24,9 @@ and equally runnable as ``python -m repro``.  Subcommands:
     ``verify`` runs the experiment corpus (documents are *not*
     written; ``--jobs N`` experiments at a time, as for ``experiments
     run``) and exits 1 on any divergence from a record in
-    ``benchmarks/baselines/``.  ``capture`` runs the corpus serially
-    and rewrites every record whose file differs from what it
+    ``benchmarks/baselines/``; its ``FAIL`` line counts the divergent
+    observations per behaviour field.  ``capture`` runs the corpus
+    serially and rewrites every record whose file differs from what it
     observed, printing one ``UPDATED`` line per rewritten record;
     after an intentional behavior change, committing those rewritten
     records is the green path, and their diff is what review approves.
@@ -358,9 +359,11 @@ def _baseline_corpus_run(args: argparse.Namespace, mode: str) -> int:
     # verify: red on any divergence, and on an empty run (a corpus that
     # verified nothing protects nothing).
     if stats.divergent:
+        by_field = ", ".join(f"{field} {count}" for field, count
+                             in firewall.divergent_fields().items())
         print(f"FAIL: {stats.divergent} divergence(s) from stored "
-              f"baselines — if intentional, run `repro baseline "
-              f"capture` and commit the rewritten records",
+              f"baselines ({by_field}) — if intentional, run `repro "
+              f"baseline capture` and commit the rewritten records",
               file=sys.stderr)
         return 1
     if not (stats.verified or stats.unseen):

@@ -116,7 +116,8 @@ what one loop running both sections would give.  Both sections end a
 cycle with the same accounting, emitted by :func:`_end_cycle`.
 
 The kind codes and the ``NO_WAKE`` sentinel are written into the
-compiled source as literals.
+templates as literals (``{K_LOAD}`` in an f-string template), so the
+generated source names neither and a kind test is a constant compare.
 
 One code-generation flag, ``instrumented``, serves the observers (the
 invariant sanitizer and the speculative-leak taint tracker); the core
@@ -132,13 +133,27 @@ are read-only, so both variants produce the same cycles.
 
 from __future__ import annotations
 
-import re
 from heapq import heappop, heappush
 from typing import Callable, Dict, Tuple
 
 from repro.config import DeferTrigger, SSTConfig
+from repro.core import sst_core
 from repro.core.modes import ExecMode, ScoutCause
+from repro.core.sst_core import _NO_WAKE as NO_WAKE
 from repro.errors import SimulatorInvariantError
+from repro.isa.blockcache import (
+    K_ALU,
+    K_BARRIER,
+    K_BRANCH,
+    K_DIV,
+    K_HALT,
+    K_JUMP,
+    K_JUMP_INDIRECT,
+    K_LOAD,
+    K_MUL,
+    K_PREFETCH,
+    K_STORE,
+)
 from repro.memory.request import AccessType, HitLevel
 
 _M = "0xFFFFFFFFFFFFFFFF"
@@ -259,11 +274,12 @@ def _mispredict(pad: str, redirect: int) -> str:
     )
 
 
-# The commit-guard precheck is exact: with fewer than two live
-# checkpoints and a non-empty DQ, _try_commits provably does nothing
-# but set the memo to _NO_WAKE (no region candidate, full commit
-# blocked on unreplayed entries).
-_COMMIT_GUARD = """\
+def _commit_guard(pad: str) -> str:
+    """The commit-guard precheck.  It is exact: with fewer than two live
+    checkpoints and a non-empty DQ, _try_commits provably does nothing
+    but set the memo to ``NO_WAKE`` (no region candidate, full commit
+    blocked on unreplayed entries)."""
+    return f"""\
 {pad}stall = core._commit_stall
 {pad}if stall is None or cycle >= stall:
 {pad}    if len(ckpt_live) >= 2 or not dq_entries:
@@ -271,7 +287,7 @@ _COMMIT_GUARD = """\
 {pad}        if core.mode is NORMAL:
 {pad}            return
 {pad}    else:
-{pad}        core._commit_stall = NO_WAKE
+{pad}        core._commit_stall = {NO_WAKE}
 """
 
 # Catch up the scout cycles opened inline since ``opened_from``: each
@@ -406,19 +422,19 @@ def _fast_defer(pad: str, order: bool) -> str:
         f"{pad}    if rs1_producer in slice_values:\n"
         f"{pad}        ready = producer_ready[rs1_producer]\n"
         f"{pad}    else:\n"
-        f"{pad}        ready = NO_WAKE\n"
+        f"{pad}        ready = {NO_WAKE}\n"
         f"{pad}        replay_waiters.setdefault(rs1_producer, []).append(\n"
         f"{pad}            entry)\n"
-        f"{pad}if rs2_producer is not None and ready != NO_WAKE:\n"
+        f"{pad}if rs2_producer is not None and ready != {NO_WAKE}:\n"
         f"{pad}    if rs2_producer in slice_values:\n"
         f"{pad}        r = producer_ready[rs2_producer]\n"
         f"{pad}        if r > ready:\n"
         f"{pad}            ready = r\n"
         f"{pad}    else:\n"
-        f"{pad}        ready = NO_WAKE\n"
+        f"{pad}        ready = {NO_WAKE}\n"
         f"{pad}        replay_waiters.setdefault(rs2_producer, []).append(\n"
         f"{pad}            entry)\n"
-        f"{pad}if ready != NO_WAKE:\n"
+        f"{pad}if ready != {NO_WAKE}:\n"
         f"{pad}    heappush(replay_timed, (ready, seq, entry))\n"
         f"{pad}memo = core._replay_stall\n"
         f"{pad}if memo is not None and ready < memo:\n"
@@ -505,7 +521,7 @@ def _sst_spec_loop(core, budget, until):
     # normal_insts cannot change while an episode is live, so the
     # ahead-strand budget check reduces to one counter read.
     ahead_limit = budget - stats.normal_insts
-    fold_until = NO_WAKE if until is None else until
+    fold_until = {NO_WAKE} if until is None else until
 """)
     if instrumented:
         emit("    taint = core.taint\n"
@@ -532,7 +548,7 @@ def _sst_spec_loop(core, budget, until):
             break
 """)
     emit("        wake_min = None\n")
-    emit(_COMMIT_GUARD.format(pad=" " * 8))
+    emit(_commit_guard(" " * 8))
     # ---- replay strand --------------------------------------------------
     # wake_min is still None here: nothing before the strand sets it, and
     # a replay issue returns no wake.
@@ -544,7 +560,7 @@ def _sst_spec_loop(core, budget, until):
                 break
             stall = core._replay_stall
             if stall is not None and stall > cycle:
-                if stall != NO_WAKE:
+                if stall != {NO_WAKE}:
                     wake_min = stall
                 break
             status, wake_min = try_replay_issue(cycle)
@@ -556,7 +572,7 @@ def _sst_spec_loop(core, budget, until):
                 continue
             break
 """)
-    emit(_COMMIT_GUARD.format(pad=" " * 8))
+    emit(_commit_guard(" " * 8))
     # ---- ahead strand ---------------------------------------------------
     # The strand's cursor state (PC, sequence counter, redirect barrier)
     # lives in locals for the duration of the strand: the replay strand
@@ -626,7 +642,7 @@ def _sst_spec_loop(core, budget, until):
     fast_na = fast_order = ""
     if not instrumented:
         fast_na = (
-            "                    if kind <= K_LOAD and len(dq_entries) < "
+            f"                    if kind <= {K_LOAD} and len(dq_entries) < "
             "dq_capacity:\n" + _fast_defer(" " * 24, False)
         )
         fast_order = (
@@ -653,11 +669,11 @@ def _sst_spec_loop(core, budget, until):
     emit(_taint_hook(p, "on_ahead(inst, pc, seq, cycle)", instrumented))
     emit(f"""\
                 next_pc = pc + 1
-                if kind <= K_DIV:
+                if kind <= {K_DIV}:
                     a = spec_values[rs1]
                     value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
-                    latency = ({lat_alu} if kind == K_ALU else
-                               {lat_mul} if kind == K_MUL else {lat_div})
+                    latency = ({lat_alu} if kind == {K_ALU} else
+                               {lat_mul} if kind == {K_MUL} else {lat_div})
 {_write_available(p + '    ', 'value', 'cycle + latency')}\
 """)
     # LOAD
@@ -671,7 +687,7 @@ def _sst_spec_loop(core, budget, until):
             " else -1))\n"
         )
     emit(f"""\
-                elif kind == K_LOAD:
+                elif kind == {K_LOAD}:
                     addr = (spec_values[rs1] + imm) & {_M}
                     if addr % 8 != 0:
                         core._ahead_block = "fault"
@@ -704,7 +720,7 @@ def _sst_spec_loop(core, budget, until):
     else:
         store_full = "                        core._ahead_block = \"sb_full\"\n"
     emit(f"""\
-                elif kind == K_STORE:
+                elif kind == {K_STORE}:
                     addr = (spec_values[rs1] + imm) & {_M}
                     if addr % 8 != 0:
                         core._ahead_block = "fault"
@@ -712,22 +728,22 @@ def _sst_spec_loop(core, budget, until):
                     if not sb_append_resolved(seq, addr, spec_values[rs2]):
 {store_full}\
                         break
-                elif kind == K_PREFETCH:
+                elif kind == {K_PREFETCH}:
                     addr = (spec_values[rs1] + imm) & {_M}
                     if addr % 8 == 0:
                         do_prefetch(addr, cycle)
-                elif kind == K_BRANCH:
+                elif kind == {K_BRANCH}:
                     taken = fn(spec_values[rs1], spec_values[rs2])
                     if taken:
                         next_pc = target
                     if resolve_cond(pc, taken):
 {_mispredict(p + '        ', lat_alu + penalty)}\
-                elif kind == K_JUMP:
+                elif kind == {K_JUMP}:
 {_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
                     if inst.is_call:
                         push_return(pc + 1)
                     next_pc = target
-                elif kind == K_JUMP_INDIRECT:
+                elif kind == {K_JUMP_INDIRECT}:
                     tgt = (spec_values[rs1] + imm) & {_M}
                     if tgt >= n_insts:
                         core._ahead_block = "fault"
@@ -740,10 +756,10 @@ def _sst_spec_loop(core, budget, until):
                     next_pc = tgt
                     if mispredicted:
 {_mispredict(p + '        ', lat_alu + penalty)}\
-                elif kind == K_HALT:
+                elif kind == {K_HALT}:
                     core._ahead_block = "halt"
                     break
-                elif kind == K_BARRIER:
+                elif kind == {K_BARRIER}:
                     core._ahead_block = "membar"
                     break
 {_CONSUME.format(pad=p)}\
@@ -829,7 +845,7 @@ def _fold(pad: str, width: int) -> str:
 {pad}    stall = core._replay_stall
 {pad}    if stall is None or nxt >= stall:
 {pad}        break
-{pad}    wake_min = None if stall == NO_WAKE else stall
+{pad}    wake_min = None if stall == {NO_WAKE} else stall
 {pad}else:
 {pad}    wake_min = None
 {pad}if issued_replay or core.mode is not strand_mode:
@@ -913,12 +929,12 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
                     # kind chain.
                     if src_a in na_producer or src_b in na_producer:
 {_taint_hook(p + '    ', 'on_scout_na(inst, seq)', instrumented)}\
-                        if kind <= K_LOAD:  # every one writes rd
+                        if kind <= {K_LOAD}:  # every one writes rd
 {_write_na(p + '        ', tag)}\
                             pc += 1
-                        elif kind == K_BRANCH:
+                        elif kind == {K_BRANCH}:
                             pc = target if predict_cond(pc) else pc + 1
-                        elif kind == K_JUMP_INDIRECT:
+                        elif kind == {K_JUMP_INDIRECT}:
                             predicted = predict_indirect(
                                 pc, is_return=inst.is_return)
                             if predicted is None or not (
@@ -943,14 +959,14 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
                         break
 {_taint_hook(p, 'on_scout(inst, pc, seq, cycle)', instrumented)}\
                     next_pc = pc + 1
-                    if kind <= K_DIV:
+                    if kind <= {K_DIV}:
                         a = spec_values[rs1]
                         value = (fn(a, imm) if uses_imm
                                  else fn(a, spec_values[rs2]))
-                        latency = ({lat_alu} if kind == K_ALU else
-                                   {lat_mul} if kind == K_MUL else {lat_div})
+                        latency = ({lat_alu} if kind == {K_ALU} else
+                                   {lat_mul} if kind == {K_MUL} else {lat_div})
 {_write_available(p + '    ', 'value', 'cycle + latency', tag)}\
-                    elif kind == K_LOAD:
+                    elif kind == {K_LOAD}:
                         addr = (spec_values[rs1] + imm) & {_M}
                         if addr % 8 != 0:
                             core._ahead_block = "fault"
@@ -970,7 +986,7 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
                             heappush(pending_heap, (result.ready_cycle, seq))
                         else:
 {_write_available(p + '        ', 'value', 'result.ready_cycle', tag)}\
-                    elif kind == K_STORE:
+                    elif kind == {K_STORE}:
                         addr = (spec_values[rs1] + imm) & {_M}
                         if addr % 8 != 0:
                             core._ahead_block = "fault"
@@ -978,22 +994,22 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
                         do_prefetch(addr, cycle)
                         stats.scout_prefetches += 1
                         scout_stores[addr] = spec_values[rs2]
-                    elif kind == K_PREFETCH:
+                    elif kind == {K_PREFETCH}:
                         addr = (spec_values[rs1] + imm) & {_M}
                         if addr % 8 == 0:
                             do_prefetch(addr, cycle)
-                    elif kind == K_BRANCH:
+                    elif kind == {K_BRANCH}:
                         if fn(spec_values[rs1], spec_values[rs2]):
                             resolve_cond(pc, True)
                             next_pc = target
                         else:
                             resolve_cond(pc, False)
-                    elif kind == K_JUMP:
+                    elif kind == {K_JUMP}:
 {_write_available(p + '    ', 'pc + 1', 'cycle + 1', tag)}\
                         if inst.is_call:
                             push_return(pc + 1)
                         next_pc = target
-                    elif kind == K_JUMP_INDIRECT:
+                    elif kind == {K_JUMP_INDIRECT}:
                         tgt = (spec_values[rs1] + imm) & {_M}
                         if tgt >= n_insts:
                             core._ahead_block = "fault"
@@ -1003,7 +1019,7 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
                         if inst.is_call:
                             push_return(pc + 1)
                         next_pc = tgt
-                    elif kind == K_HALT:
+                    elif kind == {K_HALT}:
                         core._ahead_block = "fault"
                         break
                     # MEMBAR, like NOP, only takes its slot in scout.
@@ -1045,11 +1061,6 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
     if loop is not None:
         return loop
 
-    # Imported here: sst_core imports this module lazily from __init__,
-    # so by the time we run, sst_core is fully initialized.
-    from repro.core import sst_core
-    from repro.isa import blockcache
-
     source = _build_source(
         width=config.width,
         scout_possible=config.scout_enabled or config.scout_only,
@@ -1081,13 +1092,6 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
         "heappop": heappop,
         "heappush": heappush,
     }
-    # The kind codes and the NO_WAKE sentinel become literals: a
-    # constant load instead of a global lookup on every kind test.
-    literals = {name: getattr(blockcache, name)
-                for name in dir(blockcache) if name.startswith("K_")}
-    literals["NO_WAKE"] = sst_core._NO_WAKE
-    source = re.sub(r"\b(K_[A-Z_]+|NO_WAKE)\b",
-                    lambda match: str(literals[match.group(1)]), source)
     code = compile(source, "<sst_dispatch>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted, generated above
     loop = namespace["_sst_spec_loop"]

@@ -57,20 +57,25 @@ class ArchState:
         return self.regs == other.regs and self.memory == other.memory
 
     def digest(self) -> str:
-        """Semantic ID of the registers and every memory word, zero-valued
-        ones included (unlike ``SparseMemory.__eq__``)."""
+        """Semantic ID of the registers and the memory words that differ
+        from the program's data image or are absent from it
+        (:meth:`SparseMemory.changed_items`), a zero written to a new
+        address included (unlike ``SparseMemory.__eq__``).  Every run of
+        a program starts from the same image, so for runs of one program
+        equal final states give equal digests and unequal ones unequal
+        digests; the untouched image is not rendered."""
         if self.sealed_digest is not None:
             return self.sealed_digest
-        return state_digest(self.regs, self.memory.items())
+        return state_digest(self.regs, self.memory.changed_items())
 
     def seal_digest(self) -> str:
         """:meth:`digest`, kept on the state for every later call.  Only
         for a final state, one that nothing writes again: the result
         cache seals a run's state when it stores the result, so the
         baseline firewall's ``state_hash`` of the same result reads the
-        digest instead of hashing every memory word a second time."""
+        digest instead of computing it a second time."""
         if self.sealed_digest is None:
-            self.sealed_digest = state_digest(self.regs, self.memory.items())
+            self.sealed_digest = self.digest()
         return self.sealed_digest
 
 

@@ -12,14 +12,17 @@ its one probe, :meth:`MSHRFile.in_flight`, is O(1) unless a fill has
 completed since the last probe, and a full file knows when its first
 entry frees.  That probe answers both questions an L1 hit asks — is
 anything in flight (the hierarchy's fast path), and is this line —
-from one expiry.  The cores never poll the file for the next fill:
-each access returns its own ``ready_cycle``.
+from one expiry.  Pending fills also sit in a heap by completion time,
+so an expiry pops only the fills that have completed.  The cores never
+poll the file for the next fill: each access returns its own
+``ready_cycle``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Tuple
 
 # Sentinel "no outstanding completion" (compares greater than any cycle).
 _NEVER = 1 << 62
@@ -44,6 +47,8 @@ class MSHRFile:
         self.stats = MSHRStats()
         # line address -> fill-complete cycle.
         self._pending: Dict[int, int] = {}
+        # (fill-complete cycle, line) of every pending fill, a heap.
+        self._heap: List[Tuple[int, int]] = []
         # Earliest completion among pending fills (_NEVER when empty).
         self._min_ready = _NEVER
 
@@ -51,10 +56,10 @@ class MSHRFile:
         """Drop entries whose fill has completed by ``cycle``; callers
         only call it once ``cycle`` has reached the earliest one."""
         pending = self._pending
-        expired = [line for line, ready in pending.items() if ready <= cycle]
-        for line in expired:
-            del pending[line]
-        self._min_ready = min(pending.values()) if pending else _NEVER
+        heap = self._heap
+        while heap and heap[0][0] <= cycle:
+            del pending[heappop(heap)[1]]
+        self._min_ready = heap[0][0] if heap else _NEVER
 
     def in_flight(self, cycle: int) -> Dict[int, int]:
         """The fills outstanding at ``cycle``, as ``{line: ready_cycle}``.
@@ -95,9 +100,15 @@ class MSHRFile:
         return start, False
 
     def complete(self, line: int, ready_cycle: int) -> None:
-        """Record that the miss of ``line`` fills at ``ready_cycle``."""
+        """Record that the miss of ``line`` fills at ``ready_cycle``.
+
+        ``line`` is not pending: :meth:`allocate` merges a miss of a
+        pending line, so only a non-merged allocation completes, and the
+        heap holds exactly one entry per pending fill.
+        """
         pending = self._pending
         pending[line] = ready_cycle
+        heappush(self._heap, (ready_cycle, line))
         if ready_cycle < self._min_ready:
             self._min_ready = ready_cycle
         if len(pending) > self.stats.peak_occupancy:

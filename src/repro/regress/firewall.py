@@ -10,7 +10,8 @@ and the rewritten records are committed.
 
 * ``cycles`` / ``instructions`` — the timing-model contract;
 * ``state_hash`` — semantic ID of the final architectural registers
-  and memory (the functional contract);
+  and the memory words the run changed or added relative to its
+  program's data image (the functional contract);
 * ``perf_signature`` — semantic ID of the perf counters (the
   event-driven fast-forward accounting, proven identical with and
   without the sanitizer attached);
@@ -62,9 +63,10 @@ MODE_VERIFY = "verify"
 
 
 def state_hash(state: Any) -> str:
-    """Semantic ID of an architectural state (registers + memory):
-    :func:`repro.regress.semid.state_digest`, or the digest a cached
-    state was stored with."""
+    """Semantic ID of an architectural state (registers and the memory
+    words that differ from the program's data image):
+    :meth:`ArchState.digest <repro.isa.interpreter.ArchState.digest>`,
+    or the digest a cached state was stored with."""
     return state.digest()
 
 
@@ -303,6 +305,17 @@ class BaselineFirewall:
         return action
 
     # -- reporting ----------------------------------------------------
+
+    def divergent_fields(self) -> Dict[str, int]:
+        """How many divergences involve each behaviour field, most first
+        (ties by name); a divergence with no field to show counts as
+        ``unreadable``.  The scope of a recapture, on one line."""
+        counts: Dict[str, int] = {}
+        for divergence in self.divergences:
+            for field in divergence.fields or ("unreadable",):
+                counts[field] = counts.get(field, 0) + 1
+        return dict(sorted(counts.items(),
+                           key=lambda item: (-item[1], item[0])))
 
     def merge(self, other: BaselineFirewall) -> None:
         """Fold ``other``'s counts and divergences into this firewall

@@ -35,9 +35,10 @@ bit-compatible with the historical ``repro.sim.cache`` /
 ``Program.fingerprint`` formats — routing through them changed zero
 existing keys.
 
-:func:`state_digest` is the semantic ID of one architectural state,
-rendered directly rather than through :func:`canonicalize`, because a
-final memory image can hold a million words.
+:func:`state_digest` is the semantic ID of one architectural state's
+registers and a set of its memory words, rendered directly rather than
+through :func:`canonicalize`, because a final memory can hold a million
+words.
 """
 
 from __future__ import annotations
@@ -145,15 +146,19 @@ def line_digest(lines: Iterable[str]) -> str:
 
 def state_digest(regs: Iterable[int],
                  words: Iterable[Tuple[int, int]]) -> str:
-    """The semantic ID of an architectural state: its registers and its
-    memory words as ``(address, value)`` pairs, all ints.
+    """The semantic ID of registers and memory words, the words as
+    ``(address, value)`` pairs in any order, all ints.
 
     Equal byte for byte to ``semantic_id({"regs": list(regs), "memory":
     sorted(words)})``: this writes out the same canonical JSON (sorted
     keys, json's default separators) without the generic walk, which is
-    about five times slower over a large memory image.  The result
-    cache, the baseline firewall's ``state_hash`` and golden
-    verification of a cached result all digest a state through here.
+    about five times slower over a large memory.  The caller chooses
+    the words: :meth:`ArchState.digest
+    <repro.isa.interpreter.ArchState.digest>` hands only the words a run
+    changed or added relative to its program's data image, so the
+    result cache, the baseline firewall's ``state_hash`` and golden
+    verification of a cached result cover those words and the
+    registers, and never render the untouched image.
     """
     memory = ", ".join([f'["int:{addr}", "int:{value}"]'
                         for addr, value in sorted(words)])

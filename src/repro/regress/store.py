@@ -16,7 +16,7 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import List, Optional
+from typing import Optional
 
 from repro.regress import semid as semid_mod
 from repro.regress.records import BaselineRecord, BaselineSchemaError
@@ -44,20 +44,6 @@ class BaselineStore:
 
     def _path(self, semid: str) -> pathlib.Path:
         return self.root / f"{semid}.json"
-
-    def _entries(self) -> List[pathlib.Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path for path in self.root.glob("*.json")
-            if path.is_file() and not path.name.startswith(".tmp-")
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries())
-
-    def semids(self) -> List[str]:
-        return [path.stem for path in self._entries()]
 
     # -- I/O ----------------------------------------------------------
 
@@ -113,13 +99,3 @@ class BaselineStore:
                 pass
             raise
         return "captured" if stored is None else "updated"
-
-    def records(self) -> List[BaselineRecord]:
-        """Every readable record; :meth:`load` raises on the others."""
-        readable = []
-        for semid in self.semids():
-            try:
-                readable.append(self.load(semid))
-            except BaselineSchemaError:
-                continue
-        return readable

@@ -33,19 +33,21 @@ or a :class:`~repro.cmp.multicore.MulticoreResult` of them, and a
 lookup serves only the kind its caller asked for.  Each ``CoreResult``
 is kept whole except for the final memory image: its state is kept as
 the registers, the PC and :meth:`ArchState.digest
-<repro.isa.interpreter.ArchState.digest>` of registers and memory, and
-loads back as a :class:`~repro.isa.interpreter.CachedState`, whose
-``memory`` raises.  No experiment reads a cached image; golden
+<repro.isa.interpreter.ArchState.digest>` of the registers and the
+memory words the run changed or added relative to its program's data
+image, and loads back as a :class:`~repro.isa.interpreter.CachedState`,
+whose ``memory`` raises.  No experiment reads a cached image; golden
 verification and the baseline firewall compare the digest.  A result
 whose hierarchy has a data TLB also keeps its
 :class:`~repro.memory.tlb.TLBStats` (``extra["dtlb"]``), so E15 reads
-its miss rates from cached points.  :data:`ENTRY_LAYOUT` (5) marks this
-layout, so an entry in an older one (4, with the in-order core's own
-perf counters and CPI stack; 3, whose cache statistics carry the two
-prefetch counters; 2, without TLB statistics; or none, with a memory
-image) loads as a miss and is re-simulated and overwritten: such an
-entry can still decode (a layout-4 entry does), so the field is what
-keeps its stale meaning from being served.
+its miss rates from cached points.  :data:`ENTRY_LAYOUT` (6) marks this
+layout, so an entry in an older one (5, whose digest covers every
+memory word; 4, with the in-order core's own perf counters and CPI
+stack; 3, whose cache statistics carry the two prefetch counters; 2,
+without TLB statistics; or none, with a memory image) loads as a miss
+and is re-simulated and overwritten: such an entry can still decode (a
+layout-5 or layout-4 entry does), so the field is what keeps its stale
+meaning from being served.
 
 Every entry is checked where it is read, by :meth:`ResultCache.load`;
 there is no offline scan.  To reset the cache, delete its directory.
@@ -60,12 +62,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import json
 import os
 import pathlib
-import tempfile
 import warnings
-from typing import Any, Dict, List, Optional, Type, Union
+from typing import Any, Dict, Optional, Type, Union
 
 from repro.baselines.core_base import CoreResult
 from repro.baselines.ooo.ooo_core import OoOStats
@@ -104,7 +106,9 @@ SIM_SCHEMA_VERSION = 2
 #    counters are SST normal mode's and its CPI stack has no "fetch"
 #    key, and a checkpoint-free multicore core no longer carries
 #    speculation statistics (sst, dq, sb, checkpoints) but a CPI stack.
-ENTRY_LAYOUT = 5
+# 6: the state digest covers the registers and only the memory words
+#    that differ from the program's data image or are absent from it.
+ENTRY_LAYOUT = 6
 
 # Anchored to the repository root (not the process cwd) so a run from
 # any working directory hits the same cache.
@@ -295,6 +299,12 @@ def _decode_result(payload: Dict[str, Any],
 # The on-disk cache.
 # ---------------------------------------------------------------------------
 
+# A store writes its entry under ``.tmp-<pid>-<n>.json`` first: the
+# counter is shared by every cache in the process and the pid tells
+# processes apart, so two writers never open one temp name.
+_TMP_SERIAL = itertools.count()
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
 
 @dataclasses.dataclass
 class ResultCacheStats:
@@ -324,14 +334,6 @@ class ResultCache:
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
-
-    def _entries(self) -> List[pathlib.Path]:
-        """Real cache entries (pathlib's ``*.json`` also matches hidden
-        ``.tmp-*.json`` leftovers, which are not entries)."""
-        if not self.root.is_dir():
-            return []
-        return [path for path in self.root.glob("*.json")
-                if path.is_file() and not path.name.startswith(".tmp-")]
 
     def load(self, key: str, kind: Type = CoreResult) -> Optional[Any]:
         """The cached ``kind`` (a :class:`CoreResult` or a
@@ -367,8 +369,9 @@ class ResultCache:
 
     def store(self, key: str,
               result: Union[CoreResult, MulticoreResult]) -> None:
-        """Persist ``result`` under ``key`` (atomic rename)."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Persist ``result`` under ``key``: one exclusive create of a
+        hidden temp name unique to this process, then an atomic rename.
+        The directory is made only when that create finds it missing."""
         payload = {
             "schema": SIM_SCHEMA_VERSION,
             "layout": ENTRY_LAYOUT,
@@ -376,16 +379,19 @@ class ResultCache:
             "result": encode_value(result),
         }
         text = json.dumps(payload)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
-        )
+        tmp_path = self.root / f".tmp-{os.getpid()}-{next(_TMP_SERIAL)}.json"
+        try:
+            handle = os.open(tmp_path, _CREATE_FLAGS, 0o644)
+        except FileNotFoundError:
+            self.root.mkdir(parents=True, exist_ok=True)
+            handle = os.open(tmp_path, _CREATE_FLAGS, 0o644)
         try:
             with os.fdopen(handle, "w") as tmp:
                 tmp.write(text)
-            os.replace(tmp_name, self._path(key))
+            os.replace(tmp_path, self._path(key))
         except BaseException:
             try:
-                os.unlink(tmp_name)
+                os.unlink(tmp_path)
             except OSError:
                 pass
             raise
@@ -419,9 +425,6 @@ class ResultCache:
             return False
         self.stats.invalid += 1
         return True
-
-    def __len__(self) -> int:
-        return len(self._entries())
 
 
 def cache_enabled_by_env() -> bool:

@@ -5,7 +5,8 @@ For each of the seven small-scale suite programs at issue widths 1, 2
 and 4 (default hierarchy), and for each program of
 ``tests/baselines/test_cpi_stack.py``, the pins hold the cycle count,
 the retired instruction count, the final architectural state's hash
-(registers and memory) and the CPI stack.  A change to how the
+(registers and every memory word, image words included:
+``full_state_id``) and the CPI stack.  A change to how the
 in-order pipeline is built must leave every number here as it is.
 """
 
@@ -17,7 +18,7 @@ from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads import full_suite
 from tests.baselines.test_cpi_stack import PROGRAMS
-from tests.conftest import small_hierarchy_config
+from tests.conftest import full_state_id, small_hierarchy_config
 
 # program -> (retired instructions, final-state hash), at every width.
 SUITE_STATE = {
@@ -139,7 +140,7 @@ def _observed(result):
     stack = {cause: cycles
              for cause, cycles in result.extra["cpi_stack"].items()
              if cause != "fetch"}
-    return (result.cycles, result.instructions, result.state.digest(),
+    return (result.cycles, result.instructions, full_state_id(result.state),
             stack)
 
 

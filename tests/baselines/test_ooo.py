@@ -9,7 +9,7 @@ from repro.config import BranchPredictorConfig, OoOConfig
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.runner import verify_against_golden
-from tests.conftest import small_hierarchy_config
+from tests.conftest import full_state_id, small_hierarchy_config
 
 
 def run(source_or_program, config=None, latency=200, mshr=16):
@@ -331,7 +331,7 @@ def _fp_stream_on_rob32():
         "instructions": result.instructions,
         "ooo": dataclasses.asdict(result.extra["ooo"]),
         "perf": result.extra["perf"].as_dict(),
-        "state_hash": result.state.digest(),
+        "state_hash": full_state_id(result.state),
     }
 
 

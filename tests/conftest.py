@@ -1,7 +1,11 @@
 """Shared fixtures: small hierarchies that miss quickly, machine
-factories, and tiny hand-written programs."""
+factories, tiny hand-written programs, and readers of the directories
+the result cache and the baseline store write."""
 
 from __future__ import annotations
+
+import pathlib
+from typing import List
 
 import pytest
 
@@ -13,6 +17,9 @@ from repro.config import (
 )
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.regress.records import BaselineRecord
+from repro.regress.semid import semantic_id
+from repro.regress.store import BaselineStore
 
 
 def small_hierarchy_config(latency: int = 200,
@@ -76,3 +83,25 @@ MISS_CHAIN_ASM = """
 @pytest.fixture
 def miss_chain_program():
     return assemble(MISS_CHAIN_ASM, name="miss-chain")
+
+
+def json_files(root) -> List[pathlib.Path]:
+    """The entries of a result-cache or baseline directory, sorted: its
+    ``*.json`` files, without the hidden ``.tmp-*`` names a writer
+    renames from."""
+    return sorted(path for path in pathlib.Path(root).glob("*.json")
+                  if not path.name.startswith("."))
+
+
+def stored_records(root) -> List[BaselineRecord]:
+    """Every record of the baseline directory ``root``."""
+    store = BaselineStore(root)
+    return [store.load(path.stem) for path in json_files(root)]
+
+
+def full_state_id(state) -> str:
+    """The semantic ID of a state's registers and every memory word,
+    image words included, which ``ArchState.digest`` leaves out: the
+    hash the literal final-state pins of the baseline tests hold."""
+    return semantic_id({"regs": list(state.regs),
+                        "memory": sorted(state.memory.snapshot().items())})

@@ -60,6 +60,26 @@ def test_observers_select_the_instrumented_generated_loop(monkeypatch):
         monkeypatch.delenv(knob)
 
 
+def test_generated_sources_name_no_kind_code():
+    """The kind codes and ``NO_WAKE`` are literals in every source the
+    loop generator emits: each combination of its flags, so each loop a
+    smoke run (or any run) compiles, at widths 1, 2 and 4."""
+    import itertools
+    import re
+
+    from repro.core import sst_core
+
+    names = re.compile(r"\b(K_[A-Z_]+|NO_WAKE)\b")
+    for width, *flags in itertools.product((1, 2, 4), *[(False, True)] * 6):
+        scout_possible, scout_enabled, bypass, tlb, l1, instrumented = flags
+        source = sst_dispatch._build_source(
+            width, scout_possible, scout_possible and scout_enabled, bypass,
+            tlb, l1, lat_alu=1, lat_mul=3, lat_div=20, penalty=5,
+            instrumented=instrumented)
+        assert names.search(source) is None, (width, flags)
+        assert f"core._commit_stall = {sst_core._NO_WAKE}" in source
+
+
 def test_checkpoint_free_cores_generate_no_loop(monkeypatch,
                                                 countdown_program):
     """A core with no checkpoint never enters an episode, so it builds

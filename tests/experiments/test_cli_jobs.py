@@ -8,6 +8,7 @@ import os
 
 from repro import cli
 from repro.regress.store import BaselineStore
+from tests.conftest import stored_records
 
 CORPUS = "e4,e8"
 
@@ -47,7 +48,7 @@ def test_jobs_2_matches_jobs_1(tmp_path, monkeypatch):
     assert cli.main(["baseline", "capture", CORPUS, "--smoke",
                      "--baseline-dir", str(baseline_dir)]) == 0
     store = BaselineStore(baseline_dir)
-    record = next(record for record in store.records()
+    record = next(record for record in stored_records(baseline_dir)
                   if record.kind == "point")
     record.behavior["cycles"] += 1
     store.capture(record)

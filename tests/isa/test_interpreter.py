@@ -5,6 +5,8 @@ import pytest
 from repro.errors import ExecutionError
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import ArchState, Interpreter, run_program
+from repro.isa.program import Program
+from repro.regress.semid import semantic_id
 
 
 def test_arithmetic_loop(countdown_program):
@@ -149,3 +151,57 @@ def test_digest_counts_zero_valued_words():
     assert plain.same_architectural_state(padded)
     # ...and the digest, which is all a cached result keeps, does not.
     assert plain.digest() != padded.digest()
+
+
+# -- the digest covers the words a run changed ------------------------------
+
+IMAGED = Program(assemble("halt").instructions,
+                 image={0x100: 5, 0x108: 0, 0x110: 7}, name="imaged")
+
+
+def test_digest_renders_only_the_changed_words():
+    state = ArchState.fresh(IMAGED)
+    state.memory.write(0x108, 9)
+    state.memory.write(0x200, 1)
+    state.write_reg(4, 3)
+    regs = state.regs
+    assert state.digest() == semantic_id(
+        {"regs": regs, "memory": [[0x108, 9], [0x200, 1]]})
+    assert ArchState.fresh(IMAGED).digest() == semantic_id(
+        {"regs": [0] * len(regs), "memory": []})
+
+
+def test_a_zero_written_to_a_new_address_changes_the_digest():
+    untouched, zeroed = ArchState.fresh(IMAGED), ArchState.fresh(IMAGED)
+    zeroed.memory.write(0x300, 0)
+    assert untouched.memory == zeroed.memory
+    assert untouched.digest() != zeroed.digest()
+
+
+def test_writing_the_image_value_back_keeps_the_digest():
+    untouched, restored = ArchState.fresh(IMAGED), ArchState.fresh(IMAGED)
+    restored.memory.write(0x100, 6)
+    restored.memory.write(0x108, 1)
+    assert restored.digest() != untouched.digest()
+    restored.memory.write(0x100, 5)
+    restored.memory.write(0x108, 0)
+    assert restored.digest() == untouched.digest()
+
+
+def test_write_order_does_not_change_the_digest():
+    writes = [(0x300, 3), (0x110, 0), (0x280, 0), (0x100, 8)]
+    forward, backward = ArchState.fresh(IMAGED), ArchState.fresh(IMAGED)
+    for addr, value in writes:
+        forward.memory.write(addr, value)
+    for addr, value in reversed(writes):
+        backward.memory.write(addr, value)
+    assert forward.digest() == backward.digest()
+
+
+def test_sealed_digest_is_the_digest():
+    state = ArchState.fresh(IMAGED)
+    state.memory.write(0x118, 2)
+    expected = state.digest()
+    assert state.seal_digest() == expected
+    state.memory.write(0x118, 3)  # a sealed state is final: never written
+    assert state.digest() == expected

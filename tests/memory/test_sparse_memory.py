@@ -1,3 +1,4 @@
+import pickle
 from types import MappingProxyType
 
 import pytest
@@ -59,6 +60,34 @@ def test_starts_from_a_copy_of_the_image():
     assert memory.read(0x108) == 8
     memory.write(0x100, 9)
     assert image[0x100] == 7
+
+
+def test_changed_items_are_the_words_that_differ_from_the_image():
+    image = MappingProxyType({0x100: 7, 0x108: 0, 0x110: 9})
+    memory = SparseMemory(image)
+    assert list(memory.changed_items()) == []
+    memory.write(0x200, 0)  # added, though zero
+    memory.write(0x108, 4)  # changed
+    memory.write(0x110, 9)  # rewritten with its image value
+    memory.write(0x100, 1)
+    memory.write(0x100, 7)  # changed, then restored
+    assert sorted(memory.changed_items()) == [(0x108, 4), (0x200, 0)]
+
+
+def test_pickles_with_its_image():
+    memory = SparseMemory(MappingProxyType({0x100: 7, 0x108: 0}))
+    memory.write(0x108, 4)
+    memory.write(0x200, 0)
+    restored = pickle.loads(pickle.dumps(memory))
+    assert restored.snapshot() == memory.snapshot()
+    assert list(restored.changed_items()) == [(0x108, 4), (0x200, 0)]
+
+
+def test_changed_items_without_an_image_are_every_word():
+    memory = SparseMemory()
+    memory.write(0x18, 0)
+    memory.write(0x8, 3)
+    assert list(memory.changed_items()) == [(0x18, 0), (0x8, 3)]
 
 
 def test_equality_ignores_explicit_zeros():

@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.regress.semid import dump_stable
 from repro.regress.store import BaselineStore
+from tests.conftest import json_files, stored_records
 
 CORPUS = ["e1"]  # one real experiment keeps the CLI tests fast
 
@@ -41,20 +42,48 @@ def test_capture_then_verify_green(dirs, capsys):
     out = capsys.readouterr().out
     assert "captured=" in out
     assert "UPDATED" not in out
-    assert len(BaselineStore(baseline_dir)) > 0
+    assert json_files(baseline_dir)
     assert corpus("verify", baseline_dir) == 0
 
 
 def doctor_point_record(baseline_dir):
     """Hand-edit one point record's cycle count; returns its semid."""
-    store = BaselineStore(baseline_dir)
-    semid = next(record.semid for record in store.records()
+    semid = next(record.semid for record in stored_records(baseline_dir)
                  if record.kind == "point")
     path = baseline_dir / f"{semid}.json"
     doc = json.loads(path.read_text())
     doc["behavior"]["cycles"] += 1
     path.write_text(dump_stable(doc))
     return semid
+
+
+def test_verify_counts_divergences_by_field(dirs, tmp_path, capsys):
+    """The ``FAIL`` line counts divergent observations per behaviour
+    field, most first: the scope of a recapture on one line."""
+    baseline_dir, _ = dirs
+    assert corpus("capture", baseline_dir) == 0
+    first, second = [record for record in stored_records(baseline_dir)
+                     if record.kind == "point"][:2]
+    for record, fields in ((first, ("cycles", "state_hash")),
+                           (second, ("state_hash",))):
+        path = baseline_dir / f"{record.semid}.json"
+        doc = json.loads(path.read_text())
+        for field in fields:
+            doc["behavior"][field] = 0
+        path.write_text(dump_stable(doc))
+    capsys.readouterr()
+
+    report_path = tmp_path / "report.json"
+    assert corpus("verify", baseline_dir,
+                  "--report", str(report_path)) == 1
+    err = capsys.readouterr().err
+    observed = [divergence["semid"] for divergence
+                in json.loads(report_path.read_text())["divergences"]]
+    both = observed.count(first.semid) + observed.count(second.semid)
+    assert both == len(observed) >= 2
+    assert (f"FAIL: {both} divergence(s) from stored baselines "
+            f"(state_hash {both}, cycles {observed.count(first.semid)})"
+            in err)
 
 
 def test_doctored_record_red_until_recaptured(dirs, capsys):
@@ -118,7 +147,7 @@ def test_unreadable_record_is_one_divergence(dirs, tmp_path, capsys,
     clean = json.loads(clean_report.read_text())["stats"]
 
     store = BaselineStore(baseline_dir)
-    victim, other = store.semids()[:2]
+    victim, other = [path.stem for path in json_files(baseline_dir)][:2]
     path = baseline_dir / f"{victim}.json"
     if damage == "not-json":
         path.write_text("{ not json")
@@ -136,6 +165,7 @@ def test_unreadable_record_is_one_divergence(dirs, tmp_path, capsys,
     assert sum(stats.values()) == sum(clean.values())
     assert stats["divergent"] >= 1
     assert stats["divergent"] + stats["verified"] == clean["verified"]
+    assert f"(unreadable {stats['divergent']})" in captured.err
     diverged = [line for line in captured.out.splitlines()
                 if "DIVERGED" in line]
     assert diverged and all(str(path) in line for line in diverged)
@@ -173,7 +203,7 @@ def test_warm_verify_reports_a_doctored_cache_entry(dirs, monkeypatch,
     assert main(["baseline", "capture", *e18]) == 0
     assert main(["baseline", "verify", *e18]) == 0
     semid = next(record.semid
-                 for record in BaselineStore(baseline_dir).records()
+                 for record in stored_records(baseline_dir)
                  if record.kind == doctor)
     path = cache_dir / f"{semid}.json"
     entry = json.loads(path.read_text())

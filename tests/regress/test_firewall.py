@@ -17,6 +17,7 @@ from repro.sim.cache import result_key
 from repro.sim.parallel import SimTask
 from repro.sim.runner import simulate
 from repro.workloads import full_suite
+from tests.conftest import json_files, stored_records
 
 
 @pytest.fixture
@@ -49,8 +50,7 @@ def test_observe_point_captures_and_verifies(store, tiny_suite):
             task_of(program), result)
 
     assert observe("capture") == "captured"
-    assert len(store) == 1
-    [record] = store.records()
+    [record] = stored_records(store.root)
     assert record.kind == "point"
     assert record.semid == result_key(sst_machine(), program,
                                       DEFAULT_MAX_INSTRUCTIONS)
@@ -169,10 +169,10 @@ def test_engine_observes_experiment_document(tmp_path):
     engine = ExperimentEngine(smoke=True, cache=None, write=False,
                               firewall=capture)
     engine.run("e1")
-    kinds = {record.kind for record in store.records()}
+    kinds = {record.kind for record in stored_records(store.root)}
     assert "experiment" in kinds
     assert "point" in kinds
-    [experiment] = [record for record in store.records()
+    [experiment] = [record for record in stored_records(store.root)
                     if record.kind == "experiment"]
     assert experiment.scenario["experiment"] == "e1_speedup_over_inorder"
     behavior = experiment.behavior
@@ -186,7 +186,7 @@ def test_engine_observes_experiment_document(tmp_path):
                               firewall=verify)
     engine.run("e1")
     assert verify.stats.divergent == 0
-    assert verify.stats.verified == len(store)
+    assert verify.stats.verified == len(json_files(store.root))
 
 
 def test_experiment_points_signature_pins_cache_keys(tmp_path):
@@ -196,7 +196,7 @@ def test_experiment_points_signature_pins_cache_keys(tmp_path):
     capture = BaselineFirewall(store, mode="capture")
     ExperimentEngine(smoke=True, cache=None, write=False,
                      firewall=capture).run("e1")
-    [experiment] = [record for record in store.records()
+    [experiment] = [record for record in stored_records(store.root)
                     if record.kind == "experiment"]
     # simulate a silent re-keying: the stored signature no longer
     # matches what a fresh run computes

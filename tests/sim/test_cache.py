@@ -37,7 +37,7 @@ from repro.sim.cache import (
 from repro.sim.parallel import ParallelRunner, SimTask
 from repro.sim.runner import simulate
 from repro.workloads import hash_join
-from tests.conftest import small_hierarchy_config
+from tests.conftest import full_state_id, json_files, small_hierarchy_config
 
 
 @pytest.fixture
@@ -192,7 +192,7 @@ def test_store_then_load(tmp_path, config, program):
     key = result_key(config, program, 1_000_000)
     assert cache.load(key) is None
     cache.store(key, result)
-    assert len(cache) == 1
+    assert json_files(tmp_path) == [tmp_path / f"{key}.json"]
     assert_same_point(cache.load(key), result)
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
@@ -256,7 +256,7 @@ def _store_in_image_layout(cache, key, result):
     encoded = encode_value(result)
     encoded["fields"]["state"] = {"__dataclass__": "ArchState", "fields": {
         "regs": result.state.regs,
-        "memory": {"__memory__": sorted(result.state.memory.items())},
+        "memory": {"__memory__": sorted(result.state.memory.snapshot().items())},
         "pc": result.state.pc,
     }}
     payload = {"schema": cache_mod.SIM_SCHEMA_VERSION, "key": key,
@@ -285,21 +285,70 @@ def test_image_layout_entry_is_a_stale_miss(tmp_path, config, program):
 def test_layout_2_entry_is_a_stale_miss(tmp_path, config, program):
     """An entry written before results carried TLB statistics (layout
     2), while cache statistics still had prefetch counters (layout 3),
-    or while in-order results had their own perf counters and CPI stack
-    (layout 4), is a stale miss, and so is one written under an older
+    while in-order results had their own perf counters and CPI stack
+    (layout 4), or while the state digest covered every memory word
+    (layout 5), is a stale miss, and so is one written under an older
     ``SIM_SCHEMA_VERSION``."""
     cache = ResultCache(tmp_path)
     key = result_key(config, program, 1000)
     cache.store(key, simulate(config, program))
     path = tmp_path / f"{key}.json"
     payload = json.loads(path.read_text())
-    assert payload["layout"] == cache_mod.ENTRY_LAYOUT == 5
-    stale = [{"layout": layout} for layout in (2, 3, 4)]
+    assert payload["layout"] == cache_mod.ENTRY_LAYOUT == 6
+    stale = [{"layout": layout} for layout in (2, 3, 4, 5)]
     stale.append({"schema": cache_mod.SIM_SCHEMA_VERSION - 1})
     for loads, fields in enumerate(stale, start=1):
         path.write_text(json.dumps({**payload, **fields}))
         assert cache.load(key) is None
         assert (cache.stats.invalid, cache.stats.misses) == (loads, loads)
+
+
+def test_layout_5_entry_is_an_invalid_miss(tmp_path, config, program):
+    """A layout-5 entry decodes, but its digest covers every memory word
+    of the final state, image words included: it loads as an invalid
+    miss, and the point is re-simulated and its entry overwritten."""
+    cache = ResultCache(tmp_path)
+    task = SimTask(config=config, program=program)
+    result = simulate(config, program)
+    key = result_key(config, program, task.max_instructions)
+    cache.store(key, result)
+    path = tmp_path / f"{key}.json"
+    payload = json.loads(path.read_text())
+    payload["layout"] = 5
+    state = payload["result"]["fields"]["state"]["__state__"]
+    state["digest"] = full_state_id(result.state)
+    assert state["digest"] != result.state.digest()
+    path.write_text(json.dumps(payload))
+
+    assert cache.load(key) is None
+    assert (cache.stats.invalid, cache.stats.misses) == (1, 1)
+    [outcome] = ParallelRunner(cache=cache).run_outcomes([task])
+    assert outcome.ok and not outcome.cached
+    reloaded = ResultCache(tmp_path).load(key)
+    assert reloaded.state.digest() == result.state.digest()
+
+
+def test_two_caches_store_one_key_in_one_directory(tmp_path, config,
+                                                   program):
+    """Each store writes its own hidden temp name and renames it over
+    the entry, so two caches on one directory can store the same key."""
+    result = simulate(config, program)
+    key = result_key(config, program, 1000)
+    first, second = ResultCache(tmp_path), ResultCache(tmp_path)
+    first.store(key, result)
+    second.store(key, result)
+    # No temp file is left beside the entry.
+    assert list(tmp_path.iterdir()) == [tmp_path / f"{key}.json"]
+    assert_same_point(first.load(key), result)
+    assert (first.stats.stores, second.stats.stores) == (1, 1)
+
+
+def test_store_makes_a_missing_directory(tmp_path, config, program):
+    root = tmp_path / "made" / "on" / "first-store"
+    cache = ResultCache(root)
+    key = result_key(config, program, 1000)
+    cache.store(key, simulate(config, program))
+    assert json_files(root) == [root / f"{key}.json"]
 
 
 def test_cache_enabled_by_env(monkeypatch):
@@ -384,7 +433,7 @@ def test_multicore_runs_follow_the_point_cache_gate(tmp_path, monkeypatch,
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     env = BenchEnv(smoke=True)
     env.run_multicore(two_core_run(), machine="2xsst", program="x2")
-    assert len(ResultCache(tmp_path)) == int(gate)
+    assert len(json_files(tmp_path)) == int(gate)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +594,14 @@ def test_codec_store_failure_warns_and_continues(tmp_path, config,
         outcomes = runner.run_outcomes([task])
     assert outcomes[0].ok  # the finished result survived
     assert outcomes[0].result.instructions > 0
-    assert len(ResultCache(tmp_path)) == 0
+    assert json_files(tmp_path) == []
 
     # A multicore run goes through the same helper.
     monkeypatch.delitem(cache_mod._DATACLASSES, "MulticoreResult")
     with pytest.warns(RuntimeWarning, match="cache store failed"):
         result, row = _env_run(ResultCache(tmp_path))
     assert row["cycles"] == result.makespan > 0
-    assert len(ResultCache(tmp_path)) == 0
+    assert json_files(tmp_path) == []
 
 
 def test_disk_store_failure_warns_and_continues(tmp_path, config,
