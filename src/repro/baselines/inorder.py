@@ -32,7 +32,7 @@ class InOrderCore(SSTCore):
     def __init__(self, program: Program, hierarchy: MemoryHierarchy,
                  config: InOrderConfig = InOrderConfig()):
         super().__init__(program, hierarchy, SSTConfig(
-            width=config.width, checkpoints=0, scout_enabled=False,
+            width=config.width, checkpoints=0,
             latencies=config.latencies, predictor=config.predictor,
         ))
 

@@ -7,14 +7,12 @@ rename + ROB + issue-queue + LSQ machine:
   instruction's* completion time, so false dependences never stall —
   exactly what a physical rename stage buys.
 * **ROB**: instruction ``i`` cannot dispatch until ``i - rob_size`` has
-  committed; commit is in order and ``commit_width`` per cycle.
-* **Issue queue**: entry held from dispatch to issue; ``issue_width``
+  committed; commit is in order and ``width`` per cycle.
+* **Issue queue**: entry held from dispatch to issue; ``width``
   instructions start execution per cycle.
-* **LSQ**: memory ops hold an entry to commit; loads either wait for
-  all older store addresses (conservative) or, with
-  ``perfect_disambiguation``, only for a same-address store's data
-  (oracle forwarding — an upper bound that makes the SST comparison
-  conservative).
+* **LSQ**: memory ops hold an entry to commit; a load waits for every
+  older store's address (conservative disambiguation) and forwards
+  from the youngest same-address store still in flight.
 * **Branches** resolve at execute; a mispredict moves fetch to
   resolution plus the redirect penalty.
 
@@ -30,7 +28,7 @@ K-entry window holds no more than K instructions, and the one a
 dispatch must wait for is the oldest, ``n - K``.
 
 The front end never stalls on a full window: the fetch cursor runs at
-``fetch_width`` per cycle whatever dispatch does, and only a
+``width`` per cycle whatever dispatch does, and only a
 mispredict moves it (to the redirect cycle).  A window's
 ``stall_cycles`` and ``branch_redirect_cycles`` are measured from the
 fetch cursor, so both grow with the cursor's lag behind dispatch and
@@ -123,13 +121,11 @@ class OoOCore(Core):
         #   module docstring): a dispatch waits for the release of the
         #   entry it takes, and one that waits counts one
         #   ``full_stalls`` and its wait in ``stall_cycles``.
-        fetch_width = config.fetch_width
+        width = config.width
         fetch_cursor = 0  # forward-moving bandwidth cursor
         fetch_used = 0
-        commit_width = config.commit_width
         commit_cursor = 0  # never behind last_commit
         commit_used = 0
-        issue_width = config.issue_width
         issue_used: Dict[int, int] = {}  # cycle -> issue ports claimed
         issue_claims = issue_used.get
         issue_prune_at = CLAIM_PRUNE_MIN
@@ -164,7 +160,6 @@ class OoOCore(Core):
         lat_alu = latencies.alu
         lat_mul = latencies.mul
         lat_div = latencies.div
-        perfect_disambiguation = config.perfect_disambiguation
         K_MUL = blockcache.K_MUL
         K_DIV = blockcache.K_DIV
         K_LOAD = blockcache.K_LOAD
@@ -211,7 +206,7 @@ class OoOCore(Core):
             # ---- front end -------------------------------------------
             dispatch = fetch_cursor  # the fetch slot
             fetch_used += 1
-            if fetch_used >= fetch_width:
+            if fetch_used >= width:
                 fetch_cursor += 1
                 fetch_used = 0
                 if len(issue_used) >= issue_prune_at:
@@ -317,9 +312,8 @@ class OoOCore(Core):
                 ordered = ready
                 if mem_order_barrier > ordered:
                     ordered = mem_order_barrier
-                if not perfect_disambiguation:
-                    if latest_store_ready > ordered:
-                        ordered = latest_store_ready
+                if latest_store_ready > ordered:
+                    ordered = latest_store_ready
                 if ordered > ready:
                     mem_order_wait += ordered - ready
                     ready = ordered
@@ -330,7 +324,7 @@ class OoOCore(Core):
 
             slot = ready
             claimed = issue_claims(slot, 0)
-            while claimed >= issue_width:
+            while claimed >= width:
                 slot += 1
                 claimed = issue_claims(slot, 0)
             issue_used[slot] = claimed + 1
@@ -432,7 +426,7 @@ class OoOCore(Core):
                 commit_used = 0
             commit_time = commit_cursor
             commit_used += 1
-            if commit_used >= commit_width:
+            if commit_used >= width:
                 commit_cursor += 1
                 commit_used = 0
             if sanitizer is not None:

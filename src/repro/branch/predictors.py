@@ -96,8 +96,6 @@ class GSharePredictor(DirectionPredictor):
 
 
 def make_direction_predictor(config: BranchPredictorConfig) -> DirectionPredictor:
-    if config.kind is PredictorKind.ALWAYS_TAKEN:
-        return StaticPredictor(True)
     if config.kind is PredictorKind.ALWAYS_NOT_TAKEN:
         return StaticPredictor(False)
     if config.kind is PredictorKind.BIMODAL:

@@ -129,7 +129,6 @@ class HierarchyConfig:
 
 
 class PredictorKind(enum.Enum):
-    ALWAYS_TAKEN = "taken"
     ALWAYS_NOT_TAKEN = "not_taken"
     BIMODAL = "bimodal"
     GSHARE = "gshare"
@@ -190,25 +189,20 @@ class InOrderConfig:
 class OoOConfig:
     """Classical out-of-order core: rename + ROB + IQ + LSQ.
 
-    This is the paper's comparator.  ``perfect_disambiguation`` lets the
-    LSQ speculate loads past unresolved stores with an oracle (an upper
-    bound for the OoO core, making the SST comparison conservative).
+    This is the paper's comparator.  ``width`` instructions are fetched,
+    issued and committed per cycle, and the LSQ is conservative: a load
+    waits for every older store's address.
     """
 
-    fetch_width: int = 4
-    issue_width: int = 4
-    commit_width: int = 4
+    width: int = 4
     rob_size: int = 128
     iq_size: int = 48
     lsq_size: int = 48
     latencies: LatencyConfig = LatencyConfig()
     predictor: BranchPredictorConfig = BranchPredictorConfig()
-    perfect_disambiguation: bool = False
 
     def __post_init__(self) -> None:
-        _require(self.fetch_width >= 1, "fetch_width must be >= 1")
-        _require(self.issue_width >= 1, "issue_width must be >= 1")
-        _require(self.commit_width >= 1, "commit_width must be >= 1")
+        _require(self.width >= 1, "width must be >= 1")
         _require(self.rob_size >= 2, "rob_size must be >= 2")
         _require(self.iq_size >= 1, "iq_size must be >= 1")
         _require(self.lsq_size >= 1, "lsq_size must be >= 1")
@@ -227,14 +221,16 @@ class DeferTrigger(enum.Enum):
 class SSTConfig:
     """The SST/ROCK core (the paper's contribution).
 
-    * ``checkpoints=0`` with ``scout_enabled=False`` degenerates to the
-      plain in-order pipeline.
+    * ``checkpoints=0`` degenerates to the plain in-order pipeline.
     * ``checkpoints=1, scout_only=True`` is hardware scout (run ahead
       purely for prefetch, always roll back).
     * ``checkpoints=1`` is execute-ahead (EA): replay stalls the ahead
       strand.
     * ``checkpoints>=2`` is full SST: the deferred strand replays
       *simultaneously* with continued ahead execution.
+
+    A full deferred queue or store buffer always degrades the episode to
+    scout, as in ROCK.
     """
 
     width: int = 2
@@ -245,17 +241,10 @@ class SSTConfig:
     # Treat a data-TLB miss (table walk) as a deferrable event, like
     # ROCK does; only meaningful when the hierarchy models a TLB.
     defer_on_tlb_miss: bool = True
-    scout_enabled: bool = True
     scout_only: bool = False
     # Let loads speculatively bypass older unresolved (deferred) stores,
     # validating at replay; False defers such loads conservatively.
     bypass_unresolved_stores: bool = True
-    # Pipeline-flush cost of a failed speculation (checkpoint restore).
-    rollback_penalty: int = 8
-    # Cost of taking a register checkpoint (flash copy; ~free in ROCK).
-    checkpoint_latency: int = 1
-    # Stores drained from the speculative store buffer per cycle at commit.
-    commit_drain_per_cycle: int = 2
     latencies: LatencyConfig = LatencyConfig()
     predictor: BranchPredictorConfig = BranchPredictorConfig()
 
@@ -264,15 +253,8 @@ class SSTConfig:
         _require(self.checkpoints >= 0, "checkpoints must be >= 0")
         _require(self.dq_size >= 1, "dq_size must be >= 1")
         _require(self.sb_size >= 1, "sb_size must be >= 1")
-        _require(self.rollback_penalty >= 0, "rollback_penalty must be >= 0")
-        _require(self.checkpoint_latency >= 0, "checkpoint_latency must be >= 0")
-        _require(self.commit_drain_per_cycle >= 1,
-                 "commit_drain_per_cycle must be >= 1")
         if self.scout_only:
             _require(self.checkpoints >= 1, "scout needs one checkpoint")
-        if self.checkpoints == 0:
-            _require(not self.scout_only,
-                     "scout_only requires at least one checkpoint")
 
     @property
     def mode_name(self) -> str:
@@ -380,9 +362,8 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
     return MachineConfig(
         core_kind=CoreKind.OOO,
         hierarchy=hierarchy,
-        ooo=OoOConfig(fetch_width=width, issue_width=width,
-                      commit_width=width, rob_size=rob_size,
-                      iq_size=iq, lsq_size=lsq),
+        ooo=OoOConfig(width=width, rob_size=rob_size, iq_size=iq,
+                      lsq_size=lsq),
         name=f"ooo-{width}w-rob{rob_size}",
     )
 

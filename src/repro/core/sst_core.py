@@ -71,6 +71,12 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.request import AccessResult, AccessType, HitLevel
 
 FORWARD_LATENCY = 1
+# Pipeline-flush cost of a failed speculation (checkpoint restore).
+ROLLBACK_PENALTY = 8
+# Cost of taking a register checkpoint (a flash copy, nearly free in ROCK).
+CHECKPOINT_LATENCY = 1
+# Stores drained from the speculative store buffer per cycle at commit.
+COMMIT_DRAIN_PER_CYCLE = 2
 
 # Ahead-strand issue attempt outcomes.
 _ISSUED = "issued"
@@ -685,7 +691,7 @@ class SSTCore(Core):
         self._scout_stores = {}
         self._ahead_pc = self._pc
         self._ahead_block = None
-        self._ahead_barrier = trigger_slot + self.config.checkpoint_latency
+        self._ahead_barrier = trigger_slot + CHECKPOINT_LATENCY
         self._replay_no_boundary = False
         if trigger_rd != ZERO_REG:
             spec.write_na(trigger_rd, seq)
@@ -750,8 +756,6 @@ class SSTCore(Core):
         self._commit_stall = None
         earliest = self._min_outstanding(self._cycle)
         self._scout_end = earliest if earliest is not None else self._cycle
-        if self._ahead_block in ("dq_full", "sb_full"):
-            self._ahead_block = None
 
     def _teardown_episode(self) -> None:
         if self.sanitizer is not None:
@@ -797,7 +801,7 @@ class SSTCore(Core):
         self._pc = target.pc
         self._suppress_pc = target.pc
         self._suppress_seq = target.start_seq
-        restart = cycle + self.config.rollback_penalty
+        restart = cycle + ROLLBACK_PENALTY
         self._cycle = max(self._cycle, cycle)
         self._account_mode_cycles(restart)
         self._cycle = restart
@@ -822,7 +826,7 @@ class SSTCore(Core):
             self.state.memory.write(entry.addr, entry.value)
             self.hierarchy.data_access(entry.addr, at, AccessType.STORE)
             drained_this_cycle += 1
-            if drained_this_cycle >= self.config.commit_drain_per_cycle:
+            if drained_this_cycle >= COMMIT_DRAIN_PER_CYCLE:
                 at += 1
                 drained_this_cycle = 0
         self._drain_busy = max(self._drain_busy, at)
@@ -1227,14 +1231,14 @@ class SSTCore(Core):
             if entry.rs1_producer is None and entry.rs1_value is not None:
                 spec_addr = effective_address(entry.rs1_value, inst.imm)
             if self.sb.full:
-                return self._exhausted("sb_full", ScoutCause.SB_FULL)
+                return self._exhausted(ScoutCause.SB_FULL)
             if self.dq.full:
-                return self._exhausted("dq_full", ScoutCause.DQ_FULL)
+                return self._exhausted(ScoutCause.DQ_FULL)
             self.sb.append_unresolved(seq, spec_addr)
             self.dq.append(entry)
         else:
             if not self.dq.append(entry):
-                return self._exhausted("dq_full", ScoutCause.DQ_FULL)
+                return self._exhausted(ScoutCause.DQ_FULL)
         self._enqueue_replay(entry)
         sanitizer = self.sanitizer
         if sanitizer is not None:
@@ -1274,10 +1278,7 @@ class SSTCore(Core):
         self._ahead_pc = next_pc
         return self._consume_slot(cycle)
 
-    def _exhausted(self, block: str,
-                   cause: ScoutCause) -> Tuple[str, Optional[int]]:
-        if self.config.scout_enabled:
-            self._enter_scout(cause)
-            return _RETRY, None
-        self._ahead_block = block
-        return _BLOCKED, None
+    def _exhausted(self, cause: ScoutCause) -> Tuple[str, Optional[int]]:
+        """A full DQ or store buffer: the episode degrades to scout."""
+        self._enter_scout(cause)
+        return _RETRY, None

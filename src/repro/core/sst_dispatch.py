@@ -7,8 +7,8 @@ modelling, bounded throughput.  This module emits the loop as Python
 source and ``exec``-compiles it once per configuration signature; it is
 :class:`~repro.core.sst_core.SSTCore`'s only episode loop:
 
-* configuration-invariant branches (scout enabled?  store bypass?
-  defer trigger level?) are pruned at generation time;
+* configuration-invariant branches (store bypass?  defer trigger
+  level?) are pruned at generation time;
 * width, latencies and the mispredict penalty are baked in as integer
   literals;
 * the ahead-strand fast paths (ALU, load, store, branch, jumps), slot
@@ -463,8 +463,8 @@ def _taint_hook(pad: str, call: str, instrumented: bool) -> str:
     )
 
 
-def _build_source(width: int, scout_possible: bool, scout_enabled: bool,
-                  bypass: bool, defer_tlb: bool, defer_l1: bool,
+def _build_source(width: int, bypass: bool, defer_tlb: bool,
+                  defer_l1: bool,
                   lat_alu: int, lat_mul: int, lat_div: int,
                   penalty: int, instrumented: bool = False) -> str:
     trig = _triggering(defer_tlb, defer_l1, "result")
@@ -537,8 +537,7 @@ def _sst_spec_loop(core, budget, until):
 """)
     # A cycle that starts in scout breaks out to the scout section,
     # which follows this loop; so does a mid-cycle scout entry.
-    if scout_possible:
-        emit(f"""\
+    emit(f"""\
         if mode is SCOUT:
             if cycle >= core._scout_end:
                 core._rollback(cycle, None)
@@ -607,18 +606,9 @@ def _sst_spec_loop(core, budget, until):
         opened_from = cycle
         while seq < seq_stop:
             seq_bound = seq_stop if seq_stop < seq_limit else seq_limit
-            block = core._ahead_block
-            if block is not None:
-                if block == "dq_full":
-                    stay = dq.full or core._replay_no_boundary
-                elif block == "sb_full":
-                    stay = sb.full or core._replay_no_boundary
-                else:
-                    stay = True
-                if stay:
-{_budget_check(' ' * 20)}\
-                    break
-                core._ahead_block = None
+            if core._ahead_block is not None:
+{_budget_check(' ' * 16)}\
+                break
             if cycle < barrier:
 {_budget_check(' ' * 16)}\
                 if wake_min is None or barrier < wake_min:
@@ -715,10 +705,6 @@ def _sst_spec_loop(core, budget, until):
 """)
     # STORE: a full store buffer enters scout mid-cycle, which breaks
     # out to finish the cycle in the scout section.
-    if scout_enabled:
-        store_full = "                        core._enter_scout(SB_FULL)\n"
-    else:
-        store_full = "                        core._ahead_block = \"sb_full\"\n"
     emit(f"""\
                 elif kind == {K_STORE}:
                     addr = (spec_values[rs1] + imm) & {_M}
@@ -726,7 +712,7 @@ def _sst_spec_loop(core, budget, until):
                         core._ahead_block = "fault"
                         break
                     if not sb_append_resolved(seq, addr, spec_values[rs2]):
-{store_full}\
+                        core._enter_scout(SB_FULL)
                         break
                 elif kind == {K_PREFETCH}:
                     addr = (spec_values[rs1] + imm) & {_M}
@@ -779,9 +765,6 @@ def _sst_spec_loop(core, budget, until):
             perf.cycles_stepped += cycle - opened_from - (
                 opened_from == core._perf_stepped_cycle)
             core._perf_stepped_cycle = cycle - 1
-""")
-    if scout_enabled:
-        emit("""\
         if core.mode is SCOUT:
             budget_left = seq_stop - seq
             break
@@ -807,9 +790,8 @@ def _sst_spec_loop(core, budget, until):
 """)
     emit(_end_cycle(" " * 8, "issued_replay or issued_ahead", "core._",
                     instrumented))
-    if scout_possible:
-        emit(_scout_section(width, trig, instrumented, lat_alu, lat_mul,
-                            lat_div))
+    emit(_scout_section(width, trig, instrumented, lat_alu, lat_mul,
+                        lat_div))
     return "".join(out)
 
 
@@ -892,9 +874,8 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
     opened_from = cycle
     while True:
         # Checked once per cycle: inside a session only a fault sets the
-        # block (_enter_scout clears the structural ones, and the strand
-        # was issuing when it began), a fault ends the issue loop, and
-        # scout never moves the barrier.
+        # block (the strand was issuing when the session began), a fault
+        # ends the issue loop, and scout never moves the barrier.
         if core._ahead_block is None:
             if cycle < barrier:
                 if wake_min is None or barrier < wake_min:
@@ -1052,8 +1033,7 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
     tracker is attached.
     """
     latencies = config.latencies
-    key = (config.width, config.scout_enabled, config.scout_only,
-           config.bypass_unresolved_stores,
+    key = (config.width, config.bypass_unresolved_stores,
            config.defer_on_tlb_miss, config.defer_trigger,
            latencies.alu, latencies.mul, latencies.div,
            mispredict_penalty, instrumented)
@@ -1063,8 +1043,6 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
 
     source = _build_source(
         width=config.width,
-        scout_possible=config.scout_enabled or config.scout_only,
-        scout_enabled=config.scout_enabled,
         bypass=config.bypass_unresolved_stores,
         defer_tlb=config.defer_on_tlb_miss,
         defer_l1=config.defer_trigger is DeferTrigger.L1_MISS,

@@ -53,7 +53,7 @@ def inorder_area(config: InOrderConfig,
 def ooo_area(config: OoOConfig,
              weights: AreaWeights = AreaWeights()) -> float:
     base = (weights.inorder_base
-            + (config.issue_width - 1) * weights.per_extra_width)
+            + (config.width - 1) * weights.per_extra_width)
     return (base
             + weights.rename_table
             + config.rob_size * weights.rob_per_entry

@@ -12,7 +12,7 @@ reusable discovery engine:
 * :func:`build_program` — deterministic shape → :class:`Program`
   (proglint-clean by construction),
 * :func:`differential_check` — one program through every core factory
-  (in-order, two OoO variants, four SST variants, scout-only) and an
+  (in-order, OoO, three SST variants, scout-only) and an
   instrumented SST leg (the default SST config with the sanitizer and
   the taint tracker attached, which must also match the plain SST
   leg's cycles); any divergence, or a run that wrote through to the
@@ -95,16 +95,11 @@ CORE_FACTORIES: List[Tuple[str, Callable]] = [
     ("inorder", lambda p, h: InOrderCore(p, h, InOrderConfig())),
     ("ooo", lambda p, h: OoOCore(p, h, OoOConfig(
         rob_size=32, iq_size=16, lsq_size=2))),
-    ("ooo-oracle", lambda p, h: OoOCore(p, h, OoOConfig(
-        rob_size=64, iq_size=21, lsq_size=21,
-        perfect_disambiguation=True))),
     ("sst", lambda p, h: SSTCore(p, h, SSTConfig())),
     ("ea-conservative", lambda p, h: SSTCore(p, h, SSTConfig(
         checkpoints=1, bypass_unresolved_stores=False))),
     ("sst-stressed", lambda p, h: SSTCore(p, h, SSTConfig(
         checkpoints=3, dq_size=3, sb_size=2))),
-    ("sst-stall", lambda p, h: SSTCore(p, h, SSTConfig(
-        dq_size=4, sb_size=4, scout_enabled=False))),
     ("scout-only", lambda p, h: SSTCore(p, h, SSTConfig(
         checkpoints=1, scout_only=True))),
 ]

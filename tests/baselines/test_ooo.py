@@ -67,20 +67,6 @@ def test_rob_size_bounds_overlap():
     assert large.cycles < small.cycles * 0.7
 
 
-def test_conservative_loads_wait_for_store_addresses():
-    source = """
-        movi r1, 0x100000
-        movi r2, 0x200000
-        movi r3, 7
-        st   r3, 0(r1)
-        ld   r4, 0(r2)
-        halt
-    """
-    conservative = run(source, OoOConfig(perfect_disambiguation=False))
-    oracle = run(source, OoOConfig(perfect_disambiguation=True))
-    assert oracle.cycles <= conservative.cycles
-
-
 STORE_FORWARDING = """
     movi r1, 0x100000
     movi r2, 42
@@ -142,12 +128,10 @@ def test_wide_beats_narrow_on_ilp():
     source = "\n".join(
         f"movi r{1 + i % 8}, {i}" for i in range(64)
     ) + "\nhalt"
-    narrow = run(source, OoOConfig(fetch_width=1, issue_width=1,
-                                   commit_width=1, rob_size=32,
-                                   iq_size=16, lsq_size=16))
-    wide = run(source, OoOConfig(fetch_width=4, issue_width=4,
-                                 commit_width=4, rob_size=32,
-                                 iq_size=16, lsq_size=16))
+    narrow = run(source, OoOConfig(width=1, rob_size=32, iq_size=16,
+                                   lsq_size=16))
+    wide = run(source, OoOConfig(width=4, rob_size=32, iq_size=16,
+                                 lsq_size=16))
     assert wide.cycles < narrow.cycles
 
 

@@ -63,9 +63,9 @@ def test_factory():
 
 
 def test_resolve_cond_counts_mispredicts():
-    branch_unit = unit(kind=PredictorKind.ALWAYS_TAKEN)
-    assert branch_unit.resolve_cond(0, taken=False) is True
-    assert branch_unit.resolve_cond(0, taken=True) is False
+    branch_unit = unit(kind=PredictorKind.ALWAYS_NOT_TAKEN)
+    assert branch_unit.resolve_cond(0, taken=True) is True
+    assert branch_unit.resolve_cond(0, taken=False) is False
     stats = branch_unit.stats
     assert stats.cond_predictions == 2
     assert stats.cond_mispredicts == 1

@@ -62,22 +62,39 @@ def test_observers_select_the_instrumented_generated_loop(monkeypatch):
 
 def test_generated_sources_name_no_kind_code():
     """The kind codes and ``NO_WAKE`` are literals in every source the
-    loop generator emits: each combination of its flags, so each loop a
-    smoke run (or any run) compiles, at widths 1, 2 and 4."""
+    loop generator emits: each combination of its four flags, so each
+    loop a smoke run (or any run) compiles, at widths 1, 2 and 4."""
     import itertools
     import re
 
     from repro.core import sst_core
 
     names = re.compile(r"\b(K_[A-Z_]+|NO_WAKE)\b")
-    for width, *flags in itertools.product((1, 2, 4), *[(False, True)] * 6):
-        scout_possible, scout_enabled, bypass, tlb, l1, instrumented = flags
+    sources = set()
+    for width, *flags in itertools.product((1, 2, 4), *[(False, True)] * 4):
+        bypass, tlb, l1, instrumented = flags
         source = sst_dispatch._build_source(
-            width, scout_possible, scout_possible and scout_enabled, bypass,
-            tlb, l1, lat_alu=1, lat_mul=3, lat_div=20, penalty=5,
-            instrumented=instrumented)
+            width, bypass, tlb, l1, lat_alu=1, lat_mul=3, lat_div=20,
+            penalty=5, instrumented=instrumented)
         assert names.search(source) is None, (width, flags)
         assert f"core._commit_stall = {sst_core._NO_WAKE}" in source
+        sources.add(source)
+    assert len(sources) == 48
+
+
+def test_scout_ea_and_sst_of_one_width_share_a_loop():
+    """The loop's flags name no speculation policy, so the scout, EA
+    and SST presets of one width run one generated loop."""
+    from repro.config import ea_machine, scout_machine, sst_machine
+
+    for width in (1, 2, 4):
+        loops = {
+            SSTCore(assemble("halt"),
+                    MemoryHierarchy(small_hierarchy_config()),
+                    preset(width=width).sst)._spec_loop_fn
+            for preset in (scout_machine, ea_machine, sst_machine)
+        }
+        assert len(loops) == 1, width
 
 
 def test_checkpoint_free_cores_generate_no_loop(monkeypatch,
@@ -214,12 +231,13 @@ def _probe_loop_program(probes=48):
 def test_sst_beats_ea_on_independent_miss_loop():
     # Enough probes that the DQ fills while misses are outstanding:
     # EA must pause the ahead strand to drain it, SST drains while the
-    # ahead strand keeps issuing new probes.
+    # ahead strand keeps issuing new probes.  Both reach scout when the
+    # DQ fills before a drain.
     program = _probe_loop_program(probes=150)
-    ea = run(program, SSTConfig(checkpoints=1, dq_size=48, sb_size=32,
-                                scout_enabled=False), mshr=32)
-    sst = run(program, SSTConfig(checkpoints=2, dq_size=48, sb_size=32,
-                                 scout_enabled=False), mshr=32)
+    ea = run(program, SSTConfig(checkpoints=1, dq_size=48, sb_size=32),
+             mshr=32)
+    sst = run(program, SSTConfig(checkpoints=2, dq_size=48, sb_size=32),
+              mshr=32)
     assert sst.cycles < ea.cycles
     assert sst_stats(sst).region_commits >= 1
     assert sst_stats(ea).region_commits == 0
@@ -294,7 +312,7 @@ def test_scout_still_beats_inorder_via_warm_cache():
 
 
 # ----------------------------------------------------------------------
-# Resource exhaustion -> scout (or stall with scout disabled).
+# Resource exhaustion -> scout.
 # ----------------------------------------------------------------------
 
 def _scout_timing(result):
@@ -334,20 +352,12 @@ def test_sb_overflow_enters_scout():
               "replay_only": 0, "scout": 218}, 31, 200, 3)
 
 
-def test_scout_disabled_stalls_instead():
-    program = _probe_loop_program(probes=32)
-    result = run(program, SSTConfig(checkpoints=2, dq_size=4, sb_size=32,
-                                    scout_enabled=False))
-    stats = sst_stats(result)
-    assert stats.total_scout_sessions == 0
-    assert stats.full_commits + stats.region_commits >= 1
-
-
 def test_tiny_dq_still_correct_with_and_without_scout():
+    """A one-entry DQ and store buffer send nearly every episode to
+    scout, and the run still ends in the golden state."""
     program = _probe_loop_program(probes=40)
-    for scout_enabled in (True, False):
-        run(program, SSTConfig(checkpoints=2, dq_size=1, sb_size=1,
-                               scout_enabled=scout_enabled))
+    result = run(program, SSTConfig(checkpoints=2, dq_size=1, sb_size=1))
+    assert sst_stats(result).scout_sessions[ScoutCause.DQ_FULL] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -383,14 +393,6 @@ def test_deferred_branch_mispredict_rolls_back():
     assert stats.fails[FailCause.DEFERRED_BRANCH_MISPREDICT] == 1
     assert stats.discarded_insts > 0
     assert result.state.regs[3] == 7  # correct path after rollback
-
-
-def test_rollback_penalty_costs_cycles():
-    cheap = run(BRANCH_ON_MISS.replace("%VALUE%", "0"),
-                SSTConfig(rollback_penalty=0))
-    costly = run(BRANCH_ON_MISS.replace("%VALUE%", "0"),
-                 SSTConfig(rollback_penalty=64))
-    assert costly.cycles >= cheap.cycles
 
 
 def test_wrong_path_fault_is_contained():

@@ -86,7 +86,7 @@ CONFIGS = [
     SSTConfig(checkpoints=1, dq_size=4, sb_size=2),
     SSTConfig(checkpoints=4, dq_size=6, sb_size=3,
               bypass_unresolved_stores=True),
-    SSTConfig(checkpoints=2, dq_size=8, sb_size=4, scout_enabled=False),
+    SSTConfig(checkpoints=2, dq_size=8, sb_size=4),
 ]
 
 

@@ -82,9 +82,8 @@ def test_a_run_that_writes_through_to_the_image_is_a_verdict(monkeypatch):
 
 def test_core_factories_cover_all_machine_variants():
     names = [name for name, _ in CORE_FACTORIES]
-    assert names == ["inorder", "ooo", "ooo-oracle", "sst",
-                     "ea-conservative", "sst-stressed", "sst-stall",
-                     "scout-only"]
+    assert names == ["inorder", "ooo", "sst", "ea-conservative",
+                     "sst-stressed", "scout-only"]
 
 
 def test_corrupt_flips_exactly_the_first_sub():
