@@ -38,10 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.baselines.core_base import (
-    CoreResult,
-    DEFAULT_MAX_INSTRUCTIONS,
-)
+from repro.baselines.core_base import CoreResult
 from repro.cmp.multicore import Multicore, MulticoreResult
 from repro.config import (
     CacheConfig,
@@ -192,19 +189,20 @@ class BenchEnv:
 
     def run_multicore(self, multicore: Multicore, *,
                       machine: str, program: str) -> MulticoreResult:
-        """One interleaved multiprogrammed run, through the result
-        cache, and a record of its aggregate.
+        """One interleaved multiprogrammed run at this environment's
+        instruction budget, through the result cache, and a record of
+        its aggregate.
 
         The run is looked up under :func:`multicore_key` (its full input
         set, which is also its baseline semantic ID) before anything is
         simulated, and stored after a miss, under the same gates as a
         point.  On a hit every core's state is a ``CachedState``.
         """
-        key = multicore_key(multicore, DEFAULT_MAX_INSTRUCTIONS)
+        key = multicore_key(multicore, self.max_instructions)
         result = (self.cache.load(key, MulticoreResult)
                   if self.cache is not None else None)
         if result is None:
-            result = multicore.run()
+            result = multicore.run(self.max_instructions)
             if self.cache is not None:
                 self.cache.store_or_warn(key, result,
                                          f"{machine}/{program}")
@@ -221,7 +219,7 @@ class BenchEnv:
         if self.firewall is not None:
             self.firewall.observe_multicore(
                 multicore, result, machine=machine, program=program,
-                max_instructions=DEFAULT_MAX_INSTRUCTIONS,
+                max_instructions=self.max_instructions,
             )
         return result
 

@@ -4,9 +4,11 @@ capture, and the addressing invariant."""
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
+from repro.experiments.bench_env import DEFAULT_BENCH_MAX_INSTRUCTIONS
 from repro.regress.records import (
     BaselineRecord,
     BaselineSchemaError,
@@ -14,6 +16,10 @@ from repro.regress.records import (
 )
 from repro.regress.semid import dump_stable
 from repro.regress.store import BaselineStore
+from tests.conftest import stored_records
+
+# The governed smoke corpus committed with the repository.
+CORPUS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
 def make_record(semid: str = "a" * 64, cycles: int = 100,
@@ -119,3 +125,21 @@ def test_renamed_record_file_is_rejected(store):
     with pytest.raises(BaselineSchemaError,
                        match="`repro baseline capture` rewrites it"):
         store.load("c" * 64)
+
+
+# -- the committed corpus ---------------------------------------------------
+
+
+def test_committed_records_name_the_capture_budget():
+    """``repro baseline capture`` runs every experiment at the default
+    budget, so every committed record, multicore runs included, was
+    keyed and simulated at it."""
+    records = stored_records(CORPUS)
+    assert records
+    off_budget = sorted(
+        f"{record.kind} {record.scenario.get('machine')}: "
+        f"{record.scenario['max_instructions']}"
+        for record in records
+        if record.scenario["max_instructions"]
+        != DEFAULT_BENCH_MAX_INSTRUCTIONS)
+    assert off_budget == []

@@ -10,7 +10,7 @@ import shutil
 import pytest
 
 import repro.sim.cache as cache_mod
-from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
+from repro.baselines.core_base import CoreResult
 from repro.cmp.multicore import Multicore, MulticoreResult
 from repro.config import (
     SSTConfig,
@@ -20,8 +20,8 @@ from repro.config import (
     sst_machine,
 )
 from repro.core.sst_core import SSTCore
-from repro.errors import ReproError
-from repro.experiments.bench_env import BenchEnv
+from repro.errors import ExecutionError, ReproError
+from repro.experiments.bench_env import BenchEnv, DEFAULT_BENCH_MAX_INSTRUCTIONS
 from repro.isa.interpreter import CachedState
 from repro.memory.sparse_memory import SparseMemory
 from repro.memory.tlb import TLBStats
@@ -399,12 +399,22 @@ def _env_run(cache):
     return result, row
 
 
+def test_multicore_run_takes_the_environment_budget():
+    """A multicore run is keyed and simulated at the environment's
+    instruction budget, like a point: a budget too small for the
+    program stops the run."""
+    env = BenchEnv(smoke=True, cache=None, max_instructions=100)
+    with pytest.raises(ExecutionError, match="exceeded 100 instructions"):
+        env.run_multicore(two_core_run(), machine="2xsst",
+                          program="db-hashjoin x2")
+
+
 def test_warm_multicore_run_does_zero_resimulation(tmp_path, monkeypatch):
     cold_cache = ResultCache(tmp_path)
     cold, cold_row = _env_run(cold_cache)
     assert (cold_cache.stats.misses, cold_cache.stats.stores) == (1, 1)
     assert cold_row["key"] == multicore_key(two_core_run(),
-                                            DEFAULT_MAX_INSTRUCTIONS)
+                                            DEFAULT_BENCH_MAX_INSTRUCTIONS)
 
     def _boom(*args, **kwargs):
         raise AssertionError("warm cache run re-simulated a multicore run")
