@@ -81,7 +81,7 @@ COMMIT_DRAIN_PER_CYCLE = 2
 # Ahead-strand issue attempt outcomes.
 _ISSUED = "issued"
 _BLOCKED = "blocked"
-_RETRY = "retry"  # mode changed (e.g. entered scout); try again
+_RETRY = "retry"  # entered scout; the cycle finishes there
 
 # Sentinel wake for "blocked until a state change, not by time" in the
 # replay/commit stall caches (far beyond any simulated cycle).

@@ -464,8 +464,7 @@ def _taint_hook(pad: str, call: str, instrumented: bool) -> str:
 
 
 def _build_source(width: int, bypass: bool, defer_tlb: bool,
-                  defer_l1: bool,
-                  lat_alu: int, lat_mul: int, lat_div: int,
+                  defer_l1: bool, lat_alu: int, lat_mul: int, lat_div: int,
                   penalty: int, instrumented: bool = False) -> str:
     trig = _triggering(defer_tlb, defer_l1, "result")
     conservative = "False" if bypass else "True"

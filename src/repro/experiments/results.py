@@ -16,7 +16,7 @@ experiment's text table under ``benchmarks/results/``:
       "table": {"title": "...", "columns": [...], "rows": [[...], ...],
                 "rendered": "..."},   # rendered == the .txt file body
       "metrics": {...},             # experiment-specific, JSON values only
-      "points": [{"machine": ..., "program": ..., "key": <sha256|null>,
+      "points": [{"machine": ..., "program": ..., "key": <sha256>,
                   "cycles": ..., "instructions": ..., "ipc": ...,
                   "wall_seconds": ..., "perf": {...}|null}, ...],
       "expectations": [{"name": ..., "description": ...,
@@ -27,8 +27,10 @@ experiment's text table under ``benchmarks/results/``:
 ``points[*].key`` is the content hash addressing the point in the
 simulation result cache — a fingerprint of (machine config, program,
 instruction budget) — so two documents disagreeing on a metric can be
-traced to *which* simulation inputs differed.  Interleaved multicore
-points carry ``key: null`` (they are not single-config cacheable).
+traced to *which* simulation inputs differed.  An interleaved multicore
+point carries its ``multicore_key`` (the shared hierarchy, every core's
+config and program, the quantum, L1 sharing and the budget), which
+addresses the run's cache entry the same way.
 
 The documents are consumed by ``repro experiments report`` and the
 repo-hygiene tests; bump :data:`RESULT_SCHEMA_VERSION` on any layout

@@ -353,8 +353,8 @@ def test_sb_overflow_enters_scout():
 
 
 def test_tiny_dq_still_correct_with_and_without_scout():
-    """A one-entry DQ and store buffer send nearly every episode to
-    scout, and the run still ends in the golden state."""
+    """A one-entry DQ and store buffer fill at once, so episodes
+    degrade to scout, and the run still ends in the golden state."""
     program = _probe_loop_program(probes=40)
     result = run(program, SSTConfig(checkpoints=2, dq_size=1, sb_size=1))
     assert sst_stats(result).scout_sessions[ScoutCause.DQ_FULL] >= 1
