@@ -67,12 +67,8 @@ from repro.sim import (
     ResultCache,
     SIM_SCHEMA_VERSION,
     SimTask,
-    compare_machines,
-    run_simulations,
     simulate,
     speedup_table,
-    sweep,
-    sweep_many,
     verify_against_golden,
 )
 from repro.stats import Table, geomean
@@ -119,8 +115,7 @@ __all__ = [
     "Multicore", "MulticoreResult", "build_shared_hierarchies",
     # simulation
     "Machine", "ParallelRunner", "ResultCache", "SIM_SCHEMA_VERSION",
-    "SimTask", "compare_machines", "run_simulations", "simulate",
-    "speedup_table", "sweep", "sweep_many", "verify_against_golden",
+    "SimTask", "simulate", "speedup_table", "verify_against_golden",
     # stats
     "Table", "geomean",
     # workloads

@@ -31,7 +31,6 @@ class BasicBlock:
     start: int
     end: int
     successors: List[int] = dataclasses.field(default_factory=list)
-    predecessors: List[int] = dataclasses.field(default_factory=list)
 
     def pcs(self) -> range:
         return range(self.start, self.end)
@@ -112,7 +111,6 @@ class CFG:
                 if succ not in seen:
                     seen.add(succ)
                     block.successors.append(succ)
-                    self.blocks[succ].predecessors.append(block.index)
 
     def reachable(self) -> List[bool]:
         """Blocks reachable from the entry block, by block index."""

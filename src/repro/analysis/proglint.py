@@ -57,10 +57,6 @@ class DiagKind(enum.Enum):
     ZERO_REG_WRITE = "zero_reg_write"
     LOAD_OUT_OF_IMAGE = "load_out_of_image"
     MISALIGNED_ACCESS = "misaligned_access"
-    # Opt-in hygiene pass (lint_program(dead_stores=True)): a value
-    # written to a register or a statically-known address and provably
-    # never read before it is overwritten.
-    DEAD_STORE = "dead_store"
     # Emitted by the speculative-leak taint pass (repro.analysis.taint),
     # not by the default proglint pass set: a tainted value reaches the
     # address operand of a transiently-executable memory access.
@@ -90,9 +86,8 @@ class Diagnostic:
 # immutable tuple, with a fresh list handed to each caller.  The cache
 # is bounded; on overflow it is simply dropped (lints are cheap to
 # recompute, the bound only guards fuzzing loops that generate
-# unbounded distinct programs).  The key includes the pass selection,
-# since opt-in passes change the result for the same program.
-_LINT_CACHE: Dict[Tuple[str, bool], Tuple[Diagnostic, ...]] = {}
+# unbounded distinct programs).
+_LINT_CACHE: Dict[str, Tuple[Diagnostic, ...]] = {}
 _LINT_CACHE_MAX = 1024
 
 
@@ -101,21 +96,14 @@ def clear_lint_cache() -> None:
     _LINT_CACHE.clear()
 
 
-def lint_program(program: Program, *,
-                 dead_stores: bool = False) -> List[Diagnostic]:
-    """Run every pass; returns all diagnostics, program order.
-
-    ``dead_stores=True`` additionally runs the opt-in dead-store pass;
-    it is excluded from the default set because generated programs
-    (fuzzer output, partial kernels) legitimately compute values they
-    never read.
-    """
-    key = (program.fingerprint(), dead_stores)
+def lint_program(program: Program) -> List[Diagnostic]:
+    """Run every pass; returns all diagnostics, program order."""
+    key = program.fingerprint()
     cached = _LINT_CACHE.get(key)
     if cached is None:
         if len(_LINT_CACHE) >= _LINT_CACHE_MAX:
             _LINT_CACHE.clear()
-        cached = tuple(ProgramLinter(program, dead_stores=dead_stores).run())
+        cached = tuple(ProgramLinter(program).run())
         _LINT_CACHE[key] = cached
     return list(cached)
 
@@ -130,9 +118,8 @@ def check_program(program: Program) -> None:
 class ProgramLinter:
     """One linting run over one program (build once, ``run()`` once)."""
 
-    def __init__(self, program: Program, *, dead_stores: bool = False):
+    def __init__(self, program: Program):
         self.program = program
-        self.dead_stores = dead_stores
         self.diagnostics: List[Diagnostic] = []
 
     def _report(self, kind: DiagKind, message: str,
@@ -152,9 +139,6 @@ class ProgramLinter:
         self._check_unreachable(cfg, reachable)
         self._check_use_before_def(cfg, reachable)
         self._check_memory(cfg, reachable)
-        if self.dead_stores:
-            self._check_dead_registers(cfg, reachable)
-            self._check_dead_memory_stores(cfg, reachable)
         self.diagnostics.sort(key=lambda d: (d.pc if d.pc is not None else -1))
         return self.diagnostics
 
@@ -255,10 +239,9 @@ class ProgramLinter:
 
     def _check_memory(self, cfg: CFG, reachable: List[bool]) -> None:
         instructions = self.program.instructions
-        states = constant_states(self.program, cfg)
         image = self.program.image
         resolved, store_targets = resolved_addresses(
-            self.program, cfg, reachable, states
+            self.program, cfg, reachable
         )
 
         for pc, addr in sorted(resolved.items()):
@@ -278,130 +261,6 @@ class ProgramLinter:
                     f"declared data image nor any static store target "
                     f"(reads constant zero)", pc,
                 )
-
-    # ------------------------------------------------------------------
-    # Dead stores (opt-in backward liveness / must-overwrite).
-    # ------------------------------------------------------------------
-
-    def _check_dead_registers(self, cfg: CFG,
-                              reachable: List[bool]) -> None:
-        """A register written and provably never read before overwrite.
-
-        Backward liveness fixpoint.  Blocks without successors keep
-        every register live: the architectural register file is part of
-        the program's observable final state, so only values that are
-        *overwritten* unread are dead.  Link writes of ``JAL``/``JALR``
-        are exempt (discarding the link is the call idiom).
-        """
-        instructions = self.program.instructions
-        all_regs = frozenset(range(REG_COUNT))
-        live_in: List[Set[int]] = [set() for _ in cfg.blocks]
-
-        def block_live_out(block) -> Set[int]:
-            if not block.successors:
-                return set(all_regs)
-            out: Set[int] = set()
-            for succ in block.successors:
-                out |= live_in[succ]
-            return out
-
-        def transfer(block, live: Set[int]) -> Set[int]:
-            for pc in reversed(list(block.pcs())):
-                inst = instructions[pc]
-                if inst.writes_reg and inst.rd != ZERO_REG:
-                    live.discard(inst.rd)
-                live.update(inst.sources)
-            return live
-
-        worklist = [b.index for b in cfg.blocks if reachable[b.index]]
-        while worklist:
-            index = worklist.pop()
-            block = cfg.blocks[index]
-            new_in = transfer(block, block_live_out(block))
-            if new_in != live_in[index]:
-                live_in[index] = new_in
-                worklist.extend(
-                    p for p in block.predecessors if reachable[p]
-                )
-
-        for block in cfg.blocks:
-            if not reachable[block.index]:
-                continue
-            live = block_live_out(block)
-            for pc in reversed(list(block.pcs())):
-                inst = instructions[pc]
-                if (inst.writes_reg and inst.rd != ZERO_REG
-                        and inst.rd not in live
-                        and inst.op_class not in (OpClass.JUMP,
-                                                  OpClass.JUMP_INDIRECT)):
-                    self._report(
-                        DiagKind.DEAD_STORE,
-                        f"{inst.op.value} writes r{inst.rd}, which is "
-                        f"overwritten before any read", pc,
-                    )
-                if inst.writes_reg and inst.rd != ZERO_REG:
-                    live.discard(inst.rd)
-                live.update(inst.sources)
-
-    def _check_dead_memory_stores(self, cfg: CFG,
-                                  reachable: List[bool]) -> None:
-        """A store to a statically-known address that is provably
-        overwritten before any load can read it.
-
-        Backward *must*-overwrite analysis over the constant-resolved
-        addresses.  Initialised at bottom (nothing proven) and iterated
-        upward, so the result under-approximates "overwritten" — fewer
-        flags, never a false one.  Memory surviving to HALT is part of
-        the final state and therefore live (exit state is empty).
-        """
-        instructions = self.program.instructions
-        states = constant_states(self.program, cfg)
-        resolved, _ = resolved_addresses(self.program, cfg, reachable, states)
-        over_in: List[Set[int]] = [set() for _ in cfg.blocks]
-
-        def block_over_out(block) -> Set[int]:
-            out: Optional[Set[int]] = None
-            for succ in block.successors:
-                out = (set(over_in[succ]) if out is None
-                       else out & over_in[succ])
-            return out if out is not None else set()
-
-        def transfer(block, over: Set[int],
-                     report: bool = False) -> Set[int]:
-            for pc in reversed(list(block.pcs())):
-                inst = instructions[pc]
-                if inst.is_store:
-                    addr = resolved.get(pc)
-                    if addr is not None and addr % WORD_SIZE == 0:
-                        if report and addr in over:
-                            self._report(
-                                DiagKind.DEAD_STORE,
-                                f"store to {addr:#x} is overwritten "
-                                f"before any load reads it", pc,
-                            )
-                        over.add(addr)
-                elif inst.is_load:
-                    addr = resolved.get(pc)
-                    if addr is None:
-                        over.clear()
-                    else:
-                        over.discard(addr)
-            return over
-
-        worklist = [b.index for b in cfg.blocks if reachable[b.index]]
-        while worklist:
-            index = worklist.pop()
-            block = cfg.blocks[index]
-            new_in = transfer(block, block_over_out(block))
-            if new_in != over_in[index]:
-                over_in[index] = new_in
-                worklist.extend(
-                    p for p in block.predecessors if reachable[p]
-                )
-
-        for block in cfg.blocks:
-            if reachable[block.index]:
-                transfer(block, block_over_out(block), report=True)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +343,6 @@ def constant_states(program: Program,
 
 def resolved_addresses(
         program: Program, cfg: CFG, reachable: List[bool],
-        states: Optional[List[List[Optional[int]]]] = None,
 ) -> Tuple[Dict[int, int], Set[int]]:
     """Statically-known effective addresses of memory/prefetch pcs.
 
@@ -493,8 +351,7 @@ def resolved_addresses(
     scratch regions) for the load-out-of-image check.
     """
     instructions = program.instructions
-    if states is None:
-        states = constant_states(program, cfg)
+    states = constant_states(program, cfg)
     store_targets: Set[int] = set()
     resolved: Dict[int, int] = {}
     for block in cfg.blocks:

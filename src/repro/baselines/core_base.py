@@ -45,10 +45,6 @@ class CoreResult:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
-
     def speedup_over(self, other: "CoreResult") -> float:
         """How much faster this run is than ``other`` (same program)."""
         if self.program_name != other.program_name:

@@ -404,6 +404,7 @@ class OoOCore(Core):
                 if mispredicted:
                     redirect = complete + mispredict_penalty
                     if redirect > fetch_cursor:
+                        branch_redirect_cycles += redirect - fetch_cursor
                         fetch_cursor = redirect
                         fetch_used = 0
             elif kind == K_BARRIER:

@@ -37,14 +37,13 @@ class DirectionPredictor:
 
 
 class StaticPredictor(DirectionPredictor):
-    def __init__(self, taken: bool):
-        self.taken = taken
+    """Always predicts not-taken."""
 
     def predict(self, pc: int) -> bool:
-        return self.taken
+        return False
 
     def resolve(self, pc: int, taken: bool) -> bool:
-        return self.taken
+        return False
 
 
 class BimodalPredictor(DirectionPredictor):
@@ -97,7 +96,7 @@ class GSharePredictor(DirectionPredictor):
 
 def make_direction_predictor(config: BranchPredictorConfig) -> DirectionPredictor:
     if config.kind is PredictorKind.ALWAYS_NOT_TAKEN:
-        return StaticPredictor(False)
+        return StaticPredictor()
     if config.kind is PredictorKind.BIMODAL:
         return BimodalPredictor(config.table_bits)
     if config.kind is PredictorKind.GSHARE:

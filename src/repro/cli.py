@@ -15,7 +15,7 @@ and equally runnable as ``python -m repro``.  Subcommands:
     overlaps N whole experiments in worker processes; each experiment
     simulates its points in process, one after another.
 
-``repro experiments report [IDS...] [--json]``
+``repro experiments report [IDS...] [--tables] [--results-dir DIR]``
     Summarize stored result documents: mode, wall time, point count,
     and which expectation predicates held.
 
@@ -33,13 +33,11 @@ and equally runnable as ``python -m repro``.  Subcommands:
     A warm ``verify`` compares every cached point and multicore run
     with its record, so it also checks the result cache.
 
-``repro lint [NAMES...] [--all] [--pickle PATH] [--dead-stores]
-[--json]``
+``repro lint [NAMES...] [--all] [--json]``
     Run the static verifier (:mod:`repro.analysis.proglint`) and the
     speculative-leak taint pass (:mod:`repro.analysis.taint`) over
-    registered workloads (suite + analysis gadgets) or a pickled
-    :class:`~repro.isa.program.Program`.  Exit 1 when any diagnostic
-    is reported.
+    registered workloads (suite + analysis gadgets).  Exit 1 when any
+    diagnostic is reported.
 
 ``repro fuzz [--max-examples N] [--out PATH]``
     Drive the differential program fuzzer
@@ -391,20 +389,16 @@ def _cmd_baseline_verify(args: argparse.Namespace) -> int:
 
 
 def _lintable_programs(args: argparse.Namespace):
-    """Resolve lint targets: registered workload names and/or a pickled
-    Program file."""
+    """Resolve lint targets: registered workload names."""
     from repro.workloads import ANALYSIS_WORKLOADS, WORKLOAD_FACTORIES
 
     registry = {**WORKLOAD_FACTORIES, **ANALYSIS_WORKLOADS}
+    names = sorted(registry) if args.all else list(args.names)
+    if not names:
+        raise SystemExit(
+            "repro lint: nothing to lint — pass workload names or --all"
+        )
     programs = []
-    if args.pickle is not None:
-        import pickle
-
-        with open(args.pickle, "rb") as handle:
-            programs.append(pickle.load(handle))
-    names = list(args.names)
-    if args.all:
-        names = sorted(registry)
     for name in names:
         factory = registry.get(name)
         if factory is None:
@@ -413,11 +407,6 @@ def _lintable_programs(args: argparse.Namespace):
                 f"repro lint: unknown workload {name!r} (known: {known})"
             )
         programs.append(factory())
-    if not programs:
-        raise SystemExit(
-            "repro lint: nothing to lint — pass workload names, --all, "
-            "or --pickle PATH"
-        )
     return programs
 
 
@@ -428,8 +417,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     findings = 0
     documents = []
     for program in _lintable_programs(args):
-        diagnostics = list(lint_program(program,
-                                        dead_stores=args.dead_stores))
+        diagnostics = lint_program(program)
         report = analyze_taint(program)
         diagnostics.extend(report.gadgets)
         findings += len(diagnostics)
@@ -597,16 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd_lint = top.add_parser(
         "lint", help="static verifier + speculative-leak taint pass "
-                     "over workloads or a pickled Program")
+                     "over registered workloads")
     cmd_lint.add_argument("names", nargs="*", metavar="NAME",
                           help="registered workload names (suite + "
                                "spec-leak gadgets)")
     cmd_lint.add_argument("--all", action="store_true",
                           help="lint every registered workload")
-    cmd_lint.add_argument("--pickle", type=pathlib.Path, default=None,
-                          help="also lint a pickled Program from PATH")
-    cmd_lint.add_argument("--dead-stores", action="store_true",
-                          help="enable the opt-in dead-store pass")
     cmd_lint.add_argument("--json", action="store_true",
                           help="machine-readable report")
     cmd_lint.set_defaults(func=_cmd_lint)

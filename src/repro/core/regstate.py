@@ -97,6 +97,3 @@ class SpeculativeRegisters:
     def snapshot(self) -> RegSnapshot:
         return RegSnapshot(values=list(self.values),
                            na_producer=dict(self.na_producer))
-
-    def na_regs(self):
-        return self.na_producer.keys()

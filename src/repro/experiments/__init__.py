@@ -16,12 +16,12 @@ drive this package.
 
 Quickstart::
 
-    from repro.experiments import get, list_specs, run_experiment
+    from repro.experiments import ExperimentEngine, list_specs
 
     for spec in list_specs():
         print(spec.eid, spec.title)
 
-    doc = run_experiment("e4", smoke=True)   # -> validated JSON doc
+    doc = ExperimentEngine(smoke=True).run("e4")   # -> validated JSON doc
     print(doc["metrics"]["speedups"])
 """
 
@@ -30,7 +30,7 @@ from repro.experiments.bench_env import (
     DEFAULT_BENCH_MAX_INSTRUCTIONS,
     SMOKE_DIVISOR,
 )
-from repro.experiments.engine import ExperimentEngine, run_experiment
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import (
     RESULT_SCHEMA_VERSION,
     ResultSchemaError,
@@ -60,7 +60,6 @@ __all__ = [
     "DEFAULT_BENCH_MAX_INSTRUCTIONS",
     "SMOKE_DIVISOR",
     "ExperimentEngine",
-    "run_experiment",
     "RESULT_SCHEMA_VERSION",
     "ResultSchemaError",
     "default_results_dir",

@@ -159,7 +159,6 @@ class BenchEnv:
         task = SimTask(config=config, program=program,
                        max_instructions=self.max_instructions)
         result = ParallelRunner(cache=self.cache).run([task])[0]
-        assert result is not None
         self._record(task, result)
         return result
 
@@ -182,7 +181,6 @@ class BenchEnv:
             program.name: {} for program in programs
         }
         for task, result in zip(tasks, results):
-            assert result is not None
             self._record(task, result)
             matrix[task.program.name][task.config.name] = result
         return matrix
@@ -241,4 +239,3 @@ class BenchEnv:
         })
         if self.firewall is not None:
             self.firewall.observe_point(task, result)
-

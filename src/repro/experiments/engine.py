@@ -129,11 +129,3 @@ class ExperimentEngine:
             print()
             print(table.render())
         return doc
-
-
-def run_experiment(spec: Union[str, ExperimentSpec],
-                   **engine_kwargs: Any) -> Dict[str, Any]:
-    """One-shot convenience: run a spec with default engine settings
-    (the ``REPRO_CACHE*`` and observer knobs still apply) and return
-    its result document."""
-    return ExperimentEngine(**engine_kwargs).run(spec)

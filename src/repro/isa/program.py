@@ -126,23 +126,6 @@ class Program:
         for start, end in self.secret_ranges:
             yield f"s:{start}:{end}"
 
-    def label_of(self, index: int) -> Optional[str]:
-        """Reverse label lookup (first match), for disassembly."""
-        for name, at in self.labels.items():
-            if at == index:
-                return name
-        return None
-
-    def disassemble(self) -> str:
-        """A printable listing with labels, for debugging and examples."""
-        lines = []
-        for index, inst in enumerate(self.instructions):
-            label = self.label_of(index)
-            if label is not None:
-                lines.append(f"{label}:")
-            lines.append(f"  {index:5d}  {inst}")
-        return "\n".join(lines)
-
     def validate(self) -> None:
         """Check structural sanity: targets in range, ends in HALT.
 

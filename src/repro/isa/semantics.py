@@ -190,22 +190,3 @@ def branch_taken(op: Op, a: int, b: int) -> bool:
 def effective_address(base: int, imm: int) -> int:
     """Load/store/prefetch effective address (wraps at 64 bits)."""
     return (base + imm) & MASK64
-
-
-def compute_value(inst, a: int = 0, b: int = 0) -> int:
-    """ALU result of ``inst`` given its register operand values.
-
-    ``a`` is rs1's value, ``b`` is rs2's value; immediate forms ignore
-    ``b`` and use the instruction's immediate.  This is the single entry
-    point all cores use, so immediate-vs-register selection cannot
-    diverge between models — the choice is made once at decode and
-    stored on the instruction (``alu_uses_imm``).
-    """
-    fn = inst.alu_fn
-    if fn is None:
-        raise SimulatorInvariantError(
-            f"alu_result called with non-ALU op {inst.op}"
-        )
-    if inst.alu_uses_imm:
-        return fn(a, inst.imm)
-    return fn(a, b)

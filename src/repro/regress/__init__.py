@@ -27,56 +27,8 @@ Layout (mirroring the capture → replay → diff pipeline):
   capture/verify engine that ``BenchEnv`` and ``ExperimentEngine``
   feed when ``repro baseline capture|verify`` hands them a firewall.
 
-The heavyweight submodules are loaded lazily: :mod:`repro.isa.program`
-imports ``repro.regress.semid`` at interpreter startup, and the
-firewall transitively imports the whole simulation stack, so an eager
-import here would be circular.
+The package itself imports nothing; importers name the submodule.
+:mod:`repro.isa.program` imports ``repro.regress.semid`` at interpreter
+startup, so an eager import here of the firewall, which pulls in the
+whole simulation stack, would be circular.
 """
-
-from __future__ import annotations
-
-from typing import Any
-
-from repro.regress.semid import (
-    SemanticIdError,
-    canonical_json,
-    canonicalize,
-    digest_material,
-    dump_stable,
-    line_digest,
-    semantic_id,
-    short_id,
-)
-
-__all__ = [
-    "SemanticIdError",
-    "canonical_json",
-    "canonicalize",
-    "digest_material",
-    "dump_stable",
-    "line_digest",
-    "semantic_id",
-    "short_id",
-    # Lazy (PEP 562) — see __getattr__:
-    "BaselineRecord",
-    "BaselineStore",
-    "BaselineFirewall",
-]
-
-_LAZY = {
-    "BaselineRecord": ("repro.regress.records", "BaselineRecord"),
-    "BaselineStore": ("repro.regress.store", "BaselineStore"),
-    "BaselineFirewall": ("repro.regress.firewall", "BaselineFirewall"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

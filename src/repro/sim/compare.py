@@ -1,9 +1,7 @@
-"""Cross-machine comparison — the backbone of every evaluation table.
-
-``compare_machines`` runs one program on several machine configs (each
-with a fresh hierarchy) and ``speedup_table`` renders the familiar
-"speedup over baseline" rows with a geometric mean at the bottom.  Both
-execute through :class:`~repro.sim.parallel.ParallelRunner`, so an
+"""Cross-machine comparison: ``speedup_table`` runs programs on several
+machine configs (each with a fresh hierarchy) and renders the familiar
+"speedup over baseline" rows with a geometric mean at the bottom.  It
+executes through :class:`~repro.sim.parallel.ParallelRunner`, so an
 optional :class:`~repro.sim.cache.ResultCache` skips already-simulated
 points.
 """
@@ -18,25 +16,6 @@ from repro.isa.program import Program
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import ParallelRunner, SimTask
 from repro.stats.report import Table, geomean
-
-
-def compare_machines(program: Program, configs: Sequence[MachineConfig], *,
-                     verify: bool = False,
-                     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                     cache: Optional[ResultCache] = None,
-                     ) -> Dict[str, CoreResult]:
-    """Run ``program`` on every config; returns name → result."""
-    tasks = [
-        SimTask(config=config, program=program, verify=verify,
-                max_instructions=max_instructions)
-        for config in configs
-    ]
-    runner = ParallelRunner(cache=cache)
-    results = runner.run(tasks)
-    return {
-        task.config.name: result
-        for task, result in zip(tasks, results)
-    }
 
 
 def speedup_table(title: str,

@@ -1,20 +1,20 @@
 """The simulation batch runner.
 
-Every simulation point in a sweep or benchmark matrix is independent —
+Every simulation point in a benchmark matrix is independent —
 ``Machine.run`` builds a fresh hierarchy and core per run.
-:class:`ParallelRunner` is the one execution engine behind
-:func:`repro.sim.sweep.sweep`, ``sweep_many``, ``compare_machines`` and
-the benchmark environment's ``run`` / ``run_matrix``:
+:class:`ParallelRunner` is the one execution engine behind the
+benchmark environment's ``run`` / ``run_matrix`` and
+:func:`repro.sim.compare.speedup_table`:
 
 * **in-process, in order** — points run one after another in the
-  calling process, and outcomes come back in task-submission order, so
-  sweeps stay aligned with their axis.  Parallelism lives one level
-  up: ``repro experiments run --jobs N`` and ``repro baseline verify
-  --jobs N`` overlap N whole experiments in worker processes;
+  calling process, and outcomes come back in task-submission order.
+  Parallelism lives one level up: ``repro experiments run --jobs N``
+  and ``repro baseline verify --jobs N`` overlap N whole experiments
+  in worker processes;
 * **failure isolation** — a point that raises (a diverging config, an
   instruction-budget runaway) becomes a failed :class:`TaskOutcome`
-  while the rest of the batch still runs; ``on_error`` ("raise" /
-  "skip") governs what the caller sees;
+  while the rest of the batch still runs; :meth:`ParallelRunner.run`
+  then raises :class:`SimTaskError` naming the failures;
 * **result cache** — when given a
   :class:`~repro.sim.cache.ResultCache`, every lookup runs before any
   simulation and cached points are restored without simulating; a
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
 from repro.config import MachineConfig
@@ -54,9 +54,6 @@ class SimTask:
     program: Program
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
     verify: bool = False
-    # Caller's correlation key (e.g. the sweep-axis value); carried
-    # through unchanged so outcomes are self-describing.
-    tag: Any = None
 
     @property
     def label(self) -> str:
@@ -125,20 +122,12 @@ class ParallelRunner:
             outcomes.append(hit)
         return outcomes
 
-    def run(self, tasks: Sequence[SimTask], *,
-            on_error: str = "raise") -> List[Optional[CoreResult]]:
-        """Results in task order.
-
-        ``on_error="raise"``: raise :class:`SimTaskError` listing every
-        failure (after all other tasks completed).  ``"skip"``: failed
-        points come back as None for the caller to filter.
-        """
-        if on_error not in ("raise", "skip"):
-            raise ValueError(f"on_error must be 'raise' or 'skip', "
-                             f"got {on_error!r}")
+    def run(self, tasks: Sequence[SimTask]) -> List[CoreResult]:
+        """Results in task order; raises :class:`SimTaskError` listing
+        every failure after all other tasks completed."""
         outcomes = self.run_outcomes(tasks)
         failures = [o for o in outcomes if not o.ok]
-        if failures and on_error == "raise":
+        if failures:
             summary = "; ".join(
                 f"{o.task.label}: {o.error}" for o in failures[:4]
             )
@@ -146,7 +135,8 @@ class ParallelRunner:
                 f"{len(failures)}/{len(outcomes)} simulation tasks "
                 f"failed ({summary})"
             )
-        return [outcome.result for outcome in outcomes]
+        return [outcome.result for outcome in outcomes
+                if outcome.result is not None]
 
     # ------------------------------------------------------------------
     # Caching.
@@ -178,10 +168,3 @@ class ParallelRunner:
         assert self.cache is not None and outcome.result is not None
         self.cache.store_or_warn(outcome.task.key, outcome.result,
                                  outcome.task.label)
-
-
-def run_simulations(tasks: Sequence[SimTask], *,
-                    cache: Optional[ResultCache] = None,
-                    on_error: str = "raise") -> List[Optional[CoreResult]]:
-    """One-shot convenience wrapper over :class:`ParallelRunner`."""
-    return ParallelRunner(cache=cache).run(tasks, on_error=on_error)

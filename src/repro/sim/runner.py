@@ -5,8 +5,6 @@ merge) is architecturally correct and not just plausible."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
 from repro.config import MachineConfig
 from repro.errors import SimulatorInvariantError
@@ -54,8 +52,7 @@ def verify_against_golden(result: CoreResult, program: Program) -> None:
 
 def simulate(config: MachineConfig, program: Program, *,
              verify: bool = False, strict: bool = False,
-             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-             machine: Optional[Machine] = None) -> CoreResult:
+             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> CoreResult:
     """Build the machine, run the program, optionally golden-check.
 
     ``strict=True`` runs the static verifier
@@ -67,8 +64,7 @@ def simulate(config: MachineConfig, program: Program, *,
         from repro.analysis.proglint import check_program
 
         check_program(program)
-    machine = machine or Machine(config)
-    result = machine.run(program, max_instructions=max_instructions)
+    result = Machine(config).run(program, max_instructions=max_instructions)
     if verify:
         verify_against_golden(result, program)
     return result

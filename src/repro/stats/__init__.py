@@ -2,6 +2,6 @@
 tables shared by the runner, benches and examples."""
 
 from repro.stats.histogram import Histogram
-from repro.stats.report import Table, format_ratio, geomean
+from repro.stats.report import Table, geomean
 
-__all__ = ["Histogram", "Table", "format_ratio", "geomean"]
+__all__ = ["Histogram", "Table", "geomean"]

@@ -13,11 +13,6 @@ from typing import Iterable, List, Sequence, Union
 Cell = Union[str, int, float]
 
 
-def format_ratio(value: float) -> str:
-    """Speedups/ratios with two decimals and a trailing x."""
-    return f"{value:.2f}x"
-
-
 def geomean(values: Iterable[float]) -> float:
     """Geometric mean (the standard summary for speedups)."""
     values = list(values)

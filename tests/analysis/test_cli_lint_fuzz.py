@@ -1,12 +1,10 @@
 """The ``repro lint`` and ``repro fuzz`` subcommands."""
 
 import json
-import pickle
 
 import pytest
 
 from repro.cli import main
-from repro.isa.builder import ProgramBuilder
 from repro.workloads.fuzz import HAVE_HYPOTHESIS, FuzzFailure, build_program
 
 
@@ -45,20 +43,6 @@ def test_lint_json_reports_structured_diagnostics(capsys):
     [diag] = doc["diagnostics"]
     assert diag["kind"] == "spec_leak_gadget"
     assert isinstance(diag["pc"], int)
-
-
-def test_lint_pickled_program(tmp_path, capsys):
-    builder = ProgramBuilder("pickled")
-    builder.movi(1, 5)
-    builder.movi(1, 0)  # dead store: only visible with --dead-stores
-    builder.halt()
-    path = tmp_path / "program.pkl"
-    path.write_bytes(pickle.dumps(builder.build()))
-
-    assert main(["lint", "--pickle", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--pickle", str(path), "--dead-stores"]) == 1
-    assert "dead_store" in capsys.readouterr().out
 
 
 def test_lint_unknown_name_is_an_error():

@@ -113,6 +113,40 @@ def test_mispredicted_branches_stall_fetch():
     assert costly.cycles > cheap.cycles
 
 
+# r2 and r3 swap every iteration, so the jalr's target alternates
+# between ``a`` (index 6) and ``b`` (index 7) and the BTB, which holds
+# the last target, mispredicts all 200 jumps.
+ALTERNATING_JALR = """
+    movi r1, 200
+    movi r2, 6
+    movi r3, 7
+loop:
+    jalr r0, r2, 0
+    halt
+    nop
+a:  addi r5, r5, 1
+b:  add  r4, r2, r0
+    add  r2, r3, r0
+    add  r3, r4, r0
+    addi r1, r1, -1
+    bne  r1, r0, loop
+    halt
+"""
+
+
+def test_indirect_mispredicts_count_redirect_cycles():
+    """An indirect jump's redirect counts in ``branch_redirect_cycles``
+    (and the ``branch`` stall cause) as a conditional branch's does."""
+    for penalty in (0, 20):
+        result = run(ALTERNATING_JALR, OoOConfig(
+            predictor=BranchPredictorConfig(mispredict_penalty=penalty)))
+        mispredicts = result.extra["branch"].indirect_mispredicts
+        assert mispredicts == 200
+        redirect = result.extra["ooo"].branch_redirect_cycles
+        assert redirect >= penalty * mispredicts
+        assert result.extra["perf"].stall_cycles["branch"] == redirect
+
+
 def test_membar_orders_memory():
     result = run("""
         movi r1, 0x100000

@@ -18,8 +18,9 @@ def unit(kind=PredictorKind.BIMODAL, **kwargs) -> BranchUnit:
 
 
 def test_static_predictors():
-    assert StaticPredictor(True).predict(123) is True
-    assert StaticPredictor(False).predict(123) is False
+    predictor = StaticPredictor()
+    assert predictor.predict(123) is False
+    assert predictor.resolve(123, True) is False
 
 
 def test_bimodal_learns_a_bias():

@@ -74,9 +74,3 @@ def test_snapshot_is_independent():
     assert snapshot.values[2] == 5
     assert snapshot.na_producer == {3: 4}
 
-
-def test_na_regs_view():
-    spec = fresh()
-    spec.write_na(4, 1)
-    spec.write_na(6, 2)
-    assert set(spec.na_regs()) == {4, 6}

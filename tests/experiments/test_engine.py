@@ -13,7 +13,6 @@ from repro.experiments import (
     ResultSchemaError,
     get,
     load_result_doc,
-    run_experiment,
     validate_result_doc,
 )
 
@@ -22,8 +21,9 @@ from repro.experiments import (
 def e4_doc(tmp_path_factory):
     """One real smoke run of e4, shared by the document tests."""
     results_dir = tmp_path_factory.mktemp("results")
-    doc = run_experiment("e4", smoke=True, cache=None, write=True,
-                         results_dir=results_dir)
+    engine = ExperimentEngine(smoke=True, cache=None, write=True,
+                              results_dir=results_dir)
+    doc = engine.run("e4")
     return doc, results_dir
 
 

@@ -9,10 +9,16 @@ from repro.config import (
     scout_machine,
     sst_machine,
 )
-from repro.sim.compare import compare_machines
+from repro.sim.runner import simulate
 from repro.stats.report import geomean
 from repro.workloads import commercial_suite, pointer_chase
 from tests.conftest import small_hierarchy_config
+
+
+def run_all(program, configs):
+    """Machine name -> golden-verified result of ``program``."""
+    return {config.name: simulate(config, program, verify=True)
+            for config in configs}
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +31,7 @@ def commercial_results():
         sst_machine(hierarchy),
     ]
     return {
-        program.name: compare_machines(program, configs, verify=True)
+        program.name: run_all(program, configs)
         for program in commercial_suite("tiny")
     }
 
@@ -73,11 +79,8 @@ def test_dependent_chain_defeats_runahead():
     hierarchy = small_hierarchy_config(latency=200)
     program = pointer_chase(chains=1, nodes_per_chain=128, hops=128,
                             name="chain1")
-    results = compare_machines(
-        program,
-        [inorder_machine(hierarchy), sst_machine(hierarchy)],
-        verify=True,
-    )
+    results = run_all(program,
+                      [inorder_machine(hierarchy), sst_machine(hierarchy)])
     speedup = results["sst-2w-2ckpt"].speedup_over(results["inorder-2w"])
     assert speedup < 1.35
 
@@ -89,11 +92,8 @@ def test_mlp_scales_with_chain_count():
     for chains in (1, 4):
         program = pointer_chase(chains=chains, nodes_per_chain=128,
                                 hops=96, name=f"chains{chains}")
-        results = compare_machines(
-            program,
-            [inorder_machine(hierarchy), sst_machine(hierarchy)],
-            verify=True,
-        )
+        results = run_all(program, [inorder_machine(hierarchy),
+                                    sst_machine(hierarchy)])
         speedups.append(
             results["sst-2w-2ckpt"].speedup_over(results["inorder-2w"])
         )

@@ -1,4 +1,4 @@
-"""Program container: validation, labels, disassembly, data image."""
+"""Program container: validation, data image, pickling, iteration."""
 
 import pickle
 import re
@@ -105,30 +105,6 @@ def test_program_pickles_with_its_image():
     restored = pickle.loads(pickle.dumps(program))
     assert list(restored.image.items()) == list(program.image.items())
     assert restored.fingerprint() == program.fingerprint()
-
-
-def test_label_of():
-    program = assemble("""
-    begin:
-        nop
-    done:
-        halt
-    """)
-    assert program.label_of(0) == "begin"
-    assert program.label_of(1) == "done"
-    assert program.label_of(99) is None
-
-
-def test_disassemble_contains_labels_and_indices():
-    program = assemble("""
-    top:
-        addi r1, r1, 1
-        bne  r1, r2, top
-        halt
-    """)
-    listing = program.disassemble()
-    assert "top:" in listing
-    assert "addi r1, r1, 1" in listing
 
 
 def test_iteration_and_indexing(countdown_program):

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.errors import SimulatorInvariantError
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.semantics import (
     MASK64,
     alu_result,
     branch_taken,
-    compute_value,
     effective_address,
     to_signed,
     to_unsigned,
@@ -96,12 +94,3 @@ def test_branch_taken_rejects_non_branch():
 
 def test_effective_address_wraps():
     assert effective_address(MASK64, 9) == 8
-
-
-def test_compute_value_selects_immediate_forms():
-    addi = Instruction(Op.ADDI, rd=1, rs1=2, imm=5)
-    assert compute_value(addi, 10, 999) == 15  # b ignored
-    add = Instruction(Op.ADD, rd=1, rs1=2, rs2=3)
-    assert compute_value(add, 10, 999) == 1009
-    movi = Instruction(Op.MOVI, rd=1, imm=-1)
-    assert compute_value(movi, 123, 456) == MASK64

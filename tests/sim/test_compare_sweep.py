@@ -1,35 +1,19 @@
-"""compare_machines, speedup_table, sweep."""
+"""speedup_table, and the runner's quarantine of a corrupt cached
+point."""
 
 import pytest
 
-from repro.config import (
-    DRAMConfig,
-    ea_machine,
-    inorder_machine,
-    sst_machine,
-)
-from repro.sim.compare import compare_machines, speedup_table
-from repro.sim.sweep import sweep, sweep_many
+from repro.config import ea_machine, inorder_machine
+from repro.sim.cache import ResultCache
+from repro.sim.compare import speedup_table
+from repro.sim.parallel import ParallelRunner, SimTask
 from repro.workloads import hash_join
 from tests.conftest import small_hierarchy_config
-
-import dataclasses
 
 
 @pytest.fixture(scope="module")
 def program():
     return hash_join(table_words=256, probes=48)
-
-
-def test_compare_machines_runs_all(program):
-    results = compare_machines(
-        program,
-        [inorder_machine(small_hierarchy_config()),
-         sst_machine(small_hierarchy_config())],
-        verify=True,
-    )
-    assert set(results) == {"inorder-2w", "sst-2w-2ckpt"}
-    assert results["sst-2w-2ckpt"].cycles < results["inorder-2w"].cycles
 
 
 def test_speedup_table_renders(program):
@@ -53,26 +37,6 @@ def test_speedup_table_rejects_unknown_baseline(program):
                       baseline_name="nope")
 
 
-def test_sweep_axis(program):
-    def make_config(latency):
-        hierarchy = dataclasses.replace(
-            small_hierarchy_config(), dram=DRAMConfig(latency=latency,
-                                                      min_interval=2)
-        )
-        return inorder_machine(hierarchy)
-
-    results = sweep(program, [50, 400], make_config)
-    assert [value for value, _ in results] == [50, 400]
-    assert results[0][1].cycles < results[1][1].cycles
-
-
-def test_sweep_many(program):
-    other = hash_join(table_words=256, probes=24, name="db-small")
-    out = sweep_many([program, other], [100],
-                     lambda latency: inorder_machine(small_hierarchy_config()))
-    assert set(out) == {"db-hashjoin", "db-small"}
-
-
 def _corrupt_cached_regs(cache_dir):
     """Tamper with the single cached entry's register file so golden
     verification fails on load."""
@@ -85,35 +49,39 @@ def _corrupt_cached_regs(cache_dir):
     return entry
 
 
-@pytest.mark.parametrize("on_error", ["skip", "raise"])
+def _run_point(cache, task, mode):
+    """One point through ``ParallelRunner.run`` (``"raise"``: a failed
+    point raises after the batch) or ``run_outcomes`` (``"skip"``: a
+    failed point comes back as a failed outcome)."""
+    runner = ParallelRunner(cache=cache)
+    if mode == "raise":
+        return runner.run([task])[0]
+    [outcome] = runner.run_outcomes([task])
+    assert outcome.ok
+    return outcome.result
+
+
+@pytest.mark.parametrize("mode", ["skip", "raise"])
 def test_sweep_cached_corrupt_point_is_resimulated_not_raised(
-        program, tmp_path, on_error):
-    """A cached-but-corrupt point must never fail the sweep by itself:
-    it is quarantined and transparently re-simulated under either
-    ``on_error`` mode, and the fresh result heals the cache."""
-    from repro.sim.cache import ResultCache
-
-    def make_config(latency):
-        return inorder_machine(small_hierarchy_config())
-
-    warm = sweep(program, [100], make_config,
-                 cache=ResultCache(tmp_path), verify=True)
+        program, tmp_path, mode):
+    """A cached-but-corrupt point must never fail a batch by itself:
+    it is quarantined and transparently re-simulated by either runner
+    entry point, and the fresh result heals the cache."""
+    task = SimTask(config=inorder_machine(small_hierarchy_config()),
+                   program=program, verify=True)
+    warm = _run_point(ResultCache(tmp_path), task, mode)
     _corrupt_cached_regs(tmp_path)
 
     cache = ResultCache(tmp_path)
-    results = sweep(program, [100], make_config, cache=cache,
-                    verify=True, on_error=on_error)
-    assert [value for value, _ in results] == [100]
-    assert results[0][1].cycles == warm[0][1].cycles
-    assert results[0][1].state.regs == warm[0][1].state.regs
+    result = _run_point(cache, task, mode)
+    assert result.cycles == warm.cycles
+    assert result.state.regs == warm.state.regs
     assert cache.stats.invalid == 1  # the quarantine
 
-    # The re-simulated result replaced the corrupt entry: a third sweep
+    # The re-simulated result replaced the corrupt entry: a third run
     # is a pure cache hit with intact state.
     healed_cache = ResultCache(tmp_path)
-    healed = sweep(program, [100], make_config, cache=healed_cache,
-                   verify=True, on_error=on_error)
+    healed = _run_point(healed_cache, task, mode)
     assert healed_cache.stats.hits == 1
     assert healed_cache.stats.invalid == 0
-    assert healed[0][1].state.regs == warm[0][1].state.regs
-
+    assert healed.state.regs == warm.state.regs

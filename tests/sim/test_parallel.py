@@ -1,5 +1,5 @@
-"""ParallelRunner: ordered collection, failure isolation, and the
-sweeps that ride on it."""
+"""ParallelRunner: ordered collection, failure isolation and the
+task fields that reach the simulation."""
 
 import dataclasses
 
@@ -11,13 +11,7 @@ from repro.config import (
     sst_machine,
 )
 from repro.errors import ExecutionError
-from repro.sim.parallel import (
-    ParallelRunner,
-    SimTask,
-    SimTaskError,
-    run_simulations,
-)
-from repro.sim.sweep import sweep, sweep_many
+from repro.sim.parallel import ParallelRunner, SimTask, SimTaskError
 from repro.workloads import hash_join, pointer_chase
 from tests.conftest import small_hierarchy_config
 
@@ -60,17 +54,17 @@ def test_failing_task_isolated_with_skip(programs):
     # An absurdly small budget trips the runaway guard inside the run.
     bad = SimTask(config=sst_machine(small_hierarchy_config()),
                   program=programs[0], max_instructions=10)
-    results = ParallelRunner().run([good, bad, good], on_error="skip")
-    assert results[0] is not None and results[2] is not None
-    assert results[1] is None
-    assert results[0] == results[2]
+    outcomes = ParallelRunner().run_outcomes([good, bad, good])
+    assert [outcome.ok for outcome in outcomes] == [True, False, True]
+    assert outcomes[1].result is None
+    assert outcomes[0].result == outcomes[2].result
 
 
 def test_failing_task_raises_after_batch(programs):
     bad = SimTask(config=sst_machine(small_hierarchy_config()),
                   program=programs[0], max_instructions=10)
     with pytest.raises(SimTaskError, match="ExecutionError"):
-        run_simulations([bad])
+        ParallelRunner().run([bad])
 
 
 def test_failure_detail_names_the_point(programs):
@@ -84,20 +78,14 @@ def test_failure_detail_names_the_point(programs):
         raise ExecutionError(outcomes[0].error)
 
 
-def test_on_error_validated(programs):
-    task = SimTask(config=inorder_machine(small_hierarchy_config()),
-                   program=programs[0])
-    with pytest.raises(ValueError, match="on_error"):
-        ParallelRunner().run([task], on_error="ignore")
-
-
 # ---------------------------------------------------------------------------
-# Sweeps ride on the runner.
+# Task fields reach the simulation.
 # ---------------------------------------------------------------------------
 
 
 def test_sweep_many_forwards_verify(programs, monkeypatch):
-    """Regression: sweep_many used to drop the verify flag silently."""
+    """A task's verify flag reaches ``simulate`` (a batch once dropped
+    it silently)."""
     seen = []
     import repro.sim.parallel as parallel_mod
     real_simulate = parallel_mod.simulate
@@ -107,15 +95,18 @@ def test_sweep_many_forwards_verify(programs, monkeypatch):
         return real_simulate(config, program, verify=verify, **kwargs)
 
     monkeypatch.setattr(parallel_mod, "simulate", recording_simulate)
-    out = sweep_many(programs[:1], [8, 16],
-                     lambda dq: sst_machine(small_hierarchy_config()),
-                     verify=True)
+    tasks = [SimTask(config=sst_machine(small_hierarchy_config(),
+                                        dq_size=dq_size),
+                     program=programs[0], verify=True)
+             for dq_size in (8, 16)]
+    results = ParallelRunner().run(tasks)
     assert seen == [True, True]
-    assert len(out[programs[0].name]) == 2
+    assert len(results) == 2
 
 
 def test_sweep_skip_drops_diverging_point(programs):
-    """One diverging axis point must not abort the whole sweep."""
+    """A config that fails inside the runner fails only its own point;
+    ``run`` then names it."""
     def make_config(dq_size):
         machine = sst_machine(small_hierarchy_config(), dq_size=dq_size)
         machine = dataclasses.replace(machine, name=f"sst-dq{dq_size}")
@@ -126,10 +117,12 @@ def test_sweep_skip_drops_diverging_point(programs):
             object.__setattr__(machine, "core_kind", "warp-drive")
         return machine
 
-    points = sweep(programs[0], [4, 8, 16], make_config, on_error="skip")
-    assert [value for value, _ in points] == [4, 16]
-    assert all(result.instructions > 0 for _, result in points)
+    tasks = [SimTask(config=make_config(dq_size), program=programs[0])
+             for dq_size in (4, 8, 16)]
+    outcomes = ParallelRunner().run_outcomes(tasks)
+    assert [outcome.ok for outcome in outcomes] == [True, False, True]
+    assert all(outcomes[index].result.instructions > 0
+               for index in (0, 2))
 
-    # The default aborts loudly on the same sweep.
     with pytest.raises(SimTaskError, match="warp-drive"):
-        sweep(programs[0], [4, 8, 16], make_config)
+        ParallelRunner().run(tasks)

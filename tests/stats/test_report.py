@@ -2,11 +2,7 @@ import math
 
 import pytest
 
-from repro.stats.report import Table, format_ratio, geomean
-
-
-def test_format_ratio():
-    assert format_ratio(1.5) == "1.50x"
+from repro.stats.report import Table, geomean
 
 
 def test_geomean_basics():
