@@ -27,7 +27,6 @@ from repro.config import (
     DRAMConfig,
     HierarchyConfig,
     InOrderConfig,
-    LatencyConfig,
     MachineConfig,
     OoOConfig,
     PredictorKind,
@@ -92,9 +91,8 @@ __version__ = "1.0.0"
 __all__ = [
     # configuration
     "BranchPredictorConfig", "CacheConfig", "CoreKind", "DeferTrigger",
-    "DRAMConfig", "HierarchyConfig", "InOrderConfig", "LatencyConfig",
-    "MachineConfig", "OoOConfig", "PredictorKind", "SSTConfig",
-    "TLBConfig",
+    "DRAMConfig", "HierarchyConfig", "InOrderConfig", "MachineConfig",
+    "OoOConfig", "PredictorKind", "SSTConfig", "TLBConfig",
     # machine presets
     "ea_machine", "inorder_machine", "ooo_machine", "scout_machine",
     "sst_machine",

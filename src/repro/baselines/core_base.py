@@ -13,14 +13,17 @@ import abc
 import dataclasses
 from typing import Any, Dict, Union
 
-from repro.config import LatencyConfig
+from repro.config import (
+    ALU_LATENCY,
+    DEFAULT_MAX_INSTRUCTIONS,
+    DIV_LATENCY,
+    MUL_LATENCY,
+)
 from repro.errors import ExecutionError
 from repro.isa.interpreter import ArchState, CachedState
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
-
-DEFAULT_MAX_INSTRUCTIONS = 20_000_000
 
 
 @dataclasses.dataclass
@@ -36,9 +39,9 @@ class CoreResult:
     state: Union[ArchState, CachedState]
     # Core-specific statistics objects (branch stats, mode breakdown...).
     extra: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    # Host wall-clock seconds the simulation took (set by the harness).
-    # Excluded from equality: two runs of the same point are the same
-    # result even though the host timed them differently.
+    # Host wall-clock seconds the simulation took; each core times its
+    # own run.  Excluded from equality: two runs of the same point are
+    # the same result even though the host timed them differently.
     wall_seconds: float = dataclasses.field(default=0.0, compare=False)
 
     @property
@@ -76,12 +79,12 @@ class Core(abc.ABC):
     # Helpers shared by the concrete cores.
     # ------------------------------------------------------------------
 
-    def op_latency(self, op_class: OpClass, latencies: LatencyConfig) -> int:
+    def op_latency(self, op_class: OpClass) -> int:
         if op_class is OpClass.MUL:
-            return latencies.mul
+            return MUL_LATENCY
         if op_class is OpClass.DIV:
-            return latencies.div
-        return latencies.alu
+            return DIV_LATENCY
+        return ALU_LATENCY
 
     def _check_pc(self, pc: int) -> None:
         if not 0 <= pc < len(self.program):

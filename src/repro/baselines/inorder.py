@@ -19,8 +19,8 @@ cycle count), and no speculation statistics.
 
 from __future__ import annotations
 
-from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
-from repro.config import InOrderConfig, SSTConfig
+from repro.baselines.core_base import CoreResult
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, InOrderConfig, SSTConfig
 from repro.core.sst_core import SSTCore
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
@@ -32,8 +32,7 @@ class InOrderCore(SSTCore):
     def __init__(self, program: Program, hierarchy: MemoryHierarchy,
                  config: InOrderConfig = InOrderConfig()):
         super().__init__(program, hierarchy, SSTConfig(
-            width=config.width, checkpoints=0,
-            latencies=config.latencies, predictor=config.predictor,
+            width=config.width, checkpoints=0, predictor=config.predictor,
         ))
 
     def run(self, max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> CoreResult:

@@ -56,13 +56,15 @@ import time
 from typing import Dict
 
 from repro.analysis.sanitizer import make_sanitizer
-from repro.baselines.core_base import (
-    Core,
-    CoreResult,
-    DEFAULT_MAX_INSTRUCTIONS,
-)
+from repro.baselines.core_base import Core, CoreResult
 from repro.branch import BranchUnit
-from repro.config import OoOConfig
+from repro.config import (
+    ALU_LATENCY,
+    DEFAULT_MAX_INSTRUCTIONS,
+    DIV_LATENCY,
+    MUL_LATENCY,
+    OoOConfig,
+)
 from repro.core.timing import PerfCounters
 from repro.isa import blockcache
 from repro.isa.program import Program
@@ -102,7 +104,6 @@ class OoOCore(Core):
         config = self.config
         state = self.state
         program = self.program
-        latencies = config.latencies
         hierarchy = self.hierarchy
         branch_unit = self.branch_unit
 
@@ -157,9 +158,9 @@ class OoOCore(Core):
         resolve_indirect = branch_unit.resolve_indirect
         push_return = branch_unit.push_return
         mispredict_penalty = branch_unit.mispredict_penalty
-        lat_alu = latencies.alu
-        lat_mul = latencies.mul
-        lat_div = latencies.div
+        lat_alu = ALU_LATENCY
+        lat_mul = MUL_LATENCY
+        lat_div = DIV_LATENCY
         K_MUL = blockcache.K_MUL
         K_DIV = blockcache.K_DIV
         K_LOAD = blockcache.K_LOAD

@@ -20,7 +20,14 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from repro.config import BranchPredictorConfig, PredictorKind
+from repro.config import (
+    BTB_ENTRIES,
+    PREDICTOR_HISTORY_BITS,
+    PREDICTOR_TABLE_BITS,
+    RAS_ENTRIES,
+    BranchPredictorConfig,
+    PredictorKind,
+)
 from repro.errors import ConfigError
 
 
@@ -49,9 +56,10 @@ class StaticPredictor(DirectionPredictor):
 class BimodalPredictor(DirectionPredictor):
     """PC-indexed table of 2-bit saturating counters."""
 
-    def __init__(self, table_bits: int):
-        self.mask = (1 << table_bits) - 1
-        self.table: List[int] = [2] * (1 << table_bits)  # weakly taken
+    def __init__(self) -> None:
+        self.mask = (1 << PREDICTOR_TABLE_BITS) - 1
+        # Every counter starts weakly taken.
+        self.table: List[int] = [2] * (1 << PREDICTOR_TABLE_BITS)
 
     def predict(self, pc: int) -> bool:
         return self.table[pc & self.mask] >= 2
@@ -71,10 +79,10 @@ class BimodalPredictor(DirectionPredictor):
 class GSharePredictor(DirectionPredictor):
     """Global-history-XOR-PC indexed 2-bit counters."""
 
-    def __init__(self, table_bits: int, history_bits: int):
-        self.mask = (1 << table_bits) - 1
-        self.history_mask = (1 << history_bits) - 1
-        self.table: List[int] = [2] * (1 << table_bits)
+    def __init__(self) -> None:
+        self.mask = (1 << PREDICTOR_TABLE_BITS) - 1
+        self.history_mask = (1 << PREDICTOR_HISTORY_BITS) - 1
+        self.table: List[int] = [2] * (1 << PREDICTOR_TABLE_BITS)
         self.history = 0
 
     def predict(self, pc: int) -> bool:
@@ -98,9 +106,9 @@ def make_direction_predictor(config: BranchPredictorConfig) -> DirectionPredicto
     if config.kind is PredictorKind.ALWAYS_NOT_TAKEN:
         return StaticPredictor()
     if config.kind is PredictorKind.BIMODAL:
-        return BimodalPredictor(config.table_bits)
+        return BimodalPredictor()
     if config.kind is PredictorKind.GSHARE:
-        return GSharePredictor(config.table_bits, config.history_bits)
+        return GSharePredictor()
     raise ConfigError(f"unknown predictor kind {config.kind}")
 
 
@@ -135,7 +143,7 @@ class BranchUnit:
         self.direction = make_direction_predictor(config)
         self.stats = BranchStats()
         self._btb: dict = {}
-        self._btb_mask = config.btb_entries - 1
+        self._btb_mask = BTB_ENTRIES - 1
         self._ras: List[int] = []
 
     # -- conditional branches ------------------------------------------
@@ -217,7 +225,7 @@ class BranchUnit:
 
     def push_return(self, return_pc: int) -> None:
         self._ras.append(return_pc)
-        if len(self._ras) > self.config.ras_entries:
+        if len(self._ras) > RAS_ENTRIES:
             self._ras.pop(0)
 
     @property

@@ -67,8 +67,8 @@ import time
 import traceback
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+from repro.config import DEFAULT_MAX_INSTRUCTIONS
 from repro.experiments import (
-    DEFAULT_BENCH_MAX_INSTRUCTIONS,
     ExperimentEngine,
     ResultSchemaError,
     default_results_dir,
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable the result cache (like "
                               "REPRO_CACHE=0)")
     cmd_run.add_argument("--max-instructions", type=int,
-                         default=DEFAULT_BENCH_MAX_INSTRUCTIONS,
+                         default=DEFAULT_MAX_INSTRUCTIONS,
                          help="per-run instruction budget (default: "
                               "50M, the budget the baseline records "
                               "are keyed at)")

@@ -19,9 +19,9 @@ import heapq
 import math
 from typing import List, Optional, Sequence
 
-from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
+from repro.baselines.core_base import CoreResult
 from repro.cmp.shared import build_shared_hierarchies
-from repro.config import HierarchyConfig, SSTConfig
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, HierarchyConfig, SSTConfig
 from repro.core.sst_core import SSTCore
 from repro.errors import ConfigError
 from repro.isa.program import Program

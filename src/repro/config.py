@@ -9,6 +9,12 @@ paper compares: a ROCK-like SST core, the same pipeline restricted to
 execute-ahead / scout / plain in-order, and out-of-order cores of
 increasing size ("larger and higher-powered" comparators).
 
+A parameter that every machine sets to one value is a constant of the
+*fixed parameters* block below rather than a config field: the
+functional-unit latencies, the cache line size, the predictor's table,
+history, BTB and RAS sizes, and the default instruction budget.  Only
+the fields are hashed into a result key.
+
 Every dataclass validates itself in ``__post_init__`` and raises
 :class:`~repro.errors.ConfigError` on bad values, so a mistyped sweep
 fails immediately instead of producing a silently wrong machine.
@@ -34,6 +40,34 @@ def _is_pow2(value: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Fixed parameters: one value on every machine, so not config fields.
+# ---------------------------------------------------------------------------
+
+# Functional-unit latencies in cycles, shared by every core.
+ALU_LATENCY = 1
+MUL_LATENCY = 6
+DIV_LATENCY = 24
+
+# The line size of every cache level.  One size everywhere is what the
+# hierarchy needs: it tracks in-flight fills (MSHRs, the DRAM-filled
+# set) by L1 line, so an L2 line spanning several L1 lines would serve
+# the others as L2 hits before their data arrived.
+LINE_BYTES = 64
+
+# Branch unit: direction-table index bits (bimodal and gshare), gshare
+# global-history bits, BTB entries and return-address-stack depth.
+PREDICTOR_TABLE_BITS = 12
+PREDICTOR_HISTORY_BITS = 10
+BTB_ENTRIES = 512
+RAS_ENTRIES = 8
+
+# The per-run instruction budget (a runaway guard) every entry point
+# defaults to, the golden interpreter's step limit included; every
+# committed baseline record is keyed at it.
+DEFAULT_MAX_INSTRUCTIONS = 50_000_000
+
+
+# ---------------------------------------------------------------------------
 # Memory system.
 # ---------------------------------------------------------------------------
 
@@ -44,17 +78,14 @@ class CacheConfig:
 
     size_bytes: int
     assoc: int
-    line_bytes: int = 64
     hit_latency: int = 1
     mshr_entries: int = 8
 
     def __post_init__(self) -> None:
-        _require(_is_pow2(self.line_bytes), "line_bytes must be a power of two")
-        _require(self.line_bytes >= 8, "line_bytes must hold a 64-bit word")
         _require(self.assoc >= 1, "assoc must be >= 1")
-        _require(self.size_bytes >= self.line_bytes * self.assoc,
+        _require(self.size_bytes >= LINE_BYTES * self.assoc,
                  "cache smaller than one set")
-        sets = self.size_bytes // (self.line_bytes * self.assoc)
+        sets = self.size_bytes // (LINE_BYTES * self.assoc)
         _require(_is_pow2(sets),
                  f"number of sets must be a power of two, got {sets}")
         _require(self.hit_latency >= 0, "hit_latency must be >= 0")
@@ -62,7 +93,7 @@ class CacheConfig:
 
     @property
     def num_sets(self) -> int:
-        return self.size_bytes // (self.line_bytes * self.assoc)
+        return self.size_bytes // (LINE_BYTES * self.assoc)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,16 +143,6 @@ class HierarchyConfig:
     # Data TLB; None disables translation timing entirely.
     tlb: Optional[TLBConfig] = None
 
-    def __post_init__(self) -> None:
-        # The hierarchy tracks in-flight fills (MSHRs, the DRAM-filled
-        # set) by L1 line, so an L2 line spanning several L1 lines would
-        # serve the others as L2 hits before their data arrives.
-        sizes = (self.l1d.line_bytes, self.l1i.line_bytes,
-                 self.l2.line_bytes)
-        _require(len(set(sizes)) == 1,
-                 "L1D, L1I and L2 line sizes must be equal, got "
-                 "{}, {} and {} bytes".format(*sizes))
-
 
 # ---------------------------------------------------------------------------
 # Branch prediction.
@@ -137,35 +158,10 @@ class PredictorKind(enum.Enum):
 @dataclasses.dataclass(frozen=True)
 class BranchPredictorConfig:
     kind: PredictorKind = PredictorKind.GSHARE
-    table_bits: int = 12
-    history_bits: int = 10
-    btb_entries: int = 512
-    ras_entries: int = 8
     mispredict_penalty: int = 8
 
     def __post_init__(self) -> None:
-        _require(1 <= self.table_bits <= 24, "table_bits out of range")
-        _require(0 <= self.history_bits <= self.table_bits,
-                 "history_bits must be <= table_bits")
-        _require(_is_pow2(self.btb_entries), "btb_entries must be a power of two")
-        _require(self.ras_entries >= 1, "ras_entries must be >= 1")
         _require(self.mispredict_penalty >= 0, "penalty must be >= 0")
-
-
-# ---------------------------------------------------------------------------
-# Functional-unit latencies (shared by every core).
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class LatencyConfig:
-    alu: int = 1
-    mul: int = 6
-    div: int = 24
-
-    def __post_init__(self) -> None:
-        _require(self.alu >= 1 and self.mul >= 1 and self.div >= 1,
-                 "latencies must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,6 @@ class InOrderConfig:
     """Scoreboarded in-order core (stall-on-use)."""
 
     width: int = 2
-    latencies: LatencyConfig = LatencyConfig()
     predictor: BranchPredictorConfig = BranchPredictorConfig()
 
     def __post_init__(self) -> None:
@@ -198,7 +193,6 @@ class OoOConfig:
     rob_size: int = 128
     iq_size: int = 48
     lsq_size: int = 48
-    latencies: LatencyConfig = LatencyConfig()
     predictor: BranchPredictorConfig = BranchPredictorConfig()
 
     def __post_init__(self) -> None:
@@ -245,7 +239,6 @@ class SSTConfig:
     # Let loads speculatively bypass older unresolved (deferred) stores,
     # validating at replay; False defers such loads conservatively.
     bypass_unresolved_stores: bool = True
-    latencies: LatencyConfig = LatencyConfig()
     predictor: BranchPredictorConfig = BranchPredictorConfig()
 
     def __post_init__(self) -> None:

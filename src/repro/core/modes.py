@@ -22,10 +22,6 @@ class ExecMode(enum.Enum):
     REPLAY_ONLY = "replay_only"  # ahead paused (no free checkpoint); replaying
     SCOUT = "scout"  # prefetch-only run-ahead; will roll back
 
-    @property
-    def speculative(self) -> bool:
-        return self is not ExecMode.NORMAL
-
 
 class FailCause(enum.Enum):
     """Why a speculative episode was thrown away (rollback + re-execute)."""

@@ -48,13 +48,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import SSTSanitizer, make_sanitizer
 from repro.analysis.taint_tracker import make_taint_tracker
-from repro.baselines.core_base import (
-    Core,
-    CoreResult,
-    DEFAULT_MAX_INSTRUCTIONS,
-)
+from repro.baselines.core_base import Core, CoreResult
 from repro.branch import BranchUnit
-from repro.config import DeferTrigger, SSTConfig
+from repro.config import (
+    ALU_LATENCY,
+    DEFAULT_MAX_INSTRUCTIONS,
+    DIV_LATENCY,
+    MUL_LATENCY,
+    DeferTrigger,
+    SSTConfig,
+)
 from repro.core.checkpoint import Checkpoint, CheckpointFile
 from repro.core.deferred_queue import DeferredQueue, DQEntry
 from repro.core.modes import ExecMode, FailCause, ScoutCause
@@ -404,7 +407,6 @@ class SSTCore(Core):
         """
         state = self.state
         config = self.config
-        latencies = config.latencies
         hierarchy = self.hierarchy
         reg_ready = self._reg_ready
         reg_producer = self._reg_producer
@@ -420,9 +422,9 @@ class SSTCore(Core):
         mem_read = state.memory.read
         mem_write = state.memory.write
         data_access = hierarchy.data_access
-        lat_alu = latencies.alu
-        lat_mul = latencies.mul
-        lat_div = latencies.div
+        lat_alu = ALU_LATENCY
+        lat_mul = MUL_LATENCY
+        lat_div = DIV_LATENCY
         defer_on_tlb_miss = config.defer_on_tlb_miss
         defer_on_l1_miss = config.defer_trigger is DeferTrigger.L1_MISS
         L1 = HitLevel.L1
@@ -448,7 +450,7 @@ class SSTCore(Core):
         resolve_cond = branch_unit.resolve_cond
         resolve_indirect = branch_unit.resolve_indirect
         push_return = branch_unit.push_return
-        redirect_lat = latencies.alu + branch_unit.mispredict_penalty
+        redirect_lat = ALU_LATENCY + branch_unit.mispredict_penalty
         do_prefetch = hierarchy.prefetch
 
         # Core-owned scalars mirrored into locals for the loop.  The
@@ -1058,7 +1060,6 @@ class SSTCore(Core):
         inst = entry.inst
         cls = inst.op_class
         a, b = self._replay_operands(entry)
-        latencies = self.config.latencies
         # Replay progress changes DQ/slice/SB state: drop the memos.
         self._replay_stall = None
         self._commit_stall = None
@@ -1066,7 +1067,7 @@ class SSTCore(Core):
         if cls in (OpClass.ALU, OpClass.MUL, OpClass.DIV):
             fn = inst.alu_fn
             value = fn(a, inst.imm) if inst.alu_uses_imm else fn(a, b)
-            complete = cycle + self.op_latency(cls, latencies)
+            complete = cycle + self.op_latency(cls)
             self._produced(entry.seq, value, complete)
             spec.apply_replayed(inst.rd, value, entry.seq, complete)
         elif cls is OpClass.LOAD:

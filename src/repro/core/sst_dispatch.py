@@ -9,8 +9,9 @@ source and ``exec``-compiles it once per configuration signature; it is
 
 * configuration-invariant branches (store bypass?  defer trigger
   level?) are pruned at generation time;
-* width, latencies and the mispredict penalty are baked in as integer
-  literals;
+* width and the mispredict penalty are baked in as integer literals,
+  and so are the functional-unit latencies, which are fixed parameters
+  of :mod:`repro.config`;
 * the ahead-strand fast paths (ALU, load, store, branch, jumps), slot
   consumption, mode classification and mode-cycle accounting are
   inlined — instruction decode reads the block cache's flat rows
@@ -136,7 +137,13 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Dict, Tuple
 
-from repro.config import DeferTrigger, SSTConfig
+from repro.config import (
+    ALU_LATENCY,
+    DIV_LATENCY,
+    MUL_LATENCY,
+    DeferTrigger,
+    SSTConfig,
+)
 from repro.core import sst_core
 from repro.core.modes import ExecMode, ScoutCause
 from repro.core.sst_core import _NO_WAKE as NO_WAKE
@@ -464,8 +471,8 @@ def _taint_hook(pad: str, call: str, instrumented: bool) -> str:
 
 
 def _build_source(width: int, bypass: bool, defer_tlb: bool,
-                  defer_l1: bool, lat_alu: int, lat_mul: int, lat_div: int,
-                  penalty: int, instrumented: bool = False) -> str:
+                  defer_l1: bool, penalty: int,
+                  instrumented: bool = False) -> str:
     trig = _triggering(defer_tlb, defer_l1, "result")
     conservative = "False" if bypass else "True"
     out = []
@@ -661,8 +668,8 @@ def _sst_spec_loop(core, budget, until):
                 if kind <= {K_DIV}:
                     a = spec_values[rs1]
                     value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
-                    latency = ({lat_alu} if kind == {K_ALU} else
-                               {lat_mul} if kind == {K_MUL} else {lat_div})
+                    latency = ({ALU_LATENCY} if kind == {K_ALU} else
+                               {MUL_LATENCY} if kind == {K_MUL} else {DIV_LATENCY})
 {_write_available(p + '    ', 'value', 'cycle + latency')}\
 """)
     # LOAD
@@ -722,7 +729,7 @@ def _sst_spec_loop(core, budget, until):
                     if taken:
                         next_pc = target
                     if resolve_cond(pc, taken):
-{_mispredict(p + '        ', lat_alu + penalty)}\
+{_mispredict(p + '        ', ALU_LATENCY + penalty)}\
                 elif kind == {K_JUMP}:
 {_write_available(p + '    ', 'pc + 1', 'cycle + 1')}\
                     if inst.is_call:
@@ -740,7 +747,7 @@ def _sst_spec_loop(core, budget, until):
                         push_return(pc + 1)
                     next_pc = tgt
                     if mispredicted:
-{_mispredict(p + '        ', lat_alu + penalty)}\
+{_mispredict(p + '        ', ALU_LATENCY + penalty)}\
                 elif kind == {K_HALT}:
                     core._ahead_block = "halt"
                     break
@@ -789,8 +796,7 @@ def _sst_spec_loop(core, budget, until):
 """)
     emit(_end_cycle(" " * 8, "issued_replay or issued_ahead", "core._",
                     instrumented))
-    emit(_scout_section(width, trig, instrumented, lat_alu, lat_mul,
-                        lat_div))
+    emit(_scout_section(width, trig, instrumented))
     return "".join(out)
 
 
@@ -840,8 +846,7 @@ def _fold(pad: str, width: int) -> str:
 """
 
 
-def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
-                   lat_mul: int, lat_div: int) -> str:
+def _scout_section(width: int, trig: str, instrumented: bool) -> str:
     """The scout cycle loop (see the module docstring), reached by a
     ``break`` out of the speculative loop with ``cycle``, ``wake_min``
     and ``budget_left`` set and the core's scalars current.  It returns
@@ -943,8 +948,8 @@ def _scout_section(width: int, trig: str, instrumented: bool, lat_alu: int,
                         a = spec_values[rs1]
                         value = (fn(a, imm) if uses_imm
                                  else fn(a, spec_values[rs2]))
-                        latency = ({lat_alu} if kind == {K_ALU} else
-                                   {lat_mul} if kind == {K_MUL} else {lat_div})
+                        latency = ({ALU_LATENCY} if kind == {K_ALU} else
+                                   {MUL_LATENCY} if kind == {K_MUL} else {DIV_LATENCY})
 {_write_available(p + '    ', 'value', 'cycle + latency', tag)}\
                     elif kind == {K_LOAD}:
                         addr = (spec_values[rs1] + imm) & {_M}
@@ -1031,26 +1036,17 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
     module docstring); the core sets it when a sanitizer or taint
     tracker is attached.
     """
-    latencies = config.latencies
-    key = (config.width, config.bypass_unresolved_stores,
-           config.defer_on_tlb_miss, config.defer_trigger,
-           latencies.alu, latencies.mul, latencies.div,
-           mispredict_penalty, instrumented)
-    loop = _LOOP_CACHE.get(key)
+    # The cache key is the generator's own argument tuple, so the two
+    # cannot drift apart.
+    args = (config.width, config.bypass_unresolved_stores,
+            config.defer_on_tlb_miss,
+            config.defer_trigger is DeferTrigger.L1_MISS,
+            mispredict_penalty, instrumented)
+    loop = _LOOP_CACHE.get(args)
     if loop is not None:
         return loop
 
-    source = _build_source(
-        width=config.width,
-        bypass=config.bypass_unresolved_stores,
-        defer_tlb=config.defer_on_tlb_miss,
-        defer_l1=config.defer_trigger is DeferTrigger.L1_MISS,
-        lat_alu=latencies.alu,
-        lat_mul=latencies.mul,
-        lat_div=latencies.div,
-        penalty=mispredict_penalty,
-        instrumented=instrumented,
-    )
+    source = _build_source(*args)
     namespace = {
         "NORMAL": ExecMode.NORMAL,
         "SCOUT": ExecMode.SCOUT,
@@ -1072,5 +1068,5 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
     code = compile(source, "<sst_dispatch>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted, generated above
     loop = namespace["_sst_spec_loop"]
-    _LOOP_CACHE[key] = loop
+    _LOOP_CACHE[args] = loop
     return loop

@@ -25,11 +25,7 @@ Quickstart::
     print(doc["metrics"]["speedups"])
 """
 
-from repro.experiments.bench_env import (
-    BenchEnv,
-    DEFAULT_BENCH_MAX_INSTRUCTIONS,
-    SMOKE_DIVISOR,
-)
+from repro.experiments.bench_env import BenchEnv, SMOKE_DIVISOR
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.results import (
     RESULT_SCHEMA_VERSION,
@@ -57,7 +53,6 @@ from repro.experiments.spec import (
 
 __all__ = [
     "BenchEnv",
-    "DEFAULT_BENCH_MAX_INSTRUCTIONS",
     "SMOKE_DIVISOR",
     "ExperimentEngine",
     "RESULT_SCHEMA_VERSION",

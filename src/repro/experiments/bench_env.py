@@ -21,8 +21,8 @@ Run settings are constructor arguments:
   seconds (CI smoke mode; relative orderings at this scale are
   indicative only).  Default off.
 * ``max_instructions`` — per-run instruction budget (runaway guard);
-  default :data:`DEFAULT_BENCH_MAX_INSTRUCTIONS` (50M), the budget
-  every committed baseline record is keyed at.
+  default :data:`repro.config.DEFAULT_MAX_INSTRUCTIONS` (50M), the
+  budget of every entry point and of every committed baseline record.
 * ``cache`` — the result cache; by default ``REPRO_CACHE`` /
   ``REPRO_CACHE_DIR`` choose its gate and location (default on,
   ``benchmarks/.simcache/``).
@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional
 from repro.baselines.core_base import CoreResult
 from repro.cmp.multicore import Multicore, MulticoreResult
 from repro.config import (
+    DEFAULT_MAX_INSTRUCTIONS,
     CacheConfig,
     DRAMConfig,
     HierarchyConfig,
@@ -57,8 +58,6 @@ from repro.sim.cache import ResultCache, cache_from_env, multicore_key
 from repro.sim.parallel import ParallelRunner, SimTask
 from repro.workloads import commercial_suite, compute_suite, full_suite
 
-DEFAULT_BENCH_MAX_INSTRUCTIONS = 50_000_000
-
 # Smoke mode shrinks hardcoded workload parameters by this divisor.
 # A power of two preserves power-of-two-ness, which some generators
 # (hash tables) require of their sizes.
@@ -71,7 +70,7 @@ class BenchEnv:
     """One experiment run's machines, workloads, and execution engine."""
 
     def __init__(self, *, smoke: bool = False,
-                 max_instructions: int = DEFAULT_BENCH_MAX_INSTRUCTIONS,
+                 max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  cache: Any = _UNSET,
                  firewall: Optional[BaselineFirewall] = None):
         self.smoke = bool(smoke)
@@ -114,16 +113,16 @@ class BenchEnv:
 
     # -- machine points -----------------------------------------------
 
-    def hierarchy(self, latency: int = 300, mshr: int = 16,
-                  l2_mshr: int = 32) -> HierarchyConfig:
-        """The bench-scale memory hierarchy (see module docstring)."""
+    def hierarchy(self, latency: int = 300) -> HierarchyConfig:
+        """The bench-scale memory hierarchy (see module docstring), with
+        ``latency`` cycles of DRAM latency."""
         return HierarchyConfig(
             l1d=CacheConfig(size_bytes=16 * 1024, assoc=4, hit_latency=2,
-                            mshr_entries=mshr),
+                            mshr_entries=16),
             l1i=CacheConfig(size_bytes=16 * 1024, assoc=4, hit_latency=1,
                             mshr_entries=4),
             l2=CacheConfig(size_bytes=128 * 1024, assoc=8, hit_latency=20,
-                           mshr_entries=l2_mshr),
+                           mshr_entries=32),
             dram=DRAMConfig(latency=latency, min_interval=2),
         )
 

@@ -28,11 +28,8 @@ import pathlib
 import time
 from typing import Any, Dict, Optional, Union
 
-from repro.experiments.bench_env import (
-    BenchEnv,
-    DEFAULT_BENCH_MAX_INSTRUCTIONS,
-    _UNSET,
-)
+from repro.config import DEFAULT_MAX_INSTRUCTIONS
+from repro.experiments.bench_env import BenchEnv, _UNSET
 from repro.experiments.results import (
     RESULT_SCHEMA_VERSION,
     validate_result_doc,
@@ -48,7 +45,7 @@ class ExperimentEngine:
     """Runs registered experiment specs into result documents."""
 
     def __init__(self, *, smoke: bool = False,
-                 max_instructions: int = DEFAULT_BENCH_MAX_INSTRUCTIONS,
+                 max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  cache: Any = _UNSET,
                  results_dir: Optional[pathlib.Path] = None,
                  write: bool = True,

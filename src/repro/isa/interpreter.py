@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, NoReturn, Optional
 
+from repro.config import DEFAULT_MAX_INSTRUCTIONS
 from repro.errors import ExecutionError, ReproError
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
@@ -19,8 +20,6 @@ from repro.isa.registers import REG_COUNT, ZERO_REG
 from repro.isa.semantics import effective_address
 from repro.memory.sparse_memory import SparseMemory
 from repro.regress.semid import state_digest
-
-DEFAULT_MAX_STEPS = 50_000_000
 
 
 @dataclasses.dataclass
@@ -122,7 +121,8 @@ class InterpreterStats:
 class Interpreter:
     """Step-at-a-time functional executor."""
 
-    def __init__(self, program: Program, max_steps: int = DEFAULT_MAX_STEPS):
+    def __init__(self, program: Program,
+                 max_steps: int = DEFAULT_MAX_INSTRUCTIONS):
         program.validate()
         self.program = program
         self.state = ArchState.fresh(program)
@@ -203,6 +203,7 @@ class Interpreter:
         state.pc = next_pc
 
 
-def run_program(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> ArchState:
+def run_program(program: Program,
+                max_steps: int = DEFAULT_MAX_INSTRUCTIONS) -> ArchState:
     """Convenience wrapper: functional final state of ``program``."""
     return Interpreter(program, max_steps=max_steps).run()

@@ -10,17 +10,18 @@ Division follows the RISC-V convention: quotient of x/0 is all-ones,
 remainder of x/0 is x; overflow of INT_MIN / -1 wraps.
 
 Dispatch is table-driven: each opcode maps to one module-level function
-(picklable, so decoded programs still cross process boundaries).  The
-cores call these once per simulated instruction, so the old
-if-chain/string-suffix dispatch was a measurable fraction of total
-simulation time.
+(picklable, so decoded programs still cross process boundaries).
+:func:`alu_fn_for` and :func:`branch_fn_for` return an opcode's handler,
+or None for any other opcode; decode stores the result on
+every :class:`~repro.isa.instruction.Instruction`, and the engines call
+``inst.alu_fn(a, b)`` / ``inst.branch_fn(a, b)`` once per simulated
+instruction, with no table probe.
 """
 
 from __future__ import annotations
 
 import operator
 
-from repro.errors import SimulatorInvariantError
 from repro.isa.opcodes import Op
 
 MASK64 = 2**64 - 1
@@ -32,14 +33,10 @@ def to_signed(value: int) -> int:
     return value - (1 << 64) if value & SIGN_BIT else value
 
 
-def to_unsigned(value: int) -> int:
-    """Wrap any Python int into the unsigned 64-bit domain."""
-    return value & MASK64
-
-
 # ----------------------------------------------------------------------
-# ALU op implementations (b is the second register value or the already
-# substituted immediate, exactly as alu_result documents).
+# ALU op implementations: ``a`` is the first register value and ``b`` the
+# second register value or the (already substituted) immediate; each
+# returns an unsigned 64-bit value.
 # ----------------------------------------------------------------------
 
 def _add(a, b):
@@ -133,18 +130,6 @@ def alu_fn_for(op: Op):
     return _ALU_FN.get(op)
 
 
-def alu_result(op: Op, a: int, b: int) -> int:
-    """Result of a register-register or register-immediate ALU op.
-
-    ``b`` is the second register value or the (already substituted)
-    immediate.  Returns an unsigned 64-bit value.
-    """
-    fn = _ALU_FN.get(op)
-    if fn is None:
-        raise SimulatorInvariantError(f"alu_result called with non-ALU op {op}")
-    return fn(a, b)
-
-
 # ----------------------------------------------------------------------
 # Branch conditions.
 # ----------------------------------------------------------------------
@@ -175,16 +160,6 @@ def branch_fn_for(op: Op):
     stored at decode as ``Instruction.branch_fn`` (see
     :func:`alu_fn_for`)."""
     return _BRANCH_FN.get(op)
-
-
-def branch_taken(op: Op, a: int, b: int) -> bool:
-    """Condition outcome of a conditional branch."""
-    fn = _BRANCH_FN.get(op)
-    if fn is None:
-        raise SimulatorInvariantError(
-            f"branch_taken called with non-branch op {op}"
-        )
-    return fn(a, b)
 
 
 def effective_address(base: int, imm: int) -> int:

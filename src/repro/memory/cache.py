@@ -24,7 +24,7 @@ import dataclasses
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-from repro.config import CacheConfig
+from repro.config import LINE_BYTES, CacheConfig
 from repro.errors import SimulatorInvariantError
 
 # Line-flag bits.
@@ -52,7 +52,7 @@ class Cache:
         self.name = name
         self.stats = CacheStats()
         # A byte address's line is ``addr >> line_shift << line_shift``.
-        self.line_shift = config.line_bytes.bit_length() - 1
+        self.line_shift = LINE_BYTES.bit_length() - 1
         self._set_mask = config.num_sets - 1
         # set index -> OrderedDict(line -> flag bits); LRU at the front.
         self._sets: List[OrderedDict] = [

@@ -79,13 +79,6 @@ class HierarchyStats:
             return 0.0
         return self.demand_dram / self.demand_accesses
 
-    @property
-    def l1d_fastpath_fraction(self) -> float:
-        """Fraction of demand accesses that took the L1 fast path."""
-        if not self.demand_accesses:
-            return 0.0
-        return self.fastpath_l1d / self.demand_accesses
-
 
 class MemoryHierarchy:
     """One core's view of the memory system."""

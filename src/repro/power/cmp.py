@@ -16,8 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.baselines.core_base import CoreResult
-
-LINE_BYTES = 64
+from repro.config import LINE_BYTES
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
-from repro.config import MachineConfig
+from repro.baselines.core_base import CoreResult
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, MachineConfig
 from repro.isa.program import Program
 from repro.sim.cache import ResultCache
 from repro.sim.parallel import ParallelRunner, SimTask

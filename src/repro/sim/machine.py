@@ -8,12 +8,15 @@ sweep).
 
 from __future__ import annotations
 
-import time
-
-from repro.baselines.core_base import Core, CoreResult, DEFAULT_MAX_INSTRUCTIONS
+from repro.baselines.core_base import Core, CoreResult
 from repro.baselines.inorder import InOrderCore
 from repro.baselines.ooo import OoOCore
-from repro.config import CoreKind, HierarchyConfig, MachineConfig
+from repro.config import (
+    DEFAULT_MAX_INSTRUCTIONS,
+    CoreKind,
+    HierarchyConfig,
+    MachineConfig,
+)
 from repro.core import SSTCore
 from repro.errors import ConfigError
 from repro.isa.program import Program
@@ -54,12 +57,8 @@ class Machine:
             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> CoreResult:
         hierarchy = build_hierarchy(self.config.hierarchy)
         core = build_core(self.config, program, hierarchy)
-        started = time.perf_counter()
+        # Every core times itself into ``result.wall_seconds``.
         result = core.run(max_instructions=max_instructions)
-        if not result.wall_seconds:
-            # Cores time themselves (tighter bound); fall back to the
-            # harness-side measurement for any that don't.
-            result.wall_seconds = time.perf_counter() - started
         # Re-label with the configured machine name so sweeps stay legible.
         result.core_name = self.name
         return result

@@ -34,8 +34,8 @@ import dataclasses
 import functools
 from typing import List, Optional, Sequence
 
-from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
-from repro.config import MachineConfig
+from repro.baselines.core_base import CoreResult
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, MachineConfig
 from repro.errors import ReproError
 from repro.isa.program import Program
 from repro.sim.cache import ResultCache, result_key

@@ -5,8 +5,8 @@ merge) is architecturally correct and not just plausible."""
 
 from __future__ import annotations
 
-from repro.baselines.core_base import CoreResult, DEFAULT_MAX_INSTRUCTIONS
-from repro.config import MachineConfig
+from repro.baselines.core_base import CoreResult
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, MachineConfig
 from repro.errors import SimulatorInvariantError
 from repro.isa.interpreter import ArchState, run_program
 from repro.isa.program import Program
@@ -51,19 +51,13 @@ def verify_against_golden(result: CoreResult, program: Program) -> None:
 
 
 def simulate(config: MachineConfig, program: Program, *,
-             verify: bool = False, strict: bool = False,
+             verify: bool = False,
              max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> CoreResult:
     """Build the machine, run the program, optionally golden-check.
 
-    ``strict=True`` runs the static verifier
-    (:func:`repro.analysis.proglint.check_program`) over the program
-    first and raises :class:`~repro.errors.ProgramLintError` before any
-    cycle is simulated if it reports diagnostics.
+    To lint the program first, call
+    :func:`repro.analysis.proglint.check_program` on it.
     """
-    if strict:
-        from repro.analysis.proglint import check_program
-
-        check_program(program)
     result = Machine(config).run(program, max_instructions=max_instructions)
     if verify:
         verify_against_golden(result, program)

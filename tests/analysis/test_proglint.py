@@ -5,13 +5,11 @@ import pytest
 
 from repro.analysis.cfg import CFG
 from repro.analysis.proglint import DiagKind, check_program, lint_program
-from repro.config import inorder_machine
 from repro.errors import ProgramLintError, ReproError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
-from repro.sim.runner import simulate
 from repro.workloads.base import memoize_workload
 
 
@@ -179,24 +177,6 @@ def test_diagnostic_str_carries_location():
     [diag] = lint_program(builder.build())
     text = str(diag)
     assert "located" in text and "pc 1" in text
-
-
-def test_simulate_strict_rejects_bad_program():
-    builder = ProgramBuilder("strict-reject")
-    builder.add(1, 2, 2)
-    builder.halt()
-    with pytest.raises(ProgramLintError):
-        simulate(inorder_machine(), builder.build(), strict=True)
-
-
-def test_simulate_strict_accepts_clean_program():
-    builder = ProgramBuilder("strict-ok")
-    builder.movi(1, 3)
-    builder.addi(1, 1, 4)
-    builder.halt()
-    result = simulate(inorder_machine(), builder.build(),
-                      strict=True, verify=True)
-    assert result.instructions == 3
 
 
 def test_memoized_generators_are_verified_at_build_time():

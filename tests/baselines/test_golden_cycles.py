@@ -25,9 +25,9 @@ import pathlib
 
 import pytest
 
-from repro.baselines.core_base import DEFAULT_MAX_INSTRUCTIONS
 from repro.cmp.multicore import Multicore
 from repro.config import (
+    DEFAULT_MAX_INSTRUCTIONS,
     HierarchyConfig,
     SSTConfig,
     ea_machine,

@@ -24,7 +24,7 @@ def test_static_predictors():
 
 
 def test_bimodal_learns_a_bias():
-    predictor = BimodalPredictor(table_bits=4)
+    predictor = BimodalPredictor()
     for _ in range(4):
         predictor.resolve(5, False)
     assert predictor.predict(5) is False
@@ -34,7 +34,7 @@ def test_bimodal_learns_a_bias():
 
 
 def test_bimodal_counters_saturate():
-    predictor = BimodalPredictor(table_bits=4)
+    predictor = BimodalPredictor()
     for _ in range(100):
         predictor.resolve(5, True)
     predictor.resolve(5, False)
@@ -42,7 +42,7 @@ def test_bimodal_counters_saturate():
 
 
 def test_gshare_distinguishes_history():
-    predictor = GSharePredictor(table_bits=8, history_bits=4)
+    predictor = GSharePredictor()
     # Alternating pattern at one PC: gshare can track it via history.
     for _ in range(64):
         taken = predictor.history & 1 == 0
@@ -90,17 +90,22 @@ def predictor_state(predictor):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(list(PredictorKind)),
-       outcomes=st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+       outcomes=st.lists(st.tuples(st.integers(min_value=0, max_value=15),
+                                   st.integers(min_value=0, max_value=3),
                                    st.booleans()),
                          min_size=1, max_size=200))
 def test_resolve_paths_agree(kind, outcomes):
     """``resolve_cond`` and the deferred path SST replays through
     (``predict_cond`` at defer, ``resolve_deferred_cond`` at replay)
-    make the same call and leave the same state, on tables small enough
-    that entries alias."""
-    config = BranchPredictorConfig(kind=kind, table_bits=3, history_bits=2)
+    make the same call and leave the same state.  The PCs are
+    ``j + 4096 * k``, so they alias in the 4096-entry direction tables
+    and one entry trains on several branches."""
+    config = BranchPredictorConfig(kind=kind)
     fused, deferred = BranchUnit(config), BranchUnit(config)
-    for pc, taken in outcomes:
+    table = getattr(fused.direction, "table", None)
+    assert table is None or len(table) == 4096
+    for low, alias, taken in outcomes:
+        pc = low + 4096 * alias
         predicted = deferred.predict_cond(pc)
         assert fused.resolve_cond(pc, taken) \
             == deferred.resolve_deferred_cond(pc, predicted, taken)
@@ -131,12 +136,15 @@ def test_ras_mismatch_counts():
 
 
 def test_ras_bounded_depth():
-    branch_unit = unit(ras_entries=2)
-    for return_pc in (1, 2, 3):
+    from repro.config import RAS_ENTRIES
+
+    branch_unit = unit()
+    for return_pc in range(1, RAS_ENTRIES + 2):
         branch_unit.push_return(return_pc)
-    # Entry 1 was pushed out; 3 then 2 remain.
-    assert branch_unit.resolve_indirect(0, 3, is_return=True) is False
-    assert branch_unit.resolve_indirect(0, 2, is_return=True) is False
+    # Entry 1 was pushed out; the newest RAS_ENTRIES remain, newest first.
+    for return_pc in range(RAS_ENTRIES + 1, 1, -1):
+        assert branch_unit.resolve_indirect(0, return_pc,
+                                            is_return=True) is False
     assert branch_unit.resolve_indirect(0, 1, is_return=True) is True  # BTB path
 
 

@@ -74,8 +74,7 @@ def test_generated_sources_name_no_kind_code():
     for width, *flags in itertools.product((1, 2, 4), *[(False, True)] * 4):
         bypass, tlb, l1, instrumented = flags
         source = sst_dispatch._build_source(
-            width, bypass, tlb, l1, lat_alu=1, lat_mul=3, lat_div=20,
-            penalty=5, instrumented=instrumented)
+            width, bypass, tlb, l1, penalty=5, instrumented=instrumented)
         assert names.search(source) is None, (width, flags)
         assert f"core._commit_stall = {sst_core._NO_WAKE}" in source
         sources.add(source)

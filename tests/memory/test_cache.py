@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from repro.config import CacheConfig
+from repro.config import LINE_BYTES, CacheConfig
 from repro.errors import ConfigError, SimulatorInvariantError
 from repro.memory.cache import Cache
 
 
-def tiny_cache(assoc=2, sets=2, line=64):
-    return Cache(CacheConfig(size_bytes=assoc * sets * line, assoc=assoc,
-                             line_bytes=line), name="test")
+def tiny_cache(assoc=2, sets=2):
+    return Cache(CacheConfig(size_bytes=assoc * sets * LINE_BYTES,
+                             assoc=assoc), name="test")
 
 
 def test_cold_miss_then_hit():
@@ -83,7 +83,7 @@ def test_lru_hits_match_stack_distances():
     """Stack-distance identity over a long random stream: an N-line
     fully-associative cache hits exactly the references whose LRU stack
     distance (distinct lines touched since the last use) is below N."""
-    capacity, line_bytes = 64, 64
+    capacity = 64
     rng = random.Random(2009)
     lines = [rng.randrange(4 * capacity) for _ in range(5000)]
     stack = []  # most recently used last
@@ -96,12 +96,11 @@ def test_lru_hits_match_stack_distances():
         stack.append(line)
     assert 0 < expected_hits < len(lines)
 
-    cache = Cache(CacheConfig(size_bytes=capacity * line_bytes,
-                              assoc=capacity, line_bytes=line_bytes),
-                  name="lru")
+    cache = Cache(CacheConfig(size_bytes=capacity * LINE_BYTES,
+                              assoc=capacity), name="lru")
     for line in lines:
-        if not cache.lookup(line * line_bytes):
-            cache.fill(line * line_bytes)
+        if not cache.lookup(line * LINE_BYTES):
+            cache.fill(line * LINE_BYTES)
     assert cache.stats.hits == expected_hits
 
 
@@ -123,6 +122,4 @@ def test_miss_rate():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        CacheConfig(size_bytes=100, assoc=3, line_bytes=64)
-    with pytest.raises(ConfigError):
-        CacheConfig(size_bytes=4096, assoc=1, line_bytes=48)
+        CacheConfig(size_bytes=100, assoc=3)

@@ -2,10 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig
+from repro.config import LINE_BYTES, CacheConfig
 from repro.memory.cache import Cache
 
-LINE = 64
+LINE = LINE_BYTES
 
 
 class ReferenceLRU:
@@ -51,7 +51,7 @@ ops = st.lists(
 @settings(max_examples=60)
 @given(ops)
 def test_cache_matches_reference_lru(operations):
-    config = CacheConfig(size_bytes=4 * 2 * LINE, assoc=2, line_bytes=LINE)
+    config = CacheConfig(size_bytes=4 * 2 * LINE, assoc=2)
     cache = Cache(config)
     reference = ReferenceLRU(sets=config.num_sets, assoc=2)
     for _, line_index in operations:
@@ -85,7 +85,7 @@ def test_fill_then_contains(addresses):
 @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1,
                 max_size=300))
 def test_occupancy_never_exceeds_assoc(line_indices):
-    config = CacheConfig(size_bytes=2 * 2 * LINE, assoc=2, line_bytes=LINE)
+    config = CacheConfig(size_bytes=2 * 2 * LINE, assoc=2)
     cache = Cache(config)
     for index in line_indices:
         cache.fill(index * LINE)

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.core_base import DEFAULT_MAX_INSTRUCTIONS
-from repro.config import sst_machine
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, sst_machine
 from repro.experiments.bench_env import BenchEnv
 from repro.experiments.engine import ExperimentEngine
 from repro.regress.firewall import BaselineFirewall, point_behavior

@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments.bench_env import DEFAULT_BENCH_MAX_INSTRUCTIONS
+from repro.config import DEFAULT_MAX_INSTRUCTIONS
 from repro.regress.records import (
     BaselineRecord,
     BaselineSchemaError,
@@ -141,5 +141,5 @@ def test_committed_records_name_the_capture_budget():
         f"{record.scenario['max_instructions']}"
         for record in records
         if record.scenario["max_instructions"]
-        != DEFAULT_BENCH_MAX_INSTRUCTIONS)
+        != DEFAULT_MAX_INSTRUCTIONS)
     assert off_budget == []

@@ -13,6 +13,7 @@ import repro.sim.cache as cache_mod
 from repro.baselines.core_base import CoreResult
 from repro.cmp.multicore import Multicore, MulticoreResult
 from repro.config import (
+    DEFAULT_MAX_INSTRUCTIONS,
     SSTConfig,
     TLBConfig,
     inorder_machine,
@@ -21,7 +22,7 @@ from repro.config import (
 )
 from repro.core.sst_core import SSTCore
 from repro.errors import ExecutionError, ReproError
-from repro.experiments.bench_env import BenchEnv, DEFAULT_BENCH_MAX_INSTRUCTIONS
+from repro.experiments.bench_env import BenchEnv
 from repro.isa.interpreter import CachedState
 from repro.memory.sparse_memory import SparseMemory
 from repro.memory.tlb import TLBStats
@@ -414,7 +415,7 @@ def test_warm_multicore_run_does_zero_resimulation(tmp_path, monkeypatch):
     cold, cold_row = _env_run(cold_cache)
     assert (cold_cache.stats.misses, cold_cache.stats.stores) == (1, 1)
     assert cold_row["key"] == multicore_key(two_core_run(),
-                                            DEFAULT_BENCH_MAX_INSTRUCTIONS)
+                                            DEFAULT_MAX_INSTRUCTIONS)
 
     def _boom(*args, **kwargs):
         raise AssertionError("warm cache run re-simulated a multicore run")

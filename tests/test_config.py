@@ -1,15 +1,15 @@
 """Configuration validation and presets."""
 
-import dataclasses
+import inspect
 
 import pytest
 
 from repro.config import (
+    DEFAULT_MAX_INSTRUCTIONS,
     BranchPredictorConfig,
     CacheConfig,
     CoreKind,
     DRAMConfig,
-    HierarchyConfig,
     InOrderConfig,
     MachineConfig,
     OoOConfig,
@@ -24,16 +24,15 @@ from repro.errors import ConfigError
 
 
 def test_cache_geometry_helpers():
-    config = CacheConfig(size_bytes=32 * 1024, assoc=4, line_bytes=64)
-    assert config.num_sets == 128
+    cache = CacheConfig(size_bytes=32 * 1024, assoc=4)
+    assert cache.num_sets == 128
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(size_bytes=1000, assoc=4, line_bytes=64),  # non-pow2 sets
-    dict(size_bytes=64, assoc=4, line_bytes=64),  # smaller than a set
-    dict(size_bytes=4096, assoc=0, line_bytes=64),
-    dict(size_bytes=4096, assoc=1, line_bytes=4),  # line < word
-    dict(size_bytes=4096, assoc=1, line_bytes=64, mshr_entries=0),
+    dict(size_bytes=1000, assoc=4),  # non-pow2 sets
+    dict(size_bytes=64, assoc=4),  # smaller than a set
+    dict(size_bytes=4096, assoc=0),
+    dict(size_bytes=4096, assoc=1, mshr_entries=0),
 ])
 def test_bad_cache_configs(kwargs):
     with pytest.raises(ConfigError):
@@ -47,34 +46,10 @@ def test_bad_dram_configs():
         DRAMConfig(min_interval=-1)
 
 
-@pytest.mark.parametrize("level", ["l1d", "l1i", "l2"])
-def test_hierarchy_rejects_mixed_line_sizes(level):
-    """Every level shares one line size: with 64 B L1D and 128 B L2
-    lines the second L1D line of an L2 line still in flight from DRAM
-    was served as an L2 hit before its data arrived."""
-    base = HierarchyConfig()
-    wide = CacheConfig(size_bytes=getattr(base, level).size_bytes,
-                       assoc=getattr(base, level).assoc, line_bytes=128)
-    with pytest.raises(ConfigError) as raised:
-        HierarchyConfig(**{level: wide})
-    message = str(raised.value)
-    assert "\n" not in message
-    sizes = {"l1d": "128, 64 and 64", "l1i": "64, 128 and 64",
-             "l2": "64, 64 and 128"}[level]
-    assert f"{sizes} bytes" in message
-    # One size at every level is fine, whatever the size.
-    narrow = {name: dataclasses.replace(getattr(base, name), line_bytes=32)
-              for name in ("l1d", "l1i", "l2")}
-    assert HierarchyConfig(**narrow).l2.line_bytes == 32
-
-
 def test_predictor_validation():
+    assert BranchPredictorConfig(mispredict_penalty=0).mispredict_penalty == 0
     with pytest.raises(ConfigError):
-        BranchPredictorConfig(table_bits=30)
-    with pytest.raises(ConfigError):
-        BranchPredictorConfig(history_bits=20, table_bits=10)
-    with pytest.raises(ConfigError):
-        BranchPredictorConfig(btb_entries=100)
+        BranchPredictorConfig(mispredict_penalty=-1)
 
 
 def test_inorder_width_bounds():
@@ -132,3 +107,40 @@ def test_configs_are_frozen():
     config = SSTConfig()
     with pytest.raises(Exception):
         config.dq_size = 1  # type: ignore[misc]
+
+
+def test_one_default_instruction_budget():
+    """Every entry point defaults to the one budget of repro.config, the
+    budget every committed baseline record is keyed at."""
+    from repro.baselines.inorder import InOrderCore
+    from repro.baselines.ooo import OoOCore
+    from repro.cli import build_parser
+    from repro.cmp.multicore import Multicore
+    from repro.core import SSTCore
+    from repro.experiments import BenchEnv, ExperimentEngine
+    from repro.isa.interpreter import Interpreter, run_program
+    from repro.sim import Machine, SimTask, simulate, speedup_table
+
+    budgets = {
+        f"{function.__qualname__}({name})":
+            inspect.signature(function).parameters[name].default
+        for function, name in [
+            (simulate, "max_instructions"),
+            (Machine.run, "max_instructions"),
+            (SimTask, "max_instructions"),
+            (InOrderCore.run, "max_instructions"),
+            (OoOCore.run, "max_instructions"),
+            (SSTCore.run, "max_instructions"),
+            (SSTCore.advance, "max_instructions"),
+            (Multicore.run, "max_instructions"),
+            (speedup_table, "max_instructions"),
+            (BenchEnv, "max_instructions"),
+            (ExperimentEngine, "max_instructions"),
+            (Interpreter, "max_steps"),
+            (run_program, "max_steps"),
+        ]
+    }
+    args = build_parser().parse_args(["experiments", "run", "--all"])
+    budgets["repro experiments run --max-instructions"] = \
+        args.max_instructions
+    assert budgets == dict.fromkeys(budgets, DEFAULT_MAX_INSTRUCTIONS)
