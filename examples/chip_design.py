@@ -23,14 +23,7 @@ from repro import (
     simulate,
     sst_machine,
 )
-from repro.config import (
-    CacheConfig,
-    DRAMConfig,
-    HierarchyConfig,
-    InOrderConfig,
-    OoOConfig,
-    SSTConfig,
-)
+from repro.config import CacheConfig, DRAMConfig, HierarchyConfig
 
 DIE_BUDGET = 24.0  # in units of one scalar in-order core
 CHIP_BW = 24.0  # bytes/cycle off-chip
@@ -51,12 +44,10 @@ def hierarchy() -> HierarchyConfig:
 def main() -> None:
     program = hash_join(table_words=1 << 15, probes=1500)
     candidates = [
-        ("in-order", inorder_machine(hierarchy()), InOrderConfig(width=2)),
-        ("execute-ahead", ea_machine(hierarchy()),
-         SSTConfig(width=2, checkpoints=1)),
-        ("SST", sst_machine(hierarchy()), SSTConfig(width=2)),
-        ("OoO rob-128", ooo_machine(hierarchy(), rob_size=128),
-         OoOConfig(rob_size=128, iq_size=42, lsq_size=42)),
+        ("in-order", inorder_machine(hierarchy())),
+        ("execute-ahead", ea_machine(hierarchy())),
+        ("SST", sst_machine(hierarchy())),
+        ("OoO rob-128", ooo_machine(hierarchy(), rob_size=128)),
     ]
     print(f"workload: {program.name}   die budget {DIE_BUDGET:.0f} units, "
           f"off-chip {CHIP_BW:.0f} B/cyc")
@@ -66,7 +57,8 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     best = None
-    for name, machine, core_config in candidates:
+    for name, machine in candidates:
+        core_config = machine.sst or machine.ooo
         result = simulate(machine, program)
         area = core_area(core_config)
         cores = cores_per_die(core_config, DIE_BUDGET)

@@ -22,11 +22,9 @@ Quickstart::
 from repro.config import (
     BranchPredictorConfig,
     CacheConfig,
-    CoreKind,
     DeferTrigger,
     DRAMConfig,
     HierarchyConfig,
-    InOrderConfig,
     MachineConfig,
     OoOConfig,
     PredictorKind,
@@ -90,9 +88,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     # configuration
-    "BranchPredictorConfig", "CacheConfig", "CoreKind", "DeferTrigger",
-    "DRAMConfig", "HierarchyConfig", "InOrderConfig", "MachineConfig",
-    "OoOConfig", "PredictorKind", "SSTConfig", "TLBConfig",
+    "BranchPredictorConfig", "CacheConfig", "DeferTrigger", "DRAMConfig",
+    "HierarchyConfig", "MachineConfig", "OoOConfig", "PredictorKind",
+    "SSTConfig", "TLBConfig",
     # machine presets
     "ea_machine", "inorder_machine", "ooo_machine", "scout_machine",
     "sst_machine",

@@ -8,8 +8,11 @@ pipeline, and a mispredicted branch redirects the front end after the
 configured penalty.  That is :class:`~repro.core.sst_core.SSTCore`'s
 normal mode, and an SST core with no checkpoint never leaves it: in
 ROCK both strands share one simple in-order pipeline.  So this core is
-that configuration, built from an :class:`~repro.config.InOrderConfig`,
-and every cycle SST saves over it comes from speculation alone.
+that configuration, an :class:`~repro.config.SSTConfig` with
+``checkpoints=0`` (the default here; a config with a checkpoint is
+refused), and every cycle SST saves over it comes from speculation
+alone.  It adds only its own ``run``, which the benchmark times as the
+in-order layer.
 
 Its result carries the branch and hierarchy statistics, the perf
 counters (``extra["perf"]``) and the CPI stack (``extra["cpi_stack"]``:
@@ -20,8 +23,9 @@ cycle count), and no speculation statistics.
 from __future__ import annotations
 
 from repro.baselines.core_base import CoreResult
-from repro.config import DEFAULT_MAX_INSTRUCTIONS, InOrderConfig, SSTConfig
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, SSTConfig
 from repro.core.sst_core import SSTCore
+from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -30,10 +34,13 @@ class InOrderCore(SSTCore):
     name = "inorder"
 
     def __init__(self, program: Program, hierarchy: MemoryHierarchy,
-                 config: InOrderConfig = InOrderConfig()):
-        super().__init__(program, hierarchy, SSTConfig(
-            width=config.width, checkpoints=0, predictor=config.predictor,
-        ))
+                 config: SSTConfig = SSTConfig(checkpoints=0)):
+        # A config with a checkpoint is the SST core, not this one.
+        if config.checkpoints != 0:
+            raise ConfigError(
+                f"an in-order core has no checkpoint, got "
+                f"checkpoints={config.checkpoints}")
+        super().__init__(program, hierarchy, config)
 
     def run(self, max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> CoreResult:
         # SSTCore.run's body, not a call to it: the benchmark's tracer

@@ -4,8 +4,12 @@ Everything a simulation depends on is named here and nowhere else:
 cache geometry, DRAM latency/bandwidth, branch-predictor choice,
 functional-unit latencies, and the per-core structural parameters
 (checkpoint count, deferred-queue depth, store-buffer depth, ROB/IQ/LSQ
-sizes...).  The presets at the bottom mirror the machine points the
-paper compares: a ROCK-like SST core, the same pipeline restricted to
+sizes...).  There are two core configs: :class:`SSTConfig` describes
+the one in-order pipeline, whose checkpoint count and scout flag make it
+plain in-order, scout, execute-ahead or SST, and :class:`OoOConfig` the
+out-of-order comparator; a :class:`MachineConfig` holds exactly one of
+them.  The presets at the bottom mirror the machine points the paper
+compares: a ROCK-like SST core, the same pipeline restricted to
 execute-ahead / scout / plain in-order, and out-of-order cores of
 increasing size ("larger and higher-powered" comparators).
 
@@ -170,17 +174,6 @@ class BranchPredictorConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class InOrderConfig:
-    """Scoreboarded in-order core (stall-on-use)."""
-
-    width: int = 2
-    predictor: BranchPredictorConfig = BranchPredictorConfig()
-
-    def __post_init__(self) -> None:
-        _require(1 <= self.width <= 8, "width out of range")
-
-
-@dataclasses.dataclass(frozen=True)
 class OoOConfig:
     """Classical out-of-order core: rename + ROB + IQ + LSQ.
 
@@ -215,9 +208,10 @@ class DeferTrigger(enum.Enum):
 class SSTConfig:
     """The SST/ROCK core (the paper's contribution).
 
-    * ``checkpoints=0`` degenerates to the plain in-order pipeline.
-    * ``checkpoints=1, scout_only=True`` is hardware scout (run ahead
-      purely for prefetch, always roll back).
+    * ``checkpoints=0`` degenerates to the plain in-order pipeline: it
+      is the in-order baseline's only configuration.
+    * ``scout_only=True`` is hardware scout (run ahead purely for
+      prefetch, always roll back); it takes exactly one checkpoint.
     * ``checkpoints=1`` is execute-ahead (EA): replay stalls the ahead
       strand.
     * ``checkpoints>=2`` is full SST: the deferred strand replays
@@ -247,7 +241,8 @@ class SSTConfig:
         _require(self.dq_size >= 1, "dq_size must be >= 1")
         _require(self.sb_size >= 1, "sb_size must be >= 1")
         if self.scout_only:
-            _require(self.checkpoints >= 1, "scout needs one checkpoint")
+            _require(self.checkpoints == 1,
+                     "scout takes exactly one checkpoint")
 
     @property
     def mode_name(self) -> str:
@@ -266,33 +261,25 @@ class SSTConfig:
 # ---------------------------------------------------------------------------
 
 
-class CoreKind(enum.Enum):
-    INORDER = "inorder"
-    OOO = "ooo"
-    SST = "sst"
-
-
 @dataclasses.dataclass(frozen=True)
 class MachineConfig:
-    """One core + its memory hierarchy."""
+    """One core + its memory hierarchy.
 
-    core_kind: CoreKind
+    Exactly one of ``sst`` and ``ooo`` is set.  An ``sst`` config with
+    no checkpoint is the in-order baseline.
+    """
+
     hierarchy: HierarchyConfig = HierarchyConfig()
-    inorder: Optional[InOrderConfig] = None
     ooo: Optional[OoOConfig] = None
     sst: Optional[SSTConfig] = None
     name: str = ""
 
     def __post_init__(self) -> None:
-        selected = {
-            CoreKind.INORDER: self.inorder,
-            CoreKind.OOO: self.ooo,
-            CoreKind.SST: self.sst,
-        }[self.core_kind]
-        _require(selected is not None,
-                 f"core_kind={self.core_kind.value} but its config is None")
+        _require((self.sst is None) != (self.ooo is None),
+                 "a machine needs exactly one of sst and ooo")
         if not self.name:
-            object.__setattr__(self, "name", self.core_kind.value)
+            object.__setattr__(self, "name", "ooo" if self.sst is None
+                               else self.sst.mode_name)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +291,8 @@ def inorder_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
                     width: int = 2) -> MachineConfig:
     """The simple in-order baseline (same pipeline as SST, no speculation)."""
     return MachineConfig(
-        core_kind=CoreKind.INORDER,
         hierarchy=hierarchy,
-        inorder=InOrderConfig(width=width),
+        sst=SSTConfig(width=width, checkpoints=0),
         name=f"inorder-{width}w",
     )
 
@@ -315,7 +301,6 @@ def scout_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
                   width: int = 2) -> MachineConfig:
     """Hardware scout: run-ahead prefetching only, always rolls back."""
     return MachineConfig(
-        core_kind=CoreKind.SST,
         hierarchy=hierarchy,
         sst=SSTConfig(width=width, checkpoints=1, scout_only=True),
         name=f"scout-{width}w",
@@ -326,7 +311,6 @@ def ea_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
                width: int = 2, dq_size: int = 64) -> MachineConfig:
     """Execute-ahead: one checkpoint, replay stalls the ahead strand."""
     return MachineConfig(
-        core_kind=CoreKind.SST,
         hierarchy=hierarchy,
         sst=SSTConfig(width=width, checkpoints=1, dq_size=dq_size),
         name=f"ea-{width}w",
@@ -338,7 +322,6 @@ def sst_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
                 dq_size: int = 64, sb_size: int = 32) -> MachineConfig:
     """The ROCK-like SST core (the paper's design point)."""
     return MachineConfig(
-        core_kind=CoreKind.SST,
         hierarchy=hierarchy,
         sst=SSTConfig(width=width, checkpoints=checkpoints,
                       dq_size=dq_size, sb_size=sb_size),
@@ -353,7 +336,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
     iq = max(8, rob_size // 3)
     lsq = max(8, rob_size // 3)
     return MachineConfig(
-        core_kind=CoreKind.OOO,
         hierarchy=hierarchy,
         ooo=OoOConfig(width=width, rob_size=rob_size, iq_size=iq,
                       lsq_size=lsq),

@@ -5,9 +5,10 @@ Execution alternates between two regimes:
 * **Normal mode** — plain scoreboarded in-order execution updating
   committed state directly, until a deferrable event (a triggering load
   miss) occurs and a checkpoint is free.  With no checkpoint the core
-  never leaves it: that configuration is the in-order baseline
-  (:class:`~repro.baselines.inorder.InOrderCore`), and normal mode
-  keeps its CPI stack, the cycles the clock jumped by cause.
+  never leaves it: that configuration, ``SSTConfig(checkpoints=0)``, is
+  the in-order baseline (:class:`~repro.baselines.inorder.InOrderCore`),
+  and normal mode keeps its CPI stack, the cycles the clock jumped by
+  cause.
 * **Speculative episode** — a cycle-stepped loop running up to two
   strands that share the pipeline's issue width:
 
@@ -232,9 +233,8 @@ class SSTCore(Core):
         # tracks what speculation leaks); observational like the
         # sanitizer (pure accessors only), so cycle counts are identical
         # either way.  See repro.analysis.taint_tracker.
-        speculates = config.checkpoints >= 1
-        self.taint = (make_taint_tracker(self, program) if speculates
-                      else None)
+        self.taint = (make_taint_tracker(self, program)
+                      if config.checkpoints >= 1 else None)
 
         # ---- decoded rows ----------------------------------------------
         # Flat decoded rows, shared via the fingerprint-keyed block
@@ -245,18 +245,16 @@ class SSTCore(Core):
         # transition so accounting skips the per-call dict lookup.
         self._mode_key = _MODE_KEY[self.mode]
         # The speculative episode loop (repro.core.sst_dispatch),
-        # generated per config signature; a core with no checkpoint
-        # never enters one and generates none.  An attached sanitizer or
+        # generated per config signature; None for a core with no
+        # checkpoint, which never enters one.  An attached sanitizer or
         # taint tracker selects the instrumented variant, which compiles
         # in their hook sites.  Chosen once here, not per advance():
         # a multicore scheduler calls advance() once per quantum.
-        self._spec_loop_fn: Optional[Callable[..., None]] = None
-        if speculates:
-            from repro.core.sst_dispatch import compile_spec_loop
-            self._spec_loop_fn = compile_spec_loop(
-                config, self.branch_unit.mispredict_penalty,
-                self.sanitizer is not None or self.taint is not None,
-            )
+        from repro.core.sst_dispatch import compile_spec_loop
+        self._spec_loop_fn: Optional[Callable[..., None]] = compile_spec_loop(
+            config, self.branch_unit.mispredict_penalty,
+            self.sanitizer is not None or self.taint is not None,
+        )
 
     # ==================================================================
     # Top level.

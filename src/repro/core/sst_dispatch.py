@@ -4,7 +4,9 @@ The episode loop is the simulator's hottest code: one iteration per
 stepped speculative cycle.  Written as ordinary methods it cost about
 eight Python calls per issued instruction, so call overhead, not the
 modelling, bounded throughput.  This module emits the loop as Python
-source and ``exec``-compiles it once per configuration signature; it is
+source and ``exec``-compiles it once per configuration signature
+(:func:`compile_spec_loop` returns None for a config with no checkpoint,
+the in-order baseline, which never enters an episode); it is
 :class:`~repro.core.sst_core.SSTCore`'s only episode loop:
 
 * configuration-invariant branches (store bypass?  defer trigger
@@ -135,7 +137,7 @@ are read-only, so both variants produce the same cycles.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.config import (
     ALU_LATENCY,
@@ -1029,13 +1031,17 @@ _LOOP_CACHE: Dict[Tuple, Callable] = {}
 
 
 def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
-                      instrumented: bool = False) -> Callable:
-    """The specialized loop for one configuration signature (cached).
+                      instrumented: bool = False) -> Optional[Callable]:
+    """The specialized loop for one configuration signature (cached),
+    or None for a config with no checkpoint: the in-order pipeline
+    never enters an episode, so no loop is generated for it.
 
     ``instrumented`` compiles in the observer hook sites (see the
     module docstring); the core sets it when a sanitizer or taint
     tracker is attached.
     """
+    if config.checkpoints == 0:
+        return None
     # The cache key is the generator's own argument tuple, so the two
     # cannot drift apart.
     args = (config.width, config.bypass_unresolved_stores,

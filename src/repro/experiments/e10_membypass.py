@@ -8,7 +8,7 @@ clearly wins when aliases are rare, and its advantage shrinks (but the
 machine stays correct) as the alias rate rises.
 """
 
-from repro.config import CoreKind, MachineConfig, SSTConfig
+from repro.config import MachineConfig, SSTConfig
 from repro.core import FailCause
 from repro.experiments.spec import expect, experiment
 from repro.stats.report import Table
@@ -17,7 +17,6 @@ from repro.workloads import scatter_update
 
 def _machine(env, bypass: bool) -> MachineConfig:
     return MachineConfig(
-        core_kind=CoreKind.SST,
         hierarchy=env.hierarchy(),
         sst=SSTConfig(bypass_unresolved_stores=bypass),
         name="sst-bypass" if bypass else "sst-conservative",

@@ -7,7 +7,6 @@ unpredictable and the biased variants of the branchy workload.
 
 from repro.config import (
     BranchPredictorConfig,
-    CoreKind,
     MachineConfig,
     PredictorKind,
     SSTConfig,
@@ -26,7 +25,6 @@ _GSHARE = PredictorKind.GSHARE.value
 
 def _machine(env, kind: PredictorKind) -> MachineConfig:
     return MachineConfig(
-        core_kind=CoreKind.SST,
         hierarchy=env.hierarchy(),
         sst=SSTConfig(predictor=BranchPredictorConfig(kind=kind)),
         name=f"sst-{kind.value}",

@@ -7,14 +7,7 @@ Expected: SST's small-area, high-per-thread cores give the best chip
 throughput on the commercial mix — the reason ROCK was built this way.
 """
 
-from repro.config import (
-    InOrderConfig,
-    OoOConfig,
-    SSTConfig,
-    inorder_machine,
-    ooo_machine,
-    sst_machine,
-)
+from repro.config import inorder_machine, ooo_machine, sst_machine
 from repro.experiments.spec import expect, experiment
 from repro.power import chip_throughput, cores_per_die
 from repro.stats.report import Table, geomean
@@ -43,10 +36,9 @@ CHIP_BW = 24.0  # bytes per cycle off-chip: fast cores can saturate it
 def build(env):
     hierarchy = env.hierarchy()
     points = [
-        ("inorder", inorder_machine(hierarchy), InOrderConfig(width=2)),
-        ("sst", sst_machine(hierarchy), SSTConfig(width=2)),
-        ("ooo-128", ooo_machine(hierarchy, rob_size=128),
-         OoOConfig(rob_size=128, iq_size=42, lsq_size=42)),
+        ("inorder", inorder_machine(hierarchy)),
+        ("sst", sst_machine(hierarchy)),
+        ("ooo-128", ooo_machine(hierarchy, rob_size=128)),
     ]
     table = Table(
         f"E14: chip throughput at die budget {DIE_BUDGET:.0f}, "
@@ -54,10 +46,10 @@ def build(env):
         ["workload", "machine", "cores/die", "per-core IPC",
          "BW-bound?", "chip IPC"],
     )
-    chip_ipc = {name: [] for name, _, _ in points}
+    chip_ipc = {name: [] for name, _ in points}
     for program in env.commercial_suite():
-        for name, machine, core_config in points:
-            cores = cores_per_die(core_config, DIE_BUDGET)
+        for name, machine in points:
+            cores = cores_per_die(machine.sst or machine.ooo, DIE_BUDGET)
             result = env.run(machine, program)
             point = chip_throughput(result, cores=cores,
                                     chip_bw_limit=CHIP_BW)
@@ -70,7 +62,7 @@ def build(env):
             )
     table.add_row(
         "geomean chip IPC", "", "", "", "",
-        "/".join(f"{geomean(chip_ipc[name]):.2f}" for name, _, _ in points),
+        "/".join(f"{geomean(chip_ipc[name]):.2f}" for name, _ in points),
     )
     return table, {
         "chip_ipc": chip_ipc,

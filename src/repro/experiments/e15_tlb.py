@@ -9,7 +9,6 @@ overlapped like cache misses; with it off they serialise.
 import dataclasses
 
 from repro.config import (
-    CoreKind,
     MachineConfig,
     SSTConfig,
     TLBConfig,
@@ -32,7 +31,6 @@ def _hierarchy(env, entries: int):
 def _sst(env, entries: int, defer_on_tlb: bool) -> MachineConfig:
     suffix = "tlbdefer" if defer_on_tlb else "notlbdefer"
     return MachineConfig(
-        core_kind=CoreKind.SST,
         hierarchy=_hierarchy(env, entries),
         sst=SSTConfig(defer_on_tlb_miss=defer_on_tlb),
         name=f"sst-{entries}e-{suffix}",

@@ -7,7 +7,7 @@ enough to be worth hiding, and the two converge on DRAM-dominated
 codes.
 """
 
-from repro.config import CoreKind, DeferTrigger, MachineConfig, SSTConfig
+from repro.config import DeferTrigger, MachineConfig, SSTConfig
 from repro.experiments.spec import expect, experiment
 from repro.stats.report import Table
 from repro.workloads import array_stream, hash_join, matrix_multiply
@@ -15,7 +15,6 @@ from repro.workloads import array_stream, hash_join, matrix_multiply
 
 def _machine(env, trigger: DeferTrigger) -> MachineConfig:
     return MachineConfig(
-        core_kind=CoreKind.SST,
         hierarchy=env.hierarchy(),
         sst=SSTConfig(defer_trigger=trigger),
         name=f"sst-{trigger.value}",

@@ -27,7 +27,7 @@ run with ``REPRO_TAINT=1``, not from the result cache.
 import os
 
 from repro.analysis import analyze_taint
-from repro.config import CoreKind, MachineConfig, SSTConfig
+from repro.config import MachineConfig, SSTConfig
 from repro.experiments.spec import expect, experiment
 from repro.sim.runner import simulate
 from repro.stats.report import Table
@@ -37,10 +37,9 @@ from repro.workloads.spec_leak import ANALYSIS_WORKLOADS
 def _machines(env):
     return (
         ("sst", MachineConfig(
-            core_kind=CoreKind.SST, hierarchy=env.hierarchy(),
-            sst=SSTConfig(), name="sst")),
+            hierarchy=env.hierarchy(), sst=SSTConfig(), name="sst")),
         ("scout", MachineConfig(
-            core_kind=CoreKind.SST, hierarchy=env.hierarchy(),
+            hierarchy=env.hierarchy(),
             sst=SSTConfig(checkpoints=1, scout_only=True), name="scout")),
     )
 

@@ -9,7 +9,8 @@ is the unit of account.  The intent is the paper's area argument:
   multiplier, conservative in the OoO core's favour);
 * an SST core pays only for checkpoint register-file copies, the DQ
   RAM, and the store-buffer RAM+CAM — small adders on the in-order
-  core.
+  core, which is the SST config with no checkpoint and pays none of
+  them.
 
 ``cores_per_die`` turns core area into the paper's CMP argument: how
 many of each core fit in a fixed budget.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.config import InOrderConfig, OoOConfig, SSTConfig
+from repro.config import OoOConfig, SSTConfig
 
 # Relative area of one architectural register (64 bits, modest ports).
 _REG_AREA = 0.004
@@ -44,12 +45,6 @@ class AreaWeights:
     sb_per_entry: float = 0.006  # RAM + one CAM port
 
 
-def inorder_area(config: InOrderConfig,
-                 weights: AreaWeights = AreaWeights()) -> float:
-    return (weights.inorder_base
-            + (config.width - 1) * weights.per_extra_width)
-
-
 def ooo_area(config: OoOConfig,
              weights: AreaWeights = AreaWeights()) -> float:
     base = (weights.inorder_base
@@ -63,8 +58,12 @@ def ooo_area(config: OoOConfig,
 
 def sst_area(config: SSTConfig,
              weights: AreaWeights = AreaWeights()) -> float:
+    """With no checkpoint this is the plain in-order core: it pays no
+    checkpoint copy, DQ or store buffer."""
     base = (weights.inorder_base
             + (config.width - 1) * weights.per_extra_width)
+    if config.checkpoints == 0:
+        return base
     return (base
             + config.checkpoints * weights.checkpoint_per_copy
             + config.dq_size * weights.dq_per_entry
@@ -73,8 +72,6 @@ def sst_area(config: SSTConfig,
 
 def core_area(config, weights: AreaWeights = AreaWeights()) -> float:
     """Area of any core config (dispatch on type)."""
-    if isinstance(config, InOrderConfig):
-        return inorder_area(config, weights)
     if isinstance(config, OoOConfig):
         return ooo_area(config, weights)
     if isinstance(config, SSTConfig):

@@ -1,5 +1,11 @@
 """Machine assembly: config → (core + fresh memory hierarchy).
 
+A machine's core is its :class:`~repro.config.MachineConfig`'s one core
+config: an ``ooo`` config builds :class:`~repro.baselines.ooo.OoOCore`,
+and an ``sst`` config builds :class:`~repro.core.SSTCore`, or
+:class:`~repro.baselines.inorder.InOrderCore` (the same pipeline, timed
+as the in-order layer) when it has no checkpoint.
+
 A :class:`Machine` is cheap to construct and single-use per run — every
 ``run`` builds a fresh hierarchy and core so results never leak state
 between experiments (cache warmth across runs would silently corrupt a
@@ -11,14 +17,8 @@ from __future__ import annotations
 from repro.baselines.core_base import Core, CoreResult
 from repro.baselines.inorder import InOrderCore
 from repro.baselines.ooo import OoOCore
-from repro.config import (
-    DEFAULT_MAX_INSTRUCTIONS,
-    CoreKind,
-    HierarchyConfig,
-    MachineConfig,
-)
+from repro.config import DEFAULT_MAX_INSTRUCTIONS, HierarchyConfig, MachineConfig
 from repro.core import SSTCore
-from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -30,17 +30,15 @@ def build_hierarchy(config: HierarchyConfig) -> MemoryHierarchy:
 
 def build_core(config: MachineConfig, program: Program,
                hierarchy: MemoryHierarchy) -> Core:
-    """Instantiate the configured core bound to ``program``."""
-    if config.core_kind is CoreKind.INORDER:
-        assert config.inorder is not None
-        return InOrderCore(program, hierarchy, config.inorder)
-    if config.core_kind is CoreKind.OOO:
-        assert config.ooo is not None
+    """Instantiate the configured core bound to ``program``: the OoO
+    core, or the SST pipeline, which is the in-order baseline when it
+    has no checkpoint."""
+    if config.ooo is not None:
         return OoOCore(program, hierarchy, config.ooo)
-    if config.core_kind is CoreKind.SST:
-        assert config.sst is not None
-        return SSTCore(program, hierarchy, config.sst)
-    raise ConfigError(f"unknown core kind {config.core_kind}")
+    assert config.sst is not None
+    if config.sst.checkpoints == 0:
+        return InOrderCore(program, hierarchy, config.sst)
+    return SSTCore(program, hierarchy, config.sst)
 
 
 class Machine:

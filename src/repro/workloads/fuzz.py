@@ -48,7 +48,6 @@ from repro.config import (
     CacheConfig,
     DRAMConfig,
     HierarchyConfig,
-    InOrderConfig,
     OoOConfig,
     SSTConfig,
 )
@@ -92,7 +91,7 @@ def small_hierarchy(latency: int = 60) -> HierarchyConfig:
 # The ``ooo`` variant's 2-entry LSQ is what makes fuzzed programs fill
 # it: with 16 entries none of 200 drawn programs did.
 CORE_FACTORIES: List[Tuple[str, Callable]] = [
-    ("inorder", lambda p, h: InOrderCore(p, h, InOrderConfig())),
+    ("inorder", lambda p, h: InOrderCore(p, h)),
     ("ooo", lambda p, h: OoOCore(p, h, OoOConfig(
         rob_size=32, iq_size=16, lsq_size=2))),
     ("sst", lambda p, h: SSTCore(p, h, SSTConfig())),

@@ -1,7 +1,7 @@
 """CPI-stack stall attribution of the in-order core."""
 
 from repro.baselines.inorder import InOrderCore
-from repro.config import InOrderConfig
+from repro.config import SSTConfig
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
 from tests.conftest import small_hierarchy_config
@@ -57,7 +57,7 @@ PROGRAMS = {
 def run(name: str):
     program = assemble(PROGRAMS[name])
     hierarchy = MemoryHierarchy(small_hierarchy_config(latency=200))
-    return InOrderCore(program, hierarchy, InOrderConfig()).run()
+    return InOrderCore(program, hierarchy, SSTConfig(checkpoints=0)).run()
 
 
 def test_stack_sums_to_total_cycles():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.inorder import InOrderCore
-from repro.config import InOrderConfig
+from repro.config import SSTConfig
 from repro.errors import ExecutionError
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
@@ -16,7 +16,7 @@ def run(source_or_program, width=2, latency=200, config=None):
                if isinstance(source_or_program, str) else source_or_program)
     hierarchy = MemoryHierarchy(small_hierarchy_config(latency=latency))
     core = InOrderCore(program, hierarchy,
-                       config or InOrderConfig(width=width))
+                       config or SSTConfig(width=width, checkpoints=0))
     result = core.run()
     verify_against_golden(result, program)
     return result
@@ -113,9 +113,11 @@ def test_branch_mispredicts_cost_cycles():
     """
     from repro.config import BranchPredictorConfig
 
-    cheap = run(source, config=InOrderConfig(
+    cheap = run(source, config=SSTConfig(
+        checkpoints=0,
         predictor=BranchPredictorConfig(mispredict_penalty=0)))
-    costly = run(source, config=InOrderConfig(
+    costly = run(source, config=SSTConfig(
+        checkpoints=0,
         predictor=BranchPredictorConfig(mispredict_penalty=20)))
     assert costly.cycles > cheap.cycles + 500
 

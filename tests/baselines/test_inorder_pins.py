@@ -13,7 +13,7 @@ in-order pipeline is built must leave every number here as it is.
 import pytest
 
 from repro.baselines.inorder import InOrderCore
-from repro.config import HierarchyConfig, InOrderConfig
+from repro.config import HierarchyConfig, SSTConfig
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads import full_suite
@@ -152,7 +152,7 @@ def suite():
 @pytest.mark.parametrize("name,width", sorted(SUITE_TIMING))
 def test_suite_program_is_pinned(suite, name, width):
     result = InOrderCore(suite[name], MemoryHierarchy(HierarchyConfig()),
-                         InOrderConfig(width=width)).run()
+                         SSTConfig(width=width, checkpoints=0)).run()
     cycles, stack = SUITE_TIMING[name, width]
     assert _observed(result) == (cycles, *SUITE_STATE[name], stack)
 
@@ -161,7 +161,7 @@ def test_suite_program_is_pinned(suite, name, width):
 def test_cpi_stack_program_is_pinned(name):
     hierarchy = MemoryHierarchy(small_hierarchy_config(latency=200))
     result = InOrderCore(assemble(PROGRAMS[name]), hierarchy,
-                         InOrderConfig()).run()
+                         SSTConfig(checkpoints=0)).run()
     assert _observed(result) == CPI_PROGRAM_PINS[name]
 
 

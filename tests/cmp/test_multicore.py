@@ -35,16 +35,20 @@ def test_address_offsets_distinct():
 
 
 def test_single_core_multicore_equals_solo_run():
-    """Quantum interleaving of one core must be cycle-exact."""
-    from repro import simulate, sst_machine
+    """Quantum interleaving of one core must be cycle-exact, on the SST
+    core and on the in-order core alike."""
+    from repro import inorder_machine, simulate, sst_machine
 
     hierarchy = small_hierarchy_config()
     program = programs(1)[0]
-    solo = simulate(sst_machine(hierarchy), program)
-    for quantum in (50, 1000, 10**9):
-        multi = Multicore(hierarchy, [SSTConfig()], [program],
-                          quantum=quantum).run()
-        assert multi.per_core[0].cycles == solo.cycles, quantum
+    for machine in (sst_machine(hierarchy), inorder_machine(hierarchy)):
+        solo = simulate(machine, program)
+        for quantum in (50, 1000, 10**9):
+            multi = Multicore(hierarchy, [machine.sst], [program],
+                              quantum=quantum).run()
+            core = multi.per_core[0]
+            assert core.cycles == solo.cycles, (machine.name, quantum)
+            assert core.state.regs == solo.state.regs, (machine.name, quantum)
 
 
 def test_all_cores_golden_verified():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import SSTConfig
 from repro.core import ExecMode, FailCause, ScoutCause, SSTCore, sst_dispatch
-from repro.errors import ExecutionError
+from repro.errors import ConfigError, ExecutionError
 from repro.isa.assembler import assemble
 from repro.isa.builder import ProgramBuilder
 from repro.memory.hierarchy import MemoryHierarchy
@@ -106,7 +106,8 @@ def test_checkpoint_free_cores_generate_no_loop(monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("generated a speculative loop")
 
-    monkeypatch.setattr(sst_dispatch, "compile_spec_loop", refuse)
+    monkeypatch.setattr(sst_dispatch, "_build_source", refuse)
+    assert sst_dispatch.compile_spec_loop(SSTConfig(checkpoints=0), 8) is None
     for core in (
         InOrderCore(countdown_program,
                     MemoryHierarchy(small_hierarchy_config())),
@@ -114,6 +115,7 @@ def test_checkpoint_free_cores_generate_no_loop(monkeypatch,
                 MemoryHierarchy(small_hierarchy_config()),
                 SSTConfig(checkpoints=0)),
     ):
+        assert core._spec_loop_fn is None
         verify_against_golden(core.run(), countdown_program)
 
 
@@ -279,14 +281,17 @@ def test_more_checkpoints_never_hurt():
 
 def test_zero_checkpoints_is_plain_inorder(countdown_program, miss_chain_program):
     from repro.baselines.inorder import InOrderCore
-    from repro.config import InOrderConfig
 
     for program in (countdown_program, miss_chain_program):
         hierarchy = MemoryHierarchy(small_hierarchy_config())
-        inorder = InOrderCore(program, hierarchy, InOrderConfig()).run()
+        inorder = InOrderCore(program, hierarchy).run()
         sst0 = run(program, SSTConfig(checkpoints=0))
         assert sst0.cycles == inorder.cycles
         assert "sst" not in sst0.extra
+    # A config with a checkpoint is the SST core, never the in-order one.
+    with pytest.raises(ConfigError, match="no checkpoint"):
+        InOrderCore(countdown_program,
+                    MemoryHierarchy(small_hierarchy_config()), SSTConfig())
 
 
 def test_scout_only_always_rolls_back():
@@ -301,11 +306,10 @@ def test_scout_only_always_rolls_back():
 
 def test_scout_still_beats_inorder_via_warm_cache():
     from repro.baselines.inorder import InOrderCore
-    from repro.config import InOrderConfig
 
     program = _probe_loop_program(probes=24)
     hierarchy = MemoryHierarchy(small_hierarchy_config())
-    inorder = InOrderCore(program, hierarchy, InOrderConfig()).run()
+    inorder = InOrderCore(program, hierarchy).run()
     scout = run(program, SSTConfig(checkpoints=1, scout_only=True))
     assert scout.cycles < inorder.cycles * 0.75
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import (
     SSTConfig,
-    CoreKind,
     MachineConfig,
     ea_machine,
     inorder_machine,
@@ -26,10 +25,10 @@ def machines():
         ea_machine(hierarchy),
         sst_machine(hierarchy),
         ooo_machine(hierarchy, rob_size=64),
-        MachineConfig(core_kind=CoreKind.SST, hierarchy=hierarchy,
+        MachineConfig(hierarchy=hierarchy,
                       sst=SSTConfig(checkpoints=4, dq_size=8, sb_size=4),
                       name="sst-stressed"),
-        MachineConfig(core_kind=CoreKind.SST, hierarchy=hierarchy,
+        MachineConfig(hierarchy=hierarchy,
                       sst=SSTConfig(bypass_unresolved_stores=False),
                       name="sst-conservative"),
     ]

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.config import (
-    InOrderConfig,
     OoOConfig,
     SSTConfig,
     inorder_machine,
     sst_machine,
 )
-from repro.power import chip_throughput, core_area, cores_per_die
+from repro.power import AreaWeights, chip_throughput, core_area, cores_per_die
 from repro.power.cmp import measured_bandwidth
 from repro.sim.runner import simulate
 from repro.workloads import hash_join, matrix_multiply
@@ -18,9 +17,12 @@ from tests.conftest import small_hierarchy_config
 
 def test_area_ordering():
     """inorder < SST << OoO — the paper's area claim."""
-    inorder = core_area(InOrderConfig(width=2))
+    inorder = core_area(SSTConfig(width=2, checkpoints=0))
     sst = core_area(SSTConfig(width=2))
     ooo = core_area(OoOConfig(rob_size=128, iq_size=42, lsq_size=42))
+    # The in-order core pays no checkpoint, DQ or store buffer.
+    weights = AreaWeights()
+    assert inorder == weights.inorder_base + weights.per_extra_width
     assert inorder < sst < ooo
     assert sst < inorder * 1.8  # SST is a modest adder
     assert ooo > inorder * 2.0  # OoO is not
@@ -40,7 +42,7 @@ def test_core_area_rejects_unknown():
 
 
 def test_cores_per_die():
-    config = InOrderConfig(width=2)
+    config = SSTConfig(width=2, checkpoints=0)
     area = core_area(config)
     assert cores_per_die(config, die_budget=10 * area) == 10
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ entry is non-negative and the entries sum exactly to the cycle count."""
 from hypothesis import given, settings
 
 from repro.baselines.inorder import InOrderCore
-from repro.config import InOrderConfig
+from repro.config import SSTConfig
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.fuzz import build_program, program_shapes, small_hierarchy
 
@@ -14,7 +14,7 @@ from repro.workloads.fuzz import build_program, program_shapes, small_hierarchy
 def test_cpi_stack_partitions_cycles(shape):
     program = build_program(shape)
     result = InOrderCore(program, MemoryHierarchy(small_hierarchy()),
-                         InOrderConfig()).run(max_instructions=2_000_000)
+                         SSTConfig(checkpoints=0)).run(max_instructions=2_000_000)
     stack = result.extra["cpi_stack"]
     assert all(cycles >= 0 for cycles in stack.values()), stack
     assert sum(stack.values()) == result.cycles, stack

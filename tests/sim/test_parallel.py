@@ -114,7 +114,7 @@ def test_sweep_skip_drops_diverging_point(programs):
             # Sabotage this point so it fails inside the runner, after
             # construction (the frozen-dataclass bypass keeps
             # MachineConfig validation out of the way).
-            object.__setattr__(machine, "core_kind", "warp-drive")
+            object.__setattr__(machine, "sst", None)
         return machine
 
     tasks = [SimTask(config=make_config(dq_size), program=programs[0])
@@ -124,5 +124,5 @@ def test_sweep_skip_drops_diverging_point(programs):
     assert all(outcomes[index].result.instructions > 0
                for index in (0, 2))
 
-    with pytest.raises(SimTaskError, match="warp-drive"):
+    with pytest.raises(SimTaskError, match="sst-dq8"):
         ParallelRunner().run(tasks)

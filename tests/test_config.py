@@ -8,9 +8,7 @@ from repro.config import (
     DEFAULT_MAX_INSTRUCTIONS,
     BranchPredictorConfig,
     CacheConfig,
-    CoreKind,
     DRAMConfig,
-    InOrderConfig,
     MachineConfig,
     OoOConfig,
     SSTConfig,
@@ -54,9 +52,9 @@ def test_predictor_validation():
 
 def test_inorder_width_bounds():
     with pytest.raises(ConfigError):
-        InOrderConfig(width=0)
+        SSTConfig(width=0, checkpoints=0)
     with pytest.raises(ConfigError):
-        InOrderConfig(width=16)
+        SSTConfig(width=16, checkpoints=0)
 
 
 def test_ooo_structure_bounds():
@@ -75,6 +73,8 @@ def test_sst_validation():
         SSTConfig(checkpoints=-1)
     with pytest.raises(ConfigError):
         SSTConfig(checkpoints=0, scout_only=True)
+    with pytest.raises(ConfigError, match="exactly one"):
+        SSTConfig(checkpoints=2, scout_only=True)
 
 
 def test_sst_mode_names():
@@ -85,18 +85,22 @@ def test_sst_mode_names():
 
 
 def test_machine_requires_matching_core_config():
-    with pytest.raises(ConfigError):
-        MachineConfig(core_kind=CoreKind.SST)  # sst config missing
+    with pytest.raises(ConfigError, match="exactly one"):
+        MachineConfig()  # no core config
+    with pytest.raises(ConfigError, match="exactly one"):
+        MachineConfig(sst=SSTConfig(), ooo=OoOConfig())
 
 
 def test_machine_default_name():
-    config = MachineConfig(core_kind=CoreKind.INORDER,
-                           inorder=InOrderConfig())
+    config = MachineConfig(sst=SSTConfig(checkpoints=0))
     assert config.name == "inorder"
+    assert MachineConfig(sst=SSTConfig()).name == "sst"
+    assert MachineConfig(ooo=OoOConfig()).name == "ooo"
 
 
 def test_presets_build():
-    assert inorder_machine().core_kind is CoreKind.INORDER
+    assert inorder_machine().sst.checkpoints == 0
+    assert inorder_machine().ooo is None
     assert scout_machine().sst.scout_only
     assert ea_machine().sst.checkpoints == 1
     assert sst_machine().sst.checkpoints == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SSTConfig, sst_machine, inorder_machine
+from repro.config import MachineConfig, SSTConfig, sst_machine, inorder_machine
 from repro.isa.interpreter import Interpreter
 from repro.sim.runner import simulate
 from repro.workloads import graph_bfs, scatter_update
@@ -44,9 +44,8 @@ def test_scatter_conservative_vs_bypass_both_correct():
                              alias_per_1024=128)
     hierarchy = small_hierarchy_config()
     for bypass in (True, False):
-        machine = sst_machine(hierarchy)
-        machine = type(machine)(
-            core_kind=machine.core_kind, hierarchy=hierarchy,
+        machine = MachineConfig(
+            hierarchy=hierarchy,
             sst=SSTConfig(bypass_unresolved_stores=bypass),
             name=f"sst-{bypass}",
         )
