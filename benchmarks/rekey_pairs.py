@@ -2,11 +2,14 @@
 """Check that a change to the baseline corpus moved only keys.
 
 A change that renames or deletes a configuration field re-keys every
-point (``result_key`` hashes every config field) and every multicore
-run (``multicore_key`` hashes the hierarchy), so ``repro baseline
-capture`` writes every point and multicore record under a new semantic
-ID.  This script proves that such a change is a re-key and nothing
-else.  It takes four directories:
+point (``result_key`` hashes every config field but the display
+``name``) and every multicore run (``multicore_key`` hashes the
+hierarchy), so ``repro baseline capture`` writes every point and
+multicore record under a new semantic ID.  A change to what a key
+digests can also merge keys: when ``result_key`` stopped hashing the
+display name, the labels two sweeps gave one machine became one key.
+This script proves that such a change is a re-key and nothing else.
+It takes four directories:
 
 * ``OLD_DOCS`` and ``NEW_DOCS``: the result documents (``*.json``) of
   one ``REPRO_CACHE=0 repro experiments run --all --smoke`` on each
@@ -20,10 +23,16 @@ It checks that:
   than ``points`` and ``wall_seconds`` is equal;
 * points pair by document and position, and every point field other
   than ``key`` and ``wall_seconds`` is equal;
-* the old-to-new key map those pairs give is one-to-one;
+* the old-to-new key map those pairs give maps each old key to one new
+  key, and is one-to-one except for name-only merges: old keys that map
+  to one new key must address records that are equal but for their
+  semid and their scenario's labels (``machine``, the display name, and
+  ``core``, derived from the config the key hashes), so their kind,
+  program, budget and behaviour are equal;
 * every old point and multicore record has a new partner, the record
-  addressed by its mapped key, with equal ``kind``, ``scenario`` and
-  ``behavior`` (and equal schemas);
+  addressed by its mapped key, with equal ``kind``, ``behavior``,
+  schemas and scenario but for its labels (the documents still compare
+  every point's ``machine``);
 * every experiment record keeps its semantic ID and differs at most in
   ``behavior.points_signature``, which hashes the point keys;
 * neither side has a record the pairing leaves over.
@@ -47,6 +56,11 @@ Json = Dict[str, Any]
 # The most differences printed before the counts.
 MAX_SHOWN = 20
 
+# Scenario fields that label a record rather than describe its inputs:
+# ``machine`` is a display name, and ``core`` is derived from the config
+# that the semid already hashes.
+LABELS = ("machine", "core")
+
 
 def load_dir(directory: pathlib.Path) -> Dict[str, Json]:
     """Every ``*.json`` file of ``directory``, by file name."""
@@ -59,6 +73,13 @@ def load_dir(directory: pathlib.Path) -> Dict[str, Json]:
 def without(mapping: Json, *names: str) -> Json:
     return {name: value for name, value in mapping.items()
             if name not in names}
+
+
+def unlabelled(record: Json) -> Json:
+    """``record`` without its semid and its scenario's labels: what two
+    records of one simulation have in common."""
+    return {**without(record, "semid"),
+            "scenario": without(record.get("scenario", {}), *LABELS)}
 
 
 def pair_documents(old: Dict[str, Json], new: Dict[str, Json],
@@ -90,13 +111,32 @@ def pair_documents(old: Dict[str, Json], new: Dict[str, Json],
             if mapped != now["key"]:
                 problems.append(f"old key {was['key']} maps to both "
                                 f"{mapped} and {now['key']}")
-    sources: Dict[str, str] = {}
-    for old_key, new_key in sorted(key_map.items()):
-        other = sources.setdefault(new_key, old_key)
-        if other != old_key:
-            problems.append(f"old keys {other} and {old_key} both map to "
-                            f"new key {new_key}")
     return key_map, paired
+
+
+def check_merges(key_map: Dict[str, str], old: Dict[str, Json],
+                 problems: List[str]) -> Tuple[int, int]:
+    """Allow several old keys onto one new key only as a name-only
+    merge; returns (old keys merged away, new keys they merged into)."""
+    sources: Dict[str, List[str]] = {}
+    for old_key, new_key in sorted(key_map.items()):
+        sources.setdefault(new_key, []).append(old_key)
+    merged = into = 0
+    for new_key, old_keys in sorted(sources.items()):
+        if len(old_keys) < 2:
+            continue
+        first = old_keys[0]
+        for other in old_keys[1:]:
+            if (first not in old or other not in old
+                    or unlabelled(old[first]) != unlabelled(old[other])):
+                problems.append(f"old keys {first} and {other} both map to "
+                                f"new key {new_key}, and their records "
+                                "differ in more than labels")
+                break
+        else:
+            merged += len(old_keys) - 1
+            into += 1
+    return merged, into
 
 
 def by_semid(records: Dict[str, Json], problems: List[str],
@@ -152,7 +192,7 @@ def pair_records(old: Dict[str, Json], new: Dict[str, Json],
                             f"{new_semid}")
             continue
         partners.add(new_semid)
-        if without(record, "semid") != without(partner, "semid"):
+        if unlabelled(record) != unlabelled(partner):
             problems.append(f"{kind} record {semid} and its partner "
                             f"{new_semid} differ")
             continue
@@ -171,6 +211,7 @@ def check(old_docs: pathlib.Path, new_docs: pathlib.Path,
     key_map, points = pair_documents(*documents, problems)
     old = by_semid(load_dir(old_records), problems, "old")
     new = by_semid(load_dir(new_records), problems, "new")
+    merged, into = check_merges(key_map, old, problems)
     counts = pair_records(old, new, key_map, problems)
     moved = sum(1 for before, after in key_map.items() if before != after)
     report = [
@@ -178,6 +219,8 @@ def check(old_docs: pathlib.Path, new_docs: pathlib.Path,
         f"{points} points paired by position",
         f"keys: {len(key_map)} old mapped onto "
         f"{len(set(key_map.values()))} new ({moved} moved)",
+        f"name-only merges: {merged} ({merged + into} old keys onto "
+        f"{into} new)",
         f"records: {len(old)} old, {len(new)} new",
         f"paired with equal behaviour: {counts['point']} point + "
         f"{counts['multicore']} multicore = "

@@ -79,6 +79,7 @@ from repro.experiments import (
 from repro.experiments.spec import ExperimentLookupError
 from repro.regress.firewall import BaselineFirewall
 from repro.regress.store import BaselineStore
+from repro.sim.cache import ResultCacheStats
 
 
 def _select_specs(ids: List[str], run_all: bool, tag: Optional[str] = None):
@@ -114,6 +115,7 @@ class _ExperimentRun(NamedTuple):
     error: Optional[str]  # the traceback, when the experiment raised
     failed: List[str]     # expectation predicates that missed
     firewall: Optional[BaselineFirewall]
+    cache: Optional[ResultCacheStats]  # None with the cache off
 
 
 def _run_one(payload: Tuple[str, Dict[str, Any], Optional[Dict[str, Any]]]
@@ -124,17 +126,31 @@ def _run_one(payload: Tuple[str, Dict[str, Any], Optional[Dict[str, Any]]]
     if firewall_spec is not None:
         firewall = BaselineFirewall(BaselineStore(firewall_spec["root"]),
                                     mode=firewall_spec["mode"])
+    engine = ExperimentEngine(firewall=firewall, **engine_kwargs)
     started = time.perf_counter()
     error: Optional[str] = None
     failed: List[str] = []
     try:
-        doc = ExperimentEngine(firewall=firewall, **engine_kwargs).run(eid)
+        doc = engine.run(eid)
         failed = [outcome["name"] for outcome in doc["expectations"]
                   if not outcome["passed"]]
     except Exception:  # noqa: BLE001 — one experiment must not kill the run
         error = traceback.format_exc()
     return _ExperimentRun(time.perf_counter() - started, error, failed,
-                          firewall)
+                          firewall,
+                          engine.cache.stats if engine.cache is not None
+                          else None)
+
+
+def _cache_summary(stats: List[ResultCacheStats]) -> str:
+    """The result cache's counts summed over every experiment's
+    engine: what a run reused, simulated and stored, and how many
+    entries it found invalid (and quarantined)."""
+    if not stats:
+        return "result cache off"
+    total = sum(stats, ResultCacheStats())
+    return (f"result cache: {total.hits} hits, {total.misses} misses, "
+            f"{total.stores} stores, {total.invalid} invalid")
 
 
 def _worker_count(jobs: int, experiments: int) -> int:
@@ -201,6 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     errors = []
     expectation_misses = []
+    cache_stats: List[ResultCacheStats] = []
     with contextlib.ExitStack() as scope:
         if args.sanitize:
             # The cores read REPRO_SANITIZE when they are built: scope
@@ -222,8 +239,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 status = "ok"
             note = f"  ({', '.join(run.failed)})" if run.failed else ""
             print(f"  {status:5s} {spec.name:26s} {run.seconds:7.2f}s{note}")
+            if run.cache is not None:
+                cache_stats.append(run.cache)
     total = time.perf_counter() - started
-    print(f"total: {total:.2f}s wall for {len(specs)} experiments")
+    print(f"total: {total:.2f}s wall for {len(specs)} experiments "
+          f"({_cache_summary(cache_stats)})")
 
     for name, error in errors:
         print(f"\n--- {name} failed ---\n{error}", file=sys.stderr)

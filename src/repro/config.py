@@ -266,7 +266,8 @@ class MachineConfig:
     """One core + its memory hierarchy.
 
     Exactly one of ``sst`` and ``ooo`` is set.  An ``sst`` config with
-    no checkpoint is the in-order baseline.
+    no checkpoint is the in-order baseline.  ``name`` is a display
+    label: no simulation reads it, so no result key hashes it.
     """
 
     hierarchy: HierarchyConfig = HierarchyConfig()
@@ -278,8 +279,12 @@ class MachineConfig:
         _require((self.sst is None) != (self.ooo is None),
                  "a machine needs exactly one of sst and ooo")
         if not self.name:
-            object.__setattr__(self, "name", "ooo" if self.sst is None
-                               else self.sst.mode_name)
+            object.__setattr__(self, "name", self.mode_name)
+
+    @property
+    def mode_name(self) -> str:
+        """``"ooo"``, or the SST pipeline's degenerate configuration."""
+        return "ooo" if self.sst is None else self.sst.mode_name
 
 
 # ---------------------------------------------------------------------------

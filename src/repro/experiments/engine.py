@@ -4,8 +4,8 @@
 ``bench_e*.py`` scripts each re-implemented:
 
 1. build a fresh :class:`~repro.experiments.bench_env.BenchEnv`
-   (smoke scaling, result cache, instruction budget, baseline
-   firewall);
+   (smoke scaling, the engine's result cache, instruction budget,
+   baseline firewall);
 2. call the spec's build function, which returns the experiment's
    :class:`~repro.stats.report.Table` and a JSON-serializable metrics
    dictionary while every simulation point is recorded by the env;
@@ -37,7 +37,7 @@ from repro.experiments.results import (
 )
 from repro.experiments.spec import ExperimentSpec, get
 from repro.regress.firewall import BaselineFirewall
-from repro.sim.cache import SIM_SCHEMA_VERSION
+from repro.sim.cache import SIM_SCHEMA_VERSION, ResultCache, cache_from_env
 from repro.stats.report import Table
 
 
@@ -53,7 +53,11 @@ class ExperimentEngine:
                  firewall: Optional[BaselineFirewall] = None):
         self.smoke = smoke
         self.max_instructions = max_instructions
-        self.cache = cache
+        # One result cache for every env this engine builds, so its
+        # ``stats`` count the lookups and stores of all of its runs.
+        self.cache: Optional[ResultCache] = (
+            cache_from_env() if cache is _UNSET else cache
+        )
         # Behavioral baseline firewall (repro.regress), shared across
         # every env this engine builds so its runs accumulate one
         # capture/verify report.  None observes nothing.

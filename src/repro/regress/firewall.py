@@ -176,7 +176,7 @@ class BaselineDivergence:
         ) or self.problem
         where = "/".join(
             str(value) for key, value in sorted(self.scenario.items())
-            if key in ("machine", "program", "experiment")
+            if key in ("core", "machine", "program", "experiment")
         )
         return (f"[{semid_mod.short_id(self.semid)}] {self.kind} "
                 f"{where}: {parts}")
@@ -229,9 +229,14 @@ class BaselineFirewall:
 
     def observe_point(self, task: SimTask, result: CoreResult) -> str:
         """Observe one point under ``task.key``, the result key its task
-        computed once for the cache and the result document."""
+        computed once for the cache and the result document.
+
+        The scenario holds only what the key digests, never the
+        machine's display name, so every label a sweep gives one
+        machine observes one record with one scenario.
+        """
         scenario = {
-            "machine": task.config.name,
+            "core": task.config.mode_name,
             "program": task.program.name,
             "max_instructions": task.max_instructions,
         }

@@ -1,10 +1,11 @@
 """Content-addressed simulation result cache.
 
 ``Machine.run`` is deliberately side-effect-free: the outcome of one
-simulation point is a pure function of (machine config, program,
-instruction budget).  That makes every point cacheable under a stable
-content hash — identical points re-requested by a different benchmark
-module, a different sweep, or a later process simply reload their
+simulation point is a pure function of (machine config less its
+display name, program, instruction budget).  That makes every point
+cacheable under a stable content hash — identical points re-requested
+by a different benchmark module, a different sweep (under that sweep's
+own label for the machine), or a later process simply reload their
 :class:`~repro.baselines.core_base.CoreResult` from disk instead of
 re-simulating up to tens of millions of instructions.
 
@@ -13,6 +14,8 @@ The key is a SHA-256 over a *canonical* rendering of the inputs:
 * every primitive is type-prefixed (``int:4`` vs ``str:4`` cannot
   collide), dict keys are sorted, dataclasses contribute their class
   name plus sorted fields, enums contribute class and value;
+* the machine config contributes every field but ``name``, a display
+  label no core reads, so one machine under two labels is one key;
 * the program contributes its content fingerprint
   (:meth:`~repro.isa.program.Program.fingerprint`): the instruction
   stream and initial data image, not the object identity;
@@ -78,7 +81,7 @@ from repro.core.deferred_queue import DQStats
 from repro.core.modes import ExecMode, FailCause, ScoutCause
 from repro.core.sst_core import SSTStats
 from repro.core.store_buffer import SBStats
-from repro.config import env_flag
+from repro.config import MachineConfig, env_flag
 from repro.core.timing import PerfCounters
 from repro.isa.interpreter import ArchState, CachedState, InterpreterStats
 from repro.regress.semid import SemanticIdError, canonicalize, digest_material
@@ -139,16 +142,22 @@ class CacheCodecError(SemanticIdError):
 # ---------------------------------------------------------------------------
 
 
-def result_key(config: Any, program: Program, max_instructions: int) -> str:
+def result_key(config: MachineConfig, program: Program,
+               max_instructions: int) -> str:
     """The content hash addressing one simulation point.
 
-    Doubles as the point's *semantic ID* in the baseline firewall
+    It digests what the simulation reads: every field of the machine
+    config but its display ``name``, the program and the budget.  So
+    two sweeps' labels for one machine address one entry.  Doubles as
+    the point's *semantic ID* in the baseline firewall
     (:mod:`repro.regress`): the cache and the firewall agree on input
     identity by construction.
     """
+    machine = canonicalize(config)
+    del machine["name"]
     return digest_material({
         "schema": SIM_SCHEMA_VERSION,
-        "config": canonicalize(config),
+        "config": machine,
         "program": program.fingerprint(),
         "max_instructions": max_instructions,
     })
@@ -291,8 +300,22 @@ def _decode_result(payload: Dict[str, Any],
         if not (isinstance(core, CoreResult)
                 and isinstance(core.state, CachedState)):
             raise CacheCodecError("cached result carries no cached state")
-        core.state.point = f"{core.core_name} on {core.program_name!r}"
+        label_point(core, core.core_name)
     return result
+
+
+def label_point(core: CoreResult, core_name: str) -> CoreResult:
+    """``core``, a point loaded from the cache, labelled ``core_name``,
+    the name its cached state's errors give the point included.
+
+    A key holds no display name, so a lookup may load the entry that
+    another sweep's label for the machine stored; the caller relabels it
+    with its own.
+    """
+    core.core_name = core_name
+    assert isinstance(core.state, CachedState)
+    core.state.point = f"{core_name} on {core.program_name!r}"
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +335,12 @@ class ResultCacheStats:
     misses: int = 0
     stores: int = 0
     invalid: int = 0  # corrupt / stale / mismatched files treated as misses
+
+    def __add__(self, other: "ResultCacheStats") -> "ResultCacheStats":
+        return ResultCacheStats(self.hits + other.hits,
+                                self.misses + other.misses,
+                                self.stores + other.stores,
+                                self.invalid + other.invalid)
 
 
 class ResultCache:
@@ -340,7 +369,9 @@ class ResultCache:
         :class:`MulticoreResult`) for ``key``, or None (counts a miss).
 
         Every core's state is a :class:`CachedState`: registers, PC and
-        digest.  An entry of the other kind is invalid, and a miss.
+        digest.  An entry of the other kind is invalid, and a miss.  A
+        key holds no display name, so a point comes back under the name
+        of the machine that stored it (see :func:`label_point`).
         """
         path = self._path(key)
         try:

@@ -17,7 +17,9 @@ benchmark environment's ``run`` / ``run_matrix`` and
   then raises :class:`SimTaskError` naming the failures;
 * **result cache** — when given a
   :class:`~repro.sim.cache.ResultCache`, every lookup runs before any
-  simulation and cached points are restored without simulating; a
+  simulation and cached points are restored without simulating, each
+  under its own task's machine name (a key holds no display name, so
+  the entry may come from another sweep's label for the machine); a
   cached entry that fails golden verification is quarantined and the
   point re-simulated, and a store that fails (full disk, unregistered
   stats type) warns and continues instead of discarding the result.
@@ -38,7 +40,7 @@ from repro.baselines.core_base import CoreResult
 from repro.config import DEFAULT_MAX_INSTRUCTIONS, MachineConfig
 from repro.errors import ReproError
 from repro.isa.program import Program
-from repro.sim.cache import ResultCache, result_key
+from repro.sim.cache import ResultCache, label_point, result_key
 from repro.sim.runner import simulate, verify_against_golden
 
 
@@ -160,7 +162,9 @@ class ParallelRunner:
             except Exception:  # noqa: BLE001
                 self.cache.invalidate(key)
                 return None
-        return TaskOutcome(task=task, result=result, cached=True)
+        return TaskOutcome(task=task,
+                           result=label_point(result, task.config.name),
+                           cached=True)
 
     def _store_result(self, outcome: TaskOutcome) -> None:
         """Persist one finished result; a store failure (full disk,

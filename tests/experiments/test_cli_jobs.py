@@ -1,10 +1,12 @@
 """The CLI's one parallel path: ``--jobs N`` runs N whole experiments
 at once in ``experiments run`` and ``baseline verify`` with the same
-output as one at a time, and neither command leaves anything behind in
+output as one at a time, the run's total line sums the result cache's
+counts over the workers, and neither command leaves anything behind in
 the caller's environment."""
 
 import json
 import os
+import re
 
 from repro import cli
 from repro.regress.store import BaselineStore
@@ -59,6 +61,44 @@ def test_jobs_2_matches_jobs_1(tmp_path, monkeypatch):
     assert [d["semid"] for d in one["divergences"]] == [record.semid]
     assert verify_report(baseline_dir, tmp_path / "two.json", 2) \
         == (1, one)
+
+
+def cache_counts(capsys, results_dir, *flags):
+    """The result-cache counts on the total line of one run of the
+    corpus: (hits, misses, stores, invalid), or None with the cache
+    off."""
+    assert cli.main(["experiments", "run", CORPUS, "--smoke",
+                     "--results-dir", str(results_dir), *flags]) == 0
+    [total] = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("total:")]
+    if total.endswith("(result cache off)"):
+        return None
+    match = re.search(r"\(result cache: (\d+) hits, (\d+) misses, "
+                      r"(\d+) stores, (\d+) invalid\)$", total)
+    assert match, total
+    return tuple(int(count) for count in match.groups())
+
+
+def test_total_line_sums_the_cache_counts_of_every_worker(
+        tmp_path, monkeypatch, capsys):
+    results = tmp_path / "results"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+    hits, misses, stores, invalid = cache_counts(capsys, results)
+    assert misses == stores > 0 and invalid == 0
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert cache_counts(capsys, results, "--jobs", "2") == \
+        (hits, misses, stores, 0)
+
+    # Warm, every lookup hits; a corrupt entry is an invalid miss that
+    # is simulated and stored again (e4 and e8 share no point, so only
+    # one worker looks it up).
+    assert cache_counts(capsys, results, "--jobs", "2") == \
+        (hits + misses, 0, 0, 0)
+    entry = sorted((tmp_path / "cache").glob("*.json"))[0]
+    entry.write_text("{not json")
+    assert cache_counts(capsys, results, "--jobs", "2") == \
+        (hits + misses - 1, 1, 1, 1)
+    assert cache_counts(capsys, results, "--no-cache") is None
 
 
 def test_cli_leaves_the_environment_as_found(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """``benchmarks/rekey_pairs.py``: a recaptured corpus passes only when
-keys, and nothing else, moved."""
+keys, and nothing else, moved, and several old keys share a new one
+only when their records differ in labels alone."""
 
 import json
 import pathlib
@@ -20,14 +21,15 @@ def write(path, payload):
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def side(root, keys, *, points_signature):
+def side(root, keys, *, points_signature, specs=POINTS):
     """One side's documents and records: one document whose points have
-    ``keys``, a record per point, and the experiment's record."""
+    ``keys`` and ``specs``, a record per point, and the experiment's
+    record."""
     docs, records = root / "docs", root / "records"
     docs.mkdir(parents=True)
     records.mkdir()
     points = []
-    for key, (kind, machine, program, cycles) in zip(keys, POINTS):
+    for key, (kind, machine, program, cycles) in zip(keys, specs):
         points.append({"key": key, "machine": machine, "program": program,
                        "cycles": cycles, "wall_seconds": 0.25})
         write(records / f"{key}.json", {
@@ -95,3 +97,42 @@ def test_two_old_keys_onto_one_new_key_fail(tmp_path, old):
     assert completed.returncode == 1
     assert ("old keys old-a and old-b both map to new key new-a"
             in completed.stdout)
+
+
+# Two sweeps' labels for one machine: equal but for the display name.
+ALIASES = [("point", "sst-2w", "db-hashjoin", 4639),
+           ("point", "sst-dq64", "db-hashjoin", 4639)]
+
+
+def merged_side(root, specs):
+    """The new side of a name-only merge: both points under one key,
+    whose record's scenario holds the core kind, not a display name."""
+    new = side(root, ["new-a", "new-a"], points_signature="sig-new",
+               specs=specs)
+    path = new[1] / "new-a.json"
+    record = json.loads(path.read_text())
+    record["scenario"] = {"core": "sst", "program": "db-hashjoin"}
+    write(path, record)
+    return new
+
+
+def test_name_only_merge_passes(tmp_path):
+    old = side(tmp_path / "old", ["old-a", "old-b"],
+               points_signature="sig-old", specs=ALIASES)
+    completed = run_script(old, merged_side(tmp_path / "new", ALIASES))
+    assert completed.returncode == 0, completed.stdout
+    assert "keys: 2 old mapped onto 1 new (2 moved)" in completed.stdout
+    assert "name-only merges: 1 (2 old keys onto 1 new)" in completed.stdout
+    assert ("paired with equal behaviour: 2 point + 0 multicore = 2"
+            in completed.stdout)
+
+
+def test_merge_of_unequal_behaviour_fails(tmp_path):
+    unequal = [ALIASES[0], ALIASES[1][:3] + (4640,)]
+    old = side(tmp_path / "old", ["old-a", "old-b"],
+               points_signature="sig-old", specs=unequal)
+    completed = run_script(old, merged_side(tmp_path / "new", unequal))
+    assert completed.returncode == 1
+    assert ("old keys old-a and old-b both map to new key new-a, and their "
+            "records differ in more than labels" in completed.stdout)
+    assert "name-only merges: 0 (0 old keys onto 0 new)" in completed.stdout

